@@ -38,10 +38,12 @@
 //! 2⁻⁶⁴ per cluster) — and never arises in the serving loop, where
 //! existing profiles are immutable and inserted users are force-dirtied.
 
+use crate::clustering::Clustering;
 use crate::config::C2Config;
+use crate::frh::FastRandomHash;
 use crate::pipeline::ClusterAndConquer;
 use cnc_dataset::{Dataset, ItemId, UserId};
-use cnc_graph::NeighborList;
+use cnc_graph::{EntryIndex, NeighborList};
 use cnc_similarity::SimilarityBackend;
 use cnc_telemetry::Telemetry;
 use std::collections::HashMap;
@@ -335,8 +337,7 @@ pub struct PlanPartition<'a> {
 /// needs to schedule only dirty clusters.
 pub struct BuildPlan {
     config: C2Config,
-    clusters: Vec<Vec<UserId>>,
-    splits: usize,
+    clustering: Clustering,
     hashes: Vec<u64>,
     seeds: Vec<u64>,
     threshold: usize,
@@ -356,8 +357,7 @@ impl BuildPlan {
             .collect();
         BuildPlan {
             config: *config,
-            clusters: clustering.clusters,
-            splits: clustering.splits,
+            clustering,
             hashes: Vec::new(),
             seeds,
             threshold: config.brute_force_threshold(),
@@ -368,13 +368,14 @@ impl BuildPlan {
     /// item-set digests are computed once and shared across the `t`
     /// configurations a user appears in. Idempotent.
     pub fn fingerprint(&mut self, dataset: &Dataset) {
-        if self.hashes.len() == self.clusters.len() {
+        if self.hashes.len() == self.clustering.clusters.len() {
             return;
         }
         let mut span = Telemetry::global().span("build.fingerprint");
         let digests: Vec<u64> =
             dataset.iter().map(|(_, profile)| profile_digest(profile)).collect();
-        self.hashes = self.clusters.iter().map(|users| cluster_hash(users, &digests)).collect();
+        self.hashes =
+            self.clustering.clusters.iter().map(|users| cluster_hash(users, &digests)).collect();
         span.attr("clusters", self.hashes.len() as u64);
     }
 
@@ -395,7 +396,7 @@ impl BuildPlan {
     ) -> PlanPartition<'a> {
         assert_eq!(
             self.hashes.len(),
-            self.clusters.len(),
+            self.clustering.clusters.len(),
             "fingerprint() must run before partition()"
         );
         let usable = cache.config_token() == config_token(&self.config);
@@ -407,7 +408,7 @@ impl BuildPlan {
         let mut span = Telemetry::global().span("build.partition");
         let mut dirty = Vec::new();
         let mut reused = Vec::new();
-        for (index, users) in self.clusters.iter().enumerate() {
+        for (index, users) in self.clustering.clusters.iter().enumerate() {
             let touched = users.iter().any(|&u| (u as usize) < max_forced && forced[u as usize]);
             let hit = (usable && !touched)
                 .then(|| {
@@ -436,12 +437,22 @@ impl BuildPlan {
 
     /// The clusters, in Step-1 emission order (solver-visible order).
     pub fn clusters(&self) -> &[Vec<UserId>] {
-        &self.clusters
+        &self.clustering.clusters
     }
 
     /// Recursive splits Step 1 performed.
     pub fn splits(&self) -> usize {
-        self.splits
+        self.clustering.splits
+    }
+
+    /// The [`EntryIndex`] of this assignment: the split tree Step 1 walked,
+    /// frozen over its clusters, so a query profile can be routed to the
+    /// clusters an in-sample user with that profile was put in. Costs one
+    /// copy of the member lists, no hashing. Empty (routes nowhere) under
+    /// the MinHash scheme, which records no tree.
+    pub fn entry_index(&self) -> EntryIndex {
+        let functions = FastRandomHash::family(self.config.seed, self.config.t, self.config.b);
+        self.clustering.entry_index(&functions)
     }
 
     /// Per-cluster content hashes (empty until [`BuildPlan::fingerprint`]).
@@ -460,7 +471,7 @@ impl BuildPlan {
     /// brute force still count as sensitive, costing only reuse, never
     /// correctness.)
     pub fn seed_sensitive(&self, index: usize) -> bool {
-        self.clusters[index].len() >= self.threshold
+        self.clustering.clusters[index].len() >= self.threshold
     }
 
     /// The solution a *fresh* solve of cluster `index` would be cached
@@ -473,7 +484,7 @@ impl BuildPlan {
     ) -> ClusterSolution {
         ClusterSolution {
             hash: self.hashes[index],
-            users: self.clusters[index].clone(),
+            users: self.clustering.clusters[index].clone(),
             seed: self.seeds[index],
             lists,
             comparisons,

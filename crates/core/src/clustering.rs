@@ -8,9 +8,15 @@
 //! cluster's index η) and regrouped, with two exceptions that stay behind —
 //! users whose `H\η` is undefined and users who would be alone in their new
 //! cluster.
+//!
+//! The walk is recorded as a [`SplitTree`] (one entry per bucket, split and
+//! remainder), which [`Clustering::entry_index`] freezes into the
+//! [`EntryIndex`] that routes *query* profiles to the same clusters — Step
+//! 1 serving the query path too, at no second pass over the dataset.
 
 use crate::frh::FastRandomHash;
 use cnc_dataset::{Dataset, UserId};
+use cnc_graph::{EntryIndex, SplitTree};
 use std::collections::BTreeMap;
 
 /// The output of Step 1: the final cluster list plus instrumentation.
@@ -27,9 +33,21 @@ pub struct Clustering {
     /// Number of clusters per configuration *before* splitting, for each
     /// function (≤ b non-empty clusters each).
     pub raw_cluster_counts: Vec<usize>,
+    /// How Step 1 arrived at `clusters`: which bucket, split group or
+    /// remainder each one is (empty for clusterings that record none).
+    pub tree: SplitTree,
 }
 
 impl Clustering {
+    /// Freezes the recorded split tree over `clusters` into the index that
+    /// routes a profile to the clusters `functions` (the family this
+    /// clustering ran with) place it in.
+    pub fn entry_index(&self, functions: &[FastRandomHash]) -> EntryIndex {
+        let seeds: Vec<u64> = functions.iter().map(FastRandomHash::seed).collect();
+        let b = functions.first().map_or(1, FastRandomHash::b);
+        EntryIndex::build(b, &seeds, &self.tree, &self.clusters)
+    }
+
     /// Cluster sizes sorted in decreasing order (the series of Fig. 8).
     pub fn sizes_desc(&self) -> Vec<usize> {
         let mut sizes: Vec<usize> = self.clusters.iter().map(Vec::len).collect();
@@ -62,8 +80,9 @@ pub fn cluster_dataset(
     let mut clusters: Vec<Vec<UserId>> = Vec::new();
     let mut splits = 0usize;
     let mut raw_cluster_counts = Vec::with_capacity(functions.len());
+    let mut tree = SplitTree::new(functions.len());
 
-    for frh in functions {
+    for (f, frh) in functions.iter().enumerate() {
         // Algorithm 1: one pass assigning every user to bucket H(u).
         // Buckets are kept sparse (BTreeMap) because most of the b indices
         // are empty on sparse datasets.
@@ -74,55 +93,72 @@ pub fn cluster_dataset(
             }
         }
         raw_cluster_counts.push(buckets.len());
+        let mut walk = SplitWalk {
+            dataset,
+            frh,
+            max_size,
+            out: &mut clusters,
+            splits: &mut splits,
+            tree: &mut tree,
+        };
         for (eta, users) in buckets {
-            split_recursive(dataset, frh, users, eta, max_size, &mut clusters, &mut splits);
+            walk.split_recursive(users, f as u32, eta);
         }
     }
 
-    Clustering { clusters, num_functions: functions.len(), splits, raw_cluster_counts }
+    Clustering { clusters, num_functions: functions.len(), splits, raw_cluster_counts, tree }
 }
 
-/// Recursively splits `users` (the cluster with index `eta`) until every
-/// emitted cluster fits within `max_size` or cannot be split further.
-fn split_recursive(
-    dataset: &Dataset,
-    frh: &FastRandomHash,
-    users: Vec<UserId>,
-    eta: u32,
+/// One function's recursive splitting: the inputs every level shares plus
+/// the three outputs it appends to.
+struct SplitWalk<'a> {
+    dataset: &'a Dataset,
+    frh: &'a FastRandomHash,
     max_size: usize,
-    out: &mut Vec<Vec<UserId>>,
-    splits: &mut usize,
-) {
-    if users.len() <= max_size || eta >= frh.b() {
-        // Within bounds, or no hash value above η exists: terminal.
-        if !users.is_empty() {
-            out.push(users);
+    out: &'a mut Vec<Vec<UserId>>,
+    splits: &'a mut usize,
+    tree: &'a mut SplitTree,
+}
+
+impl SplitWalk<'_> {
+    /// Recursively splits `users` (the group of tree node `parent` with
+    /// index `eta`) until every emitted cluster fits within `max_size` or
+    /// cannot be split further.
+    fn split_recursive(&mut self, users: Vec<UserId>, parent: u32, eta: u32) {
+        if users.len() <= self.max_size || eta >= self.frh.b() {
+            // Within bounds, or no hash value above η exists: terminal.
+            if !users.is_empty() {
+                self.tree.leaf(parent, eta, self.out.len());
+                self.out.push(users);
+            }
+            return;
         }
-        return;
-    }
-    *splits += 1;
-    let mut remainder: Vec<UserId> = Vec::new();
-    let mut groups: BTreeMap<u32, Vec<UserId>> = BTreeMap::new();
-    for u in users {
-        match frh.user_hash_excluding(dataset.profile(u), eta) {
-            // Exception 1: H\η undefined (e.g. single-item users) → stay.
-            None => remainder.push(u),
-            Some(h) => groups.entry(h).or_default().push(u),
+        *self.splits += 1;
+        let node = self.tree.split(parent, eta);
+        let mut remainder: Vec<UserId> = Vec::new();
+        let mut groups: BTreeMap<u32, Vec<UserId>> = BTreeMap::new();
+        for u in users {
+            match self.frh.user_hash_excluding(self.dataset.profile(u), eta) {
+                // Exception 1: H\η undefined (e.g. single-item users) → stay.
+                None => remainder.push(u),
+                Some(h) => groups.entry(h).or_default().push(u),
+            }
         }
-    }
-    for (new_eta, group) in groups {
-        if group.len() == 1 {
-            // Exception 2: users alone in their new cluster stay in C.
-            remainder.extend(group);
-        } else {
-            debug_assert!(new_eta > eta, "split must strictly increase the index");
-            split_recursive(dataset, frh, group, new_eta, max_size, out, splits);
+        for (new_eta, group) in groups {
+            if group.len() == 1 {
+                // Exception 2: users alone in their new cluster stay in C.
+                remainder.extend(group);
+            } else {
+                debug_assert!(new_eta > eta, "split must strictly increase the index");
+                self.split_recursive(group, node, new_eta);
+            }
         }
-    }
-    if !remainder.is_empty() {
-        // The remainder keeps index η; H\η cannot refine it further, so it
-        // is terminal even if it still exceeds max_size.
-        out.push(remainder);
+        if !remainder.is_empty() {
+            // The remainder keeps index η; H\η cannot refine it further, so
+            // it is terminal even if it still exceeds max_size.
+            self.tree.remainder(node, self.out.len());
+            self.out.push(remainder);
+        }
     }
 }
 
@@ -164,6 +200,32 @@ mod tests {
             }
         }
         assert!(counts.iter().all(|&c| c == t), "splitting lost or duplicated users");
+    }
+
+    #[test]
+    fn entry_index_routes_every_user_to_exactly_its_clusters() {
+        // b = 16 over 2000 users with N = 50: deep splits, singleton
+        // groups folded into remainders, H\η-undefined users staying put.
+        let ds = SyntheticConfig::small(52).generate();
+        let fns = functions(3, 16);
+        let clustering = cluster_dataset(&ds, &fns, 50);
+        assert!(clustering.splits > 0);
+        let index = clustering.entry_index(&fns);
+        assert_eq!(index.num_clusters(), clustering.clusters.len());
+        let mut of_user: Vec<Vec<u32>> = vec![Vec::new(); ds.num_users()];
+        for (c, cluster) in clustering.clusters.iter().enumerate() {
+            assert_eq!(index.cluster(c as u32), &cluster[..]);
+            for &u in cluster {
+                of_user[u as usize].push(c as u32);
+            }
+        }
+        let (mut hashes, mut routed) = (Vec::new(), Vec::new());
+        for (u, profile) in ds.iter() {
+            index.route(profile, &mut hashes, &mut routed);
+            // Clusters are emitted function by function, so both lists
+            // are in function order.
+            assert_eq!(routed, of_user[u as usize], "user {u} routed elsewhere");
+        }
     }
 
     #[test]

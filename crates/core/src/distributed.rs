@@ -141,7 +141,13 @@ mod tests {
                 c
             })
             .collect();
-        Clustering { clusters, num_functions: 1, splits: 0, raw_cluster_counts: vec![sizes.len()] }
+        Clustering {
+            clusters,
+            num_functions: 1,
+            splits: 0,
+            raw_cluster_counts: vec![sizes.len()],
+            tree: Default::default(),
+        }
     }
 
     #[test]

@@ -48,6 +48,12 @@ impl FastRandomHash {
         self.b
     }
 
+    /// The seed identifying the generative item hash within its family.
+    #[inline]
+    pub fn seed(&self) -> u64 {
+        self.hash.seed()
+    }
+
     /// The generative item hash `h(i) ∈ ⟦1, b⟧`.
     #[inline(always)]
     pub fn item_hash(&self, item: ItemId) -> u32 {

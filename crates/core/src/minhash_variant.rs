@@ -38,7 +38,13 @@ pub fn cluster_minhash(dataset: &Dataset, root_seed: u64, t: usize) -> Clusterin
         sorted.sort_unstable_by_key(|(item, _)| *item);
         clusters.extend(sorted.into_iter().map(|(_, users)| users));
     }
-    Clustering { clusters, num_functions: t, splits: 0, raw_cluster_counts }
+    Clustering {
+        clusters,
+        num_functions: t,
+        splits: 0,
+        raw_cluster_counts,
+        tree: Default::default(),
+    }
 }
 
 #[cfg(test)]

@@ -6,11 +6,15 @@ pub struct BeamSearchConfig {
     /// Beam width (candidates kept under consideration). Larger = better
     /// recall, more similarity computations. Must be ≥ the query `k`.
     pub beam_width: usize,
-    /// Number of random entry points seeding the search (escapes isolated
-    /// graph regions; the graph is not guaranteed connected).
+    /// The floor **random** users top the seeds up to. A search bound to an
+    /// entry index starts at up to `beam_width` members of the
+    /// FastRandomHash clusters its profile routes to; random users only
+    /// fill in when routing supplies fewer than this — all of the seeds
+    /// when there is no index, the profile is empty, or it lands in
+    /// buckets Step 1 never saw.
     pub entry_points: usize,
-    /// Hard cap on similarity computations per query (0 = unlimited);
-    /// protects latency SLOs on adversarial queries.
+    /// Hard cap on similarity computations per query, seeds included
+    /// (0 = unlimited); protects latency SLOs on adversarial queries.
     pub max_comparisons: usize,
 }
 
@@ -21,6 +25,12 @@ impl Default for BeamSearchConfig {
 }
 
 impl BeamSearchConfig {
+    /// The most seeds one search scores before `max_comparisons` cuts in:
+    /// a full beam of routed seeds, or the random floor if that is larger.
+    pub fn max_seeds(&self) -> usize {
+        self.beam_width.max(self.entry_points)
+    }
+
     /// Validates the parameters against a query `k`.
     pub fn validate(&self, k: usize) -> Result<(), String> {
         if self.beam_width == 0 {

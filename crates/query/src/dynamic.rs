@@ -9,6 +9,10 @@
 //!   newcomer's approximate KNN, installs it, and offers the newcomer as a
 //!   reverse neighbour to every user it visited — so existing
 //!   neighbourhoods keep improving too;
+//! * the placement search starts like a query does: bound to the base
+//!   graph's entry index ([`DynamicIndex::with_entries`]) it is seeded
+//!   from the FastRandomHash clusters the newcomer's profile routes to,
+//!   otherwise at random users;
 //! * the beam expansion is batched through
 //!   [`cnc_similarity::kernel::one_vs_many`] (see [`crate::search`]), over
 //!   raw profiles or — in [`DynamicIndex::with_goldfinger`] mode — over a
@@ -22,12 +26,14 @@
 //! loop of `cnc-serve`'s `ServingEngine`, which snapshots this index's
 //! state into the next published epoch.
 
-use crate::beam::{BeamSearchConfig, VisitedSet};
-use crate::search::{batched_beam_search, BeamSolve, ProfilesQueryKernel};
+use crate::beam::BeamSearchConfig;
+use crate::index::Searcher;
+use crate::search::{batched_beam_search, pick_seeds, BeamSolve, ProfilesQueryKernel};
 use cnc_dataset::{Dataset, DatasetBuilder, ItemId, UserId};
-use cnc_graph::{KnnGraph, Neighbor};
+use cnc_graph::{EntryIndex, KnnGraph, Neighbor};
 use cnc_similarity::kernel::solve_query_words;
 use cnc_similarity::GoldFinger;
+use std::sync::Arc;
 
 /// A growable KNN index: a snapshot graph plus online insertions.
 pub struct DynamicIndex {
@@ -42,6 +48,12 @@ pub struct DynamicIndex {
     /// Growable fingerprints mirroring `profiles` (fingerprint scoring
     /// mode); `None` scores with exact Jaccard on the raw profiles.
     fingerprints: Option<GoldFinger>,
+    /// The base graph's entry index (`None` = random seeds). Inserted
+    /// users are not in it; placements reach them over graph links.
+    entries: Option<Arc<EntryIndex>>,
+    /// Placement-search scratch, kept across inserts (the visited set
+    /// grows with the index instead of being reallocated per insert).
+    searcher: Searcher,
 }
 
 impl DynamicIndex {
@@ -92,7 +104,23 @@ impl DynamicIndex {
             graph,
             config,
             fingerprints,
+            entries: None,
+            searcher: Searcher::new(dataset.num_users()),
         }
+    }
+
+    /// Binds the base graph's entry index, so placement searches start in
+    /// the clusters the newcomer's profile routes to.
+    ///
+    /// # Panics
+    /// Panics if the index names users the graph does not have.
+    pub fn with_entries(mut self, entries: Arc<EntryIndex>) -> Self {
+        assert!(
+            entries.user_bound() <= self.graph.num_users(),
+            "entry index must be built on this graph's users"
+        );
+        self.entries = Some(entries);
+        self
     }
 
     /// Current number of users (base + inserted).
@@ -165,16 +193,15 @@ impl DynamicIndex {
 
         // Beam search against current members (the newcomer is not yet in
         // the graph, so the search space is exactly the existing users).
-        let mut visited = VisitedSet::new(self.profiles.len());
-        let mut batch = Vec::new();
+        let searcher = &mut self.searcher;
+        let n = self.profiles.len();
+        pick_seeds(self.entries.as_deref(), &profile, n, &self.config, seed, searcher);
         let (beam, comparisons) = match &self.fingerprints {
             None => batched_beam_search(
                 &ProfilesQueryKernel::new(&self.profiles, &profile),
                 &self.graph,
-                &mut visited,
-                &mut batch,
+                searcher,
                 &self.config,
-                seed,
             ),
             Some(gf) => {
                 let qwords = gf.fingerprint_profile(&profile);
@@ -182,13 +209,7 @@ impl DynamicIndex {
                     gf.words(),
                     gf.words_per_user(),
                     &qwords,
-                    BeamSolve {
-                        graph: &self.graph,
-                        visited: &mut visited,
-                        batch: &mut batch,
-                        config: &self.config,
-                        seed,
-                    },
+                    BeamSolve { graph: &self.graph, searcher, config: &self.config },
                 )
             }
         };
@@ -212,12 +233,12 @@ impl DynamicIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::beam::VisitedSet;
+    use crate::index::tests::{bucket_entries, seeds_of};
     use cnc_baselines::{BruteForce, BuildContext, KnnAlgorithm};
     use cnc_dataset::SyntheticConfig;
     use cnc_graph::NeighborList;
     use cnc_similarity::{Jaccard, SimilarityBackend, SimilarityData};
-    use rand::rngs::SmallRng;
-    use rand::{RngExt, SeedableRng};
     use std::collections::BinaryHeap;
 
     fn base() -> (Dataset, KnnGraph) {
@@ -239,10 +260,12 @@ mod tests {
 
     /// The seed implementation's scalar insertion loop, kept as the
     /// reference the batched [`DynamicIndex::add_user`] must reproduce —
-    /// the installed id, the comparison count, and the final graph.
+    /// the installed id, the comparison count, and the final graph —
+    /// started from the seeds the shared routine picks.
     fn scalar_add_user(
         profiles: &[Vec<ItemId>],
         graph: &mut KnnGraph,
+        entries: Option<&EntryIndex>,
         config: &BeamSearchConfig,
         mut profile: Vec<ItemId>,
         seed: u64,
@@ -257,16 +280,12 @@ mod tests {
             let mut visited = VisitedSet::new(n);
             visited.clear();
             let mut frontier: BinaryHeap<crate::search::Candidate> = BinaryHeap::new();
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let entries = config.entry_points.min(n);
-            while frontier.len() < entries {
-                let user = rng.random_range(0..n as u32);
-                if visited.insert(user) {
-                    let sim = Jaccard::similarity(&profile, &profiles[user as usize]) as f32;
-                    comparisons += 1;
-                    beam.insert(user, sim);
-                    frontier.push(crate::search::Candidate { sim, user });
-                }
+            for user in seeds_of(entries, &profile, n, config, seed).0 {
+                assert!(visited.insert(user), "seeds must be distinct");
+                let sim = Jaccard::similarity(&profile, &profiles[user as usize]) as f32;
+                comparisons += 1;
+                beam.insert(user, sim);
+                frontier.push(crate::search::Candidate { sim, user });
             }
             while let Some(best) = frontier.pop() {
                 if beam.is_full() && best.sim < beam.worst_sim() {
@@ -300,27 +319,38 @@ mod tests {
     #[test]
     fn batched_insertion_is_identical_to_the_scalar_path() {
         let (ds, graph) = base();
-        let mut index = DynamicIndex::new(&ds, graph.clone(), config());
-        let mut ref_profiles: Vec<Vec<ItemId>> = ds.iter().map(|(_, p)| p.to_vec()).collect();
-        let mut ref_graph = graph;
-        for i in 0..30u32 {
-            let mut profile = ds.profile((i * 13) % 400).to_vec();
-            profile.push(295 + i % 5);
-            let got = index.add_user(profile.clone(), i as u64);
-            let expect = scalar_add_user(
-                &ref_profiles,
-                &mut ref_graph,
-                &config(),
-                profile.clone(),
-                i as u64,
-            );
-            assert_eq!(got, expect, "insertion {i} diverged");
-            profile.sort_unstable();
-            profile.dedup();
-            ref_profiles.push(profile);
-        }
-        for u in 0..index.num_users() as u32 {
-            assert_eq!(index.knn(u), ref_graph.neighbors(u).sorted(), "user {u} lists diverged");
+        // Random seeds, then seeds routed through a bucket index.
+        for entries in [None, Some(Arc::new(bucket_entries(&ds, &[0xD1, 0xD2], 48)))] {
+            let mut index = DynamicIndex::new(&ds, graph.clone(), config());
+            if let Some(entries) = &entries {
+                index = index.with_entries(Arc::clone(entries));
+            }
+            let mut ref_profiles: Vec<Vec<ItemId>> = ds.iter().map(|(_, p)| p.to_vec()).collect();
+            let mut ref_graph = graph.clone();
+            for i in 0..30u32 {
+                let mut profile = ds.profile((i * 13) % 400).to_vec();
+                profile.push(295 + i % 5);
+                let got = index.add_user(profile.clone(), i as u64);
+                let expect = scalar_add_user(
+                    &ref_profiles,
+                    &mut ref_graph,
+                    entries.as_deref(),
+                    &config(),
+                    profile.clone(),
+                    i as u64,
+                );
+                assert_eq!(got, expect, "insertion {i} diverged");
+                profile.sort_unstable();
+                profile.dedup();
+                ref_profiles.push(profile);
+            }
+            for u in 0..index.num_users() as u32 {
+                assert_eq!(
+                    index.knn(u),
+                    ref_graph.neighbors(u).sorted(),
+                    "user {u} lists diverged"
+                );
+            }
         }
     }
 
@@ -332,16 +362,24 @@ mod tests {
         // results, counts and the final graph.
         let (ds, graph) = base();
         let capped = BeamSearchConfig { max_comparisons: 40, ..config() };
-        let mut index = DynamicIndex::new(&ds, graph.clone(), capped);
+        let entries = Arc::new(bucket_entries(&ds, &[0xD1, 0xD2], 48));
+        let mut index =
+            DynamicIndex::new(&ds, graph.clone(), capped).with_entries(Arc::clone(&entries));
         let mut ref_profiles: Vec<Vec<ItemId>> = ds.iter().map(|(_, p)| p.to_vec()).collect();
         let mut ref_graph = graph;
         for i in 0..15u32 {
             let profile = ds.profile((i * 19) % 400).to_vec();
             let got = index.add_user(profile.clone(), i as u64);
-            let expect =
-                scalar_add_user(&ref_profiles, &mut ref_graph, &capped, profile.clone(), i as u64);
+            let expect = scalar_add_user(
+                &ref_profiles,
+                &mut ref_graph,
+                Some(&entries),
+                &capped,
+                profile.clone(),
+                i as u64,
+            );
             assert_eq!(got, expect, "capped insertion {i} diverged");
-            assert!(got.1 <= 40 + capped.entry_points, "cap ignored: {} comparisons", got.1);
+            assert!(got.1 <= 40, "cap ignored: {} comparisons", got.1);
             ref_profiles.push(profile);
         }
         for u in 0..index.num_users() as u32 {

@@ -1,5 +1,12 @@
 //! The query index: greedy beam search for out-of-sample KNN queries.
 //!
+//! A search starts where the query belongs: bound to the graph's
+//! [`EntryIndex`] ([`QueryIndex::with_entries`]), the index routes the
+//! query profile through Step 1's FastRandomHash functions and seeds the
+//! beam with members of the clusters it lands in (see
+//! `cnc_graph::entry`); without one — or for a profile routing places
+//! nowhere — it starts at `entry_points` random users.
+//!
 //! Beam expansion is **batched**: each expanded node's unvisited
 //! neighbours are scored through one
 //! [`cnc_similarity::kernel::one_vs_many`] call against a monomorphized
@@ -11,9 +18,12 @@
 //! the equivalence tests below).
 
 use crate::beam::BeamSearchConfig;
-use crate::search::{batched_beam_search, batched_multi_beam_search, BeamSolve, MultiBeamSolve};
+use crate::search::{
+    batched_beam_search, batched_multi_beam_search, pick_seeds, BeamSolve, MultiBeamSolve,
+    QueryLane,
+};
 use cnc_dataset::{Dataset, ItemId, UserId};
-use cnc_graph::{KnnGraph, Neighbor, NeighborList};
+use cnc_graph::{EntryIndex, KnnGraph, Neighbor, NeighborList};
 use cnc_similarity::kernel::{
     solve_multi_query_words, solve_query_words, RawMultiQueryKernel, RawQueryKernel,
     MAX_SWEEP_QUERIES,
@@ -27,7 +37,7 @@ pub struct BatchQuery<'q> {
     pub profile: &'q [ItemId],
     /// How many neighbours to return.
     pub k: usize,
-    /// The entry-point seed — the same seed a single-query
+    /// The seed of the random fill — the same seed a single-query
     /// [`QueryIndex::search`] would be given.
     pub seed: u64,
 }
@@ -39,16 +49,38 @@ pub struct QueryResult {
     pub neighbors: Vec<Neighbor>,
     /// Similarity computations spent on this query.
     pub comparisons: usize,
+    /// Seeds the search took from the clusters the query was routed to.
+    pub routed_seeds: usize,
+    /// Seeds drawn at random because routing supplied too few.
+    pub random_seeds: usize,
 }
 
 /// Reusable per-thread scratch state (visited marks survive across queries
-/// as epochs and the candidate batch keeps its allocation, so repeated
-/// queries allocate almost nothing). A searcher may outlive the index it
-/// was created from: the visited set grows on demand, so `cnc-serve` can
-/// keep one searcher per client across epoch swaps to larger graphs.
+/// as epochs, and the candidate batch and routing buffers keep their
+/// allocations, so repeated queries allocate almost nothing). A searcher
+/// may outlive the index it was created from: the visited set grows on
+/// demand, so `cnc-serve` can keep one searcher per client across epoch
+/// swaps to larger graphs.
 pub struct Searcher {
     pub(crate) visited: crate::beam::VisitedSet,
+    /// The seeds, then each expansion's candidates.
     pub(crate) batch: Vec<UserId>,
+    /// Routing scratch: the query's item hashes under one function.
+    pub(crate) hashes: Vec<u32>,
+    /// Routing scratch: the clusters the query routed to.
+    pub(crate) clusters: Vec<u32>,
+}
+
+impl Searcher {
+    /// Scratch sized for a graph of `n` users.
+    pub(crate) fn new(n: usize) -> Self {
+        Searcher {
+            visited: crate::beam::VisitedSet::new(n),
+            batch: Vec::new(),
+            hashes: Vec::new(),
+            clusters: Vec::new(),
+        }
+    }
 }
 
 /// An immutable KNN-query index over a dataset and its KNN graph.
@@ -56,6 +88,7 @@ pub struct QueryIndex<'a> {
     dataset: &'a Dataset,
     graph: &'a KnnGraph,
     goldfinger: Option<&'a GoldFinger>,
+    entries: Option<&'a EntryIndex>,
 }
 
 impl<'a> QueryIndex<'a> {
@@ -70,7 +103,7 @@ impl<'a> QueryIndex<'a> {
             graph.num_users(),
             "index requires the graph built on this dataset"
         );
-        QueryIndex { dataset, graph, goldfinger: None }
+        QueryIndex { dataset, graph, goldfinger: None, entries: None }
     }
 
     /// Binds a dataset, its graph, and a GoldFinger fingerprint set;
@@ -97,7 +130,21 @@ impl<'a> QueryIndex<'a> {
             dataset.num_users(),
             "fingerprints must cover the dataset"
         );
-        QueryIndex { dataset, graph, goldfinger: Some(goldfinger) }
+        QueryIndex { dataset, graph, goldfinger: Some(goldfinger), entries: None }
+    }
+
+    /// Binds the graph's entry index: searches start at members of the
+    /// clusters the query profile routes to instead of at random users.
+    ///
+    /// # Panics
+    /// Panics if the index names users the graph does not have.
+    pub fn with_entries(mut self, entries: &'a EntryIndex) -> Self {
+        assert!(
+            entries.user_bound() <= self.graph.num_users(),
+            "entry index must be built on this graph's users"
+        );
+        self.entries = Some(entries);
+        self
     }
 
     /// True if queries are scored on fingerprints rather than raw
@@ -108,10 +155,7 @@ impl<'a> QueryIndex<'a> {
 
     /// Allocates reusable scratch for this index.
     pub fn searcher(&self) -> Searcher {
-        Searcher {
-            visited: crate::beam::VisitedSet::new(self.dataset.num_users()),
-            batch: Vec::new(),
-        }
+        Searcher::new(self.dataset.num_users())
     }
 
     /// Convenience one-shot search (allocates scratch internally).
@@ -144,14 +188,15 @@ impl<'a> QueryIndex<'a> {
             panic!("invalid beam search config: {msg}");
         }
         debug_assert!(query.windows(2).all(|w| w[0] < w[1]), "query profile must be sorted");
+        let routed_seeds =
+            pick_seeds(self.entries, query, self.dataset.num_users(), config, seed, searcher);
+        let random_seeds = searcher.batch.len() - routed_seeds;
         let (beam, comparisons) = match self.goldfinger {
             None => batched_beam_search(
                 &RawQueryKernel::new(self.dataset, query),
                 self.graph,
-                &mut searcher.visited,
-                &mut searcher.batch,
+                searcher,
                 config,
-                seed,
             ),
             Some(gf) => {
                 let qwords = gf.fingerprint_profile(query);
@@ -159,19 +204,13 @@ impl<'a> QueryIndex<'a> {
                     gf.words(),
                     gf.words_per_user(),
                     &qwords,
-                    BeamSolve {
-                        graph: self.graph,
-                        visited: &mut searcher.visited,
-                        batch: &mut searcher.batch,
-                        config,
-                        seed,
-                    },
+                    BeamSolve { graph: self.graph, searcher, config },
                 )
             }
         };
         let mut neighbors = beam.sorted();
         neighbors.truncate(k);
-        QueryResult { neighbors, comparisons }
+        QueryResult { neighbors, comparisons, routed_seeds, random_seeds }
     }
 
     /// Cross-query batched search: answers every query in `queries`,
@@ -192,6 +231,7 @@ impl<'a> QueryIndex<'a> {
         config: &BeamSearchConfig,
     ) -> Vec<QueryResult> {
         let mut results = Vec::with_capacity(queries.len());
+        let n = self.dataset.num_users();
         for chunk in queries.chunks(MAX_SWEEP_QUERIES.max(1)) {
             for q in chunk {
                 if let Err(msg) = config.validate(q.k) {
@@ -202,16 +242,19 @@ impl<'a> QueryIndex<'a> {
                     "query profile must be sorted"
                 );
             }
-            let seeds: Vec<u64> = chunk.iter().map(|q| q.seed).collect();
+            let lanes: Vec<QueryLane> = chunk
+                .iter()
+                .map(|q| QueryLane::seeded(self.entries, q.profile, n, config, q.seed))
+                .collect();
+            let seeds: Vec<(usize, usize)> = lanes.iter().map(|lane| lane.seeds).collect();
             let beams = match self.goldfinger {
                 None => {
                     let profiles: Vec<&[ItemId]> = chunk.iter().map(|q| q.profile).collect();
                     batched_multi_beam_search(
                         &RawMultiQueryKernel::new(self.dataset, &profiles),
-                        chunk.len(),
                         self.graph,
                         config,
-                        &seeds,
+                        lanes,
                     )
                 }
                 Some(gf) => {
@@ -223,19 +266,16 @@ impl<'a> QueryIndex<'a> {
                         gf.words(),
                         gf.words_per_user(),
                         &block,
-                        MultiBeamSolve {
-                            graph: self.graph,
-                            num_queries: chunk.len(),
-                            config,
-                            seeds: &seeds,
-                        },
+                        MultiBeamSolve { graph: self.graph, config, lanes },
                     )
                 }
             };
-            for (q, (beam, comparisons)) in chunk.iter().zip(beams) {
+            for ((q, (beam, comparisons)), (routed_seeds, random_seeds)) in
+                chunk.iter().zip(beams).zip(seeds)
+            {
                 let mut neighbors = beam.sorted();
                 neighbors.truncate(q.k);
-                results.push(QueryResult { neighbors, comparisons });
+                results.push(QueryResult { neighbors, comparisons, routed_seeds, random_seeds });
             }
         }
         results
@@ -248,7 +288,12 @@ impl<'a> QueryIndex<'a> {
         for (u, profile) in self.dataset.iter() {
             list.insert(u, Jaccard::similarity(query, profile) as f32);
         }
-        QueryResult { neighbors: list.sorted(), comparisons: self.dataset.num_users() }
+        QueryResult {
+            neighbors: list.sorted(),
+            comparisons: self.dataset.num_users(),
+            routed_seeds: 0,
+            random_seeds: 0,
+        }
     }
 
     /// Recall of an approximate answer against the exact one
@@ -264,14 +309,50 @@ impl<'a> QueryIndex<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::beam::VisitedSet;
     use cnc_baselines::{BruteForce, BuildContext, KnnAlgorithm};
     use cnc_dataset::SyntheticConfig;
-    use cnc_similarity::{SimilarityBackend, SimilarityData};
-    use rand::rngs::SmallRng;
-    use rand::{RngExt, SeedableRng};
+    use cnc_graph::SplitTree;
+    use cnc_similarity::{SeededHash, SimilarityBackend, SimilarityData};
+    use std::collections::BTreeMap;
+
+    /// A split-free entry index over `ds`: one bucket per `H(u)` under each
+    /// seeded function (Algorithm 1 without the recursive splitting, which
+    /// `cnc-core` and `tests/entry_index.rs` exercise).
+    pub(crate) fn bucket_entries(ds: &Dataset, seeds: &[u64], b: u32) -> EntryIndex {
+        let mut tree = SplitTree::new(seeds.len());
+        let mut clusters: Vec<Vec<UserId>> = Vec::new();
+        for (f, &seed) in seeds.iter().enumerate() {
+            let hash = SeededHash::new(seed);
+            let mut buckets: BTreeMap<u32, Vec<UserId>> = BTreeMap::new();
+            for (u, profile) in ds.iter() {
+                if let Some(h) = profile.iter().map(|&i| hash.hash_range(i, b)).min() {
+                    buckets.entry(h).or_default().push(u);
+                }
+            }
+            for (eta, users) in buckets {
+                tree.leaf(f as u32, eta, clusters.len());
+                clusters.push(users);
+            }
+        }
+        EntryIndex::build(b, seeds, &tree, &clusters)
+    }
+
+    /// The seeds the shared routine picks for one search, with how many
+    /// of them were routed.
+    pub(crate) fn seeds_of(
+        entries: Option<&EntryIndex>,
+        query: &[ItemId],
+        n: usize,
+        config: &BeamSearchConfig,
+        seed: u64,
+    ) -> (Vec<UserId>, usize) {
+        let mut searcher = Searcher::new(n);
+        let routed = pick_seeds(entries, query, n, config, seed, &mut searcher);
+        (searcher.batch, routed)
+    }
 
     fn setup() -> (Dataset, KnnGraph) {
         let mut cfg = SyntheticConfig::small(808);
@@ -287,37 +368,31 @@ mod tests {
         (ds, graph)
     }
 
-    /// The seed implementation's per-candidate scalar loop, kept verbatim
-    /// as the reference the batched path must reproduce exactly —
-    /// neighbours *and* comparison counts. `score` is the per-pair
-    /// oracle: raw Jaccard or the GoldFinger estimate.
+    /// The seed implementation's per-candidate scalar loop, kept as the
+    /// reference the batched path must reproduce exactly — neighbours
+    /// *and* comparison counts — started from the seeds the shared
+    /// routine picks (`seeds_of`). `score` is the per-pair oracle: raw
+    /// Jaccard or the GoldFinger estimate.
     fn scalar_reference<F: Fn(UserId) -> f32>(
         graph: &KnnGraph,
         n: usize,
         k: usize,
         config: &BeamSearchConfig,
-        seed: u64,
+        (seeds, routed_seeds): (Vec<UserId>, usize),
         score: F,
     ) -> QueryResult {
         let mut comparisons = 0usize;
-        if n == 0 {
-            return QueryResult { neighbors: Vec::new(), comparisons };
-        }
         let mut visited = VisitedSet::new(n);
         visited.clear();
         let mut beam = NeighborList::new(config.beam_width);
         let mut frontier: std::collections::BinaryHeap<crate::search::Candidate> =
             std::collections::BinaryHeap::new();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let entries = config.entry_points.min(n);
-        while frontier.len() < entries {
-            let user = rng.random_range(0..n as u32);
-            if visited.insert(user) {
-                let sim = score(user);
-                comparisons += 1;
-                beam.insert(user, sim);
-                frontier.push(crate::search::Candidate { sim, user });
-            }
+        for &user in &seeds {
+            assert!(visited.insert(user), "seeds must be distinct");
+            let sim = score(user);
+            comparisons += 1;
+            beam.insert(user, sim);
+            frontier.push(crate::search::Candidate { sim, user });
         }
         while let Some(best) = frontier.pop() {
             if beam.is_full() && best.sim < beam.worst_sim() {
@@ -340,28 +415,118 @@ mod tests {
         }
         let mut neighbors = beam.sorted();
         neighbors.truncate(k);
-        QueryResult { neighbors, comparisons }
+        let random_seeds = seeds.len() - routed_seeds;
+        QueryResult { neighbors, comparisons, routed_seeds, random_seeds }
+    }
+
+    /// `None` (random seeds) and a two-function bucket index (routed).
+    fn seedings(ds: &Dataset) -> [Option<EntryIndex>; 2] {
+        [None, Some(bucket_entries(ds, &[0xE1, 0xE2], 64))]
+    }
+
+    fn bind<'a>(index: QueryIndex<'a>, entries: Option<&'a EntryIndex>) -> QueryIndex<'a> {
+        match entries {
+            Some(entries) => index.with_entries(entries),
+            None => index,
+        }
     }
 
     #[test]
     fn batched_raw_search_is_identical_to_the_scalar_path() {
         let (ds, graph) = setup();
-        let index = QueryIndex::new(&ds, &graph);
-        for (q, max_comparisons) in [(0usize, 0usize), (17, 0), (42, 120), (99, 30), (7, 1)] {
-            let query: Vec<u32> = ds.profile((q * 5 % 500) as u32).to_vec();
-            let config = BeamSearchConfig { beam_width: 32, entry_points: 6, max_comparisons };
-            let batched = index.search(&query, 10, &config, q as u64);
-            let scalar = scalar_reference(&graph, ds.num_users(), 10, &config, q as u64, |u| {
-                Jaccard::similarity(&query, ds.profile(u)) as f32
-            });
-            assert_eq!(
-                batched.neighbors, scalar.neighbors,
-                "results diverged (cap {max_comparisons})"
-            );
-            assert_eq!(
-                batched.comparisons, scalar.comparisons,
-                "comparison counts diverged (cap {max_comparisons})"
-            );
+        let n = ds.num_users();
+        for entries in seedings(&ds) {
+            let entries = entries.as_ref();
+            let index = bind(QueryIndex::new(&ds, &graph), entries);
+            for (q, max_comparisons) in [(0usize, 0usize), (17, 0), (42, 120), (99, 30), (7, 1)] {
+                let query: Vec<u32> = ds.profile((q * 5 % 500) as u32).to_vec();
+                let config = BeamSearchConfig { beam_width: 32, entry_points: 6, max_comparisons };
+                let batched = index.search(&query, 10, &config, q as u64);
+                let seeds = seeds_of(entries, &query, n, &config, q as u64);
+                let scalar = scalar_reference(&graph, n, 10, &config, seeds, |u| {
+                    Jaccard::similarity(&query, ds.profile(u)) as f32
+                });
+                assert_eq!(
+                    batched.neighbors, scalar.neighbors,
+                    "results diverged (cap {max_comparisons})"
+                );
+                assert_eq!(
+                    batched.comparisons, scalar.comparisons,
+                    "comparison counts diverged (cap {max_comparisons})"
+                );
+                assert_eq!(
+                    (batched.routed_seeds, batched.random_seeds),
+                    (scalar.routed_seeds, scalar.random_seeds)
+                );
+                if max_comparisons > 0 {
+                    assert!(batched.comparisons <= max_comparisons, "seeds count against the cap");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeds_come_from_the_routed_clusters_smallest_first() {
+        let (ds, _) = setup();
+        let n = ds.num_users();
+        let entries = bucket_entries(&ds, &[0xE1, 0xE2, 0xE3], 64);
+        let config = BeamSearchConfig { beam_width: 32, entry_points: 6, max_comparisons: 0 };
+        let (mut hashes, mut routed) = (Vec::new(), Vec::new());
+        for q in [3u32, 77, 210, 499] {
+            let query = ds.profile(q);
+            entries.route(query, &mut hashes, &mut routed);
+            assert_eq!(routed.len(), 3, "an in-sample profile routes under every function");
+            assert!(routed.iter().all(|&c| entries.cluster(c).contains(&q)));
+            // Round-robin over the routed clusters, smallest first.
+            routed.sort_by_key(|&c| entries.cluster(c).len());
+            let mut expect: Vec<UserId> = Vec::new();
+            let longest = routed.iter().map(|&c| entries.cluster(c).len()).max().unwrap();
+            for round in 0..longest {
+                for &c in &routed {
+                    if let Some(&user) = entries.cluster(c).get(round) {
+                        if !expect.contains(&user) {
+                            expect.push(user);
+                        }
+                    }
+                }
+            }
+            expect.truncate(config.beam_width);
+            let (seeds, from_clusters) = seeds_of(Some(&entries), query, n, &config, 9);
+            assert_eq!(from_clusters, expect.len());
+            assert_eq!(seeds[..from_clusters], expect[..]);
+            // Random users only top a short routing up to `entry_points`.
+            assert_eq!(seeds.len(), from_clusters.max(config.entry_points));
+
+            // A capped search scores at most `max_comparisons` seeds.
+            let capped = BeamSearchConfig { max_comparisons: 4, ..config };
+            let (few, _) = seeds_of(Some(&entries), query, n, &capped, 9);
+            assert_eq!(few[..], seeds[..4]);
+        }
+    }
+
+    #[test]
+    fn unroutable_profiles_fall_back_to_random_entry_points() {
+        let (ds, graph) = setup();
+        let n = ds.num_users();
+        let entries = bucket_entries(&ds, &[0xE1, 0xE2], 1 << 20);
+        let config = BeamSearchConfig { beam_width: 32, entry_points: 6, max_comparisons: 0 };
+        // Items no user holds: with b = 2^20 their buckets are unseen
+        // under both functions.
+        let stranger: Vec<u32> = vec![400_001, 400_002, 400_003];
+        for query in [&[][..], &stranger[..]] {
+            let (mut hashes, mut routed) = (Vec::new(), Vec::new());
+            entries.route(query, &mut hashes, &mut routed);
+            assert!(routed.is_empty(), "{query:?} must route nowhere");
+            let with_index = seeds_of(Some(&entries), query, n, &config, 5);
+            let without = seeds_of(None, query, n, &config, 5);
+            assert_eq!(with_index.1, 0);
+            assert_eq!(with_index.0.len(), config.entry_points);
+            assert_eq!(with_index, without, "the fallback is the random start, draw for draw");
+            let bound = QueryIndex::new(&ds, &graph).with_entries(&entries);
+            let plain = QueryIndex::new(&ds, &graph);
+            let (a, b) = (bound.search(query, 5, &config, 5), plain.search(query, 5, &config, 5));
+            assert_eq!((a.neighbors, a.comparisons), (b.neighbors, b.comparisons));
+            assert_eq!((a.routed_seeds, a.random_seeds), (0, config.entry_points));
         }
     }
 
@@ -370,16 +535,20 @@ mod tests {
         let (ds, graph) = setup();
         // 192 bits exercises the dynamic-width fallback; 1024 the paper
         // default's fixed-width specialization.
-        for bits in [192usize, 1024] {
+        let n = ds.num_users();
+        let seedings = seedings(&ds);
+        for (bits, entries) in [(192usize, 0usize), (1024, 0), (1024, 1)] {
+            let entries = seedings[entries].as_ref();
             let gf = GoldFinger::build(&ds, bits, 31);
-            let index = QueryIndex::with_goldfinger(&ds, &graph, &gf);
+            let index = bind(QueryIndex::with_goldfinger(&ds, &graph, &gf), entries);
             assert!(index.is_fingerprinted());
             for (q, max_comparisons) in [(3usize, 0usize), (55, 90), (8, 1)] {
                 let query: Vec<u32> = ds.profile((q * 11 % 500) as u32).to_vec();
                 let qwords = gf.fingerprint_profile(&query);
                 let config = BeamSearchConfig { beam_width: 24, entry_points: 5, max_comparisons };
                 let batched = index.search(&query, 8, &config, q as u64);
-                let scalar = scalar_reference(&graph, ds.num_users(), 8, &config, q as u64, |u| {
+                let seeds = seeds_of(entries, &query, n, &config, q as u64);
+                let scalar = scalar_reference(&graph, n, 8, &config, seeds, |u| {
                     // The estimator the kernels must match bit-for-bit.
                     let (mut inter, mut union) = (0u32, 0u32);
                     for (a, b) in qwords.iter().zip(gf.fingerprint(u)) {
@@ -401,12 +570,16 @@ mod tests {
     #[test]
     fn batched_cross_query_search_is_identical_to_single_queries() {
         let (ds, graph) = setup();
-        for bits in [None, Some(1024usize), Some(192)] {
+        let seedings = seedings(&ds);
+        for (bits, entries) in
+            [(None, 0usize), (None, 1), (Some(1024usize), 0), (Some(1024), 1), (Some(192), 1)]
+        {
             let gf = bits.map(|b| GoldFinger::build(&ds, b, 31));
             let index = match &gf {
                 None => QueryIndex::new(&ds, &graph),
                 Some(gf) => QueryIndex::with_goldfinger(&ds, &graph, gf),
             };
+            let index = bind(index, seedings[entries].as_ref());
             for max_comparisons in [0usize, 120, 1] {
                 let config = BeamSearchConfig { beam_width: 24, entry_points: 5, max_comparisons };
                 let profiles: Vec<Vec<u32>> =
@@ -427,6 +600,10 @@ mod tests {
                     assert_eq!(
                         batched[q].comparisons, single.comparisons,
                         "{bits:?} bits, query {q}, cap {max_comparisons}: counts diverged"
+                    );
+                    assert_eq!(
+                        (batched[q].routed_seeds, batched[q].random_seeds),
+                        (single.routed_seeds, single.random_seeds)
                     );
                 }
             }
@@ -517,7 +694,7 @@ mod tests {
         let query: Vec<u32> = ds.profile(3).to_vec();
         let config = BeamSearchConfig { beam_width: 32, entry_points: 4, max_comparisons: 50 };
         let result = index.search(&query, 10, &config, 5);
-        assert!(result.comparisons <= 50 + 4, "cap exceeded: {}", result.comparisons);
+        assert!(result.comparisons <= 50, "cap exceeded: {}", result.comparisons);
         assert!(!result.neighbors.is_empty());
     }
 

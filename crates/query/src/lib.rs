@@ -10,9 +10,17 @@
 //!
 //! [`QueryIndex`] wraps a dataset + graph and answers
 //! "which k users are most similar to this arbitrary profile?" by walking
-//! neighbour links from seeded entry points, expanding the best unvisited
-//! candidate until the beam stabilizes — touching a tiny fraction of the
-//! users a brute-force scan would.
+//! neighbour links, expanding the best unvisited candidate until the beam
+//! stabilizes — touching a tiny fraction of the users a brute-force scan
+//! would. The walk starts where the paper says a greedy search should:
+//! not at random users, but in the query's own FastRandomHash clusters.
+//! Step 1 of the build records its split tree as an
+//! [`cnc_graph::EntryIndex`]; the query profile is routed through the same
+//! `t` hash functions and the beam is seeded with members of the clusters
+//! it lands in. Random users only fill in when routing cannot supply
+//! seeds (no index bound, an empty profile, an unseen bucket). Single
+//! queries, cross-query batches and [`DynamicIndex`] insert placements
+//! share that one seeding routine.
 
 pub mod beam;
 pub mod dynamic;

@@ -14,10 +14,17 @@
 //! the batch preserves the neighbour-list visit order, so every beam and
 //! frontier mutation happens in the same sequence the scalar loop
 //! produced.
+//!
+//! Every search — single, cross-query lane, insert placement — gets its
+//! seeds from one routine, [`pick_seeds`]: the query profile is routed
+//! through the graph's [`EntryIndex`] to the FastRandomHash clusters it
+//! belongs to and the beam starts at their members; random users only
+//! fill in when routing comes up short.
 
-use crate::beam::{BeamSearchConfig, VisitedSet};
+use crate::beam::BeamSearchConfig;
+use crate::index::Searcher;
 use cnc_dataset::{ItemId, UserId};
-use cnc_graph::{KnnGraph, NeighborList};
+use cnc_graph::{EntryIndex, KnnGraph, NeighborList};
 use cnc_similarity::kernel::{
     one_vs_many, shared_list_sweep, SimKernel, SimSolve, MAX_SWEEP_QUERIES,
 };
@@ -51,7 +58,75 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// One greedy beam search over `graph`, scoring through `kernel`.
+/// Starts a search over `n` users in `searcher`: resets the visited
+/// marks, fills `batch` with the seeds (marking them visited) and returns
+/// how many of them were routed — the rest are random fill.
+///
+/// Routed seeds come first and aim at a **full beam**: `query` is routed
+/// through `entries` to (at most) one cluster per hash function, and
+/// members are taken round-robin over those clusters, smallest cluster
+/// first (fewer co-members share the query's minimum-hash item, so each
+/// is likelier to be similar), until `beam_width` seeds are found or the
+/// clusters run out. A beam filled with good candidates terminates
+/// sooner, so more routed seeds cost *fewer* comparisons overall.
+/// `entry_points` is the floor random users top the seeds up to — the
+/// whole seed set when routing places the profile nowhere (no index, an
+/// empty profile, unseen buckets), which makes that case draw-for-draw
+/// the random start this routine replaced. Seeds count against
+/// `max_comparisons`: a capped search scores at most that many.
+pub(crate) fn pick_seeds(
+    entries: Option<&EntryIndex>,
+    query: &[ItemId],
+    n: usize,
+    config: &BeamSearchConfig,
+    seed: u64,
+    searcher: &mut Searcher,
+) -> usize {
+    let Searcher { visited, batch, hashes, clusters } = searcher;
+    visited.grow(n);
+    visited.clear();
+    batch.clear();
+    let cap = if config.max_comparisons > 0 { config.max_comparisons.min(n) } else { n };
+
+    if let Some(entries) = entries.filter(|e| !e.is_empty()) {
+        let want = config.beam_width.min(cap);
+        entries.route(query, hashes, clusters);
+        clusters.sort_by_key(|&c| entries.cluster(c).len());
+        let mut round = 0;
+        let mut live = true;
+        while live && batch.len() < want {
+            live = false;
+            for &cluster in clusters.iter() {
+                if let Some(&user) = entries.cluster(cluster).get(round) {
+                    live = true;
+                    if visited.insert(user) {
+                        batch.push(user);
+                        if batch.len() == want {
+                            break;
+                        }
+                    }
+                }
+            }
+            round += 1;
+        }
+    }
+    let routed = batch.len();
+
+    let floor = config.entry_points.min(cap);
+    if batch.len() < floor {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        while batch.len() < floor {
+            let user = rng.random_range(0..n as u32);
+            if visited.insert(user) {
+                batch.push(user);
+            }
+        }
+    }
+    routed
+}
+
+/// One greedy beam search over `graph`, scoring through `kernel`, from
+/// the seeds [`pick_seeds`] left in `searcher`.
 ///
 /// The kernel's rows `0..len()-1` are the graph's users and row
 /// `len()-1` is the query (the query-kernel convention of
@@ -59,7 +134,7 @@ impl PartialOrd for Candidate {
 /// similarity computations spent.
 ///
 /// Batching contract: every expansion gathers the expanded node's
-/// unvisited neighbours in list order into `batch` and scores them with
+/// unvisited neighbours in list order into a batch and scores them with
 /// one [`one_vs_many`] call. `config.max_comparisons` reproduces the
 /// scalar semantics exactly — candidate `i` of an expansion is scored iff
 /// `comparisons + i < max` — and ends the search whenever a gathered
@@ -68,36 +143,20 @@ impl PartialOrd for Candidate {
 pub(crate) fn batched_beam_search<K: SimKernel>(
     kernel: &K,
     graph: &KnnGraph,
-    visited: &mut VisitedSet,
-    batch: &mut Vec<UserId>,
+    searcher: &mut Searcher,
     config: &BeamSearchConfig,
-    seed: u64,
 ) -> (NeighborList, usize) {
+    let Searcher { visited, batch, .. } = searcher;
     let n = kernel.len() - 1;
     debug_assert_eq!(graph.num_users(), n, "graph must cover the kernel's user rows");
     let qrow = n as u32;
     let mut comparisons = 0usize;
     let mut beam = NeighborList::new(config.beam_width);
-    if n == 0 {
-        return (beam, comparisons);
-    }
-
-    visited.grow(n);
-    visited.clear();
     let mut frontier: BinaryHeap<Candidate> = BinaryHeap::new();
 
-    // Entry points: distinct random users, scored as one batch. The rng
-    // draw sequence does not depend on scores, so drawing first and
-    // scoring after is step-for-step the scalar sequence.
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let entries = config.entry_points.min(n);
-    batch.clear();
-    while batch.len() < entries {
-        let user = rng.random_range(0..n as u32);
-        if visited.insert(user) {
-            batch.push(user);
-        }
-    }
+    // The seeds, scored as one batch. Picking them never looks at scores,
+    // so picking first and scoring after is step-for-step the scalar
+    // sequence.
     one_vs_many(kernel, qrow, batch, |j, s| {
         beam.insert(j, s);
         frontier.push(Candidate { sim: s, user: j });
@@ -141,14 +200,39 @@ pub(crate) fn batched_beam_search<K: SimKernel>(
 /// state — only execution — so each lane's operation sequence is exactly
 /// its single-query sequence and bit-identity to [`batched_beam_search`]
 /// follows by construction (and is locked by `tests/slo.rs`).
-struct QueryLane {
-    visited: VisitedSet,
-    batch: Vec<UserId>,
+pub(crate) struct QueryLane {
+    searcher: Searcher,
     frontier: BinaryHeap<Candidate>,
     beam: NeighborList,
     comparisons: usize,
     done: bool,
     capped: bool,
+    /// `(routed, random)` seeds the lane started from.
+    pub seeds: (usize, usize),
+}
+
+impl QueryLane {
+    /// A lane over `n` users, seeded for `query` exactly as a single
+    /// search with the same seed would be.
+    pub fn seeded(
+        entries: Option<&EntryIndex>,
+        query: &[ItemId],
+        n: usize,
+        config: &BeamSearchConfig,
+        seed: u64,
+    ) -> Self {
+        let mut searcher = Searcher::new(n);
+        let routed = pick_seeds(entries, query, n, config, seed, &mut searcher);
+        QueryLane {
+            seeds: (routed, searcher.batch.len() - routed),
+            searcher,
+            frontier: BinaryHeap::new(),
+            beam: NeighborList::new(config.beam_width),
+            comparisons: 0,
+            done: false,
+            capped: false,
+        }
+    }
 }
 
 /// Cross-query batched beam search: runs up to [`MAX_SWEEP_QUERIES`]
@@ -158,60 +242,35 @@ struct QueryLane {
 /// once and scored against every interested query row while cache-hot.
 ///
 /// The kernel's rows `0..len()-Q` are the graph's users and row `n + q`
-/// is query `q` (the multi-query kernel convention). `seeds[q]` drives
-/// query `q`'s entry draws. Per query, the returned beam and comparison
-/// count are bit-identical to [`batched_beam_search`] with the same seed:
-/// each lane pops, gathers, truncates and scores in exactly the
-/// single-query order; only execution across lanes is interleaved, and
-/// the shared sweep computes exactly the union of the pairs the lanes
-/// would have computed alone.
+/// is query `q` (the multi-query kernel convention); `lanes[q]` arrives
+/// seeded ([`QueryLane::seeded`]). Per query, the returned beam and
+/// comparison count are bit-identical to [`batched_beam_search`] from the
+/// same seeds: each lane pops, gathers, truncates and scores in exactly
+/// the single-query order; only execution across lanes is interleaved,
+/// and the shared sweep computes exactly the union of the pairs the
+/// lanes would have computed alone.
 pub(crate) fn batched_multi_beam_search<K: SimKernel>(
     kernel: &K,
-    num_queries: usize,
     graph: &KnnGraph,
     config: &BeamSearchConfig,
-    seeds: &[u64],
+    mut lanes: Vec<QueryLane>,
 ) -> Vec<(NeighborList, usize)> {
+    let num_queries = lanes.len();
     assert!(num_queries <= MAX_SWEEP_QUERIES, "at most {MAX_SWEEP_QUERIES} queries per batch");
-    assert_eq!(seeds.len(), num_queries, "one seed per query");
     let n = kernel.len() - num_queries;
     debug_assert_eq!(graph.num_users(), n, "graph must cover the kernel's user rows");
-    if n == 0 || num_queries == 0 {
-        return (0..num_queries).map(|_| (NeighborList::new(config.beam_width), 0)).collect();
-    }
 
-    let mut lanes: Vec<QueryLane> = (0..num_queries)
-        .map(|_| QueryLane {
-            visited: VisitedSet::new(n),
-            batch: Vec::new(),
-            frontier: BinaryHeap::new(),
-            beam: NeighborList::new(config.beam_width),
-            comparisons: 0,
-            done: false,
-            capped: false,
-        })
-        .collect();
-
-    // Entry phase: per-lane random draws and a per-lane scoring batch.
-    // Entry sets are small and unrelated across lanes, so nothing is
-    // shared here; the draw-then-score order matches the single path.
+    // Seed phase: a per-lane scoring batch. Seed sets are small and
+    // unrelated across lanes, so nothing is shared here; the
+    // pick-then-score order matches the single path.
     for (q, lane) in lanes.iter_mut().enumerate() {
-        lane.visited.clear();
-        let mut rng = SmallRng::seed_from_u64(seeds[q]);
-        let entries = config.entry_points.min(n);
-        while lane.batch.len() < entries {
-            let user = rng.random_range(0..n as u32);
-            if lane.visited.insert(user) {
-                lane.batch.push(user);
-            }
-        }
         let qrow = (n + q) as u32;
         let (beam, frontier) = (&mut lane.beam, &mut lane.frontier);
-        one_vs_many(kernel, qrow, &lane.batch, |j, s| {
+        one_vs_many(kernel, qrow, &lane.searcher.batch, |j, s| {
             beam.insert(j, s);
             frontier.push(Candidate { sim: s, user: j });
         });
-        lane.comparisons += lane.batch.len();
+        lane.comparisons += lane.searcher.batch.len();
     }
 
     // Lockstep rounds: each active lane pops its best frontier candidate
@@ -235,17 +294,17 @@ pub(crate) fn batched_multi_beam_search<K: SimKernel>(
                         lane.done = true;
                         continue;
                     }
-                    lane.batch.clear();
+                    lane.searcher.batch.clear();
                     for edge in graph.neighbors(best.user).iter() {
-                        if lane.visited.insert(edge.user) {
-                            lane.batch.push(edge.user);
+                        if lane.searcher.visited.insert(edge.user) {
+                            lane.searcher.batch.push(edge.user);
                         }
                     }
                     lane.capped = false;
                     if config.max_comparisons > 0 {
                         let allowed = config.max_comparisons.saturating_sub(lane.comparisons);
-                        if lane.batch.len() > allowed {
-                            lane.batch.truncate(allowed);
+                        if lane.searcher.batch.len() > allowed {
+                            lane.searcher.batch.truncate(allowed);
                             lane.capped = true;
                         }
                     }
@@ -267,7 +326,7 @@ pub(crate) fn batched_multi_beam_search<K: SimKernel>(
             // of `list` that passed its visited filter, in list order, so
             // a single forward match recovers the positions.
             for (bit, &q) in members.iter().enumerate() {
-                let batch = &lanes[q].batch;
+                let batch = &lanes[q].searcher.batch;
                 let mut ptr = 0usize;
                 for (p, &u) in list.iter().enumerate() {
                     if ptr == batch.len() {
@@ -290,7 +349,7 @@ pub(crate) fn batched_multi_beam_search<K: SimKernel>(
             });
             for &q in members {
                 let lane = &mut lanes[q];
-                lane.comparisons += lane.batch.len();
+                lane.comparisons += lane.searcher.batch.len();
                 if lane.capped {
                     lane.done = true;
                 }
@@ -305,16 +364,15 @@ pub(crate) fn batched_multi_beam_search<K: SimKernel>(
 /// fixed-width GoldFinger specialization once per batch.
 pub(crate) struct MultiBeamSolve<'a> {
     pub graph: &'a KnnGraph,
-    pub num_queries: usize,
     pub config: &'a BeamSearchConfig,
-    pub seeds: &'a [u64],
+    pub lanes: Vec<QueryLane>,
 }
 
 impl SimSolve for MultiBeamSolve<'_> {
     type Output = Vec<(NeighborList, usize)>;
 
     fn run<K: SimKernel>(self, kernel: &K) -> Self::Output {
-        batched_multi_beam_search(kernel, self.num_queries, self.graph, self.config, self.seeds)
+        batched_multi_beam_search(kernel, self.graph, self.config, self.lanes)
     }
 }
 
@@ -324,17 +382,15 @@ impl SimSolve for MultiBeamSolve<'_> {
 /// search against it.
 pub(crate) struct BeamSolve<'a> {
     pub graph: &'a KnnGraph,
-    pub visited: &'a mut VisitedSet,
-    pub batch: &'a mut Vec<UserId>,
+    pub searcher: &'a mut Searcher,
     pub config: &'a BeamSearchConfig,
-    pub seed: u64,
 }
 
 impl SimSolve for BeamSolve<'_> {
     type Output = (NeighborList, usize);
 
     fn run<K: SimKernel>(self, kernel: &K) -> Self::Output {
-        batched_beam_search(kernel, self.graph, self.visited, self.batch, self.config, self.seed)
+        batched_beam_search(kernel, self.graph, self.searcher, self.config)
     }
 }
 

@@ -45,7 +45,7 @@ use cnc_core::distributed::{cluster_cost, plan_deployment_for};
 use cnc_core::{C2Config, ClusterAndConquer, DeploymentPlan};
 use cnc_dataset::{Dataset, UserId};
 use cnc_faults::{Faults, Site};
-use cnc_graph::{KnnGraph, NeighborList};
+use cnc_graph::{EntryIndex, KnnGraph, NeighborList};
 use cnc_similarity::{GoldFinger, SimilarityData};
 use cnc_telemetry::{SpanRecord, Telemetry};
 use parking_lot::Mutex;
@@ -112,6 +112,10 @@ pub struct IncrementalShardedResult {
     pub cache: ClusterCache,
     /// How the build split between reused and re-solved clusters.
     pub rebuild: RebuildStats,
+    /// The plan's entry index ([`BuildPlan::entry_index`]): routes a query
+    /// profile to this build's clusters, so whoever serves `graph` needs
+    /// no second Step-1 pass to seed searches.
+    pub entries: EntryIndex,
 }
 
 /// The per-worker cluster queues plus the bookkeeping stealing needs.
@@ -369,8 +373,14 @@ impl Runtime {
             SimilarityData::build_parallel(c2.backend, dataset, self.config.effective_workers());
         let (result, extra) =
             self.execute_inner(dataset, &sim, c2, start, Some((prev, force_dirty)));
-        let (cache, rebuild) = extra.expect("incremental run must produce a cache");
-        IncrementalShardedResult { graph: result.graph, report: result.report, cache, rebuild }
+        let (cache, rebuild, entries) = extra.expect("incremental run must produce a cache");
+        IncrementalShardedResult {
+            graph: result.graph,
+            report: result.report,
+            cache,
+            rebuild,
+            entries,
+        }
     }
 
     /// [`Runtime::execute_incremental`] against a pre-built, shared
@@ -394,8 +404,14 @@ impl Runtime {
         let sim = SimilarityData::from_goldfinger(goldfinger);
         let (result, extra) =
             self.execute_inner(dataset, &sim, c2, start, Some((prev, force_dirty)));
-        let (cache, rebuild) = extra.expect("incremental run must produce a cache");
-        IncrementalShardedResult { graph: result.graph, report: result.report, cache, rebuild }
+        let (cache, rebuild, entries) = extra.expect("incremental run must produce a cache");
+        IncrementalShardedResult {
+            graph: result.graph,
+            report: result.report,
+            cache,
+            rebuild,
+            entries,
+        }
     }
 
     /// The engine shared by every entry point: stages 1–2 build (and, when
@@ -410,7 +426,7 @@ impl Runtime {
         c2: &C2Config,
         start: Instant,
         incremental: Option<(&ClusterCache, &[UserId])>,
-    ) -> (ShardedResult, Option<(ClusterCache, RebuildStats)>) {
+    ) -> (ShardedResult, Option<(ClusterCache, RebuildStats, EntryIndex)>) {
         let telemetry = Telemetry::global();
         let comparisons_before = sim.comparisons();
         let workers = self.config.effective_workers();
@@ -604,7 +620,7 @@ impl Runtime {
                 start.elapsed().as_secs_f64() * 1e3,
             );
             debug_assert_eq!(cache.len(), clusters.len());
-            (cache, rebuild)
+            (cache, rebuild, plan.entry_index())
         });
 
         let report = RuntimeReport {

@@ -21,7 +21,7 @@
 
 use crate::snapshot::{Snapshot, SnapshotError};
 use cnc_dataset::Dataset;
-use cnc_graph::KnnGraph;
+use cnc_graph::{EntryIndex, KnnGraph};
 use cnc_similarity::GoldFinger;
 use std::path::Path;
 
@@ -41,10 +41,11 @@ macro_rules! zero_copy_supported {
 
 /// One serving state opened for adoption: the same parts as a
 /// [`Snapshot`] minus the builder-only cluster cache, plus the record of
-/// which path produced it. When `mapped` is true the dataset, graph and
-/// fingerprints borrow the underlying memory map (their storages report
-/// `is_shared()`), and they keep the map alive for as long as any clone
-/// of them lives — dropping the engine epoch unmaps the file.
+/// which path produced it. When `mapped` is true the dataset, graph,
+/// fingerprints and entry index borrow the underlying memory map (their
+/// storages report `is_shared()`), and they keep the map alive for as
+/// long as any clone of them lives — dropping the engine epoch unmaps
+/// the file.
 pub struct AdoptedSnapshot {
     /// The user profiles (CSR borrowing the map when `mapped`).
     pub dataset: Dataset,
@@ -52,6 +53,9 @@ pub struct AdoptedSnapshot {
     pub graph: KnnGraph,
     /// Fingerprints, when the snapshot carries them.
     pub goldfinger: Option<GoldFinger>,
+    /// The graph's entry index, when the snapshot carries the section
+    /// (arrays borrowing the map when `mapped`).
+    pub entries: Option<EntryIndex>,
     /// `true` = zero-copy off the map; `false` = decoded copy.
     pub mapped: bool,
 }
@@ -82,6 +86,7 @@ impl AdoptedSnapshot {
             dataset: snapshot.dataset,
             graph: snapshot.graph,
             goldfinger: snapshot.goldfinger,
+            entries: snapshot.entries,
             mapped: false,
         })
     }
@@ -97,9 +102,9 @@ impl AdoptedSnapshot {
 mod zc {
     use super::*;
     use crate::snapshot::{
-        checksum64, cross_validate, parse_dataset_v2, parse_goldfinger_v2, parse_graph_v2,
-        path_key, read_v2_table, CLUSTER_SECTION_BASE, MAGIC, SECTION_CLUSTER_META,
-        SECTION_DATASET, SECTION_GOLDFINGER, SECTION_GRAPH,
+        checksum64, corrupt_entries, cross_validate, parse_dataset_v2, parse_entries_v2,
+        parse_goldfinger_v2, parse_graph_v2, path_key, read_v2_table, CLUSTER_SECTION_BASE, MAGIC,
+        SECTION_CLUSTER_META, SECTION_DATASET, SECTION_ENTRIES, SECTION_GOLDFINGER, SECTION_GRAPH,
     };
     use cnc_dataset::{ItemId, SharedSlice, Storage};
     use cnc_faults::{Faults, Site};
@@ -277,8 +282,13 @@ mod zc {
         let mut dataset: Option<Dataset> = None;
         let mut graph: Option<KnnGraph> = None;
         let mut goldfinger: Option<GoldFinger> = None;
+        // Adopted last: its member ids are checked against the dataset.
+        let mut entries_payload: Option<&[u8]> = None;
         for entry in &table {
-            let relevant = matches!(entry.id, SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER);
+            let relevant = matches!(
+                entry.id,
+                SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER | SECTION_ENTRIES
+            );
             let known =
                 relevant || entry.id == SECTION_CLUSTER_META || entry.id >= CLUSTER_SECTION_BASE;
             if !known {
@@ -351,6 +361,7 @@ mod zc {
                     }
                     goldfinger = Some(gf);
                 }
+                SECTION_ENTRIES if entries_payload.is_none() => entries_payload = Some(payload),
                 id => {
                     return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
                 }
@@ -360,6 +371,33 @@ mod zc {
         let dataset = dataset.ok_or(SnapshotError::MissingSection("dataset"))?;
         let graph = graph.ok_or(SnapshotError::MissingSection("graph"))?;
         cross_validate(&dataset, &graph, goldfinger.as_ref())?;
-        Ok(Some(AdoptedSnapshot { dataset, graph, goldfinger, mapped: true }))
+        let entries = match entries_payload {
+            None => None,
+            Some(payload) => {
+                let layout = parse_entries_v2(payload)?;
+                let (Some(seeds), Some(keys), Some(offsets), Some(targets), Some(members)) = (
+                    cast_slice::<u64>(layout.seeds),
+                    cast_slice::<u64>(layout.keys),
+                    cast_slice::<u32>(layout.offsets),
+                    cast_slice::<u32>(layout.targets),
+                    cast_slice::<u32>(layout.members),
+                ) else {
+                    return Ok(None);
+                };
+                Some(
+                    EntryIndex::from_storage(
+                        layout.b,
+                        seeds.to_vec(),
+                        shared(keys, map),
+                        shared(targets, map),
+                        shared(offsets, map),
+                        shared(members, map),
+                        dataset.num_users(),
+                    )
+                    .map_err(corrupt_entries)?,
+                )
+            }
+        };
+        Ok(Some(AdoptedSnapshot { dataset, graph, goldfinger, entries, mapped: true }))
     }
 }

@@ -7,12 +7,12 @@
 //! [`ServingEngine`] runs both concurrently:
 //!
 //! * **Readers** load the current [`ServingEpoch`] — an immutable bundle
-//!   of dataset + graph + fingerprints — as one `Arc` clone under a brief
-//!   read lock (two atomic operations; no lock is held while the query
-//!   executes), then answer through the batched beam search of
-//!   `cnc-query`. Any number of threads query in parallel, and a query
-//!   started on epoch `e` finishes on epoch `e` even if a swap happens
-//!   mid-flight.
+//!   of dataset + graph + fingerprints + entry index — as one `Arc` clone
+//!   under a brief read lock (two atomic operations; no lock is held while
+//!   the query executes), then answer through the batched beam search of
+//!   `cnc-query`, started in the query's own FastRandomHash clusters. Any
+//!   number of threads query in parallel, and a query started on epoch
+//!   `e` finishes on epoch `e` even if a swap happens mid-flight.
 //! * **The writer** absorbs streaming inserts into a
 //!   [`DynamicIndex`] (each newcomer gets a neighbourhood *now*, and
 //!   existing users receive it as a reverse neighbour), and every
@@ -30,9 +30,9 @@
 
 use crate::slo::{scaled_beam, CrossQueryBatcher, Rejected, SloConfig, SloController, TokenBucket};
 use crate::snapshot::{Snapshot, SnapshotError};
-use cnc_core::{C2Config, ClusterCache, RebuildStats};
+use cnc_core::{BuildPlan, C2Config, ClusterCache, RebuildStats};
 use cnc_dataset::{Dataset, ItemId, UserId};
-use cnc_graph::KnnGraph;
+use cnc_graph::{EntryIndex, KnnGraph};
 use cnc_query::{BatchQuery, BeamSearchConfig, DynamicIndex, QueryIndex, QueryResult, Searcher};
 use cnc_runtime::{Runtime, RuntimeConfig};
 use cnc_similarity::{GoldFinger, SimilarityBackend};
@@ -82,7 +82,7 @@ pub struct BatchRequest {
     pub profile: Vec<ItemId>,
     /// Neighbours to return.
     pub k: usize,
-    /// The entry-point seed a single [`ServingEngine::query`] would get.
+    /// The random-fill seed a single [`ServingEngine::query`] would get.
     pub seed: u64,
 }
 
@@ -93,6 +93,9 @@ pub struct ServingEpoch {
     dataset: Dataset,
     graph: KnnGraph,
     fingerprints: Option<Arc<GoldFinger>>,
+    /// Routes a query profile to the clusters the epoch's build put such a
+    /// user in; empty (random seeds) when the epoch's source carried none.
+    entries: Arc<EntryIndex>,
     /// How the build that published this epoch split between reused and
     /// re-solved clusters (all-zero for epochs restored from parts or a
     /// snapshot, which carry no build record).
@@ -114,7 +117,28 @@ impl ServingEpoch {
         if let Some(gf) = &fingerprints {
             assert_eq!(gf.num_users(), dataset.num_users(), "fingerprints must cover the dataset");
         }
-        ServingEpoch { epoch, dataset, graph, fingerprints, rebuild: RebuildStats::default() }
+        ServingEpoch {
+            epoch,
+            dataset,
+            graph,
+            fingerprints,
+            entries: Arc::default(),
+            rebuild: RebuildStats::default(),
+        }
+    }
+
+    /// Attaches the graph's entry index: the epoch's searches start in
+    /// the clusters the query profile routes to.
+    ///
+    /// # Panics
+    /// Panics if the index names users the epoch does not have.
+    pub fn with_entries(mut self, entries: Arc<EntryIndex>) -> Self {
+        assert!(
+            entries.user_bound() <= self.dataset.num_users(),
+            "entry index must be built on this epoch's users"
+        );
+        self.entries = entries;
+        self
     }
 
     /// The epoch's sequence number (1 for the initial build).
@@ -149,13 +173,20 @@ impl ServingEpoch {
         self.fingerprints.as_ref()
     }
 
+    /// The epoch's entry index (empty when its source carried none).
+    pub fn entries(&self) -> &Arc<EntryIndex> {
+        &self.entries
+    }
+
     /// A query index over this epoch (fingerprint-scored when the epoch
-    /// carries fingerprints, exact Jaccard otherwise).
+    /// carries fingerprints, exact Jaccard otherwise), bound to the
+    /// epoch's entry index.
     pub fn index(&self) -> QueryIndex<'_> {
-        match &self.fingerprints {
+        let index = match &self.fingerprints {
             Some(gf) => QueryIndex::with_goldfinger(&self.dataset, &self.graph, gf),
             None => QueryIndex::new(&self.dataset, &self.graph),
-        }
+        };
+        index.with_entries(&self.entries)
     }
 }
 
@@ -298,6 +329,8 @@ struct ServeMetrics {
     queries_empty: Arc<Counter>,
     query_latency_ns: Arc<Histogram>,
     query_comparisons: Arc<Histogram>,
+    seeds_routed: Arc<Counter>,
+    seeds_random: Arc<Counter>,
     insert_latency_ns: Arc<Histogram>,
     inserts_total: Arc<Counter>,
     epoch_publishes: Arc<Counter>,
@@ -318,6 +351,18 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
+    /// Per-query accounting (callers gate on [`Telemetry::enabled`]).
+    fn record_query(&self, result: &QueryResult) {
+        self.query_comparisons.record(result.comparisons as u64);
+        self.seeds_routed.add(result.routed_seeds as u64);
+        self.seeds_random.add(result.random_seeds as u64);
+        if result.neighbors.is_empty() {
+            self.queries_empty.inc();
+        } else {
+            self.queries_served.inc();
+        }
+    }
+
     fn new() -> Self {
         let t = Telemetry::global();
         ServeMetrics {
@@ -325,6 +370,8 @@ impl ServeMetrics {
             queries_empty: t.counter("cnc_queries_total", &[("outcome", "empty")]),
             query_latency_ns: t.histogram("cnc_query_latency_ns", &[]),
             query_comparisons: t.histogram("cnc_query_comparisons", &[]),
+            seeds_routed: t.counter("cnc_query_seeds_total", &[("source", "routed")]),
+            seeds_random: t.counter("cnc_query_seeds_total", &[("source", "random")]),
             insert_latency_ns: t.histogram("cnc_insert_latency_ns", &[]),
             inserts_total: t.counter("cnc_inserts_total", &[]),
             epoch_publishes: t.counter("cnc_epoch_publishes_total", &[]),
@@ -409,22 +456,24 @@ impl SloState {
 
 /// The hard per-query comparison cap admission enforces so a query's
 /// actual work never exceeds its charge. An explicit `max_comparisons`
-/// is kept; an unlimited config gets a generous derived cap (entry
-/// points plus 64 expansions' worth of beam) — the budget needs a finite
-/// unit of account.
+/// is kept; an unlimited config gets a generous derived cap (the seeds
+/// plus 64 expansions' worth of beam) — the budget needs a finite unit
+/// of account.
 fn admission_beam(beam: &BeamSearchConfig) -> BeamSearchConfig {
     let mut capped = *beam;
     if capped.max_comparisons == 0 {
-        capped.max_comparisons = capped.entry_points + 64 * capped.beam_width;
+        capped.max_comparisons = capped.max_seeds() + 64 * capped.beam_width;
     }
     capped
 }
 
-/// The worst-case comparison count of one query under `beam` — what
-/// admission charges. Entry points are always scored, so the bound is
-/// `max(entry_points, max_comparisons)` (see `batched_beam_search`).
+/// The worst-case comparison count of one query under an
+/// [`admission_beam`] — what admission charges. Seeds, routed or random,
+/// count against `max_comparisons` like every other scored candidate
+/// (see `cnc_query`'s `pick_seeds`), so the cap itself is the bound.
 fn query_charge(beam: &BeamSearchConfig) -> u64 {
-    beam.max_comparisons.max(beam.entry_points) as u64
+    debug_assert!(beam.max_comparisons > 0, "admission needs a capped beam");
+    beam.max_comparisons as u64
 }
 
 /// A concurrent KNN serving engine (see the module docs).
@@ -471,13 +520,18 @@ impl ServingEngine {
     /// [`BeamSearchConfig::validate`]).
     pub fn build(dataset: Dataset, config: ServingConfig) -> Self {
         let empty = ClusterCache::new(&config.c2);
-        let (graph, fingerprints, cache, rebuild) = build_epoch(&dataset, &config, &empty, &[]);
-        Self::from_parts_with(dataset, graph, fingerprints, config, cache, rebuild)
+        let built = build_epoch(&dataset, &config, &empty, &[]);
+        let epoch = ServingEpoch::new(1, dataset, built.graph, built.fingerprints)
+            .with_entries(Arc::new(built.entries));
+        Self::from_epoch(epoch, config, built.cache, built.rebuild)
     }
 
-    /// Wraps an already-built state (the first epoch) without rebuilding.
-    /// The writer's cluster cache starts empty, so the *first* published
-    /// epoch re-solves every cluster and re-seeds the cache.
+    /// Wraps an already-built state (the first epoch) without rebuilding
+    /// the graph. The entry index is derived from `dataset` and
+    /// `config.c2` — Step 1 of the build `graph` came from, re-run (the
+    /// assignment is a pure function of the two). The writer's cluster
+    /// cache starts empty, so the *first* published epoch re-solves every
+    /// cluster and re-seeds the cache.
     ///
     /// # Panics
     /// Panics if the parts disagree on the user count, the fingerprints'
@@ -489,33 +543,19 @@ impl ServingEngine {
         fingerprints: Option<Arc<GoldFinger>>,
         config: ServingConfig,
     ) -> Self {
+        let entries = Arc::new(BuildPlan::assign(&config.c2, &dataset).entry_index());
+        let epoch = ServingEpoch::new(1, dataset, graph, fingerprints).with_entries(entries);
         let cache = ClusterCache::new(&config.c2);
-        Self::from_parts_with(dataset, graph, fingerprints, config, cache, RebuildStats::default())
+        Self::from_epoch(epoch, config, cache, RebuildStats::default())
     }
 
-    fn from_parts_with(
-        dataset: Dataset,
-        graph: KnnGraph,
-        fingerprints: Option<Arc<GoldFinger>>,
+    fn from_epoch(
+        mut epoch: ServingEpoch,
         config: ServingConfig,
         cache: ClusterCache,
         rebuild: RebuildStats,
     ) -> Self {
-        match (&config.c2.backend, &fingerprints) {
-            (SimilarityBackend::GoldFinger { bits, seed }, Some(gf)) => assert_eq!(
-                (*bits, *seed),
-                (gf.bits(), gf.seed()),
-                "fingerprints must match the configured backend"
-            ),
-            (SimilarityBackend::GoldFinger { .. }, None) => {
-                panic!("GoldFinger backend requires the epoch's fingerprints")
-            }
-            (SimilarityBackend::Raw, Some(_)) => {
-                panic!("Raw backend must not carry fingerprints")
-            }
-            (SimilarityBackend::Raw, None) => {}
-        }
-        let mut epoch = ServingEpoch::new(1, dataset, graph, fingerprints);
+        check_backend(&config, epoch.fingerprints.as_deref());
         epoch.rebuild = rebuild;
         let epoch = Arc::new(epoch);
         let writer = Writer {
@@ -563,16 +603,11 @@ impl ServingEngine {
     /// backend (a mismatch would serve scores inconsistent with every
     /// future rebuild).
     pub fn from_snapshot(snapshot: Snapshot, config: ServingConfig) -> Self {
-        let Snapshot { dataset, graph, goldfinger, cache } = snapshot;
+        let Snapshot { dataset, graph, goldfinger, cache, entries } = snapshot;
         let cache = cache.unwrap_or_else(|| ClusterCache::new(&config.c2));
-        Self::from_parts_with(
-            dataset,
-            graph,
-            goldfinger.map(Arc::new),
-            config,
-            cache,
-            RebuildStats::default(),
-        )
+        let epoch = ServingEpoch::new(1, dataset, graph, goldfinger.map(Arc::new))
+            .with_entries(Arc::new(entries.unwrap_or_default()));
+        Self::from_epoch(epoch, config, cache, RebuildStats::default())
     }
 
     /// Persists the current epoch to `path` **atomically**, streaming
@@ -580,7 +615,9 @@ impl ServingEngine {
     /// or fingerprint words — the footprint matters at serving scale);
     /// returns the encoded size. The writer's [`ClusterCache`] rides
     /// along as per-cluster sections, so the engine that reloads this
-    /// file rebuilds incrementally from the first publish. Pending
+    /// file rebuilds incrementally from the first publish, and the
+    /// epoch's entry index as one flat section, so whoever loads or maps
+    /// the file seeds queries exactly as this engine does. Pending
     /// (unpublished) inserts are not included — publish first if they
     /// must survive.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
@@ -591,6 +628,7 @@ impl ServingEngine {
             &epoch.graph,
             epoch.fingerprints.as_deref(),
             Some(&cache),
+            Some(&epoch.entries),
             path,
         )
     }
@@ -601,11 +639,16 @@ impl ServingEngine {
     /// included — publish first if they must survive.
     pub fn snapshot(&self) -> Snapshot {
         let epoch = self.current_epoch();
-        Snapshot::new(
+        let snapshot = Snapshot::new(
             epoch.dataset.clone(),
             epoch.graph.clone(),
             epoch.fingerprints.as_ref().map(|gf| (**gf).clone()),
-        )
+        );
+        if epoch.entries.is_empty() {
+            snapshot
+        } else {
+            snapshot.with_entries((*epoch.entries).clone())
+        }
     }
 
     /// The active configuration.
@@ -674,25 +717,15 @@ impl ServingEngine {
     /// backend (same contract as [`ServingEngine::from_snapshot`]).
     pub fn adopt(&self, adopted: crate::mmap::AdoptedSnapshot) -> u64 {
         let start = Instant::now();
-        let crate::mmap::AdoptedSnapshot { dataset, graph, goldfinger, mapped } = adopted;
+        let crate::mmap::AdoptedSnapshot { dataset, graph, goldfinger, entries, mapped } = adopted;
         let fingerprints = goldfinger.map(Arc::new);
-        match (&self.config.c2.backend, &fingerprints) {
-            (SimilarityBackend::GoldFinger { bits, seed }, Some(gf)) => assert_eq!(
-                (*bits, *seed),
-                (gf.bits(), gf.seed()),
-                "fingerprints must match the configured backend"
-            ),
-            (SimilarityBackend::GoldFinger { .. }, None) => {
-                panic!("GoldFinger backend requires the epoch's fingerprints")
-            }
-            (SimilarityBackend::Raw, Some(_)) => {
-                panic!("Raw backend must not carry fingerprints")
-            }
-            (SimilarityBackend::Raw, None) => {}
-        }
+        check_backend(&self.config, fingerprints.as_deref());
         let mut writer = self.writer_state();
         let next = self.epoch_read().epoch() + 1;
-        let epoch = Arc::new(ServingEpoch::new(next, dataset, graph, fingerprints));
+        let epoch = Arc::new(
+            ServingEpoch::new(next, dataset, graph, fingerprints)
+                .with_entries(Arc::new(entries.unwrap_or_default())),
+        );
         writer.dynamic = None;
         writer.failed_attempts = 0;
         writer.retry_after = None;
@@ -880,12 +913,7 @@ impl ServingEngine {
             self.metrics.query_latency_ns.record(start.elapsed().as_nanos() as u64);
         }
         if telemetry_on {
-            self.metrics.query_comparisons.record(result.comparisons as u64);
-            if result.neighbors.is_empty() {
-                self.metrics.queries_empty.inc();
-            } else {
-                self.metrics.queries_served.inc();
-            }
+            self.metrics.record_query(&result);
         }
         self.slo_tick();
         result
@@ -928,12 +956,7 @@ impl ServingEngine {
             self.metrics.batch_flushes.inc();
             self.metrics.batch_queries.add(batch.len() as u64);
             for result in &results {
-                self.metrics.query_comparisons.record(result.comparisons as u64);
-                if result.neighbors.is_empty() {
-                    self.metrics.queries_empty.inc();
-                } else {
-                    self.metrics.queries_served.inc();
-                }
+                self.metrics.record_query(result);
             }
         }
         for _ in 0..batch.len() {
@@ -1019,6 +1042,13 @@ impl ServingEngine {
     /// always 100 when no p99 target is configured).
     pub fn beam_scale_pct(&self) -> u32 {
         self.slo.scale_pct.load(Ordering::Relaxed)
+    }
+
+    /// Comparison tokens left in the admission budget right now (`None`
+    /// when admission is disabled) — with a query's charge and its
+    /// [`QueryResult::comparisons`], what it takes to audit a refund.
+    pub fn budget_balance(&self) -> Option<u64> {
+        self.slo.bucket.as_ref().map(TokenBucket::balance)
     }
 
     /// Absorbs one streaming insert: the newcomer is placed in the
@@ -1139,8 +1169,8 @@ impl ServingEngine {
         let built = catch_unwind(AssertUnwindSafe(|| {
             build_epoch(&dataset, &self.config, &writer.cache, &inserted)
         }));
-        let (graph, fingerprints, cache, rebuild) = match built {
-            Ok(parts) => parts,
+        let built = match built {
+            Ok(built) => built,
             Err(payload) => {
                 writer.failed_attempts += 1;
                 let retry_after = rebuild_backoff(writer.failed_attempts);
@@ -1161,11 +1191,13 @@ impl ServingEngine {
             }
         };
         let next = self.epoch_read().epoch() + 1;
-        let mut epoch = ServingEpoch::new(next, dataset, graph, fingerprints);
+        let rebuild = built.rebuild;
+        let mut epoch = ServingEpoch::new(next, dataset, built.graph, built.fingerprints)
+            .with_entries(Arc::new(built.entries));
         epoch.rebuild = rebuild;
         let epoch = Arc::new(epoch);
         writer.dynamic = None;
-        writer.cache = cache;
+        writer.cache = built.cache;
         writer.failed_attempts = 0;
         writer.retry_after = None;
         writer.published_at = Instant::now();
@@ -1192,22 +1224,53 @@ impl ServingEngine {
     }
 }
 
+/// Panics unless the fingerprints' presence and shape match the backend
+/// the engine is configured to build and score with.
+fn check_backend(config: &ServingConfig, fingerprints: Option<&GoldFinger>) {
+    match (&config.c2.backend, fingerprints) {
+        (SimilarityBackend::GoldFinger { bits, seed }, Some(gf)) => assert_eq!(
+            (*bits, *seed),
+            (gf.bits(), gf.seed()),
+            "fingerprints must match the configured backend"
+        ),
+        (SimilarityBackend::GoldFinger { .. }, None) => {
+            panic!("GoldFinger backend requires the epoch's fingerprints")
+        }
+        (SimilarityBackend::Raw, Some(_)) => {
+            panic!("Raw backend must not carry fingerprints")
+        }
+        (SimilarityBackend::Raw, None) => {}
+    }
+}
+
+/// What one epoch build hands the engine.
+struct BuiltEpoch {
+    graph: KnnGraph,
+    /// The fingerprints the build ran on, shared with the epoch's kernels.
+    fingerprints: Option<Arc<GoldFinger>>,
+    /// The cluster cache for the *next* build.
+    cache: ClusterCache,
+    /// The build plan's entry index (no second Step-1 pass).
+    entries: EntryIndex,
+    /// Reuse figures; `rebuild_ms` covers the whole epoch build,
+    /// fingerprinting included.
+    rebuild: RebuildStats,
+}
+
 /// One **incremental** C² build on the sharded runtime: fingerprints
 /// built once (in parallel, on the runtime's worker budget) and shared
 /// between the graph construction and the returned serving state; only
 /// clusters missing `prev` — or touched by a `force_dirty` user — are
-/// re-solved. Returns the graph, the shared fingerprints, the cache for
-/// the *next* build and the reuse figures (`rebuild_ms` covers the whole
-/// epoch build, fingerprinting included).
+/// re-solved.
 fn build_epoch(
     dataset: &Dataset,
     config: &ServingConfig,
     prev: &ClusterCache,
     force_dirty: &[UserId],
-) -> (KnnGraph, Option<Arc<GoldFinger>>, ClusterCache, RebuildStats) {
+) -> BuiltEpoch {
     let start = Instant::now();
     let runtime = Runtime::new(config.runtime);
-    let (graph, fingerprints, cache, mut rebuild) = match config.c2.backend {
+    let (result, fingerprints) = match config.c2.backend {
         SimilarityBackend::GoldFinger { bits, seed } => {
             let gf = Arc::new(GoldFinger::build_parallel(
                 dataset,
@@ -1222,21 +1285,28 @@ fn build_epoch(
                 prev,
                 force_dirty,
             );
-            (result.graph, Some(gf), result.cache, result.rebuild)
+            (result, Some(gf))
         }
         SimilarityBackend::Raw => {
-            let result = runtime.execute_incremental(dataset, &config.c2, prev, force_dirty);
-            (result.graph, None, result.cache, result.rebuild)
+            (runtime.execute_incremental(dataset, &config.c2, prev, force_dirty), None)
         }
     };
+    let mut rebuild = result.rebuild;
     rebuild.rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
-    (graph, fingerprints, cache, rebuild)
+    BuiltEpoch {
+        graph: result.graph,
+        fingerprints,
+        cache: result.cache,
+        entries: result.entries,
+        rebuild,
+    }
 }
 
 /// A fresh writer-side dynamic index over a published epoch (profiles,
-/// graph and — in fingerprint mode — the growable fingerprint copy).
+/// graph and — in fingerprint mode — the growable fingerprint copy),
+/// placing inserts through the epoch's entry index.
 fn writer_index(epoch: &ServingEpoch, config: &ServingConfig) -> DynamicIndex {
-    match &epoch.fingerprints {
+    let index = match &epoch.fingerprints {
         Some(gf) => DynamicIndex::with_goldfinger(
             &epoch.dataset,
             epoch.graph.clone(),
@@ -1244,7 +1314,8 @@ fn writer_index(epoch: &ServingEpoch, config: &ServingConfig) -> DynamicIndex {
             (**gf).clone(),
         ),
         None => DynamicIndex::new(&epoch.dataset, epoch.graph.clone(), config.beam),
-    }
+    };
+    index.with_entries(Arc::clone(&epoch.entries))
 }
 
 #[cfg(test)]

@@ -40,17 +40,26 @@
 //! │   3 GOLDFINGER    bits u32, pad u32, seed u64, num_users u64,    │
 //! │                   fingerprint words ×u64                         │
 //! │   4 CLUSTER_META  config_token u64, cluster_count u64            │
+//! │   5 ENTRIES       b u32, functions u32, clusters u64, routes u64,│
+//! │     (optional)    members u64, seeds functions×u64,              │
+//! │                   keys routes×u64, offsets (clusters+1)×u32,     │
+//! │                   targets routes×u32, members ×u32               │
 //! │   0x100+i CLUSTER one persisted ClusterSolution each             │
 //! └──────────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! The ENTRIES section is the epoch's [`EntryIndex`] (`cnc_graph::entry`):
+//! the flat routing table and cluster member arrays that let a query start
+//! in its own FastRandomHash clusters. It is optional — a file without it
+//! (an older writer, a MinHash build) loads and serves from random seeds.
 //!
 //! Alignment rules: each payload starts on a 64-byte boundary (one cache
 //! line, and a multiple of every element alignment used), and within a
 //! section the headers are sized so `u64` arrays land on 8-byte and
 //! interleaved `{u32, f32}` entries on 4-byte boundaries. A mapped v2
-//! file can therefore hand out its offset, entry and word arrays as
-//! typed slices directly (see [`crate::mmap`]) — adoption does no
-//! per-user work. The `0x100 + i` cluster sections persist the builder's
+//! file can therefore hand out its offset, entry, word and entry-index
+//! arrays as typed slices directly (see [`crate::mmap`]) — adoption does
+//! no per-user work. The `0x100 + i` cluster sections persist the builder's
 //! [`ClusterCache`] keyed by `BuildPlan` content hashes, so incremental
 //! rebuilds survive restarts.
 //!
@@ -70,7 +79,7 @@
 use cnc_core::build_plan::{ClusterCache, ClusterSolution};
 use cnc_dataset::Dataset;
 use cnc_faults::{injected_io_error, Fault, Faults, Site};
-use cnc_graph::{KnnGraph, Neighbor, NeighborList};
+use cnc_graph::{EntryIndex, KnnGraph, Neighbor, NeighborList};
 use cnc_similarity::GoldFinger;
 use cnc_telemetry::Telemetry;
 use std::fmt;
@@ -91,6 +100,7 @@ pub(crate) const SECTION_DATASET: u32 = 1;
 pub(crate) const SECTION_GRAPH: u32 = 2;
 pub(crate) const SECTION_GOLDFINGER: u32 = 3;
 pub(crate) const SECTION_CLUSTER_META: u32 = 4;
+pub(crate) const SECTION_ENTRIES: u32 = 5;
 /// Per-cluster solution sections occupy `CLUSTER_SECTION_BASE + i`.
 pub(crate) const CLUSTER_SECTION_BASE: u32 = 0x100;
 
@@ -255,8 +265,9 @@ impl<'a> Cursor<'a> {
 
 /// One persisted serving state: the dataset, its KNN graph, (when the
 /// backend uses them) the GoldFinger fingerprints the graph was built
-/// on, and (when the builder persists it) the per-cluster solution cache
-/// that makes the *next* build incremental.
+/// on, (when the builder persists it) the per-cluster solution cache
+/// that makes the *next* build incremental, and (when the build recorded
+/// one) the entry index that routes queries to their clusters.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// The user profiles the graph was built on.
@@ -269,6 +280,9 @@ pub struct Snapshot {
     /// The builder's persisted [`ClusterCache`] (v2 files only; `None`
     /// for v1 files and serving-only snapshots).
     pub cache: Option<ClusterCache>,
+    /// The graph's [`EntryIndex`] (v2 files that carry the section;
+    /// `None` otherwise — such a state serves from random seeds).
+    pub entries: Option<EntryIndex>,
 }
 
 impl Snapshot {
@@ -283,12 +297,25 @@ impl Snapshot {
         if let Some(gf) = &goldfinger {
             assert_eq!(gf.num_users(), dataset.num_users(), "fingerprints must cover the dataset");
         }
-        Snapshot { dataset, graph, goldfinger, cache: None }
+        Snapshot { dataset, graph, goldfinger, cache: None, entries: None }
     }
 
     /// Attaches a builder's cluster cache for persistence.
     pub fn with_cache(mut self, cache: ClusterCache) -> Self {
         self.cache = Some(cache);
+        self
+    }
+
+    /// Attaches the graph's entry index for persistence.
+    ///
+    /// # Panics
+    /// Panics if the index names users the dataset does not have.
+    pub fn with_entries(mut self, entries: EntryIndex) -> Self {
+        assert!(
+            entries.user_bound() <= self.dataset.num_users(),
+            "entry index must be built on this dataset's users"
+        );
+        self.entries = Some(entries);
         self
     }
 
@@ -300,6 +327,7 @@ impl Snapshot {
             &self.graph,
             self.goldfinger.as_ref(),
             self.cache.as_ref(),
+            self.entries.as_ref(),
             path,
         )
     }
@@ -311,6 +339,7 @@ impl Snapshot {
             &self.graph,
             self.goldfinger.as_ref(),
             self.cache.as_ref(),
+            self.entries.as_ref(),
             out,
         )
     }
@@ -430,7 +459,7 @@ impl Snapshot {
             }
         }
         cross_validate(&dataset, &graph, goldfinger.as_ref())?;
-        Ok(Snapshot { dataset, graph, goldfinger, cache: None })
+        Ok(Snapshot { dataset, graph, goldfinger, cache: None, entries: None })
     }
 
     fn load_v2_sections<R: Read>(
@@ -445,6 +474,8 @@ impl Snapshot {
         let mut goldfinger: Option<GoldFinger> = None;
         let mut cluster_meta: Option<(u64, u64)> = None;
         let mut clusters: Vec<Option<ClusterSolution>> = Vec::new();
+        // Decoded last: its member ids are checked against the dataset.
+        let mut entries: Option<Vec<u8>> = None;
         for entry in table {
             // Sections are laid out in table order; skip the alignment
             // padding between the previous payload and this one.
@@ -485,6 +516,7 @@ impl Snapshot {
                     clusters = (0..meta.1).map(|_| None).collect();
                     cluster_meta = Some(meta);
                 }
+                SECTION_ENTRIES if entries.is_none() => entries = Some(payload),
                 id if id >= CLUSTER_SECTION_BASE => {
                     let index = (id - CLUSTER_SECTION_BASE) as usize;
                     let slot = clusters.get_mut(index).ok_or_else(|| {
@@ -498,7 +530,7 @@ impl Snapshot {
                     *slot = Some(decode_cluster_solution(&payload)?);
                 }
                 id @ (SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER
-                | SECTION_CLUSTER_META) => {
+                | SECTION_CLUSTER_META | SECTION_ENTRIES) => {
                     return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
                 }
                 other => {
@@ -523,7 +555,9 @@ impl Snapshot {
                 Some(ClusterCache::from_parts(token, solutions))
             }
         };
-        Ok(Snapshot { dataset, graph, goldfinger, cache })
+        let entries =
+            entries.map(|payload| decode_entries_v2(&payload, dataset.num_users())).transpose()?;
+        Ok(Snapshot { dataset, graph, goldfinger, cache, entries })
     }
 }
 
@@ -607,6 +641,7 @@ pub fn write_snapshot_parts_to<W: Write>(
     graph: &KnnGraph,
     goldfinger: Option<&GoldFinger>,
     cache: Option<&ClusterCache>,
+    entries: Option<&EntryIndex>,
     out: &mut W,
 ) -> Result<u64, SnapshotError> {
     assert_eq!(dataset.num_users(), graph.num_users(), "graph/dataset user mismatch");
@@ -618,6 +653,14 @@ pub fn write_snapshot_parts_to<W: Write>(
     sections.push((SECTION_GRAPH, encode_graph_v2(graph)));
     if let Some(gf) = goldfinger {
         sections.push((SECTION_GOLDFINGER, encode_goldfinger_v2(gf)));
+    }
+    // An index that routes nowhere is what a missing section loads as.
+    if let Some(entries) = entries.filter(|e| !e.is_empty()) {
+        assert!(
+            entries.user_bound() <= dataset.num_users(),
+            "entry index must be built on this dataset's users"
+        );
+        sections.push((SECTION_ENTRIES, encode_entries_v2(entries)));
     }
     if let Some(cache) = cache {
         sections.push((SECTION_CLUSTER_META, encode_cluster_meta(cache)));
@@ -652,15 +695,14 @@ pub fn write_snapshot_parts_to<W: Write>(
     Ok(written)
 }
 
-/// [`write_snapshot_parts_to`] without a cluster cache (the common
-/// serving-only case).
+/// [`write_snapshot_parts_to`] without a cluster cache or entry index.
 pub fn write_snapshot_to<W: Write>(
     dataset: &Dataset,
     graph: &KnnGraph,
     goldfinger: Option<&GoldFinger>,
     out: &mut W,
 ) -> Result<u64, SnapshotError> {
-    write_snapshot_parts_to(dataset, graph, goldfinger, None, out)
+    write_snapshot_parts_to(dataset, graph, goldfinger, None, None, out)
 }
 
 /// Streams a **format v1** snapshot — kept for wire-compat tests and for
@@ -720,16 +762,18 @@ pub fn write_snapshot(
     goldfinger: Option<&GoldFinger>,
     path: impl AsRef<Path>,
 ) -> Result<u64, SnapshotError> {
-    write_snapshot_full(dataset, graph, goldfinger, None, path)
+    write_snapshot_full(dataset, graph, goldfinger, None, None, path)
 }
 
-/// [`write_snapshot`] with a builder's [`ClusterCache`] persisted
-/// alongside the serving state (per-cluster sections; see module docs).
+/// [`write_snapshot`] with a builder's [`ClusterCache`] (per-cluster
+/// sections) and the graph's [`EntryIndex`] (one flat section) persisted
+/// alongside the serving state; see the module docs.
 pub fn write_snapshot_full(
     dataset: &Dataset,
     graph: &KnnGraph,
     goldfinger: Option<&GoldFinger>,
     cache: Option<&ClusterCache>,
+    entries: Option<&EntryIndex>,
     path: impl AsRef<Path>,
 ) -> Result<u64, SnapshotError> {
     // The temp name must be unique per *call*, not just per process: two
@@ -755,7 +799,7 @@ pub fn write_snapshot_full(
     let mut simulated_crash = false;
     let result = (|| {
         let mut out = BufWriter::new(File::create(&tmp)?);
-        let bytes = write_snapshot_parts_to(dataset, graph, goldfinger, cache, &mut out)?;
+        let bytes = write_snapshot_parts_to(dataset, graph, goldfinger, cache, entries, &mut out)?;
         out.flush()?;
         out.get_ref().sync_all()?;
         drop(out);
@@ -1293,6 +1337,112 @@ fn decode_goldfinger_v2(payload: &[u8]) -> Result<GoldFinger, SnapshotError> {
         )));
     }
     Ok(gf)
+}
+
+/// The byte geometry of a v2 entry-index section.
+pub(crate) struct EntriesLayoutV2<'a> {
+    pub(crate) b: u32,
+    /// `functions` little-endian `u64` hash-function seeds (8-aligned
+    /// within the section).
+    pub(crate) seeds: &'a [u8],
+    /// `routes` sorted `u64` routing keys (8-aligned).
+    pub(crate) keys: &'a [u8],
+    /// `clusters + 1` `u32` member offsets (4-aligned).
+    pub(crate) offsets: &'a [u8],
+    /// `routes` `u32` routing targets (4-aligned).
+    pub(crate) targets: &'a [u8],
+    /// `members` `u32` user ids (4-aligned).
+    pub(crate) members: &'a [u8],
+}
+
+const ENTRIES_HEADER: usize = 32;
+
+pub(crate) fn parse_entries_v2(payload: &[u8]) -> Result<EntriesLayoutV2<'_>, SnapshotError> {
+    if payload.len() < ENTRIES_HEADER {
+        return Err(SnapshotError::Corrupt("entries section shorter than its header".into()));
+    }
+    let b = u32::from_le_bytes(payload[0..4].try_into().unwrap());
+    let functions = u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize;
+    let count = |at: usize| {
+        usize::try_from(u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()))
+            .map_err(|_| SnapshotError::Corrupt("entries section count overflows".into()))
+    };
+    let (clusters, routes, members) = (count(8)?, count(16)?, count(24)?);
+    // Array byte lengths in file order; the counts are untrusted, so the
+    // arithmetic is checked and the total must fill the section exactly
+    // before anything is sliced (or, later, allocated) from them.
+    let lens = [
+        functions.checked_mul(8),
+        routes.checked_mul(8),
+        clusters.checked_add(1).and_then(|n| n.checked_mul(4)),
+        routes.checked_mul(4),
+        members.checked_mul(4),
+    ];
+    let mut bounds = [ENTRIES_HEADER; 6];
+    for (i, len) in lens.into_iter().enumerate() {
+        bounds[i + 1] = len
+            .and_then(|len| bounds[i].checked_add(len))
+            .filter(|&end| end <= payload.len())
+            .ok_or_else(|| SnapshotError::Corrupt("entries arrays overrun the section".into()))?;
+    }
+    if bounds[5] != payload.len() {
+        return Err(SnapshotError::Corrupt(
+            "entries arrays do not fill the section exactly".into(),
+        ));
+    }
+    let array = |i: usize| &payload[bounds[i]..bounds[i + 1]];
+    Ok(EntriesLayoutV2 {
+        b,
+        seeds: array(0),
+        keys: array(1),
+        offsets: array(2),
+        targets: array(3),
+        members: array(4),
+    })
+}
+
+/// The typed error of an entry index that decodes but fails
+/// [`EntryIndex::from_storage`]'s validation.
+pub(crate) fn corrupt_entries(reason: String) -> SnapshotError {
+    SnapshotError::Corrupt(format!("entry index: {reason}"))
+}
+
+fn decode_entries_v2(payload: &[u8], num_users: usize) -> Result<EntryIndex, SnapshotError> {
+    let layout = parse_entries_v2(payload)?;
+    let wide = |bytes: &[u8]| -> Vec<u64> {
+        bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
+    };
+    let half = |bytes: &[u8]| -> Vec<u32> {
+        bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect()
+    };
+    EntryIndex::from_storage(
+        layout.b,
+        wide(layout.seeds),
+        wide(layout.keys).into(),
+        half(layout.targets).into(),
+        half(layout.offsets).into(),
+        half(layout.members).into(),
+        num_users,
+    )
+    .map_err(corrupt_entries)
+}
+
+fn encode_entries_v2(entries: &EntryIndex) -> Vec<u8> {
+    let wide = entries.seeds().len() + entries.keys().len();
+    let half = entries.offsets().len() + entries.targets().len() + entries.members().len();
+    let mut out = Vec::with_capacity(ENTRIES_HEADER + 8 * wide + 4 * half);
+    out.extend_from_slice(&entries.b().to_le_bytes());
+    out.extend_from_slice(&(entries.seeds().len() as u32).to_le_bytes());
+    out.extend_from_slice(&(entries.num_clusters() as u64).to_le_bytes());
+    out.extend_from_slice(&(entries.keys().len() as u64).to_le_bytes());
+    out.extend_from_slice(&(entries.members().len() as u64).to_le_bytes());
+    for &word in entries.seeds().iter().chain(entries.keys()) {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    for &half in entries.offsets().iter().chain(entries.targets()).chain(entries.members()) {
+        out.extend_from_slice(&half.to_le_bytes());
+    }
+    out
 }
 
 fn encode_cluster_meta(cache: &ClusterCache) -> Vec<u8> {

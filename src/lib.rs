@@ -40,7 +40,7 @@ pub mod prelude {
     pub use cnc_distrib::{DistribConfig, DistribPublisher, DistribRuntime, Transport};
     pub use cnc_eval::{quality, KnnClassifier, Recommender};
     pub use cnc_faults::{FaultPlan, Faults};
-    pub use cnc_graph::KnnGraph;
+    pub use cnc_graph::{EntryIndex, KnnGraph};
     pub use cnc_query::{BeamSearchConfig, DynamicIndex, QueryIndex};
     pub use cnc_runtime::{Runtime, RuntimeConfig, ShardedBuild, SpillMode, StealPolicy};
     pub use cnc_serve::{ServingConfig, ServingEngine, Snapshot};

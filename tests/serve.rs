@@ -5,8 +5,8 @@
 
 use cluster_and_conquer::prelude::*;
 use cluster_and_conquer::serve::{
-    write_snapshot, write_snapshot_v1_to, AdoptedSnapshot, SnapshotAdopter, SnapshotError,
-    SnapshotPublisher,
+    checksum64, write_snapshot, write_snapshot_full, write_snapshot_v1_to, AdoptedSnapshot,
+    SnapshotAdopter, SnapshotError, SnapshotPublisher,
 };
 use cnc_query::QueryResult;
 use cnc_similarity::SimilarityData;
@@ -104,6 +104,12 @@ fn assert_snapshots_identical(a: &Snapshot, b: &Snapshot) {
     }
 }
 
+fn assert_entries_identical(a: &EntryIndex, b: &EntryIndex) {
+    assert_eq!((a.b(), a.seeds()), (b.b(), b.seeds()));
+    assert_eq!((a.keys(), a.targets()), (b.keys(), b.targets()));
+    assert_eq!((a.offsets(), a.members()), (b.offsets(), b.members()));
+}
+
 #[test]
 fn snapshot_file_round_trip_is_bit_exact() {
     let ds = dataset(1, 250);
@@ -113,11 +119,20 @@ fn snapshot_file_round_trip_is_bit_exact() {
     snap.write(&path.0).unwrap();
     let back = Snapshot::load(&path.0).unwrap();
     assert_snapshots_identical(&snap, &back);
+    assert_entries_identical(snap.entries.as_ref().unwrap(), back.entries.as_ref().unwrap());
 
     // The streaming borrowed-parts writer produces the identical file
     // without cloning the parts.
     let streamed = TempPath::new("streamed");
-    write_snapshot(&snap.dataset, &snap.graph, snap.goldfinger.as_ref(), &streamed.0).unwrap();
+    write_snapshot_full(
+        &snap.dataset,
+        &snap.graph,
+        snap.goldfinger.as_ref(),
+        None,
+        snap.entries.as_ref(),
+        &streamed.0,
+    )
+    .unwrap();
     assert_eq!(
         std::fs::read(&path.0).unwrap(),
         std::fs::read(&streamed.0).unwrap(),
@@ -333,6 +348,15 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
         adopted.goldfinger.as_ref().unwrap().words(),
         copied.goldfinger.as_ref().unwrap().words()
     );
+    // The entries section round-trips through both paths to the index the
+    // writing engine serves from.
+    let written = engine.current_epoch();
+    let (mapped_entries, copied_entries) =
+        (adopted.entries.as_ref().unwrap(), copied.entries.as_ref().unwrap());
+    assert!(!written.entries().is_empty(), "a C² build records its split tree");
+    assert_entries_identical(mapped_entries, written.entries());
+    assert_entries_identical(copied_entries, written.entries());
+    assert!(!copied_entries.is_shared());
 
     if adopted.mapped {
         // The structural zero-copy assertion: every bulk array borrows
@@ -340,6 +364,7 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
         assert!(adopted.dataset.is_shared(), "mapped dataset must borrow the file");
         assert!(adopted.graph.is_shared(), "mapped graph must borrow the file");
         assert!(adopted.goldfinger.as_ref().unwrap().is_shared());
+        assert!(mapped_entries.is_shared(), "mapped member array must borrow the file");
     }
 
     // Adopt into an engine serving something else entirely; afterwards it
@@ -350,17 +375,28 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
     if AdoptedSnapshot::zero_copy_supported() {
         let current = serving.current_epoch();
         assert!(
-            current.dataset().is_shared() && current.graph().is_shared(),
+            current.dataset().is_shared()
+                && current.graph().is_shared()
+                && current.entries().is_shared(),
             "the adopted epoch must keep borrowing the map"
         );
     }
+    // The mapped epoch, an engine that decoded the file, and the engine
+    // that wrote it answer a probe set identically, comparison counts
+    // included: all three start every search at the same routed seeds.
     let reference = ServingEngine::from_snapshot(Snapshot::load(&path.0).unwrap(), config);
     for q in 0..25u64 {
         let profile = ds.profile((q * 13 % 250) as u32);
         let mine: QueryResult = serving.query(profile, 10, q);
-        let theirs: QueryResult = reference.query(profile, 10, q);
-        assert_eq!(mine.neighbors, theirs.neighbors, "query {q} diverged under mmap");
-        assert_eq!(mine.comparisons, theirs.comparisons, "query {q} cost diverged under mmap");
+        assert!(mine.routed_seeds > 0, "query {q} must start in its clusters");
+        for (name, theirs) in [
+            ("copy-loaded", reference.query(profile, 10, q)),
+            ("writing", engine.query(profile, 10, q)),
+        ] {
+            assert_eq!(mine.neighbors, theirs.neighbors, "query {q}: mmap vs {name} engine");
+            assert_eq!(mine.comparisons, theirs.comparisons, "query {q}: cost vs {name} engine");
+            assert_eq!(mine.routed_seeds, theirs.routed_seeds);
+        }
     }
 
     // The adopted engine is not read-only: inserts copy-on-write and the
@@ -499,6 +535,8 @@ fn snapshot_directory_publisher_and_adopter_hand_off_epochs() {
         let a: QueryResult = replica.query(profile, 8, q);
         let b: QueryResult = builder.query(profile, 8, q);
         assert_eq!(a.neighbors, b.neighbors, "replica diverged from builder on query {q}");
+        assert_eq!(a.comparisons, b.comparisons, "replica spent differently on query {q}");
+        assert!(a.routed_seeds > 0 && a.routed_seeds == b.routed_seeds);
     }
 
     // Publisher restarts resume the sequence; pruning keeps the tail.
@@ -506,6 +544,118 @@ fn snapshot_directory_publisher_and_adopter_hand_off_epochs() {
     let publisher = SnapshotPublisher::open(&dir.0).unwrap();
     assert_eq!(publisher.next_seq(), 2, "restart must resume after the newest file");
     assert_eq!(publisher.prune(1).unwrap(), 1, "pruning drops all but the newest");
+}
+
+/// `(offset, len)` of section `id` and the file position of its checksum,
+/// read from a v2 file's section table.
+fn v2_section(file: &[u8], id: u32) -> (usize, usize, usize) {
+    let count = u32::from_le_bytes(file[12..16].try_into().unwrap()) as usize;
+    (0..count)
+        .map(|i| 16 + 28 * i)
+        .find(|&row| u32::from_le_bytes(file[row..row + 4].try_into().unwrap()) == id)
+        .map(|row| {
+            let field = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+            (field(row + 4) as usize, field(row + 12) as usize, row + 20)
+        })
+        .unwrap_or_else(|| panic!("no section {id} in the table"))
+}
+
+const SECTION_ENTRIES: u32 = 5;
+
+#[test]
+fn corrupt_entries_sections_are_typed_errors_on_both_load_paths() {
+    let ds = dataset(16, 180);
+    let engine = ServingEngine::build(ds, serving_config(0));
+    let mut good = Vec::new();
+    let snap = engine.snapshot();
+    snap.write_to(&mut good).unwrap();
+    assert!(snap.entries.is_some());
+    let (offset, len, checksum_at) = v2_section(&good, SECTION_ENTRIES);
+    let path = TempPath::new("entries-corrupt");
+    let load_both = |bytes: &[u8]| {
+        std::fs::write(&path.0, bytes).unwrap();
+        (
+            Snapshot::load_from(&mut &bytes[..]).map(|_| ()),
+            AdoptedSnapshot::open(&path.0).map(|_| ()),
+        )
+    };
+
+    // Bit rot anywhere in the section — header, table, member array.
+    for at in [offset, offset + 40, offset + len / 2, offset + len - 1] {
+        let mut rotten = good.clone();
+        rotten[at] ^= 0x10;
+        let (copied, mapped) = load_both(&rotten);
+        for outcome in [copied, mapped] {
+            match outcome {
+                Err(SnapshotError::ChecksumMismatch { section: SECTION_ENTRIES }) => {}
+                other => panic!("flip at {at}: expected a checksum mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    // A header that lies about its array lengths, under a checksum
+    // recomputed to match (a buggy or hostile writer): the geometry check
+    // refuses it before anything is sliced or allocated from the counts.
+    let reseal = |bytes: &mut Vec<u8>| {
+        let sum = checksum64(&bytes[offset..offset + len]);
+        bytes[checksum_at..checksum_at + 8].copy_from_slice(&sum.to_le_bytes());
+    };
+    for (field, lie) in [(8usize, u64::MAX), (16, u64::MAX / 8), (24, 1 << 40), (24, 3)] {
+        let mut lying = good.clone();
+        lying[offset + field..offset + field + 8].copy_from_slice(&lie.to_le_bytes());
+        reseal(&mut lying);
+        let (copied, mapped) = load_both(&lying);
+        for outcome in [copied, mapped] {
+            match outcome {
+                Err(SnapshotError::Corrupt(_)) => {}
+                other => panic!("count {lie} at +{field}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    // Well-formed geometry, invalid content: a member id past the dataset.
+    let mut stranger = good.clone();
+    stranger[offset + len - 4..offset + len].copy_from_slice(&u32::MAX.to_le_bytes());
+    reseal(&mut stranger);
+    let (copied, mapped) = load_both(&stranger);
+    for outcome in [copied, mapped] {
+        match outcome {
+            Err(SnapshotError::Corrupt(reason)) => assert!(reason.contains("entry index")),
+            other => panic!("out-of-range member: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_v2_file_without_the_entries_section_serves_from_random_seeds() {
+    let ds = dataset(17, 160);
+    let config = serving_config(0);
+    let engine = ServingEngine::build(ds.clone(), config);
+    let snap = engine.snapshot();
+    // The entries-less writer: what an older build produced.
+    let path = TempPath::new("no-entries");
+    write_snapshot(&snap.dataset, &snap.graph, snap.goldfinger.as_ref(), &path.0).unwrap();
+
+    let loaded = Snapshot::load(&path.0).unwrap();
+    assert!(loaded.entries.is_none());
+    assert_snapshots_identical(&snap, &loaded);
+    let adopted = AdoptedSnapshot::open(&path.0).unwrap();
+    assert!(adopted.entries.is_none());
+
+    let restored = ServingEngine::from_snapshot(loaded, config);
+    let replica = ServingEngine::build(dataset(18, 90), config);
+    replica.adopt(adopted);
+    for q in 0..10u64 {
+        let profile = ds.profile((q * 11 % 160) as u32);
+        let a = restored.query(profile, 6, q);
+        let b = replica.query(profile, 6, q);
+        assert_eq!((a.routed_seeds, a.random_seeds), (0, config.beam.entry_points));
+        assert_eq!(a.neighbors.len(), 6);
+        assert_eq!((a.neighbors, a.comparisons), (b.neighbors, b.comparisons));
+    }
+    // The first publish rebuilds — and brings routed seeding back.
+    restored.publish();
+    assert!(restored.query(ds.profile(5), 6, 1).routed_seeds > 0);
 }
 
 proptest! {

@@ -35,13 +35,22 @@ fn bits(result: &cnc_query::QueryResult) -> Vec<(u32, u32)> {
     result.neighbors.iter().map(|n| (n.user, n.sim.to_bits())).collect()
 }
 
+/// An entry index over `ds` from a Step-1 run with a hash range and
+/// cluster bound small enough that buckets split.
+fn split_entries(ds: &Dataset) -> EntryIndex {
+    let config = C2Config { b: 8, t: 3, max_cluster_size: 12, seed: 77, ..C2Config::default() };
+    BuildPlan::assign(&config, ds).entry_index()
+}
+
 /// Runs one epoch's worth of queries through the single-query path and
 /// the cross-query batched path and asserts bit-identity, for one scoring
-/// backend (`bits_opt`: None = raw Jaccard, Some(b) = b-bit GoldFinger).
+/// backend (`bits_opt`: None = raw Jaccard, Some(b) = b-bit GoldFinger)
+/// and one seeding (`entries`: None = random, Some = routed).
 fn assert_batched_path_identical(
     ds: &Dataset,
     graph: &KnnGraph,
     bits_opt: Option<usize>,
+    entries: Option<&EntryIndex>,
     k: usize,
     batch: usize,
     config: &BeamSearchConfig,
@@ -50,6 +59,10 @@ fn assert_batched_path_identical(
     let index = match &goldfinger {
         Some(gf) => QueryIndex::with_goldfinger(ds, graph, gf),
         None => QueryIndex::new(ds, graph),
+    };
+    let index = match entries {
+        Some(entries) => index.with_entries(entries),
+        None => index,
     };
     let queries: Vec<Vec<u32>> =
         (0..batch).map(|q| ds.profile((q * 7 % ds.num_users()) as u32).to_vec()).collect();
@@ -71,6 +84,7 @@ fn assert_batched_path_identical(
             got.comparisons, single.comparisons,
             "comparison counts diverged (bits {bits_opt:?}, k {k}, batch {batch})"
         );
+        assert_eq!(got.routed_seeds > 0, entries.is_some(), "in-sample profiles route");
     }
 }
 
@@ -81,10 +95,13 @@ fn assert_batched_path_identical(
 fn batched_path_is_bit_identical_for_every_backend_width() {
     let ds = dataset(11, 160);
     let graph = graph_for(&ds, 8);
+    let entries = split_entries(&ds);
     for bits_opt in [None, Some(64), Some(192), Some(1024), Some(4096), Some(8192)] {
         for max_comparisons in [0usize, 48, 1] {
             let config = BeamSearchConfig { beam_width: 16, entry_points: 4, max_comparisons };
-            assert_batched_path_identical(&ds, &graph, bits_opt, 8, 9, &config);
+            for entries in [None, Some(&entries)] {
+                assert_batched_path_identical(&ds, &graph, bits_opt, entries, 8, 9, &config);
+            }
         }
     }
 }
@@ -103,9 +120,11 @@ proptest! {
         batch in 1usize..20,
         backend_pick in 0usize..3,
         cap_pick in 0usize..3,
+        routed in (0u32..2).prop_map(|b| b == 1),
     ) {
         let ds = dataset(seed, users);
         let graph = graph_for(&ds, k.max(4));
+        let entries = routed.then(|| split_entries(&ds));
         let bits_opt = [None, Some(64), Some(1024)][backend_pick];
         let max_comparisons = [0usize, 64, 1][cap_pick];
         let config = BeamSearchConfig {
@@ -113,7 +132,7 @@ proptest! {
             entry_points: 4,
             max_comparisons,
         };
-        assert_batched_path_identical(&ds, &graph, bits_opt, k, batch, &config);
+        assert_batched_path_identical(&ds, &graph, bits_opt, entries.as_ref(), k, batch, &config);
     }
 
     /// Token bucket: over any run, admitted work never exceeds
@@ -337,6 +356,61 @@ fn overloaded_engine_sheds_with_typed_rejections() {
     assert_eq!(unmetered.neighbors.len(), 5);
 }
 
+/// Admission accounting with routed seeds: seeds count against the
+/// comparison cap, so the charge (the cap) is a true upper bound on what a
+/// query spends, and settling refunds exactly the unspent part — on the
+/// single path and the cross-query batch path alike.
+#[test]
+fn routed_queries_never_outspend_their_charge_and_refunds_are_exact() {
+    let ds = dataset(59, 200);
+    let burst = 1_000_000u64;
+    // (configured cap, the charge admission derives from it): an explicit
+    // cap is the charge; an uncapped beam is capped at its seeds plus 64
+    // expansions; a cap below the beam width also cuts the seeds short.
+    for (max_comparisons, charge) in [(40usize, 40u64), (0, 16 + 64 * 16), (5, 5)] {
+        let mut config = serving_config(200);
+        config.beam.max_comparisons = max_comparisons;
+        // One token a second: nothing refills while the test runs, so the
+        // balance moves only by charges and refunds.
+        config.slo = SloConfig { budget_per_sec: 1, burst, ..SloConfig::default() };
+        let engine = ServingEngine::build(ds.clone(), config);
+        let started = std::time::Instant::now();
+        assert_eq!(engine.budget_balance(), Some(burst));
+
+        let mut spent = 0u64;
+        let mut account = |result: &cnc_query::QueryResult| {
+            assert!(result.routed_seeds > 0, "in-sample profiles start in their clusters");
+            assert!(
+                result.routed_seeds + result.random_seeds <= charge as usize,
+                "a capped query scores at most `cap` seeds"
+            );
+            assert!(
+                result.comparisons as u64 <= charge,
+                "query spent {} against a charge of {charge}",
+                result.comparisons
+            );
+            spent += result.comparisons as u64;
+        };
+        for q in 0..40u64 {
+            account(&engine.try_query(ds.profile((q * 3 % 200) as u32), 5, q).unwrap());
+        }
+        let requests: Vec<BatchRequest> = (0..12)
+            .map(|q| BatchRequest { profile: ds.profile(q * 7).to_vec(), k: 5, seed: q as u64 })
+            .collect();
+        for outcome in engine.query_batch(&requests) {
+            account(&outcome.expect("the burst covers every query"));
+        }
+
+        let balance = engine.budget_balance().unwrap();
+        let refilled = balance.checked_sub(burst - spent).expect("a refund underpaid");
+        assert!(
+            refilled <= started.elapsed().as_secs() + 1,
+            "balance {balance} is {refilled} above burst - spent = {}: a refund overpaid",
+            burst - spent
+        );
+    }
+}
+
 /// Light load with no budget: nothing sheds, the controller holds the
 /// full beam — the CI smoke contract.
 #[test]
@@ -373,6 +447,16 @@ fn impossible_slo_narrows_the_beam_to_its_floor_but_not_below() {
     assert!(scale < 100, "impossible SLO must degrade the beam (scale {scale}%)");
     // floor = ceil(min_beam × 100 / full_beam) = ceil(600/16)
     assert!(scale >= 38, "scale {scale}% fell below the floor");
+    // A degraded query fills the *scaled* beam with seeds, not the
+    // configured one (the scale only ever falls under this target).
+    let width = (16 * scale as usize / 100).max(6);
+    let degraded = engine.query_with(&mut session, ds.profile(3), 5, 1);
+    assert!(degraded.routed_seeds > 0);
+    assert!(
+        degraded.routed_seeds + degraded.random_seeds <= width,
+        "{} seeds for a beam scaled to {width}",
+        degraded.routed_seeds + degraded.random_seeds
+    );
 }
 
 /// The recall harness against a live engine: exact search scores a

@@ -233,6 +233,52 @@ fn epoch_adoption_records_latency_and_path_counters() {
 }
 
 #[test]
+fn query_seed_sources_are_counted() {
+    use cnc_similarity::SimilarityBackend;
+
+    let telemetry = Telemetry::global();
+    telemetry.enable(true);
+    let routed = telemetry.counter("cnc_query_seeds_total", &[("source", "routed")]);
+    let random = telemetry.counter("cnc_query_seeds_total", &[("source", "random")]);
+
+    let mut cfg = SyntheticConfig::small(56);
+    cfg.num_users = 150;
+    cfg.num_items = 120;
+    let ds = cfg.generate();
+    let config = ServingConfig {
+        c2: C2Config { k: 6, backend: SimilarityBackend::Raw, threads: 1, ..C2Config::default() },
+        ..ServingConfig::default()
+    };
+    let engine = ServingEngine::build(ds.clone(), config);
+
+    // An in-sample profile starts in its clusters; an empty one has
+    // nowhere to route and draws `entry_points` random users. Other tests
+    // share the registry, so deltas are lower bounds.
+    let (routed_before, random_before) = (routed.value(), random.value());
+    let placed = engine.query(ds.profile(4), 5, 1);
+    assert!(placed.routed_seeds > 0);
+    assert!(routed.value() - routed_before >= placed.routed_seeds as u64);
+    let lost = engine.query(&[], 5, 2);
+    assert_eq!((lost.routed_seeds, lost.random_seeds), (0, config.beam.entry_points));
+    assert!(random.value() - random_before >= lost.random_seeds as u64);
+
+    // The batch path accounts per query too.
+    let routed_before = routed.value();
+    let requests = [cluster_and_conquer::serve::BatchRequest {
+        profile: ds.profile(9).to_vec(),
+        k: 5,
+        seed: 3,
+    }];
+    let batched = engine.query_batch(&requests).remove(0).unwrap();
+    assert!(routed.value() - routed_before >= batched.routed_seeds as u64);
+
+    let text = telemetry.prometheus_text();
+    assert!(text.contains("cnc_query_seeds_total"), "missing counter in:\n{text}");
+    assert!(text.contains("source=\"routed\""), "missing source label in:\n{text}");
+    assert!(text.contains("source=\"random\""), "missing source label in:\n{text}");
+}
+
+#[test]
 fn disabled_telemetry_records_no_new_spans() {
     // A private instance (not the global one): enabling/disabling the
     // global mid-test would race the integration tests above.
