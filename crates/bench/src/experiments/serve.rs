@@ -18,12 +18,13 @@
 //! pin old-vs-new agreement to within one bucket.
 
 use crate::args::HarnessArgs;
-use cnc_core::C2Config;
+use cnc_core::{BuildPlan, C2Config};
 use cnc_eval::groundtruth::{epoch_key, GroundTruthCache, GroundTruthConfig};
 use cnc_faults::{silence_injected_panics, Faults, Site};
 use cnc_query::{BatchQuery, BeamSearchConfig};
 use cnc_runtime::RuntimeConfig;
 use cnc_serve::{BatchRequest, ServingConfig, ServingEngine, SloConfig};
+use cnc_similarity::kernel::pair_count;
 use cnc_similarity::SimilarityBackend;
 use cnc_telemetry::Telemetry;
 use rand::rngs::SmallRng;
@@ -105,6 +106,11 @@ pub struct ServeReport {
     pub reuse_ratio_mean: f64,
     /// Reuse ratio of the last published epoch.
     pub reuse_ratio_last: f64,
+    /// Similarities the last epoch rebuild computed over those a
+    /// from-scratch build of the same plan computes — a same-run ratio of
+    /// counts, which CI gates (a clean-cluster ratio alone says nothing
+    /// about the work redone inside the dirty ones).
+    pub rebuild_comparisons_share: f64,
     /// Median epoch-rebuild wall-clock, milliseconds.
     pub rebuild_ms_p50: f64,
     /// 99th-percentile epoch-rebuild wall-clock, milliseconds.
@@ -356,6 +362,16 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
     // cross-query batched path; the swept per-query comparison caps chart
     // recall@k against the budget.
     let epoch = engine.current_epoch();
+    // The last rebuild built this epoch; a from-scratch build of its plan
+    // computes Σ|C|(|C|−1)/2 (every cluster is brute-forced here) — what
+    // `ClusterCache::total_comparisons` reports.
+    let from_scratch: u64 = BuildPlan::assign(&engine.config().c2, epoch.dataset())
+        .clusters()
+        .iter()
+        .map(|users| pair_count(users.len()))
+        .sum();
+    let rebuild_comparisons_share =
+        history.last().map_or(1.0, |r| r.comparisons as f64 / from_scratch.max(1) as f64);
     let truth_cfg = GroundTruthConfig {
         sample: if cfg!(debug_assertions) { 16 } else { 64 },
         k: QUERY_K,
@@ -446,6 +462,7 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
         insert_p99_us: insert_hist.quantile(0.99) as f64 / 1e3,
         reuse_ratio_mean,
         reuse_ratio_last,
+        rebuild_comparisons_share,
         rebuild_ms_p50: percentile(&rebuild_ms, 0.50),
         rebuild_ms_p99: percentile(&rebuild_ms, 0.99),
         admitted: stats.admitted,
@@ -539,6 +556,7 @@ pub fn to_json(report: &ServeReport, args: &HarnessArgs) -> String {
          \"query_latency_us\": {{\"p50\": {:.1}, \"p99\": {:.1}}},\n  \
          \"insert_latency_us\": {{\"p50\": {:.1}, \"p99\": {:.1}}},\n  \
          \"rebuild\": {{\"reuse_ratio_mean\": {:.4}, \"reuse_ratio_last\": {:.4}, \
+         \"rebuild_comparisons_share\": {:.4}, \
          \"rebuild_ms\": {{\"p50\": {:.2}, \"p99\": {:.2}}}}},\n  \
          \"slo\": {{\"budget_per_sec\": {}, \"target_p99_us\": {}, \"admitted\": {}, \
          \"shed\": {}, \"shed_rate\": {:.4}, \"beam_scale_pct\": {}}},\n  \
@@ -563,6 +581,7 @@ pub fn to_json(report: &ServeReport, args: &HarnessArgs) -> String {
         report.insert_p99_us,
         report.reuse_ratio_mean,
         report.reuse_ratio_last,
+        report.rebuild_comparisons_share,
         report.rebuild_ms_p50,
         report.rebuild_ms_p99,
         report.budget_per_sec,
@@ -627,6 +646,7 @@ pub fn run(args: &HarnessArgs) -> String {
          | insert p50 / p99 | {:.0} µs / {:.0} µs |\n\
          | epoch swaps under load | {} |\n\
          | cluster reuse ratio (mean / last) | {:.2} / {:.2} |\n\
+         | comparisons redone by the last rebuild | {:.1}% |\n\
          | epoch rebuild p50 / p99 | {:.1} ms / {:.1} ms |\n\
          | users served (start → end) | {} → {} |\n\
          | recall@{} (final epoch, {} sampled queries) | {:.3} |\n\
@@ -645,6 +665,7 @@ pub fn run(args: &HarnessArgs) -> String {
         report.epoch_swaps,
         report.reuse_ratio_mean,
         report.reuse_ratio_last,
+        report.rebuild_comparisons_share * 100.0,
         report.rebuild_ms_p50,
         report.rebuild_ms_p99,
         report.num_users_start,
@@ -785,6 +806,11 @@ mod tests {
             "the last epoch publish must reuse cached clusters, got {}",
             report.reuse_ratio_last
         );
+        assert!(
+            report.rebuild_comparisons_share < 0.5,
+            "the last rebuild redid {:.0}% of a from-scratch build's comparisons",
+            report.rebuild_comparisons_share * 100.0
+        );
         assert!(report.rebuild_ms_p99 >= report.rebuild_ms_p50);
         assert!(report.rebuild_ms_p50 > 0.0);
     }
@@ -840,6 +866,7 @@ mod tests {
         assert!(json.contains("\"qps\""));
         assert!(json.contains("\"epoch_swaps\""));
         assert!(json.contains("\"reuse_ratio_mean\""));
+        assert!(json.contains("\"rebuild_comparisons_share\""));
         assert!(json.contains("\"rebuild_ms\""));
         assert!(json.contains("\"recall_at_k\""));
         assert!(json.contains("\"by_comparison_budget\""));

@@ -1,52 +1,100 @@
-//! The staged, dirty-tracking construction path: [`BuildPlan`] and
+//! The staged, change-tracking construction path: [`BuildPlan`] and
 //! [`ClusterCache`].
 //!
 //! C²'s structural insight is that the KNN graph decomposes into
 //! *independent* cluster solves (Algorithm 2: "The partial KNN graph of
 //! each cluster … does not need to be synchronized with any other
-//! computation"). A consequence the monolithic `build` entry points threw
-//! away: when the dataset changes only a little between two builds — the
-//! serving loop's situation, where an epoch absorbs a batch of streaming
-//! inserts — most clusters are *byte-for-byte the same input* as last
-//! time, so re-solving them re-derives partial lists that are already
-//! known. This module makes the construction path explicit enough to skip
-//! that work:
+//! computation"), merged per user by a bounded heap (Algorithm 3). With
+//! the paper's parameters every cluster is solved by **brute force**
+//! (`|C| < ρ·k²`), so a user's final list is simply the *top-k over
+//! everyone it shares a cluster with* — and
+//! `top-k(A ∪ B) = top-k(top-k(A) ∪ B)`. When the dataset changes only a
+//! little between two builds — the serving loop's situation, where an
+//! epoch absorbs a batch of streaming inserts — the previous build's
+//! graph therefore already *is* the cache: each row is the top-k of the
+//! old candidate set, and only candidates that are new to a row have to
+//! be offered to it. The unit of incrementality is the **user row**, not
+//! the cluster, and nothing per cluster is kept but who was in it.
 //!
 //! 1. **Assign** ([`BuildPlan::assign`]): Step 1 exactly as
 //!    [`ClusterAndConquer::build`] runs it — deterministic clustering via
 //!    `cluster_step`, per-cluster solver seeds via `job_seed`.
-//! 2. **Fingerprint** ([`BuildPlan::fingerprint`]): each cluster's
-//!    membership is content-hashed — FNV-1a over the *sorted* member ids
-//!    interleaved with per-user item-set digests (the snapshot checksum
-//!    idiom of `cnc-serve`). The hash changes iff the membership or any
-//!    member's item set changes, and is invariant under member reordering.
-//! 3. **Partition** ([`BuildPlan::partition`]): clusters whose hash (and
-//!    verified membership, and — for seed-sensitive greedy solves — solver
-//!    seed) matches a [`ClusterCache`] entry are *reused*; the rest are
-//!    *dirty* and must be solved.
-//! 4. **Merge**: cached and fresh [`ClusterSolution`]s are merged into the
-//!    graph by the executor (the in-process pipeline's `PriorityPool`, or
-//!    `cnc-runtime`'s sharded reducers) — Algorithm 3's bounded-heap merge
-//!    is order-independent, so the mixture is **bit-identical** to a
-//!    from-scratch build (locked by `tests/incremental.rs`).
+//! 2. **Fingerprint** ([`BuildPlan::fingerprint`]): each user's item set
+//!    is digested, and each cluster's membership content-hashed — FNV-1a
+//!    over the *sorted* member ids interleaved with those digests (the
+//!    snapshot checksum idiom of `cnc-serve`). The hash changes iff the
+//!    membership or any member's item set changes, and is invariant under
+//!    member reordering; it names a cluster's content on the shuffle wire
+//!    and in the evaluation cache. The digests are what the next two
+//!    stages read.
+//! 3. **Partition** ([`BuildPlan::partition`]): a cluster none of whose
+//!    members is new or edited (their digests say) and whose exact member
+//!    list the [`ClusterCache`] remembers is *reused* — every pair in it
+//!    was offered to both its rows last time; the rest are *dirty*. This
+//!    is the split the content hashes make, decided by equality, so the
+//!    cache keeps no hash.
+//! 4. **Patch** ([`BuildPlan::patch`]): the members of each dirty cluster
+//!    are grouped by the cluster they sat in under the same hash function
+//!    last time (newcomers and edited users are singletons) and only the
+//!    **cross-group pairs** are computed — for "an old cluster plus a few
+//!    inserts" that is `inserts × |C|`, not `|C|²/2` — each offered to
+//!    both rows of a copy of the previous graph. Then every retained user
+//!    one of whose *current* neighbours no longer shares any cluster with
+//!    it (a recursive split at `N`, Exception 2 pulling a formerly-alone
+//!    user out of a remainder, an edited or vanished profile) has its row
+//!    recomputed from its `t` clusters: a row that holds no such
+//!    neighbour is still the top-k of candidates that are all still
+//!    valid, so dropping the others cannot change it. Every other row is
+//!    untouched. The stage runs over the dirty clusters largest-first on
+//!    the [`PriorityPool`], row sweeps go through
+//!    [`one_vs_many`], and both the
+//!    in-process pipeline and `cnc-runtime` call this one implementation.
+//!    [`BuildPlan::finish`] then captures the plan's memberships and the
+//!    graph as the next build's cache.
 //!
-//! Correctness is never entrusted to the hash alone: a lookup additionally
-//! verifies the stored member list against the cluster's, so a 64-bit
-//! collision between *different memberships* cannot smuggle a stale
-//! solution into the graph. Item-set drift within an unchanged membership
-//! is covered by the digests folded into the hash (collision probability
-//! 2⁻⁶⁴ per cluster) — and never arises in the serving loop, where
-//! existing profiles are immutable and inserted users are force-dirtied.
+//! The result is **bit-identical** to a from-scratch build as a set of
+//! `(neighbour, similarity bits)` per user (locked by
+//! `tests/incremental.rs`), for under 1 % of its comparisons on a
+//! 256-user batch into 70k users when no cluster is restructured (3.3 %
+//! when one crosses `N` and splits).
+//!
+//! **When the stage declines.** The choice of path is made here, from
+//! exact counts known before the first similarity is computed — in the
+//! spirit of Algorithm 2's own `ρ·k²` rule, and with no knob — and a
+//! declined rebuild simply runs from scratch and captures its state
+//! ([`RebuildPath`] says why):
+//!
+//! * an empty cache, or one built under another configuration token;
+//! * any cluster of the old *or* the new plan at or above
+//!   [`C2Config::brute_force_threshold`]: Algorithm 2 solves it greedily,
+//!   a greedy list is **not** the top-k of its candidates, and the
+//!   identity above does not hold for the rows it fed;
+//! * predicted patch + recompute pairs above [`C2Config::PATCH_MAX_PAIR_SHARE_PCT`]
+//!   of the from-scratch `Σ|C|(|C|−1)/2` — a plan restructured that far
+//!   is cheaper to rebuild (the constant's docs record the measured
+//!   crossover).
+//!
+//! Correctness is never entrusted to a cluster hash: a reused cluster
+//! equals its remembered member list entry for entry, clusters holding an
+//! edited or appended user are dirty by construction, and which pairs are
+//! owed is decided from the memberships themselves. What rests on 64 bits
+//! is only the per-user digest that tells an edited profile from an
+//! unchanged one (collision probability 2⁻⁶⁴ per edit).
 
 use crate::clustering::Clustering;
 use crate::config::C2Config;
 use crate::frh::FastRandomHash;
 use crate::pipeline::ClusterAndConquer;
 use cnc_dataset::{Dataset, ItemId, UserId};
-use cnc_graph::{EntryIndex, NeighborList};
-use cnc_similarity::SimilarityBackend;
+use cnc_graph::{EntryIndex, KnnGraph, Neighbor, NeighborList, SharedKnnGraph};
+use cnc_similarity::kernel::{one_vs_many, pair_count, SimKernel, SimSolve};
+use cnc_similarity::{SimilarityBackend, SimilarityData};
 use cnc_telemetry::Telemetry;
-use std::collections::HashMap;
+use cnc_threadpool::{parallel_ranges, PriorityPool};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::time::Instant;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -103,7 +151,7 @@ pub fn cluster_hash(users: &[UserId], digests: &[u64]) -> u64 {
 /// A token identifying every configuration field that can change what a
 /// cluster solve computes (backend, bounds, seeds, clustering knobs).
 /// A [`ClusterCache`] built under one token is unusable under another —
-/// the lookup path treats it as empty.
+/// the partition and patch stages treat it as empty.
 pub fn config_token(config: &C2Config) -> u64 {
     let mut hash = FNV_OFFSET;
     for field in [
@@ -130,40 +178,68 @@ pub fn config_token(config: &C2Config) -> u64 {
     hash
 }
 
-/// One solved cluster, keyed for reuse across builds: the content hash,
-/// the exact member list (in solve order, positionally aligned with
-/// `lists`), the greedy seed the solve ran under, the partial neighbour
-/// lists it produced, and the similarity computations it spent.
+/// What one build leaves for the next (module docs): the cluster
+/// memberships of its plan — `t·n` ids — the per-user item-set digests of
+/// the dataset it ran on, and the merged graph itself (shared with the
+/// build's caller, not copied: see [`KnnGraph::into_shared`]).
 #[derive(Clone, Debug)]
-pub struct ClusterSolution {
-    /// The cluster's [`cluster_hash`] at solve time.
-    pub hash: u64,
-    /// Members, in the order the solver saw them.
-    pub users: Vec<UserId>,
-    /// The [`ClusterAndConquer::job_seed`] the solve ran under.
-    pub seed: u64,
-    /// One bounded partial list per member, aligned with `users`.
-    pub lists: Vec<NeighborList>,
-    /// Similarity computations this solve performed.
-    pub comparisons: u64,
-}
-
-/// Per-cluster partial solutions from a prior build, keyed by content
-/// hash. Identical memberships can recur across the `t` hash-function
-/// configurations, so each hash maps to a *list* of solutions (typically
-/// of length 1, or one per distinct greedy seed).
-#[derive(Clone, Debug, Default)]
 pub struct ClusterCache {
     config_token: u64,
-    entries: HashMap<u64, Vec<ClusterSolution>>,
-    len: usize,
+    /// CSR over `members`: cluster `i` is `members[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Every cluster's members, in solve order.
+    members: Vec<UserId>,
+    /// [`profile_digest`] of every user of the dataset the graph was built on.
+    digests: Vec<u64>,
+    graph: KnnGraph,
 }
 
 impl ClusterCache {
-    /// An empty cache bound to `config` (lookups from a build under a
-    /// different configuration miss wholesale).
+    /// An empty cache bound to `config` (the first build under any cache
+    /// runs from scratch and captures its state).
     pub fn new(config: &C2Config) -> Self {
-        ClusterCache { config_token: config_token(config), entries: HashMap::new(), len: 0 }
+        ClusterCache {
+            config_token: config_token(config),
+            offsets: vec![0],
+            members: Vec::new(),
+            digests: Vec::new(),
+            graph: KnnGraph::new(0, config.k),
+        }
+    }
+
+    /// Rebuilds a cache from persisted memberships plus the dataset and
+    /// graph persisted beside them (the snapshot loader's inverse of
+    /// [`ClusterCache::offsets`] / [`members`](ClusterCache::members)).
+    /// The token is stored verbatim, so a cache persisted under one
+    /// configuration still misses wholesale under any other. The arrays
+    /// come from a file: every structural invariant is checked, none
+    /// assumed.
+    pub fn from_parts(
+        config_token: u64,
+        offsets: Vec<u32>,
+        members: Vec<UserId>,
+        dataset: &Dataset,
+        graph: KnnGraph,
+    ) -> Result<Self, String> {
+        if offsets.first() != Some(&0)
+            || offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets.last().map(|&end| end as usize) != Some(members.len())
+        {
+            return Err(format!(
+                "{} member offsets do not tile the {} member slots from 0",
+                offsets.len(),
+                members.len()
+            ));
+        }
+        let n = dataset.num_users();
+        if graph.num_users() != n {
+            return Err(format!("graph covers {} users, dataset {n}", graph.num_users()));
+        }
+        if let Some(&bad) = members.iter().find(|&&u| u as usize >= n) {
+            return Err(format!("cluster member {bad} outside the {n} users"));
+        }
+        let digests = dataset.iter().map(|(_, profile)| profile_digest(profile)).collect();
+        Ok(ClusterCache { config_token, offsets, members, digests, graph: graph.into_shared() })
     }
 
     /// The configuration token the cache was built under.
@@ -171,142 +247,172 @@ impl ClusterCache {
         self.config_token
     }
 
-    /// Number of cached cluster solutions.
+    /// Number of clusters in the remembered plan.
     pub fn len(&self) -> usize {
-        self.len
+        self.offsets.len() - 1
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Total comparisons the cached solves spent when they ran.
+    /// Comparisons a from-scratch build of the remembered plan spends:
+    /// `Σ |C|(|C|−1)/2` — exact whenever every cluster is brute-forced,
+    /// the paper's regime and the only one the patch stage runs in.
     pub fn total_comparisons(&self) -> u64 {
-        self.entries.values().flatten().map(|s| s.comparisons).sum()
+        self.clusters().map(|users| pair_count(users.len())).sum()
     }
 
-    /// Recovery-path accounting check: a cache assembled by a build that
+    /// Heap bytes the cache holds — memberships, digests and the graph.
+    /// `tests/incremental.rs` bounds it by the graph plus `4·t·n`, so the
+    /// cache cannot quietly grow back to `t` lists per user.
+    pub fn size_bytes(&self) -> usize {
+        4 * (self.offsets.len() + self.members.len())
+            + 8 * self.digests.len()
+            + std::mem::size_of::<Neighbor>() * self.graph.num_edges()
+            + 8 * (self.graph.num_users() + 1)
+    }
+
+    /// The member offsets (`len() + 1` entries, leading 0).
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every cluster's members, concatenated in plan order.
+    pub fn members(&self) -> &[UserId] {
+        &self.members
+    }
+
+    /// The graph the remembered plan produced.
+    pub fn graph(&self) -> &KnnGraph {
+        &self.graph
+    }
+
+    /// The members of remembered cluster `index`, in solve order.
+    fn cluster(&self, index: usize) -> &[UserId] {
+        &self.members[self.offsets[index] as usize..self.offsets[index + 1] as usize]
+    }
+
+    /// Every remembered cluster, in plan order.
+    fn clusters(&self) -> impl Iterator<Item = &[UserId]> {
+        (0..self.len()).map(|index| self.cluster(index))
+    }
+
+    /// Recovery-path accounting check: a cache captured by a build that
     /// retried, re-queued or replayed failed cluster solves must be
-    /// indistinguishable from a fault-free build's — every scheduled
-    /// cluster stored exactly once, the reuse split summing to the total,
-    /// and each solution's partial lists aligned with its member list. A
-    /// violation means a recovery path double-counted or dropped a solve;
-    /// chaos tests call this after every surviving build.
+    /// indistinguishable from a fault-free build's — one remembered
+    /// cluster per cluster of the plan, and a dirty count within it.
+    /// Chaos tests call this after every surviving build.
     pub fn check_accounting(&self, rebuild: &RebuildStats) -> Result<(), String> {
-        let stored: usize = self.entries.values().map(|v| v.len()).sum();
-        if stored != self.len {
-            return Err(format!("cache stores {stored} solutions but counts {}", self.len));
-        }
-        if rebuild.clusters_total != self.len {
+        if rebuild.clusters_total != self.len() || rebuild.clusters_resolved > self.len() {
             return Err(format!(
-                "rebuild covers {} clusters but the cache holds {}",
-                rebuild.clusters_total, self.len
-            ));
-        }
-        if rebuild.clusters_resolved + rebuild.clusters_reused() != rebuild.clusters_total {
-            return Err(format!(
-                "{} resolved + {} reused != {} total",
+                "rebuild resolved {} of {} clusters but the cache holds {}",
                 rebuild.clusters_resolved,
-                rebuild.clusters_reused(),
-                rebuild.clusters_total
+                rebuild.clusters_total,
+                self.len()
             ));
-        }
-        for solution in self.entries.values().flatten() {
-            if solution.lists.len() != solution.users.len() {
-                return Err(format!(
-                    "cluster {:016x} stores {} lists for {} members",
-                    solution.hash,
-                    solution.lists.len(),
-                    solution.users.len()
-                ));
-            }
         }
         Ok(())
     }
+}
 
-    /// Records one solved cluster.
-    pub fn insert(&mut self, solution: ClusterSolution) {
-        self.entries.entry(solution.hash).or_default().push(solution);
-        self.len += 1;
-    }
+/// Marks "user sits in no cluster under this function".
+const NO_CLUSTER: u32 = u32::MAX;
 
-    /// Iterates over every cached solution (unspecified order) — the
-    /// snapshot writer's view of the cache.
-    pub fn solutions(&self) -> impl Iterator<Item = &ClusterSolution> {
-        self.entries.values().flatten()
-    }
+/// The inverse of a plan's cluster list: for every user, the cluster it
+/// sits in under each of the `t` functions ([`NO_CLUSTER`] for users in
+/// none), and for every cluster its function. Clusters are emitted
+/// function by function and hold a user at most once per function, so a
+/// user's `f`-th appearance *is* its function-`f` cluster;
+/// [`Memberships::of`] returns `None` for a cluster list without that
+/// shape (a malformed persisted cache).
+struct Memberships {
+    /// Function-major (`of[f·n + u]`): the build walks one function's
+    /// clusters at a time, so its scattered writes stay inside `n` slots.
+    of: Vec<u32>,
+    n: usize,
+    function: Vec<u32>,
+}
 
-    /// Rebuilds a cache from a persisted token and solution set (the
-    /// snapshot loader's inverse of [`ClusterCache::solutions`]). The
-    /// token is stored verbatim, so a cache persisted under one
-    /// configuration still misses wholesale under any other.
-    pub fn from_parts(
-        config_token: u64,
-        solutions: impl IntoIterator<Item = ClusterSolution>,
-    ) -> Self {
-        let mut cache = ClusterCache { config_token, entries: HashMap::new(), len: 0 };
-        for solution in solutions {
-            cache.insert(solution);
+impl Memberships {
+    fn of<'a>(
+        clusters: impl Iterator<Item = &'a [UserId]>,
+        n: usize,
+        t: usize,
+    ) -> Option<Memberships> {
+        let mut of = vec![NO_CLUSTER; n * t];
+        let mut seen = vec![0u32; n];
+        let mut function = Vec::new();
+        for (index, users) in clusters.enumerate() {
+            let f = seen.get(*users.first()? as usize).copied()?;
+            if f as usize >= t {
+                return None;
+            }
+            for &u in users {
+                let slot = seen.get_mut(u as usize).filter(|slot| **slot == f)?;
+                *slot += 1;
+                of[f as usize * n + u as usize] = index as u32;
+            }
+            function.push(f);
         }
-        cache
+        seen.iter().all(|&s| s == 0 || s as usize == t).then_some(Memberships { of, n, function })
     }
 
-    /// Assembles the next build's cache — reused solutions carried over,
-    /// fresh ones absorbed — together with the build's [`RebuildStats`]:
-    /// the stage-4 bookkeeping shared by the in-process pipeline and the
-    /// sharded engine (one implementation, so the two executors cannot
-    /// drift).
-    pub fn assemble(
-        config: &C2Config,
-        reused: &[(usize, &ClusterSolution)],
-        fresh: Vec<ClusterSolution>,
-        rebuild_ms: f64,
-    ) -> (ClusterCache, RebuildStats) {
-        let mut cache = ClusterCache::new(config);
-        for (_, solution) in reused {
-            cache.insert((*solution).clone());
-        }
-        let resolved = fresh.len();
-        for solution in fresh {
-            cache.insert(solution);
-        }
-        let rebuild = RebuildStats::new(cache.len(), resolved, rebuild_ms);
-        (cache, rebuild)
+    /// `u`'s function-`f` cluster.
+    fn home(&self, u: UserId, f: usize) -> u32 {
+        self.of[f * self.n + u as usize]
     }
 
-    /// Looks up a reusable solution for a cluster with this `hash`, exact
-    /// member list and solver seed. `seed_sensitive` is false for clusters
-    /// the Algorithm-2 dispatch solves by brute force (the seed is unused
-    /// there, so any seed's solution is bit-identical); greedy solves must
-    /// match the seed exactly. Membership is verified entry-for-entry —
-    /// the hash narrows the search, equality decides it.
-    pub fn lookup(
-        &self,
-        hash: u64,
-        users: &[UserId],
-        seed: u64,
-        seed_sensitive: bool,
-    ) -> Option<&ClusterSolution> {
-        self.entries
-            .get(&hash)?
-            .iter()
-            .find(|s| s.users == users && (!seed_sensitive || s.seed == seed))
+    /// `u`'s cluster under each function, in function order.
+    fn homes(&self, u: UserId) -> impl Iterator<Item = u32> + '_ {
+        self.of[u as usize..].iter().step_by(self.n.max(1)).copied()
     }
 }
 
-/// How one rebuild split between reused and re-solved clusters — the
-/// figure `cnc-serve` publishes per epoch and the serve bench records.
+/// Which path a rebuild took, and why (module docs, stage 4). Spans carry
+/// it as its discriminant (0 = cold … 4 = patched).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RebuildPath {
+    /// From scratch: the cache was empty (first build, restart without a
+    /// persisted cache) or malformed.
+    #[default]
+    Cold,
+    /// From scratch: the cache was built under another configuration.
+    ConfigChanged,
+    /// From scratch: some cluster of the old or the new plan is at or
+    /// above `ρ·k²`, so Algorithm 2 solves it greedily and its lists are
+    /// not the top-k of its members.
+    GreedyCluster,
+    /// From scratch: the plan was restructured so far that patching would
+    /// cost more than [`C2Config::PATCH_MAX_PAIR_SHARE_PCT`] of a from-scratch build.
+    PastCrossover,
+    /// The previous graph was patched row by row.
+    Patched,
+}
+
+/// What one rebuild did — the record `cnc-serve` publishes per epoch and
+/// the serve bench reads.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RebuildStats {
     /// Clusters in the build's clustering.
     pub clusters_total: usize,
-    /// Clusters that had to be re-solved (dirty).
+    /// Clusters whose content hash missed the cache (dirty).
     pub clusters_resolved: usize,
-    /// `1 - resolved/total`: the fraction of cluster solves skipped.
+    /// `1 - resolved/total`: the share of clusters whose hash hit.
     pub reuse_ratio: f64,
     /// Wall-clock of the rebuild, milliseconds.
     pub rebuild_ms: f64,
+    /// The path the rebuild took.
+    pub path: RebuildPath,
+    /// Rows that were offered at least one cross-group pair (0 unless patched).
+    pub rows_patched: usize,
+    /// Rows recomputed from their `t` clusters (0 unless patched).
+    pub rows_recomputed: usize,
+    /// Similarities the rebuild computed (a from-scratch build of the same
+    /// plan computes [`ClusterCache::total_comparisons`] of the cache it
+    /// captured).
+    pub comparisons: u64,
 }
 
 impl RebuildStats {
@@ -314,33 +420,124 @@ impl RebuildStats {
     /// `rebuild_ms` milliseconds.
     pub fn new(total: usize, resolved: usize, rebuild_ms: f64) -> Self {
         let reuse_ratio = if total == 0 { 0.0 } else { 1.0 - resolved as f64 / total as f64 };
-        RebuildStats { clusters_total: total, clusters_resolved: resolved, reuse_ratio, rebuild_ms }
+        RebuildStats {
+            clusters_total: total,
+            clusters_resolved: resolved,
+            reuse_ratio,
+            rebuild_ms,
+            ..RebuildStats::default()
+        }
     }
 
-    /// Clusters whose cached solution was reused.
+    /// Clusters whose hash hit the cache.
     pub fn clusters_reused(&self) -> usize {
         self.clusters_total - self.clusters_resolved
     }
 }
 
-/// The partition stage 3 computes: which clusters must be solved, and
-/// which cached solutions stand in for the rest.
-pub struct PlanPartition<'a> {
-    /// Indices (into the plan's cluster list) that must be re-solved.
+/// The partition stage 3 computes, as indices into the plan's cluster
+/// list: the clusters whose content changed since the cached build, and
+/// the clusters it remembers exactly.
+pub struct PlanPartition {
+    /// Clusters holding a new or edited user, or with no equal in the cache.
     pub dirty: Vec<usize>,
-    /// `(cluster index, cached solution)` pairs for every reused cluster.
-    pub reused: Vec<(usize, &'a ClusterSolution)>,
+    /// Clusters whose members, order and item sets the cache remembers.
+    pub reused: Vec<usize>,
+}
+
+/// What stage 4 hands back: the patched graph — or `None`, when the stage
+/// declined (see [`RebuildPath`]) and the caller builds from scratch —
+/// and the rebuild record so far (`comparisons` and `rebuild_ms` are
+/// filled in by [`BuildPlan::finish`]).
+pub struct Patch {
+    /// The patched graph, bit-identical to a from-scratch build's.
+    pub graph: Option<KnnGraph>,
+    /// The hash split, the path taken and the row counts.
+    pub rebuild: RebuildStats,
+}
+
+/// One dirty cluster's share of the patch stage: its members ordered by
+/// group, smallest group first, so each member sweeps only the groups
+/// after its own and every cross-group pair is computed exactly once —
+/// by its smaller side.
+struct PatchJob {
+    cluster: usize,
+    order: Vec<UserId>,
+    /// End offset of each group in `order`.
+    ends: Vec<u32>,
+}
+
+/// The sweep of one [`PatchJob`], monomorphized per kernel.
+struct CrossGroups<'a> {
+    job: &'a PatchJob,
+    rows: &'a SharedKnnGraph,
+    /// Per user, a similarity no candidate below which can enter its row:
+    /// the worst similarity of its full previous row (`-∞` otherwise).
+    /// Rows only improve while they are patched, so an offer under the
+    /// floor is refused without taking the row's lock — most are.
+    floor: &'a [f32],
+}
+
+impl SimSolve for CrossGroups<'_> {
+    type Output = ();
+
+    fn run<K: SimKernel>(self, kernel: &K) {
+        let PatchJob { order, ends, .. } = self.job;
+        let mut start = 0usize;
+        for &end in ends {
+            let (end, rest) = (end as usize, &order[end as usize..]);
+            for &u in &order[start..end] {
+                let mut mine = NeighborList::new(self.rows.k());
+                one_vs_many(kernel, u, rest, |v, sim| {
+                    mine.insert(v, sim);
+                    if sim >= self.floor[v as usize] {
+                        self.rows.insert(v, u, sim);
+                    }
+                });
+                self.rows.merge_into(u, &mine);
+            }
+            start = end;
+        }
+    }
+}
+
+/// Rows recomputed from scratch: each user against every co-member of
+/// each of its clusters.
+struct RecomputeRows<'a> {
+    users: &'a [UserId],
+    plan: &'a BuildPlan,
+    now: &'a Memberships,
+    rows: &'a SharedKnnGraph,
+}
+
+impl SimSolve for RecomputeRows<'_> {
+    type Output = ();
+
+    fn run<K: SimKernel>(self, kernel: &K) {
+        for &u in self.users {
+            let mut row = NeighborList::new(self.rows.k());
+            for cluster in self.now.homes(u).filter(|&cluster| cluster != NO_CLUSTER) {
+                for side in self.plan.clusters()[cluster as usize].split(|&v| v == u) {
+                    one_vs_many(kernel, u, side, |v, sim| {
+                        row.insert(v, sim);
+                    });
+                }
+            }
+            self.rows.replace(u, row);
+        }
+    }
 }
 
 /// The staged construction plan (module docs): Step-1 assignment plus the
-/// per-cluster content hashes and solver seeds an incremental executor
-/// needs to schedule only dirty clusters.
+/// per-cluster content hashes an incremental executor needs to tell what
+/// changed since the previous build.
 pub struct BuildPlan {
     config: C2Config,
     clustering: Clustering,
     hashes: Vec<u64>,
+    /// [`profile_digest`] per user (empty until [`BuildPlan::fingerprint`]).
+    digests: Vec<u64>,
     seeds: Vec<u64>,
-    threshold: usize,
 }
 
 impl BuildPlan {
@@ -355,84 +552,313 @@ impl BuildPlan {
         let seeds = (0..clustering.clusters.len())
             .map(|index| ClusterAndConquer::job_seed(config, index))
             .collect();
-        BuildPlan {
-            config: *config,
-            clustering,
-            hashes: Vec::new(),
-            seeds,
-            threshold: config.brute_force_threshold(),
-        }
+        BuildPlan { config: *config, clustering, hashes: Vec::new(), digests: Vec::new(), seeds }
     }
 
     /// **Stage 2** — content-hashes every cluster's membership. Per-user
     /// item-set digests are computed once and shared across the `t`
     /// configurations a user appears in. Idempotent.
     pub fn fingerprint(&mut self, dataset: &Dataset) {
-        if self.hashes.len() == self.clustering.clusters.len() {
+        if self.hashes.len() == self.clustering.clusters.len()
+            && self.digests.len() == dataset.num_users()
+        {
             return;
         }
         let mut span = Telemetry::global().span("build.fingerprint");
-        let digests: Vec<u64> =
-            dataset.iter().map(|(_, profile)| profile_digest(profile)).collect();
-        self.hashes =
-            self.clustering.clusters.iter().map(|users| cluster_hash(users, &digests)).collect();
+        self.digests = dataset.iter().map(|(_, profile)| profile_digest(profile)).collect();
+        self.hashes = self
+            .clustering
+            .clusters
+            .iter()
+            .map(|users| cluster_hash(users, &self.digests))
+            .collect();
         span.attr("clusters", self.hashes.len() as u64);
     }
 
-    /// **Stage 3** — splits the clusters into dirty (must solve) and
-    /// reused (cached solution stands in). Users in `force_dirty` mark
-    /// their clusters dirty regardless of the hash — the serving layer
-    /// passes the ids `DynamicIndex` absorbed since the last epoch, making
-    /// "exactly the touched clusters" dirty even if a cache entry were to
-    /// collide. A cache built under a different configuration token is
-    /// treated as empty.
+    /// **Stage 3** — splits the clusters by content: a cluster none of
+    /// whose members is new or edited since `cache`'s build (their item-set
+    /// digests say) and whose exact member list `cache` remembers is
+    /// *reused*, the rest are *dirty* — the split the cluster content
+    /// hashes make, decided by equality instead. A cache built under a
+    /// different configuration token is treated as empty. `_force_dirty`
+    /// is accepted for source compatibility and ignored: an edit cannot
+    /// hide from its digest.
     ///
     /// # Panics
     /// Panics if [`BuildPlan::fingerprint`] has not run.
-    pub fn partition<'a>(
-        &self,
-        cache: &'a ClusterCache,
-        force_dirty: &[UserId],
-    ) -> PlanPartition<'a> {
+    pub fn partition(&self, cache: &ClusterCache, _force_dirty: &[UserId]) -> PlanPartition {
+        self.assert_fingerprinted();
+        self.split(cache, self.remembered(cache).as_ref())
+    }
+
+    fn assert_fingerprinted(&self) {
         assert_eq!(
             self.hashes.len(),
             self.clustering.clusters.len(),
-            "fingerprint() must run before partition()"
+            "fingerprint() must run before partition() and patch()"
         );
-        let usable = cache.config_token() == config_token(&self.config);
-        let max_forced = force_dirty.iter().copied().max().map_or(0, |u| u as usize + 1);
-        let mut forced = vec![false; max_forced];
-        for &u in force_dirty {
-            forced[u as usize] = true;
-        }
+    }
+
+    /// Per user: appended or edited since `cache`'s build. Such a user
+    /// starts from an empty row and is a group of its own everywhere.
+    fn fresh(&self, cache: &ClusterCache) -> Vec<bool> {
+        (0..self.digests.len()).map(|u| cache.digests.get(u) != Some(&self.digests[u])).collect()
+    }
+
+    /// The inverse of `cache`'s cluster list — `None` for a cache of
+    /// another configuration or with a malformed (persisted) list.
+    fn remembered(&self, cache: &ClusterCache) -> Option<Memberships> {
+        (cache.config_token() == config_token(&self.config))
+            .then(|| Memberships::of(cache.clusters(), cache.digests.len(), self.config.t))
+            .flatten()
+    }
+
+    /// [`BuildPlan::partition`] given the cache's inverse. A reused cluster's
+    /// first member is not fresh, so it sat in the remembered plan: one of
+    /// its `t` clusters there is the candidate equality decides on.
+    fn split(&self, cache: &ClusterCache, before: Option<&Memberships>) -> PlanPartition {
         let mut span = Telemetry::global().span("build.partition");
-        let mut dirty = Vec::new();
-        let mut reused = Vec::new();
+        let fresh = self.fresh(cache);
+        let (mut dirty, mut reused) = (Vec::new(), Vec::new());
         for (index, users) in self.clustering.clusters.iter().enumerate() {
-            let touched = users.iter().any(|&u| (u as usize) < max_forced && forced[u as usize]);
-            let hit = (usable && !touched)
-                .then(|| {
-                    cache.lookup(
-                        self.hashes[index],
-                        users,
-                        self.seeds[index],
-                        self.seed_sensitive(index),
-                    )
-                })
-                .flatten();
-            match hit {
-                Some(solution) => reused.push((index, solution)),
-                None => dirty.push(index),
-            }
+            let hit = before.is_some_and(|before| {
+                !users.iter().any(|&u| fresh[u as usize])
+                    && before
+                        .homes(users[0])
+                        .any(|old| old != NO_CLUSTER && cache.cluster(old as usize) == users)
+            });
+            if hit { &mut reused } else { &mut dirty }.push(index);
         }
         span.attr("dirty", dirty.len() as u64);
         span.attr("reused", reused.len() as u64);
         PlanPartition { dirty, reused }
     }
 
-    /// The configuration the plan was assigned under.
-    pub fn config(&self) -> &C2Config {
-        &self.config
+    /// **Stage 4** — decides, from counts known before the first
+    /// similarity is computed, whether `prev`'s graph can be patched into
+    /// this plan's graph for clearly less than a from-scratch build, and
+    /// if so does it (module docs). Appended users and edited or emptied
+    /// profiles are found by their digests.
+    ///
+    /// The patch runs on `threads` workers, dirty clusters largest-first.
+    /// `gate(cluster)` is called once per dirty cluster before its sweep
+    /// touches any row — the fault-injection seam (`cnc-runtime` arms its
+    /// `solve.cluster` site there). A panic out of the gate or a sweep
+    /// stops the stage and is re-raised, with its payload, on the calling
+    /// thread; `prev` is only ever read.
+    ///
+    /// # Panics
+    /// Panics if [`BuildPlan::fingerprint`] has not run.
+    pub fn patch(
+        &self,
+        sim: &SimilarityData<'_>,
+        prev: &ClusterCache,
+        threads: usize,
+        gate: &(dyn Fn(usize) + Sync),
+    ) -> Patch {
+        self.assert_fingerprinted();
+        let before = self.remembered(prev);
+        let dirty = self.split(prev, before.as_ref()).dirty;
+        let mut span = Telemetry::global().span("build.patch");
+        let patch = self.patch_stage(sim, prev, before, dirty, threads, gate);
+        span.attr("path", patch.rebuild.path as u64);
+        span.attr("dirty", patch.rebuild.clusters_resolved as u64);
+        span.attr("rows_patched", patch.rebuild.rows_patched as u64);
+        span.attr("rows_recomputed", patch.rebuild.rows_recomputed as u64);
+        span.attr("comparisons", patch.rebuild.comparisons);
+        patch
+    }
+
+    fn patch_stage(
+        &self,
+        sim: &SimilarityData<'_>,
+        prev: &ClusterCache,
+        before: Option<Memberships>,
+        dirty: Vec<usize>,
+        threads: usize,
+        gate: &(dyn Fn(usize) + Sync),
+    ) -> Patch {
+        let clusters = self.clusters();
+        let (n, t, k) = (self.digests.len(), self.config.t, self.config.k);
+        let decline = |path| {
+            let rebuild =
+                RebuildStats { path, ..RebuildStats::new(clusters.len(), dirty.len(), 0.0) };
+            Patch { graph: None, rebuild }
+        };
+        if prev.config_token() != config_token(&self.config) {
+            return decline(RebuildPath::ConfigChanged);
+        }
+        if prev.is_empty() || prev.graph.k() != k {
+            return decline(RebuildPath::Cold);
+        }
+        let largest =
+            clusters.iter().map(Vec::as_slice).chain(prev.clusters()).map(<[_]>::len).max();
+        if largest.unwrap_or(0) >= self.config.brute_force_threshold() {
+            return decline(RebuildPath::GreedyCluster);
+        }
+        let (Some(now), Some(before)) =
+            (Memberships::of(clusters.iter().map(Vec::as_slice), n, t), before)
+        else {
+            return decline(RebuildPath::Cold);
+        };
+        let fresh = self.fresh(prev);
+        let kept = |u: UserId| (u as usize) < n && !fresh[u as usize];
+
+        // Rows to recompute. A remembered cluster is *intact* if all its
+        // members are kept and still share one cluster under its function;
+        // a user all of whose old clusters are intact has lost no
+        // co-member, so its old row is still a top-k of valid candidates.
+        // Everyone else is checked neighbour by neighbour.
+        let mut suspect = vec![false; n];
+        for (users, &f) in prev.clusters().zip(&before.function) {
+            let home = |u: UserId| now.home(u, f as usize);
+            let intact = kept(users[0])
+                && home(users[0]) != NO_CLUSTER
+                && users.iter().all(|&u| kept(u) && home(u) == home(users[0]));
+            if !intact {
+                for &u in users.iter().filter(|&&u| kept(u)) {
+                    suspect[u as usize] = true;
+                }
+            }
+        }
+        let together = |u: UserId, v: UserId| {
+            now.homes(u).zip(now.homes(v)).any(|(a, b)| a == b && a != NO_CLUSTER)
+        };
+        let recompute: Vec<UserId> = (0..n as UserId)
+            .filter(|&u| {
+                suspect[u as usize]
+                    && prev
+                        .graph
+                        .neighbors(u)
+                        .iter()
+                        .any(|nb| !kept(nb.user) || !together(u, nb.user))
+            })
+            .collect();
+        let recompute_pairs: u64 = recompute
+            .iter()
+            .flat_map(|&u| now.homes(u))
+            .filter(|&cluster| cluster != NO_CLUSTER)
+            .map(|cluster| clusters[cluster as usize].len() as u64 - 1)
+            .sum();
+
+        // Cross-group pairs of the dirty clusters: members grouped by the
+        // cluster they sat in under the same function last time.
+        let mut jobs: Vec<(u64, PatchJob)> = Vec::new();
+        let mut patched = vec![false; n];
+        let mut patch_pairs = 0u64;
+        for &cluster in &dirty {
+            let f = now.function[cluster] as usize;
+            let mut keyed: Vec<(u64, UserId)> = clusters[cluster]
+                .iter()
+                .enumerate()
+                .map(|(at, &u)| match kept(u).then(|| before.home(u, f)) {
+                    Some(old) if old != NO_CLUSTER => (old as u64, u),
+                    _ => (1 << 32 | at as u64, u),
+                })
+                .collect();
+            keyed.sort_unstable();
+            let mut groups: Vec<&[(u64, UserId)]> = keyed.chunk_by(|a, b| a.0 == b.0).collect();
+            if groups.len() < 2 {
+                continue;
+            }
+            groups.sort_by_key(|group| group.len());
+            let within: u64 = groups.iter().map(|group| pair_count(group.len())).sum();
+            let pairs = pair_count(keyed.len()) - within;
+            let mut job =
+                PatchJob { cluster, order: Vec::with_capacity(keyed.len()), ends: Vec::new() };
+            for group in &groups[..groups.len() - 1] {
+                job.order.extend(group.iter().map(|&(_, u)| u));
+                job.ends.push(job.order.len() as u32);
+            }
+            job.order.extend(groups[groups.len() - 1].iter().map(|&(_, u)| u));
+            for &u in &job.order {
+                patched[u as usize] = true;
+            }
+            patch_pairs += pairs;
+            jobs.push((pairs, job));
+        }
+
+        let full: u64 = clusters.iter().map(|users| pair_count(users.len())).sum();
+        if (patch_pairs + recompute_pairs) * 100 > full * C2Config::PATCH_MAX_PAIR_SHARE_PCT {
+            return decline(RebuildPath::PastCrossover);
+        }
+
+        // The working copy: kept rows of the previous graph, empty rows
+        // for fresh users.
+        let lists: Vec<NeighborList> = (0..n as UserId)
+            .map(|u| if kept(u) { prev.graph.neighbors(u).to_list() } else { NeighborList::new(k) })
+            .collect();
+        let floor: Vec<f32> = lists.iter().map(NeighborList::worst_sim).collect();
+        let rows = SharedKnnGraph::from_lists(lists, k);
+        let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        PriorityPool::run(threads, jobs, |job| {
+            if failure.lock().expect("failure slot poisoned").is_some() {
+                return;
+            }
+            let swept = catch_unwind(AssertUnwindSafe(|| {
+                gate(job.cluster);
+                sim.solve_global(CrossGroups { job: &job, rows: &rows, floor: &floor });
+            }));
+            if let Err(payload) = swept {
+                failure.lock().expect("failure slot poisoned").get_or_insert(payload);
+            }
+        });
+        if let Some(payload) = failure.into_inner().expect("failure slot poisoned") {
+            resume_unwind(payload);
+        }
+        parallel_ranges(threads, recompute.len(), 16, |range| {
+            sim.solve_global(RecomputeRows {
+                users: &recompute[range],
+                plan: self,
+                now: &now,
+                rows: &rows,
+            });
+        });
+        sim.add_comparisons(patch_pairs + recompute_pairs);
+
+        let rebuild = RebuildStats {
+            path: RebuildPath::Patched,
+            rows_patched: patched.iter().filter(|&&p| p).count(),
+            rows_recomputed: recompute.len(),
+            comparisons: patch_pairs + recompute_pairs,
+            ..RebuildStats::new(clusters.len(), dirty.len(), 0.0)
+        };
+        Patch { graph: Some(rows.into_graph()), rebuild }
+    }
+
+    /// Closes an incremental build, whichever path it took: freezes
+    /// `graph` ([`KnnGraph::into_shared`]), captures this plan's
+    /// memberships beside it as the next build's cache, and completes the
+    /// rebuild record with the `comparisons` the build computed and the
+    /// wall-clock since `start`. Returns the graph for the caller, sharing
+    /// its entries with the cache.
+    pub fn finish(
+        &self,
+        graph: KnnGraph,
+        rebuild: RebuildStats,
+        comparisons: u64,
+        start: Instant,
+    ) -> (KnnGraph, ClusterCache, RebuildStats) {
+        let clusters = self.clusters();
+        let mut offsets = Vec::with_capacity(clusters.len() + 1);
+        let mut members = Vec::with_capacity(clusters.iter().map(Vec::len).sum());
+        offsets.push(0u32);
+        for users in clusters {
+            members.extend_from_slice(users);
+            offsets.push(
+                u32::try_from(members.len()).expect("a plan holds at most u32::MAX member slots"),
+            );
+        }
+        let graph = graph.into_shared();
+        let cache = ClusterCache {
+            config_token: config_token(&self.config),
+            offsets,
+            members,
+            digests: self.digests.clone(),
+            graph: graph.clone(),
+        };
+        let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
+        (graph, cache, RebuildStats { comparisons, rebuild_ms, ..rebuild })
     }
 
     /// The clusters, in Step-1 emission order (solver-visible order).
@@ -463,32 +889,6 @@ impl BuildPlan {
     /// The greedy solver seed of cluster `index`.
     pub fn seed(&self, index: usize) -> u64 {
         self.seeds[index]
-    }
-
-    /// True if cluster `index`'s solve depends on its seed — the
-    /// Algorithm-2 dispatch sends it to the greedy solver rather than
-    /// brute force. (Conservative: tiny greedy clusters that degenerate to
-    /// brute force still count as sensitive, costing only reuse, never
-    /// correctness.)
-    pub fn seed_sensitive(&self, index: usize) -> bool {
-        self.clustering.clusters[index].len() >= self.threshold
-    }
-
-    /// The solution a *fresh* solve of cluster `index` would be cached
-    /// under, given the lists and comparison count the solver produced.
-    pub fn solution(
-        &self,
-        index: usize,
-        lists: Vec<NeighborList>,
-        comparisons: u64,
-    ) -> ClusterSolution {
-        ClusterSolution {
-            hash: self.hashes[index],
-            users: self.clustering.clusters[index].clone(),
-            seed: self.seeds[index],
-            lists,
-            comparisons,
-        }
     }
 }
 
@@ -559,24 +959,37 @@ mod tests {
     }
 
     #[test]
-    fn cache_lookup_verifies_membership_and_seed() {
-        let cfg = config();
-        let mut cache = ClusterCache::new(&cfg);
-        let solution = ClusterSolution {
-            hash: 42,
-            users: vec![1, 2, 3],
-            seed: 7,
-            lists: vec![NeighborList::new(3); 3],
-            comparisons: 3,
+    fn from_parts_rejects_malformed_memberships() {
+        let ds = Dataset::from_profiles(vec![vec![1]; 3], 0);
+        let graph = || KnnGraph::new(3, 4);
+        let parts = |offsets: Vec<u32>, members: Vec<u32>, graph: KnnGraph| {
+            ClusterCache::from_parts(0, offsets, members, &ds, graph)
         };
-        cache.insert(solution);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(42, &[1, 2, 3], 7, true).is_some());
-        assert!(cache.lookup(42, &[1, 2, 3], 8, true).is_none(), "seed mismatch");
-        assert!(cache.lookup(42, &[1, 2, 3], 8, false).is_some(), "seed-insensitive");
-        assert!(cache.lookup(42, &[1, 3, 2], 7, true).is_none(), "order mismatch");
-        assert!(cache.lookup(41, &[1, 2, 3], 7, true).is_none(), "hash mismatch");
-        assert_eq!(cache.total_comparisons(), 3);
+        let cache = parts(vec![0, 2, 3], vec![0, 1, 2], graph()).unwrap();
+        assert_eq!((cache.len(), cache.total_comparisons()), (2, 1));
+        assert_eq!(cache.cluster(1), &[2]);
+        assert!(parts(vec![], vec![], graph()).is_err(), "no leading offset");
+        assert!(parts(vec![1, 2], vec![0, 1], graph()).is_err(), "offsets start past 0");
+        assert!(parts(vec![0, 2, 1], vec![0, 1], graph()).is_err(), "decreasing");
+        assert!(parts(vec![0, 3], vec![0, 1], graph()).is_err(), "offsets overrun");
+        assert!(parts(vec![0, 2], vec![0, 9], graph()).is_err(), "member outside the dataset");
+        assert!(parts(vec![0, 2], vec![0, 1], KnnGraph::new(2, 4)).is_err(), "graph size");
+    }
+
+    #[test]
+    fn memberships_invert_function_by_function_or_refuse() {
+        let clusters: [&[UserId]; 4] = [&[0, 1], &[2], &[1, 2], &[0]];
+        let inverse = Memberships::of(clusters.into_iter(), 4, 2).unwrap();
+        assert_eq!(inverse.function, vec![0, 0, 1, 1]);
+        assert_eq!(inverse.of, vec![0, 0, 1, NO_CLUSTER, 3, 2, 2, NO_CLUSTER]);
+        assert_eq!(inverse.homes(2).collect::<Vec<_>>(), vec![1, 2]);
+        // A user once too often, a user missing from a function, members
+        // from different functions in one cluster, an id out of range.
+        let bad: [&[&[UserId]]; 4] =
+            [&[&[0], &[0], &[0]], &[&[0, 1], &[0]], &[&[0], &[0, 1], &[1]], &[&[0, 7], &[0, 7]]];
+        for clusters in bad {
+            assert!(Memberships::of(clusters.iter().copied(), 4, 2).is_none(), "{clusters:?}");
+        }
     }
 
     #[test]
@@ -599,24 +1012,42 @@ mod tests {
         let cfg = config();
         let mut plan = BuildPlan::assign(&cfg, &ds);
         plan.fingerprint(&ds);
-        let mut cache = ClusterCache::new(&cfg);
-        for index in 0..plan.clusters().len() {
-            let k = cfg.k;
-            let lists = vec![NeighborList::new(k); plan.clusters()[index].len()];
-            cache.insert(plan.solution(index, lists, 1));
-        }
+        let graph = KnnGraph::new(ds.num_users(), cfg.k);
+        let (graph, cache, _) = plan.finish(graph, RebuildStats::default(), 0, Instant::now());
+        assert_eq!(cache.len(), plan.clusters().len());
         let mut replan = BuildPlan::assign(&cfg, &ds);
         replan.fingerprint(&ds);
         let part = replan.partition(&cache, &[]);
         assert!(part.dirty.is_empty(), "{} clusters unexpectedly dirty", part.dirty.len());
         assert_eq!(part.reused.len(), replan.clusters().len());
 
-        // Forcing a user dirty overrides the cache for its clusters.
-        let victim = replan.clusters()[0][0];
-        let forced = replan.partition(&cache, &[victim]);
-        assert!(!forced.dirty.is_empty());
-        assert!(forced.dirty.iter().all(|&i| replan.clusters()[i].contains(&victim)
-            || !forced.reused.iter().any(|&(r, _)| r == i)));
+        // Equality is exact: the same members in another order are not
+        // the remembered cluster.
+        let victim = plan.clusters().iter().position(|users| users.len() > 1).unwrap();
+        let mut members = cache.members().to_vec();
+        members.swap(cache.offsets()[victim] as usize, cache.offsets()[victim] as usize + 1);
+        let reordered = ClusterCache::from_parts(
+            cache.config_token(),
+            cache.offsets().to_vec(),
+            members,
+            &ds,
+            graph,
+        )
+        .unwrap();
+        assert_eq!(replan.partition(&reordered, &[]).dirty, vec![victim]);
+
+        // An edited profile dirties exactly the clusters that hold it.
+        let edited = plan.clusters()[0][0];
+        let mut profiles: Vec<Vec<u32>> = ds.iter().map(|(_, p)| p.to_vec()).collect();
+        profiles[edited as usize].pop();
+        let ds2 = Dataset::from_profiles(profiles, ds.num_items() as u32);
+        let mut plan2 = BuildPlan::assign(&cfg, &ds2);
+        plan2.fingerprint(&ds2);
+        let part2 = plan2.partition(&cache, &[]);
+        assert!(!part2.dirty.is_empty());
+        for (index, users) in plan2.clusters().iter().enumerate() {
+            assert!(!(users.contains(&edited) && part2.reused.contains(&index)));
+        }
 
         // A cache from another configuration is ignored wholesale.
         let other = ClusterCache::new(&C2Config { seed: cfg.seed + 1, ..cfg });

@@ -65,6 +65,23 @@ impl C2Config {
         self.rho * self.k * self.k
     }
 
+    /// The incremental rebuild's switch (`build_plan`, stage 4): predicted
+    /// patch + recompute pairs above this share (in percent) of the
+    /// from-scratch `Σ|C|(|C|−1)/2` send the rebuild down the from-scratch
+    /// path. A patched pair costs more than a from-scratch one — a
+    /// one-vs-many sweep over global rows and an offer into a shared row,
+    /// against a register-blocked tile of one cluster's rows feeding
+    /// cluster-local lists — about 1.6× on GoldFinger-1024 and about 1× on
+    /// raw profiles, where the Jaccard itself dominates. Measured on a
+    /// 2-vCPU box, 2 threads, best of 3, every graph bit-identical to the
+    /// from-scratch one (share of pairs redone → patched ÷ from-scratch
+    /// time): ml10M `N`=2000 +256 users 3.3 % → 0.15×, +1,024 11 % → 0.27×,
+    /// +4,096 21 % → 0.39×, +8,192 37 % → 0.64×, +16,384 56 % → 0.90×; ml1M
+    /// `N`=200 +512 29 % → 0.50×, +2,048 108 % → 0.90×; DBLP raw `N`=100
+    /// +256 31 % → 0.38×, +1,024 94 % → 0.91×. Patching still wins a little
+    /// past one half; below it, it wins by a quarter or more.
+    pub const PATCH_MAX_PAIR_SHARE_PCT: u64 = 50;
+
     /// Checks parameter sanity; called by the pipeline before running.
     pub fn validate(&self) -> Result<(), String> {
         if self.k == 0 {

@@ -27,7 +27,7 @@ pub mod minhash_variant;
 pub mod pipeline;
 pub mod theory;
 
-pub use build_plan::{BuildPlan, ClusterCache, ClusterSolution, RebuildStats};
+pub use build_plan::{BuildPlan, ClusterCache, RebuildPath, RebuildStats};
 pub use clustering::{cluster_dataset, Clustering};
 pub use config::{C2Config, ClusteringScheme};
 pub use distributed::{plan_deployment, DeploymentPlan};

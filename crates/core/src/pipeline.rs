@@ -1,18 +1,17 @@
 //! Steps 2 and 3 of C²: scheduling, local KNN and merging (§II-F, §II-G,
 //! Algorithms 2 and 3) — the end-to-end [`ClusterAndConquer`] pipeline.
 
-use crate::build_plan::{BuildPlan, ClusterCache, ClusterSolution, RebuildStats};
+use crate::build_plan::{BuildPlan, ClusterCache, RebuildStats};
 use crate::clustering::{cluster_dataset, Clustering};
 use crate::config::{C2Config, ClusteringScheme};
 use crate::frh::FastRandomHash;
 use crate::minhash_variant::cluster_minhash;
 use cnc_baselines::{local, BuildContext, KnnAlgorithm};
-use cnc_dataset::{Dataset, UserId};
+use cnc_dataset::Dataset;
 use cnc_graph::{KnnGraph, SharedKnnGraph};
 use cnc_similarity::{SeededHash, SimilarityData};
 use cnc_telemetry::Telemetry;
 use cnc_threadpool::{effective_threads, PriorityPool};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Wall-clock durations of the pipeline phases.
@@ -52,16 +51,15 @@ pub struct C2Result {
 }
 
 /// An incremental build's output: the graph + stats (comparisons count
-/// only the *fresh* cluster solves), the cache covering every cluster of
-/// this build (hand it to the next incremental build), and the
-/// reuse figures.
+/// exactly the similarities this build computed), the cache the next
+/// incremental build patches, and the record of what this one did.
 #[derive(Debug)]
 pub struct IncrementalResult {
     /// The graph and stats — bit-identical to a from-scratch build.
     pub result: C2Result,
-    /// Per-cluster solutions of *this* build, keyed for the next one.
+    /// This build's cluster memberships and graph, for the next one.
     pub cache: ClusterCache,
-    /// How the build split between reused and re-solved clusters.
+    /// The hash split, the path taken and what it cost.
     pub rebuild: RebuildStats,
 }
 
@@ -142,46 +140,22 @@ impl ClusterAndConquer {
         }
     }
 
-    /// Incrementally rebuilds the graph, re-solving **only** the clusters
-    /// whose content hash misses `prev` (stages 1–4 of the
-    /// [`BuildPlan`]); cached partial lists stand in for the rest. The
-    /// graph is bit-identical to [`ClusterAndConquer::build`] on the same
-    /// dataset, and `result.stats.comparisons` counts only the fresh
-    /// solves (`prev`'s entries carry the rest) — both locked by
-    /// `tests/incremental.rs`. Pass [`ClusterCache::new`] (empty) for the
-    /// first build; feed the returned cache to the next call.
+    /// Incrementally rebuilds the graph from `prev` — the previous build's
+    /// cluster memberships and graph — computing only what the dataset's
+    /// changes made new (stages 1–4 of the [`BuildPlan`]): cross-group
+    /// pairs of the clusters whose content changed, plus the rows that
+    /// lost a neighbour. When patching would not clearly pay (empty or
+    /// other-config cache, a greedy cluster, a restructured plan) the
+    /// build runs from scratch instead; `rebuild.path` says which. Either
+    /// way the graph is bit-identical to [`ClusterAndConquer::build`] on
+    /// the same dataset and `result.stats.comparisons` counts exactly the
+    /// similarities computed — both locked by `tests/incremental.rs`.
+    /// Pass [`ClusterCache::new`] (empty) for the first build; feed the
+    /// returned cache to the next call.
     pub fn build_incremental(&self, dataset: &Dataset, prev: &ClusterCache) -> IncrementalResult {
         let start = Instant::now();
         let sim = SimilarityData::build_parallel(self.config.backend, dataset, self.config.threads);
-        self.run_incremental(dataset, &sim, prev, &[], start)
-    }
-
-    /// [`ClusterAndConquer::build_incremental`] against an external
-    /// similarity oracle, additionally forcing the clusters of
-    /// `force_dirty` users to re-solve (the serving layer passes the ids
-    /// inserted since the last epoch). Timings start at the call (like
-    /// [`ClusterAndConquer::build_with`], the oracle's construction is
-    /// the caller's to account for).
-    pub fn build_incremental_with(
-        &self,
-        dataset: &Dataset,
-        sim: &SimilarityData<'_>,
-        prev: &ClusterCache,
-        force_dirty: &[UserId],
-    ) -> IncrementalResult {
-        self.run_incremental(dataset, sim, prev, force_dirty, Instant::now())
-    }
-
-    fn run_incremental(
-        &self,
-        dataset: &Dataset,
-        sim: &SimilarityData<'_>,
-        prev: &ClusterCache,
-        force_dirty: &[UserId],
-        start: Instant,
-    ) -> IncrementalResult {
-        let (result, extra) =
-            self.execute_plan(&self.config, dataset, sim, start, Some((prev, force_dirty)));
+        let (result, extra) = self.execute_plan(&self.config, dataset, &sim, start, Some(prev));
         let (cache, rebuild) = extra.expect("incremental run must produce a cache");
         IncrementalResult { result, cache, rebuild }
     }
@@ -197,17 +171,17 @@ impl ClusterAndConquer {
     }
 
     /// The body shared by [`ClusterAndConquer::build`] (every cluster
-    /// dirty, no cache produced) and
-    /// [`ClusterAndConquer::build_incremental`] — one solve loop so the
-    /// two paths cannot drift apart (`tests/incremental.rs` locks their
-    /// bit-identity).
+    /// solved, nothing captured) and
+    /// [`ClusterAndConquer::build_incremental`] (the plan's patch stage
+    /// first; the same solve loop when it declines) — `tests/incremental.rs`
+    /// locks their bit-identity.
     fn execute_plan(
         &self,
         config: &C2Config,
         dataset: &Dataset,
         sim: &SimilarityData<'_>,
         start: Instant,
-        incremental: Option<(&ClusterCache, &[UserId])>,
+        incremental: Option<&ClusterCache>,
     ) -> (C2Result, Option<(ClusterCache, RebuildStats)>) {
         let telemetry = Telemetry::global();
         let mut build_span = telemetry.span("build");
@@ -223,67 +197,50 @@ impl ClusterAndConquer {
         }
         let clustering_elapsed = start.elapsed();
 
-        // --- Stage 3: partition, then solve only the dirty clusters ------
+        // --- Stages 3 + 4: patch the previous graph, or solve every
+        // cluster and merge (Algorithms 2 + 3) ----------------------------
         let local_start_ns = telemetry.stamp();
         let local_start = Instant::now();
-        let (dirty, reused) = match incremental {
-            Some((prev, force_dirty)) => {
-                let part = plan.partition(prev, force_dirty);
-                (part.dirty, part.reused)
-            }
-            None => ((0..plan.clusters().len()).collect(), Vec::new()),
-        };
-        let shared = SharedKnnGraph::new(n, config.k);
-        let solutions: Option<Vec<Mutex<Option<ClusterSolution>>>> =
-            incremental.map(|_| dirty.iter().map(|_| Mutex::new(None)).collect());
-        let jobs: Vec<(u64, (usize, usize))> = dirty
-            .iter()
-            .enumerate()
-            .map(|(slot, &index)| (plan.clusters()[index].len() as u64, (slot, index)))
-            .collect();
-        PriorityPool::run(threads, jobs, |(slot, index)| {
-            // Algorithm 2: brute force for small clusters, Hyrec above the
-            // ρ·k² crossover — the shared dispatch in
-            // `cnc_baselines::local`.
-            let users = &plan.clusters()[index];
-            let (lists, comparisons) = local::solve_cluster_partial(
-                users,
-                sim,
-                config.k,
-                config.brute_force_threshold(),
-                config.rho,
-                config.delta,
-                plan.seed(index),
-            );
-            for (i, &u) in users.iter().enumerate() {
-                shared.merge_into(u, &lists[i]);
-            }
-            if let Some(slots) = &solutions {
-                *slots[slot].lock().expect("solution slot poisoned") =
-                    Some(plan.solution(index, lists, comparisons));
-            }
-        });
-
-        // --- Stage 4: merge the cached partial lists; assemble the next
-        // cache (incremental only) ----------------------------------------
-        for (_, solution) in &reused {
-            for (i, &u) in solution.users.iter().enumerate() {
-                shared.merge_into(u, &solution.lists[i]);
-            }
-        }
-        let extra = solutions.map(|slots| {
-            let fresh: Vec<ClusterSolution> = slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("solution slot poisoned")
-                        .expect("dirty cluster not solved")
-                })
+        let patch = incremental.map(|prev| plan.patch(sim, prev, threads, &|_| {}));
+        let (patched, rebuild) = patch.map_or((None, None), |p| (p.graph, Some(p.rebuild)));
+        let solved = if patched.is_some() { 0 } else { plan.clusters().len() };
+        let graph = patched.unwrap_or_else(|| {
+            let shared = SharedKnnGraph::new(n, config.k);
+            let jobs: Vec<(u64, usize)> = plan
+                .clusters()
+                .iter()
+                .enumerate()
+                .map(|(index, users)| (users.len() as u64, index))
                 .collect();
-            ClusterCache::assemble(config, &reused, fresh, start.elapsed().as_secs_f64() * 1e3)
+            PriorityPool::run(threads, jobs, |index| {
+                // Algorithm 2: brute force for small clusters, Hyrec above
+                // the ρ·k² crossover — the shared dispatch in
+                // `cnc_baselines::local`.
+                let users = &plan.clusters()[index];
+                let (lists, _) = local::solve_cluster_partial(
+                    users,
+                    sim,
+                    config.k,
+                    config.brute_force_threshold(),
+                    config.rho,
+                    config.delta,
+                    plan.seed(index),
+                );
+                for (i, &u) in users.iter().enumerate() {
+                    shared.merge_into(u, &lists[i]);
+                }
+            });
+            shared.into_graph()
         });
-        let local_elapsed = local_start.elapsed();
         let run_comparisons = sim.comparisons() - comparisons_before;
+        let (graph, extra) = match rebuild {
+            Some(rebuild) => {
+                let (graph, cache, rebuild) = plan.finish(graph, rebuild, run_comparisons, start);
+                (graph, Some((cache, rebuild)))
+            }
+            None => (graph, None),
+        };
+        let local_elapsed = local_start.elapsed();
 
         // Span fed by the identical Duration that feeds the stats struct,
         // so stage timings cannot drift between the two accounts.
@@ -291,7 +248,7 @@ impl ClusterAndConquer {
             "build.local_knn",
             local_start_ns,
             local_elapsed.as_nanos() as u64,
-            vec![("comparisons", run_comparisons), ("clusters_solved", dirty.len() as u64)],
+            vec![("comparisons", run_comparisons), ("clusters_solved", solved as u64)],
         );
         if telemetry.enabled() {
             build_span.attr("comparisons", run_comparisons);
@@ -302,7 +259,7 @@ impl ClusterAndConquer {
         let mut cluster_sizes_desc: Vec<usize> = plan.clusters().iter().map(Vec::len).collect();
         cluster_sizes_desc.sort_unstable_by(|a, b| b.cmp(a));
         let result = C2Result {
-            graph: shared.into_graph(),
+            graph,
             stats: C2Stats {
                 num_clusters: plan.clusters().len(),
                 splits: plan.splits(),

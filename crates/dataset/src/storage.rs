@@ -48,6 +48,19 @@ impl<T> SharedSlice<T> {
     }
 }
 
+impl<T: Send + Sync> SharedSlice<T> {
+    /// Moves `vec` behind a reference count and views all of it: clones
+    /// of the result are O(1) and read the same elements.
+    pub fn from_vec(vec: Vec<T>) -> Self {
+        let owner = Arc::new(vec);
+        let (ptr, len) = (owner.as_ptr(), owner.len());
+        // SAFETY: the vector's buffer is initialized, aligned, and never
+        // mutated again (nothing else can reach it), and it lives until the
+        // last clone of `owner` drops.
+        unsafe { SharedSlice::from_raw_parts(ptr, len, owner) }
+    }
+}
+
 // SAFETY: a SharedSlice is an immutable view plus an Arc; it is exactly
 // as thread-safe as `&[T]` + `Arc<_>`, i.e. Send + Sync when `T: Sync`
 // (`T: Send` required for the owned data it may keep alive).
@@ -181,11 +194,7 @@ mod tests {
     use super::*;
 
     fn shared_from_vec(v: Vec<u32>) -> SharedSlice<u32> {
-        let owner: Arc<Vec<u32>> = Arc::new(v);
-        let ptr = owner.as_ptr();
-        let len = owner.len();
-        // SAFETY: the Arc'd Vec is never mutated and outlives the slice.
-        unsafe { SharedSlice::from_raw_parts(ptr, len, owner) }
+        SharedSlice::from_vec(v)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The KNN-graph container.
 
 use crate::neighbors::{Neighbor, NeighborList, Neighbors};
-use cnc_dataset::{Storage, UserId};
+use cnc_dataset::{SharedSlice, Storage, UserId};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -113,6 +113,42 @@ impl KnnGraph {
             Repr::Lists(_) => false,
             Repr::Csr { offsets, entries } => offsets.is_shared() || entries.is_shared(),
         }
+    }
+
+    /// Freezes the graph into a flat CSR behind reference-counted storage:
+    /// every clone of the result is O(1) and shares one copy of the
+    /// entries — how an incremental build hands the same graph to its
+    /// caller and to the cache the next build patches. A graph that
+    /// already borrows shared storage (a mapped snapshot) is returned
+    /// as is; mutating any holder still promotes that holder to its own
+    /// lists first.
+    pub fn into_shared(self) -> KnnGraph {
+        let k = self.k;
+        let (offsets, entries) = match self.repr {
+            Repr::Csr { ref offsets, ref entries }
+                if offsets.is_shared() && entries.is_shared() =>
+            {
+                return self;
+            }
+            Repr::Csr { offsets, entries } => (offsets.into_vec(), entries.into_vec()),
+            Repr::Lists(lists) => {
+                let mut offsets = Vec::with_capacity(lists.len() + 1);
+                let mut entries = Vec::with_capacity(lists.iter().map(NeighborList::len).sum());
+                offsets.push(0u64);
+                // Consumed list by list, so the owned lists are freed as
+                // the flat copy grows.
+                for list in lists {
+                    entries.extend(list.iter().copied());
+                    offsets.push(entries.len() as u64);
+                }
+                (offsets, entries)
+            }
+        };
+        let repr = Repr::Csr {
+            offsets: SharedSlice::from_vec(offsets).into(),
+            entries: SharedSlice::from_vec(entries).into(),
+        };
+        KnnGraph { repr, k }
     }
 
     /// Promotes a CSR-backed graph to owned per-user lists (no-op for an
@@ -398,6 +434,27 @@ mod tests {
             );
             assert_eq!(view.sorted(), csr.neighbors(u).sorted());
         }
+    }
+
+    #[test]
+    fn into_shared_keeps_every_heap_and_clones_without_copying() {
+        let g = sample_graph();
+        let shared = g.clone().into_shared();
+        assert!(shared.is_shared());
+        let clone = shared.clone();
+        for (u, view) in g.iter() {
+            assert_eq!(view.as_slice(), shared.neighbors(u).as_slice());
+            assert!(
+                std::ptr::eq(shared.neighbors(u).as_slice(), clone.neighbors(u).as_slice()),
+                "a clone must read the same entries, not a copy"
+            );
+        }
+        // Freezing again is the identity; mutating one holder leaves the other alone.
+        let mut again = shared.clone().into_shared();
+        assert!(std::ptr::eq(shared.neighbors(0).as_slice(), again.neighbors(0).as_slice()));
+        again.add_user();
+        assert_eq!(again.num_users(), g.num_users() + 1);
+        assert_eq!(shared.num_users(), g.num_users());
     }
 
     #[test]

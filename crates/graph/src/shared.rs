@@ -37,6 +37,14 @@ impl SharedKnnGraph {
         SharedKnnGraph { lists, k }
     }
 
+    /// Wraps ready-made per-user lists (all bounded by `k`) — the patch
+    /// stage's working copy: kept rows of the previous graph, empty rows
+    /// for everyone else.
+    pub fn from_lists(lists: Vec<NeighborList>, k: usize) -> Self {
+        debug_assert!(lists.iter().all(|list| list.k() == k));
+        SharedKnnGraph { lists: lists.into_iter().map(Mutex::new).collect(), k }
+    }
+
     /// The neighbourhood bound `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -58,6 +66,11 @@ impl SharedKnnGraph {
     /// lock acquisition (Algorithm 3's inner loop); returns update count.
     pub fn merge_into(&self, user: UserId, partial: &NeighborList) -> usize {
         self.lists[user as usize].lock().merge(partial)
+    }
+
+    /// Replaces `user`'s list wholesale (a row recomputed from scratch).
+    pub fn replace(&self, user: UserId, list: NeighborList) {
+        *self.lists[user as usize].lock() = list;
     }
 
     /// Clones `user`'s current list (used to snapshot between greedy

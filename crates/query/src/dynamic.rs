@@ -133,14 +133,6 @@ impl DynamicIndex {
         self.profiles.len() - self.base_users
     }
 
-    /// The ids of the users inserted since the snapshot (insertions only
-    /// ever append, so the set is the contiguous tail of the id space).
-    /// The serving layer passes these to the incremental rebuild so
-    /// exactly the clusters touched by the stream are marked dirty.
-    pub fn inserted_ids(&self) -> std::ops::Range<UserId> {
-        self.base_users as UserId..self.profiles.len() as UserId
-    }
-
     /// The profile of `user`.
     pub fn profile(&self, user: UserId) -> &[ItemId] {
         &self.profiles[user as usize]
@@ -467,18 +459,6 @@ mod tests {
         assert_eq!(index.num_users(), 450);
         let avg = total / 50;
         assert!(avg < 300, "avg insertion cost {avg} too close to a full scan");
-    }
-
-    #[test]
-    fn inserted_ids_cover_exactly_the_absorbed_tail() {
-        let (ds, graph) = base();
-        let n = ds.num_users() as u32;
-        let mut index = DynamicIndex::new(&ds, graph, config());
-        assert!(index.inserted_ids().is_empty());
-        index.add_user(vec![1, 2], 1);
-        index.add_user(vec![2, 3], 2);
-        assert_eq!(index.inserted_ids(), n..n + 2);
-        assert_eq!(index.inserted_ids().len(), index.inserted_users());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::shuffle::{
     SpillWriter,
 };
 use cnc_baselines::local;
-use cnc_core::build_plan::{BuildPlan, ClusterCache, ClusterSolution, RebuildStats};
+use cnc_core::build_plan::{BuildPlan, ClusterCache, RebuildStats};
 use cnc_core::distributed::{cluster_cost, plan_deployment_for};
 use cnc_core::{C2Config, ClusterAndConquer, DeploymentPlan};
 use cnc_dataset::{Dataset, UserId};
@@ -75,12 +75,6 @@ enum ShuffleMessage {
     /// Partial lists routed in memory: pairs `(user, partial list)`, all
     /// owned by the receiving shard; empty lists are dropped at the source.
     Chunk {
-        /// `BuildPlan` content hash of the source cluster (0 when the
-        /// build never fingerprinted, i.e. a one-shot run).
-        cluster_hash: u64,
-        /// True when the lists come from a prior build's cluster cache
-        /// rather than a fresh map-stage solve.
-        reused: bool,
         /// The routed `(user, partial list)` pairs.
         entries: Vec<(UserId, NeighborList)>,
     },
@@ -98,19 +92,20 @@ pub struct ShardedResult {
 }
 
 /// An incremental sharded build's output: graph + report, plus the
-/// cluster cache covering every cluster of this build (feed it to the
-/// next call) and the reuse figures.
+/// cache the next call patches and the record of what this one did.
 #[derive(Debug)]
 pub struct IncrementalShardedResult {
     /// The approximate KNN graph — bit-identical to a from-scratch build.
     pub graph: KnnGraph,
-    /// Measured figures; `report.comparisons` covers only fresh solves.
+    /// Measured figures; `report.comparisons` counts exactly the
+    /// similarities this build computed. A patched rebuild ran no map or
+    /// reduce stage: its report has no workers and no reducers.
     pub report: RuntimeReport,
-    /// Per-cluster solutions of *this* build (reused entries carried
-    /// over, dirty ones refreshed); `cache.total_comparisons()` equals a
-    /// from-scratch build's comparison count.
+    /// This build's cluster memberships and graph (shared with `graph`,
+    /// not copied); `cache.total_comparisons()` equals a from-scratch
+    /// build's comparison count.
     pub cache: ClusterCache,
-    /// How the build split between reused and re-solved clusters.
+    /// The hash split, the path taken and what it cost.
     pub rebuild: RebuildStats,
     /// The plan's entry index ([`BuildPlan::entry_index`]): routes a query
     /// profile to this build's clusters, so whoever serves `graph` needs
@@ -253,25 +248,18 @@ impl JobQueues {
 /// Everything a map worker needs, bundled so the thread spawn stays tidy.
 struct MapContext<'a> {
     queues: &'a JobQueues,
-    /// The full cluster list (global indices).
+    /// The plan's cluster list.
     clusters: &'a [Vec<UserId>],
-    /// Plan-local index → global cluster index. A from-scratch build
-    /// schedules everything (`scheduled[i] == i`); an incremental build
-    /// schedules only its dirty clusters.
-    scheduled: &'a [usize],
-    /// Per-global-cluster content hashes (empty when the build never
-    /// fingerprinted; records then carry hash 0).
+    /// Per-cluster content hashes (empty when the build never
+    /// fingerprinted; spill records then carry hash 0).
     hashes: &'a [u64],
-    /// Where incremental builds collect the fresh cache-keyed
-    /// [`ClusterSolution`]s (`None` for one-shot builds).
-    solutions: Option<&'a Mutex<Vec<ClusterSolution>>>,
     sim: &'a SimilarityData<'a>,
     c2: &'a C2Config,
     threshold: usize,
     reduce_shards: usize,
     spill: SpillMode,
     spill_dir: Option<&'a SpillDir>,
-    /// Per-scheduled-cluster *failed* solve attempts, shared across
+    /// Per-cluster *failed* solve attempts, shared across
     /// workers: a cluster may be requeued and retried anywhere, but its
     /// total failure budget is [`MAX_SOLVE_ATTEMPTS`] per build.
     attempts: &'a [AtomicU32],
@@ -350,13 +338,19 @@ impl Runtime {
         self.execute_inner(dataset, sim, c2, start, None).0
     }
 
-    /// Incrementally rebuilds on the sharded engine, scheduling **only**
-    /// the clusters whose `BuildPlan` content hash misses `prev`; cached
-    /// partial lists are replayed straight into the reduce stage. Users in
-    /// `force_dirty` (the serving layer passes the ids inserted since the
-    /// last epoch) mark their clusters dirty regardless. The graph is
-    /// bit-identical to [`Runtime::execute`] on the same dataset, and
-    /// `report.comparisons` counts only the fresh solves — locked by
+    /// Incrementally rebuilds from `prev` — the previous build's cluster
+    /// memberships and graph. When the plan's patch stage
+    /// ([`BuildPlan::patch`]) takes the rebuild, it runs on this engine's
+    /// worker budget and **no map, shuffle or reduce stage runs at all**:
+    /// there are no partial lists to ship. When it declines (empty or
+    /// other-config cache, a greedy cluster, a restructured plan —
+    /// `rebuild.path` says which) the build is [`Runtime::execute`]'s
+    /// map-reduce over every cluster, and the cache is captured
+    /// afterwards. `_changed` is accepted for source compatibility and
+    /// ignored: appended and edited users are found by their profile
+    /// digests. The graph is bit-identical to
+    /// [`Runtime::execute`] on the same dataset, and `report.comparisons`
+    /// counts exactly the similarities computed — locked by
     /// `tests/incremental.rs`. Pass an empty cache for the first build.
     ///
     /// # Panics
@@ -366,26 +360,17 @@ impl Runtime {
         dataset: &Dataset,
         c2: &C2Config,
         prev: &ClusterCache,
-        force_dirty: &[UserId],
+        _changed: &[UserId],
     ) -> IncrementalShardedResult {
         let start = Instant::now();
         let sim =
             SimilarityData::build_parallel(c2.backend, dataset, self.config.effective_workers());
-        let (result, extra) =
-            self.execute_inner(dataset, &sim, c2, start, Some((prev, force_dirty)));
-        let (cache, rebuild, entries) = extra.expect("incremental run must produce a cache");
-        IncrementalShardedResult {
-            graph: result.graph,
-            report: result.report,
-            cache,
-            rebuild,
-            entries,
-        }
+        self.execute_incremental_with(dataset, &sim, c2, prev, start)
     }
 
     /// [`Runtime::execute_incremental`] against a pre-built, shared
     /// fingerprint set (see [`Runtime::execute_shared`]) — the serving
-    /// engine's rebuild path, where one fingerprint build is shared
+    /// engine's rebuild path, where one fingerprint set is shared
     /// between construction and the published epoch's query kernels.
     ///
     /// # Panics
@@ -397,13 +382,22 @@ impl Runtime {
         c2: &C2Config,
         goldfinger: Arc<GoldFinger>,
         prev: &ClusterCache,
-        force_dirty: &[UserId],
     ) -> IncrementalShardedResult {
         validate_shared(dataset, c2, &goldfinger);
         let start = Instant::now();
         let sim = SimilarityData::from_goldfinger(goldfinger);
-        let (result, extra) =
-            self.execute_inner(dataset, &sim, c2, start, Some((prev, force_dirty)));
+        self.execute_incremental_with(dataset, &sim, c2, prev, start)
+    }
+
+    fn execute_incremental_with(
+        &self,
+        dataset: &Dataset,
+        sim: &SimilarityData<'_>,
+        c2: &C2Config,
+        prev: &ClusterCache,
+        start: Instant,
+    ) -> IncrementalShardedResult {
+        let (result, extra) = self.execute_inner(dataset, sim, c2, start, Some(prev));
         let (cache, rebuild, entries) = extra.expect("incremental run must produce a cache");
         IncrementalShardedResult {
             graph: result.graph,
@@ -415,17 +409,17 @@ impl Runtime {
     }
 
     /// The engine shared by every entry point: stages 1–2 build (and, when
-    /// incremental, fingerprint) the [`BuildPlan`]; stage 3 schedules the
-    /// dirty clusters over the map shards while cached solutions replay
-    /// into the reducers; stage 4 is the order-independent bounded-heap
-    /// merge the reducers already implement.
+    /// incremental, fingerprint) the [`BuildPlan`]; an incremental build
+    /// then offers the rebuild to the plan's patch stage; what it declines
+    /// — and every one-shot build — is solved cluster by cluster on the
+    /// map shards and merged by the reducers (Algorithms 2 + 3).
     fn execute_inner(
         &self,
         dataset: &Dataset,
         sim: &SimilarityData<'_>,
         c2: &C2Config,
         start: Instant,
-        incremental: Option<(&ClusterCache, &[UserId])>,
+        incremental: Option<&ClusterCache>,
     ) -> (ShardedResult, Option<(ClusterCache, RebuildStats, EntryIndex)>) {
         let telemetry = Telemetry::global();
         let comparisons_before = sim.comparisons();
@@ -443,18 +437,47 @@ impl Runtime {
         let splits = plan.splits();
         let clusters = plan.clusters();
 
-        // --- Stage 3: partition into dirty (scheduled) and reused --------
-        let (scheduled, reused): (Vec<usize>, Vec<(usize, &ClusterSolution)>) = match incremental {
-            Some((prev, force_dirty)) => {
-                let part = plan.partition(prev, force_dirty);
-                (part.dirty, part.reused)
+        // --- Stages 3 + 4: patch the previous graph if that clearly pays -
+        let map_reduce_start_ns = telemetry.stamp();
+        let map_reduce_start = Instant::now();
+        let patch = incremental.map(|prev| plan.patch(sim, prev, workers, &solve_gate));
+        let (patched, rebuild) = patch.map_or((None, None), |p| (p.graph, Some(p.rebuild)));
+        // Closes an incremental build on either path: capture the cache,
+        // complete the rebuild record, freeze the graph they share.
+        let finish = |graph: KnnGraph, comparisons: u64| match rebuild {
+            Some(rebuild) => {
+                let (graph, cache, rebuild) = plan.finish(graph, rebuild, comparisons, start);
+                (graph, Some((cache, rebuild, plan.entry_index())))
             }
-            None => ((0..clusters.len()).collect(), Vec::new()),
+            None => (graph, None),
         };
+        if let Some(graph) = patched {
+            let comparisons = sim.comparisons() - comparisons_before;
+            let (graph, extra) = finish(graph, comparisons);
+            let report = RuntimeReport {
+                patched: true,
+                num_clusters: clusters.len(),
+                num_users: n,
+                plan: plan_deployment_for(&[], workers, c2.k, c2.rho),
+                workers: Vec::new(),
+                reducers: Vec::new(),
+                shuffle_entries: 0,
+                spill: self.config.spill,
+                spill_dir: None,
+                splits,
+                comparisons,
+                clustering_wall,
+                map_reduce_wall: map_reduce_start.elapsed(),
+                total_wall: start.elapsed(),
+            };
+            if telemetry.enabled() {
+                telemetry.counter("cnc_build_comparisons_total", &[]).add(comparisons);
+            }
+            return (ShardedResult { graph, report }, extra);
+        }
 
-        // --- Plan: the §VIII LPT simulation becomes the real schedule,
-        // over the scheduled (dirty) subset only --------------------------
-        let sizes: Vec<usize> = scheduled.iter().map(|&i| clusters[i].len()).collect();
+        // --- Plan: the §VIII LPT simulation becomes the real schedule ----
+        let sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
         let deploy = plan_deployment_for(&sizes, workers, c2.k, c2.rho);
         let costs: Vec<u64> = sizes.iter().map(|&s| cluster_cost(s, c2.k, c2.rho)).collect();
         let queues = JobQueues::new(&deploy, costs, self.config.steal);
@@ -473,18 +496,13 @@ impl Runtime {
         };
         let spill_dir_path = spill_dir.as_ref().map(|d| d.path().to_path_buf());
 
-        // --- Map + reduce, overlapped; cached solutions replayed ---------
-        let map_reduce_start_ns = telemetry.stamp();
-        let map_reduce_start = Instant::now();
-        let solutions = incremental.map(|_| Mutex::new(Vec::with_capacity(scheduled.len())));
-        let attempts: Vec<AtomicU32> = (0..scheduled.len()).map(|_| AtomicU32::new(0)).collect();
+        // --- Map + reduce, overlapped ------------------------------------
+        let attempts: Vec<AtomicU32> = (0..clusters.len()).map(|_| AtomicU32::new(0)).collect();
         let abort = AtomicBool::new(false);
         let ctx = MapContext {
             queues: &queues,
             clusters,
-            scheduled: &scheduled,
             hashes: plan.hashes(),
-            solutions: solutions.as_ref(),
             sim,
             c2,
             threshold: c2.brute_force_threshold(),
@@ -498,7 +516,6 @@ impl Runtime {
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
         let mut reduce_outputs: Vec<(Vec<NeighborList>, ReduceStats)> =
             Vec::with_capacity(reduce_shards);
-        let mut reused_entries = 0u64;
         std::thread::scope(|scope| {
             let (senders, receivers): (Vec<SyncSender<ShuffleMessage>>, Vec<_>) = (0
                 ..reduce_shards)
@@ -520,33 +537,6 @@ impl Runtime {
                     scope.spawn(move || map_worker(w, ctx, senders, false))
                 })
                 .collect();
-            // Stage 4, cached half: replay reused partial lists into the
-            // reduce stage while the map workers solve the dirty clusters
-            // (the bounded-heap merge is order-independent, so mixing the
-            // streams is safe; back-pressure on a full channel only slows
-            // this replay loop, never deadlocks — the reducers keep
-            // draining).
-            for (_, solution) in &reused {
-                let mut routed: Vec<Vec<(UserId, NeighborList)>> = vec![Vec::new(); reduce_shards];
-                for (&user, list) in solution.users.iter().zip(&solution.lists) {
-                    if !list.is_empty() {
-                        routed[partition_of(user, reduce_shards)].push((user, list.clone()));
-                    }
-                }
-                for (shard, entries) in routed.into_iter().enumerate() {
-                    if entries.is_empty() {
-                        continue;
-                    }
-                    reused_entries += entries.iter().map(|(_, l)| l.len() as u64).sum::<u64>();
-                    senders[shard]
-                        .send(ShuffleMessage::Chunk {
-                            cluster_hash: solution.hash,
-                            reused: true,
-                            entries,
-                        })
-                        .expect("reducer hung up early");
-                }
-            }
             // Once a worker is done its spill streams are sealed; hand the
             // replay handles to the owning reducers, then hang up so the
             // channels close and the reducers can finish. A worker that
@@ -602,40 +592,28 @@ impl Runtime {
         let mut shuffle_entries = 0u64;
         let mut reducer_stats: Vec<ReduceStats> = Vec::with_capacity(reduce_shards);
         for (r, (lists, stats)) in reduce_outputs.into_iter().enumerate() {
-            shuffle_entries += stats.entries - stats.reused_entries;
+            shuffle_entries += stats.entries;
             for (&user, list) in owned[r].iter().zip(lists) {
                 *graph.neighbors_mut(user) = list;
             }
             reducer_stats.push(stats);
         }
         let map_reduce_wall = map_reduce_start.elapsed();
-
-        // The next build's cache: reused solutions carried over, fresh
-        // ones collected from the map workers.
-        let extra = solutions.map(|fresh| {
-            let (cache, rebuild) = ClusterCache::assemble(
-                c2,
-                &reused,
-                fresh.into_inner(),
-                start.elapsed().as_secs_f64() * 1e3,
-            );
-            debug_assert_eq!(cache.len(), clusters.len());
-            (cache, rebuild, plan.entry_index())
-        });
+        let comparisons = sim.comparisons() - comparisons_before;
+        let (graph, extra) = finish(graph, comparisons);
 
         let report = RuntimeReport {
-            num_clusters: scheduled.len(),
-            clusters_total: clusters.len(),
+            patched: false,
+            num_clusters: clusters.len(),
             num_users: n,
             plan: deploy,
             workers: worker_stats,
             reducers: reducer_stats,
             shuffle_entries,
-            reused_entries,
             spill: self.config.spill,
             spill_dir: spill_dir_path,
             splits,
-            comparisons: sim.comparisons() - comparisons_before,
+            comparisons,
             clustering_wall,
             map_reduce_wall,
             total_wall: start.elapsed(),
@@ -659,10 +637,7 @@ impl Runtime {
                     "build.map_reduce",
                     map_reduce_start_ns,
                     map_reduce_wall.as_nanos() as u64,
-                    vec![
-                        ("shuffle_entries", report.shuffle_entries),
-                        ("reused_entries", report.reused_entries),
-                    ],
+                    vec![("shuffle_entries", report.shuffle_entries)],
                 );
                 for mut record in records {
                     record.parent = parent;
@@ -675,6 +650,31 @@ impl Runtime {
             }
         }
         (ShardedResult { graph, report }, extra)
+    }
+}
+
+/// The patch stage's per-cluster `solve.cluster` fault gate: an injected
+/// panic is caught and the cluster re-attempted (counted as a requeue,
+/// like a map worker's), up to [`MAX_SOLVE_ATTEMPTS`] failures per
+/// cluster — the same budget a map worker gives a solve. Exhaustion
+/// re-raises the typed payload, which fails the rebuild before the
+/// cluster's sweep has touched a row.
+fn solve_gate(cluster: usize) {
+    let faults = Faults::global();
+    if !faults.armed() {
+        return;
+    }
+    for attempt in 1.. {
+        match cnc_faults::catch_injected(|| faults.panic_on(Site::SolveCluster, cluster as u64)) {
+            Ok(()) => return,
+            Err(injected) if attempt >= MAX_SOLVE_ATTEMPTS => std::panic::panic_any(injected),
+            Err(_) => {
+                let telemetry = Telemetry::global();
+                if telemetry.enabled() {
+                    telemetry.counter("cnc_requeued_clusters_total", &[]).add(1);
+                }
+            }
+        }
     }
 }
 
@@ -810,7 +810,7 @@ fn map_worker(
     let mut spill_broken: Vec<bool> = vec![false; ctx.reduce_shards];
     // Clusters this worker lifted from a peer (half-queue steals park the
     // batch's tail in the own queue; marking attributes them when popped).
-    let mut stolen_mark: Vec<bool> = vec![false; ctx.scheduled.len()];
+    let mut stolen_mark: Vec<bool> = vec![false; ctx.clusters.len()];
     // Caught solve panics so far — the worker's life budget.
     let mut caught = 0u32;
     let faults = Faults::global();
@@ -838,14 +838,11 @@ fn map_worker(
             }
         };
         let busy_start = Instant::now();
-        let global = ctx.scheduled[cluster];
-        let users = &ctx.clusters[global];
-        let cluster_hash = ctx.hashes.get(global).copied().unwrap_or(0);
+        let users = &ctx.clusters[cluster];
+        let cluster_hash = ctx.hashes.get(cluster).copied().unwrap_or(0);
         // Algorithm 2: brute force for small clusters, Hyrec above the
         // ρ·k² crossover — the shared dispatch of `cnc_baselines::local`,
-        // exactly the single-process pipeline's branch. Seeds key off the
-        // *global* cluster index, so a subset schedule solves every
-        // cluster identically to a full one.
+        // exactly the single-process pipeline's branch.
         //
         // The solve is panic-isolated. The injection fires *before* the
         // solver touches anything and the solver is pure (its only output
@@ -854,7 +851,7 @@ fn map_worker(
         // failed attempts burn zero comparisons.
         let solved = catch_unwind(AssertUnwindSafe(|| {
             if faults.armed() {
-                faults.panic_on(Site::SolveCluster, global as u64);
+                faults.panic_on(Site::SolveCluster, cluster as u64);
             }
             local::solve_cluster_partial(
                 users,
@@ -863,7 +860,7 @@ fn map_worker(
                 ctx.threshold,
                 ctx.c2.rho,
                 ctx.c2.delta,
-                ClusterAndConquer::job_seed(ctx.c2, global),
+                ClusterAndConquer::job_seed(ctx.c2, cluster),
             )
         }));
         let (lists, comparisons) = match solved {
@@ -905,18 +902,6 @@ fn map_worker(
         if let Some((brute, greedy)) = &solve_hists {
             let hist = if users.len() >= ctx.threshold { greedy } else { brute };
             hist.record(busy_start.elapsed().as_nanos() as u64);
-        }
-        // Incremental builds keep the solve as a cache-keyed solution for
-        // the next epoch (the lists are cloned: one copy rides the shuffle,
-        // one lives in the cache).
-        if let Some(sink) = ctx.solutions {
-            sink.lock().push(ClusterSolution {
-                hash: cluster_hash,
-                users: users.clone(),
-                seed: ClusterAndConquer::job_seed(ctx.c2, global),
-                lists: lists.clone(),
-                comparisons,
-            });
         }
         // Hash-partition the cluster's output by owning reduce shard.
         let mut routed: Vec<Vec<(UserId, NeighborList)>> = vec![Vec::new(); ctx.reduce_shards];
@@ -997,7 +982,7 @@ fn map_worker(
         stats.busy += busy_start.elapsed();
         for (shard, batch) in to_send {
             senders[shard]
-                .send(ShuffleMessage::Chunk { cluster_hash, reused: false, entries: batch })
+                .send(ShuffleMessage::Chunk { entries: batch })
                 .expect("reducer hung up early");
         }
     }
@@ -1039,7 +1024,6 @@ fn reduce_shard(
         shard,
         users: owned.len(),
         entries: 0,
-        reused_entries: 0,
         spilled_entries: 0,
         spilled_bytes: 0,
         busy: Duration::ZERO,
@@ -1059,17 +1043,9 @@ fn reduce_shard(
         }
         let busy_start = Instant::now();
         match message {
-            ShuffleMessage::Chunk { cluster_hash, reused, entries } => {
-                // Reused chunks are replayed from a fingerprinted build's
-                // cache, so they always carry a real content hash; fresh
-                // chunks carry 0 when the build never fingerprinted. The
-                // hash otherwise rides along as per-record provenance
-                // (mirrored in the spill codec) for multi-process
-                // consumers of the stream.
-                debug_assert!(!reused || cluster_hash != 0, "reused chunk without a hash");
+            ShuffleMessage::Chunk { entries } => {
                 for (user, partial) in &entries {
                     stats.entries += partial.len() as u64;
-                    stats.reused_entries += u64::from(reused) * partial.len() as u64;
                     lists[local_index[*user as usize] as usize].merge(partial);
                 }
             }
@@ -1108,6 +1084,7 @@ impl ShardedBuild for ClusterAndConquer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnc_core::RebuildPath;
     use cnc_dataset::SyntheticConfig;
     use cnc_similarity::SimilarityBackend;
 
@@ -1136,6 +1113,7 @@ mod tests {
 
     #[test]
     fn sharded_graph_equals_single_process_graph() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let single = ClusterAndConquer::new(test_config()).build(&ds);
         for workers in [1usize, 3] {
@@ -1153,6 +1131,7 @@ mod tests {
 
     #[test]
     fn every_cluster_is_executed_exactly_once() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let result = Runtime::new(RuntimeConfig::with_workers(4)).execute(&ds, &test_config());
         let mut executed: Vec<usize> =
@@ -1164,6 +1143,7 @@ mod tests {
 
     #[test]
     fn disabled_stealing_executes_the_plan_verbatim() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let config =
             RuntimeConfig { workers: 4, steal: StealPolicy::Disabled, ..RuntimeConfig::default() };
@@ -1179,6 +1159,7 @@ mod tests {
 
     #[test]
     fn measured_shuffle_matches_predicted_merge_traffic() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let result = Runtime::new(RuntimeConfig::with_workers(3)).execute(&ds, &test_config());
         assert_eq!(result.report.shuffle_entries, result.report.plan.merge_traffic);
@@ -1188,6 +1169,7 @@ mod tests {
 
     #[test]
     fn report_accounting_is_consistent() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let result = Runtime::new(RuntimeConfig::with_workers(2)).execute(&ds, &test_config());
         let report = &result.report;
@@ -1202,6 +1184,7 @@ mod tests {
 
     #[test]
     fn tiny_channel_capacity_still_completes() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let config = RuntimeConfig { workers: 3, channel_capacity: 1, ..RuntimeConfig::default() };
         let single = ClusterAndConquer::new(test_config()).build(&ds);
@@ -1213,6 +1196,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_is_handled() {
+        let _calm = crate::no_faults();
         let ds = Dataset::from_profiles(vec![], 0);
         let result = Runtime::new(RuntimeConfig::with_workers(2)).execute(&ds, &test_config());
         assert_eq!(result.graph.num_users(), 0);
@@ -1223,6 +1207,7 @@ mod tests {
 
     #[test]
     fn build_sharded_extension_matches_runtime_execute() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let builder = ClusterAndConquer::new(test_config());
         let via_trait = builder.build_sharded(&ds, &RuntimeConfig::with_workers(2));
@@ -1237,6 +1222,7 @@ mod tests {
 
     #[test]
     fn reduce_partition_covers_every_user_once() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let config = RuntimeConfig { workers: 2, reduce_shards: 3, ..RuntimeConfig::default() };
         let result = Runtime::new(config).execute(&ds, &test_config());
@@ -1248,6 +1234,7 @@ mod tests {
 
     #[test]
     fn always_spill_routes_all_traffic_through_files() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let config = RuntimeConfig {
             workers: 2,
@@ -1268,6 +1255,7 @@ mod tests {
 
     #[test]
     fn auto_spill_threshold_splits_the_stream() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let base = RuntimeConfig { workers: 2, reduce_shards: 2, ..RuntimeConfig::default() };
 
@@ -1297,6 +1285,7 @@ mod tests {
 
     #[test]
     fn spill_dir_is_gone_after_the_build() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let config = RuntimeConfig {
             workers: 2,
@@ -1319,6 +1308,7 @@ mod tests {
 
     #[test]
     fn shared_fingerprints_produce_the_identical_graph() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let c2 = C2Config {
             backend: SimilarityBackend::GoldFinger { bits: 1024, seed: 77 },
@@ -1347,6 +1337,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must cover the dataset")]
     fn mismatched_shared_fingerprints_panic() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let c2 = C2Config {
             backend: SimilarityBackend::GoldFinger { bits: 64, seed: 1 },
@@ -1360,6 +1351,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match the configured backend")]
     fn wrong_seed_shared_fingerprints_panic() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let c2 = C2Config {
             backend: SimilarityBackend::GoldFinger { bits: 1024, seed: 1 },
@@ -1374,6 +1366,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a GoldFinger backend")]
     fn raw_backend_shared_fingerprints_panic() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let gf = Arc::new(GoldFinger::build(&ds, 64, 1));
         Runtime::new(RuntimeConfig::with_workers(1)).execute_shared(&ds, &test_config(), gf);
@@ -1382,6 +1375,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid RuntimeConfig")]
     fn invalid_runtime_config_panics() {
+        let _calm = crate::no_faults();
         Runtime::new(RuntimeConfig { channel_capacity: 0, ..RuntimeConfig::default() });
     }
 
@@ -1429,6 +1423,7 @@ mod tests {
 
     #[test]
     fn incremental_with_empty_cache_matches_a_from_scratch_build() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let c2 = test_config();
         let runtime = Runtime::new(RuntimeConfig::with_workers(2));
@@ -1437,7 +1432,7 @@ mod tests {
         let incr = runtime.execute_incremental(&ds, &c2, &empty, &[]);
         assert_eq!(incr.rebuild.clusters_resolved, incr.rebuild.clusters_total);
         assert_eq!(incr.rebuild.reuse_ratio, 0.0);
-        assert_eq!(incr.report.reused_entries, 0);
+        assert_eq!(incr.rebuild.path, RebuildPath::Cold);
         assert_eq!(incr.cache.len(), incr.rebuild.clusters_total);
         assert_eq!(incr.cache.total_comparisons(), scratch.report.comparisons);
         for u in ds.users() {
@@ -1447,6 +1442,7 @@ mod tests {
 
     #[test]
     fn incremental_rebuild_reuses_unchanged_clusters_bit_identically() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let c2 = test_config();
         let runtime = Runtime::new(RuntimeConfig::with_workers(2));
@@ -1468,8 +1464,8 @@ mod tests {
 
         let full = runtime.execute(&grown, &c2);
         let incr = runtime.execute_incremental(&grown, &c2, &base.cache, &inserted);
-        // Bit-identical graph, most clusters reused, and the comparison
-        // accounting splits exactly: fresh (report) + cached = full.
+        // Bit-identical graph, most clusters clean, a fraction of the
+        // comparisons, and a cache priced like the from-scratch build.
         for u in grown.users() {
             assert_eq!(
                 incr.graph.neighbors(u).sorted(),
@@ -1483,7 +1479,9 @@ mod tests {
             incr.rebuild.reuse_ratio,
             ds.num_users()
         );
-        assert!(incr.report.reused_entries > 0);
+        assert_eq!(incr.rebuild.path, RebuildPath::Patched);
+        assert!(incr.report.workers.is_empty(), "a patched rebuild runs no map stage");
+        assert_eq!(incr.report.comparisons, incr.rebuild.comparisons);
         assert!(incr.report.comparisons < full.report.comparisons);
         assert_eq!(incr.cache.total_comparisons(), full.report.comparisons);
         assert_eq!(incr.cache.len(), incr.rebuild.clusters_total);
@@ -1586,7 +1584,51 @@ mod tests {
     }
 
     #[test]
+    fn injected_faults_gate_every_patched_cluster() {
+        let _serial = crate::fault_lock();
+        cnc_faults::silence_injected_panics();
+        let ds = test_dataset();
+        let c2 = test_config();
+        let runtime = Runtime::new(RuntimeConfig::with_workers(2));
+        let base = runtime.execute_incremental(&ds, &c2, &ClusterCache::new(&c2), &[]);
+        let mut profiles: Vec<Vec<u32>> = ds.iter().map(|(_, p)| p.to_vec()).collect();
+        profiles.push(profiles[7].clone());
+        let grown = Dataset::from_profiles(profiles, 0);
+        let clean = runtime.execute_incremental(&grown, &c2, &base.cache, &[]);
+        assert_eq!(clean.rebuild.path, RebuildPath::Patched);
+        let faults = Faults::global();
+
+        // Span 2 < MAX_SOLVE_ATTEMPTS: every dirty cluster's gate fails
+        // once or twice, then opens — the patched graph is the clean one.
+        {
+            let plan = cnc_faults::FaultPlan::new(9, 1.0).only(&[Site::SolveCluster]).with_span(2);
+            let _guard = faults.arm(plan);
+            let chaotic = runtime.execute_incremental(&grown, &c2, &base.cache, &[]);
+            assert!(faults.injected(Site::SolveCluster) > 0, "the schedule must have fired");
+            assert_eq!(chaotic.rebuild.path, RebuildPath::Patched);
+            for u in grown.users() {
+                assert_eq!(chaotic.graph.neighbors(u).sorted(), clean.graph.neighbors(u).sorted());
+            }
+        }
+        // Span 12 exhausts some gate: the rebuild fails with the typed
+        // payload, and the cache it read is still good for the next try.
+        let plan = cnc_faults::FaultPlan::new(9, 1.0).only(&[Site::SolveCluster]).with_span(12);
+        let guard = faults.arm(plan);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            runtime.execute_incremental(&grown, &c2, &base.cache, &[])
+        }));
+        drop(guard);
+        let payload = outcome.expect_err("a span-12 schedule must exhaust some gate");
+        assert!(cnc_faults::is_injected_panic(payload.as_ref()));
+        let retried = runtime.execute_incremental(&grown, &c2, &base.cache, &[]);
+        for u in grown.users() {
+            assert_eq!(retried.graph.neighbors(u).sorted(), clean.graph.neighbors(u).sorted());
+        }
+    }
+
+    #[test]
     fn incremental_identical_dataset_reuses_everything() {
+        let _calm = crate::no_faults();
         let ds = test_dataset();
         let c2 = test_config();
         let runtime = Runtime::new(RuntimeConfig::with_workers(2));

@@ -35,10 +35,12 @@
 //!
 //! Every `(workers, reduce_shards, spill)` combination produces exactly
 //! the single-process pipeline's graph — `tests/shuffle.rs` asserts the
-//! full matrix — and [`Runtime::execute_incremental`] re-solves **only**
-//! the clusters whose `BuildPlan` content hash changed since a prior
-//! build, replaying the cached partial lists straight into the reducers
-//! (bit-identical to a from-scratch run; `tests/incremental.rs`).
+//! full matrix — and [`Runtime::execute_incremental`] rebuilds from the
+//! previous build's graph and cluster memberships: when the `BuildPlan`'s
+//! patch stage takes the rebuild, no map, shuffle or reduce stage runs at
+//! all (there are no partial lists to ship); when it declines, the build
+//! is the map-reduce above (bit-identical to a from-scratch run either
+//! way; `tests/incremental.rs`).
 //!
 //! [`DeploymentPlan`]: cnc_core::DeploymentPlan
 
@@ -52,11 +54,20 @@ pub use engine::{IncrementalShardedResult, Runtime, ShardedBuild, ShardedResult}
 pub use report::{ReduceStats, RuntimeReport, WorkerStats};
 pub use shuffle::{partition_of, ReducePartition, ShuffleError};
 
-/// Serializes unit tests that arm the process-global fault registry —
-/// one lock for the whole crate, because `cargo test` runs every module's
-/// tests in a single process.
+/// The crate's tests share one process, and with it the process-global
+/// fault registry: a test that arms it holds this lock exclusively
+/// ([`fault_lock`]), and every other test whose code crosses a fault site
+/// — builds, spills, snapshot files — holds it shared ([`no_faults`]), so
+/// none of them can run under a schedule it did not arm.
 #[cfg(test)]
-pub(crate) fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+static FAULT_REGISTRY: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+#[cfg(test)]
+pub(crate) fn fault_lock() -> std::sync::RwLockWriteGuard<'static, ()> {
+    FAULT_REGISTRY.write().unwrap_or_else(|p| p.into_inner())
+}
+
+#[cfg(test)]
+pub(crate) fn no_faults() -> std::sync::RwLockReadGuard<'static, ()> {
+    FAULT_REGISTRY.read().unwrap_or_else(|p| p.into_inner())
 }

@@ -50,11 +50,8 @@ pub struct ReduceStats {
     /// Users this shard owns (its partition size).
     pub users: usize,
     /// Entries `(user, neighbour, sim)` merged, from channels and spill
-    /// files combined — including reused (cache-replayed) entries.
+    /// files combined.
     pub entries: u64,
-    /// Of `entries`, how many came from a prior build's cluster cache
-    /// rather than a fresh map-stage solve (incremental builds only).
-    pub reused_entries: u64,
     /// Of `entries`, how many were replayed from spill files.
     pub spilled_entries: u64,
     /// Encoded spill bytes this shard replayed.
@@ -65,8 +62,17 @@ pub struct ReduceStats {
 
 /// The measured record of one sharded build, paired with the plan that
 /// drove it so predicted and measured figures can be compared directly.
+///
+/// An incremental rebuild the plan's patch stage took
+/// (`cnc_core::BuildPlan::patch`) ran no map or reduce stage: its report
+/// says so in [`patched`](RuntimeReport::patched) and has no workers, no
+/// reducers and an empty plan (what the stage did is in the result's
+/// `RebuildStats`).
 #[derive(Clone, Debug)]
 pub struct RuntimeReport {
+    /// True when the plan's patch stage produced the graph and no map,
+    /// shuffle or reduce stage ran.
+    pub patched: bool,
     /// The static LPT plan the run started from (predicted makespan,
     /// per-worker costs and shuffle volume live here).
     pub plan: DeploymentPlan,
@@ -74,13 +80,9 @@ pub struct RuntimeReport {
     pub workers: Vec<WorkerStats>,
     /// Per-reduce-shard measurements.
     pub reducers: Vec<ReduceStats>,
-    /// Entries `(user, neighbour, sim)` the *map workers* shipped to the
-    /// reduce stage (fresh solves only; reused cache entries are counted
-    /// separately in [`RuntimeReport::reused_entries`]).
+    /// Entries `(user, neighbour, sim)` the map workers shipped to the
+    /// reduce stage.
     pub shuffle_entries: u64,
-    /// Entries replayed from a prior build's cluster cache straight into
-    /// the reduce stage (0 for from-scratch builds).
-    pub reused_entries: u64,
     /// The spill policy the run executed under.
     pub spill: SpillMode,
     /// The unique temp dir spill files were written to (`None` when the
@@ -88,15 +90,9 @@ pub struct RuntimeReport {
     /// build returns, so this path records *where* the shuffle spilled,
     /// not a live location.
     pub spill_dir: Option<PathBuf>,
-    /// Number of clusters *scheduled and executed* by the map workers
-    /// (plan-local indices run over `0..num_clusters`). For a from-scratch
-    /// build this is the whole clustering; an incremental build schedules
-    /// only its dirty clusters.
+    /// Number of clusters in the build's clustering — each *scheduled and
+    /// executed* by a map worker unless the rebuild was `patched`.
     pub num_clusters: usize,
-    /// Total clusters in the build's clustering (= `num_clusters` for
-    /// from-scratch builds; `num_clusters + reused clusters` when
-    /// incremental).
-    pub clusters_total: usize,
     /// Number of users in the dataset (the partition total).
     pub num_users: usize,
     /// Recursive splits performed during clustering.
@@ -166,16 +162,6 @@ impl RuntimeReport {
         self.workers.iter().map(|w| w.spill_rerouted).sum()
     }
 
-    /// Fraction of the clustering's solves skipped via the cluster cache
-    /// (0.0 for from-scratch builds).
-    pub fn reuse_ratio(&self) -> f64 {
-        if self.clusters_total == 0 {
-            0.0
-        } else {
-            1.0 - self.num_clusters as f64 / self.clusters_total as f64
-        }
-    }
-
     /// The executed assignment as sorted cluster-index lists per worker —
     /// directly comparable with [`DeploymentPlan::assignments`] (which the
     /// engine also keeps sorted-insertion-free; sort before comparing).
@@ -236,10 +222,11 @@ impl RuntimeReport {
     /// Cross-checks the report's own accounting. The engine asserts this
     /// in debug builds; the test suites assert it on every configuration.
     ///
-    /// Invariants:
-    /// * entries received by reducers = `shuffle_entries` (fresh, sent by
-    ///   workers) + `reused_entries` (cache replays) — nothing lost or
-    ///   duplicated in the shuffle;
+    /// A `patched` rebuild must have run no worker and no reducer and
+    /// shuffled nothing; that is all there is to check. Invariants of a
+    /// map-reduce build:
+    /// * entries received by reducers = `shuffle_entries` sent by workers
+    ///   — nothing lost or duplicated in the shuffle;
     /// * every scheduled cluster in `0..num_clusters` was executed by
     ///   exactly one worker, and the executed cost sums to the plan's
     ///   total (the scheduling invariant work stealing must preserve);
@@ -252,6 +239,15 @@ impl RuntimeReport {
     ///   to the report's `comparisons` (the oracle's atomic delta) — two
     ///   independently fed accounts of the paper's primary cost metric.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.patched {
+            let stages = (self.workers.len(), self.reducers.len(), self.shuffle_entries);
+            return match stages {
+                (0, 0, 0) => Ok(()),
+                _ => Err(format!(
+                    "a patched rebuild ran (workers, reducers, shuffled entries) = {stages:?}"
+                )),
+            };
+        }
         let sent: u64 = self.workers.iter().map(|w| w.shuffle_entries).sum();
         if sent != self.shuffle_entries {
             return Err(format!(
@@ -260,17 +256,10 @@ impl RuntimeReport {
             ));
         }
         let received: u64 = self.reducers.iter().map(|r| r.entries).sum();
-        if received != self.shuffle_entries + self.reused_entries {
+        if received != self.shuffle_entries {
             return Err(format!(
-                "reducers merged {received} entries, report says {} fresh + {} reused",
-                self.shuffle_entries, self.reused_entries
-            ));
-        }
-        let reused: u64 = self.reducers.iter().map(|r| r.reused_entries).sum();
-        if reused != self.reused_entries {
-            return Err(format!(
-                "reducers attributed {reused} reused entries, report says {}",
-                self.reused_entries
+                "reducers merged {received} entries, report says {}",
+                self.shuffle_entries
             ));
         }
         let mut executed: Vec<usize> =
@@ -289,12 +278,6 @@ impl RuntimeReport {
             return Err(format!(
                 "workers solved cost {solved}, plan totals {}",
                 self.plan.total_cost()
-            ));
-        }
-        if self.clusters_total < self.num_clusters {
-            return Err(format!(
-                "clusters_total {} below the {} scheduled",
-                self.clusters_total, self.num_clusters
             ));
         }
         let users: usize = self.reducers.iter().map(|r| r.users).sum();
@@ -396,12 +379,12 @@ mod tests {
             shard,
             users,
             entries,
-            reused_entries: 0,
             spilled_entries,
             spilled_bytes,
             busy: Duration::from_millis(3),
         };
         RuntimeReport {
+            patched: false,
             plan: DeploymentPlan {
                 assignments: vec![vec![0], vec![1]],
                 worker_costs: vec![10, 10],
@@ -410,11 +393,9 @@ mod tests {
             workers: vec![worker(0, 7, 5, 40), worker(1, 5, 0, 0)],
             reducers: vec![reducer(0, 6, 8, 5, 40), reducer(1, 4, 4, 0, 0)],
             shuffle_entries: 12,
-            reused_entries: 0,
             spill: SpillMode::Always,
             spill_dir: Some(PathBuf::from("/tmp/cnc-spill-test")),
             num_clusters: 2,
-            clusters_total: 2,
             num_users: 10,
             splits: 0,
             comparisons: 100,
@@ -467,25 +448,28 @@ mod tests {
     }
 
     #[test]
-    fn reused_entry_accounting_must_balance() {
-        // A consistent incremental report: 3 reused entries on shard 0.
+    fn patched_reports_have_no_stages_to_balance() {
+        // The shape a patched rebuild reports: no map worker, no reducer,
+        // nothing shuffled — and only under the explicit mark.
         let mut report = consistent_report();
-        report.reused_entries = 3;
-        report.clusters_total = 3;
-        report.reducers[0].entries += 3;
-        report.reducers[0].reused_entries = 3;
+        report.patched = true;
+        assert!(report.check_invariants().unwrap_err().contains("patched"), "stages ran");
+        report.plan = DeploymentPlan {
+            assignments: vec![vec![], vec![]],
+            worker_costs: vec![0, 0],
+            merge_traffic: 0,
+        };
+        report.workers.clear();
+        report.reducers.clear();
+        report.shuffle_entries = 0;
         report.check_invariants().unwrap();
-        assert!((report.reuse_ratio() - 1.0 / 3.0).abs() < 1e-12);
-
-        // Shard attribution must match the report total.
-        report.reducers[0].reused_entries = 2;
-        assert!(report.check_invariants().unwrap_err().contains("attributed"));
-
-        // clusters_total can never undercut the scheduled count.
-        let mut shrunk = consistent_report();
-        shrunk.clusters_total = 1;
-        assert!(shrunk.check_invariants().unwrap_err().contains("clusters_total"));
-        assert_eq!(consistent_report().reuse_ratio(), 0.0);
+        report.shuffle_entries = 1;
+        assert!(report.check_invariants().unwrap_err().contains("patched"));
+        // The same empty stats without the mark are a map-reduce build
+        // that lost its clusters.
+        report.shuffle_entries = 0;
+        report.patched = false;
+        assert!(report.check_invariants().unwrap_err().contains("executed"));
     }
 
     #[test]

@@ -572,6 +572,7 @@ mod tests {
 
     #[test]
     fn spill_writer_counts_bytes_and_entries() {
+        let _calm = crate::no_faults();
         let dir = SpillDir::create().unwrap();
         let mut w = SpillWriter::create(dir.file_path(0, 1), 0).unwrap();
         let a = list(3, &[(1, 0.5), (2, 0.25)]);

@@ -55,11 +55,20 @@ pub use snapshot::{
     Snapshot, SnapshotError,
 };
 
-/// Serializes unit tests that arm the process-global fault registry —
-/// one lock for the whole crate, because `cargo test` runs every module's
-/// tests in a single process.
+/// The crate's tests share one process, and with it the process-global
+/// fault registry: a test that arms it holds this lock exclusively
+/// ([`fault_lock`]), and every other test whose code crosses a fault site
+/// — builds, spills, snapshot files — holds it shared ([`no_faults`]), so
+/// none of them can run under a schedule it did not arm.
 #[cfg(test)]
-pub(crate) fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+static FAULT_REGISTRY: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+#[cfg(test)]
+pub(crate) fn fault_lock() -> std::sync::RwLockWriteGuard<'static, ()> {
+    FAULT_REGISTRY.write().unwrap_or_else(|p| p.into_inner())
+}
+
+#[cfg(test)]
+pub(crate) fn no_faults() -> std::sync::RwLockReadGuard<'static, ()> {
+    FAULT_REGISTRY.read().unwrap_or_else(|p| p.into_inner())
 }

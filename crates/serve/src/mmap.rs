@@ -102,9 +102,9 @@ impl AdoptedSnapshot {
 mod zc {
     use super::*;
     use crate::snapshot::{
-        checksum64, corrupt_entries, cross_validate, parse_dataset_v2, parse_entries_v2,
-        parse_goldfinger_v2, parse_graph_v2, path_key, read_v2_table, CLUSTER_SECTION_BASE, MAGIC,
-        SECTION_CLUSTER_META, SECTION_DATASET, SECTION_ENTRIES, SECTION_GOLDFINGER, SECTION_GRAPH,
+        checksum64, corrupt_entries, cross_validate, is_legacy_cluster_section, parse_dataset_v2,
+        parse_entries_v2, parse_goldfinger_v2, parse_graph_v2, path_key, read_v2_table, MAGIC,
+        SECTION_DATASET, SECTION_ENTRIES, SECTION_GOLDFINGER, SECTION_GRAPH, SECTION_MEMBERSHIPS,
     };
     use cnc_dataset::{ItemId, SharedSlice, Storage};
     use cnc_faults::{Faults, Site};
@@ -290,12 +290,12 @@ mod zc {
                 SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER | SECTION_ENTRIES
             );
             let known =
-                relevant || entry.id == SECTION_CLUSTER_META || entry.id >= CLUSTER_SECTION_BASE;
+                relevant || entry.id == SECTION_MEMBERSHIPS || is_legacy_cluster_section(entry.id);
             if !known {
                 return Err(SnapshotError::Corrupt(format!("unknown section id {}", entry.id)));
             }
             if !relevant {
-                continue; // cluster sections: not touched, not verified
+                continue; // builder state: not touched, not verified
             }
             let payload = usize::try_from(entry.offset)
                 .ok()

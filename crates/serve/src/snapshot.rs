@@ -39,14 +39,26 @@
 //! │                   entries ×{id u32, sim-bits u32} (heap order)   │
 //! │   3 GOLDFINGER    bits u32, pad u32, seed u64, num_users u64,    │
 //! │                   fingerprint words ×u64                         │
-//! │   4 CLUSTER_META  config_token u64, cluster_count u64            │
 //! │   5 ENTRIES       b u32, functions u32, clusters u64, routes u64,│
 //! │     (optional)    members u64, seeds functions×u64,              │
 //! │                   keys routes×u64, offsets (clusters+1)×u32,     │
 //! │                   targets routes×u32, members ×u32               │
-//! │   0x100+i CLUSTER one persisted ClusterSolution each             │
+//! │   6 MEMBERSHIPS   config_token u64, clusters u64, members u64,   │
+//! │     (optional)    offsets (clusters+1)×u32,                      │
+//! │                   members ×u32 (solve order)                     │
 //! └──────────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! The MEMBERSHIPS section is the builder's half of its [`ClusterCache`]:
+//! the build plan's cluster member lists. The other half is the GRAPH
+//! section the file carries anyway — the cache *is* the previous build's
+//! graph plus who sat together when it was built — so a restarted
+//! builder's first publish patches that graph instead of rebuilding it.
+//! The writer therefore persists a cache only beside the very graph it
+//! was captured with. Files written before this layout persisted
+//! the cache as a `4 CLUSTER_META` section plus one `0x100 + i` section
+//! of partial neighbour lists per cluster; both loaders skip those, and
+//! such a file loads with `cache: None` (a cold first publish).
 //!
 //! The ENTRIES section is the epoch's [`EntryIndex`] (`cnc_graph::entry`):
 //! the flat routing table and cluster member arrays that let a query start
@@ -59,9 +71,7 @@
 //! interleaved `{u32, f32}` entries on 4-byte boundaries. A mapped v2
 //! file can therefore hand out its offset, entry, word and entry-index
 //! arrays as typed slices directly (see [`crate::mmap`]) — adoption does
-//! no per-user work. The `0x100 + i` cluster sections persist the builder's
-//! [`ClusterCache`] keyed by `BuildPlan` content hashes, so incremental
-//! rebuilds survive restarts.
+//! no per-user work, and never reads the MEMBERSHIPS section at all.
 //!
 //! Everything is little-endian; similarities travel as raw `f32` bits
 //! and fingerprints as raw `u64` words — the same codec discipline as
@@ -76,7 +86,7 @@
 //! typed [`SnapshotError`] instead of panicking — snapshot files are
 //! untrusted input.
 
-use cnc_core::build_plan::{ClusterCache, ClusterSolution};
+use cnc_core::build_plan::ClusterCache;
 use cnc_dataset::Dataset;
 use cnc_faults::{injected_io_error, Fault, Faults, Site};
 use cnc_graph::{EntryIndex, KnnGraph, Neighbor, NeighborList};
@@ -99,18 +109,23 @@ pub const MIN_VERSION: u32 = 1;
 pub(crate) const SECTION_DATASET: u32 = 1;
 pub(crate) const SECTION_GRAPH: u32 = 2;
 pub(crate) const SECTION_GOLDFINGER: u32 = 3;
-pub(crate) const SECTION_CLUSTER_META: u32 = 4;
 pub(crate) const SECTION_ENTRIES: u32 = 5;
-/// Per-cluster solution sections occupy `CLUSTER_SECTION_BASE + i`.
-pub(crate) const CLUSTER_SECTION_BASE: u32 = 0x100;
+pub(crate) const SECTION_MEMBERSHIPS: u32 = 6;
+
+/// True for the section ids an older writer used to persist its cache of
+/// per-cluster partial lists (`4` plus one `0x100 + i` per cluster).
+/// Nothing reads them any more; both loaders step over them.
+pub(crate) fn is_legacy_cluster_section(id: u32) -> bool {
+    id == 4 || id >= 0x100
+}
 
 /// Every v2 payload starts on this file-offset boundary (one cache line;
 /// a multiple of every element alignment the format uses).
 pub(crate) const V2_ALIGN: u64 = 64;
 
-/// v1 caps its section table at 16 entries; v2 adds one section per
-/// persisted cluster, so its cap is correspondingly wider (the table is
-/// 28 bytes per entry — a lying count cannot pre-allocate much).
+/// v1 caps its section table at 16 entries; older v2 writers added one
+/// section per persisted cluster, so the v2 cap stays that wide (the
+/// table is 28 bytes per entry — a lying count cannot pre-allocate much).
 const MAX_V2_SECTIONS: u32 = 65_536;
 
 /// Why a snapshot failed to load (or write).
@@ -265,8 +280,8 @@ impl<'a> Cursor<'a> {
 
 /// One persisted serving state: the dataset, its KNN graph, (when the
 /// backend uses them) the GoldFinger fingerprints the graph was built
-/// on, (when the builder persists it) the per-cluster solution cache
-/// that makes the *next* build incremental, and (when the build recorded
+/// on, (when the builder persists it) the cluster cache that makes the
+/// *next* build incremental, and (when the build recorded
 /// one) the entry index that routes queries to their clusters.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
@@ -277,8 +292,9 @@ pub struct Snapshot {
     /// The fingerprints backing query scoring (`None` for raw-Jaccard
     /// deployments).
     pub goldfinger: Option<GoldFinger>,
-    /// The builder's persisted [`ClusterCache`] (v2 files only; `None`
-    /// for v1 files and serving-only snapshots).
+    /// The builder's persisted [`ClusterCache`] — the file's memberships
+    /// over (a shared view of) `graph` — for v2 files that carry the
+    /// MEMBERSHIPS section; `None` otherwise.
     pub cache: Option<ClusterCache>,
     /// The graph's [`EntryIndex`] (v2 files that carry the section;
     /// `None` otherwise — such a state serves from random seeds).
@@ -300,7 +316,11 @@ impl Snapshot {
         Snapshot { dataset, graph, goldfinger, cache: None, entries: None }
     }
 
-    /// Attaches a builder's cluster cache for persistence.
+    /// Attaches a builder's cluster cache for persistence. Only its
+    /// memberships are written; on load they are paired with this
+    /// snapshot's graph, so a `cache` of any other graph than `graph` is
+    /// left out of the file (it loads with `cache: None`: a cold first
+    /// publish, never a wrong patch).
     pub fn with_cache(mut self, cache: ClusterCache) -> Self {
         self.cache = Some(cache);
         self
@@ -434,7 +454,7 @@ impl Snapshot {
                     return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
                 }
                 other => {
-                    // v2 sections (cluster meta/solutions) inside a file
+                    // v2 sections (entries, memberships) inside a file
                     // whose header claims v1 are structural corruption,
                     // reported as such — never a panic, never silently
                     // skipped.
@@ -472,10 +492,9 @@ impl Snapshot {
         let mut dataset: Option<Dataset> = None;
         let mut graph: Option<KnnGraph> = None;
         let mut goldfinger: Option<GoldFinger> = None;
-        let mut cluster_meta: Option<(u64, u64)> = None;
-        let mut clusters: Vec<Option<ClusterSolution>> = Vec::new();
-        // Decoded last: its member ids are checked against the dataset.
+        // Decoded last: their member ids are checked against the dataset.
         let mut entries: Option<Vec<u8>> = None;
+        let mut memberships: Option<Vec<u8>> = None;
         for entry in table {
             // Sections are laid out in table order; skip the alignment
             // padding between the previous payload and this one.
@@ -511,26 +530,11 @@ impl Snapshot {
                 SECTION_GOLDFINGER if goldfinger.is_none() => {
                     goldfinger = Some(decode_goldfinger_v2(&payload)?);
                 }
-                SECTION_CLUSTER_META if cluster_meta.is_none() => {
-                    let meta = decode_cluster_meta(&payload)?;
-                    clusters = (0..meta.1).map(|_| None).collect();
-                    cluster_meta = Some(meta);
-                }
                 SECTION_ENTRIES if entries.is_none() => entries = Some(payload),
-                id if id >= CLUSTER_SECTION_BASE => {
-                    let index = (id - CLUSTER_SECTION_BASE) as usize;
-                    let slot = clusters.get_mut(index).ok_or_else(|| {
-                        SnapshotError::Corrupt(format!(
-                            "cluster section {index} outside the declared count"
-                        ))
-                    })?;
-                    if slot.is_some() {
-                        return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
-                    }
-                    *slot = Some(decode_cluster_solution(&payload)?);
-                }
-                id @ (SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER
-                | SECTION_CLUSTER_META | SECTION_ENTRIES) => {
+                SECTION_MEMBERSHIPS if memberships.is_none() => memberships = Some(payload),
+                id if is_legacy_cluster_section(id) => {}
+                id @ (SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER | SECTION_ENTRIES
+                | SECTION_MEMBERSHIPS) => {
                     return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
                 }
                 other => {
@@ -542,19 +546,11 @@ impl Snapshot {
         let dataset = dataset.ok_or(SnapshotError::MissingSection("dataset"))?;
         let graph = graph.ok_or(SnapshotError::MissingSection("graph"))?;
         cross_validate(&dataset, &graph, goldfinger.as_ref())?;
-        let cache = match cluster_meta {
-            None if clusters.is_empty() => None,
-            None => unreachable!("cluster sections allocate from the meta section"),
-            Some((token, count)) => {
-                let mut solutions = Vec::with_capacity(count as usize);
-                for (i, slot) in clusters.into_iter().enumerate() {
-                    solutions.push(slot.ok_or_else(|| {
-                        SnapshotError::Corrupt(format!("cluster section {i} missing"))
-                    })?);
-                }
-                Some(ClusterCache::from_parts(token, solutions))
-            }
-        };
+        // The cache shares the graph's entries instead of copying them.
+        let graph = if memberships.is_some() { graph.into_shared() } else { graph };
+        let cache = memberships
+            .map(|payload| decode_memberships(&payload, &dataset, graph.clone()))
+            .transpose()?;
         let entries =
             entries.map(|payload| decode_entries_v2(&payload, dataset.num_users())).transpose()?;
         Ok(Snapshot { dataset, graph, goldfinger, cache, entries })
@@ -662,11 +658,16 @@ pub fn write_snapshot_parts_to<W: Write>(
         );
         sections.push((SECTION_ENTRIES, encode_entries_v2(entries)));
     }
-    if let Some(cache) = cache {
-        sections.push((SECTION_CLUSTER_META, encode_cluster_meta(cache)));
-        for (i, solution) in cache.solutions().enumerate() {
-            sections.push((CLUSTER_SECTION_BASE + i as u32, encode_cluster_solution(solution)));
-        }
+    // Memberships are only meaningful beside the graph they were captured
+    // with: entry-for-entry equality, O(n·k), small next to the write.
+    let captured_with = |cache: &&ClusterCache| {
+        let theirs = cache.graph();
+        theirs.k() == graph.k()
+            && theirs.num_users() == graph.num_users()
+            && theirs.iter().zip(graph.iter()).all(|((_, a), (_, b))| a.as_slice() == b.as_slice())
+    };
+    if let Some(cache) = cache.filter(captured_with) {
+        sections.push((SECTION_MEMBERSHIPS, encode_memberships(cache)));
     }
 
     out.write_all(&MAGIC)?;
@@ -765,9 +766,10 @@ pub fn write_snapshot(
     write_snapshot_full(dataset, graph, goldfinger, None, None, path)
 }
 
-/// [`write_snapshot`] with a builder's [`ClusterCache`] (per-cluster
-/// sections) and the graph's [`EntryIndex`] (one flat section) persisted
-/// alongside the serving state; see the module docs.
+/// [`write_snapshot`] with a builder's [`ClusterCache`] (its memberships;
+/// the graph section is its other half) and the graph's [`EntryIndex`]
+/// persisted alongside the serving state, one flat section each; see the
+/// module docs.
 pub fn write_snapshot_full(
     dataset: &Dataset,
     graph: &KnnGraph,
@@ -1445,89 +1447,51 @@ fn encode_entries_v2(entries: &EntryIndex) -> Vec<u8> {
     out
 }
 
-fn encode_cluster_meta(cache: &ClusterCache) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
+/// Bytes before the MEMBERSHIPS section's arrays: the config token and
+/// the cluster and member counts.
+const MEMBERSHIPS_HEADER: usize = 24;
+
+fn encode_memberships(cache: &ClusterCache) -> Vec<u8> {
+    let half = cache.offsets().len() + cache.members().len();
+    let mut out = Vec::with_capacity(MEMBERSHIPS_HEADER + 4 * half);
     out.extend_from_slice(&cache.config_token().to_le_bytes());
     out.extend_from_slice(&(cache.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(cache.members().len() as u64).to_le_bytes());
+    for &half in cache.offsets().iter().chain(cache.members()) {
+        out.extend_from_slice(&half.to_le_bytes());
+    }
     out
 }
 
-/// Decodes `(config_token, cluster_count)` from a cluster-meta section.
-fn decode_cluster_meta(payload: &[u8]) -> Result<(u64, u64), SnapshotError> {
-    let mut cur = Cursor::new(payload, "cluster-meta");
+/// Decodes a MEMBERSHIPS section into the cache of the build that made
+/// `graph` from `dataset`. The declared counts must account for the
+/// payload's length exactly *before* anything is allocated from them, and
+/// [`ClusterCache::from_parts`] checks the offsets and every member id
+/// against the dataset's user count.
+fn decode_memberships(
+    payload: &[u8],
+    dataset: &Dataset,
+    graph: KnnGraph,
+) -> Result<ClusterCache, SnapshotError> {
+    let corrupt = |what: String| SnapshotError::Corrupt(format!("memberships section: {what}"));
+    let mut cur = Cursor::new(payload, "memberships");
     let token = cur.u64()?;
-    let count = cur.u64()?;
-    cur.finish()?;
-    if count > MAX_V2_SECTIONS as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible cluster count {count}")));
-    }
-    Ok((token, count))
-}
-
-fn encode_cluster_solution(s: &ClusterSolution) -> Vec<u8> {
-    let k = s.lists.first().map(NeighborList::k).unwrap_or(1);
-    let entries: usize = s.lists.iter().map(NeighborList::len).sum();
-    let mut out = Vec::with_capacity(32 + 8 * s.users.len() + 8 * entries);
-    out.extend_from_slice(&s.hash.to_le_bytes());
-    out.extend_from_slice(&s.seed.to_le_bytes());
-    out.extend_from_slice(&s.comparisons.to_le_bytes());
-    out.extend_from_slice(&(k as u32).to_le_bytes());
-    out.extend_from_slice(&(s.users.len() as u32).to_le_bytes());
-    for &user in &s.users {
-        out.extend_from_slice(&user.to_le_bytes());
-    }
-    for list in &s.lists {
-        out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-    }
-    for list in &s.lists {
-        for n in list.iter() {
-            out.extend_from_slice(&n.user.to_le_bytes());
-            out.extend_from_slice(&n.sim.to_bits().to_le_bytes());
-        }
-    }
-    out
-}
-
-fn decode_cluster_solution(payload: &[u8]) -> Result<ClusterSolution, SnapshotError> {
-    let mut cur = Cursor::new(payload, "cluster");
-    let hash = cur.u64()?;
-    let seed = cur.u64()?;
-    let comparisons = cur.u64()?;
-    let k = cur.u32()? as usize;
-    if k == 0 || k > MAX_K {
-        return Err(SnapshotError::Corrupt(format!(
-            "cluster list bound k = {k} outside the sane range 1..={MAX_K}"
-        )));
-    }
-    let num_users = cur.u32()? as usize;
-    if num_users.checked_mul(8).is_none_or(|n| n > payload.len()) {
-        return Err(SnapshotError::Corrupt(format!(
-            "cluster claims {num_users} members but only {} bytes follow",
+    let (clusters, members) = (cur.u64()?, cur.u64()?);
+    let expected = clusters
+        .checked_add(members)
+        .and_then(|halves| halves.checked_mul(4))
+        .and_then(|bytes| bytes.checked_add(MEMBERSHIPS_HEADER as u64 + 4));
+    if expected != Some(payload.len() as u64) {
+        return Err(corrupt(format!(
+            "{clusters} clusters and {members} members do not account for {} bytes",
             payload.len()
         )));
     }
-    let mut users = Vec::with_capacity(num_users);
-    for _ in 0..num_users {
-        users.push(cur.u32()?);
-    }
-    let mut lens = Vec::with_capacity(num_users);
-    for _ in 0..num_users {
-        lens.push(cur.u32()? as usize);
-    }
-    let mut lists = Vec::with_capacity(num_users);
-    for (i, len) in lens.into_iter().enumerate() {
-        let mut entries = Vec::with_capacity(len.min(k));
-        for _ in 0..len {
-            let user = cur.u32()?;
-            let sim = f32::from_bits(cur.u32()?);
-            entries.push(Neighbor { user, sim });
-        }
-        let list = NeighborList::from_heap_order(k, entries)
-            .map_err(|e| SnapshotError::Corrupt(format!("cluster {hash:016x} member {i}: {e}")))?;
-        lists.push(list);
-    }
+    let (clusters, members) = (clusters as usize, members as usize);
+    let offsets = (0..=clusters).map(|_| cur.u32()).collect::<Result<Vec<u32>, _>>()?;
+    let members = (0..members).map(|_| cur.u32()).collect::<Result<Vec<u32>, _>>()?;
     cur.finish()?;
-    Ok(ClusterSolution { hash, users, seed, lists, comparisons })
+    ClusterCache::from_parts(token, offsets, members, dataset, graph).map_err(corrupt)
 }
 
 #[cfg(test)]
@@ -1604,6 +1568,7 @@ mod tests {
 
     #[test]
     fn file_round_trip_works() {
+        let _calm = crate::no_faults();
         let snap = build(23);
         let path = std::env::temp_dir().join(format!("cnc-snap-test-{}.bin", std::process::id()));
         let bytes = snap.write(&path).unwrap();
@@ -1615,6 +1580,7 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_and_leaves_no_temp_files() {
+        let _calm = crate::no_faults();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("cnc-snap-atomic-{}.bin", std::process::id()));
         let first = build(31);
@@ -1636,6 +1602,7 @@ mod tests {
 
     #[test]
     fn failed_write_reports_io_and_cleans_up() {
+        let _calm = crate::no_faults();
         let snap = build(33);
         let missing_dir =
             std::env::temp_dir().join(format!("cnc-no-such-dir-{}", std::process::id()));
@@ -1647,6 +1614,7 @@ mod tests {
 
     #[test]
     fn borrowed_writer_matches_the_owned_one() {
+        let _calm = crate::no_faults();
         let snap = build(34);
         let mut owned = Vec::new();
         snap.write_to(&mut owned).unwrap();
@@ -1658,6 +1626,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
+        let _calm = crate::no_faults();
         let mut buf = Vec::new();
         build(24).write_to(&mut buf).unwrap();
         buf[0] = b'X';
@@ -1669,6 +1638,7 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected() {
+        let _calm = crate::no_faults();
         let mut buf = Vec::new();
         build(25).write_to(&mut buf).unwrap();
         buf[8..12].copy_from_slice(&3u32.to_le_bytes());
@@ -1680,6 +1650,7 @@ mod tests {
 
     #[test]
     fn every_truncation_point_errors_without_panicking() {
+        let _calm = crate::no_faults();
         let mut buf = Vec::new();
         build(26).write_to(&mut buf).unwrap();
         // Sample truncation points across header, table and payloads.
@@ -1693,6 +1664,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_fails_the_checksum() {
+        let _calm = crate::no_faults();
         let mut buf = Vec::new();
         build(27).write_to(&mut buf).unwrap();
         let last = buf.len() - 1;
@@ -1705,6 +1677,7 @@ mod tests {
 
     #[test]
     fn missing_sections_are_reported() {
+        let _calm = crate::no_faults();
         // A syntactically valid snapshot with zero sections.
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
@@ -1765,9 +1738,21 @@ mod tests {
         // p = 1, span 12: the path's write site fails up to 12 times,
         // alternating clean I/O errors with crashes (temp file left
         // behind, no rename). 16 retries always outlast the budget.
+        // The schedule is keyed by the path, which names this process:
+        // take the first seed whose draws for it include a crash.
         let faults = Faults::global();
-        let _guard = faults
-            .arm(cnc_faults::FaultPlan::new(90210, 1.0).only(&[Site::SnapshotWrite]).with_span(12));
+        let key = path_key(&path);
+        let plan = (90210u64..)
+            .map(|seed| {
+                cnc_faults::FaultPlan::new(seed, 1.0).only(&[Site::SnapshotWrite]).with_span(12)
+            })
+            .find(|plan| {
+                let _dry_run = faults.arm(*plan);
+                std::iter::from_fn(|| faults.inject(Site::SnapshotWrite, key))
+                    .any(|kind| kind == Fault::Crash)
+            })
+            .expect("some seed crashes this path");
+        let _guard = faults.arm(plan);
         let mut crashed = false;
         let mut published = false;
         for _ in 0..16 {
@@ -1787,7 +1772,7 @@ mod tests {
                 Err(other) => panic!("unexpected error: {other:?}"),
             }
         }
-        assert!(crashed, "the schedule never drew a crash — pick another seed");
+        assert!(crashed, "the chosen schedule draws a crash");
         assert!(published, "bounded retries must outlast the fault budget");
         assert_identical(&second, &Snapshot::load(&path).unwrap());
         // Crash litter carries this (live) process's pid, so the publish

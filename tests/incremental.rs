@@ -1,22 +1,29 @@
-//! The incremental-rebuild equivalence suite (PR 5 acceptance matrix).
+//! The incremental-rebuild equivalence suite.
 //!
-//! The contract of the staged `BuildPlan` path: an incremental build that
-//! re-solves only the clusters whose content hash changed must be
-//! **bit-identical** to a from-scratch build of the same dataset —
-//! identical graphs for every `(insert batch × workers × reduce shards ×
-//! spill mode)` cell, and comparison counts that split exactly into
-//! "fresh solves" (the incremental report) plus "cached solves" (the
-//! cluster cache's totals). On top of the matrix: the in-process
-//! pipeline's incremental path, a randomized insert-sequence equivalence
-//! through the full `ServingEngine` loop, and proptests pinning the
-//! cluster-hash semantics (stable under member reordering; changes iff
-//! membership or item sets change).
+//! The contract of the staged `BuildPlan` path: an incremental build —
+//! whether its patch stage took it (cross-group pairs of the dirty
+//! clusters, plus the rows that lost a neighbour) or declined it to the
+//! from-scratch path — must be **bit-identical** to a from-scratch build
+//! of the same dataset: identical graphs for every `(insert batch ×
+//! workers × reduce shards × spill mode)` cell, `comparisons` counting
+//! exactly the similarities computed, and a cache priced like the
+//! from-scratch build. On top of the matrix: the in-process pipeline's
+//! incremental path; random insert sequences over several generations on
+//! a configuration small enough that clusters cross `N`, split, and pull
+//! users out of remainders, checked against an independent count of the
+//! pairs a patch owes; one case per fallback and one with an edited and a
+//! removed profile; a counts-only gate on the work a 1 % batch redoes; a
+//! structural bound on the cache's size; a randomized insert-sequence
+//! equivalence through the full `ServingEngine` loop; and proptests
+//! pinning the cluster-hash semantics (stable under member reordering;
+//! changes iff membership or item sets change).
 
 use cluster_and_conquer::prelude::*;
 use cnc_core::build_plan::{cluster_hash, profile_digest};
-use cnc_core::ClusterSolution;
+use cnc_core::{cluster_dataset, FastRandomHash, RebuildPath};
 use cnc_graph::KnnGraph;
 use cnc_runtime::Runtime;
+use std::collections::HashSet;
 
 fn base_dataset() -> Dataset {
     let mut cfg = SyntheticConfig::small(5151);
@@ -112,8 +119,8 @@ fn incremental_matches_from_scratch_across_the_matrix() {
                     assert_eq!(incr.cache.len(), incr.rebuild.clusters_total, "{label}");
                     incr.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
                     assert_eq!(
-                        incr.report.num_clusters, incr.rebuild.clusters_resolved,
-                        "{label}: scheduled clusters must match the rebuild stats"
+                        incr.report.num_clusters, incr.rebuild.clusters_total,
+                        "{label}: the report and the rebuild stats must count one clustering"
                     );
                 }
             }
@@ -166,6 +173,321 @@ fn goldfinger_incremental_matches_from_scratch() {
     assert_graphs_identical(&incr.graph, &full.graph, "goldfinger");
     assert!(incr.rebuild.reuse_ratio > 0.5);
     assert_eq!(incr.cache.total_comparisons(), full.report.comparisons);
+}
+
+/// A configuration small enough that Step 1 restructures under a handful
+/// of inserts: 8 buckets per function and `N` = 40 over ~260 users, so
+/// most buckets are split, remainders are common, and clusters sit close
+/// to `N`. `ρ·k²` = 180 keeps every cluster brute-forced.
+fn tight_config() -> C2Config {
+    C2Config { k: 6, b: 8, t: 3, max_cluster_size: 40, ..c2_config() }
+}
+
+fn tight_dataset(seed: u64) -> Dataset {
+    let mut cfg = SyntheticConfig::small(seed);
+    cfg.num_users = 260;
+    cfg.num_items = 200;
+    cfg.communities = 5;
+    cfg.mean_profile = 9.0;
+    cfg.min_profile = 2;
+    cfg.generate()
+}
+
+/// Function `f`'s clusters alone, from Step 1 run on that one function —
+/// no reliance on how a plan orders or tags its cluster list.
+fn clusters_per_function(config: &C2Config, dataset: &Dataset) -> Vec<Vec<Vec<u32>>> {
+    FastRandomHash::family(config.seed, config.t, config.b)
+        .chunks(1)
+        .map(|f| cluster_dataset(dataset, f, config.max_cluster_size).clusters)
+        .collect()
+}
+
+/// `home[f][u]`: the index of `u`'s function-`f` cluster, if it has one.
+fn homes(per_function: &[Vec<Vec<u32>>], n: usize) -> Vec<Vec<Option<usize>>> {
+    per_function
+        .iter()
+        .map(|clusters| {
+            let mut home = vec![None; n];
+            for (index, users) in clusters.iter().enumerate() {
+                for &u in users {
+                    home[u as usize] = Some(index);
+                }
+            }
+            home
+        })
+        .collect()
+}
+
+/// What a patch owes, counted from first principles: every pair of a
+/// changed cluster whose two users did not share that function's cluster
+/// last time, plus a full row for every retained user one of whose old
+/// neighbours shares no cluster with it any more. Also reports whether a
+/// retained user was pulled out of its cluster into one it shares only
+/// with newcomers (Exception 2 no longer applying to it).
+struct Owed {
+    patch_pairs: u64,
+    recompute_rows: usize,
+    recompute_pairs: u64,
+    pulled_out: bool,
+}
+
+fn owed(config: &C2Config, old: &Dataset, old_graph: &KnnGraph, new: &Dataset) -> Owed {
+    let (n_old, n_new) = (old.num_users(), new.num_users());
+    let (before, after) = (clusters_per_function(config, old), clusters_per_function(config, new));
+    let (home_before, home_after) = (homes(&before, n_old), homes(&after, n_new));
+    let unchanged: HashSet<&Vec<u32>> = before.iter().flatten().collect();
+    let retained = |u: u32| (u as usize) < n_old;
+    let mut owed =
+        Owed { patch_pairs: 0, recompute_rows: 0, recompute_pairs: 0, pulled_out: false };
+    for (f, clusters) in after.iter().enumerate() {
+        for users in clusters.iter().filter(|users| !unchanged.contains(users)) {
+            for (i, &u) in users.iter().enumerate() {
+                for &v in &users[i + 1..] {
+                    let together_before = retained(u)
+                        && retained(v)
+                        && home_before[f][u as usize] == home_before[f][v as usize];
+                    owed.patch_pairs += u64::from(!together_before);
+                }
+            }
+            let stayers: Vec<u32> = users.iter().copied().filter(|&u| retained(u)).collect();
+            if let [u] = stayers[..] {
+                let left_company =
+                    home_before[f][u as usize].is_some_and(|index| before[f][index].len() > 1);
+                owed.pulled_out |= users.len() > 1 && left_company;
+            }
+        }
+    }
+    for u in 0..n_old as u32 {
+        let shares_a_cluster = |v: u32| {
+            (0..config.t).any(|f| {
+                home_after[f][u as usize].is_some()
+                    && home_after[f][u as usize] == home_after[f][v as usize]
+            })
+        };
+        if old_graph.neighbors(u).iter().any(|nb| !shares_a_cluster(nb.user)) {
+            owed.recompute_rows += 1;
+            owed.recompute_pairs += (0..config.t)
+                .filter_map(|f| {
+                    home_after[f][u as usize].map(|index| after[f][index].len() as u64 - 1)
+                })
+                .sum::<u64>();
+        }
+    }
+    owed
+}
+
+/// Random insert sequences over several generations, each executor's
+/// cache fed forward: every graph equals `ClusterAndConquer::build` of
+/// the same dataset, every cache is priced like that build, and
+/// `comparisons` is exactly what the independent count says a patch owes
+/// (or the from-scratch count, when the patch stage declined).
+#[test]
+fn random_insert_sequences_stay_bit_identical_through_restructuring() {
+    use proptest::prelude::*;
+    let mut rng = TestRng::for_test("random_insert_sequences");
+    let batches = proptest::collection::vec(1usize..14, 3..5);
+    let config = tight_config();
+    let builder = ClusterAndConquer::new(config);
+    let runtimes = [1usize, 3].map(|workers| Runtime::new(RuntimeConfig::with_workers(workers)));
+    let (mut new_splits, mut pull_outs, mut patched, mut recomputed) = (0, 0, 0, 0);
+    for case in 0..6u64 {
+        let mut dataset = tight_dataset(900 + case);
+        let mut oracle = builder.build(&dataset);
+        let mut core_cache = builder.build_incremental(&dataset, &ClusterCache::new(&config)).cache;
+        let mut runtime_caches = runtimes.each_ref().map(|rt| {
+            rt.execute_incremental(&dataset, &config, &ClusterCache::new(&config), &[]).cache
+        });
+        for (generation, batch) in batches.generate(&mut rng).into_iter().enumerate() {
+            let label = format!("case {case} generation {generation} (+{batch})");
+            let salt = (0u32..1000).generate(&mut rng);
+            let (grown, _) = grow(&dataset, batch, salt);
+            let full = builder.build(&grown);
+            let owed = owed(&config, &dataset, &oracle.graph, &grown);
+
+            let incr = builder.build_incremental(&grown, &core_cache);
+            assert_graphs_identical(&incr.result.graph, &full.graph, &label);
+            assert_eq!(incr.cache.total_comparisons(), full.stats.comparisons, "{label}");
+            assert_eq!(incr.rebuild.comparisons, incr.result.stats.comparisons, "{label}");
+            match incr.rebuild.path {
+                RebuildPath::Patched => {
+                    assert_eq!(
+                        incr.rebuild.comparisons,
+                        owed.patch_pairs + owed.recompute_pairs,
+                        "{label}: comparisons must be pairs patched + pairs recomputed"
+                    );
+                    assert_eq!(incr.rebuild.rows_recomputed, owed.recompute_rows, "{label}");
+                    patched += 1;
+                    recomputed += owed.recompute_rows;
+                }
+                RebuildPath::PastCrossover => {
+                    assert!(
+                        2 * (owed.patch_pairs + owed.recompute_pairs) > full.stats.comparisons,
+                        "{label}: declined a patch that owed under half the build"
+                    );
+                    assert_eq!(incr.rebuild.comparisons, full.stats.comparisons, "{label}");
+                }
+                other => panic!("{label}: unexpected path {other:?}"),
+            }
+            for (rt, cache) in runtimes.iter().zip(&mut runtime_caches) {
+                let sharded = rt.execute_incremental(&grown, &config, cache, &[]);
+                assert_graphs_identical(&sharded.graph, &full.graph, &label);
+                assert_eq!(sharded.rebuild.path, incr.rebuild.path, "{label}");
+                assert_eq!(sharded.report.comparisons, incr.rebuild.comparisons, "{label}");
+                assert_eq!(sharded.cache.total_comparisons(), full.stats.comparisons, "{label}");
+                sharded.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
+                sharded
+                    .cache
+                    .check_accounting(&sharded.rebuild)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                *cache = sharded.cache;
+            }
+            new_splits += usize::from(full.stats.splits > oracle.stats.splits);
+            pull_outs += usize::from(owed.pulled_out);
+            (dataset, oracle, core_cache) = (grown, full, incr.cache);
+        }
+    }
+    // The scenarios must have exercised what they were sized for.
+    assert!(new_splits > 0, "no cluster crossed N");
+    assert!(pull_outs > 0, "no user was pulled out of a remainder");
+    assert!(
+        patched > 0 && recomputed > 0,
+        "{patched} patched builds, {recomputed} rows recomputed"
+    );
+}
+
+/// One case per reason the patch stage declines — each still the
+/// from-scratch graph, each capturing a cache the next build can patch.
+#[test]
+fn every_fallback_builds_the_from_scratch_graph() {
+    let base = tight_dataset(77);
+    let config = tight_config();
+    let builder = ClusterAndConquer::new(config);
+    let seeded = builder.build_incremental(&base, &ClusterCache::new(&config));
+    assert_eq!(seeded.rebuild.path, RebuildPath::Cold, "an empty cache is a cold build");
+    assert_eq!(seeded.rebuild.comparisons, seeded.cache.total_comparisons());
+    let (grown, _) = grow(&base, 3, 5);
+    let check = |builder: &ClusterAndConquer, dataset: &Dataset, prev: &ClusterCache, want| {
+        let full = builder.build(dataset);
+        let incr = builder.build_incremental(dataset, prev);
+        assert_eq!(incr.rebuild.path, want);
+        assert_graphs_identical(&incr.result.graph, &full.graph, &format!("{want:?}"));
+        assert_eq!(incr.result.stats.comparisons, full.stats.comparisons, "{want:?}");
+        // The captured cache is live: an unchanged dataset patches to
+        // itself at no cost (greedy plans keep declining).
+        let again = builder.build_incremental(dataset, &incr.cache);
+        assert_graphs_identical(&again.result.graph, &full.graph, &format!("{want:?} again"));
+        if want != RebuildPath::GreedyCluster {
+            assert_eq!((again.rebuild.path, again.rebuild.comparisons), (RebuildPath::Patched, 0));
+        }
+    };
+    // The control: a few inserts under the same configuration patch.
+    assert_eq!(builder.build_incremental(&grown, &seeded.cache).rebuild.path, RebuildPath::Patched);
+
+    let reseeded = ClusterAndConquer::new(C2Config { seed: config.seed + 1, ..config });
+    check(&reseeded, &grown, &seeded.cache, RebuildPath::ConfigChanged);
+
+    // ρ·k² = 36 < N: Algorithm 2 solves the larger clusters greedily, and
+    // a greedy list is not the top-k of its cluster.
+    let greedy_config = C2Config { rho: 1, ..config };
+    let greedy = ClusterAndConquer::new(greedy_config);
+    let greedy_seed = greedy.build_incremental(&base, &ClusterCache::new(&greedy_config));
+    assert!(
+        greedy_seed.result.stats.cluster_sizes_desc[0] >= greedy_config.brute_force_threshold()
+    );
+    check(&greedy, &grown, &greedy_seed.cache, RebuildPath::GreedyCluster);
+
+    // Doubling the dataset restructures nearly every cluster.
+    let (doubled, _) = grow(&base, base.num_users(), 11);
+    check(&builder, &doubled, &seeded.cache, RebuildPath::PastCrossover);
+}
+
+/// Edits and deletes reduce to the row rule: an edited profile is a
+/// newcomer under its old id, a removed one a neighbour nobody shares a
+/// cluster with any more.
+#[test]
+fn edited_and_removed_profiles_patch_bit_identically() {
+    let base = tight_dataset(78);
+    let config = tight_config();
+    let builder = ClusterAndConquer::new(config);
+    let seeded = builder.build_incremental(&base, &ClusterCache::new(&config));
+    let mut profiles: Vec<Vec<u32>> = base.iter().map(|(_, p)| p.to_vec()).collect();
+    // User 17 takes user 140's items plus one; user 33's profile empties;
+    // the last user vanishes with its id.
+    let mut edited = profiles[140].clone();
+    edited.push(199);
+    edited.sort_unstable();
+    edited.dedup();
+    assert_ne!(edited, profiles[17]);
+    profiles[17] = edited;
+    profiles[33].clear();
+    profiles.pop();
+    let changed = Dataset::from_profiles(profiles, base.num_items() as u32);
+
+    let full = builder.build(&changed);
+    let incr = builder.build_incremental(&changed, &seeded.cache);
+    assert_eq!(incr.rebuild.path, RebuildPath::Patched);
+    assert_graphs_identical(&incr.result.graph, &full.graph, "edited + removed");
+    assert!(incr.result.graph.neighbors(33).is_empty(), "an empty profile has no neighbours");
+    assert!(incr.rebuild.rows_recomputed > 0, "someone listed the edited or removed users");
+    assert!(incr.result.stats.comparisons < full.stats.comparisons);
+    assert_eq!(incr.cache.total_comparisons(), full.stats.comparisons);
+
+    let sharded = Runtime::new(RuntimeConfig::with_workers(2)).execute_incremental(
+        &changed,
+        &config,
+        &seeded.cache,
+        &[],
+    );
+    assert_graphs_identical(&sharded.graph, &full.graph, "edited + removed, sharded");
+    assert_eq!(sharded.rebuild.comparisons, incr.rebuild.comparisons);
+}
+
+/// A machine-independent gate on the point of the whole exercise: a 1 %
+/// insert batch that triggers no new split redoes at most a quarter of
+/// the from-scratch comparisons. Counts only — no clock.
+#[test]
+fn a_one_percent_batch_redoes_at_most_a_quarter_of_the_comparisons() {
+    let mut cfg = SyntheticConfig::small(4242);
+    cfg.num_users = 1200;
+    cfg.num_items = 600;
+    cfg.communities = 12;
+    cfg.mean_profile = 24.0;
+    cfg.min_profile = 8;
+    let base = cfg.generate();
+    let c2 = C2Config { max_cluster_size: 300, ..c2_config() };
+    let builder = ClusterAndConquer::new(c2);
+    let seeded = builder.build_incremental(&base, &ClusterCache::new(&c2));
+    let (grown, inserted) = grow(&base, 12, 3);
+    assert_eq!(inserted.len() * 100, base.num_users());
+    let incr = builder.build_incremental(&grown, &seeded.cache);
+    assert_eq!(incr.result.stats.splits, seeded.result.stats.splits, "the batch must not split");
+    assert_eq!(incr.rebuild.path, RebuildPath::Patched);
+    assert!(
+        4 * incr.rebuild.comparisons <= incr.cache.total_comparisons(),
+        "{} of {} comparisons redone",
+        incr.rebuild.comparisons,
+        incr.cache.total_comparisons()
+    );
+}
+
+/// The cache is the graph plus who sat together — never again `t` partial
+/// lists per user.
+#[test]
+fn the_cache_stays_within_the_graph_plus_the_memberships() {
+    let base = base_dataset();
+    for c2 in [c2_config(), tight_config(), C2Config { k: 30, t: 8, ..c2_config() }] {
+        let built = ClusterAndConquer::new(c2).build_incremental(&base, &ClusterCache::new(&c2));
+        let graph_bytes = 8 * built.result.graph.num_edges();
+        let bound = 3 * (graph_bytes + 4 * c2.t * base.num_users()) / 2;
+        assert!(
+            built.cache.size_bytes() <= bound,
+            "k={} t={}: the cache holds {} bytes, over 1.5 x (graph {graph_bytes} + 4tn)",
+            c2.k,
+            c2.t,
+            built.cache.size_bytes()
+        );
+        assert!(built.cache.size_bytes() >= graph_bytes, "the graph is part of the cache");
+    }
 }
 
 /// End-to-end randomized insert sequences through the serving loop: every
@@ -303,33 +625,47 @@ mod proptests {
             prop_assert!(cluster_hash(&users, &digests2) != original);
         }
 
-        /// Cache lookups key on (hash, exact members, seed when the solve
-        /// is greedy): a permuted member list never reuses a solution.
+        /// A cluster is reused only against its exact remembered member
+        /// list: swap two members of one remembered cluster — same
+        /// content hash, other order — and that cluster alone turns dirty.
         #[test]
         fn cache_lookup_requires_exact_member_order(
-            seed in 0u64..1_000,
+            pick in 0usize..1_000,
+            swap in (0usize..1_000, 0usize..1_000),
         ) {
-            let c2 = c2_config();
-            let mut cache = ClusterCache::new(&c2);
-            let users = vec![3u32, 7, 11, 42];
-            let digests = vec![1u64; 64];
-            let hash = cluster_hash(&users, &digests);
-            cache.insert(ClusterSolution {
-                hash,
-                users: users.clone(),
-                seed,
-                lists: vec![cnc_graph::NeighborList::new(4); 4],
-                comparisons: 6,
+            // One build for all cases: its dataset, cache and re-derived plan.
+            static BUILT: std::sync::OnceLock<(Dataset, ClusterCache, BuildPlan)> =
+                std::sync::OnceLock::new();
+            let (ds, cache, plan) = BUILT.get_or_init(|| {
+                let (c2, ds) = (c2_config(), base_dataset());
+                let built = ClusterAndConquer::new(c2).build_incremental(&ds, &ClusterCache::new(&c2));
+                let mut plan = BuildPlan::assign(&c2, &ds);
+                plan.fingerprint(&ds);
+                (ds, built.cache, plan)
             });
-            prop_assert!(cache.lookup(hash, &users, seed, true).is_some());
-            let mut permuted = users.clone();
-            permuted.swap(0, 3);
-            // Same content hash (order-invariant), but the ordered
-            // verification refuses the reuse.
-            prop_assert_eq!(cluster_hash(&permuted, &digests), hash);
-            prop_assert!(cache.lookup(hash, &permuted, seed, true).is_none());
-            prop_assert!(cache.lookup(hash, &users, seed + 1, true).is_none());
-            prop_assert!(cache.lookup(hash, &users, seed + 1, false).is_some());
+            prop_assert!(plan.partition(cache, &[]).dirty.is_empty());
+
+            let victim = pick % plan.clusters().len();
+            let users = &plan.clusters()[victim];
+            let (a, b) = (swap.0 % users.len(), swap.1 % users.len());
+            let at = cache.offsets()[victim] as usize;
+            let mut members = cache.members().to_vec();
+            members.swap(at + a, at + b);
+            let digests: Vec<u64> = ds.iter().map(|(_, p)| profile_digest(p)).collect();
+            prop_assert_eq!(
+                cluster_hash(&members[at..at + users.len()], &digests),
+                plan.hashes()[victim]
+            );
+            let permuted = ClusterCache::from_parts(
+                cache.config_token(),
+                cache.offsets().to_vec(),
+                members,
+                ds,
+                cache.graph().clone(),
+            )
+            .unwrap();
+            let expected = if a == b { vec![] } else { vec![victim] };
+            prop_assert_eq!(plan.partition(&permuted, &[]).dirty, expected);
         }
     }
 }

@@ -140,7 +140,7 @@ fn snapshot_file_round_trip_is_bit_exact() {
     );
 
     // The engine-side writer additionally persists the builder's cluster
-    // cache (extra per-cluster sections) but restores the identical
+    // cache (one extra membership section) but restores the identical
     // serving state.
     let engine_written = TempPath::new("engine");
     engine.write_snapshot(&engine_written.0).unwrap();
@@ -656,6 +656,210 @@ fn a_v2_file_without_the_entries_section_serves_from_random_seeds() {
     // The first publish rebuilds — and brings routed seeding back.
     restored.publish();
     assert!(restored.query(ds.profile(5), 6, 1).routed_seeds > 0);
+}
+
+const SECTION_MEMBERSHIPS: u32 = 6;
+
+/// Every `(id, payload)` of a v2 file, in table order.
+fn v2_sections(file: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let count = u32::from_le_bytes(file[12..16].try_into().unwrap()) as usize;
+    (0..count)
+        .map(|i| {
+            let id = u32::from_le_bytes(file[16 + 28 * i..][..4].try_into().unwrap());
+            let (offset, len, _) = v2_section(file, id);
+            (id, file[offset..offset + len].to_vec())
+        })
+        .collect()
+}
+
+/// Lays `sections` out as a v2 file: header, table, each payload at the
+/// next 64-byte boundary under its `checksum64`.
+fn v2_file(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut file = b"CNCSNAP1".to_vec();
+    file.extend_from_slice(&2u32.to_le_bytes());
+    file.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut at = 16 + 28 * sections.len();
+    let mut offsets = Vec::new();
+    for (id, payload) in sections {
+        at = at.next_multiple_of(64);
+        offsets.push(at);
+        file.extend_from_slice(&id.to_le_bytes());
+        file.extend_from_slice(&(at as u64).to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&checksum64(payload).to_le_bytes());
+        at += payload.len();
+    }
+    for ((_, payload), offset) in sections.iter().zip(offsets) {
+        file.resize(offset, 0);
+        file.extend_from_slice(payload);
+    }
+    file
+}
+
+#[test]
+fn the_cluster_cache_persists_as_one_flat_section_with_typed_corruption_errors() {
+    let ds = dataset(19, 220);
+    let config = serving_config(0);
+    let engine = ServingEngine::build(ds.clone(), config);
+    let path = TempPath::new("memberships");
+    engine.write_snapshot(&path.0).unwrap();
+    let good = std::fs::read(&path.0).unwrap();
+    let ids: Vec<u32> = v2_sections(&good).iter().map(|&(id, _)| id).collect();
+    assert_eq!(ids, [1, 2, 3, SECTION_ENTRIES, SECTION_MEMBERSHIPS], "one section per part");
+
+    // The file restores the plan's memberships over the file's own graph.
+    let plan = BuildPlan::assign(&config.c2, &ds);
+    let loaded = Snapshot::load(&path.0).unwrap();
+    let cache = loaded.cache.as_ref().expect("the membership section must load as a cache");
+    assert_eq!(cache.len(), plan.clusters().len());
+    assert_eq!(cache.members(), plan.clusters().concat());
+    assert_eq!(cache.graph().num_users(), ds.num_users());
+    assert_graphs_identical(cache.graph(), &loaded.graph);
+    assert!(loaded.graph.is_shared(), "cache and snapshot share one copy of the graph");
+
+    let (offset, len, checksum_at) = v2_section(&good, SECTION_MEMBERSHIPS);
+    let load = |bytes: &[u8]| Snapshot::load_from(&mut &bytes[..]).map(|_| ());
+    for at in [offset, offset + 30, offset + len / 2, offset + len - 1] {
+        let mut rotten = good.clone();
+        rotten[at] ^= 0x10;
+        match load(&rotten) {
+            Err(SnapshotError::ChecksumMismatch { section: SECTION_MEMBERSHIPS }) => {}
+            other => panic!("flip at {at}: expected a checksum mismatch, got {other:?}"),
+        }
+        // Adoption serves; it never reads builder state, rotten or not.
+        std::fs::write(&path.0, &rotten).unwrap();
+        assert!(AdoptedSnapshot::open(&path.0).is_ok());
+    }
+    let reseal = |bytes: &mut Vec<u8>| {
+        let sum = checksum64(&bytes[offset..offset + len]);
+        bytes[checksum_at..checksum_at + 8].copy_from_slice(&sum.to_le_bytes());
+    };
+    // Counts that do not account for the bytes that follow are refused
+    // before anything is allocated from them.
+    for (field, lie) in [(8usize, u64::MAX), (8, 1 << 40), (16, u64::MAX / 4), (16, 3)] {
+        let mut lying = good.clone();
+        lying[offset + field..offset + field + 8].copy_from_slice(&lie.to_le_bytes());
+        reseal(&mut lying);
+        match load(&lying) {
+            Err(SnapshotError::Corrupt(reason)) => assert!(reason.contains("memberships")),
+            other => panic!("count {lie} at +{field}: expected Corrupt, got {other:?}"),
+        }
+    }
+    // Well-formed geometry, invalid content: a member past the dataset,
+    // offsets that do not tile the members.
+    let first_offset = offset + 24;
+    for (at, value) in [(offset + len - 4, u32::MAX), (first_offset + 4, u32::MAX)] {
+        let mut bad = good.clone();
+        bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut bad);
+        match load(&bad) {
+            Err(SnapshotError::Corrupt(reason)) => assert!(reason.contains("memberships")),
+            other => panic!("{value} at {at}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_cache_of_another_graph_is_left_out_of_the_file() {
+    // On disk a cache is only its memberships; the loader pairs them with
+    // the file's graph. A cache captured with any other graph — here the
+    // same users, one row apart — must not be persisted beside it.
+    let engine = ServingEngine::build(dataset(22, 160), serving_config(0));
+    let path = TempPath::new("stranger-cache");
+    engine.write_snapshot(&path.0).unwrap();
+    let own = Snapshot::load(&path.0).unwrap();
+    assert!(own.cache.is_some());
+    let reload = |snap: &Snapshot| {
+        let mut file = Vec::new();
+        snap.write_to(&mut file).unwrap();
+        let kept = v2_sections(&file).iter().any(|&(id, _)| id == SECTION_MEMBERSHIPS);
+        let loaded = Snapshot::load_from(&mut &file[..]).unwrap();
+        assert_eq!(loaded.cache.is_some(), kept);
+        loaded
+    };
+    assert!(reload(&own).cache.is_some(), "a cache travels beside its own graph");
+
+    let mut stranger = own.clone();
+    let row = stranger.graph.neighbors_mut(0);
+    let mut shorter = cnc_graph::NeighborList::new(row.k());
+    for nb in row.iter().skip(1) {
+        shorter.insert(nb.user, nb.sim);
+    }
+    *row = shorter;
+    assert_eq!(stranger.graph.num_users(), own.graph.num_users());
+    let reloaded = reload(&stranger);
+    assert!(reloaded.cache.is_none(), "one differing row is another graph");
+
+    // The engine that restores from such a file starts cold, not wrong.
+    let restored = ServingEngine::from_snapshot(reloaded, serving_config(0));
+    restored.publish();
+    assert_eq!(restored.current_epoch().rebuild_stats().reuse_ratio, 0.0);
+}
+
+#[test]
+fn a_v2_file_with_the_old_per_cluster_sections_loads_without_a_cache() {
+    let ds = dataset(20, 150);
+    let config = serving_config(0);
+    let engine = ServingEngine::build(ds.clone(), config);
+    let snap = engine.snapshot();
+    let mut plain = Vec::new();
+    snap.write_to(&mut plain).unwrap();
+    // What the previous writer appended: a cluster-meta section (4) and
+    // one section of partial lists per cluster (0x100 + i). Their bytes
+    // mean nothing to this build and must not be read.
+    let mut sections = v2_sections(&plain);
+    sections.push((4, [7u64.to_le_bytes(), 2u64.to_le_bytes()].concat()));
+    sections.push((0x100, vec![0xAB; 100]));
+    sections.push((0x101, vec![0xCD; 36]));
+    let legacy = v2_file(&sections);
+
+    let loaded = Snapshot::load_from(&mut &legacy[..]).expect("legacy sections are skipped");
+    assert!(loaded.cache.is_none(), "the old sections do not make a cache");
+    assert_snapshots_identical(&snap, &loaded);
+    let path = TempPath::new("legacy-clusters");
+    std::fs::write(&path.0, &legacy).unwrap();
+    AdoptedSnapshot::open(&path.0).expect("adoption steps over the old sections too");
+
+    // The restored builder's first publish is cold, the next incremental.
+    let restored = ServingEngine::from_snapshot(loaded, config);
+    restored.insert(ds.profile(3).to_vec(), 1);
+    restored.publish();
+    assert_eq!(restored.current_epoch().rebuild_stats().reuse_ratio, 0.0);
+    restored.insert(ds.profile(8).to_vec(), 2);
+    restored.publish();
+    assert!(restored.current_epoch().rebuild_stats().reuse_ratio > 0.0);
+}
+
+#[test]
+fn published_epochs_carry_the_fingerprints_a_fresh_build_would_make() {
+    // Rebuilds take the writer's grown fingerprint set instead of
+    // re-hashing every profile; per-user independence makes that exact.
+    let ds = dataset(21, 200);
+    let config = serving_config(3);
+    let SimilarityBackend::GoldFinger { bits, seed } = config.c2.backend else {
+        panic!("the serving tests run on fingerprints");
+    };
+    let engine = ServingEngine::build(ds.clone(), config);
+    for round in 0..2u32 {
+        for i in 0..3u32 {
+            let mut profile = ds.profile(round * 40 + i * 9).to_vec();
+            profile.push(290 + i);
+            engine.insert(profile, (round * 3 + i) as u64);
+        }
+        let epoch = engine.current_epoch();
+        assert_eq!(epoch.epoch(), 2 + round as u64, "every third insert publishes");
+        let fresh = GoldFinger::build(epoch.dataset(), bits, seed);
+        let carried = epoch.fingerprints().expect("a GoldFinger epoch carries fingerprints");
+        assert_eq!(carried.num_users(), ds.num_users() + 3 * (round as usize + 1));
+        assert_eq!(carried.words(), fresh.words(), "epoch {}", epoch.epoch());
+    }
+    // A publish with nothing pending reuses the epoch's own set.
+    engine.publish();
+    let epoch = engine.current_epoch();
+    assert_eq!(
+        epoch.fingerprints().unwrap().words(),
+        GoldFinger::build(epoch.dataset(), bits, seed).words()
+    );
 }
 
 proptest! {

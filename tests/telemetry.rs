@@ -279,6 +279,66 @@ fn query_seed_sources_are_counted() {
 }
 
 #[test]
+fn publish_spans_say_what_the_rebuild_did_and_why() {
+    use cnc_core::RebuildPath;
+    use cnc_similarity::SimilarityBackend;
+
+    let telemetry = Telemetry::global();
+    telemetry.enable(true);
+    let mut cfg = SyntheticConfig::small(57);
+    cfg.num_users = 180;
+    cfg.num_items = 140;
+    let ds = cfg.generate();
+    let config = ServingConfig {
+        c2: C2Config { k: 6, backend: SimilarityBackend::Raw, threads: 1, ..C2Config::default() },
+        rebuild_after: 0,
+        ..ServingConfig::default()
+    };
+    let engine = ServingEngine::build(ds.clone(), config);
+    for i in 0..3u32 {
+        engine.insert(ds.profile(i * 13).to_vec(), i as u64);
+    }
+    engine.publish();
+    let rebuild = engine.current_epoch().rebuild_stats();
+    assert_eq!(rebuild.path, RebuildPath::Patched);
+    assert!(rebuild.rows_patched > 0 && rebuild.comparisons > 0);
+
+    // The registry is shared with the other tests: look for *our* spans —
+    // the ones carrying exactly this rebuild's figures.
+    let records = telemetry.span_records();
+    let attr = |record: &cnc_telemetry::SpanRecord, key: &str| {
+        record.attrs.iter().find(|(k, _)| *k == key).map(|&(_, value)| value)
+    };
+    let ours = |name: &str| {
+        records.iter().find(|r| {
+            r.name == name
+                && attr(r, "path") == Some(RebuildPath::Patched as u64)
+                && attr(r, "comparisons") == Some(rebuild.comparisons)
+                && attr(r, "rows_patched") == Some(rebuild.rows_patched as u64)
+                && attr(r, "rows_recomputed") == Some(rebuild.rows_recomputed as u64)
+        })
+    };
+    let publish = ours("publish").expect("no publish span with this rebuild's figures");
+    assert_eq!(attr(publish, "clusters_resolved"), Some(rebuild.clusters_resolved as u64));
+    let patch = ours("build.patch").expect("no build.patch span with this rebuild's figures");
+    assert_eq!(attr(patch, "dirty"), Some(rebuild.clusters_resolved as u64));
+    // The patch stage sits beside the partition stage, not inside it.
+    let partition = records
+        .iter()
+        .find(|r| {
+            r.name == "build.partition" && r.thread == patch.thread && r.parent == patch.parent
+        })
+        .expect("no build.partition span beside build.patch");
+    assert!(partition.start_ns <= patch.start_ns);
+
+    // The cold first build took the other path and said so.
+    let cold = records
+        .iter()
+        .any(|r| r.name == "build.patch" && attr(r, "path") == Some(RebuildPath::Cold as u64));
+    assert!(cold, "the initial build's patch stage must record that it declined");
+}
+
+#[test]
 fn disabled_telemetry_records_no_new_spans() {
     // A private instance (not the global one): enabling/disabling the
     // global mid-test would race the integration tests above.
