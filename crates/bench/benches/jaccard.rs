@@ -4,9 +4,7 @@
 //! a few word-wise popcounts regardless of profile size.
 
 use cnc_dataset::{Dataset, SyntheticConfig};
-use cnc_similarity::bbit::BBitSignature;
-use cnc_similarity::bloom::BloomFilter;
-use cnc_similarity::{GoldFinger, Jaccard, MinHasher};
+use cnc_similarity::{GoldFinger, Jaccard};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -53,38 +51,5 @@ fn bench_goldfinger_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_alternative_estimators(c: &mut Criterion) {
-    // The estimator zoo at a comparable memory budget (~128 bytes/user):
-    // GoldFinger 1024-bit, 1-bit minwise with 1024 coords, Bloom 1024-bit.
-    let mut group = c.benchmark_group("estimators_128B");
-    let (a, b) = profile_pair(96);
-    let ds = Dataset::from_profiles(vec![a.clone(), b.clone()], 0);
-    let gf = GoldFinger::build(&ds, 1024, 7);
-    group.bench_function("goldfinger_1024b", |bench| {
-        bench.iter(|| gf.estimate(black_box(0), black_box(1)));
-    });
-    let bank = MinHasher::family(7, 1024);
-    let sa = BBitSignature::compute(&bank, &a, 1);
-    let sb = BBitSignature::compute(&bank, &b, 1);
-    group.bench_function("bbit_1x1024", |bench| {
-        bench.iter(|| sa.estimate(black_box(&sb)));
-    });
-    let fa = BloomFilter::from_profile(&a, 1024, 3, 7);
-    let fb = BloomFilter::from_profile(&b, 1024, 3, 7);
-    group.bench_function("bloom_1024b_h3", |bench| {
-        bench.iter(|| fa.estimate_jaccard(black_box(&fb)));
-    });
-    group.bench_function("exact_jaccard_96", |bench| {
-        bench.iter(|| Jaccard::similarity(black_box(&a), black_box(&b)));
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_exact_jaccard,
-    bench_goldfinger_estimate,
-    bench_goldfinger_build,
-    bench_alternative_estimators
-);
+criterion_group!(benches, bench_exact_jaccard, bench_goldfinger_estimate, bench_goldfinger_build);
 criterion_main!(benches);

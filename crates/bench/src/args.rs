@@ -14,7 +14,6 @@
 //! --clients <n>        client threads for the serve bench        (default: 4)
 //! --budget <n>         serve admission budget, comparisons/s     (default: unlimited)
 //! --slo-us <n>         serve p99 latency SLO in µs, 0 = off      (default: 0)
-//! --batch <n>          serve cross-query batch size              (default: 16)
 //! --telemetry on|off   metric/span recording                     (default: per-binary)
 //! --profile-out <path> write a JSON telemetry profile on exit    (default: none)
 //! --faults SPEC        arm seeded fault injection, e.g.
@@ -54,9 +53,6 @@ pub struct HarnessArgs {
     /// p99 latency SLO for the serve bench's adaptive beam controller, in
     /// microseconds (`None` = controller off).
     pub slo_us: Option<u64>,
-    /// Cross-query batch size for the serve bench's batched-path phase
-    /// (`None` = the default 16).
-    pub batch: Option<usize>,
     /// Telemetry recording override (`None` = the binary's default; serve
     /// turns it on, the pure-throughput benches leave it off).
     pub telemetry: Option<bool>,
@@ -81,7 +77,6 @@ impl Default for HarnessArgs {
             clients: None,
             budget: None,
             slo_us: None,
-            batch: None,
             telemetry: None,
             profile_out: None,
             faults: None,
@@ -138,14 +133,6 @@ impl HarnessArgs {
                 "--slo-us" => {
                     args.slo_us =
                         Some(value("--slo-us")?.parse().map_err(|e| format!("--slo-us: {e}"))?);
-                }
-                "--batch" => {
-                    let n: usize =
-                        value("--batch")?.parse().map_err(|e| format!("--batch: {e}"))?;
-                    if n == 0 {
-                        return Err("--batch must be positive".into());
-                    }
-                    args.batch = Some(n);
                 }
                 "--processes" => {
                     let n: usize =
@@ -217,7 +204,7 @@ impl HarnessArgs {
     pub fn usage() -> &'static str {
         "usage: [--scale F] [--threads N] [--seed S] [--workers W] [--reduce-shards R] \
          [--processes P] \
-         [--clients C] [--budget CMP_PER_S] [--slo-us US] [--batch B] \
+         [--clients C] [--budget CMP_PER_S] [--slo-us US] \
          [--datasets ml1M,ml10M,ml20M,AM,DBLP,GW] [--telemetry on|off] \
          [--profile-out PATH] [--faults seed=S,p=P[,span=N][,sites=a+b]]"
     }
@@ -311,17 +298,14 @@ mod tests {
 
     #[test]
     fn parses_slo_flags() {
-        let args = parse(&["--budget", "500000", "--slo-us", "800", "--batch", "8"]).unwrap();
+        let args = parse(&["--budget", "500000", "--slo-us", "800"]).unwrap();
         assert_eq!(args.budget, Some(500_000));
         assert_eq!(args.slo_us, Some(800));
-        assert_eq!(args.batch, Some(8));
         assert!(parse(&["--budget", "0"]).is_err(), "zero budget means 'omit the flag'");
-        assert!(parse(&["--batch", "0"]).is_err());
         assert!(parse(&["--slo-us"]).is_err());
         let defaults = parse(&[]).unwrap();
         assert_eq!(defaults.budget, None);
         assert_eq!(defaults.slo_us, None);
-        assert_eq!(defaults.batch, None);
     }
 
     #[test]

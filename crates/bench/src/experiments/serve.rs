@@ -23,7 +23,7 @@ use cnc_eval::groundtruth::{epoch_key, GroundTruthCache, GroundTruthConfig};
 use cnc_faults::{silence_injected_panics, Faults, Site};
 use cnc_query::{BatchQuery, BeamSearchConfig};
 use cnc_runtime::RuntimeConfig;
-use cnc_serve::{BatchRequest, ServingConfig, ServingEngine, SloConfig};
+use cnc_serve::{ServingConfig, ServingEngine, SloConfig};
 use cnc_similarity::kernel::pair_count;
 use cnc_similarity::SimilarityBackend;
 use cnc_telemetry::Telemetry;
@@ -36,8 +36,7 @@ use std::time::Instant;
 /// reads dominate, but freshness traffic is constant).
 const QUERIES_PER_INSERT: usize = 15;
 
-/// Neighbours per query, everywhere in this bench (traffic, recall,
-/// batched phase).
+/// Neighbours per query, everywhere in this bench (traffic, recall).
 const QUERY_K: usize = 10;
 
 /// Per-query comparison caps swept for the recall-vs-budget curve
@@ -138,12 +137,6 @@ pub struct ServeReport {
     /// Recall@k under swept per-query comparison budgets
     /// `(max_comparisons, recall)`; 0 = uncapped.
     pub recall_by_budget: Vec<(usize, f64)>,
-    /// Batch size of the cross-query phase.
-    pub batch_size: usize,
-    /// Single-query throughput over the phase's query set, queries/s.
-    pub single_qps: f64,
-    /// Cross-query batched throughput over the same set, queries/s.
-    pub batched_qps: f64,
     /// Fault-injection robustness point (`None` unless `--faults` armed).
     pub robustness: Option<Robustness>,
 }
@@ -201,7 +194,6 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
     let total_inserts = clients * ops_per_client / (QUERIES_PER_INSERT + 1);
     let rebuild_after = (total_inserts / 3).max(8);
 
-    let batch_size = args.batch.unwrap_or(16);
     let config = ServingConfig {
         c2: C2Config {
             // The graph is built wider than the query k (paper-default 30
@@ -222,7 +214,6 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
         slo: SloConfig {
             budget_per_sec: args.budget.unwrap_or(0),
             target_p99_us: args.slo_us.unwrap_or(0),
-            batch_max: batch_size,
             ..SloConfig::default()
         },
     };
@@ -358,9 +349,8 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
     // ── Recall phase ────────────────────────────────────────────────────
     // Sampled exact ground truth on the *final* epoch, cached against its
     // cluster content hashes (repeat benches over an unchanged epoch reuse
-    // the brute-forced answers). Served answers come through the engine's
-    // cross-query batched path; the swept per-query comparison caps chart
-    // recall@k against the budget.
+    // the brute-forced answers). The swept per-query comparison caps
+    // chart recall@k against the budget.
     let epoch = engine.current_epoch();
     // The last rebuild built this epoch; a from-scratch build of its plan
     // computes Σ|C|(|C|−1)/2 (every cluster is brute-forced here) — what
@@ -412,36 +402,6 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
         RECALL_BUDGETS.iter().map(|&cap| (cap, recall_of(cap))).collect();
     let recall_at_k = recall_of(engine.config().beam.max_comparisons);
 
-    // ── Batched-path phase ──────────────────────────────────────────────
-    // The same query set through the single-query path and through
-    // `query_batch` in windows of `batch_size`: same answers (locked by
-    // tests/slo.rs), one shared sweep per visited neighbour list.
-    let phase_queries: Vec<BatchRequest> = {
-        let mut rng = SmallRng::seed_from_u64(args.seed ^ 0xBA7C);
-        let rounds = if cfg!(debug_assertions) { 64 } else { 2_048 };
-        (0..rounds)
-            .map(|i| {
-                let donor = rng.random_range(0..epoch.dataset().num_users() as u32);
-                BatchRequest {
-                    profile: epoch.dataset().profile(donor).to_vec(),
-                    k: QUERY_K,
-                    seed: i as u64,
-                }
-            })
-            .collect()
-    };
-    let single_start = Instant::now();
-    let mut session = engine.session();
-    for request in &phase_queries {
-        let _ = engine.try_query_with(&mut session, &request.profile, request.k, request.seed);
-    }
-    let single_qps = phase_queries.len() as f64 / single_start.elapsed().as_secs_f64();
-    let batched_start = Instant::now();
-    for window in phase_queries.chunks(batch_size) {
-        let _ = engine.query_batch(window);
-    }
-    let batched_qps = phase_queries.len() as f64 / batched_start.elapsed().as_secs_f64();
-
     let metered = stats.admitted + stats.shed;
     let shed_rate = if metered == 0 { 0.0 } else { stats.shed as f64 / metered as f64 };
 
@@ -475,9 +435,6 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
         recall_k: truth_cfg.k,
         recall_sample: truth.queries.len(),
         recall_by_budget,
-        batch_size,
-        single_qps,
-        batched_qps,
         robustness,
     };
     if let Some(r) = &report.robustness {
@@ -500,7 +457,7 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
     eprintln!(
         "  serve: {} clients, {:.0} ops/s, query p50 {:.0} µs / p99 {:.0} µs, \
          {} epoch swaps ({} → {} users), reuse {:.2} mean, rebuild p50 {:.1} ms, \
-         recall@{} {:.3}, shed {} ({:.1}%), batched {:.0} q/s vs single {:.0} q/s",
+         recall@{} {:.3}, shed {} ({:.1}%)",
         report.clients,
         report.qps,
         report.query_p50_us,
@@ -514,8 +471,6 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
         report.recall_at_k,
         report.shed,
         report.shed_rate * 100.0,
-        report.batched_qps,
-        report.single_qps,
     );
     report
 }
@@ -562,7 +517,6 @@ pub fn to_json(report: &ServeReport, args: &HarnessArgs) -> String {
          \"shed\": {}, \"shed_rate\": {:.4}, \"beam_scale_pct\": {}}},\n  \
          \"recall\": {{\"k\": {}, \"sample\": {}, \"recall_at_k\": {:.4}, \
          \"by_comparison_budget\": {{{}}}}},\n  \
-         \"batched\": {{\"batch\": {}, \"single_qps\": {:.1}, \"batched_qps\": {:.1}}},\n  \
          \"robustness\": {}\n}}\n",
         args.scale,
         args.seed,
@@ -594,9 +548,6 @@ pub fn to_json(report: &ServeReport, args: &HarnessArgs) -> String {
         report.recall_sample,
         report.recall_at_k,
         by_budget,
-        report.batch_size,
-        report.single_qps,
-        report.batched_qps,
         robustness,
     )
 }
@@ -650,8 +601,7 @@ pub fn run(args: &HarnessArgs) -> String {
          | epoch rebuild p50 / p99 | {:.1} ms / {:.1} ms |\n\
          | users served (start → end) | {} → {} |\n\
          | recall@{} (final epoch, {} sampled queries) | {:.3} |\n\
-         | admission (admitted / shed) | {} / {} ({:.1}% shed) |\n\
-         | batched vs single query throughput (batch {}) | {:.0} / {:.0} q/s |\n\n\
+         | admission (admitted / shed) | {} / {} ({:.1}% shed) |\n\n\
          Recorded to `BENCH_serve.json`.\n\n",
         report.clients,
         QUERIES_PER_INSERT,
@@ -676,9 +626,6 @@ pub fn run(args: &HarnessArgs) -> String {
         report.admitted,
         report.shed,
         report.shed_rate * 100.0,
-        report.batch_size,
-        report.batched_qps,
-        report.single_qps,
     );
     if let Some(r) = &report.robustness {
         md.push_str(&format!(
@@ -718,14 +665,13 @@ mod tests {
             "epoch rebuild p50 / p99",
             "recall@10",
             "admission (admitted / shed)",
-            "batched vs single query throughput",
         ] {
             assert!(report.contains(needle), "missing {needle:?} in {report}");
         }
     }
 
     #[test]
-    fn recall_slo_and_batched_fields_are_recorded() {
+    fn recall_and_slo_fields_are_recorded() {
         let args = HarnessArgs { scale: 0.02, clients: Some(2), ..HarnessArgs::default() };
         let report = bench(&args);
         assert_eq!(report.recall_k, QUERY_K);
@@ -749,8 +695,6 @@ mod tests {
         // A generous budget cannot do worse than the tightest one.
         let tightest = report.recall_by_budget[0].1;
         assert!(uncapped >= tightest - 1e-9, "uncapped {uncapped} < capped {tightest}");
-        assert!(report.single_qps > 0.0);
-        assert!(report.batched_qps > 0.0);
     }
 
     #[test]
@@ -872,7 +816,6 @@ mod tests {
         assert!(json.contains("\"by_comparison_budget\""));
         assert!(json.contains("\"shed\""));
         assert!(json.contains("\"shed_rate\""));
-        assert!(json.contains("\"batched_qps\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

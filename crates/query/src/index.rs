@@ -18,19 +18,13 @@
 //! the equivalence tests below).
 
 use crate::beam::BeamSearchConfig;
-use crate::search::{
-    batched_beam_search, batched_multi_beam_search, pick_seeds, BeamSolve, MultiBeamSolve,
-    QueryLane,
-};
+use crate::search::{batched_beam_search, pick_seeds, BeamSolve};
 use cnc_dataset::{Dataset, ItemId, UserId};
 use cnc_graph::{EntryIndex, KnnGraph, Neighbor, NeighborList};
-use cnc_similarity::kernel::{
-    solve_multi_query_words, solve_query_words, RawMultiQueryKernel, RawQueryKernel,
-    MAX_SWEEP_QUERIES,
-};
+use cnc_similarity::kernel::{solve_query_words, RawQueryKernel};
 use cnc_similarity::{GoldFinger, Jaccard};
 
-/// One query of a cross-query batch (see [`QueryIndex::search_batch`]).
+/// One query of a [`QueryIndex::search_batch`] call.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchQuery<'q> {
     /// The sorted, deduplicated query profile.
@@ -213,14 +207,10 @@ impl<'a> QueryIndex<'a> {
         QueryResult { neighbors, comparisons, routed_seeds, random_seeds }
     }
 
-    /// Cross-query batched search: answers every query in `queries`,
-    /// per-query **bit-identical** (neighbours *and* comparison counts)
-    /// to calling [`QueryIndex::search`] with the same profile, `k` and
-    /// seed — but queries that expand the same graph node in the same
-    /// lockstep round share one sweep over that node's neighbour list,
-    /// so concurrent queries amortize the candidate-row gather instead
-    /// of re-reading the rows once each. Batches wider than the 64-query
-    /// interest mask are processed in chunks.
+    /// Answers every query in `queries`, in order, on one reused
+    /// [`Searcher`]: per query exactly [`QueryIndex::search_with`] with
+    /// the same profile, `k` and seed, so neighbours, comparison counts
+    /// and seed counts equal the single-query call.
     ///
     /// # Panics
     /// Panics if the configuration is invalid for any query's `k` or a
@@ -230,55 +220,11 @@ impl<'a> QueryIndex<'a> {
         queries: &[BatchQuery],
         config: &BeamSearchConfig,
     ) -> Vec<QueryResult> {
-        let mut results = Vec::with_capacity(queries.len());
-        let n = self.dataset.num_users();
-        for chunk in queries.chunks(MAX_SWEEP_QUERIES.max(1)) {
-            for q in chunk {
-                if let Err(msg) = config.validate(q.k) {
-                    panic!("invalid beam search config: {msg}");
-                }
-                debug_assert!(
-                    q.profile.windows(2).all(|w| w[0] < w[1]),
-                    "query profile must be sorted"
-                );
-            }
-            let lanes: Vec<QueryLane> = chunk
-                .iter()
-                .map(|q| QueryLane::seeded(self.entries, q.profile, n, config, q.seed))
-                .collect();
-            let seeds: Vec<(usize, usize)> = lanes.iter().map(|lane| lane.seeds).collect();
-            let beams = match self.goldfinger {
-                None => {
-                    let profiles: Vec<&[ItemId]> = chunk.iter().map(|q| q.profile).collect();
-                    batched_multi_beam_search(
-                        &RawMultiQueryKernel::new(self.dataset, &profiles),
-                        self.graph,
-                        config,
-                        lanes,
-                    )
-                }
-                Some(gf) => {
-                    let mut block = Vec::with_capacity(chunk.len() * gf.words_per_user());
-                    for q in chunk {
-                        block.extend_from_slice(&gf.fingerprint_profile(q.profile));
-                    }
-                    solve_multi_query_words(
-                        gf.words(),
-                        gf.words_per_user(),
-                        &block,
-                        MultiBeamSolve { graph: self.graph, config, lanes },
-                    )
-                }
-            };
-            for ((q, (beam, comparisons)), (routed_seeds, random_seeds)) in
-                chunk.iter().zip(beams).zip(seeds)
-            {
-                let mut neighbors = beam.sorted();
-                neighbors.truncate(q.k);
-                results.push(QueryResult { neighbors, comparisons, routed_seeds, random_seeds });
-            }
-        }
-        results
+        let mut searcher = self.searcher();
+        queries
+            .iter()
+            .map(|q| self.search_with(&mut searcher, q.profile, q.k, config, q.seed))
+            .collect()
     }
 
     /// Exact reference answer by scanning every user with raw Jaccard
@@ -568,7 +514,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn batched_cross_query_search_is_identical_to_single_queries() {
+    fn search_batch_equals_search_per_query() {
+        let bits_of = |r: &QueryResult| -> Vec<(UserId, u32)> {
+            r.neighbors.iter().map(|n| (n.user, n.sim.to_bits())).collect()
+        };
         let (ds, graph) = setup();
         let seedings = seedings(&ds);
         for (bits, entries) in
@@ -580,47 +529,32 @@ pub(crate) mod tests {
                 Some(gf) => QueryIndex::with_goldfinger(&ds, &graph, gf),
             };
             let index = bind(index, seedings[entries].as_ref());
-            for max_comparisons in [0usize, 120, 1] {
+            for (batch_size, max_comparisons) in [(0u32, 0usize), (1, 0), (70, 0), (70, 120)] {
                 let config = BeamSearchConfig { beam_width: 24, entry_points: 5, max_comparisons };
                 let profiles: Vec<Vec<u32>> =
-                    (0..9u32).map(|q| ds.profile(q * 37 % 500).to_vec()).collect();
+                    (0..batch_size).map(|q| ds.profile(q * 37 % 500).to_vec()).collect();
                 let queries: Vec<BatchQuery> = profiles
                     .iter()
                     .enumerate()
-                    .map(|(q, p)| BatchQuery { profile: p, k: 8, seed: q as u64 * 7 })
+                    .map(|(q, p)| BatchQuery { profile: p, k: 4 + q % 5, seed: q as u64 * 7 })
                     .collect();
                 let batched = index.search_batch(&queries, &config);
                 assert_eq!(batched.len(), queries.len());
-                for (q, query) in queries.iter().enumerate() {
+                for (q, (query, got)) in queries.iter().zip(&batched).enumerate() {
                     let single = index.search(query.profile, query.k, &config, query.seed);
                     assert_eq!(
-                        batched[q].neighbors, single.neighbors,
+                        bits_of(got),
+                        bits_of(&single),
                         "{bits:?} bits, query {q}, cap {max_comparisons}"
                     );
                     assert_eq!(
-                        batched[q].comparisons, single.comparisons,
+                        (got.comparisons, got.routed_seeds, got.random_seeds),
+                        (single.comparisons, single.routed_seeds, single.random_seeds),
                         "{bits:?} bits, query {q}, cap {max_comparisons}: counts diverged"
-                    );
-                    assert_eq!(
-                        (batched[q].routed_seeds, batched[q].random_seeds),
-                        (single.routed_seeds, single.random_seeds)
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn empty_batch_and_batch_of_one_work() {
-        let (ds, graph) = setup();
-        let index = QueryIndex::new(&ds, &graph);
-        let config = BeamSearchConfig::default();
-        assert!(index.search_batch(&[], &config).is_empty());
-        let profile: Vec<u32> = ds.profile(11).to_vec();
-        let one = index.search_batch(&[BatchQuery { profile: &profile, k: 5, seed: 3 }], &config);
-        let single = index.search(&profile, 5, &config, 3);
-        assert_eq!(one[0].neighbors, single.neighbors);
-        assert_eq!(one[0].comparisons, single.comparisons);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! [`cnc_graph::EntryIndex`]; the query profile is routed through the same
 //! `t` hash functions and the beam is seeded with members of the clusters
 //! it lands in. Random users only fill in when routing cannot supply
-//! seeds (no index bound, an empty profile, an unseen bucket). Single
-//! queries, cross-query batches and [`DynamicIndex`] insert placements
-//! share that one seeding routine.
+//! seeds (no index bound, an empty profile, an unseen bucket). There is
+//! one search path: [`QueryIndex::search_batch`] loops it over a slice of
+//! queries, and [`DynamicIndex`] insert placements seed through the same
+//! routine.
 
 pub mod beam;
 pub mod dynamic;

@@ -15,7 +15,7 @@
 //! frontier mutation happens in the same sequence the scalar loop
 //! produced.
 //!
-//! Every search — single, cross-query lane, insert placement — gets its
+//! Every search — a query, each query of a batch, insert placement — gets its
 //! seeds from one routine, [`pick_seeds`]: the query profile is routed
 //! through the graph's [`EntryIndex`] to the FastRandomHash clusters it
 //! belongs to and the beam starts at their members; random users only
@@ -25,14 +25,12 @@ use crate::beam::BeamSearchConfig;
 use crate::index::Searcher;
 use cnc_dataset::{ItemId, UserId};
 use cnc_graph::{EntryIndex, KnnGraph, NeighborList};
-use cnc_similarity::kernel::{
-    one_vs_many, shared_list_sweep, SimKernel, SimSolve, MAX_SWEEP_QUERIES,
-};
+use cnc_similarity::kernel::{one_vs_many, SimKernel, SimSolve};
 use cnc_similarity::Jaccard;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// A candidate in the expansion frontier, max-ordered by similarity
 /// (ties on the smaller user id, for determinism).
@@ -194,186 +192,6 @@ pub(crate) fn batched_beam_search<K: SimKernel>(
         }
     }
     (beam, comparisons)
-}
-
-/// Per-query state of one lane of a cross-query batch. Lanes share no
-/// state — only execution — so each lane's operation sequence is exactly
-/// its single-query sequence and bit-identity to [`batched_beam_search`]
-/// follows by construction (and is locked by `tests/slo.rs`).
-pub(crate) struct QueryLane {
-    searcher: Searcher,
-    frontier: BinaryHeap<Candidate>,
-    beam: NeighborList,
-    comparisons: usize,
-    done: bool,
-    capped: bool,
-    /// `(routed, random)` seeds the lane started from.
-    pub seeds: (usize, usize),
-}
-
-impl QueryLane {
-    /// A lane over `n` users, seeded for `query` exactly as a single
-    /// search with the same seed would be.
-    pub fn seeded(
-        entries: Option<&EntryIndex>,
-        query: &[ItemId],
-        n: usize,
-        config: &BeamSearchConfig,
-        seed: u64,
-    ) -> Self {
-        let mut searcher = Searcher::new(n);
-        let routed = pick_seeds(entries, query, n, config, seed, &mut searcher);
-        QueryLane {
-            seeds: (routed, searcher.batch.len() - routed),
-            searcher,
-            frontier: BinaryHeap::new(),
-            beam: NeighborList::new(config.beam_width),
-            comparisons: 0,
-            done: false,
-            capped: false,
-        }
-    }
-}
-
-/// Cross-query batched beam search: runs up to [`MAX_SWEEP_QUERIES`]
-/// independent greedy searches in lockstep so that queries expanding the
-/// **same node** in the same round share one sweep over that node's
-/// neighbour list ([`shared_list_sweep`]): the candidate rows are gathered
-/// once and scored against every interested query row while cache-hot.
-///
-/// The kernel's rows `0..len()-Q` are the graph's users and row `n + q`
-/// is query `q` (the multi-query kernel convention); `lanes[q]` arrives
-/// seeded ([`QueryLane::seeded`]). Per query, the returned beam and
-/// comparison count are bit-identical to [`batched_beam_search`] from the
-/// same seeds: each lane pops, gathers, truncates and scores in exactly
-/// the single-query order; only execution across lanes is interleaved,
-/// and the shared sweep computes exactly the union of the pairs the
-/// lanes would have computed alone.
-pub(crate) fn batched_multi_beam_search<K: SimKernel>(
-    kernel: &K,
-    graph: &KnnGraph,
-    config: &BeamSearchConfig,
-    mut lanes: Vec<QueryLane>,
-) -> Vec<(NeighborList, usize)> {
-    let num_queries = lanes.len();
-    assert!(num_queries <= MAX_SWEEP_QUERIES, "at most {MAX_SWEEP_QUERIES} queries per batch");
-    let n = kernel.len() - num_queries;
-    debug_assert_eq!(graph.num_users(), n, "graph must cover the kernel's user rows");
-
-    // Seed phase: a per-lane scoring batch. Seed sets are small and
-    // unrelated across lanes, so nothing is shared here; the
-    // pick-then-score order matches the single path.
-    for (q, lane) in lanes.iter_mut().enumerate() {
-        let qrow = (n + q) as u32;
-        let (beam, frontier) = (&mut lane.beam, &mut lane.frontier);
-        one_vs_many(kernel, qrow, &lane.searcher.batch, |j, s| {
-            beam.insert(j, s);
-            frontier.push(Candidate { sim: s, user: j });
-        });
-        lane.comparisons += lane.searcher.batch.len();
-    }
-
-    // Lockstep rounds: each active lane pops its best frontier candidate
-    // and either terminates (greedy condition / exhausted frontier) or
-    // requests an expansion. Requests for the same node are grouped and
-    // served by one shared sweep over that node's neighbour list.
-    let mut groups: BTreeMap<UserId, Vec<usize>> = BTreeMap::new();
-    let mut list: Vec<UserId> = Vec::new();
-    let mut masks: Vec<u64> = Vec::new();
-    let mut query_rows: Vec<u32> = Vec::new();
-    loop {
-        groups.clear();
-        for (q, lane) in lanes.iter_mut().enumerate() {
-            if lane.done {
-                continue;
-            }
-            match lane.frontier.pop() {
-                None => lane.done = true,
-                Some(best) => {
-                    if lane.beam.is_full() && best.sim < lane.beam.worst_sim() {
-                        lane.done = true;
-                        continue;
-                    }
-                    lane.searcher.batch.clear();
-                    for edge in graph.neighbors(best.user).iter() {
-                        if lane.searcher.visited.insert(edge.user) {
-                            lane.searcher.batch.push(edge.user);
-                        }
-                    }
-                    lane.capped = false;
-                    if config.max_comparisons > 0 {
-                        let allowed = config.max_comparisons.saturating_sub(lane.comparisons);
-                        if lane.searcher.batch.len() > allowed {
-                            lane.searcher.batch.truncate(allowed);
-                            lane.capped = true;
-                        }
-                    }
-                    groups.entry(best.user).or_default().push(q);
-                }
-            }
-        }
-        if groups.is_empty() {
-            break;
-        }
-        for (&node, members) in &groups {
-            list.clear();
-            masks.clear();
-            for edge in graph.neighbors(node).iter() {
-                list.push(edge.user);
-                masks.push(0);
-            }
-            // Each lane's batch is (a truncated prefix of) the subsequence
-            // of `list` that passed its visited filter, in list order, so
-            // a single forward match recovers the positions.
-            for (bit, &q) in members.iter().enumerate() {
-                let batch = &lanes[q].searcher.batch;
-                let mut ptr = 0usize;
-                for (p, &u) in list.iter().enumerate() {
-                    if ptr == batch.len() {
-                        break;
-                    }
-                    if batch[ptr] == u {
-                        masks[p] |= 1 << bit;
-                        ptr += 1;
-                    }
-                }
-                debug_assert_eq!(ptr, batch.len(), "batch must be a subsequence of the list");
-            }
-            query_rows.clear();
-            query_rows.extend(members.iter().map(|&q| (n + q) as u32));
-            shared_list_sweep(kernel, &query_rows, &list, &masks, |local, j, s| {
-                let lane = &mut lanes[members[local]];
-                if lane.beam.insert(j, s) {
-                    lane.frontier.push(Candidate { sim: s, user: j });
-                }
-            });
-            for &q in members {
-                let lane = &mut lanes[q];
-                lane.comparisons += lane.searcher.batch.len();
-                if lane.capped {
-                    lane.done = true;
-                }
-            }
-        }
-    }
-    lanes.into_iter().map(|lane| (lane.beam, lane.comparisons)).collect()
-}
-
-/// The cross-query search as a [`SimSolve`] visitor, so
-/// [`cnc_similarity::kernel::solve_multi_query_words`] can pick the
-/// fixed-width GoldFinger specialization once per batch.
-pub(crate) struct MultiBeamSolve<'a> {
-    pub graph: &'a KnnGraph,
-    pub config: &'a BeamSearchConfig,
-    pub lanes: Vec<QueryLane>,
-}
-
-impl SimSolve for MultiBeamSolve<'_> {
-    type Output = Vec<(NeighborList, usize)>;
-
-    fn run<K: SimKernel>(self, kernel: &K) -> Self::Output {
-        batched_multi_beam_search(kernel, self.graph, self.config, self.lanes)
-    }
 }
 
 /// The beam search as a [`SimSolve`] visitor, so

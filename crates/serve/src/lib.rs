@@ -51,8 +51,7 @@ pub use server::{
 pub use slo::{ManualClock, Rejected, SloAction, SloConfig, SloController, TokenBucket};
 pub use snapshot::{
     checksum64, load_newest_valid, quarantine_snapshot, sweep_temp_files, write_snapshot,
-    write_snapshot_full, write_snapshot_parts_to, write_snapshot_to, write_snapshot_v1_to,
-    Snapshot, SnapshotError,
+    write_snapshot_full, write_snapshot_parts_to, write_snapshot_to, Snapshot, SnapshotError,
 };
 
 /// The crate's tests share one process, and with it the process-global

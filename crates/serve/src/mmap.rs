@@ -15,9 +15,9 @@
 //! zero-copy path is compiled only where reinterpreting little-endian
 //! file bytes as in-memory values is sound — 64-bit little-endian Unix —
 //! and **every** failure to map (unsupported target, map syscall error,
-//! an injected [`Site::SnapshotMmap`] fault, misaligned section, a v1
-//! file) falls back to the bit-exact copy loader, so adoption never
-//! fails for want of a map, only for genuinely bad bytes.
+//! an injected [`Site::SnapshotMmap`] fault, misaligned section) falls
+//! back to the bit-exact copy loader, so adoption never fails for want of
+//! a map, only for genuinely bad bytes.
 
 use crate::snapshot::{Snapshot, SnapshotError};
 use cnc_dataset::Dataset;
@@ -78,8 +78,8 @@ impl AdoptedSnapshot {
         Self::load_copied(path)
     }
 
-    /// The copy path: the ordinary decoding loader (both format
-    /// versions), wrapped as an adoption.
+    /// The copy path: the ordinary decoding loader, wrapped as an
+    /// adoption.
     pub fn load_copied(path: impl AsRef<Path>) -> Result<AdoptedSnapshot, SnapshotError> {
         let snapshot = Snapshot::load(path)?;
         Ok(AdoptedSnapshot {
@@ -102,9 +102,9 @@ impl AdoptedSnapshot {
 mod zc {
     use super::*;
     use crate::snapshot::{
-        checksum64, corrupt_entries, cross_validate, is_legacy_cluster_section, parse_dataset_v2,
-        parse_entries_v2, parse_goldfinger_v2, parse_graph_v2, path_key, read_v2_table, MAGIC,
-        SECTION_DATASET, SECTION_ENTRIES, SECTION_GOLDFINGER, SECTION_GRAPH, SECTION_MEMBERSHIPS,
+        checksum64, corrupt_entries, cross_validate, parse_dataset_v2, parse_entries_v2,
+        parse_goldfinger_v2, parse_graph_v2, path_key, read_v2_table, MAGIC, SECTION_DATASET,
+        SECTION_ENTRIES, SECTION_GOLDFINGER, SECTION_GRAPH, SECTION_MEMBERSHIPS,
     };
     use cnc_dataset::{ItemId, SharedSlice, Storage};
     use cnc_faults::{Faults, Site};
@@ -193,7 +193,7 @@ mod zc {
 
     /// Attempts the zero-copy adoption. `Ok(None)` means "map not
     /// usable, fall back to the copy loader" (map syscall failure, an
-    /// injected fault, a v1 file, a misaligned section); `Err` means the
+    /// injected fault, a misaligned section); `Err` means the
     /// bytes themselves are bad and re-reading them cannot help.
     pub fn try_map(path: &Path) -> Result<Option<AdoptedSnapshot>, SnapshotError> {
         let telemetry = Telemetry::global();
@@ -254,9 +254,9 @@ mod zc {
 
     /// The mapped-adoption core: parse the v2 geometry, verify the
     /// touched sections' checksums, hand the flat arrays to the
-    /// validated shared-storage constructors. Cluster sections are
+    /// validated shared-storage constructors. The MEMBERSHIPS section is
     /// *skipped* — a serving replica has no builder to feed, and reading
-    /// them would be per-cluster work the adopt path promises not to do.
+    /// it would be per-cluster work the adopt path promises not to do.
     fn adopt_mapped(map: &Arc<Mmap>) -> Result<Option<AdoptedSnapshot>, SnapshotError> {
         let bytes: &[u8] = map;
         if bytes.len() < 16 {
@@ -270,9 +270,6 @@ mod zc {
             return Err(SnapshotError::BadMagic(magic));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version == 1 {
-            return Ok(None); // v1 has no flat layout — copy path, bit-exactly
-        }
         if version != 2 {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
@@ -285,17 +282,12 @@ mod zc {
         // Adopted last: its member ids are checked against the dataset.
         let mut entries_payload: Option<&[u8]> = None;
         for entry in &table {
-            let relevant = matches!(
-                entry.id,
-                SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER | SECTION_ENTRIES
-            );
-            let known =
-                relevant || entry.id == SECTION_MEMBERSHIPS || is_legacy_cluster_section(entry.id);
-            if !known {
-                return Err(SnapshotError::Corrupt(format!("unknown section id {}", entry.id)));
-            }
-            if !relevant {
-                continue; // builder state: not touched, not verified
+            match entry.id {
+                SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER | SECTION_ENTRIES => {}
+                SECTION_MEMBERSHIPS => continue, // builder state: not touched, not verified
+                other => {
+                    return Err(SnapshotError::Corrupt(format!("unknown section id {other}")));
+                }
             }
             let payload = usize::try_from(entry.offset)
                 .ok()

@@ -30,12 +30,12 @@
 //! answering queries identically to the engine that wrote it (locked by
 //! `tests/serve.rs`).
 
-use crate::slo::{scaled_beam, CrossQueryBatcher, Rejected, SloConfig, SloController, TokenBucket};
+use crate::slo::{scaled_beam, Rejected, SloConfig, SloController, TokenBucket};
 use crate::snapshot::{Snapshot, SnapshotError};
 use cnc_core::{BuildPlan, C2Config, ClusterCache, RebuildStats};
 use cnc_dataset::{Dataset, ItemId, UserId};
 use cnc_graph::{EntryIndex, KnnGraph};
-use cnc_query::{BatchQuery, BeamSearchConfig, DynamicIndex, QueryIndex, QueryResult, Searcher};
+use cnc_query::{BeamSearchConfig, DynamicIndex, QueryIndex, QueryResult, Searcher};
 use cnc_runtime::{IncrementalShardedResult, Runtime, RuntimeConfig};
 use cnc_similarity::{GoldFinger, SimilarityBackend};
 use cnc_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
@@ -59,8 +59,8 @@ pub struct ServingConfig {
     /// Rebuild and publish a new epoch after this many inserts
     /// (0 = only on explicit [`ServingEngine::publish`] calls).
     pub rebuild_after: usize,
-    /// Admission control, adaptive beam and cross-query batching knobs
-    /// (all off by default; see [`SloConfig`]).
+    /// Admission control and adaptive beam knobs (all off by default; see
+    /// [`SloConfig`]).
     pub slo: SloConfig,
 }
 
@@ -76,8 +76,8 @@ impl Default for ServingConfig {
     }
 }
 
-/// One query of an engine-level cross-query batch (see
-/// [`ServingEngine::query_batch`]). The profile need not be sorted.
+/// One query of a [`ServingEngine::query_batch`] call. The profile need
+/// not be sorted.
 #[derive(Clone, Debug)]
 pub struct BatchRequest {
     /// The query profile (normalized by the engine).
@@ -284,8 +284,6 @@ pub struct ServingStats {
     pub admitted: u64,
     /// Queries shed with a typed rejection.
     pub shed: u64,
-    /// Cross-query batches executed (each covering ≥ 1 queries).
-    pub batches: u64,
     /// Epoch rebuilds that failed and were absorbed (the last good epoch
     /// stayed live; see [`RebuildFailure`]).
     pub rebuild_failures: u64,
@@ -348,8 +346,6 @@ struct ServeMetrics {
     admitted_total: Arc<Counter>,
     shed_total: Arc<Counter>,
     beam_scale_pct: Arc<Gauge>,
-    batch_flushes: Arc<Counter>,
-    batch_queries: Arc<Counter>,
     epoch_adopt_seconds: Arc<Histogram>,
     epoch_adopt_mmap: Arc<Counter>,
     epoch_adopt_copy: Arc<Counter>,
@@ -389,8 +385,6 @@ impl ServeMetrics {
             admitted_total: t.counter("cnc_admission_total", &[("outcome", "admitted")]),
             shed_total: t.counter("cnc_admission_total", &[("outcome", "shed")]),
             beam_scale_pct: t.gauge("cnc_beam_scale_pct", &[]),
-            batch_flushes: t.counter("cnc_batch_flushes_total", &[]),
-            batch_queries: t.counter("cnc_batch_queries_total", &[]),
             epoch_adopt_seconds: t.histogram("cnc_epoch_adopt_seconds", &[]),
             epoch_adopt_mmap: t.counter("cnc_epoch_adopt_total", &[("path", "mmap")]),
             epoch_adopt_copy: t.counter("cnc_epoch_adopt_total", &[("path", "copy")]),
@@ -421,9 +415,6 @@ struct SloState {
     every: u64,
     /// Queries since engine start (drives the evaluation cadence).
     seen: AtomicU64,
-    /// The cross-query batching window behind
-    /// [`ServingEngine::query_batched`].
-    batcher: CrossQueryBatcher,
 }
 
 impl SloState {
@@ -451,10 +442,6 @@ impl SloState {
             min_beam: config.slo.min_beam_width.clamp(1, config.beam.beam_width),
             every: slo.controller_every.max(1),
             seen: AtomicU64::new(0),
-            batcher: CrossQueryBatcher::new(
-                Duration::from_micros(slo.batch_window_us),
-                slo.batch_max,
-            ),
         }
     }
 }
@@ -499,12 +486,11 @@ pub struct ServingEngine {
     /// monitoring state without bound; the oldest swaps are dropped.
     rebuild_history: Mutex<std::collections::VecDeque<RebuildStats>>,
     metrics: ServeMetrics,
-    /// Admission, adaptive beam and batching state (always present;
+    /// Admission and adaptive beam state (always present;
     /// individual mechanisms are `None`/inert when unconfigured).
     slo: SloState,
     admitted: AtomicU64,
     shed: AtomicU64,
-    batches: AtomicU64,
     /// Rebuilds that panicked and were absorbed (see [`RebuildFailure`]).
     rebuild_failures: AtomicU64,
 }
@@ -600,7 +586,6 @@ impl ServingEngine {
             slo,
             admitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             rebuild_failures: AtomicU64::new(0),
         }
     }
@@ -831,86 +816,56 @@ impl ServingEngine {
     ) -> Result<QueryResult, Rejected> {
         let beam = self.effective_beam(k, true);
         let charge = self.admit(&beam)?;
-        let result = self.run_query(session, profile, k, seed, &beam);
-        if let (Some(bucket), Some(charge)) = (&self.slo.bucket, charge) {
-            bucket.settle(charge, result.comparisons as u64);
-        }
-        Ok(result)
+        Ok(self.run_charged(session, profile, k, seed, &beam, charge))
     }
 
-    /// Answers a batch of queries through the **cross-query** execution
-    /// path: admission runs per query (shed queries return their
-    /// [`Rejected`] slot; admitted ones proceed), and the admitted set is
-    /// executed in lockstep so queries expanding the same graph node
-    /// share one sweep over its neighbour list. Per query, neighbours and
-    /// comparison counts are bit-identical to [`ServingEngine::try_query`]
-    /// with the same arguments (locked by `tests/slo.rs`).
+    /// Answers a batch of queries, one outcome per request, in order.
+    /// The whole batch is admitted up front against the beam of its
+    /// largest `k` — a request the budget cannot cover at that moment is
+    /// shed with its [`Rejected`] whatever its neighbours later refund —
+    /// and the admitted ones then run one after another on one session.
+    /// Per query, neighbours and comparison counts equal
+    /// [`ServingEngine::try_query`] with the same arguments and that beam.
     pub fn query_batch(&self, requests: &[BatchRequest]) -> Vec<Result<QueryResult, Rejected>> {
-        let beam = self.effective_beam(
-            requests.iter().map(|r| r.k).max().unwrap_or(1),
-            self.slo.bucket.is_some(),
-        );
-        let mut outcomes: Vec<Option<Result<QueryResult, Rejected>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut admitted: Vec<(Vec<ItemId>, usize, u64)> = Vec::with_capacity(requests.len());
-        let mut admitted_at: Vec<usize> = Vec::with_capacity(requests.len());
-        let mut charges: Vec<u64> = Vec::with_capacity(requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            match self.admit(&beam) {
-                Err(rejected) => outcomes[i] = Some(Err(rejected)),
-                Ok(charge) => {
-                    let mut query = request.profile.clone();
-                    query.sort_unstable();
-                    query.dedup();
-                    admitted.push((query, request.k, request.seed));
-                    admitted_at.push(i);
-                    charges.push(charge.unwrap_or(0));
-                }
-            }
-        }
-        let results = self.execute_admitted_batch(&admitted, &beam);
-        for ((i, result), charge) in admitted_at.into_iter().zip(results).zip(charges) {
-            if let Some(bucket) = &self.slo.bucket {
-                if charge > 0 {
-                    bucket.settle(charge, result.comparisons as u64);
-                }
-            }
-            outcomes[i] = Some(Ok(result));
-        }
-        outcomes.into_iter().map(|o| o.expect("every request answered")).collect()
+        let beam = self.effective_beam(requests.iter().map(|r| r.k).max().unwrap_or(1), true);
+        let admissions: Vec<_> = requests.iter().map(|_| self.admit(&beam)).collect();
+        let mut session = self.session();
+        requests
+            .iter()
+            .zip(admissions)
+            .map(|(request, admission)| {
+                let charge = admission?;
+                Ok(self.run_charged(
+                    &mut session,
+                    &request.profile,
+                    request.k,
+                    request.seed,
+                    &beam,
+                    charge,
+                ))
+            })
+            .collect()
     }
 
-    /// Answers one query through the shared **batching window**: the
-    /// calling thread parks up to `slo.batch_window_us` waiting for
-    /// companion queries, then one thread executes the coalesced batch
-    /// through the cross-query path and every submitter gets its own
-    /// (bit-identical) result. Admission runs immediately on entry, so a
-    /// shed query never waits out the window.
-    pub fn query_batched(
+    /// Runs one admitted query and settles its charge (if any) against
+    /// the comparisons it actually spent.
+    fn run_charged(
         &self,
+        session: &mut ServingSession,
         profile: &[ItemId],
         k: usize,
         seed: u64,
-    ) -> Result<QueryResult, Rejected> {
-        let beam = self.effective_beam(k, true);
-        let charge = self.admit(&beam)?;
-        let mut query = profile.to_vec();
-        query.sort_unstable();
-        query.dedup();
-        let result = self.slo.batcher.submit(query, k, seed, |batch| {
-            let beam = self.effective_beam(
-                batch.iter().map(|&(_, k, _)| k).max().unwrap_or(1),
-                self.slo.bucket.is_some(),
-            );
-            self.execute_admitted_batch(batch, &beam)
-        });
+        beam: &BeamSearchConfig,
+        charge: Option<u64>,
+    ) -> QueryResult {
+        let result = self.run_query(session, profile, k, seed, beam);
         if let (Some(bucket), Some(charge)) = (&self.slo.bucket, charge) {
             bucket.settle(charge, result.comparisons as u64);
         }
-        Ok(result)
+        result
     }
 
-    /// The single-query execution core: search on the current epoch with
+    /// The query execution core: search on the current epoch with
     /// `beam`, then account metrics and feed the controller.
     fn run_query(
         &self,
@@ -940,52 +895,6 @@ impl ServingEngine {
         }
         self.slo_tick();
         result
-    }
-
-    /// Executes pre-admitted, pre-normalized queries through the
-    /// cross-query lockstep search and accounts per-query metrics.
-    fn execute_admitted_batch(
-        &self,
-        batch: &[(Vec<ItemId>, usize, u64)],
-        beam: &BeamSearchConfig,
-    ) -> Vec<QueryResult> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let telemetry_on = Telemetry::global().enabled();
-        let timer = (telemetry_on || self.slo.controller.is_some()).then(Instant::now);
-        let epoch = self.current_epoch();
-        let queries: Vec<BatchQuery> = batch
-            .iter()
-            .map(|(profile, k, seed)| BatchQuery {
-                profile: profile.as_slice(),
-                k: *k,
-                seed: *seed,
-            })
-            .collect();
-        let results = epoch.index().search_batch(&queries, beam);
-        self.queries.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(start) = timer {
-            // Per-query latency on the shared path: each query's share of
-            // the batch's wall time (the whole point of sharing is that
-            // the batch costs less than the sum of its parts).
-            let share = start.elapsed().as_nanos() as u64 / batch.len() as u64;
-            for _ in 0..batch.len() {
-                self.metrics.query_latency_ns.record(share);
-            }
-        }
-        if telemetry_on {
-            self.metrics.batch_flushes.inc();
-            self.metrics.batch_queries.add(batch.len() as u64);
-            for result in &results {
-                self.metrics.record_query(result);
-            }
-        }
-        for _ in 0..batch.len() {
-            self.slo_tick();
-        }
-        results
     }
 
     /// The beam configuration queries actually run with: the controller's
@@ -1151,7 +1060,6 @@ impl ServingEngine {
             pending_inserts: pending,
             admitted: self.admitted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
             rebuild_failures: self.rebuild_failures.load(Ordering::Relaxed),
         }
     }

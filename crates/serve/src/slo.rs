@@ -1,7 +1,6 @@
 //! SLO machinery for the serving engine: a global comparison-budget
-//! token bucket feeding per-query admission, an adaptive beam-width
-//! controller driven by the rolling p99, and a cross-query batching
-//! window.
+//! token bucket feeding per-query admission, and an adaptive beam-width
+//! controller driven by the rolling p99.
 //!
 //! `max_comparisons` bounds one query; production load needs a *global*
 //! budget. [`TokenBucket`] meters admission in **comparison tokens**:
@@ -22,18 +21,10 @@
 //! consecutive windows come back healthy. The decision sequence is a pure
 //! function of the observed p99 sequence, so tests drive it
 //! deterministically.
-//!
-//! [`CrossQueryBatcher`] implements the batching window: queries arriving
-//! within `batch_window` of each other are coalesced (leader election on
-//! the first thread to see a full batch or an expired deadline) and
-//! executed through the cross-query lockstep search, which shares one
-//! sweep per expanded neighbour list across the batch. Results are
-//! per-query bit-identical to single-query execution.
 
-use cnc_query::QueryResult;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 pub(crate) const NANOS_PER_SEC: u64 = 1_000_000_000;
@@ -74,12 +65,6 @@ pub struct SloConfig {
     pub min_beam_width: usize,
     /// Queries between controller evaluations of the rolling p99.
     pub controller_every: u64,
-    /// How long an early query waits for companions before its batch
-    /// executes (0 = batched submissions execute immediately).
-    pub batch_window_us: u64,
-    /// Most queries coalesced into one cross-query batch (capped at the
-    /// 64-query sweep mask).
-    pub batch_max: usize,
 }
 
 impl Default for SloConfig {
@@ -90,8 +75,6 @@ impl Default for SloConfig {
             target_p99_us: 0,
             min_beam_width: 8,
             controller_every: 256,
-            batch_window_us: 200,
-            batch_max: 16,
         }
     }
 }
@@ -371,133 +354,4 @@ impl SloController {
 /// cached-scale read.
 pub(crate) fn scaled_beam(full: usize, min_beam: usize, pct: u32) -> usize {
     (full * pct as usize / 100).max(min_beam).max(1)
-}
-
-/// One request waiting in (or already taken from) the batching window.
-struct PendingRequest {
-    profile: Vec<u32>,
-    k: usize,
-    seed: u64,
-    slot: Arc<BatchSlot>,
-}
-
-/// The rendezvous cell a waiting submitter parks on.
-struct BatchSlot {
-    result: Mutex<Option<QueryResult>>,
-    ready: Condvar,
-}
-
-struct BatcherState {
-    pending: Vec<PendingRequest>,
-    deadline: Option<Instant>,
-}
-
-/// The cross-query batching window (see the module docs): concurrent
-/// submitters rendezvous here, and whoever observes a full batch — or
-/// outlives the window deadline — becomes the leader and executes the
-/// whole batch through the engine's lockstep search.
-pub(crate) struct CrossQueryBatcher {
-    state: Mutex<BatcherState>,
-    window: Duration,
-    max: usize,
-}
-
-impl CrossQueryBatcher {
-    pub(crate) fn new(window: Duration, max: usize) -> Self {
-        CrossQueryBatcher {
-            state: Mutex::new(BatcherState { pending: Vec::new(), deadline: None }),
-            window,
-            max: max.clamp(1, cnc_similarity::kernel::MAX_SWEEP_QUERIES),
-        }
-    }
-
-    /// Submits one pre-normalized, pre-admitted query; blocks until some
-    /// leader (possibly this thread) has executed the batch containing
-    /// it. `execute` runs the whole batch and must return one result per
-    /// request, in order.
-    pub(crate) fn submit<F>(
-        &self,
-        profile: Vec<u32>,
-        k: usize,
-        seed: u64,
-        execute: F,
-    ) -> QueryResult
-    where
-        F: Fn(&[(Vec<u32>, usize, u64)]) -> Vec<QueryResult>,
-    {
-        let slot = Arc::new(BatchSlot { result: Mutex::new(None), ready: Condvar::new() });
-        let run_now = {
-            let mut state = self.state.lock().expect("batcher poisoned");
-            state.pending.push(PendingRequest { profile, k, seed, slot: Arc::clone(&slot) });
-            if state.pending.len() >= self.max || self.window.is_zero() {
-                Some(Self::take(&mut state))
-            } else {
-                if state.deadline.is_none() {
-                    state.deadline = Some(Instant::now() + self.window);
-                }
-                None
-            }
-        };
-        if let Some(batch) = run_now {
-            Self::run(batch, &execute);
-            return slot.result.lock().expect("slot poisoned").take().expect("leader filled slot");
-        }
-        loop {
-            // Park on the slot; on timeout, claim leadership of whatever
-            // is pending iff our own request is still in the queue
-            // (otherwise some leader owns it and the result will arrive).
-            let guard = slot.result.lock().expect("slot poisoned");
-            if let Some(result) = guard.as_ref() {
-                let result = result.clone();
-                return result;
-            }
-            let (mut guard, timeout) =
-                slot.ready.wait_timeout(guard, self.window).expect("slot poisoned");
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            drop(guard);
-            if timeout.timed_out() {
-                let claimed = {
-                    let mut state = self.state.lock().expect("batcher poisoned");
-                    let mine = state.pending.iter().any(|p| Arc::ptr_eq(&p.slot, &slot));
-                    let due = state.deadline.map(|d| Instant::now() >= d).unwrap_or(false);
-                    if mine && due {
-                        Some(Self::take(&mut state))
-                    } else {
-                        None
-                    }
-                };
-                if let Some(batch) = claimed {
-                    Self::run(batch, &execute);
-                    return slot
-                        .result
-                        .lock()
-                        .expect("slot poisoned")
-                        .take()
-                        .expect("leader filled slot");
-                }
-            }
-        }
-    }
-
-    fn take(state: &mut BatcherState) -> Vec<PendingRequest> {
-        state.deadline = None;
-        std::mem::take(&mut state.pending)
-    }
-
-    fn run<F>(batch: Vec<PendingRequest>, execute: &F)
-    where
-        F: Fn(&[(Vec<u32>, usize, u64)]) -> Vec<QueryResult>,
-    {
-        let requests: Vec<(Vec<u32>, usize, u64)> =
-            batch.iter().map(|p| (p.profile.clone(), p.k, p.seed)).collect();
-        let results = execute(&requests);
-        debug_assert_eq!(results.len(), batch.len(), "one result per request");
-        for (pending, result) in batch.into_iter().zip(results) {
-            let mut guard = pending.slot.result.lock().expect("slot poisoned");
-            *guard = Some(result);
-            pending.slot.ready.notify_all();
-        }
-    }
 }

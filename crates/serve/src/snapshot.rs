@@ -1,30 +1,17 @@
 //! The versioned binary snapshot format.
 //!
 //! A built KNN graph used to die with the process; a serving deployment
-//! needs it to survive — rebuilt offline, shipped to servers, reloaded in
-//! milliseconds (format v1) or **adopted in microseconds off a memory
-//! map** (format v2). [`Snapshot`] persists everything an online epoch
-//! needs into **one file**.
+//! needs it to survive — rebuilt offline, shipped to servers, and
+//! decoded by the copy loader or **adopted off a memory map**.
+//! [`Snapshot`] persists everything an online epoch needs into **one
+//! file**.
 //!
-//! Format **v1** (still read, bit-exactly, through the copy path):
-//!
-//! ```text
-//! ┌──────────────────────────────────────────────────────────────┐
-//! │ magic "CNCSNAP1" (8) │ version = 1 u32 │ section_count u32    │
-//! ├──────────────────────────────────────────────────────────────┤
-//! │ section table: per section { id u32, len u64, checksum u64 } │
-//! ├──────────────────────────────────────────────────────────────┤
-//! │ payloads, in table order (length-prefixed per-user lists)    │
-//! │   1 DATASET     num_users, num_items, per-user item lists    │
-//! │   2 GRAPH       num_users, k, per-user neighbour lists       │
-//! │   3 GOLDFINGER  bits, seed, num_users, fingerprint words     │
-//! └──────────────────────────────────────────────────────────────┘
-//! ```
-//!
-//! Format **v2** (the current writer) keeps the magic and the 16-byte
-//! header but stores every payload at a **64-byte-aligned file offset**
-//! recorded in the table, and lays the bulk arrays out *flat* so a mapped
-//! file can be served without decoding:
+//! Format **v2** — the only version written or read; any other version
+//! in the header, 1 included, is refused with
+//! [`SnapshotError::UnsupportedVersion`].
+//! A 16-byte header, then every payload at a **64-byte-aligned file
+//! offset** recorded in the table, with the bulk arrays laid out *flat* so
+//! a mapped file can be served without decoding:
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
@@ -55,10 +42,8 @@
 //! graph plus who sat together when it was built — so a restarted
 //! builder's first publish patches that graph instead of rebuilding it.
 //! The writer therefore persists a cache only beside the very graph it
-//! was captured with. Files written before this layout persisted
-//! the cache as a `4 CLUSTER_META` section plus one `0x100 + i` section
-//! of partial neighbour lists per cluster; both loaders skip those, and
-//! such a file loads with `cache: None` (a cold first publish).
+//! was captured with. Any section id outside the table above is
+//! `Corrupt("unknown section id …")` on both load paths.
 //!
 //! The ENTRIES section is the epoch's [`EntryIndex`] (`cnc_graph::entry`):
 //! the flat routing table and cluster member arrays that let a query start
@@ -77,10 +62,10 @@
 //! and fingerprints as raw `u64` words — the same codec discipline as
 //! `cnc_runtime::shuffle`, so a write → load round trip is **bit-exact**:
 //! the dataset compares equal, the graph's neighbour lists restore their
-//! exact heap layout (they are written in [`NeighborList::iter`] order),
+//! exact heap layout (they are written in [`cnc_graph::NeighborList::iter`] order),
 //! and the fingerprint words match word-for-word. Each section carries a
-//! checksum (FNV-1a in v1, the chunked [`checksum64`] in v2 — 8 bytes
-//! per step, so verification does not dominate mapped adoption); the
+//! checksum (the chunked [`checksum64`] — 8 bytes per step, so
+//! verification does not dominate mapped adoption); the
 //! loader verifies magic, version, checksums and every structural
 //! invariant before handing anything out, mapping each failure to a
 //! typed [`SnapshotError`] instead of panicking — snapshot files are
@@ -89,7 +74,7 @@
 use cnc_core::build_plan::ClusterCache;
 use cnc_dataset::Dataset;
 use cnc_faults::{injected_io_error, Fault, Faults, Site};
-use cnc_graph::{EntryIndex, KnnGraph, Neighbor, NeighborList};
+use cnc_graph::{EntryIndex, KnnGraph, Neighbor};
 use cnc_similarity::GoldFinger;
 use cnc_telemetry::Telemetry;
 use std::fmt;
@@ -100,11 +85,9 @@ use std::path::{Path, PathBuf};
 /// The 8-byte file magic ("CNC snapshot, format family 1").
 pub const MAGIC: [u8; 8] = *b"CNCSNAP1";
 
-/// The current format version (the writer's output).
+/// The format version — the writer's output and the only one the
+/// loaders read.
 pub const VERSION: u32 = 2;
-
-/// The oldest format version the loader still reads.
-pub const MIN_VERSION: u32 = 1;
 
 pub(crate) const SECTION_DATASET: u32 = 1;
 pub(crate) const SECTION_GRAPH: u32 = 2;
@@ -112,20 +95,12 @@ pub(crate) const SECTION_GOLDFINGER: u32 = 3;
 pub(crate) const SECTION_ENTRIES: u32 = 5;
 pub(crate) const SECTION_MEMBERSHIPS: u32 = 6;
 
-/// True for the section ids an older writer used to persist its cache of
-/// per-cluster partial lists (`4` plus one `0x100 + i` per cluster).
-/// Nothing reads them any more; both loaders step over them.
-pub(crate) fn is_legacy_cluster_section(id: u32) -> bool {
-    id == 4 || id >= 0x100
-}
-
 /// Every v2 payload starts on this file-offset boundary (one cache line;
 /// a multiple of every element alignment the format uses).
 pub(crate) const V2_ALIGN: u64 = 64;
 
-/// v1 caps its section table at 16 entries; older v2 writers added one
-/// section per persisted cluster, so the v2 cap stays that wide (the
-/// table is 28 bytes per entry — a lying count cannot pre-allocate much).
+/// Far above the five section kinds the format defines; the table is 28
+/// bytes per entry, so a lying count cannot pre-allocate much.
 const MAX_V2_SECTIONS: u32 = 65_536;
 
 /// Why a snapshot failed to load (or write).
@@ -159,10 +134,7 @@ impl fmt::Display for SnapshotError {
                 write!(f, "not a snapshot: magic {got:02x?} (expected {MAGIC:02x?})")
             }
             SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "snapshot version {v} unsupported (this build reads {MIN_VERSION}..={VERSION})"
-                )
+                write!(f, "snapshot version {v} unsupported (this build reads version {VERSION})")
             }
             SnapshotError::ChecksumMismatch { section } => {
                 write!(f, "section {section} failed its checksum")
@@ -190,19 +162,13 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a over a byte slice — cheap, dependency-free integrity hashing
-/// (corruption detection, not authentication). The primitive is shared
-/// with `cnc-core`'s cluster content hashes so the workspace carries one
-/// implementation of the idiom. v1 sections are checksummed with it.
-use cnc_core::build_plan::fnv1a;
-
-/// The v2 section checksum: FNV-1a-style mixing over **8-byte chunks**
-/// (plus a length-salted tail), about 8× fewer multiplies than the
-/// byte-at-a-time v1 hash. Mapped adoption verifies every section it
+/// The section checksum: FNV-1a-style mixing over **8-byte chunks**
+/// (plus a length-salted tail), about 8× fewer multiplies than
+/// byte-at-a-time FNV-1a. Mapped adoption verifies every section it
 /// touches, so the checksum walk is the dominant cost of an adopt — at
 /// one multiply per 8 bytes it stays far below a decode pass, keeping
 /// the O(1)-per-user promise honest while still catching bit rot.
-/// Corruption detection, not authentication, same as [`fnv1a`].
+/// Corruption detection, not authentication.
 pub fn checksum64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -248,22 +214,6 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A length field about to size an allocation: reject values that
-    /// cannot possibly fit in the remaining payload (each counted element
-    /// occupies at least `elem_bytes`), so a corrupt count cannot trigger
-    /// a huge allocation before the overrun is noticed.
-    fn len_field(&mut self, elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(elem_bytes).is_none_or(|total| total > self.bytes.len() - self.at) {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} section claims {n} elements but only {} bytes remain",
-                self.section,
-                self.bytes.len() - self.at
-            )));
-        }
-        Ok(n)
     }
 
     fn finish(self) -> Result<(), SnapshotError> {
@@ -383,11 +333,9 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Loads a snapshot from any source (see [`Snapshot::load`]). Reads
-    /// both format versions: v1 streams its length-prefixed sections; v2
-    /// streams its aligned sections through the same owned decoding the
-    /// mapped path borrows (so v1 files and v2 files load bit-identical
-    /// states from identical builds).
+    /// Loads a snapshot from any source (see [`Snapshot::load`]),
+    /// streaming its aligned sections through the same layout parsers the
+    /// mapped path borrows from.
     pub fn load_from<R: Read>(input: &mut R) -> Result<Snapshot, SnapshotError> {
         let mut header = [0u8; 16];
         input.read_exact(&mut header)?;
@@ -398,88 +346,9 @@ impl Snapshot {
         let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
         let section_count = u32::from_le_bytes(header[12..16].try_into().unwrap());
         match version {
-            1 => Self::load_v1_sections(input, section_count),
             2 => Self::load_v2_sections(input, section_count),
             other => Err(SnapshotError::UnsupportedVersion(other)),
         }
-    }
-
-    fn load_v1_sections<R: Read>(
-        input: &mut R,
-        section_count: u32,
-    ) -> Result<Snapshot, SnapshotError> {
-        if section_count > 16 {
-            return Err(SnapshotError::Corrupt(format!(
-                "implausible section count {section_count}"
-            )));
-        }
-
-        let mut table: Vec<(u32, u64, u64)> = Vec::with_capacity(section_count as usize);
-        for _ in 0..section_count {
-            let mut entry = [0u8; 20];
-            input.read_exact(&mut entry)?;
-            table.push((
-                u32::from_le_bytes(entry[0..4].try_into().unwrap()),
-                u64::from_le_bytes(entry[4..12].try_into().unwrap()),
-                u64::from_le_bytes(entry[12..20].try_into().unwrap()),
-            ));
-        }
-
-        let mut dataset: Option<Dataset> = None;
-        let mut graph: Option<KnnGraph> = None;
-        let mut goldfinger: Option<GoldFinger> = None;
-        for (id, len, checksum) in table {
-            // Read via `take` so a lying length cannot pre-allocate more
-            // than the file actually holds.
-            let mut payload = Vec::new();
-            input.take(len).read_to_end(&mut payload)?;
-            if (payload.len() as u64) < len {
-                return Err(SnapshotError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("section {id} truncated: {} of {len} bytes", payload.len()),
-                )));
-            }
-            if fnv1a(&payload) != checksum {
-                return Err(SnapshotError::ChecksumMismatch { section: id });
-            }
-            match id {
-                SECTION_DATASET if dataset.is_none() => {
-                    dataset = Some(decode_dataset(&payload)?);
-                }
-                SECTION_GRAPH if graph.is_none() => graph = Some(decode_graph(&payload)?),
-                SECTION_GOLDFINGER if goldfinger.is_none() => {
-                    goldfinger = Some(decode_goldfinger(&payload)?);
-                }
-                SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER => {
-                    return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
-                }
-                other => {
-                    // v2 sections (entries, memberships) inside a file
-                    // whose header claims v1 are structural corruption,
-                    // reported as such — never a panic, never silently
-                    // skipped.
-                    return Err(SnapshotError::Corrupt(format!("unknown section id {other}")));
-                }
-            }
-        }
-
-        let dataset = dataset.ok_or(SnapshotError::MissingSection("dataset"))?;
-        let graph = graph.ok_or(SnapshotError::MissingSection("graph"))?;
-        // v1's list decoder does not range-check neighbour ids against the
-        // population (the CSR constructor used by v2 does), so walk the
-        // edges here.
-        for (u, list) in graph.iter() {
-            for n in list.iter() {
-                if n.user as usize >= dataset.num_users() || n.user == u {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "user {u} has invalid neighbour {}",
-                        n.user
-                    )));
-                }
-            }
-        }
-        cross_validate(&dataset, &graph, goldfinger.as_ref())?;
-        Ok(Snapshot { dataset, graph, goldfinger, cache: None, entries: None })
     }
 
     fn load_v2_sections<R: Read>(
@@ -532,7 +401,6 @@ impl Snapshot {
                 }
                 SECTION_ENTRIES if entries.is_none() => entries = Some(payload),
                 SECTION_MEMBERSHIPS if memberships.is_none() => memberships = Some(payload),
-                id if is_legacy_cluster_section(id) => {}
                 id @ (SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER | SECTION_ENTRIES
                 | SECTION_MEMBERSHIPS) => {
                     return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
@@ -598,7 +466,7 @@ pub(crate) fn read_v2_table<R: Read>(
 }
 
 /// The cheap cross-section consistency checks shared by every load path
-/// (per-edge range checks live with the per-version graph decoding).
+/// (per-edge range checks live with the graph decoding).
 pub(crate) fn cross_validate(
     dataset: &Dataset,
     graph: &KnnGraph,
@@ -706,43 +574,6 @@ pub fn write_snapshot_to<W: Write>(
     write_snapshot_parts_to(dataset, graph, goldfinger, None, None, out)
 }
 
-/// Streams a **format v1** snapshot — kept for wire-compat tests and for
-/// shipping snapshots to deployments that have not picked up v2 yet. New
-/// code should write v2 ([`write_snapshot_parts_to`]).
-pub fn write_snapshot_v1_to<W: Write>(
-    dataset: &Dataset,
-    graph: &KnnGraph,
-    goldfinger: Option<&GoldFinger>,
-    out: &mut W,
-) -> Result<u64, SnapshotError> {
-    assert_eq!(dataset.num_users(), graph.num_users(), "graph/dataset user mismatch");
-    if let Some(gf) = goldfinger {
-        assert_eq!(gf.num_users(), dataset.num_users(), "fingerprints must cover the dataset");
-    }
-    let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(3);
-    sections.push((SECTION_DATASET, encode_dataset(dataset)));
-    sections.push((SECTION_GRAPH, encode_graph(graph)));
-    if let Some(gf) = goldfinger {
-        sections.push((SECTION_GOLDFINGER, encode_goldfinger(gf)));
-    }
-
-    out.write_all(&MAGIC)?;
-    out.write_all(&1u32.to_le_bytes())?;
-    out.write_all(&(sections.len() as u32).to_le_bytes())?;
-    let mut total = 16u64;
-    for (id, payload) in &sections {
-        out.write_all(&id.to_le_bytes())?;
-        out.write_all(&(payload.len() as u64).to_le_bytes())?;
-        out.write_all(&fnv1a(payload).to_le_bytes())?;
-        total += 20;
-    }
-    for (_, payload) in &sections {
-        out.write_all(payload)?;
-        total += payload.len() as u64;
-    }
-    Ok(total)
-}
-
 /// **Atomic** snapshot-to-file write from borrowed parts: the bytes go to
 /// a sibling temp file, are fsynced, and are renamed over `path` in one
 /// step — a crash or full disk mid-write never clobbers a previous good
@@ -836,7 +667,7 @@ pub fn write_snapshot_full(
 /// The fault-registry key of a snapshot path (stable across retries of
 /// the same file).
 pub(crate) fn path_key(path: &Path) -> u64 {
-    fnv1a(path.as_os_str().as_encoded_bytes())
+    cnc_core::build_plan::fnv1a(path.as_os_str().as_encoded_bytes())
 }
 
 /// Removes stale `.tmp-*` siblings of `path` left by a writer *process*
@@ -1002,133 +833,10 @@ pub fn load_newest_valid(dir: impl AsRef<Path>) -> Result<(PathBuf, Snapshot), S
     Err(last_err)
 }
 
-fn encode_dataset(ds: &Dataset) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 4 * (ds.num_users() + ds.num_ratings()));
-    out.extend_from_slice(&(ds.num_users() as u64).to_le_bytes());
-    out.extend_from_slice(&(ds.num_items() as u32).to_le_bytes());
-    for (_, profile) in ds.iter() {
-        out.extend_from_slice(&(profile.len() as u32).to_le_bytes());
-        for &item in profile {
-            out.extend_from_slice(&item.to_le_bytes());
-        }
-    }
-    out
-}
-
-fn decode_dataset(payload: &[u8]) -> Result<Dataset, SnapshotError> {
-    let mut cur = Cursor::new(payload, "dataset");
-    let num_users = cur.len_field(4)?;
-    let num_items = cur.u32()?;
-    let mut offsets = Vec::with_capacity(num_users + 1);
-    offsets.push(0usize);
-    let mut items = Vec::new();
-    for _ in 0..num_users {
-        let len = cur.u32()? as usize;
-        // One bulk take per profile (the cursor bounds-checks the whole
-        // span once), then a straight 4-byte chunk conversion — the load
-        // path runs per rating, so per-item cursor calls would dominate.
-        let bytes = cur
-            .take(len.checked_mul(4).ok_or_else(|| {
-                SnapshotError::Corrupt("dataset profile length overflows".into())
-            })?)?;
-        items.reserve(len);
-        items.extend(bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())));
-        offsets.push(items.len());
-    }
-    cur.finish()?;
-    Dataset::from_csr(offsets, items, num_items).map_err(SnapshotError::Corrupt)
-}
-
-fn encode_graph(graph: &KnnGraph) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 8 * (graph.num_users() + graph.num_edges()));
-    out.extend_from_slice(&(graph.num_users() as u64).to_le_bytes());
-    out.extend_from_slice(&(graph.k() as u32).to_le_bytes());
-    for (_, list) in graph.iter() {
-        out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-        // Heap (iter) order, so the loader can restore the identical
-        // in-memory layout.
-        for n in list.iter() {
-            out.extend_from_slice(&n.user.to_le_bytes());
-            out.extend_from_slice(&n.sim.to_bits().to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Largest neighbourhood bound a snapshot may declare. `KnnGraph::new`
-/// preallocates `num_users` lists of capacity `k`, so an untrusted `k`
-/// must be bounded *before* the allocation — a crafted `k = u32::MAX`
-/// would otherwise request gigabytes ahead of any validation. The paper
-/// runs k ≤ 64; 65 536 leaves two orders of magnitude of headroom.
+/// Largest neighbourhood bound a snapshot may declare: an untrusted `k`
+/// is bounded before anything is sized from it. The paper runs k ≤ 64;
+/// 65 536 leaves two orders of magnitude of headroom.
 const MAX_K: usize = 1 << 16;
-
-fn decode_graph(payload: &[u8]) -> Result<KnnGraph, SnapshotError> {
-    let mut cur = Cursor::new(payload, "graph");
-    let num_users = cur.len_field(4)?;
-    let k = cur.u32()? as usize;
-    if k == 0 || k > MAX_K {
-        return Err(SnapshotError::Corrupt(format!(
-            "graph bound k = {k} outside the sane range 1..={MAX_K}"
-        )));
-    }
-    let mut graph = KnnGraph::new(num_users, k);
-    for u in 0..num_users {
-        let len = cur.u32()? as usize;
-        let mut entries = Vec::with_capacity(len.min(k));
-        for _ in 0..len {
-            let user = cur.u32()?;
-            let sim = f32::from_bits(cur.u32()?);
-            entries.push(Neighbor { user, sim });
-        }
-        let list = NeighborList::from_heap_order(k, entries)
-            .map_err(|e| SnapshotError::Corrupt(format!("user {u}: {e}")))?;
-        *graph.neighbors_mut(u as u32) = list;
-    }
-    cur.finish()?;
-    Ok(graph)
-}
-
-fn encode_goldfinger(gf: &GoldFinger) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + 8 * gf.words().len());
-    out.extend_from_slice(&(gf.bits() as u32).to_le_bytes());
-    out.extend_from_slice(&gf.seed().to_le_bytes());
-    out.extend_from_slice(&(gf.num_users() as u64).to_le_bytes());
-    for &word in gf.words() {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    out
-}
-
-fn decode_goldfinger(payload: &[u8]) -> Result<GoldFinger, SnapshotError> {
-    let mut cur = Cursor::new(payload, "goldfinger");
-    let bits = cur.u32()? as usize;
-    let seed = cur.u64()?;
-    let num_users = cur.len_field(8)?;
-    if bits == 0 || !bits.is_multiple_of(64) {
-        return Err(SnapshotError::Corrupt(format!(
-            "fingerprint width {bits} is not a positive multiple of 64"
-        )));
-    }
-    let num_words = num_users
-        .checked_mul(bits / 64)
-        .ok_or_else(|| SnapshotError::Corrupt("fingerprint dimensions overflow".into()))?;
-    let bytes = cur.take(
-        num_words
-            .checked_mul(8)
-            .ok_or_else(|| SnapshotError::Corrupt("fingerprint dimensions overflow".into()))?,
-    )?;
-    let mut words = Vec::with_capacity(num_words);
-    words.extend(bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())));
-    cur.finish()?;
-    let gf = GoldFinger::from_parts(words, bits, seed).map_err(SnapshotError::Corrupt)?;
-    if gf.num_users() != num_users {
-        return Err(SnapshotError::Corrupt(format!(
-            "fingerprint section claims {num_users} users but holds {}",
-            gf.num_users()
-        )));
-    }
-    Ok(gf)
-}
 
 // ---------------------------------------------------------------------
 // Format v2: flat sections. Each `parse_*_v2` validates a section's byte
@@ -1208,7 +916,7 @@ pub(crate) struct GraphLayoutV2<'a> {
     /// `num_users + 1` little-endian `u64` entry offsets (8-aligned).
     pub(crate) offsets: &'a [u8],
     /// `offsets[num_users]` interleaved `{id u32, sim-bits u32}` entries
-    /// in [`NeighborList::iter`] heap order (4-aligned, 8 bytes each).
+    /// in [`cnc_graph::NeighborList::iter`] heap order (4-aligned, 8 bytes each).
     pub(crate) entries: &'a [u8],
 }
 

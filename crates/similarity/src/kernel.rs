@@ -843,227 +843,6 @@ pub fn solve_query_words<S: SimSolve>(
     }
 }
 
-/// Exact-Jaccard **multi-query** kernel: the dataset's users plus `Q`
-/// trailing external rows, one per in-flight query. Row `num_users + q`
-/// is query `q`; rows below pass through to the users — the same
-/// convention as [`RawQueryKernel`] widened so a cross-query batch can
-/// score several query rows against one neighbour list in a single
-/// sweep (see [`shared_list_sweep`]).
-#[derive(Clone, Copy)]
-pub struct RawMultiQueryKernel<'a> {
-    dataset: &'a Dataset,
-    queries: &'a [&'a [u32]],
-}
-
-impl<'a> RawMultiQueryKernel<'a> {
-    /// A kernel over `dataset`'s users with each (sorted) profile in
-    /// `queries` as an external trailing row.
-    pub fn new(dataset: &'a Dataset, queries: &'a [&'a [u32]]) -> Self {
-        RawMultiQueryKernel { dataset, queries }
-    }
-
-    /// The row index of query `q` (== `num_users + q`).
-    #[inline]
-    pub fn query_row(&self, q: usize) -> u32 {
-        (self.dataset.num_users() + q) as u32
-    }
-
-    #[inline]
-    fn profile(&self, i: u32) -> &[u32] {
-        let n = self.dataset.num_users() as u32;
-        if i >= n {
-            self.queries[(i - n) as usize]
-        } else {
-            self.dataset.profile(i)
-        }
-    }
-}
-
-impl SimKernel for RawMultiQueryKernel<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.dataset.num_users() + self.queries.len()
-    }
-
-    #[inline]
-    fn sim(&self, i: u32, j: u32) -> f32 {
-        Jaccard::similarity(self.profile(i), self.profile(j)) as f32
-    }
-}
-
-/// Fixed-width GoldFinger multi-query kernel: contiguous user fingerprint
-/// rows plus `Q` external query fingerprints packed contiguously (`Q · W`
-/// words). Row `n + q` is query `q`. Scores are the same fully-unrolled
-/// sweep as [`GoldFingerQueryKernel`], so a batch of one is bit-identical
-/// to the single-query kernel.
-#[derive(Clone, Copy)]
-pub struct GoldFingerMultiQueryKernel<'a, const W: usize> {
-    words: &'a [u64],
-    queries: &'a [u64],
-}
-
-impl<'a, const W: usize> GoldFingerMultiQueryKernel<'a, W> {
-    /// A kernel over a raw user word slice with `queries` (`Q · W` words,
-    /// row-major) as the external rows.
-    ///
-    /// # Panics
-    /// Panics if `W == 0` or either slice is not a multiple of `W`.
-    pub fn new(words: &'a [u64], queries: &'a [u64]) -> Self {
-        assert!(W > 0, "fingerprint width must be positive");
-        assert!(words.len().is_multiple_of(W), "word slice is not a whole number of {W}-word rows");
-        assert!(
-            queries.len().is_multiple_of(W),
-            "query block is not a whole number of {W}-word rows"
-        );
-        GoldFingerMultiQueryKernel { words, queries }
-    }
-
-    /// The row index of query `q` (== `num_users + q`).
-    #[inline]
-    pub fn query_row(&self, q: usize) -> u32 {
-        (self.words.len() / W + q) as u32
-    }
-
-    #[inline(always)]
-    fn row(&self, i: u32) -> &[u64; W] {
-        let n = (self.words.len() / W) as u32;
-        let (slice, base) = if i >= n {
-            (self.queries, (i - n) as usize * W)
-        } else {
-            (self.words, i as usize * W)
-        };
-        slice[base..base + W].try_into().expect("row is exactly W words")
-    }
-}
-
-impl<const W: usize> SimKernel for GoldFingerMultiQueryKernel<'_, W> {
-    #[inline]
-    fn len(&self) -> usize {
-        (self.words.len() + self.queries.len()) / W
-    }
-
-    #[inline(always)]
-    fn sim(&self, i: u32, j: u32) -> f32 {
-        sim_words_fixed::<W>(self.row(i), self.row(j))
-    }
-}
-
-/// Dynamic-width GoldFinger multi-query kernel — the fallback for widths
-/// without a fixed-`W` specialization.
-#[derive(Clone, Copy)]
-pub struct GoldFingerDynMultiQueryKernel<'a> {
-    words: &'a [u64],
-    words_per_user: usize,
-    queries: &'a [u64],
-}
-
-impl<'a> GoldFingerDynMultiQueryKernel<'a> {
-    /// A kernel over a raw user word slice with `queries`
-    /// (`Q · words_per_user` words, row-major) as the external rows.
-    ///
-    /// # Panics
-    /// Panics if `words_per_user` is zero or does not divide both slices.
-    pub fn new(words: &'a [u64], words_per_user: usize, queries: &'a [u64]) -> Self {
-        assert!(words_per_user > 0, "fingerprint width must be positive");
-        assert!(
-            words.len().is_multiple_of(words_per_user),
-            "word slice is not a whole number of rows"
-        );
-        assert!(
-            queries.len().is_multiple_of(words_per_user),
-            "query block is not a whole number of rows"
-        );
-        GoldFingerDynMultiQueryKernel { words, words_per_user, queries }
-    }
-
-    /// The row index of query `q` (== `num_users + q`).
-    #[inline]
-    pub fn query_row(&self, q: usize) -> u32 {
-        (self.words.len() / self.words_per_user + q) as u32
-    }
-
-    #[inline]
-    fn row(&self, i: u32) -> &[u64] {
-        let n = (self.words.len() / self.words_per_user) as u32;
-        let (slice, base) = if i >= n {
-            (self.queries, (i - n) as usize * self.words_per_user)
-        } else {
-            (self.words, i as usize * self.words_per_user)
-        };
-        &slice[base..base + self.words_per_user]
-    }
-}
-
-impl SimKernel for GoldFingerDynMultiQueryKernel<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        (self.words.len() + self.queries.len()) / self.words_per_user
-    }
-
-    #[inline]
-    fn sim(&self, i: u32, j: u32) -> f32 {
-        sim_words(self.row(i), self.row(j))
-    }
-}
-
-/// Runs `solver` against the multi-query fixed-width specialization
-/// matching `words_per_user` — the cross-query analogue of
-/// [`solve_query_words`], sharing its dispatch table. The kernel handed
-/// to the solver has user rows at `0..n` and query `q` at row `n + q`.
-///
-/// # Panics
-/// Panics if either slice is ragged.
-pub fn solve_multi_query_words<S: SimSolve>(
-    words: &[u64],
-    words_per_user: usize,
-    queries: &[u64],
-    solver: S,
-) -> S::Output {
-    match words_per_user {
-        1 => solver.run(&GoldFingerMultiQueryKernel::<1>::new(words, queries)),
-        16 => solver.run(&GoldFingerMultiQueryKernel::<16>::new(words, queries)),
-        64 => solver.run(&GoldFingerMultiQueryKernel::<64>::new(words, queries)),
-        128 => solver.run(&GoldFingerMultiQueryKernel::<128>::new(words, queries)),
-        _ => solver.run(&GoldFingerDynMultiQueryKernel::new(words, words_per_user, queries)),
-    }
-}
-
-/// The widest cross-query batch a [`shared_list_sweep`] interest mask can
-/// express (one bit per query).
-pub const MAX_SWEEP_QUERIES: usize = 64;
-
-/// Scores the rows of one neighbour `list` against up to 64 query rows in
-/// a single pass — the cross-query sharing primitive. `masks[p]` is a
-/// bitmask of which queries (by index into `query_rows`) want candidate
-/// `list[p]`; exactly the set pairs are computed, no more, so per-query
-/// results and comparison counts match running [`one_vs_many`] per query.
-/// For each query, sink calls arrive in list order (ascending `p`); each
-/// list row is touched once and stays cache-hot across the query rows
-/// scored against it — that is the amortization a batch of concurrent
-/// queries buys over `Q` independent sweeps.
-///
-/// # Panics
-/// Panics if `masks` is shorter than `list` or a mask references a query
-/// index `≥ query_rows.len()`.
-pub fn shared_list_sweep<K: SimKernel>(
-    kernel: &K,
-    query_rows: &[u32],
-    list: &[u32],
-    masks: &[u64],
-    mut sink: impl FnMut(usize, u32, f32),
-) {
-    assert!(masks.len() >= list.len(), "interest mask per list position required");
-    assert!(query_rows.len() <= MAX_SWEEP_QUERIES, "at most 64 queries per sweep");
-    for (p, &candidate) in list.iter().enumerate() {
-        let mut mask = masks[p];
-        while mask != 0 {
-            let q = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            sink(q, candidate, kernel.sim(query_rows[q], candidate));
-        }
-    }
-}
-
 /// The number of unordered pairs of an `n`-row kernel — the comparison
 /// count a full [`pairwise`] sweep flushes.
 #[inline]
@@ -1280,131 +1059,6 @@ mod tests {
             fn run<K: SimKernel>(self, _: &K) {}
         }
         solve_query_words(gf.words(), gf.words_per_user(), &[0u64; 3], Noop);
-    }
-
-    #[test]
-    fn multi_query_kernels_match_single_query_rows_bitwise() {
-        let ds = dataset();
-        let queries: Vec<Vec<u32>> = (0..5u32)
-            .map(|q| {
-                let mut p: Vec<u32> =
-                    ds.profile(q * 3).iter().map(|&i| i.saturating_sub(q)).collect();
-                p.sort_unstable();
-                p.dedup();
-                p
-            })
-            .collect();
-        let others: Vec<u32> = (0..ds.num_users() as u32).step_by(5).collect();
-        // Raw backend.
-        let refs: Vec<&[u32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let multi = RawMultiQueryKernel::new(&ds, &refs);
-        assert_eq!(multi.len(), ds.num_users() + queries.len());
-        for (q, profile) in queries.iter().enumerate() {
-            let single = RawQueryKernel::new(&ds, profile);
-            for &u in &others {
-                assert_eq!(
-                    multi.sim(multi.query_row(q), u).to_bits(),
-                    single.sim(single.query_row(), u).to_bits(),
-                    "raw, query {q} vs user {u}"
-                );
-            }
-        }
-        // GoldFinger backends: fixed (via dispatch) and dyn widths.
-        for bits in [64usize, 192, 1024] {
-            let gf = GoldFinger::build(&ds, bits, 23);
-            let w = gf.words_per_user();
-            let mut block = Vec::new();
-            for q in &queries {
-                block.extend_from_slice(&gf.fingerprint_profile(q));
-            }
-            struct Score<'a> {
-                num_queries: usize,
-                others: &'a [u32],
-            }
-            impl SimSolve for Score<'_> {
-                type Output = Vec<Vec<(u32, u32)>>;
-                fn run<K: SimKernel>(self, kernel: &K) -> Self::Output {
-                    let n = (kernel.len() - self.num_queries) as u32;
-                    (0..self.num_queries)
-                        .map(|q| {
-                            let mut out = Vec::new();
-                            one_vs_many(kernel, n + q as u32, self.others, |j, s| {
-                                out.push((j, s.to_bits()))
-                            });
-                            out
-                        })
-                        .collect()
-                }
-            }
-            let got = solve_multi_query_words(
-                gf.words(),
-                w,
-                &block,
-                Score { num_queries: queries.len(), others: &others },
-            );
-            for (q, query) in queries.iter().enumerate() {
-                let qwords = gf.fingerprint_profile(query);
-                let expect =
-                    solve_query_words(gf.words(), w, &qwords, SingleScore { others: &others });
-                assert_eq!(got[q], expect, "{bits} bits, query {q}");
-            }
-        }
-        struct SingleScore<'a> {
-            others: &'a [u32],
-        }
-        impl SimSolve for SingleScore<'_> {
-            type Output = Vec<(u32, u32)>;
-            fn run<K: SimKernel>(self, kernel: &K) -> Self::Output {
-                let qrow = (kernel.len() - 1) as u32;
-                let mut out = Vec::new();
-                one_vs_many(kernel, qrow, self.others, |j, s| out.push((j, s.to_bits())));
-                out
-            }
-        }
-    }
-
-    #[test]
-    fn shared_list_sweep_matches_masked_one_vs_many() {
-        let ds = dataset();
-        let gf = GoldFinger::build(&ds, 1024, 9);
-        let queries: Vec<Vec<u32>> = (0..3u32).map(|q| ds.profile(q * 7).to_vec()).collect();
-        let mut block = Vec::new();
-        for q in &queries {
-            block.extend_from_slice(&gf.fingerprint_profile(q));
-        }
-        let kernel = GoldFingerMultiQueryKernel::<16>::new(gf.words(), &block);
-        let query_rows: Vec<u32> = (0..queries.len()).map(|q| kernel.query_row(q)).collect();
-        let list: Vec<u32> = (0..30u32).collect();
-        // Interleaved interest: query 0 wants even positions, query 1
-        // every third, query 2 everything.
-        let masks: Vec<u64> = (0..list.len())
-            .map(|p| {
-                let mut m = 0u64;
-                if p % 2 == 0 {
-                    m |= 1;
-                }
-                if p % 3 == 0 {
-                    m |= 2;
-                }
-                m | 4
-            })
-            .collect();
-        let mut got: Vec<Vec<(u32, u32)>> = vec![Vec::new(); queries.len()];
-        shared_list_sweep(&kernel, &query_rows, &list, &masks, |q, j, s| {
-            got[q].push((j, s.to_bits()))
-        });
-        for (q, &qrow) in query_rows.iter().enumerate() {
-            let wanted: Vec<u32> = list
-                .iter()
-                .enumerate()
-                .filter(|&(p, _)| masks[p] & (1 << q) != 0)
-                .map(|(_, &j)| j)
-                .collect();
-            let mut expect = Vec::new();
-            one_vs_many(&kernel, qrow, &wanted, |j, s| expect.push((j, s.to_bits())));
-            assert_eq!(got[q], expect, "query {q}");
-            assert_eq!(got[q].len(), wanted.len(), "exactly the masked pairs, query {q}");
-        }
     }
 
     #[test]

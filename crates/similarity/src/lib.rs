@@ -22,8 +22,6 @@
 //!   comparison accounting batched into one flush.
 
 pub mod backend;
-pub mod bbit;
-pub mod bloom;
 pub mod cosine;
 pub mod goldfinger;
 pub mod hash;

@@ -1,14 +1,10 @@
 //! Integration tests of the beyond-the-paper extension features composing
-//! with the main pipeline: profile sampling → C², alternative estimators
-//! vs GoldFinger, classification on C² graphs, deployment planning on the
-//! real clustering.
+//! with the main pipeline: profile sampling → C², classification on C²
+//! graphs, deployment planning on the real clustering.
 
 use cluster_and_conquer::prelude::*;
 use cnc_core::{cluster_dataset, plan_deployment, FastRandomHash};
 use cnc_dataset::{sample_profiles, SamplingPolicy};
-use cnc_similarity::bbit::BBitSignature;
-use cnc_similarity::bloom::BloomFilter;
-use cnc_similarity::MinHasher;
 
 fn dataset() -> Dataset {
     let mut cfg = SyntheticConfig::small(4242);
@@ -61,26 +57,6 @@ fn sampling_preprocessing_composes_with_c2() {
         q_sampled >= q_anti - 0.05,
         "least-popular ({q_sampled:.3}) should not lose to most-popular ({q_anti:.3})"
     );
-}
-
-#[test]
-fn alternative_estimators_agree_with_exact_jaccard() {
-    let ds = dataset();
-    let bank = MinHasher::family(11, 512);
-    let mut max_err_bbit = 0.0f64;
-    let mut max_err_bloom = 0.0f64;
-    for (u, v) in [(0u32, 1u32), (5, 15), (10, 110), (3, 303)] {
-        let (pa, pb) = (ds.profile(u), ds.profile(v));
-        let exact = Jaccard::similarity(pa, pb);
-        let sa = BBitSignature::compute(&bank, pa, 4);
-        let sb = BBitSignature::compute(&bank, pb, 4);
-        max_err_bbit = max_err_bbit.max((sa.estimate(&sb) - exact).abs());
-        let fa = BloomFilter::from_profile(pa, 2048, 3, 11);
-        let fb = BloomFilter::from_profile(pb, 2048, 3, 11);
-        max_err_bloom = max_err_bloom.max((fa.estimate_jaccard(&fb) - exact).abs());
-    }
-    assert!(max_err_bbit < 0.12, "b-bit max error {max_err_bbit:.3}");
-    assert!(max_err_bloom < 0.12, "bloom max error {max_err_bloom:.3}");
 }
 
 #[test]

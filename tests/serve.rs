@@ -5,8 +5,8 @@
 
 use cluster_and_conquer::prelude::*;
 use cluster_and_conquer::serve::{
-    checksum64, write_snapshot, write_snapshot_full, write_snapshot_v1_to, AdoptedSnapshot,
-    SnapshotAdopter, SnapshotError, SnapshotPublisher,
+    checksum64, write_snapshot, write_snapshot_full, AdoptedSnapshot, SnapshotAdopter,
+    SnapshotError, SnapshotPublisher,
 };
 use cnc_query::QueryResult;
 use cnc_similarity::SimilarityData;
@@ -407,25 +407,20 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
 }
 
 #[test]
-fn v1_snapshots_load_bit_exactly_through_the_copy_path() {
-    let ds = dataset(12, 180);
-    let engine = ServingEngine::build(ds, serving_config(0));
-    let snap = engine.snapshot();
-
-    let mut v1 = Vec::new();
-    write_snapshot_v1_to(&snap.dataset, &snap.graph, snap.goldfinger.as_ref(), &mut v1).unwrap();
-    let back = Snapshot::load_from(&mut v1.as_slice()).unwrap();
-    assert_snapshots_identical(&snap, &back);
-    assert!(back.cache.is_none(), "v1 has no cluster sections");
-
-    // Adoption of a v1 file must silently take the copy fallback, never
-    // fail for want of a flat layout.
+fn a_v1_header_is_refused_with_unsupported_version_on_every_load_path() {
+    // Nothing past the header is read: the version decides first.
+    let mut v1 = b"CNCSNAP1".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&3u32.to_le_bytes());
+    let refused = |outcome: Result<(), SnapshotError>, path: &str| match outcome {
+        Err(SnapshotError::UnsupportedVersion(1)) => {}
+        other => panic!("{path}: expected UnsupportedVersion(1), got {other:?}"),
+    };
+    refused(Snapshot::load_from(&mut v1.as_slice()).map(|_| ()), "load_from");
     let path = TempPath::new("v1");
     std::fs::write(&path.0, &v1).unwrap();
-    let adopted = AdoptedSnapshot::open(&path.0).unwrap();
-    assert!(!adopted.mapped, "v1 files cannot be served zero-copy");
-    assert_eq!(adopted.dataset, snap.dataset);
-    assert_graphs_identical(&adopted.graph, &snap.graph);
+    refused(AdoptedSnapshot::open(&path.0).map(|_| ()), "open");
+    refused(AdoptedSnapshot::load_copied(&path.0).map(|_| ()), "load_copied");
 }
 
 #[test]
@@ -435,18 +430,24 @@ fn version_header_skew_and_table_truncation_are_typed_errors() {
     let mut v2 = Vec::new();
     engine.snapshot().write_to(&mut v2).unwrap();
 
-    // A v1 header over v2 sections: the v1 table/codec cannot interpret
-    // the aligned layout — a typed error, never a panic, never a
-    // half-decoded snapshot.
+    // A v1 header over v2 sections: the version is refused before any
+    // section is interpreted — never a panic, never a half-decoded
+    // snapshot.
     let mut crossed = v2.clone();
     crossed[8..12].copy_from_slice(&1u32.to_le_bytes());
     assert!(
-        Snapshot::load_from(&mut crossed.as_slice()).is_err(),
+        matches!(
+            Snapshot::load_from(&mut crossed.as_slice()),
+            Err(SnapshotError::UnsupportedVersion(1))
+        ),
         "v1 header over v2 sections must not load"
     );
     let path = TempPath::new("crossed");
     std::fs::write(&path.0, &crossed).unwrap();
-    assert!(AdoptedSnapshot::open(&path.0).is_err(), "adoption must reject it too");
+    assert!(
+        matches!(AdoptedSnapshot::open(&path.0), Err(SnapshotError::UnsupportedVersion(1))),
+        "adoption must reject it too"
+    );
 
     // Truncation inside the v2 section table, through both load paths.
     for cut in [17usize, 16 + 10, 16 + 28, 16 + 28 + 5] {
@@ -797,37 +798,26 @@ fn a_cache_of_another_graph_is_left_out_of_the_file() {
 }
 
 #[test]
-fn a_v2_file_with_the_old_per_cluster_sections_loads_without_a_cache() {
-    let ds = dataset(20, 150);
-    let config = serving_config(0);
-    let engine = ServingEngine::build(ds.clone(), config);
-    let snap = engine.snapshot();
+fn a_v2_file_carrying_an_unknown_section_id_is_corrupt_on_both_paths() {
+    let engine = ServingEngine::build(dataset(20, 150), serving_config(0));
     let mut plain = Vec::new();
-    snap.write_to(&mut plain).unwrap();
-    // What the previous writer appended: a cluster-meta section (4) and
-    // one section of partial lists per cluster (0x100 + i). Their bytes
-    // mean nothing to this build and must not be read.
-    let mut sections = v2_sections(&plain);
-    sections.push((4, [7u64.to_le_bytes(), 2u64.to_le_bytes()].concat()));
-    sections.push((0x100, vec![0xAB; 100]));
-    sections.push((0x101, vec![0xCD; 36]));
-    let legacy = v2_file(&sections);
-
-    let loaded = Snapshot::load_from(&mut &legacy[..]).expect("legacy sections are skipped");
-    assert!(loaded.cache.is_none(), "the old sections do not make a cache");
-    assert_snapshots_identical(&snap, &loaded);
-    let path = TempPath::new("legacy-clusters");
-    std::fs::write(&path.0, &legacy).unwrap();
-    AdoptedSnapshot::open(&path.0).expect("adoption steps over the old sections too");
-
-    // The restored builder's first publish is cold, the next incremental.
-    let restored = ServingEngine::from_snapshot(loaded, config);
-    restored.insert(ds.profile(3).to_vec(), 1);
-    restored.publish();
-    assert_eq!(restored.current_epoch().rebuild_stats().reuse_ratio, 0.0);
-    restored.insert(ds.profile(8).to_vec(), 2);
-    restored.publish();
-    assert!(restored.current_epoch().rebuild_stats().reuse_ratio > 0.0);
+    engine.snapshot().write_to(&mut plain).unwrap();
+    // 4 and 0x100 + i once held a per-cluster cache; no writer produces
+    // them, so they are as unknown as any other id.
+    let path = TempPath::new("unknown-section");
+    for (id, payload) in [(4u32, vec![7u8; 16]), (0x100, vec![0xAB; 100]), (0x101, vec![0xCD; 36])]
+    {
+        let mut sections = v2_sections(&plain);
+        sections.push((id, payload));
+        let file = v2_file(&sections);
+        let unknown = |outcome: Result<(), SnapshotError>, path: &str| match outcome {
+            Err(SnapshotError::Corrupt(msg)) if msg.contains("unknown section id") => {}
+            other => panic!("section {id:#x} via {path}: expected Corrupt, got {other:?}"),
+        };
+        unknown(Snapshot::load_from(&mut &file[..]).map(|_| ()), "load_from");
+        std::fs::write(&path.0, &file).unwrap();
+        unknown(AdoptedSnapshot::open(&path.0).map(|_| ()), "open");
+    }
 }
 
 #[test]

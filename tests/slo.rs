@@ -1,15 +1,11 @@
-//! Integration suite for the SLO-aware serving layer: cross-query batched
-//! execution equivalence (bit-identical results *and* comparison counts
-//! against the single-query path, over every kernel width), token-bucket
-//! admission and adaptive-beam controller properties, the recall@k
-//! ground-truth harness, and the engine-level overload behaviour (typed
-//! shed, never a panic).
+//! Integration suite for the SLO-aware serving layer: token-bucket
+//! admission and adaptive-beam controller properties, `query_batch`
+//! against `try_query` slot by slot, the recall@k ground-truth harness,
+//! and the engine-level overload behaviour (typed shed, never a panic).
 
 use cluster_and_conquer::prelude::*;
 use cnc_eval::groundtruth::{epoch_key, GroundTruthCache, GroundTruthConfig};
-use cnc_query::BatchQuery;
 use cnc_serve::{BatchRequest, ManualClock, SloAction, SloConfig, SloController, TokenBucket};
-use cnc_similarity::SimilarityData;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -23,117 +19,13 @@ fn dataset(seed: u64, users: usize) -> Dataset {
     cfg.generate()
 }
 
-fn graph_for(ds: &Dataset, k: usize) -> KnnGraph {
-    let sim = SimilarityData::build(SimilarityBackend::Raw, ds);
-    let ctx = BuildContext { dataset: ds, sim: &sim, k, threads: 1, seed: 3 };
-    BruteForce.build(&ctx)
-}
-
-/// Neighbour lists compared as `(user, sim bit pattern)` — the equality
-/// the tentpole promises.
+/// Neighbour lists compared as `(user, sim bit pattern)`.
 fn bits(result: &cnc_query::QueryResult) -> Vec<(u32, u32)> {
     result.neighbors.iter().map(|n| (n.user, n.sim.to_bits())).collect()
 }
 
-/// An entry index over `ds` from a Step-1 run with a hash range and
-/// cluster bound small enough that buckets split.
-fn split_entries(ds: &Dataset) -> EntryIndex {
-    let config = C2Config { b: 8, t: 3, max_cluster_size: 12, seed: 77, ..C2Config::default() };
-    BuildPlan::assign(&config, ds).entry_index()
-}
-
-/// Runs one epoch's worth of queries through the single-query path and
-/// the cross-query batched path and asserts bit-identity, for one scoring
-/// backend (`bits_opt`: None = raw Jaccard, Some(b) = b-bit GoldFinger)
-/// and one seeding (`entries`: None = random, Some = routed).
-fn assert_batched_path_identical(
-    ds: &Dataset,
-    graph: &KnnGraph,
-    bits_opt: Option<usize>,
-    entries: Option<&EntryIndex>,
-    k: usize,
-    batch: usize,
-    config: &BeamSearchConfig,
-) {
-    let goldfinger = bits_opt.map(|b| GoldFinger::build(ds, b, 0xF1));
-    let index = match &goldfinger {
-        Some(gf) => QueryIndex::with_goldfinger(ds, graph, gf),
-        None => QueryIndex::new(ds, graph),
-    };
-    let index = match entries {
-        Some(entries) => index.with_entries(entries),
-        None => index,
-    };
-    let queries: Vec<Vec<u32>> =
-        (0..batch).map(|q| ds.profile((q * 7 % ds.num_users()) as u32).to_vec()).collect();
-    let requests: Vec<BatchQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(q, profile)| BatchQuery { profile, k, seed: 0xA0 + q as u64 })
-        .collect();
-    let batched = index.search_batch(&requests, config);
-    assert_eq!(batched.len(), requests.len());
-    for (request, got) in requests.iter().zip(&batched) {
-        let single = index.search(request.profile, request.k, config, request.seed);
-        assert_eq!(
-            bits(got),
-            bits(&single),
-            "neighbours diverged (bits {bits_opt:?}, k {k}, batch {batch})"
-        );
-        assert_eq!(
-            got.comparisons, single.comparisons,
-            "comparison counts diverged (bits {bits_opt:?}, k {k}, batch {batch})"
-        );
-        assert_eq!(got.routed_seeds > 0, entries.is_some(), "in-sample profiles route");
-    }
-}
-
-/// Every monomorphized kernel width: 64 bits (1 word), 192 (dyn
-/// fallback), 1024 (16 words), 4096 (64 words), 8192 (128 words), plus
-/// raw Jaccard — across capped and uncapped beams.
-#[test]
-fn batched_path_is_bit_identical_for_every_backend_width() {
-    let ds = dataset(11, 160);
-    let graph = graph_for(&ds, 8);
-    let entries = split_entries(&ds);
-    for bits_opt in [None, Some(64), Some(192), Some(1024), Some(4096), Some(8192)] {
-        for max_comparisons in [0usize, 48, 1] {
-            let config = BeamSearchConfig { beam_width: 16, entry_points: 4, max_comparisons };
-            for entries in [None, Some(&entries)] {
-                assert_batched_path_identical(&ds, &graph, bits_opt, entries, 8, 9, &config);
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random epochs × batch sizes × k: the cross-query path reproduces
-    /// the single-query path exactly, neighbours and comparison counts,
-    /// on raw and fingerprint backends.
-    #[test]
-    fn batched_equivalence_over_random_epochs(
-        seed in 0u64..1000,
-        users in 30usize..220,
-        k in 1usize..12,
-        batch in 1usize..20,
-        backend_pick in 0usize..3,
-        cap_pick in 0usize..3,
-        routed in (0u32..2).prop_map(|b| b == 1),
-    ) {
-        let ds = dataset(seed, users);
-        let graph = graph_for(&ds, k.max(4));
-        let entries = routed.then(|| split_entries(&ds));
-        let bits_opt = [None, Some(64), Some(1024)][backend_pick];
-        let max_comparisons = [0usize, 64, 1][cap_pick];
-        let config = BeamSearchConfig {
-            beam_width: k.max(12),
-            entry_points: 4,
-            max_comparisons,
-        };
-        assert_batched_path_identical(&ds, &graph, bits_opt, entries.as_ref(), k, batch, &config);
-    }
 
     /// Token bucket: over any run, admitted work never exceeds
     /// `burst + rate × elapsed` (integer-exact refill, charge-then-settle
@@ -269,48 +161,37 @@ fn serving_config(users_hint: usize) -> ServingConfig {
     }
 }
 
-/// Engine-level equivalence: `query_batch` and the window-coalesced
-/// `query_batched` answer bit-identically to `try_query` with the same
-/// arguments.
+/// Engine-level equivalence: `query_batch` answers every slot, in order,
+/// bit-identically to `try_query` with the same arguments — neighbours,
+/// comparison counts and seed counts — and counts each query once.
 #[test]
 fn engine_batched_paths_match_try_query_bitwise() {
     let ds = dataset(31, 180);
     let engine = ServingEngine::build(ds.clone(), serving_config(180));
-    let requests: Vec<BatchRequest> = (0..10)
-        .map(|q| BatchRequest { profile: ds.profile(q * 11).to_vec(), k: 6, seed: 900 + q as u64 })
-        .collect();
-    let batched = engine.query_batch(&requests);
-    for (request, outcome) in requests.iter().zip(batched) {
-        let got = outcome.expect("no budget configured, nothing sheds");
-        let single = engine.try_query(&request.profile, request.k, request.seed).unwrap();
-        assert_eq!(bits(&got), bits(&single));
-        assert_eq!(got.comparisons, single.comparisons);
-    }
-
-    // The shared batching window, driven from concurrent submitters.
-    let mut config = serving_config(180);
-    config.slo = SloConfig { batch_window_us: 2_000, batch_max: 4, ..SloConfig::default() };
-    let windowed = ServingEngine::build(ds.clone(), config);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|q| {
-                let engine = &windowed;
-                let ds = &ds;
-                scope.spawn(move || {
-                    let profile = ds.profile(q * 13).to_vec();
-                    let result = engine.query_batched(&profile, 6, 700 + q as u64).unwrap();
-                    (profile, 700 + q as u64, result)
-                })
+    assert!(engine.query_batch(&[]).is_empty());
+    for batch in [1usize, 10, 70] {
+        let requests: Vec<BatchRequest> = (0..batch)
+            .map(|q| BatchRequest {
+                // Reversed: the engine normalizes batch profiles too.
+                profile: ds.profile((q * 11 % 180) as u32).iter().rev().copied().collect(),
+                k: 3 + q % 4,
+                seed: 900 + q as u64,
             })
             .collect();
-        for handle in handles {
-            let (profile, seed, result) = handle.join().unwrap();
-            let single = windowed.try_query(&profile, 6, seed).unwrap();
-            assert_eq!(bits(&result), bits(&single), "windowed batch diverged");
-            assert_eq!(result.comparisons, single.comparisons);
+        let before = engine.stats().queries;
+        let batched = engine.query_batch(&requests);
+        assert_eq!(batched.len(), requests.len());
+        assert_eq!(engine.stats().queries - before, batch as u64);
+        for (request, outcome) in requests.iter().zip(batched) {
+            let got = outcome.expect("no budget configured, nothing sheds");
+            let single = engine.try_query(&request.profile, request.k, request.seed).unwrap();
+            assert_eq!(bits(&got), bits(&single));
+            assert_eq!(
+                (got.comparisons, got.routed_seeds, got.random_seeds),
+                (single.comparisons, single.routed_seeds, single.random_seeds)
+            );
         }
-    });
-    assert!(windowed.stats().batches >= 1, "the window must have coalesced at least one batch");
+    }
 }
 
 /// Overload: a starvation budget sheds with typed rejections carrying a
@@ -358,8 +239,8 @@ fn overloaded_engine_sheds_with_typed_rejections() {
 
 /// Admission accounting with routed seeds: seeds count against the
 /// comparison cap, so the charge (the cap) is a true upper bound on what a
-/// query spends, and settling refunds exactly the unspent part — on the
-/// single path and the cross-query batch path alike.
+/// query spends, and settling refunds exactly the unspent part — through
+/// `try_query` and `query_batch` alike.
 #[test]
 fn routed_queries_never_outspend_their_charge_and_refunds_are_exact() {
     let ds = dataset(59, 200);
