@@ -37,9 +37,10 @@ impl SimSolve for BruteGlobal<'_, '_> {
             let mut computed = 0u64;
             for u in range {
                 let u = u as u32;
-                // Accumulate u's own row locally; push the symmetric edge
-                // into the (striped-locked) shared graph. The batched row
-                // sweep streams the tail fingerprints contiguously.
+                // Accumulate u's own row locally; offer the symmetric edge
+                // to the shared graph, whose row floors refuse most offers
+                // without locking. The batched row sweep streams the tail
+                // fingerprints contiguously.
                 let mut row = NeighborList::new(self.k);
                 kernel.sweep_row(u, |v, s| {
                     row.insert(v, s);

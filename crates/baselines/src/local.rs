@@ -1,62 +1,80 @@
 //! Cluster-restricted KNN solvers (the workers of C²'s Step 2 and of LSH's
 //! buckets).
 //!
-//! Both solvers operate on an arbitrary subset of users and *merge* their
-//! partial results into a [`SharedKnnGraph`], which is exactly the contract
-//! of Algorithm 2 + Algorithm 3: "The partial KNN graph of each cluster …
-//! does not need to be synchronized with any other computation", followed by
-//! a per-user bounded-heap merge.
+//! Both solvers — brute force and greedy Hyrec, dispatched by Algorithm 2
+//! — work on an arbitrary subset of users ("the partial KNN graph of each
+//! cluster … does not need to be synchronized with any other
+//! computation"), and each comes in two forms, one per place its result
+//! can go:
+//!
+//! * **Into a [`SharedKnnGraph`]** ([`solve_cluster`], [`brute_force`],
+//!   [`hyrec`]) — the in-process build. A brute-forced cluster offers every
+//!   pair straight to both members' rows ([`cnc_graph::pairwise_shared`]):
+//!   rows only improve, so most offers fall under their row's floor and
+//!   cost one load, and no cluster-local list is built or merged. A greedy
+//!   cluster runs on a local graph and merges its lists member by member
+//!   (Algorithm 3).
+//! * **As partial lists** ([`solve_cluster_partial`] and the `_partial`
+//!   solvers) — one bounded list per member, for a map stage that ships
+//!   them to a reduce stage (`cnc-runtime`).
+//!
+//! The two forms make the same offers, so a row ends with the same top-k.
 
 use cnc_dataset::UserId;
-use cnc_graph::{pairwise_into, KnnGraph, NeighborList, SharedKnnGraph};
+use cnc_graph::{pairwise_lists, pairwise_shared, KnnGraph, NeighborList, SharedKnnGraph};
 use cnc_similarity::kernel::{pair_count, SimKernel, SimSolve};
 use cnc_similarity::SimilarityData;
 
 /// Exhaustive pairwise KNN restricted to `users` (|C|·(|C|−1)/2
 /// similarities), returning one bounded list per user (positionally
-/// aligned with `users`).
+/// aligned with `users`) and the number of similarities computed (already
+/// flushed to `sim`).
 ///
-/// This is the *map-stage* form of Algorithm 2's cheap branch: the caller
-/// decides where the partial lists go — merged into a [`SharedKnnGraph`]
-/// in-process (see [`brute_force`]) or shipped to a reduce stage
-/// (`cnc-runtime`).
+/// This is the *map-stage* form of Algorithm 2's cheap branch, for a
+/// caller that ships the partial lists to a reduce stage (`cnc-runtime`);
+/// [`brute_force`] is the in-process form.
 ///
 /// Runs on the batched kernel layer: one backend dispatch and (for
 /// GoldFinger) one contiguous fingerprint tile per cluster, then a
 /// monomorphized all-pairs sweep, then **one** comparison-count flush for
 /// the whole cluster — the totals are identical to counting per pair.
-pub fn brute_force_partial(
-    users: &[UserId],
-    sim: &SimilarityData<'_>,
-    k: usize,
-) -> Vec<NeighborList> {
-    brute_force_partial_counted(users, sim, k).0
-}
-
-/// [`brute_force_partial`] plus the number of similarities it computed
-/// (already flushed to `sim` — the count is *returned* so incremental
-/// executors can attribute it to the cluster's cached solution).
 pub fn brute_force_partial_counted(
     users: &[UserId],
     sim: &SimilarityData<'_>,
     k: usize,
 ) -> (Vec<NeighborList>, u64) {
-    let mut lists: Vec<NeighborList> = (0..users.len()).map(|_| NeighborList::new(k)).collect();
     if users.len() < 2 {
-        return (lists, 0);
+        return ((0..users.len()).map(|_| NeighborList::new(k)).collect(), 0);
     }
-    sim.solve_cluster(users, BrutePartial { users, lists: &mut lists });
+    let lists = sim.solve_cluster(users, BrutePartial { users, k });
     let comparisons = pair_count(users.len());
     sim.add_comparisons(comparisons);
     (lists, comparisons)
 }
 
-/// Algorithm 2's dispatch, in map-stage form: brute force below
-/// `threshold` (= `ρ·k²`, seed-independent), greedy Hyrec above — exactly
-/// the branch `core::pipeline` and `cnc-runtime` take per cluster, shared
-/// here so the build paths cannot drift. Returns the partial lists
-/// (aligned with `users`) and the similarity count the solve flushed,
-/// which incremental builds store in the cluster's cache entry.
+/// Algorithm 2's dispatch into `out`: brute force below `threshold`
+/// (= `ρ·k²`, seed-independent), greedy Hyrec above — the branch
+/// `core::pipeline` takes per cluster, beside [`solve_cluster_partial`]'s
+/// map-stage form of the same branch, so the build paths cannot drift.
+pub fn solve_cluster(
+    users: &[UserId],
+    sim: &SimilarityData<'_>,
+    out: &SharedKnnGraph,
+    threshold: usize,
+    rho: usize,
+    delta: f64,
+    seed: u64,
+) {
+    if users.len() < threshold {
+        brute_force(users, sim, out);
+    } else {
+        hyrec(users, sim, out, rho, delta, seed);
+    }
+}
+
+/// Algorithm 2's dispatch, in map-stage form (see [`solve_cluster`]) —
+/// the branch `cnc-runtime` takes per cluster. Returns the partial lists
+/// (aligned with `users`) and the similarity count the solve flushed.
 pub fn solve_cluster_partial(
     users: &[UserId],
     sim: &SimilarityData<'_>,
@@ -77,18 +95,19 @@ pub fn solve_cluster_partial(
 /// kernel by [`SimilarityData::solve_cluster`].
 struct BrutePartial<'a> {
     users: &'a [UserId],
-    lists: &'a mut [NeighborList],
+    k: usize,
 }
 
 impl SimSolve for BrutePartial<'_> {
-    type Output = ();
+    type Output = Vec<NeighborList>;
 
-    fn run<K: SimKernel>(self, kernel: &K) {
-        pairwise_into(kernel, self.users, self.lists);
+    fn run<K: SimKernel>(self, kernel: &K) -> Vec<NeighborList> {
+        pairwise_lists(kernel, self.users, self.k)
     }
 }
 
-/// Exhaustive pairwise KNN restricted to `users`, merged into `out`.
+/// Exhaustive pairwise KNN restricted to `users`, offered straight to
+/// `out`'s rows (module docs); one comparison-count flush per cluster.
 ///
 /// Used when `|C| < ρ·k²` (Algorithm 2's cheap branch) and by the LSH
 /// baseline inside each bucket.
@@ -96,11 +115,21 @@ pub fn brute_force(users: &[UserId], sim: &SimilarityData<'_>, out: &SharedKnnGr
     if users.len() < 2 {
         return;
     }
-    // Work on local lists so the shared graph is locked once per user, not
-    // once per pair.
-    let lists = brute_force_partial(users, sim, out.k());
-    for (i, &u) in users.iter().enumerate() {
-        out.merge_into(u, &lists[i]);
+    sim.solve_cluster(users, BruteShared { users, out });
+    sim.add_comparisons(pair_count(users.len()));
+}
+
+/// [`brute_force`]'s sweep, monomorphized per kernel.
+struct BruteShared<'a> {
+    users: &'a [UserId],
+    out: &'a SharedKnnGraph,
+}
+
+impl SimSolve for BruteShared<'_> {
+    type Output = ();
+
+    fn run<K: SimKernel>(self, kernel: &K) {
+        pairwise_shared(kernel, self.users, self.out);
     }
 }
 
@@ -350,7 +379,7 @@ mod tests {
         let ds = twins_dataset();
         let sim = SimilarityData::build(SimilarityBackend::Raw, &ds);
         let users: Vec<u32> = (10..20).collect();
-        let lists = brute_force_partial(&users, &sim, 3);
+        let (lists, _) = brute_force_partial_counted(&users, &sim, 3);
         assert_eq!(lists.len(), users.len());
         for (i, list) in lists.iter().enumerate() {
             assert_eq!(list.len(), 3);
@@ -360,9 +389,9 @@ mod tests {
             }
         }
         // Size-1 and size-0 clusters produce aligned (empty) lists.
-        assert_eq!(brute_force_partial(&[5], &sim, 3).len(), 1);
-        assert!(brute_force_partial(&[5], &sim, 3)[0].is_empty());
-        assert!(brute_force_partial(&[], &sim, 3).is_empty());
+        assert_eq!(brute_force_partial_counted(&[5], &sim, 3).0.len(), 1);
+        assert!(brute_force_partial_counted(&[5], &sim, 3).0[0].is_empty());
+        assert!(brute_force_partial_counted(&[], &sim, 3).0.is_empty());
     }
 
     #[test]
@@ -379,14 +408,15 @@ mod tests {
                 hyrec_partial(&users, &sim_b, k, 5, 0.001, 3)
             } else {
                 brute_force(&users, &sim_a, &out);
-                brute_force_partial(&users, &sim_b, k)
+                brute_force_partial_counted(&users, &sim_b, k).0
             };
             let merged = out.into_graph();
             assert_eq!(sim_a.comparisons(), sim_b.comparisons(), "greedy={greedy}");
+            // The same offers in the same order: the same heaps, slot for slot.
             for (i, &u) in users.iter().enumerate() {
                 assert_eq!(
-                    lists[i].sorted(),
-                    merged.neighbors(u).sorted(),
+                    lists[i].as_view().as_slice(),
+                    merged.neighbors(u).as_slice(),
                     "greedy={greedy}: user {u} differs"
                 );
             }
@@ -401,7 +431,7 @@ mod tests {
         let backend = SimilarityBackend::GoldFinger { bits: 1024, seed: 13 };
         let sim = SimilarityData::build(backend, &ds);
         let users: Vec<u32> = (0..12).collect();
-        brute_force_partial(&users, &sim, 4);
+        brute_force_partial_counted(&users, &sim, 4);
         assert_eq!(sim.comparisons(), 12 * 11 / 2);
 
         // Small-cluster Hyrec degenerates to brute force: exact count.
@@ -427,7 +457,7 @@ mod tests {
         let sim = SimilarityData::build(SimilarityBackend::GoldFinger { bits: 256, seed: 7 }, &ds);
         let gf = sim.goldfinger().unwrap();
         let users: Vec<u32> = (5..25).collect();
-        let lists = brute_force_partial(&users, &sim, 3);
+        let (lists, _) = brute_force_partial_counted(&users, &sim, 3);
         for (i, list) in lists.iter().enumerate() {
             for nb in list.iter() {
                 let expect = gf.estimate(users[i], nb.user) as f32;

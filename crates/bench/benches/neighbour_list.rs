@@ -1,6 +1,7 @@
-//! Ablation of the bounded-neighbour-list design (DESIGN.md §5): the flat
-//! sift-heap with linear dedup at the paper's k = 30, plus the merge path
-//! of Algorithm 3.
+//! Ablation of the bounded-neighbour-list design (`cnc_graph::neighbors`):
+//! the flat sift-heap at the paper's k = 30 — the root test that rejects
+//! most offers with one comparison against the linear dedup scan the rest
+//! pay — plus the merge path of Algorithm 3.
 
 use cnc_graph::NeighborList;
 use cnc_similarity::SeededHash;
@@ -35,21 +36,41 @@ fn bench_insert_stream(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rejection_fast_path(c: &mut Criterion) {
-    // Once the list is full of high-sim entries, almost every candidate is
-    // rejected on the single worst_sim comparison — the hot path of the
-    // merge phase.
-    let mut list = NeighborList::new(30);
+fn bench_full_list_offers(c: &mut Criterion) {
+    // What an offer to a full k = 30 list costs, by what it turns out to
+    // be. A candidate below the root — almost every offer of a brute-force
+    // cluster once its lists fill — is rejected by the root test alone;
+    // a candidate that passes it pays the k-entry duplicate scan, whether
+    // it then turns out to be a retained user or enters the list.
+    let mut full = NeighborList::new(30);
     for i in 0..30u32 {
-        list.insert(i, 0.9 + i as f32 / 1000.0);
+        full.insert(i, 0.5 + i as f32 / 100.0);
     }
-    c.bench_function("neighbour_list_reject", |bench| {
+    let mut group = c.benchmark_group("neighbour_list_full_k30");
+    group.bench_function("below_root", |bench| {
+        let mut list = full.clone();
         let mut user = 100u32;
         bench.iter(|| {
             user = user.wrapping_add(1);
-            black_box(list.insert(user, 0.1))
+            black_box(list.insert(black_box(user), black_box(0.1)))
         });
     });
+    group.bench_function("retained_user_again", |bench| {
+        let mut list = full.clone();
+        bench.iter(|| black_box(list.insert(black_box(29), black_box(0.79))));
+    });
+    group.bench_function("above_root", |bench| {
+        // Rising similarities keep every offer above the root: scan,
+        // replace the root, sift down.
+        let mut list = full.clone();
+        let (mut user, mut sim) = (100u32, 1.0f32);
+        bench.iter(|| {
+            user = user.wrapping_add(1);
+            sim += 1.0;
+            black_box(list.insert(black_box(user), black_box(sim)))
+        });
+    });
+    group.finish();
 }
 
 fn bench_merge(c: &mut Criterion) {
@@ -72,5 +93,5 @@ fn bench_merge(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_insert_stream, bench_rejection_fast_path, bench_merge);
+criterion_group!(benches, bench_insert_stream, bench_full_list_offers, bench_merge);
 criterion_main!(benches);

@@ -38,7 +38,9 @@
 //!    last time (newcomers and edited users are singletons) and only the
 //!    **cross-group pairs** are computed — for "an old cluster plus a few
 //!    inserts" that is `inserts × |C|`, not `|C|²/2` — each offered to
-//!    both rows of a copy of the previous graph. Then every retained user
+//!    both rows of a [`SharedKnnGraph`] arena filled straight from the
+//!    previous graph's rows (no other copy of it is made, and the arena
+//!    freezes in place into the new graph). Then every retained user
 //!    one of whose *current* neighbours no longer shares any cluster with
 //!    it (a recursive split at `N`, Exception 2 pulling a formerly-alone
 //!    user out of a remainder, an edited or vanished profile) has its row
@@ -467,15 +469,13 @@ struct PatchJob {
     ends: Vec<u32>,
 }
 
-/// The sweep of one [`PatchJob`], monomorphized per kernel.
+/// The sweep of one [`PatchJob`], monomorphized per kernel. A member's
+/// own offers collect in a local list merged under one lock; offers to the
+/// other side go straight to the rows, where most fall under the row's
+/// floor and never lock.
 struct CrossGroups<'a> {
     job: &'a PatchJob,
     rows: &'a SharedKnnGraph,
-    /// Per user, a similarity no candidate below which can enter its row:
-    /// the worst similarity of its full previous row (`-∞` otherwise).
-    /// Rows only improve while they are patched, so an offer under the
-    /// floor is refused without taking the row's lock — most are.
-    floor: &'a [f32],
 }
 
 impl SimSolve for CrossGroups<'_> {
@@ -490,9 +490,7 @@ impl SimSolve for CrossGroups<'_> {
                 let mut mine = NeighborList::new(self.rows.k());
                 one_vs_many(kernel, u, rest, |v, sim| {
                     mine.insert(v, sim);
-                    if sim >= self.floor[v as usize] {
-                        self.rows.insert(v, u, sim);
-                    }
+                    self.rows.insert(v, u, sim);
                 });
                 self.rows.merge_into(u, &mine);
             }
@@ -783,13 +781,15 @@ impl BuildPlan {
             return decline(RebuildPath::PastCrossover);
         }
 
-        // The working copy: kept rows of the previous graph, empty rows
-        // for fresh users.
-        let lists: Vec<NeighborList> = (0..n as UserId)
-            .map(|u| if kept(u) { prev.graph.neighbors(u).to_list() } else { NeighborList::new(k) })
-            .collect();
-        let floor: Vec<f32> = lists.iter().map(NeighborList::worst_sim).collect();
-        let rows = SharedKnnGraph::from_lists(lists, k);
+        // The working graph, filled straight from the cache's rows: kept
+        // rows of the previous graph, empty rows for fresh users.
+        let rows = SharedKnnGraph::from_rows(n, k, |u| {
+            if kept(u) {
+                prev.graph.neighbors(u).as_slice()
+            } else {
+                &[]
+            }
+        });
         let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         PriorityPool::run(threads, jobs, |job| {
             if failure.lock().expect("failure slot poisoned").is_some() {
@@ -797,7 +797,7 @@ impl BuildPlan {
             }
             let swept = catch_unwind(AssertUnwindSafe(|| {
                 gate(job.cluster);
-                sim.solve_global(CrossGroups { job: &job, rows: &rows, floor: &floor });
+                sim.solve_global(CrossGroups { job: &job, rows: &rows });
             }));
             if let Err(payload) = swept {
                 failure.lock().expect("failure slot poisoned").get_or_insert(payload);

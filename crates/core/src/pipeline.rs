@@ -1,5 +1,18 @@
 //! Steps 2 and 3 of C²: scheduling, local KNN and merging (§II-F, §II-G,
 //! Algorithms 2 and 3) — the end-to-end [`ClusterAndConquer`] pipeline.
+//!
+//! The clusters of the [`BuildPlan`] run largest-first on a
+//! [`PriorityPool`], each through Algorithm 2's dispatch
+//! ([`local::solve_cluster`]) writing straight into one
+//! [`SharedKnnGraph`] — an `n × k` arena with a lock and a lock-free
+//! worst-similarity floor per row. A brute-forced cluster offers each pair
+//! to both members' rows, so Algorithm 3's bounded-heap merge happens at
+//! the offer: most fall under the row's floor and never lock, and no
+//! cluster-local list is built or merged. (Greedy clusters, absent at the
+//! paper's parameters, merge their lists per member.) The arena then
+//! freezes in place into the graph. An incremental build first offers the
+//! work to [`BuildPlan::patch`], which patches an arena filled from the
+//! previous graph.
 
 use crate::build_plan::{BuildPlan, ClusterCache, RebuildStats};
 use crate::clustering::{cluster_dataset, Clustering};
@@ -213,22 +226,18 @@ impl ClusterAndConquer {
                 .map(|(index, users)| (users.len() as u64, index))
                 .collect();
             PriorityPool::run(threads, jobs, |index| {
-                // Algorithm 2: brute force for small clusters, Hyrec above
-                // the ρ·k² crossover — the shared dispatch in
-                // `cnc_baselines::local`.
-                let users = &plan.clusters()[index];
-                let (lists, _) = local::solve_cluster_partial(
-                    users,
+                // Algorithm 2 (brute force for small clusters, Hyrec above
+                // the ρ·k² crossover) writing the rows directly — the
+                // shared dispatch in `cnc_baselines::local`.
+                local::solve_cluster(
+                    &plan.clusters()[index],
                     sim,
-                    config.k,
+                    &shared,
                     config.brute_force_threshold(),
                     config.rho,
                     config.delta,
                     plan.seed(index),
                 );
-                for (i, &u) in users.iter().enumerate() {
-                    shared.merge_into(u, &lists[i]);
-                }
             });
             shared.into_graph()
         });

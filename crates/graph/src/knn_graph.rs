@@ -1,23 +1,25 @@
 //! The KNN-graph container.
 
-use crate::neighbors::{Neighbor, NeighborList, Neighbors};
+use crate::neighbors::{is_heap, Neighbor, NeighborList, Neighbors};
 use cnc_dataset::{SharedSlice, Storage, UserId};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// The graph's backing storage: every construction path builds owned
-/// per-user lists; the zero-copy snapshot path borrows a flat CSR
-/// (offsets + heap-ordered entries) straight out of a mapped file. Reads
-/// go through [`Neighbors`] views either way; any mutation promotes the
-/// CSR to owned lists first (copy-on-write).
+/// The graph's backing storage: a flat CSR (offsets + heap-ordered
+/// entries) — what a [`crate::SharedKnnGraph`] freezes into, what
+/// [`KnnGraph::into_shared`] makes, and what the zero-copy snapshot path
+/// borrows straight out of a mapped file — or owned per-user lists, the
+/// form every mutation works on. Reads go through [`Neighbors`] views
+/// either way; any mutation promotes the CSR to owned lists first
+/// (copy-on-write).
 #[derive(Clone, Debug)]
 enum Repr {
-    /// One bounded heap per user (every build/mutation path).
+    /// One bounded heap per user (every mutation path).
     Lists(Vec<NeighborList>),
     /// Flat CSR: `offsets[u]..offsets[u + 1]` delimits user `u`'s entries
     /// in heap order. Validated at construction (see
-    /// [`KnnGraph::from_csr_storage`]), so views uphold every
-    /// [`NeighborList`] invariant.
+    /// [`KnnGraph::from_csr_storage`]) or built as heaps in this crate, so
+    /// views uphold every [`NeighborList`] invariant.
     Csr { offsets: Storage<u64>, entries: Storage<Neighbor> },
 }
 
@@ -88,15 +90,9 @@ impl KnnGraph {
                 if list[..i].iter().any(|b| b.user == n.user) {
                     return Err(format!("user {} appears twice in user {u}'s list", n.user));
                 }
-                if i > 0 {
-                    // Heap invariant (min at root, `worse_than` order):
-                    // child not worse than parent.
-                    let parent = list[(i - 1) / 2];
-                    let worse = (n.sim, parent.user) < (parent.sim, n.user);
-                    if worse {
-                        return Err(format!("user {u}'s entries are not in heap order"));
-                    }
-                }
+            }
+            if !is_heap(list) {
+                return Err(format!("user {u}'s entries are not in heap order"));
             }
             at = end;
         }
@@ -104,6 +100,25 @@ impl KnnGraph {
             return Err(format!("offsets cover {at} of {total} entries"));
         }
         Ok(KnnGraph { repr: Repr::Csr { offsets, entries }, k })
+    }
+
+    /// Assembles a graph from a CSR built in this crate — the in-place
+    /// freeze of [`crate::SharedKnnGraph::into_graph`], whose rows are heaps
+    /// by construction — and moves it behind a reference count as
+    /// [`KnnGraph::into_shared`] does, so clones are O(1). What
+    /// [`KnnGraph::from_csr_storage`] checks of untrusted bytes is only
+    /// debug-asserted here.
+    pub(crate) fn from_trusted_csr(k: usize, offsets: Vec<u64>, entries: Vec<Neighbor>) -> Self {
+        debug_assert_eq!(offsets.last(), Some(&(entries.len() as u64)));
+        debug_assert!(offsets.windows(2).all(|w| {
+            let row = &entries[w[0] as usize..w[1] as usize];
+            row.len() <= k && is_heap(row)
+        }));
+        let repr = Repr::Csr {
+            offsets: SharedSlice::from_vec(offsets).into(),
+            entries: SharedSlice::from_vec(entries).into(),
+        };
+        KnnGraph { repr, k }
     }
 
     /// True when the graph borrows shared (e.g. memory-mapped) storage —
@@ -123,7 +138,6 @@ impl KnnGraph {
     /// as is; mutating any holder still promotes that holder to its own
     /// lists first.
     pub fn into_shared(self) -> KnnGraph {
-        let k = self.k;
         let (offsets, entries) = match self.repr {
             Repr::Csr { ref offsets, ref entries }
                 if offsets.is_shared() && entries.is_shared() =>
@@ -144,11 +158,7 @@ impl KnnGraph {
                 (offsets, entries)
             }
         };
-        let repr = Repr::Csr {
-            offsets: SharedSlice::from_vec(offsets).into(),
-            entries: SharedSlice::from_vec(entries).into(),
-        };
-        KnnGraph { repr, k }
+        KnnGraph::from_trusted_csr(self.k, offsets, entries)
     }
 
     /// Promotes a CSR-backed graph to owned per-user lists (no-op for an

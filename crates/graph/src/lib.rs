@@ -16,7 +16,7 @@ pub mod shared;
 
 mod knn_graph;
 
-pub use batch::pairwise_into;
+pub use batch::{pairwise_lists, pairwise_shared};
 pub use entry::{EntryIndex, SplitTree};
 pub use knn_graph::KnnGraph;
 pub use metrics::{avg_exact_similarity, quality};

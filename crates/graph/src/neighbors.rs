@@ -1,11 +1,22 @@
 //! Bounded k-neighbour lists.
 //!
-//! Every user's neighbourhood is "a heap bounded to size k" (Algorithm 3).
-//! [`NeighborList`] is that heap: a flat array in min-at-root order, so the
-//! *worst* retained neighbour is always at index 0 and a candidate can be
-//! rejected with one comparison. Duplicate detection is a linear scan —
-//! `k ≤ 64` in all experiments (30 in the paper), where scanning a cache-
-//! resident array beats any hash set (ablated in `benches/neighbour_list`).
+//! Every user's neighbourhood is "a heap bounded to size k" (Algorithm 3):
+//! a flat array in min-at-root order, so the *worst* retained neighbour is
+//! always at index 0. The heap logic — `offer` and the two sifts — is
+//! written once, over a slice, and shared by [`NeighborList`] and every
+//! row of [`crate::SharedKnnGraph`]'s arena, so both hold a list in the
+//! identical layout.
+//!
+//! An offer to a full heap tests the root **first**. A candidate that
+//! cannot beat the worst entry can neither replace it nor refine an
+//! existing entry upward (every entry is at least as good as the root), so
+//! it is rejected with one comparison and no duplicate scan — in a
+//! brute-force cluster, almost every offer. Only a candidate that passes
+//! pays the duplicate check, a linear scan: `k ≤ 64` in all experiments
+//! (30 in the paper), where scanning a cache-resident array beats any hash
+//! set. `benches/neighbour_list` measures both paths. A candidate known to
+//! be new to the list skips even the scan: a brute-forced cluster offers
+//! each pair to each of its fresh partial lists exactly once.
 
 use cnc_dataset::UserId;
 
@@ -163,11 +174,7 @@ impl NeighborList {
     /// (any candidate is accepted until the list fills up).
     #[inline]
     pub fn worst_sim(&self) -> f32 {
-        if self.is_full() {
-            self.entries[0].sim
-        } else {
-            f32::NEG_INFINITY
-        }
+        worst_sim(&self.entries, self.k)
     }
 
     /// True if `user` is already in the list.
@@ -182,31 +189,30 @@ impl NeighborList {
     ///
     /// The greedy algorithms use the return value as their "update" counter
     /// for the `δ·k·|U|` termination rule.
+    #[inline]
     pub fn insert(&mut self, user: UserId, sim: f32) -> bool {
-        // Dedup first: the same pair can be offered from several clusters
-        // (C² merge) or several iterations (greedy algorithms).
-        if let Some(pos) = self.entries.iter().position(|n| n.user == user) {
-            if sim > self.entries[pos].sim {
-                // Similarity can only be refined upward (different backends
-                // never mix inside one run, but merges must be idempotent).
-                self.entries[pos].sim = sim;
-                let pos = self.sift_up(pos);
-                self.sift_down(pos);
-                return true;
+        self.offer(Neighbor { user, sim }, false)
+    }
+
+    /// [`NeighborList::insert`] of a user the list is known not to hold,
+    /// skipping the duplicate scan — a brute-forced cluster offers each
+    /// pair to each fresh list exactly once.
+    #[inline]
+    pub(crate) fn insert_distinct(&mut self, user: UserId, sim: f32) -> bool {
+        debug_assert!(!self.contains(user), "user {user} offered twice");
+        self.offer(Neighbor { user, sim }, true)
+    }
+
+    #[inline]
+    fn offer(&mut self, candidate: Neighbor, distinct: bool) -> bool {
+        match offer(&mut self.entries, self.k, candidate, distinct) {
+            Verdict::Append => {
+                let last = self.entries.len();
+                self.entries.push(candidate);
+                sift_up(&mut self.entries, last);
+                true
             }
-            return false;
-        }
-        let candidate = Neighbor { user, sim };
-        if !self.is_full() {
-            self.entries.push(candidate);
-            self.sift_up(self.entries.len() - 1);
-            true
-        } else if self.entries[0].worse_than(&candidate) {
-            self.entries[0] = candidate;
-            self.sift_down(0);
-            true
-        } else {
-            false
+            verdict => verdict == Verdict::Changed,
         }
     }
 
@@ -232,11 +238,10 @@ impl NeighborList {
                 return Err(format!("user {} appears twice in one list", a.user));
             }
         }
-        let list = NeighborList { entries, k };
-        if !list.check_heap_invariant() {
+        if !is_heap(&entries) {
             return Err("entries are not in heap order".into());
         }
-        Ok(list)
+        Ok(NeighborList { entries, k })
     }
 
     /// Merges `other` into `self` (Algorithm 3's per-user step), keeping the
@@ -276,49 +281,114 @@ impl NeighborList {
         self.entries.iter().map(|n| n.sim as f64).sum()
     }
 
-    // --- binary-heap plumbing (min at root, `worse_than` order) ---
-
-    fn sift_up(&mut self, mut pos: usize) -> usize {
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if self.entries[pos].worse_than(&self.entries[parent]) {
-                self.entries.swap(pos, parent);
-                pos = parent;
-            } else {
-                break;
-            }
-        }
-        pos
-    }
-
-    fn sift_down(&mut self, mut pos: usize) {
-        loop {
-            let left = 2 * pos + 1;
-            if left >= self.entries.len() {
-                break;
-            }
-            let right = left + 1;
-            let mut worst = left;
-            if right < self.entries.len() && self.entries[right].worse_than(&self.entries[left]) {
-                worst = right;
-            }
-            if self.entries[worst].worse_than(&self.entries[pos]) {
-                self.entries.swap(pos, worst);
-                pos = worst;
-            } else {
-                break;
-            }
-        }
-    }
-
     /// Heap-order invariant check for tests and debug assertions.
     #[doc(hidden)]
     pub fn check_heap_invariant(&self) -> bool {
-        (1..self.entries.len()).all(|i| {
-            let parent = (i - 1) / 2;
-            !self.entries[i].worse_than(&self.entries[parent])
-        })
+        is_heap(&self.entries)
     }
+}
+
+// --- the bounded heap, over a slice (min at root, `worse_than` order) ---
+
+/// What a bounded heap makes of one candidate (see [`offer`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Nothing changed.
+    Rejected,
+    /// The candidate replaced the root, or refined its own entry upward.
+    Changed,
+    /// The heap is not full and does not hold the candidate's user: the
+    /// caller appends it and restores the order with [`sift_up`].
+    Append,
+}
+
+/// Offers `candidate` to the heap `heap` bounded to `k` entries — the one
+/// implementation of the bounded-heap insert (module docs). A full heap
+/// rejects on the root test before any duplicate scan; a duplicate can
+/// only be refined upward (different backends never mix inside one run,
+/// but merges must be idempotent), since the same pair can be offered
+/// from several clusters (C²) or several iterations (greedy algorithms).
+/// `distinct` promises the candidate's user is not in `heap`, and skips
+/// the scan.
+#[inline]
+pub(crate) fn offer(
+    heap: &mut [Neighbor],
+    k: usize,
+    candidate: Neighbor,
+    distinct: bool,
+) -> Verdict {
+    let full = heap.len() == k;
+    if full && !heap[0].worse_than(&candidate) {
+        return Verdict::Rejected;
+    }
+    let duplicate =
+        if distinct { None } else { heap.iter().position(|n| n.user == candidate.user) };
+    if let Some(pos) = duplicate {
+        if candidate.sim > heap[pos].sim {
+            heap[pos].sim = candidate.sim;
+            let pos = sift_up(heap, pos);
+            sift_down(heap, pos);
+            return Verdict::Changed;
+        }
+        return Verdict::Rejected;
+    }
+    if !full {
+        return Verdict::Append;
+    }
+    heap[0] = candidate;
+    sift_down(heap, 0);
+    Verdict::Changed
+}
+
+/// The root's similarity once `heap` holds `k` entries, `-∞` before: no
+/// candidate below it can enter.
+#[inline]
+pub(crate) fn worst_sim(heap: &[Neighbor], k: usize) -> f32 {
+    if heap.len() == k {
+        heap[0].sim
+    } else {
+        f32::NEG_INFINITY
+    }
+}
+
+/// Moves `heap[pos]` toward the root until its parent is not worse;
+/// returns where it settled.
+pub(crate) fn sift_up(heap: &mut [Neighbor], mut pos: usize) -> usize {
+    while pos > 0 {
+        let parent = (pos - 1) / 2;
+        if heap[pos].worse_than(&heap[parent]) {
+            heap.swap(pos, parent);
+            pos = parent;
+        } else {
+            break;
+        }
+    }
+    pos
+}
+
+fn sift_down(heap: &mut [Neighbor], mut pos: usize) {
+    loop {
+        let left = 2 * pos + 1;
+        if left >= heap.len() {
+            break;
+        }
+        let right = left + 1;
+        let mut worst = left;
+        if right < heap.len() && heap[right].worse_than(&heap[left]) {
+            worst = right;
+        }
+        if heap[worst].worse_than(&heap[pos]) {
+            heap.swap(pos, worst);
+            pos = worst;
+        } else {
+            break;
+        }
+    }
+}
+
+/// True if no entry of `heap` is worse than its parent.
+pub(crate) fn is_heap(heap: &[Neighbor]) -> bool {
+    (1..heap.len()).all(|i| !heap[i].worse_than(&heap[(i - 1) / 2]))
 }
 
 #[cfg(test)]
@@ -465,7 +535,114 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The insert as it was written before the root test moved in front of
+    /// the duplicate scan — dedup first, then push or replace the root —
+    /// with its own copy of the sifts: the oracle [`offer`] must match in
+    /// return value and heap layout.
+    fn reference_insert(entries: &mut Vec<Neighbor>, k: usize, user: UserId, sim: f32) -> bool {
+        fn sift_up(entries: &mut [Neighbor], mut pos: usize) -> usize {
+            while pos > 0 {
+                let parent = (pos - 1) / 2;
+                if entries[pos].worse_than(&entries[parent]) {
+                    entries.swap(pos, parent);
+                    pos = parent;
+                } else {
+                    break;
+                }
+            }
+            pos
+        }
+        fn sift_down(entries: &mut [Neighbor], mut pos: usize) {
+            loop {
+                let left = 2 * pos + 1;
+                if left >= entries.len() {
+                    break;
+                }
+                let right = left + 1;
+                let mut worst = left;
+                if right < entries.len() && entries[right].worse_than(&entries[left]) {
+                    worst = right;
+                }
+                if entries[worst].worse_than(&entries[pos]) {
+                    entries.swap(pos, worst);
+                    pos = worst;
+                } else {
+                    break;
+                }
+            }
+        }
+        if let Some(pos) = entries.iter().position(|n| n.user == user) {
+            if sim > entries[pos].sim {
+                entries[pos].sim = sim;
+                let pos = sift_up(entries, pos);
+                sift_down(entries, pos);
+                return true;
+            }
+            return false;
+        }
+        let candidate = Neighbor { user, sim };
+        if entries.len() < k {
+            let last = entries.len();
+            entries.push(candidate);
+            sift_up(entries, last);
+            true
+        } else if entries[0].worse_than(&candidate) {
+            entries[0] = candidate;
+            sift_down(entries, 0);
+            true
+        } else {
+            false
+        }
+    }
+
     proptest! {
+        /// Threshold-first `insert` is the dedup-first reference, step for
+        /// step: same return value, same heap layout. Few users and eight
+        /// similarity levels make duplicates, ties in both id orders, and
+        /// upward and downward refinements common; `k = 30` with up to 40
+        /// users covers full lists with most offers below the root.
+        #[test]
+        fn insert_matches_the_dedup_first_reference(
+            offers in proptest::collection::vec((0u32..40, 0u32..8), 0..300),
+            which_k in 0usize..3,
+        ) {
+            let k = [1, 2, 30][which_k];
+            let mut list = NeighborList::new(k);
+            let mut reference = Vec::new();
+            for (user, level) in offers {
+                let sim = level as f32 / 8.0;
+                prop_assert_eq!(
+                    list.insert(user, sim),
+                    reference_insert(&mut reference, k, user, sim)
+                );
+                prop_assert_eq!(list.iter().copied().collect::<Vec<_>>(), reference.clone());
+            }
+        }
+
+        /// The scan-free offer of users new to the list is the reference
+        /// too, on streams that never repeat a user (ties in both orders).
+        #[test]
+        fn distinct_offers_match_the_reference(
+            levels in proptest::collection::vec(0u32..8, 0..120),
+            stride in 1u32..40,
+            which_k in 0usize..3,
+        ) {
+            let k = [1, 2, 30][which_k];
+            let mut list = NeighborList::new(k);
+            let mut reference = Vec::new();
+            for (i, level) in levels.into_iter().enumerate() {
+                // Distinct users in a scrambled order: i·stride mod a prime.
+                let user = (i as u32 * stride) % 127;
+                let sim = level as f32 / 8.0;
+                prop_assert_eq!(
+                    list.insert_distinct(user, sim),
+                    reference_insert(&mut reference, k, user, sim)
+                );
+                prop_assert_eq!(list.iter().copied().collect::<Vec<_>>(), reference.clone());
+            }
+        }
+
+
         /// The list must always contain exactly the top-k of everything
         /// offered (under the deterministic tie rule).
         #[test]

@@ -1502,6 +1502,12 @@ mod tests {
 
         let old = build(51);
         old.write(dir.join("old.snap")).unwrap();
+        // The scan orders candidates by modification time, which the file
+        // system keeps at a coarse tick: two writes in one tick would tie
+        // and fall back to name order. Age the valid file explicitly.
+        let an_hour_ago = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
+        let file = fs::File::options().write(true).open(dir.join("old.snap")).unwrap();
+        file.set_modified(an_hour_ago).unwrap();
         // A dead writer's leftover temp file…
         fs::write(dir.join("new.snap.tmp-99999-0"), b"partial").unwrap();
         // …and a *newer* snapshot whose payload rotted.

@@ -20,6 +20,10 @@ fn exact(ds: &Dataset, k: usize) -> KnnGraph {
     BruteForce.build(&ctx)
 }
 
+/// `N` = 150 on these 800 users. C²'s cost is `Σ|C|(|C|−1)/2` over
+/// clusters of up to `N` members, so it grows with `N`, while Hyrec's does
+/// not: at `N` = 200 the two meet at this scale (seed 4 spends 2 % more
+/// than Hyrec), at `N` = 150 every seed 0..16 spends at most 79 % of it.
 fn c2_config(k: usize) -> C2Config {
     C2Config {
         k,
@@ -32,35 +36,38 @@ fn c2_config(k: usize) -> C2Config {
     }
 }
 
+/// The paper's headline shape, for every seed 0..16 of both algorithms:
+/// comparable quality (Δ within ±0.12 at this scale), strictly fewer
+/// similarity computations. Hyrec runs on one thread, because the update
+/// count that ends its iterations depends on the order concurrent offers
+/// land.
 #[test]
 fn c2_matches_baseline_quality_with_fewer_comparisons() {
     let ds = dataset();
     let k = 10;
     let reference = exact(&ds, k);
+    for seed in 0..16 {
+        let c2 = ClusterAndConquer::new(C2Config { seed, ..c2_config(k) }).build(&ds);
+        let c2_quality = quality(&c2.graph, &reference, &ds);
 
-    // C².
-    let c2 = ClusterAndConquer::new(c2_config(k)).build(&ds);
-    let c2_quality = quality(&c2.graph, &reference, &ds);
+        // Hyrec on the same (raw) backend.
+        let hyrec_sim = SimilarityData::build(SimilarityBackend::Raw, &ds);
+        let ctx = BuildContext { dataset: &ds, sim: &hyrec_sim, k, threads: 1, seed };
+        let hyrec_graph = Hyrec::default().build(&ctx);
+        let hyrec_quality = quality(&hyrec_graph, &reference, &ds);
 
-    // Hyrec on the same (raw) backend.
-    let hyrec_sim = SimilarityData::build(SimilarityBackend::Raw, &ds);
-    let ctx = BuildContext { dataset: &ds, sim: &hyrec_sim, k, threads: 0, seed: 99 };
-    let hyrec_graph = Hyrec::default().build(&ctx);
-    let hyrec_quality = quality(&hyrec_graph, &reference, &ds);
-
-    // The paper's headline shape: comparable quality (Δ within ±0.1 at this
-    // scale), strictly fewer similarity computations.
-    assert!(c2_quality > 0.8, "C2 quality {c2_quality:.3}");
-    assert!(
-        (c2_quality - hyrec_quality).abs() < 0.12,
-        "quality gap too wide: C2 {c2_quality:.3} vs Hyrec {hyrec_quality:.3}"
-    );
-    assert!(
-        c2.stats.comparisons < hyrec_sim.comparisons(),
-        "C2 {} comparisons vs Hyrec {}",
-        c2.stats.comparisons,
-        hyrec_sim.comparisons()
-    );
+        assert!(c2_quality > 0.8, "seed {seed}: C2 quality {c2_quality:.3}");
+        assert!(
+            (c2_quality - hyrec_quality).abs() < 0.12,
+            "seed {seed}: quality gap too wide: C2 {c2_quality:.3} vs Hyrec {hyrec_quality:.3}"
+        );
+        assert!(
+            c2.stats.comparisons < hyrec_sim.comparisons(),
+            "seed {seed}: C2 {} comparisons vs Hyrec {}",
+            c2.stats.comparisons,
+            hyrec_sim.comparisons()
+        );
+    }
 }
 
 #[test]
