@@ -76,10 +76,23 @@ impl Dataset {
         Ok(ds)
     }
 
-    /// True when the CSR borrows shared (e.g. memory-mapped) storage —
-    /// the structural predicate the zero-copy tests assert on.
+    /// True when the CSR is reference-counted — borrowed from a mapped
+    /// snapshot or frozen by [`Dataset::into_shared`] — so a clone is O(1)
+    /// (see [`Storage::is_shared`]).
     pub fn is_shared(&self) -> bool {
         self.offsets.is_shared() || self.items.is_shared()
+    }
+
+    /// Freezes the CSR behind reference counts, moving both arrays (no
+    /// profile is copied), so every clone of the result is O(1) — how a
+    /// published serving epoch lets the writer that grows the next one
+    /// read its profiles in place. A shared dataset is returned as is.
+    pub fn into_shared(self) -> Dataset {
+        Dataset {
+            offsets: self.offsets.into_shared(),
+            items: self.items.into_shared(),
+            num_items: self.num_items,
+        }
     }
 
     /// The raw offset array (`num_users + 1` entries).
@@ -256,9 +269,25 @@ impl DatasetBuilder {
         self.offsets.push(self.items.len());
     }
 
+    /// Appends every profile of `dataset` in one bulk copy of its CSR; the
+    /// built dataset's `num_items` is at least `dataset.num_items()`.
+    pub fn push_dataset(&mut self, dataset: &Dataset) {
+        let shift = self.items.len();
+        self.items.extend_from_slice(dataset.items());
+        self.offsets.extend(dataset.offsets()[1..].iter().map(|&at| at + shift));
+        if let Some(top) = dataset.num_items.checked_sub(1) {
+            self.max_item = Some(self.max_item.map_or(top, |m| m.max(top)));
+        }
+    }
+
     /// Number of profiles pushed so far.
     pub fn num_users(&self) -> usize {
         self.offsets.len() - 1
+    }
+
+    /// The `user`-th profile pushed (0-based).
+    pub fn profile(&self, user: usize) -> &[ItemId] {
+        &self.items[self.offsets[user]..self.offsets[user + 1]]
     }
 
     /// Finalizes the dataset; `num_items` is one past the largest item seen.
@@ -367,6 +396,34 @@ mod tests {
         assert!(Dataset::from_csr(vec![0, 2], vec![5, 5], 10).is_err(), "non-increasing profile");
         assert!(Dataset::from_csr(vec![0, 1], vec![5], 3).is_err(), "item beyond num_items");
         assert!(Dataset::from_csr(vec![0, 1], vec![5], 6).is_ok());
+    }
+
+    #[test]
+    fn into_shared_moves_the_csr_and_clones_in_place() {
+        let ds = toy();
+        let items = ds.items().as_ptr();
+        let shared = ds.clone().into_shared();
+        assert!(!ds.is_shared() && shared.is_shared());
+        assert_eq!(shared, ds);
+        assert!(std::ptr::eq(shared.clone().items(), shared.items()), "clones share items");
+        assert_eq!(ds.into_shared().items().as_ptr(), items, "freezing copies nothing");
+    }
+
+    #[test]
+    fn push_dataset_appends_profiles_and_keeps_the_item_floor() {
+        let base = Dataset::from_profiles(vec![vec![0, 3], vec![], vec![2]], 9);
+        let mut builder = DatasetBuilder::new();
+        builder.push_sorted_profile(&[1]);
+        builder.push_dataset(&base);
+        builder.push_sorted_profile(&[4, 5]);
+        assert_eq!(builder.num_users(), 5);
+        assert_eq!(builder.profile(2), &[] as &[ItemId]);
+        assert_eq!(builder.profile(4), &[4, 5]);
+        let built = builder.build();
+        assert_eq!(built.num_items(), 9, "the appended dataset's universe is a floor");
+        let expect =
+            Dataset::from_profiles(vec![vec![1], vec![0, 3], vec![], vec![2], vec![4, 5]], 9);
+        assert_eq!(built, expect);
     }
 
     #[test]

@@ -108,11 +108,27 @@ impl<T> Storage<T> {
         }
     }
 
-    /// True when the array borrows shared (e.g. mapped) memory — the
-    /// structural predicate zero-copy tests assert on.
+    /// True when the array is reference-counted — a view into a mapped
+    /// file, or a buffer frozen by [`Storage::into_shared`] — so a clone is
+    /// O(1) and reads the same elements. It does not say *mapped*: an
+    /// array the snapshot copy path decoded is owned (false) until
+    /// something freezes it, and whether an adopted snapshot borrows its
+    /// file is `cnc-serve`'s `AdoptedSnapshot::mapped`.
     #[inline]
     pub fn is_shared(&self) -> bool {
         matches!(self, Storage::Shared(_))
+    }
+}
+
+impl<T: Send + Sync> Storage<T> {
+    /// Freezes owned storage behind a reference count by moving the
+    /// vector (no element is copied); shared storage is returned as is.
+    /// Every clone of the result is O(1).
+    pub fn into_shared(self) -> Storage<T> {
+        match self {
+            Storage::Owned(v) => Storage::Shared(SharedSlice::from_vec(v)),
+            shared => shared,
+        }
     }
 }
 

@@ -1,26 +1,91 @@
 //! The KNN-graph container.
 
-use crate::neighbors::{is_heap, Neighbor, NeighborList, Neighbors};
+use crate::neighbors::{accepts, is_heap, Neighbor, NeighborList, Neighbors};
 use cnc_dataset::{SharedSlice, Storage, UserId};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// The graph's backing storage: a flat CSR (offsets + heap-ordered
-/// entries) — what a [`crate::SharedKnnGraph`] freezes into, what
-/// [`KnnGraph::into_shared`] makes, and what the zero-copy snapshot path
-/// borrows straight out of a mapped file — or owned per-user lists, the
-/// form every mutation works on. Reads go through [`Neighbors`] views
-/// either way; any mutation promotes the CSR to owned lists first
-/// (copy-on-write).
+/// The graph's backing storage. Owned per-user lists are what
+/// [`KnnGraph::new`] and [`KnnGraph::random_init`] start from. A flat CSR
+/// (offsets + heap-ordered entries) is what a [`crate::SharedKnnGraph`]
+/// freezes into, what [`KnnGraph::into_shared`] makes, and what the
+/// zero-copy snapshot path borrows straight out of a mapped file. A CSR is
+/// never promoted as a whole: its first write turns it into an
+/// [`Overlay`], which copies a row only when a write changes it and reads
+/// every other row from the CSR in place (row-granular copy-on-write).
+/// Reads go through [`Neighbors`] views in every form.
 #[derive(Clone, Debug)]
 enum Repr {
-    /// One bounded heap per user (every mutation path).
+    /// One bounded heap per user.
     Lists(Vec<NeighborList>),
-    /// Flat CSR: `offsets[u]..offsets[u + 1]` delimits user `u`'s entries
-    /// in heap order. Validated at construction (see
-    /// [`KnnGraph::from_csr_storage`]) or built as heaps in this crate, so
-    /// views uphold every [`NeighborList`] invariant.
-    Csr { offsets: Storage<u64>, entries: Storage<Neighbor> },
+    /// Validated at construction (see [`KnnGraph::from_csr_storage`]) or
+    /// built as heaps in this crate, so views uphold every
+    /// [`NeighborList`] invariant.
+    Csr(Csr),
+    /// A CSR plus the rows written since.
+    Overlay(Overlay),
+}
+
+/// Flat CSR: `offsets[u]..offsets[u + 1]` delimits user `u`'s entries in
+/// heap order.
+#[derive(Clone, Debug)]
+struct Csr {
+    offsets: Storage<u64>,
+    entries: Storage<Neighbor>,
+}
+
+impl Csr {
+    #[inline]
+    fn row(&self, u: usize) -> &[Neighbor] {
+        &self.entries[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+
+    fn num_users(&self) -> usize {
+        self.offsets.len() - 1
+    }
+}
+
+/// A CSR base under row-granular copy-on-write: a user's row is read from
+/// the base until a write changes it, and users appended past the base
+/// own their rows from the start.
+#[derive(Clone, Debug)]
+struct Overlay {
+    base: Csr,
+    /// Per user: 0 reads the base row, `s > 0` reads `rows[s - 1]`.
+    /// Allocated zeroed, so opening an overlay writes no per-user state.
+    slots: Vec<u32>,
+    /// The owned rows: base rows in order of their first write, and
+    /// appended users.
+    rows: Vec<NeighborList>,
+}
+
+impl Overlay {
+    fn over(base: Csr) -> Self {
+        let slots = vec![0; base.num_users()];
+        Overlay { base, slots, rows: Vec::new() }
+    }
+
+    #[inline]
+    fn row(&self, u: usize) -> &[Neighbor] {
+        match self.slots[u] {
+            0 => self.base.row(u),
+            s => self.rows[s as usize - 1].as_view().as_slice(),
+        }
+    }
+
+    /// `u`'s own row, copied from the base on first use.
+    fn row_mut(&mut self, u: usize, k: usize) -> &mut NeighborList {
+        if self.slots[u] == 0 {
+            self.rows.push(Neighbors::new(self.base.row(u), k).to_list());
+            self.slots[u] = self.rows.len() as u32;
+        }
+        &mut self.rows[self.slots[u] as usize - 1]
+    }
+
+    fn push(&mut self, row: NeighborList) {
+        self.rows.push(row);
+        self.slots.push(self.rows.len() as u32);
+    }
 }
 
 /// An approximate (or exact) KNN graph: one bounded neighbour list per
@@ -99,7 +164,7 @@ impl KnnGraph {
         if at != total {
             return Err(format!("offsets cover {at} of {total} entries"));
         }
-        Ok(KnnGraph { repr: Repr::Csr { offsets, entries }, k })
+        Ok(KnnGraph { repr: Repr::Csr(Csr { offsets, entries }), k })
     }
 
     /// Assembles a graph from a CSR built in this crate — the in-place
@@ -114,64 +179,67 @@ impl KnnGraph {
             let row = &entries[w[0] as usize..w[1] as usize];
             row.len() <= k && is_heap(row)
         }));
-        let repr = Repr::Csr {
+        let csr = Csr {
             offsets: SharedSlice::from_vec(offsets).into(),
             entries: SharedSlice::from_vec(entries).into(),
         };
-        KnnGraph { repr, k }
+        KnnGraph { repr: Repr::Csr(csr), k }
     }
 
-    /// True when the graph borrows shared (e.g. memory-mapped) storage —
-    /// the structural predicate zero-copy tests assert on.
+    /// True when the graph is a reference-counted CSR — borrowed from a
+    /// mapped snapshot or frozen by [`KnnGraph::into_shared`] — so a clone
+    /// is O(1). A graph holding owned rows (lists, or CSR rows written
+    /// since) is not.
     pub fn is_shared(&self) -> bool {
         match &self.repr {
-            Repr::Lists(_) => false,
-            Repr::Csr { offsets, entries } => offsets.is_shared() || entries.is_shared(),
+            Repr::Csr(csr) => csr.offsets.is_shared() || csr.entries.is_shared(),
+            Repr::Lists(_) | Repr::Overlay(_) => false,
         }
     }
 
     /// Freezes the graph into a flat CSR behind reference-counted storage:
     /// every clone of the result is O(1) and shares one copy of the
     /// entries — how an incremental build hands the same graph to its
-    /// caller and to the cache the next build patches. A graph that
-    /// already borrows shared storage (a mapped snapshot) is returned
-    /// as is; mutating any holder still promotes that holder to its own
-    /// lists first.
+    /// caller and to the cache the next build patches, and how a serving
+    /// epoch lets the writer read its rows in place. A CSR is moved, not
+    /// copied; owned rows are flattened. Writing to any holder of the
+    /// result copies only the rows that write changes.
     pub fn into_shared(self) -> KnnGraph {
-        let (offsets, entries) = match self.repr {
-            Repr::Csr { ref offsets, ref entries }
-                if offsets.is_shared() && entries.is_shared() =>
-            {
-                return self;
+        let k = self.k;
+        let mut offsets = Vec::with_capacity(self.num_users() + 1);
+        let mut entries = Vec::with_capacity(self.num_edges());
+        offsets.push(0u64);
+        match self.repr {
+            Repr::Csr(Csr { offsets, entries }) => {
+                let csr = Csr { offsets: offsets.into_shared(), entries: entries.into_shared() };
+                return KnnGraph { repr: Repr::Csr(csr), k };
             }
-            Repr::Csr { offsets, entries } => (offsets.into_vec(), entries.into_vec()),
             Repr::Lists(lists) => {
-                let mut offsets = Vec::with_capacity(lists.len() + 1);
-                let mut entries = Vec::with_capacity(lists.iter().map(NeighborList::len).sum());
-                offsets.push(0u64);
                 // Consumed list by list, so the owned lists are freed as
                 // the flat copy grows.
                 for list in lists {
                     entries.extend(list.iter().copied());
                     offsets.push(entries.len() as u64);
                 }
-                (offsets, entries)
             }
-        };
-        KnnGraph::from_trusted_csr(self.k, offsets, entries)
+            Repr::Overlay(overlay) => {
+                for u in 0..overlay.slots.len() {
+                    entries.extend_from_slice(overlay.row(u));
+                    offsets.push(entries.len() as u64);
+                }
+            }
+        }
+        KnnGraph::from_trusted_csr(k, offsets, entries)
     }
 
-    /// Promotes a CSR-backed graph to owned per-user lists (no-op for an
-    /// already-owned graph) — the copy-on-write step in front of every
-    /// mutating method.
-    fn make_owned(&mut self) -> &mut Vec<NeighborList> {
-        if let Repr::Csr { .. } = self.repr {
-            let lists: Vec<NeighborList> = self.iter().map(|(_, view)| view.to_list()).collect();
-            self.repr = Repr::Lists(lists);
-        }
-        match &mut self.repr {
-            Repr::Lists(lists) => lists,
-            Repr::Csr { .. } => unreachable!("promoted above"),
+    /// Turns a CSR-backed graph into an overlay over it: the CSR moves,
+    /// no row is copied. A no-op for any other form.
+    fn open_overlay(&mut self) {
+        if let Repr::Csr(_) = self.repr {
+            let Repr::Csr(base) = std::mem::replace(&mut self.repr, Repr::Lists(Vec::new())) else {
+                unreachable!("matched above")
+            };
+            self.repr = Repr::Overlay(Overlay::over(base));
         }
     }
 
@@ -186,33 +254,50 @@ impl KnnGraph {
     pub fn num_users(&self) -> usize {
         match &self.repr {
             Repr::Lists(lists) => lists.len(),
-            Repr::Csr { offsets, .. } => offsets.len() - 1,
+            Repr::Csr(csr) => csr.num_users(),
+            Repr::Overlay(overlay) => overlay.slots.len(),
         }
     }
 
     /// A borrowed view of `user`'s neighbour list (heap order).
     #[inline]
     pub fn neighbors(&self, user: UserId) -> Neighbors<'_> {
+        let u = user as usize;
         match &self.repr {
-            Repr::Lists(lists) => lists[user as usize].as_view(),
-            Repr::Csr { offsets, entries } => {
-                let u = user as usize;
-                Neighbors::new(&entries[offsets[u] as usize..offsets[u + 1] as usize], self.k)
-            }
+            Repr::Lists(lists) => lists[u].as_view(),
+            Repr::Csr(csr) => Neighbors::new(csr.row(u), self.k),
+            Repr::Overlay(overlay) => Neighbors::new(overlay.row(u), self.k),
         }
     }
 
-    /// Mutable access to the neighbour list of `user` (copy-on-write for
-    /// a CSR-backed graph).
+    /// Mutable access to the neighbour list of `user`. On a CSR-backed
+    /// graph this copies that one row (copy-on-write); prefer
+    /// [`KnnGraph::insert`], which copies only a row the offer changes.
     #[inline]
     pub fn neighbors_mut(&mut self, user: UserId) -> &mut NeighborList {
-        &mut self.make_owned()[user as usize]
+        let k = self.k;
+        self.open_overlay();
+        match &mut self.repr {
+            Repr::Lists(lists) => &mut lists[user as usize],
+            Repr::Overlay(overlay) => overlay.row_mut(user as usize, k),
+            Repr::Csr(_) => unreachable!("opened above"),
+        }
     }
 
     /// Offers the directed edge `user → neighbor`; returns `true` on change.
+    /// A row read from a CSR is copied only when the offer changes it.
     #[inline]
     pub fn insert(&mut self, user: UserId, neighbor: UserId, sim: f32) -> bool {
         debug_assert_ne!(user, neighbor, "self-loops are not KNN edges");
+        let borrowed = match &self.repr {
+            Repr::Lists(_) => false,
+            Repr::Csr(_) => true,
+            Repr::Overlay(overlay) => overlay.slots[user as usize] == 0,
+        };
+        let candidate = Neighbor { user: neighbor, sim };
+        if borrowed && !accepts(self.neighbors(user).as_slice(), self.k, candidate) {
+            return false;
+        }
         self.neighbors_mut(user).insert(neighbor, sim)
     }
 
@@ -220,7 +305,8 @@ impl KnnGraph {
     pub fn num_edges(&self) -> usize {
         match &self.repr {
             Repr::Lists(lists) => lists.iter().map(NeighborList::len).sum(),
-            Repr::Csr { entries, .. } => entries.len(),
+            Repr::Csr(csr) => csr.entries.len(),
+            Repr::Overlay(_) => self.iter().map(|(_, view)| view.len()).sum(),
         }
     }
 
@@ -249,31 +335,32 @@ impl KnnGraph {
         seed: u64,
         mut sim: F,
     ) -> Self {
-        let mut graph = KnnGraph::new(n, k);
-        if n <= 1 {
-            return graph;
-        }
-        let lists = graph.make_owned();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let degree = k.min(n - 1);
-        for u in 0..n as u32 {
-            while lists[u as usize].len() < degree {
-                let v = rng.random_range(0..n as u32);
-                if v != u && !lists[u as usize].contains(v) {
-                    let s = sim(u, v);
-                    lists[u as usize].insert(v, s);
+        let mut lists = vec![NeighborList::new(k); n];
+        if n > 1 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let degree = k.min(n - 1);
+            for u in 0..n as u32 {
+                while lists[u as usize].len() < degree {
+                    let v = rng.random_range(0..n as u32);
+                    if v != u && !lists[u as usize].contains(v) {
+                        let s = sim(u, v);
+                        lists[u as usize].insert(v, s);
+                    }
                 }
             }
         }
-        graph
+        KnnGraph { repr: Repr::Lists(lists), k }
     }
 
     /// Merges another graph into this one user-by-user (Algorithm 3 over
-    /// whole graphs); returns the number of list updates.
+    /// whole graphs); returns the number of list updates. Rows the merge
+    /// leaves unchanged are not copied.
     pub fn merge(&mut self, other: &KnnGraph) -> usize {
         assert_eq!(self.num_users(), other.num_users(), "graphs must cover the same users");
-        let lists = self.make_owned();
-        other.iter().map(|(u, theirs)| lists[u as usize].merge_entries(theirs.as_slice())).sum()
+        other
+            .iter()
+            .map(|(u, theirs)| theirs.iter().filter(|n| self.insert(u, n.user, n.sim)).count())
+            .sum()
     }
 
     /// Reverse adjacency: for every user, who points *to* them. NNDescent
@@ -294,12 +381,17 @@ impl KnnGraph {
     }
 
     /// Appends a new user with an empty neighbourhood; returns her id.
-    /// Supports online growth (see `cnc-query::DynamicIndex`).
+    /// Supports online growth (see `cnc-query::DynamicIndex`); on a
+    /// CSR-backed graph no existing row is copied.
     pub fn add_user(&mut self) -> UserId {
-        let k = self.k;
-        let lists = self.make_owned();
-        lists.push(NeighborList::new(k));
-        (lists.len() - 1) as UserId
+        let row = NeighborList::new(self.k);
+        self.open_overlay();
+        match &mut self.repr {
+            Repr::Lists(lists) => lists.push(row),
+            Repr::Overlay(overlay) => overlay.push(row),
+            Repr::Csr(_) => unreachable!("opened above"),
+        }
+        (self.num_users() - 1) as UserId
     }
 
     /// The best (most similar) neighbour of `user`, if any.
@@ -428,6 +520,34 @@ mod tests {
         KnnGraph::random_init(40, 4, 21, |u, v| ((u * 31 + v) % 97) as f32 / 97.0)
     }
 
+    /// The same graph as owned lists, every row copied in heap order.
+    fn promoted(g: &KnnGraph) -> KnnGraph {
+        let mut lists = KnnGraph::new(g.num_users(), g.k());
+        for (u, view) in g.iter() {
+            *lists.neighbors_mut(u) = view.to_list();
+        }
+        lists
+    }
+
+    /// Heap-order rows: the bit-level content of a graph.
+    fn rows(g: &KnnGraph) -> Vec<Vec<Neighbor>> {
+        g.iter().map(|(_, view)| view.as_slice().to_vec()).collect()
+    }
+
+    /// Offers that land (a newcomer's edges; a better neighbour for row 3)
+    /// and offers a full row rejects at its root (rows 8 and 11). Sample
+    /// similarities are below 1, so 1.5 beats every root.
+    fn writes(g: &mut KnnGraph) {
+        let added = g.add_user();
+        for v in [0u32, 5, 17] {
+            g.insert(added, v, 1.5);
+            g.insert(v, added, 1.5);
+        }
+        g.insert(3, 9, 1.5);
+        g.insert(8, 2, -1.0);
+        g.insert(11, 30, -1.0);
+    }
+
     #[test]
     fn csr_round_trip_is_bit_identical() {
         let g = sample_graph();
@@ -468,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_mutation_promotes_to_owned_lists() {
+    fn csr_mutation_copies_only_the_rows_it_writes() {
         let g = sample_graph();
         let (offsets, entries) = to_csr(&g);
         let mut csr = KnnGraph::from_csr_storage(g.k(), offsets.into(), entries.into()).unwrap();
@@ -476,10 +596,67 @@ mod tests {
         assert_eq!(added as usize, g.num_users());
         csr.insert(added, 0, 0.5);
         assert!(csr.neighbors(added).contains(0));
-        // The promoted lists still match the original graph.
+        // Every base row still reads as the original graph's.
         for (u, view) in g.iter() {
             assert_eq!(view.sorted(), csr.neighbors(u).sorted());
         }
+    }
+
+    #[test]
+    fn writing_one_holder_of_a_shared_graph_leaves_the_others_bit_identical() {
+        let shared = sample_graph().into_shared();
+        let before = rows(&shared);
+        let (mut writer, reader) = (shared.clone(), shared.clone());
+        writes(&mut writer);
+        assert_ne!(rows(&writer)[..before.len()], before[..], "some base row must change");
+        for holder in [&shared, &reader] {
+            assert!(holder.is_shared());
+            assert_eq!(rows(holder), before);
+            for u in 0..holder.num_users() as UserId {
+                assert!(std::ptr::eq(
+                    holder.neighbors(u).as_slice(),
+                    shared.neighbors(u).as_slice()
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn untouched_rows_stay_pointer_equal_to_the_shared_csr() {
+        let shared = sample_graph().into_shared();
+        let mut writer = shared.clone();
+        writes(&mut writer);
+        assert!(!writer.is_shared(), "a written graph owns some rows");
+        let mut copied = Vec::new();
+        for u in 0..shared.num_users() as UserId {
+            let (mine, base) = (writer.neighbors(u).as_slice(), shared.neighbors(u).as_slice());
+            if std::ptr::eq(mine, base) {
+                continue;
+            }
+            assert_ne!(mine, base, "row {u} was copied though no write changed it");
+            copied.push(u);
+        }
+        // The rows the newcomer entered and the one a better neighbour
+        // refined — not the two rows whose offers fell below the root.
+        assert_eq!(copied, vec![0, 3, 5, 17]);
+    }
+
+    #[test]
+    fn into_shared_of_an_overlay_equals_the_fully_promoted_graph() {
+        let shared = sample_graph().into_shared();
+        let other = KnnGraph::random_init(40, 4, 99, |u, v| ((u * 7 + v * 3) % 89) as f32 / 89.0);
+        let mut overlay = shared.clone();
+        let mut lists = promoted(&shared);
+        let updates = overlay.merge(&other);
+        assert!(updates > 0);
+        assert_eq!(updates, lists.merge(&other));
+        writes(&mut overlay);
+        writes(&mut lists);
+        let frozen = overlay.into_shared();
+        assert!(frozen.is_shared());
+        assert_eq!(frozen.num_users(), lists.num_users());
+        assert_eq!(frozen.num_edges(), lists.num_edges());
+        assert_eq!(rows(&frozen), rows(&lists), "heap for heap");
     }
 
     #[test]

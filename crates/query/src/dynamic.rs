@@ -3,7 +3,7 @@
 //! The paper's motivating scenario is freshness ("online news recommenders,
 //! in which the use of fresh data is of utmost importance", §I): between two
 //! full C² rebuilds, newly arrived users still need neighbourhoods *now*.
-//! [`DynamicIndex`] owns the built graph and answers that need:
+//! [`DynamicIndex`] grows a built graph and answers that need:
 //!
 //! * [`DynamicIndex::add_user`] beam-searches the current graph for the
 //!   newcomer's approximate KNN, installs it, and offers the newcomer as a
@@ -15,39 +15,48 @@
 //!   otherwise at random users;
 //! * the beam expansion is batched through
 //!   [`cnc_similarity::kernel::one_vs_many`] (see [`crate::search`]), over
-//!   raw profiles or — in [`DynamicIndex::with_goldfinger`] mode — over a
-//!   growable fingerprint set that absorbs each newcomer with
+//!   raw profiles or — in [`DynamicIndex::with_goldfinger`] mode — over
+//!   GoldFinger fingerprints, each newcomer's row appended with
 //!   [`GoldFinger::push_user`];
 //! * the amortized cost per insertion is a few hundred similarities,
 //!   versus `n` for a linear scan and a full rebuild for batch algorithms.
 //!
+//! The index is a **delta over the snapshot it opens on**, not a copy of
+//! it. The base users' profiles and fingerprint rows are read in place
+//! from the dataset and fingerprint set it is handed — O(1) clones when
+//! those are shared, as a published serving epoch's are — and so is every
+//! neighbour row no insert has changed: [`KnnGraph`] copies a CSR row on
+//! its first write. The index owns only what the stream adds: the
+//! newcomers' profiles, fingerprint rows and neighbour rows, plus the base
+//! rows a symmetric update changed. [`DynamicIndex::to_dataset`] and
+//! [`DynamicIndex::to_fingerprints`] materialize base ⊕ inserts once each.
+//!
 //! A production deployment alternates: C² rebuild every epoch,
 //! [`DynamicIndex`] absorbing the stream in between — exactly the writer
-//! loop of `cnc-serve`'s `ServingEngine`, which snapshots this index's
-//! state into the next published epoch.
+//! loop of `cnc-serve`'s `ServingEngine`, which builds the next published
+//! epoch from this index's dataset and fingerprints.
 
 use crate::beam::BeamSearchConfig;
 use crate::index::Searcher;
-use crate::search::{batched_beam_search, pick_seeds, BeamSolve, ProfilesQueryKernel};
+use crate::search::{batched_beam_search, pick_seeds, BeamSolve};
 use cnc_dataset::{Dataset, DatasetBuilder, ItemId, UserId};
 use cnc_graph::{EntryIndex, KnnGraph, Neighbor};
-use cnc_similarity::kernel::solve_query_words;
+use cnc_similarity::kernel::{solve_query_words_with_tail, RawQueryKernel};
 use cnc_similarity::GoldFinger;
 use std::sync::Arc;
 
 /// A growable KNN index: a snapshot graph plus online insertions.
 pub struct DynamicIndex {
-    profiles: Vec<Vec<ItemId>>,
+    /// The snapshot's users, read in place.
+    base: Dataset,
+    /// The inserted users' profiles (sorted, deduplicated), as ids
+    /// `base.num_users()..`.
+    tail: DatasetBuilder,
     graph: KnnGraph,
     config: BeamSearchConfig,
-    base_users: usize,
-    /// Item-universe floor carried from the source dataset, so
-    /// [`DynamicIndex::to_dataset`] reproduces its `num_items` even when
-    /// no stored profile references the last items.
-    min_num_items: u32,
-    /// Growable fingerprints mirroring `profiles` (fingerprint scoring
-    /// mode); `None` scores with exact Jaccard on the raw profiles.
-    fingerprints: Option<GoldFinger>,
+    /// Fingerprint scoring mode; `None` scores with exact Jaccard on the
+    /// raw profiles.
+    fingerprints: Option<Fingerprints>,
     /// The base graph's entry index (`None` = random seeds). Inserted
     /// users are not in it; placements reach them over graph links.
     entries: Option<Arc<EntryIndex>>,
@@ -56,9 +65,18 @@ pub struct DynamicIndex {
     searcher: Searcher,
 }
 
+/// The snapshot's fingerprint set, read in place, and the rows of the
+/// users inserted since, in the same width and seed.
+struct Fingerprints {
+    base: GoldFinger,
+    tail: GoldFinger,
+}
+
 impl DynamicIndex {
-    /// Takes ownership of a built graph and copies the profiles it was
-    /// built on; insertions are scored with exact Jaccard.
+    /// Takes ownership of a built graph and reads the profiles it was
+    /// built on in place; insertions are scored with exact Jaccard.
+    /// `dataset` is cloned: O(1) when it is shared (see
+    /// [`Dataset::into_shared`]), a copy otherwise.
     ///
     /// # Panics
     /// Panics if the graph and dataset disagree on the user count, or the
@@ -68,8 +86,8 @@ impl DynamicIndex {
     }
 
     /// Like [`DynamicIndex::new`], but scores insertions on GoldFinger
-    /// fingerprints (which must cover the dataset); each inserted user's
-    /// fingerprint is appended, keeping the set aligned with the profiles.
+    /// fingerprints (which must cover the dataset, and are read in place);
+    /// each inserted user's fingerprint row is appended beside them.
     ///
     /// # Panics
     /// Panics additionally if the fingerprints don't cover the dataset.
@@ -84,23 +102,24 @@ impl DynamicIndex {
             dataset.num_users(),
             "fingerprints must cover the dataset"
         );
-        Self::build(dataset, graph, config, Some(fingerprints))
+        let tail = GoldFinger::from_parts(Vec::new(), fingerprints.bits(), fingerprints.seed())
+            .expect("an empty set of the base's width is valid");
+        Self::build(dataset, graph, config, Some(Fingerprints { base: fingerprints, tail }))
     }
 
     fn build(
         dataset: &Dataset,
         graph: KnnGraph,
         config: BeamSearchConfig,
-        fingerprints: Option<GoldFinger>,
+        fingerprints: Option<Fingerprints>,
     ) -> Self {
         assert_eq!(dataset.num_users(), graph.num_users(), "graph/dataset user mismatch");
         if let Err(msg) = config.validate(graph.k()) {
             panic!("invalid beam search config: {msg}");
         }
         DynamicIndex {
-            profiles: dataset.iter().map(|(_, p)| p.to_vec()).collect(),
-            base_users: dataset.num_users(),
-            min_num_items: dataset.num_items() as u32,
+            base: dataset.clone(),
+            tail: DatasetBuilder::new(),
             graph,
             config,
             fingerprints,
@@ -125,17 +144,29 @@ impl DynamicIndex {
 
     /// Current number of users (base + inserted).
     pub fn num_users(&self) -> usize {
-        self.profiles.len()
+        self.base.num_users() + self.tail.num_users()
     }
 
     /// Users inserted since the snapshot.
     pub fn inserted_users(&self) -> usize {
-        self.profiles.len() - self.base_users
+        self.tail.num_users()
     }
 
     /// The profile of `user`.
     pub fn profile(&self, user: UserId) -> &[ItemId] {
-        &self.profiles[user as usize]
+        match (user as usize).checked_sub(self.base.num_users()) {
+            None => self.base.profile(user),
+            Some(inserted) => self.tail.profile(inserted),
+        }
+    }
+
+    /// The fingerprint row of `user`, when scoring on fingerprints.
+    pub fn fingerprint(&self, user: UserId) -> Option<&[u64]> {
+        let gf = self.fingerprints.as_ref()?;
+        Some(match (user as usize).checked_sub(gf.base.num_users()) {
+            None => gf.base.fingerprint(user),
+            Some(inserted) => gf.tail.fingerprint(inserted as UserId),
+        })
     }
 
     /// The current neighbourhood of `user` (best first).
@@ -148,21 +179,28 @@ impl DynamicIndex {
         &self.graph
     }
 
-    /// The growable fingerprint set, when scoring on fingerprints.
-    pub fn fingerprints(&self) -> Option<&GoldFinger> {
-        self.fingerprints.as_ref()
+    /// Materializes the current profiles (base + inserted) as one
+    /// immutable CSR dataset, in one copy — the input of the next epoch's
+    /// rebuild in the serve loop. Item ids keep the source dataset's
+    /// universe floor.
+    pub fn to_dataset(&self) -> Dataset {
+        let mut builder = DatasetBuilder::with_capacity(self.num_users());
+        builder.push_dataset(&self.base);
+        for inserted in 0..self.tail.num_users() {
+            builder.push_sorted_profile(self.tail.profile(inserted));
+        }
+        builder.build()
     }
 
-    /// Materializes the current profiles (base + inserted) as an immutable
-    /// CSR dataset — the input of the next epoch's full rebuild in the
-    /// serve loop. Item ids keep the source dataset's universe floor.
-    pub fn to_dataset(&self) -> Dataset {
-        let mut builder = DatasetBuilder::with_capacity(self.profiles.len());
-        for profile in &self.profiles {
-            // Stored profiles are sorted and deduplicated on insertion.
-            builder.push_sorted_profile(profile);
-        }
-        builder.build_with_min_items(self.min_num_items)
+    /// Materializes the current fingerprints (base + inserted rows) as one
+    /// set, in one copy — the fingerprints of the next epoch's rebuild,
+    /// equal to fingerprinting [`DynamicIndex::to_dataset`] afresh; `None`
+    /// when scoring on raw profiles.
+    pub fn to_fingerprints(&self) -> Option<GoldFinger> {
+        let gf = self.fingerprints.as_ref()?;
+        let words = [gf.base.words(), gf.tail.words()].concat();
+        let grown = GoldFinger::from_parts(words, gf.base.bits(), gf.base.seed());
+        Some(grown.expect("rows of one width"))
     }
 
     /// Inserts a new user with the given profile; returns her id and the
@@ -181,25 +219,26 @@ impl DynamicIndex {
     pub fn add_user(&mut self, mut profile: Vec<ItemId>, seed: u64) -> (UserId, usize) {
         profile.sort_unstable();
         profile.dedup();
-        let new_id = self.profiles.len() as UserId;
+        let n = self.num_users();
+        let new_id = n as UserId;
 
         // Beam search against current members (the newcomer is not yet in
         // the graph, so the search space is exactly the existing users).
         let searcher = &mut self.searcher;
-        let n = self.profiles.len();
         pick_seeds(self.entries.as_deref(), &profile, n, &self.config, seed, searcher);
         let (beam, comparisons) = match &self.fingerprints {
             None => batched_beam_search(
-                &ProfilesQueryKernel::new(&self.profiles, &profile),
+                &RawQueryKernel::with_tail(&self.base, &self.tail, &profile),
                 &self.graph,
                 searcher,
                 &self.config,
             ),
             Some(gf) => {
-                let qwords = gf.fingerprint_profile(&profile);
-                solve_query_words(
-                    gf.words(),
-                    gf.words_per_user(),
+                let qwords = gf.base.fingerprint_profile(&profile);
+                solve_query_words_with_tail(
+                    gf.base.words(),
+                    gf.tail.words(),
+                    gf.base.words_per_user(),
                     &qwords,
                     BeamSolve { graph: &self.graph, searcher, config: &self.config },
                 )
@@ -208,9 +247,9 @@ impl DynamicIndex {
 
         // Install the newcomer.
         if let Some(gf) = &mut self.fingerprints {
-            gf.push_user(&profile);
+            gf.tail.push_user(&profile);
         }
-        self.profiles.push(profile);
+        self.tail.push_sorted_profile(&profile);
         self.graph.add_user();
         for nb in beam.sorted() {
             self.graph.insert(new_id, nb.user, nb.sim);
@@ -230,7 +269,9 @@ mod tests {
     use cnc_baselines::{BruteForce, BuildContext, KnnAlgorithm};
     use cnc_dataset::SyntheticConfig;
     use cnc_graph::NeighborList;
+    use cnc_similarity::kernel::{solve_query_words, SimKernel};
     use cnc_similarity::{Jaccard, SimilarityBackend, SimilarityData};
+    use proptest::prelude::*;
     use std::collections::BinaryHeap;
 
     fn base() -> (Dataset, KnnGraph) {
@@ -248,6 +289,213 @@ mod tests {
 
     fn config() -> BeamSearchConfig {
         BeamSearchConfig { beam_width: 32, entry_points: 6, max_comparisons: 0 }
+    }
+
+    /// The same graph as owned lists, every row copied in heap order.
+    fn promoted(graph: &KnnGraph) -> KnnGraph {
+        let mut lists = KnnGraph::new(graph.num_users(), graph.k());
+        for (u, view) in graph.iter() {
+            *lists.neighbors_mut(u) = view.to_list();
+        }
+        lists
+    }
+
+    /// Exact Jaccard over owned profile vectors, query as the last row —
+    /// the kernel the reference index scores with.
+    struct ProfilesKernel<'a> {
+        profiles: &'a [Vec<ItemId>],
+        query: &'a [ItemId],
+    }
+
+    impl ProfilesKernel<'_> {
+        fn profile(&self, i: u32) -> &[ItemId] {
+            self.profiles.get(i as usize).map_or(self.query, Vec::as_slice)
+        }
+    }
+
+    impl SimKernel for ProfilesKernel<'_> {
+        fn len(&self) -> usize {
+            self.profiles.len() + 1
+        }
+
+        fn sim(&self, i: u32, j: u32) -> f32 {
+            Jaccard::similarity(self.profile(i), self.profile(j)) as f32
+        }
+    }
+
+    /// The index as it was before it became a delta over its snapshot:
+    /// every profile copied into owned vectors, the graph promoted to
+    /// owned lists as a whole, and one growable fingerprint set. The
+    /// oracle [`DynamicIndex`] must reproduce insert for insert.
+    struct Reference {
+        profiles: Vec<Vec<ItemId>>,
+        graph: KnnGraph,
+        config: BeamSearchConfig,
+        min_num_items: u32,
+        fingerprints: Option<GoldFinger>,
+        entries: Option<Arc<EntryIndex>>,
+        searcher: Searcher,
+    }
+
+    impl Reference {
+        fn new(
+            dataset: &Dataset,
+            graph: &KnnGraph,
+            config: BeamSearchConfig,
+            fingerprints: Option<&GoldFinger>,
+            entries: Option<Arc<EntryIndex>>,
+        ) -> Self {
+            Reference {
+                profiles: dataset.iter().map(|(_, p)| p.to_vec()).collect(),
+                graph: promoted(graph),
+                config,
+                min_num_items: dataset.num_items() as u32,
+                fingerprints: fingerprints.map(|gf| {
+                    GoldFinger::from_parts(gf.words().to_vec(), gf.bits(), gf.seed()).unwrap()
+                }),
+                entries,
+                searcher: Searcher::new(dataset.num_users()),
+            }
+        }
+
+        fn add_user(&mut self, mut profile: Vec<ItemId>, seed: u64) -> (UserId, usize) {
+            profile.sort_unstable();
+            profile.dedup();
+            let new_id = self.profiles.len() as UserId;
+            let searcher = &mut self.searcher;
+            let n = self.profiles.len();
+            pick_seeds(self.entries.as_deref(), &profile, n, &self.config, seed, searcher);
+            let (beam, comparisons) = match &self.fingerprints {
+                None => batched_beam_search(
+                    &ProfilesKernel { profiles: &self.profiles, query: &profile },
+                    &self.graph,
+                    searcher,
+                    &self.config,
+                ),
+                Some(gf) => solve_query_words(
+                    gf.words(),
+                    gf.words_per_user(),
+                    &gf.fingerprint_profile(&profile),
+                    BeamSolve { graph: &self.graph, searcher, config: &self.config },
+                ),
+            };
+            if let Some(gf) = &mut self.fingerprints {
+                gf.push_user(&profile);
+            }
+            self.profiles.push(profile);
+            self.graph.add_user();
+            for nb in beam.sorted() {
+                self.graph.insert(new_id, nb.user, nb.sim);
+                self.graph.insert(nb.user, new_id, nb.sim);
+            }
+            (new_id, comparisons)
+        }
+
+        fn to_dataset(&self) -> Dataset {
+            let mut builder = DatasetBuilder::with_capacity(self.profiles.len());
+            for profile in &self.profiles {
+                builder.push_sorted_profile(profile);
+            }
+            builder.build_with_min_items(self.min_num_items)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The delta index is the copying reference, insert for insert:
+        /// same `(id, comparisons)` per insert; then the same rows heap
+        /// for heap, the same grown dataset (item floor included) and the
+        /// same grown fingerprint words. Backends raw, GoldFinger 1024 and
+        /// an unspecialised 192; with and without an entry index; capped
+        /// and uncapped; a base graph that is a shared CSR or owned lists.
+        #[test]
+        fn delta_index_matches_the_copying_reference(
+            flags in (0usize..3, 0u32..2, 0u32..2, 0u32..2),
+            inserts in proptest::collection::vec((0u32..40, 0u32..3, 0u64..1000), 1..30),
+        ) {
+            let (backend, routed, capped, shared) = flags;
+            let (generated, graph) = base();
+            // A universe floor above every generated item, and inserts
+            // that reach past it.
+            let profiles: Vec<Vec<ItemId>> = generated.iter().map(|(_, p)| p.to_vec()).collect();
+            let ds = Dataset::from_profiles(profiles, 320);
+            let graph = if shared == 1 { graph.into_shared() } else { promoted(&graph) };
+            let gf = match backend {
+                0 => None,
+                1 => Some(GoldFinger::build(&ds, 1024, 17)),
+                _ => Some(GoldFinger::build(&ds, 192, 17)),
+            };
+            let entries =
+                (routed == 1).then(|| Arc::new(bucket_entries(&ds, &[0xD1, 0xD2], 48)));
+            let beam = BeamSearchConfig {
+                max_comparisons: if capped == 1 { 40 } else { 0 },
+                ..config()
+            };
+            let mut index = match &gf {
+                None => DynamicIndex::new(&ds, graph.clone(), beam),
+                Some(gf) => DynamicIndex::with_goldfinger(&ds, graph.clone(), beam, gf.clone()),
+            };
+            if let Some(entries) = &entries {
+                index = index.with_entries(Arc::clone(entries));
+            }
+            let mut reference = Reference::new(&ds, &graph, beam, gf.as_ref(), entries);
+            for (i, &(donor, kind, seed)) in inserts.iter().enumerate() {
+                // Donors repeat, so later newcomers are near earlier ones
+                // and placements reach the tail rows.
+                let mut profile = ds.profile(donor * 7 % 400).to_vec();
+                match kind {
+                    0 => {}
+                    1 => profile.push(300 + (seed % 40) as u32),
+                    _ => profile.truncate(profile.len() / 2),
+                }
+                prop_assert_eq!(
+                    index.add_user(profile.clone(), seed),
+                    reference.add_user(profile, seed),
+                    "insert {}", i
+                );
+            }
+            prop_assert_eq!(index.num_users(), reference.profiles.len());
+            for u in 0..index.num_users() as UserId {
+                prop_assert_eq!(
+                    index.graph().neighbors(u).as_slice(),
+                    reference.graph.neighbors(u).as_slice(),
+                    "row {}", u
+                );
+                prop_assert_eq!(index.knn(u), reference.graph.neighbors(u).sorted());
+                prop_assert_eq!(index.profile(u), reference.profiles[u as usize].as_slice());
+            }
+            let grown = index.to_dataset();
+            prop_assert_eq!(grown.num_items(), reference.to_dataset().num_items());
+            prop_assert_eq!(grown, reference.to_dataset());
+            prop_assert_eq!(
+                index.to_fingerprints().map(|gf| gf.words().to_vec()),
+                reference.fingerprints.map(|gf| gf.words().to_vec())
+            );
+        }
+    }
+
+    #[test]
+    fn base_rows_are_read_in_place() {
+        let (ds, graph) = base();
+        let (ds, graph) = (ds.into_shared(), graph.into_shared());
+        let gf = GoldFinger::build(&ds, 1024, 17).into_shared();
+        let mut index = DynamicIndex::with_goldfinger(&ds, graph.clone(), config(), gf.clone());
+        for i in 0..20u32 {
+            index.add_user(ds.profile(i * 11).to_vec(), i as u64);
+        }
+        let mut copied = 0;
+        for u in 0..ds.num_users() as UserId {
+            assert!(std::ptr::eq(index.profile(u), ds.profile(u)), "profile {u} was copied");
+            assert!(std::ptr::eq(index.fingerprint(u).unwrap(), gf.fingerprint(u)));
+            let (mine, theirs) = (index.graph().neighbors(u).as_slice(), graph.neighbors(u));
+            if !std::ptr::eq(mine, theirs.as_slice()) {
+                assert_ne!(mine, theirs.as_slice(), "row {u} was copied but not changed");
+                copied += 1;
+            }
+        }
+        assert!(copied > 0, "twins must enter their donors' rows");
+        assert!(copied <= 20 * config().beam_width);
     }
 
     /// The seed implementation's scalar insertion loop, kept as the
@@ -391,9 +639,10 @@ mod tests {
             assert!(comparisons > 0);
             // The grown set's last row must equal a fresh fingerprint of
             // the (sorted, deduplicated) inserted profile.
-            let gf = index.fingerprints().unwrap();
-            assert_eq!(gf.num_users(), index.num_users());
-            assert_eq!(gf.fingerprint(id), gf.fingerprint_profile(&twin));
+            let grown = index.to_fingerprints().unwrap();
+            assert_eq!(grown.num_users(), index.num_users());
+            assert_eq!(grown.fingerprint(id), grown.fingerprint_profile(&twin));
+            assert_eq!(index.fingerprint(id), Some(grown.fingerprint(id)));
             // A twin scores 1.0 against its donor on fingerprints; greedy
             // beam search misses a donor on unlucky seeds (it does on the
             // raw path too), so require a solid majority rather than all.

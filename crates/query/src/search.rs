@@ -26,7 +26,6 @@ use crate::index::Searcher;
 use cnc_dataset::{ItemId, UserId};
 use cnc_graph::{EntryIndex, KnnGraph, NeighborList};
 use cnc_similarity::kernel::{one_vs_many, SimKernel, SimSolve};
-use cnc_similarity::Jaccard;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Ordering;
@@ -209,42 +208,5 @@ impl SimSolve for BeamSolve<'_> {
 
     fn run<K: SimKernel>(self, kernel: &K) -> Self::Output {
         batched_beam_search(kernel, self.graph, self.searcher, self.config)
-    }
-}
-
-/// Exact-Jaccard query kernel over owned profile vectors — the
-/// [`crate::DynamicIndex`] storage, which grows online and therefore has
-/// no immutable CSR `Dataset` to hand to
-/// [`cnc_similarity::kernel::RawQueryKernel`]. Same row convention: rows
-/// `0..n` are the stored users, row `n` is the query.
-pub(crate) struct ProfilesQueryKernel<'a> {
-    profiles: &'a [Vec<ItemId>],
-    query: &'a [ItemId],
-}
-
-impl<'a> ProfilesQueryKernel<'a> {
-    pub fn new(profiles: &'a [Vec<ItemId>], query: &'a [ItemId]) -> Self {
-        ProfilesQueryKernel { profiles, query }
-    }
-
-    #[inline]
-    fn profile(&self, i: u32) -> &[ItemId] {
-        if i as usize == self.profiles.len() {
-            self.query
-        } else {
-            &self.profiles[i as usize]
-        }
-    }
-}
-
-impl SimKernel for ProfilesQueryKernel<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.profiles.len() + 1
-    }
-
-    #[inline]
-    fn sim(&self, i: u32, j: u32) -> f32 {
-        Jaccard::similarity(self.profile(i), self.profile(j)) as f32
     }
 }

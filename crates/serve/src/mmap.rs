@@ -45,7 +45,9 @@ macro_rules! zero_copy_supported {
 /// fingerprints and entry index borrow the underlying memory map (their
 /// storages report `is_shared()`), and they keep the map alive for as
 /// long as any clone of them lives — dropping the engine epoch unmaps
-/// the file.
+/// the file. On the copy path they own their arrays and report
+/// `is_shared()` false until an epoch freezes them, so `mapped`, not
+/// `is_shared()`, says which path ran once an epoch holds them.
 pub struct AdoptedSnapshot {
     /// The user profiles (CSR borrowing the map when `mapped`).
     pub dataset: Dataset,

@@ -13,16 +13,18 @@
 //!   `cnc-query`, started in the query's own FastRandomHash clusters. Any
 //!   number of threads query in parallel, and a query started on epoch
 //!   `e` finishes on epoch `e` even if a swap happens mid-flight.
-//! * **The writer** absorbs streaming inserts into a
-//!   [`DynamicIndex`] (each newcomer gets a neighbourhood *now*, and
-//!   existing users receive it as a reverse neighbour), and every
-//!   [`ServingConfig::rebuild_after`] inserts rebuilds the graph
+//! * **The writer** absorbs streaming inserts into a [`DynamicIndex`]
+//!   opened over the live epoch, which it reads in place and does not
+//!   copy. Each newcomer is placed at once and offered to the users its
+//!   search visited as a reverse neighbour, so later placements already
+//!   navigate through it; queries see no newcomer until the next publish.
+//!   Every [`ServingConfig::rebuild_after`] inserts it rebuilds the graph
 //!   **incrementally** on the sharded [`Runtime`] — the previous epoch's
 //!   graph is patched row by row for the users the stream added
 //!   (`cnc_core::build_plan`, stage 4), falling back to the full C²
-//!   pipeline when that would not pay — on the fingerprints the dynamic
-//!   index already grew, shared with the published epoch's query
-//!   kernels; then **atomically publishes** the new epoch.
+//!   pipeline when that would not pay — on the live epoch's fingerprints
+//!   followed by the inserts' rows, which the published epoch's query
+//!   kernels then share; then **atomically publishes** the new epoch.
 //!
 //! Epochs persist: [`ServingEngine::snapshot`] captures the current epoch
 //! in the [`crate::Snapshot`] format and
@@ -107,6 +109,13 @@ pub struct ServingEpoch {
 impl ServingEpoch {
     /// Bundles an epoch; the parts must agree on the user count.
     ///
+    /// The dataset, graph and fingerprint words are frozen behind
+    /// reference counts (`into_shared`: moved, not copied; a graph of
+    /// owned rows is flattened), so every clone of an epoch part is O(1) —
+    /// the writer's `DynamicIndex` and [`ServingEngine::snapshot`] read
+    /// the epoch in place. Fingerprints whose `Arc` has other holders are
+    /// kept as they are.
+    ///
     /// # Panics
     /// Panics on a user-count mismatch.
     pub fn new(
@@ -119,10 +128,14 @@ impl ServingEpoch {
         if let Some(gf) = &fingerprints {
             assert_eq!(gf.num_users(), dataset.num_users(), "fingerprints must cover the dataset");
         }
+        let fingerprints = fingerprints.map(|gf| match Arc::try_unwrap(gf) {
+            Ok(gf) => Arc::new(gf.into_shared()),
+            Err(held) => held,
+        });
         ServingEpoch {
             epoch,
-            dataset,
-            graph,
+            dataset: dataset.into_shared(),
+            graph: graph.into_shared(),
             fingerprints,
             entries: Arc::default(),
             rebuild: RebuildStats::default(),
@@ -300,11 +313,13 @@ pub struct ServingSession {
 /// pending count lives in an engine-level atomic so monitoring never has
 /// to take this lock (a rebuild holds it for the full build).
 struct Writer {
-    /// The stream-absorbing index, materialized **lazily** on the first
-    /// insert after a publish or adoption (`None` until then). Building
-    /// it copies every profile — per-user work that must not run during
-    /// epoch adoption, which promises O(1); a pure serving replica never
-    /// pays for it at all.
+    /// The stream-absorbing index, opened on the first insert after a
+    /// publish or adoption (`None` until then; a pure serving replica
+    /// never opens one). It is a delta over the live epoch: base
+    /// profiles, fingerprint rows and every neighbour row no insert has
+    /// changed are read from the epoch in place, so opening it copies no
+    /// per-user data. It owns the inserts' profiles, fingerprint rows and
+    /// neighbour rows, and the base rows their symmetric updates changed.
     dynamic: Option<DynamicIndex>,
     /// Empty, or the memberships and graph of the build that published
     /// the live epoch (it shares that epoch's graph entries) — publishes
@@ -639,10 +654,9 @@ impl ServingEngine {
         )
     }
 
-    /// Captures the current epoch as an owned, persistable [`Snapshot`]
-    /// (clones the epoch — prefer [`ServingEngine::write_snapshot`] when
-    /// the goal is just a file). Pending (unpublished) inserts are not
-    /// included — publish first if they must survive.
+    /// Captures the current epoch as a persistable [`Snapshot`], sharing
+    /// the epoch's buffers (every clone is O(1)). Pending (unpublished)
+    /// inserts are not included — publish first if they must survive.
     pub fn snapshot(&self) -> Snapshot {
         let epoch = self.current_epoch();
         let snapshot = Snapshot::new(
@@ -697,13 +711,13 @@ impl ServingEngine {
         Arc::clone(&self.epoch_read())
     }
 
-    /// The writer's dynamic index, materialized from the live epoch on
-    /// first use (see [`Writer::dynamic`]).
+    /// The writer's dynamic index, opened over the live epoch on first use
+    /// (see [`Writer::dynamic`]).
     fn writer_dynamic<'a>(&self, writer: &'a mut Writer) -> &'a mut DynamicIndex {
         if writer.dynamic.is_none() {
             writer.dynamic = Some(writer_index(&self.current_epoch(), &self.config));
         }
-        writer.dynamic.as_mut().expect("materialized above")
+        writer.dynamic.as_mut().expect("opened above")
     }
 
     /// Hot-swaps the serving state to an externally produced snapshot —
@@ -984,9 +998,10 @@ impl ServingEngine {
     }
 
     /// Absorbs one streaming insert: the newcomer is placed in the
-    /// writer's dynamic index immediately (visible to the *next* epoch),
-    /// and — every [`ServingConfig::rebuild_after`] inserts — the graph
-    /// is rebuilt and the new epoch published atomically.
+    /// writer's dynamic index immediately, where later placements see it;
+    /// queries see it from the *next* epoch. Every
+    /// [`ServingConfig::rebuild_after`] inserts the graph is rebuilt and
+    /// the new epoch published atomically.
     ///
     /// Single-writer: concurrent inserts serialize on the writer lock;
     /// queries are never blocked.
@@ -1097,13 +1112,14 @@ impl ServingEngine {
         let telemetry = Telemetry::global();
         let mut span = telemetry.span("publish");
         // No inserts since the last swap leaves the dynamic index
-        // unmaterialized; the rebuild then runs straight off the live
-        // epoch's (possibly mapped, cheaply cloned) buffers.
-        // Fingerprints are per-user independent and the dynamic index
-        // already grew its copy by every insert: the rebuild takes that
-        // set instead of re-hashing all `n` profiles.
+        // unopened; the rebuild then runs straight off the live epoch's
+        // shared buffers. Otherwise the next epoch's dataset and
+        // fingerprints are the live epoch's followed by the inserts',
+        // materialized once each and moved into the epoch below.
+        // Fingerprints are per-user independent, so the inserts' rows the
+        // index appended stand in for re-hashing all `n` profiles.
         let (dataset, fingerprints) = match &writer.dynamic {
-            Some(dynamic) => (dynamic.to_dataset(), dynamic.fingerprints().cloned().map(Arc::new)),
+            Some(dynamic) => (dynamic.to_dataset(), dynamic.to_fingerprints().map(Arc::new)),
             None => {
                 let epoch = self.current_epoch();
                 (epoch.dataset.clone(), epoch.fingerprints.clone())
@@ -1209,9 +1225,10 @@ fn build_epoch(
     result
 }
 
-/// A fresh writer-side dynamic index over a published epoch (profiles,
-/// graph and — in fingerprint mode — the growable fingerprint copy),
-/// placing inserts through the epoch's entry index.
+/// A fresh writer-side dynamic index over a published epoch, placing
+/// inserts through the epoch's entry index. It reads the epoch in place:
+/// [`ServingEpoch::new`] froze the dataset, graph and fingerprint words,
+/// so the clones below are reference-count bumps, not copies.
 fn writer_index(epoch: &ServingEpoch, config: &ServingConfig) -> DynamicIndex {
     let index = match &epoch.fingerprints {
         Some(gf) => DynamicIndex::with_goldfinger(
@@ -1490,6 +1507,96 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.pending_inserts, 0);
         assert_eq!(stats.num_users, ds.num_users() + 3, "no insert may be lost to the outage");
+    }
+
+    /// Every neighbour row, with the address it is read from.
+    type Rows = Vec<(Vec<cnc_graph::Neighbor>, usize)>;
+
+    /// Everything the writer's index holds, by value: its grown dataset
+    /// and fingerprint words, and its rows.
+    fn delta_of(dynamic: &DynamicIndex) -> (Dataset, Vec<u64>, Rows) {
+        let rows = dynamic
+            .graph()
+            .iter()
+            .map(|(_, row)| (row.as_slice().to_vec(), row.as_slice().as_ptr() as usize))
+            .collect();
+        let words = dynamic.to_fingerprints().expect("GoldFinger backend").words().to_vec();
+        (dynamic.to_dataset(), words, rows)
+    }
+
+    #[test]
+    fn the_writer_reads_the_live_epoch_in_place_and_owns_only_its_delta() {
+        let _serial = crate::fault_lock();
+        silence_injected_panics();
+        let ds = dataset(103);
+        let n = ds.num_users();
+        let engine = ServingEngine::build(ds.clone(), config(0));
+        let live = engine.current_epoch();
+        let gf = live.fingerprints().expect("GoldFinger backend");
+        assert!(live.dataset().is_shared() && live.graph().is_shared() && gf.is_shared());
+
+        // The reference places the same stream over deep copies: owned
+        // profiles and words, every row promoted to an owned list.
+        let owned = Dataset::from_csr(
+            live.dataset().offsets().to_vec(),
+            live.dataset().items().to_vec(),
+            live.dataset().num_items() as u32,
+        )
+        .unwrap();
+        let mut lists = KnnGraph::new(n, live.graph().k());
+        for (u, row) in live.graph().iter() {
+            *lists.neighbors_mut(u) = row.to_list();
+        }
+        let words = GoldFinger::from_parts(gf.words().to_vec(), gf.bits(), gf.seed()).unwrap();
+        let mut reference = DynamicIndex::with_goldfinger(&owned, lists, config(0).beam, words)
+            .with_entries(Arc::clone(live.entries()));
+        let m = 12u32;
+        for i in 0..m {
+            let mut profile = ds.profile(i * 23 % n as u32).to_vec();
+            profile.push(240 + i % 7);
+            let outcome = engine.insert(profile.clone(), i as u64);
+            assert_eq!((outcome.user, outcome.comparisons), reference.add_user(profile, i as u64));
+            assert_eq!(outcome.published, None);
+        }
+
+        let mut writer = engine.writer_state();
+        let dynamic = writer.dynamic.as_ref().expect("the first insert opens the index");
+        assert_eq!(dynamic.inserted_users(), m as usize);
+        let mut changed = 0;
+        for u in 0..n as UserId {
+            assert!(std::ptr::eq(dynamic.profile(u), live.dataset().profile(u)), "profile {u}");
+            assert!(std::ptr::eq(dynamic.fingerprint(u).unwrap(), gf.fingerprint(u)), "row {u}");
+            let (mine, theirs) = (dynamic.graph().neighbors(u), live.graph().neighbors(u));
+            if !std::ptr::eq(mine.as_slice(), theirs.as_slice()) {
+                assert_ne!(mine.as_slice(), theirs.as_slice(), "row {u} copied but unchanged");
+                changed += 1;
+            }
+        }
+        assert!(changed > 0, "the inserts' symmetric updates must change some base rows");
+        for u in 0..(n + m as usize) as UserId {
+            let (mine, theirs) = (dynamic.graph().neighbors(u), reference.graph().neighbors(u));
+            assert_eq!(mine.as_slice(), theirs.as_slice(), "row {u} differs from the reference");
+        }
+        let before = delta_of(dynamic);
+        drop(writer);
+
+        // A rebuild that panics leaves the delta exactly as it was.
+        let guard = Faults::global()
+            .arm(FaultPlan::new(12345, 1.0).only(&[Site::SolveCluster]).with_span(12));
+        assert!(engine.try_publish().is_err());
+        writer = engine.writer_state();
+        assert_eq!(delta_of(writer.dynamic.as_ref().unwrap()), before);
+        drop(writer);
+        drop(guard);
+
+        // The next epoch is the live one followed by the inserts.
+        engine.publish();
+        let published = engine.current_epoch();
+        assert_eq!(published.dataset(), &reference.to_dataset());
+        assert_eq!(
+            published.fingerprints().unwrap().words(),
+            reference.to_fingerprints().unwrap().words()
+        );
     }
 
     #[test]

@@ -154,10 +154,11 @@ impl GoldFinger {
         row
     }
 
-    /// Appends one user's fingerprint (online growth — the streaming-insert
-    /// side of `cnc-query::DynamicIndex`); returns the new user's id.
-    /// Copy-on-write: a fingerprint set borrowed from a mapped snapshot
-    /// is promoted to an owned copy on the first push.
+    /// Appends one user's fingerprint (online growth — the rows
+    /// `cnc-query::DynamicIndex` adds for its inserts); returns the new
+    /// user's id. Copy-on-write: a shared set (mapped, or frozen by
+    /// [`GoldFinger::into_shared`]) is promoted to an owned copy on the
+    /// first push.
     pub fn push_user(&mut self, profile: &[ItemId]) -> UserId {
         let words = self.words.to_mut();
         let base = words.len();
@@ -194,10 +195,18 @@ impl GoldFinger {
         Ok(GoldFinger { words, words_per_user, bits, seed, num_users })
     }
 
-    /// True when the word array borrows shared (e.g. memory-mapped)
-    /// storage — the structural predicate zero-copy tests assert on.
+    /// True when the word array is reference-counted — borrowed from a
+    /// mapped snapshot or frozen by [`GoldFinger::into_shared`] — so a
+    /// clone is O(1) (see [`Storage::is_shared`]).
     pub fn is_shared(&self) -> bool {
         self.words.is_shared()
+    }
+
+    /// Freezes the word array behind a reference count (a move, no copy),
+    /// so every clone of the result is O(1), as `Dataset::into_shared`
+    /// does for profiles.
+    pub fn into_shared(self) -> GoldFinger {
+        GoldFinger { words: self.words.into_shared(), ..self }
     }
 
     /// Estimated Jaccard similarity of two users, in `[0, 1]`.
