@@ -39,6 +39,17 @@ const QUERIES_PER_INSERT: usize = 15;
 /// Neighbours per query, everywhere in this bench (traffic, recall).
 const QUERY_K: usize = 10;
 
+/// Operations each client issues at `scale`. Debug builds (unit tests)
+/// only check plumbing; release runs need enough operations for stable
+/// percentiles and several epoch swaps.
+fn ops_per_client(scale: f64) -> usize {
+    if cfg!(debug_assertions) {
+        120
+    } else {
+        ((40_000.0 * scale) as usize).max(1_000)
+    }
+}
+
 /// Per-query comparison caps swept for the recall-vs-budget curve
 /// (0 = uncapped full beam).
 const RECALL_BUDGETS: [usize; 4] = [128, 256, 512, 0];
@@ -187,10 +198,7 @@ pub fn bench(args: &HarnessArgs) -> ServeReport {
     let num_items = dataset.num_items();
 
     let clients = args.clients.unwrap_or(4);
-    // Debug builds (unit tests) only check plumbing; release runs need
-    // enough operations for stable percentiles and several epoch swaps.
-    let ops_per_client =
-        if cfg!(debug_assertions) { 120 } else { ((40_000.0 * args.scale) as usize).max(1_000) };
+    let ops_per_client = ops_per_client(args.scale);
     let total_inserts = clients * ops_per_client / (QUERIES_PER_INSERT + 1);
     let rebuild_after = (total_inserts / 3).max(8);
 
@@ -726,16 +734,16 @@ mod tests {
         let args = HarnessArgs { scale: 0.02, clients: Some(2), ..HarnessArgs::default() };
         let report = bench(&args);
         assert_eq!(report.ops, report.queries + report.inserts);
-        // Mirror the client loop: debug builds run 120 ops per client,
-        // every 16th an insert.
+        // Mirror the client loop: every 16th op an insert.
+        let ops = ops_per_client(args.scale);
         let inserts_per_client =
-            (0..120).filter(|op| op % (QUERIES_PER_INSERT + 1) == QUERIES_PER_INSERT).count();
+            (0..ops).filter(|op| op % (QUERIES_PER_INSERT + 1) == QUERIES_PER_INSERT).count();
         assert_eq!(report.inserts, 2 * inserts_per_client);
-        assert_eq!(report.queries, 2 * 120 - report.inserts);
+        assert_eq!(report.queries, 2 * ops - report.inserts);
         assert!(report.epoch_swaps >= 1, "the workload must trigger at least one swap");
         // Each swap publishes exactly `rebuild_after` absorbed inserts
         // (same formula as the bench body).
-        let rebuild_after = (2 * 120 / (QUERIES_PER_INSERT + 1) / 3).max(8);
+        let rebuild_after = (2 * ops / (QUERIES_PER_INSERT + 1) / 3).max(8);
         assert_eq!(
             report.num_users_end,
             report.num_users_start + report.epoch_swaps as usize * rebuild_after

@@ -105,12 +105,12 @@ impl KnnGraph {
     /// Assembles a graph borrowing (or owning) a flat CSR — the zero-copy
     /// snapshot loader's entry point. The parts come from an untrusted
     /// file, so every neighbour-list invariant is checked here, in one
-    /// streaming pass with **no allocation**: offsets monotone and
-    /// bounded, per-user entry counts ≤ `k`, neighbour ids in range and
-    /// non-self, similarities non-NaN, users distinct within a list, and
-    /// the heap invariant itself. On success, views over the CSR behave
-    /// identically to views over lists rebuilt via
-    /// [`NeighborList::from_heap_order`].
+    /// streaming pass whose only allocation is one stamp per user:
+    /// offsets monotone and bounded, per-user entry counts ≤ `k`,
+    /// neighbour ids in range and non-self, similarities non-NaN, users
+    /// distinct within a list, and the heap invariant itself. On success,
+    /// views over the CSR behave identically to views over lists rebuilt
+    /// via [`NeighborList::from_heap_order`].
     pub fn from_csr_storage(
         k: usize,
         offsets: Storage<u64>,
@@ -127,6 +127,9 @@ impl KnnGraph {
         }
         let num_users = rest.len();
         let total = entries.len() as u64;
+        // `listed_by[v]` = 1 + the last user whose list named `v`, so a
+        // repeat within a list costs one probe, not a scan of the list.
+        let mut listed_by = vec![0usize; num_users];
         let mut at = 0u64;
         for (u, &end) in rest.iter().enumerate() {
             if end < at {
@@ -142,7 +145,7 @@ impl KnnGraph {
                     list.len()
                 ));
             }
-            for (i, n) in list.iter().enumerate() {
+            for n in list {
                 if n.user as usize >= num_users {
                     return Err(format!("user {u} references neighbour {} out of range", n.user));
                 }
@@ -152,7 +155,7 @@ impl KnnGraph {
                 if n.sim.is_nan() {
                     return Err(format!("neighbour {} of user {u} has a NaN similarity", n.user));
                 }
-                if list[..i].iter().any(|b| b.user == n.user) {
+                if std::mem::replace(&mut listed_by[n.user as usize], u + 1) == u + 1 {
                     return Err(format!("user {} appears twice in user {u}'s list", n.user));
                 }
             }
@@ -698,5 +701,10 @@ mod tests {
         }
         check(4, vec![0, 2], vec![n(1, 0.9), n(1, 0.1)], "duplicate neighbour");
         check(4, vec![0, 2], vec![n(1, 0.9), n(2, 0.1)], "heap order violated");
+        // In range, so the repeat itself is what is refused — within one
+        // list only: two lists may name the same neighbour.
+        check(4, vec![0, 2, 2, 2], vec![n(1, 0.1), n(1, 0.1)], "repeat within a list");
+        let shared = vec![n(2, 0.5), n(2, 0.5)];
+        assert!(KnnGraph::from_csr_storage(4, vec![0, 1, 2, 2].into(), shared.into()).is_ok());
     }
 }

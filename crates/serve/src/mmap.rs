@@ -2,42 +2,33 @@
 //!
 //! A v2 snapshot (see [`crate::snapshot`]) lays its bulk arrays out flat
 //! at aligned offsets precisely so a serving process can adopt one
-//! without decoding: the file is `mmap`ed read-only, each section's
-//! checksum is verified once ([`checksum64`] — the only O(bytes) pass),
-//! and the dataset CSR, graph CSR and fingerprint words are handed to
-//! the validated shared-storage constructors as **typed slices borrowing
-//! the map**. No per-user work happens: no neighbour list is built, no
+//! without decoding: the file is `mmap`ed read-only and handed to the
+//! snapshot module's one section-table walker as its byte source. The
+//! walker checks the table and the checksum of every section adoption
+//! serves — one O(bytes) pass, the cost of an adopt — and passes each
+//! array through `array`, which borrows it from the map as a typed
+//! slice. No per-user work happens: no neighbour list is built, no
 //! profile copied — the epoch's backing memory *is* the file's page
 //! cache, shared between every process serving the same snapshot.
 //!
 //! The wrapper is dependency-free: two `extern "C"` declarations
 //! (`mmap`/`munmap`) against the libc that `std` already links. The
 //! zero-copy path is compiled only where reinterpreting little-endian
-//! file bytes as in-memory values is sound — 64-bit little-endian Unix —
-//! and **every** failure to map (unsupported target, map syscall error,
-//! an injected [`Site::SnapshotMmap`] fault, misaligned section) falls
-//! back to the bit-exact copy loader, so adoption never fails for want of
-//! a map, only for genuinely bad bytes.
+//! file bytes as in-memory values is sound — 64-bit little-endian Unix.
+//! The copy loader takes over only when the file cannot be opened or
+//! mapped: an unsupported target, a map syscall error, an injected
+//! [`Site::SnapshotMmap`](cnc_faults::Site) fault. Every verdict on the
+//! bytes themselves comes from the shared walker, so it is the same on
+//! both paths. A mapped file must not shrink while mapped — reading a
+//! page past its new end raises `SIGBUS` — which is why snapshots are
+//! published by renaming a new file into place, never by rewriting one.
 
 use crate::snapshot::{Snapshot, SnapshotError};
-use cnc_dataset::Dataset;
-use cnc_graph::{EntryIndex, KnnGraph};
+use cnc_dataset::{Dataset, Storage};
+use cnc_graph::{EntryIndex, KnnGraph, Neighbor};
 use cnc_similarity::GoldFinger;
 use std::path::Path;
-
-/// Targets where mapped file bytes can be reinterpreted in place.
-#[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
-macro_rules! zero_copy_supported {
-    () => {
-        true
-    };
-}
-#[cfg(not(all(unix, target_pointer_width = "64", target_endian = "little")))]
-macro_rules! zero_copy_supported {
-    () => {
-        false
-    };
-}
+use std::sync::Arc;
 
 /// One serving state opened for adoption: the same parts as a
 /// [`Snapshot`] minus the builder-only cluster cache, plus the record of
@@ -64,59 +55,119 @@ pub struct AdoptedSnapshot {
 
 impl AdoptedSnapshot {
     /// Opens a snapshot for adoption, preferring the zero-copy map. The
-    /// copy fallback engages on any map-level failure (see the module
-    /// docs); structural verdicts about the bytes themselves — bad
-    /// magic, checksum mismatches, corrupt sections — are returned as
-    /// their typed [`SnapshotError`] without a second read.
+    /// copy fallback engages only when the file cannot be opened or
+    /// mapped (see the module docs); a verdict on the bytes — bad magic,
+    /// a checksum mismatch, a corrupt section — is returned as is, the
+    /// same one [`AdoptedSnapshot::load_copied`] gives.
     pub fn open(path: impl AsRef<Path>) -> Result<AdoptedSnapshot, SnapshotError> {
         let path = path.as_ref();
-        if zero_copy_supported!() {
-            match zc::try_map(path) {
-                Ok(Some(adopted)) => return Ok(adopted),
-                Ok(None) => {} // map failed or unsuitable — fall back to copy
-                Err(error) => return Err(error),
-            }
+        #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
+        if let Some(adopted) = zc::try_map(path) {
+            return adopted;
         }
         Self::load_copied(path)
     }
 
-    /// The copy path: the ordinary decoding loader, wrapped as an
-    /// adoption.
+    /// The copy path: the streaming loader, which like the map never
+    /// reads the builder's MEMBERSHIPS section.
     pub fn load_copied(path: impl AsRef<Path>) -> Result<AdoptedSnapshot, SnapshotError> {
-        let snapshot = Snapshot::load(path)?;
-        Ok(AdoptedSnapshot {
-            dataset: snapshot.dataset,
-            graph: snapshot.graph,
-            goldfinger: snapshot.goldfinger,
-            entries: snapshot.entries,
-            mapped: false,
-        })
+        Snapshot::read_file(path.as_ref(), false).map(|snapshot| Self::new(snapshot, false))
+    }
+
+    fn new(snapshot: Snapshot, mapped: bool) -> AdoptedSnapshot {
+        let Snapshot { dataset, graph, goldfinger, entries, .. } = snapshot;
+        AdoptedSnapshot { dataset, graph, goldfinger, entries, mapped }
     }
 
     /// True when this build can adopt snapshots zero-copy at all.
     pub fn zero_copy_supported() -> bool {
-        zero_copy_supported!()
+        cfg!(all(unix, target_pointer_width = "64", target_endian = "little"))
     }
+}
+
+/// A fixed-width little-endian element of a snapshot array. Implemented
+/// only for plain-old-data types — no padding, every bit pattern a valid
+/// value — whose layout on the zero-copy targets is their `SIZE`-byte
+/// file encoding, so a mapped run of them can be borrowed as `[Self]`.
+pub(crate) trait Element: Copy + Send + Sync + 'static {
+    /// Bytes per element in the file.
+    const SIZE: usize;
+    /// Decodes one element from its `SIZE` file bytes.
+    fn from_le(bytes: &[u8]) -> Self;
+}
+
+impl Element for u32 {
+    const SIZE: usize = 4;
+    fn from_le(bytes: &[u8]) -> Self {
+        u32::from_le_bytes(bytes.try_into().expect("one element's bytes"))
+    }
+}
+
+impl Element for u64 {
+    const SIZE: usize = 8;
+    fn from_le(bytes: &[u8]) -> Self {
+        u64::from_le_bytes(bytes.try_into().expect("one element's bytes"))
+    }
+}
+
+/// Profile offsets travel as `u64`. An offset beyond a 32-bit `usize`
+/// saturates, which the dataset's validation then refuses.
+impl Element for usize {
+    const SIZE: usize = 8;
+    fn from_le(bytes: &[u8]) -> Self {
+        usize::try_from(<u64 as Element>::from_le(bytes)).unwrap_or(usize::MAX)
+    }
+}
+
+/// `{id u32, sim-bits u32}`: `Neighbor` is `#[repr(C)]` `(u32, f32)`.
+impl Element for Neighbor {
+    const SIZE: usize = 8;
+    fn from_le(bytes: &[u8]) -> Self {
+        let half = <u32 as Element>::from_le;
+        Neighbor { user: half(&bytes[..4]), sim: f32::from_bits(half(&bytes[4..])) }
+    }
+}
+
+/// The map a source's bytes may be borrowed from.
+#[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
+pub(crate) use zc::Mmap as Map;
+
+/// No map exists where there is no zero-copy path.
+#[cfg(not(all(unix, target_pointer_width = "64", target_endian = "little")))]
+pub(crate) enum Map {}
+
+/// The one materializer of a snapshot array: borrowed in place when
+/// `bytes` lie inside `map`, aligned for `T`; otherwise decoded element by
+/// element into an owned vector — the copy path's form.
+pub(crate) fn array<T: Element>(bytes: &[u8], map: Option<&Arc<Map>>) -> Storage<T> {
+    #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
+    if let Some(borrowed) = map.and_then(|map| zc::borrow(bytes, map)) {
+        return borrowed;
+    }
+    #[cfg(not(all(unix, target_pointer_width = "64", target_endian = "little")))]
+    let _ = map;
+    Storage::Owned(decode(bytes))
+}
+
+/// Decodes a little-endian array into an owned vector.
+pub(crate) fn decode<T: Element>(bytes: &[u8]) -> Vec<T> {
+    bytes.chunks_exact(T::SIZE).map(T::from_le).collect()
 }
 
 /// The zero-copy implementation (64-bit little-endian Unix only).
 #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
 mod zc {
-    use super::*;
-    use crate::snapshot::{
-        checksum64, corrupt_entries, cross_validate, parse_dataset_v2, parse_entries_v2,
-        parse_goldfinger_v2, parse_graph_v2, path_key, read_v2_table, MAGIC, SECTION_DATASET,
-        SECTION_ENTRIES, SECTION_GOLDFINGER, SECTION_GRAPH, SECTION_MEMBERSHIPS,
-    };
-    use cnc_dataset::{ItemId, SharedSlice, Storage};
+    use super::{AdoptedSnapshot, Element};
+    use crate::snapshot::{path_key, read_snapshot, truncated, SnapshotError, Source};
+    use cnc_dataset::{SharedSlice, Storage};
     use cnc_faults::{Faults, Site};
-    use cnc_graph::Neighbor;
     use cnc_telemetry::Telemetry;
     use std::any::Any;
     use std::fs::File;
     use std::io;
     use std::ops::Deref;
     use std::os::unix::io::AsRawFd;
+    use std::path::Path;
     use std::sync::Arc;
 
     // The two syscalls the wrapper needs, declared directly against the
@@ -124,6 +175,9 @@ mod zc {
     // operation.
     mod sys {
         use std::ffi::{c_int, c_void};
+        // SAFETY: these are the POSIX `mmap(2)` and `munmap(2)`
+        // signatures on the 64-bit targets this module compiles for
+        // (`size_t` is `usize`, `off_t` is `i64`).
         unsafe extern "C" {
             pub fn mmap(
                 addr: *mut c_void,
@@ -147,8 +201,11 @@ mod zc {
         len: usize,
     }
 
-    // The mapping is immutable (PROT_READ) for its whole lifetime.
+    // SAFETY: the mapping is read-only (PROT_READ) for its whole lifetime
+    // and `Mmap` hands out only `&[u8]`, so moving it to another thread
+    // moves nothing but an address and a length.
     unsafe impl Send for Mmap {}
+    // SAFETY: shared access is to immutable bytes only, as for `&[u8]`.
     unsafe impl Sync for Mmap {}
 
     impl Mmap {
@@ -161,6 +218,10 @@ mod zc {
                 .ok()
                 .filter(|&l| l > 0)
                 .ok_or_else(|| io::Error::from(io::ErrorKind::InvalidInput))?;
+            // SAFETY: a new read-only private mapping of `len > 0` bytes
+            // of an open descriptor, placed by the kernel (null hint), so
+            // it aliases no Rust-owned memory; failure is `MAP_FAILED`,
+            // checked below.
             let ptr = unsafe {
                 sys::mmap(
                     std::ptr::null_mut(),
@@ -180,6 +241,10 @@ mod zc {
 
     impl Drop for Mmap {
         fn drop(&mut self) {
+            // SAFETY: `ptr`/`len` are exactly the live mapping `map`
+            // made, unmapped once, here. Every borrow of it is a `&self`
+            // or a `SharedSlice` holding an `Arc<Mmap>`, so none outlives
+            // this drop.
             unsafe {
                 sys::munmap(self.ptr, self.len);
             }
@@ -189,209 +254,142 @@ mod zc {
     impl Deref for Mmap {
         type Target = [u8];
         fn deref(&self) -> &[u8] {
+            // SAFETY: `ptr..ptr + len` stays mapped and readable while
+            // `self` lives, which bounds the returned borrow, and nothing
+            // writes it (PROT_READ; the file is never rewritten in place —
+            // see the module docs).
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
     }
 
-    /// Attempts the zero-copy adoption. `Ok(None)` means "map not
-    /// usable, fall back to the copy loader" (map syscall failure, an
-    /// injected fault, a misaligned section); `Err` means the
-    /// bytes themselves are bad and re-reading them cannot help.
-    pub fn try_map(path: &Path) -> Result<Option<AdoptedSnapshot>, SnapshotError> {
+    /// A mapped snapshot as the walker's byte source.
+    struct Mapped(Arc<Mmap>);
+
+    impl Source for Mapped {
+        fn len(&self) -> Option<u64> {
+            Some(self.0.len() as u64)
+        }
+
+        fn map(&self) -> Option<Arc<Mmap>> {
+            Some(Arc::clone(&self.0))
+        }
+
+        fn bytes(&mut self, offset: u64, len: u64) -> Result<&[u8], SnapshotError> {
+            usize::try_from(offset)
+                .ok()
+                .zip(usize::try_from(len).ok())
+                .and_then(|(at, len)| self.0.get(at..at.checked_add(len)?))
+                .ok_or_else(|| truncated(offset.saturating_add(len)))
+        }
+    }
+
+    /// The zero-copy adoption, or `None` when the file cannot be opened
+    /// or mapped — the copy path then reads it.
+    pub fn try_map(path: &Path) -> Option<Result<AdoptedSnapshot, SnapshotError>> {
         let telemetry = Telemetry::global();
         let start_ns = telemetry.stamp();
-        if Faults::global().inject_io(Site::SnapshotMmap, path_key(path)).is_err() {
-            // An injected map failure: exercise the copy fallback.
-            return Ok(None);
+        // An injected map failure exercises the copy fallback.
+        Faults::global().inject_io(Site::SnapshotMmap, path_key(path)).ok()?;
+        let map = Mmap::map(&File::open(path).ok()?).ok()?;
+        let bytes = map.len() as u64;
+        let adopted = read_snapshot(&mut Mapped(Arc::new(map)), false)
+            .map(|snapshot| AdoptedSnapshot::new(snapshot, true));
+        if let Ok(adopted) = &adopted {
+            telemetry.record_complete(
+                "snapshot.mmap",
+                start_ns,
+                telemetry.stamp().saturating_sub(start_ns),
+                vec![("bytes", bytes), ("users", adopted.dataset.num_users() as u64)],
+            );
         }
-        let Ok(file) = File::open(path) else {
-            return Ok(None);
-        };
-        let Ok(map) = Mmap::map(&file) else {
-            return Ok(None);
-        };
-        let map = Arc::new(map);
-        match adopt_mapped(&map) {
-            Ok(Some(adopted)) => {
-                telemetry.record_complete(
-                    "snapshot.mmap",
-                    start_ns,
-                    telemetry.stamp().saturating_sub(start_ns),
-                    vec![
-                        ("bytes", map.len() as u64),
-                        ("users", adopted.dataset.num_users() as u64),
-                    ],
-                );
-                Ok(Some(adopted))
-            }
-            other => other,
-        }
+        Some(adopted)
     }
 
     /// Reinterprets an aligned little-endian byte region as a typed
-    /// slice. `None` on misalignment or a ragged length — the caller
-    /// falls back to the copy path, which handles any byte layout.
-    fn cast_slice<T: Copy>(bytes: &[u8]) -> Option<&[T]> {
-        let size = std::mem::size_of::<T>();
-        if bytes.as_ptr().align_offset(std::mem::align_of::<T>()) != 0
-            || !bytes.len().is_multiple_of(size)
+    /// slice; `None` on misalignment or a ragged length.
+    pub fn cast_slice<T: Element>(bytes: &[u8]) -> Option<&[T]> {
+        if size_of::<T>() != T::SIZE
+            || bytes.as_ptr().align_offset(align_of::<T>()) != 0
+            || !bytes.len().is_multiple_of(T::SIZE)
         {
             return None;
         }
-        // SAFETY: the region is aligned and sized for `[T; len/size]`,
-        // lives as long as `bytes`, and every caller instantiates T with
-        // a plain-old-data type (u32/u64/usize/Neighbor) for which any
-        // bit pattern is a valid value.
-        Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, bytes.len() / size) })
+        // SAFETY: the region is aligned and sized for `[T; len / SIZE]`
+        // and lives as long as `bytes`; `T: Element` is plain old data
+        // whose layout on this little-endian target is its file encoding,
+        // so every element reads as the value `T::from_le` decodes.
+        Some(unsafe {
+            std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / T::SIZE)
+        })
     }
 
-    /// Wraps a typed sub-slice of the map as shared storage holding the
-    /// map alive.
-    fn shared<T: Copy + Send + Sync + 'static>(slice: &[T], owner: &Arc<Mmap>) -> Storage<T> {
-        let owner: Arc<dyn Any + Send + Sync> = Arc::clone(owner) as _;
-        // SAFETY: `slice` borrows the mapping that `owner` keeps alive;
-        // the storage never outlives the map.
-        Storage::Shared(unsafe { SharedSlice::from_raw_parts(slice.as_ptr(), slice.len(), owner) })
+    /// `bytes` as shared storage kept alive by `map` — `None` unless they
+    /// lie inside the map and [`cast_slice`] accepts them.
+    pub fn borrow<T: Element>(bytes: &[u8], map: &Arc<Mmap>) -> Option<Storage<T>> {
+        let inside = map.as_ptr_range();
+        let within = inside.start <= bytes.as_ptr() && bytes.as_ptr_range().end <= inside.end;
+        let slice = cast_slice::<T>(bytes).filter(|_| within)?;
+        let owner: Arc<dyn Any + Send + Sync> = Arc::clone(map) as _;
+        // SAFETY: `slice` lies inside the mapping (checked above), which
+        // `owner` keeps mapped, and never written, for as long as any
+        // clone of the storage lives.
+        Some(Storage::Shared(unsafe {
+            SharedSlice::from_raw_parts(slice.as_ptr(), slice.len(), owner)
+        }))
+    }
+}
+
+#[cfg(all(test, unix, target_pointer_width = "64", target_endian = "little"))]
+mod tests {
+    use super::zc::{cast_slice, Mmap};
+    use super::*;
+
+    /// Decodes `bytes` the way the copy path does, one element at a time.
+    fn by_hand<T: Element>(bytes: &[u8]) -> Vec<T> {
+        (0..bytes.len() / T::SIZE).map(|i| T::from_le(&bytes[i * T::SIZE..][..T::SIZE])).collect()
     }
 
-    /// The mapped-adoption core: parse the v2 geometry, verify the
-    /// touched sections' checksums, hand the flat arrays to the
-    /// validated shared-storage constructors. The MEMBERSHIPS section is
-    /// *skipped* — a serving replica has no builder to feed, and reading
-    /// it would be per-cluster work the adopt path promises not to do.
-    fn adopt_mapped(map: &Arc<Mmap>) -> Result<Option<AdoptedSnapshot>, SnapshotError> {
-        let bytes: &[u8] = map;
-        if bytes.len() < 16 {
-            return Err(SnapshotError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "snapshot shorter than its header",
-            )));
+    /// For one element type: the cast refuses the map's bytes one byte off
+    /// alignment and one byte short of whole; `array` borrows the aligned,
+    /// whole run and decodes the refused ones, bit-equal to decoding by
+    /// hand. Returns the values it borrowed.
+    fn cast_contract<T: Element + PartialEq + std::fmt::Debug>(map: &Arc<Mmap>) -> Vec<T> {
+        let run = 8 * T::SIZE;
+        let (aligned, misaligned, ragged) =
+            (&map[T::SIZE..T::SIZE + run], &map[1..1 + run], &map[T::SIZE..T::SIZE + run - 1]);
+        assert!(cast_slice::<T>(misaligned).is_none(), "a misaligned run must be refused");
+        assert!(cast_slice::<T>(ragged).is_none(), "a ragged run must be refused");
+        for refused in [misaligned, ragged] {
+            let owned = array::<T>(refused, Some(map));
+            assert!(!owned.is_shared(), "a refused run is decoded, not borrowed");
+            assert_eq!(&owned[..], &by_hand::<T>(refused)[..]);
         }
-        let magic: [u8; 8] = bytes[0..8].try_into().unwrap();
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != 2 {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let table = read_v2_table(&mut &bytes[16..], section_count)?;
+        let borrowed = array::<T>(aligned, Some(map));
+        assert!(borrowed.is_shared(), "an aligned, whole run inside the map is borrowed");
+        assert_eq!(&borrowed[..], &by_hand::<T>(aligned)[..]);
+        // The same bytes outside any map are decoded.
+        let copy = aligned.to_vec();
+        assert!(!array::<T>(&copy, Some(map)).is_shared());
+        borrowed.to_vec()
+    }
 
-        let mut dataset: Option<Dataset> = None;
-        let mut graph: Option<KnnGraph> = None;
-        let mut goldfinger: Option<GoldFinger> = None;
-        // Adopted last: its member ids are checked against the dataset.
-        let mut entries_payload: Option<&[u8]> = None;
-        for entry in &table {
-            match entry.id {
-                SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER | SECTION_ENTRIES => {}
-                SECTION_MEMBERSHIPS => continue, // builder state: not touched, not verified
-                other => {
-                    return Err(SnapshotError::Corrupt(format!("unknown section id {other}")));
-                }
-            }
-            let payload = usize::try_from(entry.offset)
-                .ok()
-                .and_then(|o| bytes.get(o..o + usize::try_from(entry.len).ok()?))
-                .ok_or_else(|| {
-                    SnapshotError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("section {} truncated", entry.id),
-                    ))
-                })?;
-            if checksum64(payload) != entry.checksum {
-                return Err(SnapshotError::ChecksumMismatch { section: entry.id });
-            }
-            match entry.id {
-                SECTION_DATASET if dataset.is_none() => {
-                    let layout = parse_dataset_v2(payload)?;
-                    // usize == u64 on this (64-bit LE) target, so the
-                    // mapped u64 offsets serve as the dataset's usize
-                    // offsets directly.
-                    let (Some(offsets), Some(items)) =
-                        (cast_slice::<usize>(layout.offsets), cast_slice::<ItemId>(layout.items))
-                    else {
-                        return Ok(None);
-                    };
-                    dataset = Some(
-                        Dataset::from_csr_storage(
-                            shared(offsets, map),
-                            shared(items, map),
-                            layout.num_items,
-                        )
-                        .map_err(SnapshotError::Corrupt)?,
-                    );
-                }
-                SECTION_GRAPH if graph.is_none() => {
-                    let layout = parse_graph_v2(payload)?;
-                    let (Some(offsets), Some(entries)) =
-                        (cast_slice::<u64>(layout.offsets), cast_slice::<Neighbor>(layout.entries))
-                    else {
-                        return Ok(None);
-                    };
-                    graph = Some(
-                        KnnGraph::from_csr_storage(
-                            layout.k,
-                            shared(offsets, map),
-                            shared(entries, map),
-                        )
-                        .map_err(SnapshotError::Corrupt)?,
-                    );
-                }
-                SECTION_GOLDFINGER if goldfinger.is_none() => {
-                    let layout = parse_goldfinger_v2(payload)?;
-                    let Some(words) = cast_slice::<u64>(layout.words) else {
-                        return Ok(None);
-                    };
-                    let gf = GoldFinger::from_storage(shared(words, map), layout.bits, layout.seed)
-                        .map_err(SnapshotError::Corrupt)?;
-                    if gf.num_users() != layout.num_users {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "fingerprint section claims {} users but holds {}",
-                            layout.num_users,
-                            gf.num_users()
-                        )));
-                    }
-                    goldfinger = Some(gf);
-                }
-                SECTION_ENTRIES if entries_payload.is_none() => entries_payload = Some(payload),
-                id => {
-                    return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
-                }
-            }
-        }
+    #[test]
+    fn the_cast_refuses_misaligned_and_ragged_input_and_the_owned_decode_is_bit_equal() {
+        let bytes: Vec<u8> = (0..256u32).map(|i| (i.wrapping_mul(157) >> 1) as u8).collect();
+        let path = std::env::temp_dir().join(format!("cnc-mmap-cast-{}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let map = Arc::new(Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap());
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(&map[..], &bytes[..]);
 
-        let dataset = dataset.ok_or(SnapshotError::MissingSection("dataset"))?;
-        let graph = graph.ok_or(SnapshotError::MissingSection("graph"))?;
-        cross_validate(&dataset, &graph, goldfinger.as_ref())?;
-        let entries = match entries_payload {
-            None => None,
-            Some(payload) => {
-                let layout = parse_entries_v2(payload)?;
-                let (Some(seeds), Some(keys), Some(offsets), Some(targets), Some(members)) = (
-                    cast_slice::<u64>(layout.seeds),
-                    cast_slice::<u64>(layout.keys),
-                    cast_slice::<u32>(layout.offsets),
-                    cast_slice::<u32>(layout.targets),
-                    cast_slice::<u32>(layout.members),
-                ) else {
-                    return Ok(None);
-                };
-                Some(
-                    EntryIndex::from_storage(
-                        layout.b,
-                        seeds.to_vec(),
-                        shared(keys, map),
-                        shared(targets, map),
-                        shared(offsets, map),
-                        shared(members, map),
-                        dataset.num_users(),
-                    )
-                    .map_err(corrupt_entries)?,
-                )
-            }
-        };
-        Ok(Some(AdoptedSnapshot { dataset, graph, goldfinger, entries, mapped: true }))
+        let words: Vec<u64> = cast_contract(&map);
+        let offsets: Vec<usize> = cast_contract(&map);
+        assert_eq!(offsets.iter().map(|&o| o as u64).collect::<Vec<_>>(), words);
+        cast_contract::<u32>(&map);
+        // A neighbour is its `{id, sim-bits}` word split in two.
+        let neighbours: Vec<Neighbor> = cast_contract(&map);
+        let halves: Vec<(u32, u32)> = words.iter().map(|&w| (w as u32, (w >> 32) as u32)).collect();
+        let pairs: Vec<(u32, u32)> = neighbours.iter().map(|n| (n.user, n.sim.to_bits())).collect();
+        assert_eq!(pairs, halves);
     }
 }

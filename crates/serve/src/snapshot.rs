@@ -42,8 +42,7 @@
 //! graph plus who sat together when it was built — so a restarted
 //! builder's first publish patches that graph instead of rebuilding it.
 //! The writer therefore persists a cache only beside the very graph it
-//! was captured with. Any section id outside the table above is
-//! `Corrupt("unknown section id …")` on both load paths.
+//! was captured with.
 //!
 //! The ENTRIES section is the epoch's [`EntryIndex`] (`cnc_graph::entry`):
 //! the flat routing table and cluster member arrays that let a query start
@@ -56,31 +55,56 @@
 //! interleaved `{u32, f32}` entries on 4-byte boundaries. A mapped v2
 //! file can therefore hand out its offset, entry, word and entry-index
 //! arrays as typed slices directly (see [`crate::mmap`]) — adoption does
-//! no per-user work, and never reads the MEMBERSHIPS section at all.
+//! no per-user work.
 //!
 //! Everything is little-endian; similarities travel as raw `f32` bits
 //! and fingerprints as raw `u64` words — the same codec discipline as
 //! `cnc_runtime::shuffle`, so a write → load round trip is **bit-exact**:
 //! the dataset compares equal, the graph's neighbour lists restore their
 //! exact heap layout (they are written in [`cnc_graph::NeighborList::iter`] order),
-//! and the fingerprint words match word-for-word. Each section carries a
-//! checksum (the chunked [`checksum64`] — 8 bytes per step, so
-//! verification does not dominate mapped adoption); the
-//! loader verifies magic, version, checksums and every structural
-//! invariant before handing anything out, mapping each failure to a
-//! typed [`SnapshotError`] instead of panicking — snapshot files are
-//! untrusted input.
+//! and the fingerprint words match word-for-word.
+//!
+//! # One reader, one verdict
+//!
+//! Snapshot files are untrusted input. Every load path — [`Snapshot::load`],
+//! [`Snapshot::load_from`], `AdoptedSnapshot::load_copied` and the mapped
+//! `AdoptedSnapshot::open` — runs one section-table walker; only the
+//! source of the bytes differs (a stream read one payload at a time in
+//! table order, or the mapped file). One rule decides the verdict, and
+//! every failure is a typed [`SnapshotError`], never a panic:
+//!
+//! 1. **Header:** magic, then version.
+//! 2. **Table:** every row, MEMBERSHIPS included, before any payload is
+//!    read. Rows are read one at a time, so a lying count sizes nothing.
+//!    Every id is known and none repeats; every offset is 64-byte
+//!    aligned; the payloads lie in strictly increasing, non-overlapping
+//!    offset order, inside the file.
+//! 3. **Checksums** (the chunked [`checksum64`]) of every section the
+//!    caller reads. DATASET, GRAPH, GOLDFINGER and ENTRIES are always
+//!    read; MEMBERSHIPS only by `Snapshot::load*`, which restores the
+//!    builder's cache. Adoption never reads it.
+//! 4. **Structure:** the validated constructors both paths call
+//!    (`Dataset::from_csr_storage`, `KnnGraph::from_csr_storage`,
+//!    `GoldFinger::from_storage`, `EntryIndex::from_storage`,
+//!    `ClusterCache::from_parts`), plus the cross-section user counts.
+//!
+//! A file's length is known before its table is read, so a section past
+//! the end is refused at step 2. [`Snapshot::load_from`] on a reader of
+//! unknown length finds the end by reaching it; the verdict is the same
+//! `Io(UnexpectedEof)`.
 
+use crate::mmap::{array, decode, Map};
 use cnc_core::build_plan::ClusterCache;
 use cnc_dataset::Dataset;
 use cnc_faults::{injected_io_error, Fault, Faults, Site};
-use cnc_graph::{EntryIndex, KnnGraph, Neighbor};
+use cnc_graph::{EntryIndex, KnnGraph};
 use cnc_similarity::GoldFinger;
 use cnc_telemetry::Telemetry;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The 8-byte file magic ("CNC snapshot, format family 1").
 pub const MAGIC: [u8; 8] = *b"CNCSNAP1";
@@ -89,19 +113,15 @@ pub const MAGIC: [u8; 8] = *b"CNCSNAP1";
 /// loaders read.
 pub const VERSION: u32 = 2;
 
-pub(crate) const SECTION_DATASET: u32 = 1;
-pub(crate) const SECTION_GRAPH: u32 = 2;
-pub(crate) const SECTION_GOLDFINGER: u32 = 3;
-pub(crate) const SECTION_ENTRIES: u32 = 5;
-pub(crate) const SECTION_MEMBERSHIPS: u32 = 6;
+const SECTION_DATASET: u32 = 1;
+const SECTION_GRAPH: u32 = 2;
+const SECTION_GOLDFINGER: u32 = 3;
+const SECTION_ENTRIES: u32 = 5;
+const SECTION_MEMBERSHIPS: u32 = 6;
 
 /// Every v2 payload starts on this file-offset boundary (one cache line;
 /// a multiple of every element alignment the format uses).
-pub(crate) const V2_ALIGN: u64 = 64;
-
-/// Far above the five section kinds the format defines; the table is 28
-/// bytes per entry, so a lying count cannot pre-allocate much.
-const MAX_V2_SECTIONS: u32 = 65_536;
+const V2_ALIGN: u64 = 64;
 
 /// Why a snapshot failed to load (or write).
 #[derive(Debug)]
@@ -165,10 +185,9 @@ impl From<io::Error> for SnapshotError {
 /// The section checksum: FNV-1a-style mixing over **8-byte chunks**
 /// (plus a length-salted tail), about 8× fewer multiplies than
 /// byte-at-a-time FNV-1a. Mapped adoption verifies every section it
-/// touches, so the checksum walk is the dominant cost of an adopt — at
-/// one multiply per 8 bytes it stays far below a decode pass, keeping
-/// the O(1)-per-user promise honest while still catching bit rot.
-/// Corruption detection, not authentication.
+/// serves, so the checksum walk is the dominant cost of an adopt — at
+/// one multiply per 8 bytes it stays far below a decode pass while still
+/// catching bit rot. Corruption detection, not authentication.
 pub fn checksum64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -184,48 +203,6 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
         hash = (hash ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
     }
     hash
-}
-
-/// A byte cursor over one section's verified payload, with typed
-/// overrun errors.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-    section: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8], section: &'static str) -> Self {
-        Cursor { bytes, at: 0, section }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
-            SnapshotError::Corrupt(format!("{} section ends mid-field", self.section))
-        })?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn finish(self) -> Result<(), SnapshotError> {
-        if self.at != self.bytes.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} section has {} trailing bytes",
-                self.section,
-                self.bytes.len() - self.at
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// One persisted serving state: the dataset, its KNN graph, (when the
@@ -314,16 +291,31 @@ impl Snapshot {
         )
     }
 
-    /// Loads a snapshot from `path`, verifying magic, version, checksums
-    /// and every structural invariant.
+    /// Loads a snapshot from `path` — its cluster cache included — under
+    /// the verdict rule of the module docs.
     pub fn load(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
-        let path = path.as_ref();
+        Self::read_file(path.as_ref(), true)
+    }
+
+    /// Loads a snapshot from any source (see [`Snapshot::load`]), reading
+    /// one section payload at a time in table order.
+    pub fn load_from<R: Read>(input: &mut R) -> Result<Snapshot, SnapshotError> {
+        read_snapshot(&mut Stream { input, len: None, at: 0, buf: Vec::new() }, true)
+    }
+
+    /// The copy path over a file, whose length bounds the table before
+    /// any payload is read. `memberships` asks for the builder's cache.
+    pub(crate) fn read_file(path: &Path, memberships: bool) -> Result<Snapshot, SnapshotError> {
         let telemetry = Telemetry::global();
         let start_ns = telemetry.stamp();
         Faults::global().inject_io(Site::SnapshotLoad, path_key(path))?;
         let file = File::open(path)?;
-        let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-        let snap = Self::load_from(&mut BufReader::new(file))?;
+        let bytes = file.metadata()?.len();
+        let input = BufReader::new(file);
+        let snap = read_snapshot(
+            &mut Stream { input, len: Some(bytes), at: 0, buf: Vec::new() },
+            memberships,
+        )?;
         telemetry.record_complete(
             "snapshot.load",
             start_ns,
@@ -332,142 +324,164 @@ impl Snapshot {
         );
         Ok(snap)
     }
+}
 
-    /// Loads a snapshot from any source (see [`Snapshot::load`]),
-    /// streaming its aligned sections through the same layout parsers the
-    /// mapped path borrows from.
-    pub fn load_from<R: Read>(input: &mut R) -> Result<Snapshot, SnapshotError> {
-        let mut header = [0u8; 16];
-        input.read_exact(&mut header)?;
-        let magic: [u8; 8] = header[0..8].try_into().unwrap();
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let section_count = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        match version {
-            2 => Self::load_v2_sections(input, section_count),
-            other => Err(SnapshotError::UnsupportedVersion(other)),
-        }
+/// Where a load path's bytes come from: a stream read front to back (the
+/// copy loaders) or a whole mapped file (adoption, in [`crate::mmap`]).
+pub(crate) trait Source {
+    /// The file's length, when known before reading.
+    fn len(&self) -> Option<u64>;
+    /// The map the returned bytes may be borrowed from.
+    fn map(&self) -> Option<Arc<Map>>;
+    /// The `len` bytes at file offset `offset`. The walker asks in
+    /// increasing, non-overlapping offset order.
+    fn bytes(&mut self, offset: u64, len: u64) -> Result<&[u8], SnapshotError>;
+}
+
+/// The typed error of a file that ends before byte `end`.
+pub(crate) fn truncated(end: u64) -> SnapshotError {
+    SnapshotError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        format!("snapshot ends before byte {end}"),
+    ))
+}
+
+/// A snapshot streamed from a reader, one payload buffered at a time.
+struct Stream<R> {
+    input: R,
+    len: Option<u64>,
+    /// The input's position.
+    at: u64,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> Source for Stream<R> {
+    fn len(&self) -> Option<u64> {
+        self.len
     }
 
-    fn load_v2_sections<R: Read>(
-        input: &mut R,
-        section_count: u32,
-    ) -> Result<Snapshot, SnapshotError> {
-        let table = read_v2_table(input, section_count)?;
-        let mut at = (16 + 28 * table.len()) as u64;
+    fn map(&self) -> Option<Arc<Map>> {
+        None
+    }
 
-        let mut dataset: Option<Dataset> = None;
-        let mut graph: Option<KnnGraph> = None;
-        let mut goldfinger: Option<GoldFinger> = None;
-        // Decoded last: their member ids are checked against the dataset.
-        let mut entries: Option<Vec<u8>> = None;
-        let mut memberships: Option<Vec<u8>> = None;
-        for entry in table {
-            // Sections are laid out in table order; skip the alignment
-            // padding between the previous payload and this one.
-            if entry.offset < at {
-                return Err(SnapshotError::Corrupt(format!(
-                    "section {} overlaps its predecessor",
-                    entry.id
-                )));
-            }
-            io::copy(&mut input.take(entry.offset - at), &mut io::sink())?;
-            let mut payload = Vec::new();
-            input.take(entry.len).read_to_end(&mut payload)?;
-            if (payload.len() as u64) < entry.len {
-                return Err(SnapshotError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "section {} truncated: {} of {} bytes",
-                        entry.id,
-                        payload.len(),
-                        entry.len
-                    ),
-                )));
-            }
-            at = entry.offset + entry.len;
-            if checksum64(&payload) != entry.checksum {
-                return Err(SnapshotError::ChecksumMismatch { section: entry.id });
-            }
-            match entry.id {
-                SECTION_DATASET if dataset.is_none() => {
-                    dataset = Some(decode_dataset_v2(&payload)?);
-                }
-                SECTION_GRAPH if graph.is_none() => graph = Some(decode_graph_v2(&payload)?),
-                SECTION_GOLDFINGER if goldfinger.is_none() => {
-                    goldfinger = Some(decode_goldfinger_v2(&payload)?);
-                }
-                SECTION_ENTRIES if entries.is_none() => entries = Some(payload),
-                SECTION_MEMBERSHIPS if memberships.is_none() => memberships = Some(payload),
-                id @ (SECTION_DATASET | SECTION_GRAPH | SECTION_GOLDFINGER | SECTION_ENTRIES
-                | SECTION_MEMBERSHIPS) => {
-                    return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
-                }
-                other => {
-                    return Err(SnapshotError::Corrupt(format!("unknown section id {other}")));
-                }
-            }
+    fn bytes(&mut self, offset: u64, len: u64) -> Result<&[u8], SnapshotError> {
+        assert!(offset >= self.at, "the walker reads in offset order");
+        let gap = offset - self.at;
+        let skipped = io::copy(&mut (&mut self.input).take(gap), &mut io::sink())?;
+        // `take` bounds the read: an untrusted length sizes nothing.
+        self.buf.clear();
+        (&mut self.input).take(len).read_to_end(&mut self.buf)?;
+        self.at = offset + self.buf.len() as u64;
+        if skipped < gap || (self.buf.len() as u64) < len {
+            return Err(truncated(offset + len));
         }
-
-        let dataset = dataset.ok_or(SnapshotError::MissingSection("dataset"))?;
-        let graph = graph.ok_or(SnapshotError::MissingSection("graph"))?;
-        cross_validate(&dataset, &graph, goldfinger.as_ref())?;
-        // The cache shares the graph's entries instead of copying them.
-        let graph = if memberships.is_some() { graph.into_shared() } else { graph };
-        let cache = memberships
-            .map(|payload| decode_memberships(&payload, &dataset, graph.clone()))
-            .transpose()?;
-        let entries =
-            entries.map(|payload| decode_entries_v2(&payload, dataset.num_users())).transpose()?;
-        Ok(Snapshot { dataset, graph, goldfinger, cache, entries })
+        Ok(&self.buf)
     }
 }
 
-/// One v2 section-table row.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SectionEntry {
-    pub(crate) id: u32,
-    pub(crate) offset: u64,
-    pub(crate) len: u64,
-    pub(crate) checksum: u64,
+/// The little-endian field at the start of `bytes`, which every caller
+/// has checked is long enough.
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(*bytes.first_chunk().expect("a length-checked field"))
 }
 
-/// Reads and sanity-checks a v2 section table (count bound, 64-byte
-/// offset alignment). Ordering/overlap is the caller's concern — the
-/// streaming loader enforces it pairwise, the mapped parser per lookup.
-pub(crate) fn read_v2_table<R: Read>(
-    input: &mut R,
-    section_count: u32,
-) -> Result<Vec<SectionEntry>, SnapshotError> {
-    if section_count > MAX_V2_SECTIONS {
-        return Err(SnapshotError::Corrupt(format!("implausible section count {section_count}")));
+/// See [`le_u32`].
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(*bytes.first_chunk().expect("a length-checked field"))
+}
+
+/// The one section-table walker behind every load path; the module docs
+/// state the verdict it returns. `memberships` asks for the builder's
+/// cluster cache — without it the MEMBERSHIPS payload is never read.
+pub(crate) fn read_snapshot(
+    src: &mut impl Source,
+    memberships: bool,
+) -> Result<Snapshot, SnapshotError> {
+    let header = src.bytes(0, 16)?;
+    let magic = *header.first_chunk::<8>().expect("a 16-byte header");
+    if magic != MAGIC {
+        return Err(SnapshotError::BadMagic(magic));
     }
-    let mut table = Vec::with_capacity(section_count as usize);
-    for _ in 0..section_count {
-        let mut entry = [0u8; 28];
-        input.read_exact(&mut entry)?;
-        let entry = SectionEntry {
-            id: u32::from_le_bytes(entry[0..4].try_into().unwrap()),
-            offset: u64::from_le_bytes(entry[4..12].try_into().unwrap()),
-            len: u64::from_le_bytes(entry[12..20].try_into().unwrap()),
-            checksum: u64::from_le_bytes(entry[20..28].try_into().unwrap()),
+    let version = le_u32(&header[8..]);
+    if version != VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    let count = u64::from(le_u32(&header[12..]));
+
+    // Ids are known and distinct, so the table never outgrows five rows.
+    let mut table = Vec::new();
+    let (mut end, mut seen) = (16 + 28 * count, 0u32);
+    for row in 0..count {
+        let row = src.bytes(16 + 28 * row, 28)?;
+        let (id, offset, len) = (le_u32(row), le_u64(&row[4..]), le_u64(&row[12..]));
+        let checksum = le_u64(&row[20..]);
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(format!("section {id} {what}")));
+        if !matches!(
+            id,
+            SECTION_DATASET
+                | SECTION_GRAPH
+                | SECTION_GOLDFINGER
+                | SECTION_ENTRIES
+                | SECTION_MEMBERSHIPS
+        ) {
+            return Err(SnapshotError::Corrupt(format!("unknown section id {id}")));
+        }
+        if seen & (1 << id) != 0 {
+            return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
+        }
+        seen |= 1 << id;
+        if !offset.is_multiple_of(V2_ALIGN) {
+            return corrupt(format!("offset {offset} is not {V2_ALIGN}-byte aligned"));
+        }
+        if offset < end {
+            return corrupt("overlaps its predecessor".into());
+        }
+        let Some(next) = offset.checked_add(len) else {
+            return corrupt(format!("length {len} overflows"));
         };
-        if !entry.offset.is_multiple_of(V2_ALIGN) {
-            return Err(SnapshotError::Corrupt(format!(
-                "section {} offset {} is not {V2_ALIGN}-byte aligned",
-                entry.id, entry.offset
-            )));
-        }
-        table.push(entry);
+        end = next;
+        table.push((id, offset, len, checksum));
     }
-    Ok(table)
+    // In offset order, the last payload ends last.
+    if src.len().is_some_and(|file| end > file) {
+        return Err(truncated(end));
+    }
+
+    let map = src.map();
+    let map = map.as_ref();
+    let (mut dataset, mut graph, mut goldfinger) = (None, None, None);
+    // Assembled once the dataset they are checked against is in.
+    let (mut entries, mut cache) = (None, None);
+    for (id, offset, len, checksum) in table {
+        if id == SECTION_MEMBERSHIPS && !memberships {
+            continue;
+        }
+        let payload = src.bytes(offset, len)?;
+        if checksum64(payload) != checksum {
+            return Err(SnapshotError::ChecksumMismatch { section: id });
+        }
+        match id {
+            SECTION_DATASET => dataset = Some(read_dataset(payload, map)?),
+            SECTION_GRAPH => graph = Some(read_graph(payload, map)?),
+            SECTION_GOLDFINGER => goldfinger = Some(read_goldfinger(payload, map)?),
+            SECTION_ENTRIES => entries = Some(read_entries(payload, map)?),
+            _ => cache = Some(read_memberships(payload)?),
+        }
+    }
+
+    let dataset = dataset.ok_or(SnapshotError::MissingSection("dataset"))?;
+    let graph = graph.ok_or(SnapshotError::MissingSection("graph"))?;
+    cross_validate(&dataset, &graph, goldfinger.as_ref())?;
+    // The cache shares the graph's entries instead of copying them.
+    let graph = if cache.is_some() { graph.into_shared() } else { graph };
+    let cache = cache.map(|cache| cache(&dataset, graph.clone())).transpose()?;
+    let entries = entries.map(|index| index(dataset.num_users())).transpose()?;
+    Ok(Snapshot { dataset, graph, goldfinger, cache, entries })
 }
 
-/// The cheap cross-section consistency checks shared by every load path
-/// (per-edge range checks live with the graph decoding).
-pub(crate) fn cross_validate(
+/// The cheap cross-section consistency checks (per-edge range checks live
+/// with the graph's constructor).
+fn cross_validate(
     dataset: &Dataset,
     graph: &KnnGraph,
     goldfinger: Option<&GoldFinger>,
@@ -562,16 +576,6 @@ pub fn write_snapshot_parts_to<W: Write>(
         written = offset + payload.len() as u64;
     }
     Ok(written)
-}
-
-/// [`write_snapshot_parts_to`] without a cluster cache or entry index.
-pub fn write_snapshot_to<W: Write>(
-    dataset: &Dataset,
-    graph: &KnnGraph,
-    goldfinger: Option<&GoldFinger>,
-    out: &mut W,
-) -> Result<u64, SnapshotError> {
-    write_snapshot_parts_to(dataset, graph, goldfinger, None, None, out)
 }
 
 /// **Atomic** snapshot-to-file write from borrowed parts: the bytes go to
@@ -839,47 +843,76 @@ pub fn load_newest_valid(dir: impl AsRef<Path>) -> Result<(PathBuf, Snapshot), S
 const MAX_K: usize = 1 << 16;
 
 // ---------------------------------------------------------------------
-// Format v2: flat sections. Each `parse_*_v2` validates a section's byte
-// geometry and hands back raw sub-slices, so the owned decoder (copy
-// path) and the mapped adopter (zero-copy path) share one layout
-// definition; structural invariants are enforced by the validated
-// constructors both paths call (`Dataset::from_csr_storage`,
-// `KnnGraph::from_csr_storage`, `GoldFinger::from_storage`).
+// Format v2 sections. Each reader checks a verified payload's geometry —
+// untrusted counts must account for its length exactly before anything
+// is sliced or sized from them — and hands every array to the one
+// materializer (`crate::mmap::array`), which borrows it from a map or
+// decodes an owned copy. Structural invariants are the validated
+// constructors' job.
 // ---------------------------------------------------------------------
 
-/// The byte geometry of a v2 dataset section.
-pub(crate) struct DatasetLayoutV2<'a> {
-    pub(crate) num_users: usize,
-    pub(crate) num_items: u32,
-    /// `num_users + 1` little-endian `u64` profile offsets (8-aligned
-    /// within the section).
-    pub(crate) offsets: &'a [u8],
-    /// `offsets[num_users]` little-endian `u32` item ids (4-aligned).
-    pub(crate) items: &'a [u8],
+/// The two arrays after a CSR section's 16-byte header (whose first field
+/// is `num_users u64`): `num_users + 1` `u64` offsets, then
+/// `offsets[num_users]` elements of `width` bytes, filling the section.
+fn csr_arrays<'a>(
+    payload: &'a [u8],
+    what: &str,
+    width: usize,
+) -> Result<(&'a [u8], &'a [u8]), SnapshotError> {
+    let corrupt = |how: &str| SnapshotError::Corrupt(format!("{what} {how}"));
+    if payload.len() < 16 {
+        return Err(corrupt("section shorter than its header"));
+    }
+    let offsets_len = usize::try_from(le_u64(payload))
+        .ok()
+        .and_then(|n| n.checked_add(1)?.checked_mul(8))
+        .filter(|&n| n <= payload.len() - 16)
+        .ok_or_else(|| corrupt("offsets overrun the section"))?;
+    let (offsets, rest) = payload[16..].split_at(offsets_len);
+    let count = usize::try_from(le_u64(&offsets[offsets_len - 8..])).ok();
+    if count.and_then(|n| n.checked_mul(width)) != Some(rest.len()) {
+        return Err(corrupt("arrays do not fill the section exactly"));
+    }
+    Ok((offsets, rest))
 }
 
-pub(crate) fn parse_dataset_v2(payload: &[u8]) -> Result<DatasetLayoutV2<'_>, SnapshotError> {
-    if payload.len() < 16 {
-        return Err(SnapshotError::Corrupt("dataset section shorter than its header".into()));
+fn read_dataset(payload: &[u8], map: Option<&Arc<Map>>) -> Result<Dataset, SnapshotError> {
+    let (offsets, items) = csr_arrays(payload, "dataset", 4)?;
+    Dataset::from_csr_storage(array(offsets, map), array(items, map), le_u32(&payload[8..]))
+        .map_err(SnapshotError::Corrupt)
+}
+
+fn read_graph(payload: &[u8], map: Option<&Arc<Map>>) -> Result<KnnGraph, SnapshotError> {
+    let (offsets, entries) = csr_arrays(payload, "graph", 8)?;
+    let k = le_u32(&payload[8..]) as usize;
+    if k == 0 || k > MAX_K {
+        return Err(SnapshotError::Corrupt(format!(
+            "graph bound k = {k} outside the sane range 1..={MAX_K}"
+        )));
     }
-    let num_users = usize::try_from(u64::from_le_bytes(payload[0..8].try_into().unwrap()))
-        .map_err(|_| SnapshotError::Corrupt("dataset user count overflows".into()))?;
-    let num_items = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-    let offsets_len = num_users
-        .checked_add(1)
-        .and_then(|n| n.checked_mul(8))
-        .filter(|&n| n <= payload.len() - 16)
-        .ok_or_else(|| SnapshotError::Corrupt("dataset offsets overrun the section".into()))?;
-    let offsets = &payload[16..16 + offsets_len];
-    let ratings =
-        usize::try_from(u64::from_le_bytes(offsets[offsets_len - 8..].try_into().unwrap()))
-            .map_err(|_| SnapshotError::Corrupt("dataset rating count overflows".into()))?;
-    let items_len =
-        ratings.checked_mul(4).filter(|&n| 16 + offsets_len + n == payload.len()).ok_or_else(
-            || SnapshotError::Corrupt("dataset items do not fill the section exactly".into()),
-        )?;
-    let items = &payload[16 + offsets_len..16 + offsets_len + items_len];
-    Ok(DatasetLayoutV2 { num_users, num_items, offsets, items })
+    KnnGraph::from_csr_storage(k, array(offsets, map), array(entries, map))
+        .map_err(SnapshotError::Corrupt)
+}
+
+fn read_goldfinger(payload: &[u8], map: Option<&Arc<Map>>) -> Result<GoldFinger, SnapshotError> {
+    if payload.len() < 24 {
+        return Err(SnapshotError::Corrupt("goldfinger section shorter than its header".into()));
+    }
+    let bits = le_u32(payload) as usize;
+    if bits == 0 || !bits.is_multiple_of(64) {
+        return Err(SnapshotError::Corrupt(format!(
+            "fingerprint width {bits} is not a positive multiple of 64"
+        )));
+    }
+    let words = &payload[24..];
+    let num_users = usize::try_from(le_u64(&payload[16..])).ok();
+    if num_users.and_then(|n| n.checked_mul(bits / 8)) != Some(words.len()) {
+        return Err(SnapshotError::Corrupt(
+            "fingerprint words do not fill the section exactly".into(),
+        ));
+    }
+    GoldFinger::from_storage(array(words, map), bits, le_u64(&payload[8..]))
+        .map_err(SnapshotError::Corrupt)
 }
 
 fn encode_dataset_v2(ds: &Dataset) -> Vec<u8> {
@@ -894,59 +927,6 @@ fn encode_dataset_v2(ds: &Dataset) -> Vec<u8> {
         out.extend_from_slice(&item.to_le_bytes());
     }
     out
-}
-
-fn decode_dataset_v2(payload: &[u8]) -> Result<Dataset, SnapshotError> {
-    let layout = parse_dataset_v2(payload)?;
-    let mut offsets = Vec::with_capacity(layout.num_users + 1);
-    for chunk in layout.offsets.chunks_exact(8) {
-        let off = usize::try_from(u64::from_le_bytes(chunk.try_into().unwrap()))
-            .map_err(|_| SnapshotError::Corrupt("dataset offset overflows".into()))?;
-        offsets.push(off);
-    }
-    let items: Vec<u32> =
-        layout.items.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
-    Dataset::from_csr(offsets, items, layout.num_items).map_err(SnapshotError::Corrupt)
-}
-
-/// The byte geometry of a v2 graph section.
-pub(crate) struct GraphLayoutV2<'a> {
-    pub(crate) num_users: usize,
-    pub(crate) k: usize,
-    /// `num_users + 1` little-endian `u64` entry offsets (8-aligned).
-    pub(crate) offsets: &'a [u8],
-    /// `offsets[num_users]` interleaved `{id u32, sim-bits u32}` entries
-    /// in [`cnc_graph::NeighborList::iter`] heap order (4-aligned, 8 bytes each).
-    pub(crate) entries: &'a [u8],
-}
-
-pub(crate) fn parse_graph_v2(payload: &[u8]) -> Result<GraphLayoutV2<'_>, SnapshotError> {
-    if payload.len() < 16 {
-        return Err(SnapshotError::Corrupt("graph section shorter than its header".into()));
-    }
-    let num_users = usize::try_from(u64::from_le_bytes(payload[0..8].try_into().unwrap()))
-        .map_err(|_| SnapshotError::Corrupt("graph user count overflows".into()))?;
-    let k = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    if k == 0 || k > MAX_K {
-        return Err(SnapshotError::Corrupt(format!(
-            "graph bound k = {k} outside the sane range 1..={MAX_K}"
-        )));
-    }
-    let offsets_len = num_users
-        .checked_add(1)
-        .and_then(|n| n.checked_mul(8))
-        .filter(|&n| n <= payload.len() - 16)
-        .ok_or_else(|| SnapshotError::Corrupt("graph offsets overrun the section".into()))?;
-    let offsets = &payload[16..16 + offsets_len];
-    let num_edges =
-        usize::try_from(u64::from_le_bytes(offsets[offsets_len - 8..].try_into().unwrap()))
-            .map_err(|_| SnapshotError::Corrupt("graph edge count overflows".into()))?;
-    let entries_len =
-        num_edges.checked_mul(8).filter(|&n| 16 + offsets_len + n == payload.len()).ok_or_else(
-            || SnapshotError::Corrupt("graph entries do not fill the section exactly".into()),
-        )?;
-    let entries = &payload[16 + offsets_len..16 + offsets_len + entries_len];
-    Ok(GraphLayoutV2 { num_users, k, offsets, entries })
 }
 
 fn encode_graph_v2(graph: &KnnGraph) -> Vec<u8> {
@@ -972,55 +952,6 @@ fn encode_graph_v2(graph: &KnnGraph) -> Vec<u8> {
     out
 }
 
-fn decode_graph_v2(payload: &[u8]) -> Result<KnnGraph, SnapshotError> {
-    let layout = parse_graph_v2(payload)?;
-    let mut offsets: Vec<u64> = Vec::with_capacity(layout.num_users + 1);
-    offsets
-        .extend(layout.offsets.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())));
-    let entries: Vec<Neighbor> = layout
-        .entries
-        .chunks_exact(8)
-        .map(|c| Neighbor {
-            user: u32::from_le_bytes(c[0..4].try_into().unwrap()),
-            sim: f32::from_bits(u32::from_le_bytes(c[4..8].try_into().unwrap())),
-        })
-        .collect();
-    KnnGraph::from_csr_storage(layout.k, offsets.into(), entries.into())
-        .map_err(SnapshotError::Corrupt)
-}
-
-/// The byte geometry of a v2 fingerprint section.
-pub(crate) struct GoldFingerLayoutV2<'a> {
-    pub(crate) bits: usize,
-    pub(crate) seed: u64,
-    pub(crate) num_users: usize,
-    /// `num_users · bits/64` little-endian `u64` words (8-aligned).
-    pub(crate) words: &'a [u8],
-}
-
-pub(crate) fn parse_goldfinger_v2(payload: &[u8]) -> Result<GoldFingerLayoutV2<'_>, SnapshotError> {
-    if payload.len() < 24 {
-        return Err(SnapshotError::Corrupt("goldfinger section shorter than its header".into()));
-    }
-    let bits = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
-    let seed = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    let num_users = usize::try_from(u64::from_le_bytes(payload[16..24].try_into().unwrap()))
-        .map_err(|_| SnapshotError::Corrupt("fingerprint user count overflows".into()))?;
-    if bits == 0 || !bits.is_multiple_of(64) {
-        return Err(SnapshotError::Corrupt(format!(
-            "fingerprint width {bits} is not a positive multiple of 64"
-        )));
-    }
-    let words_len = num_users
-        .checked_mul(bits / 64)
-        .and_then(|w| w.checked_mul(8))
-        .filter(|&n| 24 + n == payload.len())
-        .ok_or_else(|| {
-            SnapshotError::Corrupt("fingerprint words do not fill the section exactly".into())
-        })?;
-    Ok(GoldFingerLayoutV2 { bits, seed, num_users, words: &payload[24..24 + words_len] })
-}
-
 fn encode_goldfinger_v2(gf: &GoldFinger) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + 8 * gf.words().len());
     out.extend_from_slice(&(gf.bits() as u32).to_le_bytes());
@@ -1033,108 +964,52 @@ fn encode_goldfinger_v2(gf: &GoldFinger) -> Vec<u8> {
     out
 }
 
-fn decode_goldfinger_v2(payload: &[u8]) -> Result<GoldFinger, SnapshotError> {
-    let layout = parse_goldfinger_v2(payload)?;
-    let words: Vec<u64> =
-        layout.words.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-    let gf = GoldFinger::from_storage(words.into(), layout.bits, layout.seed)
-        .map_err(SnapshotError::Corrupt)?;
-    if gf.num_users() != layout.num_users {
-        return Err(SnapshotError::Corrupt(format!(
-            "fingerprint section claims {} users but holds {}",
-            layout.num_users,
-            gf.num_users()
-        )));
-    }
-    Ok(gf)
-}
-
-/// The byte geometry of a v2 entry-index section.
-pub(crate) struct EntriesLayoutV2<'a> {
-    pub(crate) b: u32,
-    /// `functions` little-endian `u64` hash-function seeds (8-aligned
-    /// within the section).
-    pub(crate) seeds: &'a [u8],
-    /// `routes` sorted `u64` routing keys (8-aligned).
-    pub(crate) keys: &'a [u8],
-    /// `clusters + 1` `u32` member offsets (4-aligned).
-    pub(crate) offsets: &'a [u8],
-    /// `routes` `u32` routing targets (4-aligned).
-    pub(crate) targets: &'a [u8],
-    /// `members` `u32` user ids (4-aligned).
-    pub(crate) members: &'a [u8],
-}
-
 const ENTRIES_HEADER: usize = 32;
 
-pub(crate) fn parse_entries_v2(payload: &[u8]) -> Result<EntriesLayoutV2<'_>, SnapshotError> {
+/// Materializes an ENTRIES section's arrays; the returned assembly
+/// validates them once the dataset's user count is known.
+fn read_entries(
+    payload: &[u8],
+    map: Option<&Arc<Map>>,
+) -> Result<impl FnOnce(usize) -> Result<EntryIndex, SnapshotError>, SnapshotError> {
     if payload.len() < ENTRIES_HEADER {
         return Err(SnapshotError::Corrupt("entries section shorter than its header".into()));
     }
-    let b = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-    let functions = u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize;
-    let count = |at: usize| {
-        usize::try_from(u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()))
-            .map_err(|_| SnapshotError::Corrupt("entries section count overflows".into()))
-    };
-    let (clusters, routes, members) = (count(8)?, count(16)?, count(24)?);
-    // Array byte lengths in file order; the counts are untrusted, so the
-    // arithmetic is checked and the total must fill the section exactly
-    // before anything is sliced (or, later, allocated) from them.
+    let functions = le_u32(&payload[4..]) as usize;
+    let count = |at: usize| usize::try_from(le_u64(&payload[at..])).ok();
+    let (clusters, routes, members) = (count(8), count(16), count(24));
+    // Array byte lengths in file order: seeds, keys, offsets, targets,
+    // members.
     let lens = [
         functions.checked_mul(8),
-        routes.checked_mul(8),
-        clusters.checked_add(1).and_then(|n| n.checked_mul(4)),
-        routes.checked_mul(4),
-        members.checked_mul(4),
+        routes.and_then(|n| n.checked_mul(8)),
+        clusters.and_then(|n| n.checked_add(1)?.checked_mul(4)),
+        routes.and_then(|n| n.checked_mul(4)),
+        members.and_then(|n| n.checked_mul(4)),
     ];
-    let mut bounds = [ENTRIES_HEADER; 6];
-    for (i, len) in lens.into_iter().enumerate() {
-        bounds[i + 1] = len
-            .and_then(|len| bounds[i].checked_add(len))
+    let mut arrays = [&payload[..0]; 5];
+    let mut at = ENTRIES_HEADER;
+    for (bytes, len) in arrays.iter_mut().zip(lens) {
+        let end = len
+            .and_then(|len| at.checked_add(len))
             .filter(|&end| end <= payload.len())
             .ok_or_else(|| SnapshotError::Corrupt("entries arrays overrun the section".into()))?;
+        *bytes = &payload[at..end];
+        at = end;
     }
-    if bounds[5] != payload.len() {
+    if at != payload.len() {
         return Err(SnapshotError::Corrupt(
             "entries arrays do not fill the section exactly".into(),
         ));
     }
-    let array = |i: usize| &payload[bounds[i]..bounds[i + 1]];
-    Ok(EntriesLayoutV2 {
-        b,
-        seeds: array(0),
-        keys: array(1),
-        offsets: array(2),
-        targets: array(3),
-        members: array(4),
+    let (b, [seeds, keys, offsets, targets, members]) = (le_u32(payload), arrays);
+    let seeds = decode(seeds);
+    let (keys, targets) = (array(keys, map), array(targets, map));
+    let (offsets, members) = (array(offsets, map), array(members, map));
+    Ok(move |num_users| {
+        EntryIndex::from_storage(b, seeds, keys, targets, offsets, members, num_users)
+            .map_err(|reason| SnapshotError::Corrupt(format!("entry index: {reason}")))
     })
-}
-
-/// The typed error of an entry index that decodes but fails
-/// [`EntryIndex::from_storage`]'s validation.
-pub(crate) fn corrupt_entries(reason: String) -> SnapshotError {
-    SnapshotError::Corrupt(format!("entry index: {reason}"))
-}
-
-fn decode_entries_v2(payload: &[u8], num_users: usize) -> Result<EntryIndex, SnapshotError> {
-    let layout = parse_entries_v2(payload)?;
-    let wide = |bytes: &[u8]| -> Vec<u64> {
-        bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
-    };
-    let half = |bytes: &[u8]| -> Vec<u32> {
-        bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect()
-    };
-    EntryIndex::from_storage(
-        layout.b,
-        wide(layout.seeds),
-        wide(layout.keys).into(),
-        half(layout.targets).into(),
-        half(layout.offsets).into(),
-        half(layout.members).into(),
-        num_users,
-    )
-    .map_err(corrupt_entries)
 }
 
 fn encode_entries_v2(entries: &EntryIndex) -> Vec<u8> {
@@ -1171,20 +1046,18 @@ fn encode_memberships(cache: &ClusterCache) -> Vec<u8> {
     out
 }
 
-/// Decodes a MEMBERSHIPS section into the cache of the build that made
-/// `graph` from `dataset`. The declared counts must account for the
-/// payload's length exactly *before* anything is allocated from them, and
-/// [`ClusterCache::from_parts`] checks the offsets and every member id
-/// against the dataset's user count.
-fn decode_memberships(
+/// Decodes a MEMBERSHIPS section; the returned assembly pairs it with the
+/// file's dataset and graph, where [`ClusterCache::from_parts`] checks the
+/// offsets and every member id against the dataset's user count.
+fn read_memberships(
     payload: &[u8],
-    dataset: &Dataset,
-    graph: KnnGraph,
-) -> Result<ClusterCache, SnapshotError> {
+) -> Result<impl FnOnce(&Dataset, KnnGraph) -> Result<ClusterCache, SnapshotError>, SnapshotError> {
     let corrupt = |what: String| SnapshotError::Corrupt(format!("memberships section: {what}"));
-    let mut cur = Cursor::new(payload, "memberships");
-    let token = cur.u64()?;
-    let (clusters, members) = (cur.u64()?, cur.u64()?);
+    if payload.len() < MEMBERSHIPS_HEADER {
+        return Err(corrupt("shorter than its header".into()));
+    }
+    let (token, clusters, members) =
+        (le_u64(payload), le_u64(&payload[8..]), le_u64(&payload[16..]));
     let expected = clusters
         .checked_add(members)
         .and_then(|halves| halves.checked_mul(4))
@@ -1195,11 +1068,11 @@ fn decode_memberships(
             payload.len()
         )));
     }
-    let (clusters, members) = (clusters as usize, members as usize);
-    let offsets = (0..=clusters).map(|_| cur.u32()).collect::<Result<Vec<u32>, _>>()?;
-    let members = (0..members).map(|_| cur.u32()).collect::<Result<Vec<u32>, _>>()?;
-    cur.finish()?;
-    ClusterCache::from_parts(token, offsets, members, dataset, graph).map_err(corrupt)
+    let (offsets, members) = payload[MEMBERSHIPS_HEADER..].split_at(4 * (clusters as usize + 1));
+    let (offsets, members) = (decode(offsets), decode(members));
+    Ok(move |dataset: &Dataset, graph| {
+        ClusterCache::from_parts(token, offsets, members, dataset, graph).map_err(corrupt)
+    })
 }
 
 #[cfg(test)]
@@ -1327,8 +1200,8 @@ mod tests {
         let mut owned = Vec::new();
         snap.write_to(&mut owned).unwrap();
         let mut borrowed = Vec::new();
-        write_snapshot_to(&snap.dataset, &snap.graph, snap.goldfinger.as_ref(), &mut borrowed)
-            .unwrap();
+        let gf = snap.goldfinger.as_ref();
+        write_snapshot_parts_to(&snap.dataset, &snap.graph, gf, None, None, &mut borrowed).unwrap();
         assert_eq!(owned, borrowed, "the two writers must produce identical bytes");
     }
 
