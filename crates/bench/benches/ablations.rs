@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for two of the build's design choices:
 //!
 //! * the Algorithm 2 local-solver switch — brute force vs Hyrec on cluster
 //!   sizes around the `ρ·k²` crossover;

@@ -69,7 +69,7 @@ fn main() {
     report.push_str(
         "Reproduction of every table and figure of *Cluster-and-Conquer: When\n\
          Randomness Meets Graph Locality* (ICDE 2021) on synthetic calibrations of\n\
-         the paper's six datasets (see DESIGN.md §3 for the substitution rationale).\n\
+         the paper's six datasets (see `cnc-dataset::synthetic` for the substitution).\n\
          Absolute times differ from the paper (different hardware, language and\n\
          dataset scale); the comparative *shapes* — who wins, by what rough factor,\n\
          where the sensitivity knees fall — are the reproduction targets.\n\n\

@@ -7,7 +7,7 @@
 //! II, etc. `repro_all` chains everything and rewrites `EXPERIMENTS.md`.
 //!
 //! All experiments run on the synthetic calibrations of the paper's six
-//! datasets (see `cnc-dataset::synthetic` and DESIGN.md §3) at a
+//! datasets (see `cnc-dataset::synthetic` for the substitution) at a
 //! configurable scale — the default `0.125` keeps the full suite within
 //! laptop minutes while preserving the comparative shapes the paper
 //! reports.

@@ -98,12 +98,13 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's initial value: the running hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice — the workspace's shared integrity-hash
 /// primitive (cluster content hashes here, snapshot section checksums in
-/// `cnc-serve`).
+/// `cnc-serve`, ground-truth cache keys in `cnc-eval`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_bytes(FNV_OFFSET, bytes)
 }
@@ -117,9 +118,10 @@ fn fnv1a_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Folds a little-endian `u64` into a running FNV-1a hash.
+/// Folds a little-endian `u64` into a running FNV-1a hash; start the
+/// fold from [`FNV_OFFSET`].
 #[inline]
-fn fnv1a_u64(hash: u64, value: u64) -> u64 {
+pub fn fnv1a_u64(hash: u64, value: u64) -> u64 {
     fnv1a_bytes(hash, &value.to_le_bytes())
 }
 

@@ -17,9 +17,9 @@
 //!   profile size, average item degree, density);
 //! * [`split`] — the 5-fold cross-validation protocol used for the
 //!   recommendation experiment (Table III);
-//! * [`discrete`] and [`zipf`] — O(1) discrete sampling (Vose alias method)
-//!   and Zipf-distributed item popularity, the skew that drives
-//!   FastRandomHash cluster imbalance in the paper.
+//! * [`discrete`] — O(1) discrete sampling (Vose alias method), which the
+//!   generators use to draw Zipf-distributed item popularity, the skew that
+//!   drives FastRandomHash cluster imbalance in the paper.
 
 pub mod dataset;
 pub mod discrete;
@@ -29,7 +29,6 @@ pub mod split;
 pub mod stats;
 pub mod storage;
 pub mod synthetic;
-pub mod zipf;
 
 pub use dataset::{Dataset, DatasetBuilder, ItemId, UserId};
 pub use sampling::{sample_profiles, SamplingPolicy};

@@ -21,6 +21,15 @@
 //! `affinity`, and from the global pool otherwise. Profile sizes are
 //! log-normal with the calibrated mean, floored at the paper's 20-rating
 //! cold-start cutoff.
+//!
+//! The output is a pure function of the [`SyntheticConfig`] and the vendored
+//! SplitMix64 stream (`rand::rngs::SmallRng`): every draw is taken in a
+//! fixed order, and a user's profile is the set of distinct items drawn
+//! before it reaches its target size or its attempt budget, sorted. Every
+//! recorded quality figure depends on that stream, so the workspace's
+//! `synthetic_datasets_match_golden_digests` test pins it: a digest of
+//! each preset's output at three seeds, recorded once and compared bit for
+//! bit. A faster generator must consume the stream draw for draw.
 
 use crate::dataset::{Dataset, DatasetBuilder, ItemId};
 use crate::discrete::AliasTable;
@@ -85,11 +94,50 @@ impl SyntheticConfig {
         assert!((0.0..=1.0).contains(&self.affinity), "affinity must be in [0, 1]");
 
         let mut rng = SmallRng::seed_from_u64(self.seed);
+        let (global, communities) = self.popularity(&mut rng);
 
+        let mut builder = DatasetBuilder::with_capacity(self.num_users);
+        // `stamp[item] == user` iff `item` was already drawn for `user`.
+        let mut stamp = vec![u32::MAX; self.num_items];
+        // Holds the largest profile the size clamp allows.
+        let mut profile: Vec<ItemId> = vec![0; self.num_items / 2 + 1];
+        for user in 0..self.num_users {
+            let (pool, table) = &communities[user % self.communities];
+            let target = self.sample_profile_len(&mut rng);
+            // Rejection loop: draw until `target` distinct items or the
+            // attempt budget is exhausted (protects degenerate configs where
+            // the pool is barely larger than the target).
+            let (mut len, mut attempts) = (0usize, 0usize);
+            let budget = target * 30 + 100;
+            while len < target && attempts < budget {
+                attempts += 1;
+                let item = if rng.random::<f64>() < self.affinity {
+                    pool[table.sample(&mut rng) as usize]
+                } else {
+                    global.sample(&mut rng)
+                };
+                // Branch-free dedup: every draw is written, only a fresh
+                // one advances past its slot.
+                let fresh = stamp[item as usize] != user as u32;
+                stamp[item as usize] = user as u32;
+                profile[len] = item;
+                len += fresh as usize;
+            }
+            let profile = &mut profile[..len];
+            profile.sort_unstable();
+            builder.push_sorted_profile(profile);
+        }
+        builder.build_with_min_items(self.num_items as u32)
+    }
+
+    /// The item distributions, drawn from the head of the stream: the
+    /// global Zipf popularity, and each community's item pool with its
+    /// alias table.
+    fn popularity(&self, rng: &mut SmallRng) -> (AliasTable, Vec<(Vec<ItemId>, AliasTable)>) {
         // Global popularity: item `i`'s Zipf rank is a random permutation of
         // ids, so popularity is independent of the id ordering.
         let mut ranks: Vec<u32> = (0..self.num_items as u32).collect();
-        ranks.shuffle(&mut rng);
+        ranks.shuffle(rng);
         let weights: Vec<f64> =
             ranks.iter().map(|&r| ((r + 1) as f64).powf(-self.zipf_exponent)).collect();
         let global = AliasTable::new(&weights);
@@ -98,45 +146,20 @@ impl SyntheticConfig {
         // every community pool is non-empty and popularity mixes across
         // communities.
         let mut item_order: Vec<u32> = (0..self.num_items as u32).collect();
-        item_order.shuffle(&mut rng);
-        let mut pools: Vec<Vec<u32>> = vec![Vec::new(); self.communities];
+        item_order.shuffle(rng);
+        let mut pools: Vec<Vec<ItemId>> = vec![Vec::new(); self.communities];
         for (pos, &item) in item_order.iter().enumerate() {
             pools[pos % self.communities].push(item);
         }
-        let community_tables: Vec<AliasTable> = pools
-            .iter()
+        let communities = pools
+            .into_iter()
             .map(|pool| {
                 let w: Vec<f64> = pool.iter().map(|&i| weights[i as usize]).collect();
-                AliasTable::new(&w)
+                let table = AliasTable::new(&w);
+                (pool, table)
             })
             .collect();
-
-        let mut builder = DatasetBuilder::with_capacity(self.num_users);
-        let mut profile: Vec<ItemId> = Vec::new();
-        for user in 0..self.num_users {
-            let community = user % self.communities;
-            let target = self.sample_profile_len(&mut rng);
-            profile.clear();
-            // Rejection loop: draw until `target` distinct items or the
-            // attempt budget is exhausted (protects degenerate configs where
-            // the pool is barely larger than the target).
-            let mut attempts = 0usize;
-            let budget = target * 30 + 100;
-            while profile.len() < target && attempts < budget {
-                attempts += 1;
-                let item = if rng.random::<f64>() < self.affinity {
-                    let pool = &pools[community];
-                    pool[community_tables[community].sample(&mut rng) as usize]
-                } else {
-                    global.sample(&mut rng)
-                };
-                if let Err(pos) = profile.binary_search(&item) {
-                    profile.insert(pos, item);
-                }
-            }
-            builder.push_sorted_profile(&profile);
-        }
-        builder.build_with_min_items(self.num_items as u32)
+        (global, communities)
     }
 
     /// Draws a log-normal profile size with mean `mean_profile`, clamped to
@@ -212,8 +235,10 @@ impl DatasetProfile {
     /// the mean profile size is preserved. The square-root law keeps the
     /// dense-vs-sparse contrast between the presets close to the published
     /// densities (linear item scaling would inflate density by `1/scale`
-    /// and wash out the sparsity effects C² and LSH are sensitive to —
-    /// documented in DESIGN.md §3).
+    /// and wash out the sparsity effects C² and LSH are sensitive to: a
+    /// tenth of the users would make the data ten times denser, and the
+    /// sparse presets would stop fragmenting MinHash buckets as the
+    /// paper's AM, DBLP and Gowalla do).
     pub fn config(self, scale: f64, seed: u64) -> SyntheticConfig {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let (users, items, mean_profile) = self.published_shape();
@@ -263,6 +288,103 @@ impl DatasetProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl SyntheticConfig {
+        /// The generator before stamp dedup: each draw is deduplicated by a
+        /// binary search and kept by a sorted insert. `generate` must match
+        /// it bit for bit.
+        fn generate_by_sorted_insert(&self) -> Dataset {
+            let mut rng = SmallRng::seed_from_u64(self.seed);
+            let (global, communities) = self.popularity(&mut rng);
+            let mut builder = DatasetBuilder::with_capacity(self.num_users);
+            let mut profile: Vec<ItemId> = Vec::new();
+            for user in 0..self.num_users {
+                let (pool, table) = &communities[user % self.communities];
+                let target = self.sample_profile_len(&mut rng);
+                profile.clear();
+                let mut attempts = 0usize;
+                let budget = target * 30 + 100;
+                while profile.len() < target && attempts < budget {
+                    attempts += 1;
+                    let item = if rng.random::<f64>() < self.affinity {
+                        pool[table.sample(&mut rng) as usize]
+                    } else {
+                        global.sample(&mut rng)
+                    };
+                    if let Err(pos) = profile.binary_search(&item) {
+                        profile.insert(pos, item);
+                    }
+                }
+                builder.push_sorted_profile(&profile);
+            }
+            builder.build_with_min_items(self.num_items as u32)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn stamp_dedup_matches_the_sorted_insert_reference(
+            seed in 0u64..1_000_000,
+            shape in (1usize..80, 1usize..300, 1usize..40),
+            sizes in (1usize..120, 0usize..15, 0usize..40),
+            mix in (0usize..25, 0usize..13),
+        ) {
+            let (num_users, num_items, communities) = shape;
+            // Every community pool needs an item.
+            let communities = communities.min(num_items);
+            let (mean_profile, sigma_tenths, min_profile) = sizes;
+            let (zipf_tenths, affinity_tenths) = mix;
+            let cfg = SyntheticConfig {
+                num_users,
+                num_items,
+                communities,
+                mean_profile: mean_profile as f64,
+                profile_sigma: sigma_tenths as f64 / 10.0,
+                min_profile,
+                zipf_exponent: zipf_tenths as f64 / 10.0,
+                // 0, 0.1, …, 0.9, then 1.0 three times in thirteen.
+                affinity: (affinity_tenths as f64 / 10.0).min(1.0),
+                seed,
+            };
+            prop_assert_eq!(cfg.generate(), cfg.generate_by_sorted_insert(), "{:?}", cfg);
+        }
+    }
+
+    #[test]
+    fn stamp_dedup_matches_the_reference_at_the_extremes() {
+        let base = SyntheticConfig {
+            num_users: 300,
+            num_items: 120,
+            communities: 4,
+            mean_profile: 29.0,
+            profile_sigma: 0.0,
+            min_profile: 29,
+            zipf_exponent: 1.2,
+            affinity: 1.0,
+            seed: 5,
+        };
+        let cases = [
+            // Pools of 30 items for 29-item profiles: draws exhaust the
+            // budget on the rare tail of the pool.
+            base.clone(),
+            // No community structure: every draw from the global pool.
+            SyntheticConfig { affinity: 0.0, ..base.clone() },
+            // A one-item universe: every profile is that item.
+            SyntheticConfig { num_items: 1, communities: 1, min_profile: 1, ..base.clone() },
+            // Profiles at the size clamp, half the universe.
+            SyntheticConfig { mean_profile: 500.0, profile_sigma: 1.0, ..base },
+        ];
+        for cfg in &cases {
+            assert_eq!(cfg.generate(), cfg.generate_by_sorted_insert(), "{cfg:?}");
+        }
+        assert!(
+            cases[0].generate().iter().any(|(_, p)| p.len() < 29),
+            "the saturated case must exhaust some budget"
+        );
+    }
 
     #[test]
     fn generation_is_deterministic() {

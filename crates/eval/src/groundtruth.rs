@@ -19,7 +19,7 @@
 //! comparison budget degrades gracefully — the bench can chart recall@k
 //! against the admission budget.
 
-use cnc_core::build_plan::{config_token, BuildPlan};
+use cnc_core::build_plan::{config_token, fnv1a_u64, BuildPlan, FNV_OFFSET};
 use cnc_core::C2Config;
 use cnc_dataset::{Dataset, UserId};
 use cnc_graph::NeighborList;
@@ -28,18 +28,6 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a_u64(mut hash: u64, value: u64) -> u64 {
-    for &byte in &value.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Content key of one serving epoch: FNV-1a over the epoch's cluster
 /// content hashes (in cluster order), prefixed with the build
@@ -346,6 +334,13 @@ mod tests {
         // therefore cluster hashes are config-dependent).
         let other = C2Config { k: c2.k + 1, ..c2 };
         assert_ne!(key, epoch_key(&ds, &other));
+    }
+
+    #[test]
+    fn epoch_key_is_pinned() {
+        // Recorded before the key's FNV-1a fold moved into `cnc-core`:
+        // cached truths stay addressable across that refactor.
+        assert_eq!(epoch_key(&dataset(), &c2()), 0x3cb8_f681_6d55_cac2);
     }
 
     #[test]
