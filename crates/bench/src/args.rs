@@ -11,9 +11,6 @@
 //! --workers <n>        pin the runtime sweep's map worker count  (default: sweep)
 //! --reduce-shards <n>  pin the runtime sweep's reduce shards     (default: sweep)
 //! --processes <n>      pin the distributed sweep's process count (default: sweep 1,2,4)
-//! --clients <n>        client threads for the serve bench        (default: 4)
-//! --budget <n>         serve admission budget, comparisons/s     (default: unlimited)
-//! --slo-us <n>         serve p99 latency SLO in µs, 0 = off      (default: 0)
 //! --telemetry on|off   metric/span recording                     (default: per-binary)
 //! --profile-out <path> write a JSON telemetry profile on exit    (default: none)
 //! --faults SPEC        arm seeded fault injection, e.g.
@@ -45,16 +42,7 @@ pub struct HarnessArgs {
     /// `{1, n}` worker processes (`None` = sweep `{1, 2, 4}`; the
     /// single-process point always runs — it is the speed-up baseline).
     pub processes: Option<usize>,
-    /// Client threads driving the `serve` bench (`None` = the default 4).
-    pub clients: Option<usize>,
-    /// Global admission budget for the serve bench, in similarity
-    /// comparisons per second (`None` = no admission control).
-    pub budget: Option<u64>,
-    /// p99 latency SLO for the serve bench's adaptive beam controller, in
-    /// microseconds (`None` = controller off).
-    pub slo_us: Option<u64>,
-    /// Telemetry recording override (`None` = the binary's default; serve
-    /// turns it on, the pure-throughput benches leave it off).
+    /// Telemetry recording override (`None` = the binary's default).
     pub telemetry: Option<bool>,
     /// Writes the run's JSON telemetry profile here on exit. Implies
     /// telemetry unless `--telemetry off` explicitly wins.
@@ -74,9 +62,6 @@ impl Default for HarnessArgs {
             workers: None,
             reduce_shards: None,
             processes: None,
-            clients: None,
-            budget: None,
-            slo_us: None,
             telemetry: None,
             profile_out: None,
             faults: None,
@@ -113,26 +98,6 @@ impl HarnessArgs {
                 "--workers" => {
                     args.workers =
                         Some(value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?);
-                }
-                "--clients" => {
-                    let n: usize =
-                        value("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?;
-                    if n == 0 {
-                        return Err("--clients must be positive".into());
-                    }
-                    args.clients = Some(n);
-                }
-                "--budget" => {
-                    let n: u64 =
-                        value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?;
-                    if n == 0 {
-                        return Err("--budget must be positive (omit it for unlimited)".into());
-                    }
-                    args.budget = Some(n);
-                }
-                "--slo-us" => {
-                    args.slo_us =
-                        Some(value("--slo-us")?.parse().map_err(|e| format!("--slo-us: {e}"))?);
                 }
                 "--processes" => {
                     let n: usize =
@@ -203,9 +168,7 @@ impl HarnessArgs {
     /// The usage string.
     pub fn usage() -> &'static str {
         "usage: [--scale F] [--threads N] [--seed S] [--workers W] [--reduce-shards R] \
-         [--processes P] \
-         [--clients C] [--budget CMP_PER_S] [--slo-us US] \
-         [--datasets ml1M,ml10M,ml20M,AM,DBLP,GW] [--telemetry on|off] \
+         [--processes P] [--datasets ml1M,ml10M,ml20M,AM,DBLP,GW] [--telemetry on|off] \
          [--profile-out PATH] [--faults seed=S,p=P[,span=N][,sites=a+b]]"
     }
 
@@ -234,14 +197,6 @@ mod tests {
         assert_eq!(args.datasets.len(), 6);
         assert_eq!(args.workers, None);
         assert_eq!(args.reduce_shards, None);
-        assert_eq!(args.clients, None);
-    }
-
-    #[test]
-    fn parses_clients_pin() {
-        assert_eq!(parse(&["--clients", "2"]).unwrap().clients, Some(2));
-        assert!(parse(&["--clients", "0"]).is_err());
-        assert!(parse(&["--clients"]).is_err());
     }
 
     #[test]
@@ -294,18 +249,6 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         assert!(parse(&["--seed"]).is_err());
-    }
-
-    #[test]
-    fn parses_slo_flags() {
-        let args = parse(&["--budget", "500000", "--slo-us", "800"]).unwrap();
-        assert_eq!(args.budget, Some(500_000));
-        assert_eq!(args.slo_us, Some(800));
-        assert!(parse(&["--budget", "0"]).is_err(), "zero budget means 'omit the flag'");
-        assert!(parse(&["--slo-us"]).is_err());
-        let defaults = parse(&[]).unwrap();
-        assert_eq!(defaults.budget, None);
-        assert_eq!(defaults.slo_us, None);
     }
 
     #[test]

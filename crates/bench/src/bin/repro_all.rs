@@ -77,7 +77,7 @@ fn main() {
     );
 
     type Runner = fn(&HarnessArgs) -> String;
-    let sections: [(&str, Runner); 13] = [
+    let sections: [(&str, Runner); 10] = [
         ("table1", experiments::table1::run),
         ("table2", experiments::table2::run),
         ("table3", experiments::table3::run),
@@ -87,10 +87,7 @@ fn main() {
         ("fig7", experiments::fig7::run),
         ("fig8", experiments::fig8::run),
         ("theory", experiments::theory::run),
-        ("kernels", experiments::kernels::run),
         ("scaling", experiments::scaling::run),
-        ("serve", experiments::serve::run),
-        ("snapshot", experiments::snapshot::run),
     ];
     for (name, runner) in sections {
         eprintln!("=== {name} ===");

@@ -5,10 +5,7 @@
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod kernels;
 pub mod scaling;
-pub mod serve;
-pub mod snapshot;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -99,12 +99,12 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// FNV-1a's initial value: the running hash of no bytes.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice — the workspace's shared integrity-hash
-/// primitive (cluster content hashes here, snapshot section checksums in
-/// `cnc-serve`, ground-truth cache keys in `cnc-eval`).
+/// primitive (cluster content hashes here, snapshot-path fault keys in
+/// `cnc-serve`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_bytes(FNV_OFFSET, bytes)
 }
@@ -121,7 +121,7 @@ fn fnv1a_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
 /// Folds a little-endian `u64` into a running FNV-1a hash; start the
 /// fold from [`FNV_OFFSET`].
 #[inline]
-pub fn fnv1a_u64(hash: u64, value: u64) -> u64 {
+pub(crate) fn fnv1a_u64(hash: u64, value: u64) -> u64 {
     fnv1a_bytes(hash, &value.to_le_bytes())
 }
 
@@ -395,8 +395,7 @@ pub enum RebuildPath {
     Patched,
 }
 
-/// What one rebuild did — the record `cnc-serve` publishes per epoch and
-/// the serve bench reads.
+/// What one rebuild did — the record `cnc-serve` publishes per epoch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RebuildStats {
     /// Clusters in the build's clustering.

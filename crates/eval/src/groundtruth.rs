@@ -1,49 +1,22 @@
 //! Sampled exact-KNN ground truth for serving-time recall@k.
 //!
-//! The serve bench reports ops/s and p99 for the online query path; this
-//! module supplies the third axis — *answer quality* — without paying for
-//! a full O(n²) exact graph on every epoch. A deterministic sample of
-//! donor users is drawn from the epoch's dataset, each one's exact top-k
-//! is brute-forced with raw Jaccard (the same arithmetic as
-//! `QueryIndex::exact_search`: `f64` similarity cast to `f32`, inserted
-//! into a bounded [`NeighborList`]), and the result is cached against a
-//! key folded from the epoch's **cluster content hashes** — the
-//! [`BuildPlan`] fingerprints the incremental rebuild path already
-//! computes. Epochs whose cluster contents are unchanged (the common case
-//! between rebuilds, and always the case for repeated benches over one
-//! snapshot) reuse the cached truth; any membership or item-set drift
-//! changes a cluster hash and therefore misses the cache.
+//! Throughput and latency say how fast the online query path answers;
+//! this module supplies the third axis — *answer quality* — without
+//! paying for a full O(n²) exact graph on every epoch. A deterministic
+//! sample of donor users is drawn from the epoch's dataset, and each
+//! one's exact top-k is brute-forced with raw Jaccard (the same
+//! arithmetic as `QueryIndex::exact_search`: `f64` similarity cast to
+//! `f32`, inserted into a bounded [`NeighborList`]).
 //!
 //! Recall is set-intersection over user ids (|approx ∩ exact| / k), so an
 //! unbudgeted exact search scores exactly 1.0 and a beam search under a
-//! comparison budget degrades gracefully — the bench can chart recall@k
-//! against the admission budget.
+//! comparison budget degrades gracefully.
 
-use cnc_core::build_plan::{config_token, fnv1a_u64, BuildPlan, FNV_OFFSET};
-use cnc_core::C2Config;
 use cnc_dataset::{Dataset, UserId};
 use cnc_graph::NeighborList;
 use cnc_similarity::Jaccard;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Content key of one serving epoch: FNV-1a over the epoch's cluster
-/// content hashes (in cluster order), prefixed with the build
-/// configuration token. Two epochs share a key iff their clustering
-/// configuration matches and every cluster hashes identically — i.e. the
-/// clustered dataset is byte-for-byte the same input.
-pub fn epoch_key(dataset: &Dataset, config: &C2Config) -> u64 {
-    let mut plan = BuildPlan::assign(config, dataset);
-    plan.fingerprint(dataset);
-    let mut key = fnv1a_u64(FNV_OFFSET, config_token(config));
-    key = fnv1a_u64(key, dataset.num_users() as u64);
-    for &hash in plan.hashes() {
-        key = fnv1a_u64(key, hash);
-    }
-    key
-}
 
 /// How ground truth is sampled: `sample` donor users drawn without
 /// replacement by a `seed`ed generator, exact top-`k` per donor.
@@ -66,7 +39,7 @@ impl Default for GroundTruthConfig {
 /// Exact top-k answers for one epoch's sampled donors.
 #[derive(Clone, Debug)]
 pub struct GroundTruth {
-    /// The [`epoch_key`] this truth was computed against.
+    /// The caller's key for the epoch this truth was computed against.
     pub key: u64,
     /// Neighbours per query.
     pub k: usize,
@@ -154,85 +127,6 @@ fn sample_users(num_users: usize, sample: usize, seed: u64) -> Vec<UserId> {
     pool
 }
 
-/// Ground truth memoized by epoch content key.
-///
-/// `get_or_compute` is the only entry point: a hit returns the cached
-/// truth untouched, a miss brute-forces a fresh one. The hit/miss
-/// counters make the invalidation contract testable — a run over
-/// unchanged epochs must show exactly one miss.
-#[derive(Debug, Default)]
-pub struct GroundTruthCache {
-    entries: HashMap<u64, Arc<GroundTruth>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl GroundTruthCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        GroundTruthCache::default()
-    }
-
-    /// The truth for `key`, computing (and retaining) it on first sight.
-    pub fn get_or_compute(
-        &mut self,
-        key: u64,
-        dataset: &Dataset,
-        config: &GroundTruthConfig,
-    ) -> Arc<GroundTruth> {
-        if let Some(truth) = self.entries.get(&key) {
-            self.hits += 1;
-            return Arc::clone(truth);
-        }
-        self.misses += 1;
-        let truth = Arc::new(GroundTruth::compute(dataset, config, key));
-        self.entries.insert(key, Arc::clone(&truth));
-        truth
-    }
-
-    /// [`GroundTruthCache::get_or_compute`] under a caller-supplied
-    /// scoring oracle (see [`GroundTruth::compute_with`]). The cache keys
-    /// purely on `key`, so callers whose oracle can change independently
-    /// of epoch contents (e.g. different sketch backends over one
-    /// dataset) must fold the backend identity into the key themselves.
-    pub fn get_or_compute_with(
-        &mut self,
-        key: u64,
-        dataset: &Dataset,
-        config: &GroundTruthConfig,
-        score: impl Fn(UserId, UserId) -> f32,
-    ) -> Arc<GroundTruth> {
-        if let Some(truth) = self.entries.get(&key) {
-            self.hits += 1;
-            return Arc::clone(truth);
-        }
-        self.misses += 1;
-        let truth = Arc::new(GroundTruth::compute_with(dataset, config, key, score));
-        self.entries.insert(key, Arc::clone(&truth));
-        truth
-    }
-
-    /// Lookups that reused a cached truth.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to brute-force.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Distinct epoch keys cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,10 +140,6 @@ mod tests {
         cfg.mean_profile = 20.0;
         cfg.min_profile = 8;
         cfg.generate()
-    }
-
-    fn c2() -> C2Config {
-        C2Config { k: 8, ..C2Config::default() }
     }
 
     /// Independent scalar reference: straight argsort of all users by
@@ -302,45 +192,6 @@ mod tests {
         let c = sample_users(500, 64, 78);
         assert_ne!(a, c, "different seeds should draw different donors");
         assert_eq!(sample_users(10, 64, 1).len(), 10, "sample clamps to n");
-    }
-
-    #[test]
-    fn cache_hits_on_identical_epoch_and_misses_on_content_change() {
-        let ds = dataset();
-        let cfg = GroundTruthConfig { sample: 8, k: 5, seed: 1 };
-        let c2 = c2();
-        let key = epoch_key(&ds, &c2);
-        assert_eq!(key, epoch_key(&ds, &c2), "key must be a pure content function");
-
-        let mut cache = GroundTruthCache::new();
-        let first = cache.get_or_compute(key, &ds, &cfg);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let second = cache.get_or_compute(key, &ds, &cfg);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!(Arc::ptr_eq(&first, &second), "hit must return the cached truth");
-
-        // One appended profile changes at least one cluster's content
-        // hash, so the key moves and the cache misses.
-        let mut profiles: Vec<Vec<u32>> = ds.iter().map(|(_, p)| p.to_vec()).collect();
-        profiles.push(vec![0, 1, 2, 3]);
-        let grown = Dataset::from_profiles(profiles, 0);
-        let grown_key = epoch_key(&grown, &c2);
-        assert_ne!(key, grown_key, "content change must move the epoch key");
-        cache.get_or_compute(grown_key, &grown, &cfg);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(cache.len(), 2);
-
-        // A config change alone also moves the key (clustering and
-        // therefore cluster hashes are config-dependent).
-        let other = C2Config { k: c2.k + 1, ..c2 };
-        assert_ne!(key, epoch_key(&ds, &other));
-    }
-
-    #[test]
-    fn epoch_key_is_pinned() {
-        // Recorded before the key's FNV-1a fold moved into `cnc-core`:
-        // cached truths stay addressable across that refactor.
-        assert_eq!(epoch_key(&dataset(), &c2()), 0x3cb8_f681_6d55_cac2);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! item recommendation (Table III) — a user-based collaborative-filtering
 //! recommender fed by the KNN graph, scored by recall under 5-fold
 //! cross-validation. [`groundtruth`] adds the serving-time axis: sampled
-//! exact-KNN answers cached per epoch so the serve bench can report
-//! recall@k next to ops/s and p99.
+//! exact-KNN answers that score a serving epoch's recall@k.
 
 pub mod classify;
 pub mod crossval;
@@ -16,5 +15,5 @@ pub mod recommend;
 pub use classify::KnnClassifier;
 pub use cnc_graph::metrics::{avg_exact_similarity, quality};
 pub use crossval::{evaluate_recall, CrossValResult};
-pub use groundtruth::{epoch_key, GroundTruth, GroundTruthCache, GroundTruthConfig};
+pub use groundtruth::{GroundTruth, GroundTruthConfig};
 pub use recommend::Recommender;

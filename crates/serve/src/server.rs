@@ -340,7 +340,7 @@ struct Writer {
 /// Telemetry handles for the serving path, resolved once at engine
 /// construction (the registry lock never appears on the query path).
 /// Recording is gated on [`Telemetry::enabled`] at each site; the
-/// histograms are the bounded-memory source of the serve bench's latency
+/// histograms are the bounded-memory source of the engine's latency
 /// percentiles.
 struct ServeMetrics {
     queries_served: Arc<Counter>,
@@ -495,8 +495,8 @@ pub struct ServingEngine {
     /// lock, read lock-free by [`ServingEngine::stats`]).
     pending: AtomicUsize,
     /// One [`RebuildStats`] per published epoch swap (the initial build is
-    /// not a swap and is excluded), for the serve bench's reuse
-    /// trajectory. Bounded to [`REBUILD_HISTORY_CAP`] entries — a
+    /// not a swap and is excluded), for the reuse trajectory `perf`
+    /// reports. Bounded to [`REBUILD_HISTORY_CAP`] entries — a
     /// long-lived engine publishing every few seconds must not grow
     /// monitoring state without bound; the oldest swaps are dropped.
     rebuild_history: Mutex<std::collections::VecDeque<RebuildStats>>,
@@ -1081,8 +1081,8 @@ impl ServingEngine {
 
     /// The reuse figures of the most recent epoch publishes (oldest
     /// first, at most the newest 1024 swaps retained; the initial build
-    /// is not a swap). This is the serve bench's `reuse_ratio` /
-    /// `rebuild_ms` trajectory source.
+    /// is not a swap). This is the source of the `perf` benchmark's
+    /// `serve.reuse_ratio`.
     pub fn rebuild_history(&self) -> Vec<RebuildStats> {
         self.history_state().iter().copied().collect()
     }

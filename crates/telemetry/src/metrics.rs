@@ -16,8 +16,8 @@
 //! * **Histograms are bounded.** The log-linear bucket scheme (HDR-style:
 //!   32 linear sub-buckets per power of two) covers the full `u64` range
 //!   in [`Histogram::NUM_BUCKETS`] buckets with ≤ 1/32 ≈ 3.1% relative
-//!   bucket width — latency percentiles without the serve bench's old
-//!   unbounded sample `Vec`.
+//!   bucket width — latency percentiles without an unbounded sample
+//!   `Vec`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};

@@ -127,11 +127,14 @@ proptest! {
     }
 }
 
-/// Serving under failing rebuilds: readers hammer the engine while every
-/// rebuild attempt dies (span 12 exhausts the per-cluster solve budget).
-/// No query may ever observe a partially built epoch — the user count and
-/// the neighbour ids must stay those of the last *good* epoch — and once
-/// the schedule is disarmed the queued inserts publish normally.
+/// Serving under faulted rebuilds, in both regimes, while readers hammer
+/// the engine. Span 12 exhausts the per-cluster solve budget, so every
+/// rebuild attempt dies: no query may ever observe a partially built
+/// epoch — the user count and the neighbour ids must stay those of the
+/// last *good* epoch — and once the schedule is disarmed the queued
+/// inserts publish normally. Span 2 stays under that budget, so every
+/// injected solver panic is absorbed by a retry and every insert
+/// publishes on its own, with no explicit heal.
 #[test]
 fn readers_never_observe_a_partial_epoch_while_rebuilds_fail() {
     let _serial = fault_lock();
@@ -159,57 +162,73 @@ fn readers_never_observe_a_partial_epoch_while_rebuilds_fail() {
         rebuild_after: 2,
         ..ServingConfig::default()
     };
-    let engine = ServingEngine::build(base.clone(), config);
-
     let inserts = 8usize;
-    let guard =
-        Faults::global().arm(FaultPlan::new(3, 1.0).only(&[Site::SolveCluster]).with_span(12));
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(|| {
-            for i in 0..inserts {
-                let mut profile = base.profile((i % users0) as u32).to_vec();
-                profile.push((i % 50) as u32);
-                profile.sort_unstable();
-                profile.dedup();
-                engine.insert(profile, i as u64);
-            }
-        });
-        for reader in 0..2u64 {
-            let engine = &engine;
-            let base = &base;
-            scope.spawn(move || {
-                let mut session = engine.session();
-                for i in 0..150u64 {
-                    let profile = base.profile(((reader * 97 + i) % users0 as u64) as u32);
-                    let result = engine.query_with(&mut session, profile, 5, i);
-                    assert!(!result.neighbors.is_empty(), "query on a live epoch came back empty");
-                    for n in &result.neighbors {
-                        assert!(
-                            (n.user as usize) < users0,
-                            "reader saw user {} from an unpublished epoch (epoch has {users0})",
-                            n.user
-                        );
-                    }
+
+    for (span, absorbed) in [(12, false), (2, true)] {
+        let engine = ServingEngine::build(base.clone(), config);
+        // The largest epoch a reader may be answered from.
+        let visible = if absorbed { users0 + inserts } else { users0 };
+        let guard = Faults::global()
+            .arm(FaultPlan::new(3, 1.0).only(&[Site::SolveCluster]).with_span(span));
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for i in 0..inserts {
+                    let mut profile = base.profile((i % users0) as u32).to_vec();
+                    profile.push((i % 50) as u32);
+                    profile.sort_unstable();
+                    profile.dedup();
+                    engine.insert(profile, i as u64);
                 }
             });
+            for reader in 0..2u64 {
+                let engine = &engine;
+                let base = &base;
+                scope.spawn(move || {
+                    let mut session = engine.session();
+                    for i in 0..150u64 {
+                        let profile = base.profile(((reader * 97 + i) % users0 as u64) as u32);
+                        let result = engine.query_with(&mut session, profile, 5, i);
+                        assert!(
+                            !result.neighbors.is_empty(),
+                            "span {span}: query on a live epoch came back empty"
+                        );
+                        for n in &result.neighbors {
+                            assert!(
+                                (n.user as usize) < visible,
+                                "span {span}: reader saw user {} from an unpublished epoch \
+                                 (published epochs have at most {visible})",
+                                n.user
+                            );
+                        }
+                    }
+                });
+            }
+            writer.join().expect("writer thread panicked");
+        });
+
+        let stats = engine.stats();
+        assert!(Faults::global().injected(Site::SolveCluster) > 0, "span {span} injected nothing");
+        assert_eq!(stats.inserts, inserts as u64, "every insert is absorbed despite the faults");
+        if absorbed {
+            assert_eq!(stats.rebuild_failures, 0, "span 2 is absorbed below the retry budget");
+            assert_eq!(stats.num_users, users0 + inserts, "every insert published unaided");
+            let swaps = (inserts / config.rebuild_after) as u64;
+            assert_eq!(stats.epoch_swaps, swaps, "one swap per `rebuild_after` inserts");
+            continue;
         }
-        writer.join().expect("writer thread panicked");
-    });
+        assert_eq!(stats.num_users, users0, "a failed rebuild must not publish");
+        assert!(
+            stats.rebuild_failures > 0,
+            "the schedule must have killed at least one rebuild attempt"
+        );
 
-    let stats = engine.stats();
-    assert_eq!(stats.num_users, users0, "a failed rebuild must not publish");
-    assert!(
-        stats.rebuild_failures > 0,
-        "the schedule must have killed at least one rebuild attempt"
-    );
-    assert_eq!(stats.inserts, inserts as u64, "every insert is absorbed despite the failures");
-
-    // Disarm: the engine heals on the next explicit publish, absorbing
-    // everything that queued up while rebuilds were failing.
-    drop(guard);
-    engine.publish();
-    let healed = engine.stats();
-    assert_eq!(healed.num_users, users0 + inserts, "queued inserts publish after recovery");
+        // Disarm: the engine heals on the next explicit publish, absorbing
+        // everything that queued up while rebuilds were failing.
+        drop(guard);
+        engine.publish();
+        let healed = engine.stats();
+        assert_eq!(healed.num_users, users0 + inserts, "queued inserts publish after recovery");
+    }
 }
 
 /// The `snapshot.mmap` fault site: an injected map failure never fails

@@ -323,13 +323,45 @@ fn held_epochs_stay_queryable_after_many_swaps() {
     assert_eq!(held.epoch(), 1);
 }
 
+/// Bytes of `adopted`'s arrays that are views into the mapped file:
+/// dataset offsets + items, graph offsets + entries, fingerprint words
+/// and the entry-index arrays.
+fn borrowed_bytes(adopted: &AdoptedSnapshot) -> u64 {
+    let AdoptedSnapshot { dataset, graph, goldfinger, entries, .. } = adopted;
+    let offsets = 8 * (dataset.num_users() + 1);
+    let mut bytes = 0;
+    if dataset.is_shared() {
+        bytes += offsets + 4 * dataset.num_ratings();
+    }
+    if graph.is_shared() {
+        bytes += offsets + 8 * graph.num_edges();
+    }
+    if let Some(gf) = goldfinger.as_ref().filter(|gf| gf.is_shared()) {
+        bytes += 8 * gf.words().len();
+    }
+    if let Some(index) = entries.as_ref().filter(|index| index.is_shared()) {
+        bytes += 8 * (index.seeds().len() + index.keys().len())
+            + 4 * (index.offsets().len() + index.targets().len() + index.members().len());
+    }
+    bytes as u64
+}
+
 #[test]
 fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
     let ds = dataset(10, 250);
-    let config = serving_config(0);
+    // The paper's k = 30, with a beam wide enough for it. At the suite's
+    // k = 8 the builder's membership section, which adoption never reads,
+    // is a tenth of the file, and the zero-copy share below would measure
+    // that shape rather than the load path.
+    let base = serving_config(0);
+    let config = ServingConfig {
+        c2: C2Config { k: 30, ..base.c2 },
+        beam: BeamSearchConfig { beam_width: 32, ..base.beam },
+        ..base
+    };
     let engine = ServingEngine::build(ds.clone(), config);
     let path = TempPath::new("mmap");
-    engine.write_snapshot(&path.0).unwrap();
+    let file_bytes = engine.write_snapshot(&path.0).unwrap();
 
     let adopted = AdoptedSnapshot::open(&path.0).unwrap();
     assert_eq!(
@@ -365,6 +397,11 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
         assert!(adopted.graph.is_shared(), "mapped graph must borrow the file");
         assert!(adopted.goldfinger.as_ref().unwrap().is_shared());
         assert!(mapped_entries.is_shared(), "mapped member array must borrow the file");
+        // Zero copies, as a count: the borrowed arrays cover all of the
+        // file but the section table and the builder's membership
+        // section, which adoption never reads.
+        let share = borrowed_bytes(&adopted) as f64 / file_bytes as f64;
+        assert!(share >= 0.9, "only {share:.3} of the file is served in place");
     }
 
     // Adopt into an engine serving something else entirely; afterwards it

@@ -240,6 +240,11 @@ fn query_seed_sources_are_counted() {
     telemetry.enable(true);
     let routed = telemetry.counter("cnc_query_seeds_total", &[("source", "routed")]);
     let random = telemetry.counter("cnc_query_seeds_total", &[("source", "random")]);
+    let outcomes = ["served", "empty"]
+        .map(|outcome| telemetry.counter("cnc_queries_total", &[("outcome", outcome)]));
+    let answered = || outcomes.iter().map(|c| c.value()).sum::<u64>();
+    let latency = telemetry.histogram("cnc_query_latency_ns", &[]);
+    let (answered_before, timed_before) = (answered(), latency.count());
 
     let mut cfg = SyntheticConfig::small(56);
     cfg.num_users = 150;
@@ -272,6 +277,12 @@ fn query_seed_sources_are_counted() {
     let batched = engine.query_batch(&requests).remove(0).unwrap();
     assert!(routed.value() - routed_before >= batched.routed_seeds as u64);
 
+    // Every one of the three queries was counted and timed, whichever
+    // path it took.
+    assert!(answered() - answered_before >= 3, "queries went uncounted");
+    assert!(latency.count() - timed_before >= 3, "queries went untimed");
+    assert!(telemetry.json_profile().contains("cnc_queries_total"));
+
     let text = telemetry.prometheus_text();
     assert!(text.contains("cnc_query_seeds_total"), "missing counter in:\n{text}");
     assert!(text.contains("source=\"routed\""), "missing source label in:\n{text}");
@@ -295,9 +306,12 @@ fn publish_spans_say_what_the_rebuild_did_and_why() {
         ..ServingConfig::default()
     };
     let engine = ServingEngine::build(ds.clone(), config);
+    let placements = telemetry.histogram("cnc_insert_latency_ns", &[]);
+    let placed_before = placements.count();
     for i in 0..3u32 {
         engine.insert(ds.profile(i * 13).to_vec(), i as u64);
     }
+    assert!(placements.count() - placed_before >= 3, "inserts went untimed");
     engine.publish();
     let rebuild = engine.current_epoch().rebuild_stats();
     assert_eq!(rebuild.path, RebuildPath::Patched);
