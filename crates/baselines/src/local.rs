@@ -15,8 +15,8 @@
 //!   cluster runs on a local graph and merges its lists member by member
 //!   (Algorithm 3).
 //! * **As partial lists** ([`solve_cluster_partial`] and the `_partial`
-//!   solvers) — one bounded list per member, for a map stage that ships
-//!   them to a reduce stage (`cnc-runtime`).
+//!   solvers) — one bounded list per member, for a map stage that merges
+//!   them later (`cnc-runtime`) or ships them over a wire (`cnc-distrib`).
 //!
 //! The two forms make the same offers, so a row ends with the same top-k.
 
@@ -31,7 +31,7 @@ use cnc_similarity::SimilarityData;
 /// flushed to `sim`).
 ///
 /// This is the *map-stage* form of Algorithm 2's cheap branch, for a
-/// caller that ships the partial lists to a reduce stage (`cnc-runtime`);
+/// caller that merges or ships the partial lists itself (`cnc-runtime`);
 /// [`brute_force`] is the in-process form.
 ///
 /// Runs on the batched kernel layer: one backend dispatch and (for

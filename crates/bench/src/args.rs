@@ -9,7 +9,7 @@
 //! --seed <u64>         experiment seed                           (default 42)
 //! --datasets a,b       restrict to named presets                 (default: all six)
 //! --workers <n>        pin the runtime sweep's map worker count  (default: sweep)
-//! --reduce-shards <n>  pin the runtime sweep's reduce shards     (default: sweep)
+//! --reduce-shards <n>  the distributed sweep's reduce shards     (default: 2)
 //! --processes <n>      pin the distributed sweep's process count (default: sweep 1,2,4)
 //! --telemetry on|off   metric/span recording                     (default: per-binary)
 //! --profile-out <path> write a JSON telemetry profile on exit    (default: none)
@@ -35,8 +35,8 @@ pub struct HarnessArgs {
     /// Pins the `scaling` experiment to one map worker count
     /// (`None` = sweep the default ladder).
     pub workers: Option<usize>,
-    /// Pins the `scaling` experiment to one reduce-shard count
-    /// (`None` = sweep the default ladder).
+    /// The reduce-shard count of the `scaling` experiment's
+    /// *distributed* sweep (`None` = its default of 2).
     pub reduce_shards: Option<usize>,
     /// Pins the `scaling` experiment's *distributed* sweep to
     /// `{1, n}` worker processes (`None` = sweep `{1, 2, 4}`; the
@@ -200,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_runtime_sweep_pins() {
+    fn parses_sweep_pins() {
         let args = parse(&["--workers", "2", "--reduce-shards", "3"]).unwrap();
         assert_eq!(args.workers, Some(2));
         assert_eq!(args.reduce_shards, Some(3));

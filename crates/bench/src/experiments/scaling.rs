@@ -1,20 +1,22 @@
-//! §VIII executed: predicted vs. measured map-reduce scaling.
+//! §VIII executed: predicted vs. measured sharded scaling.
 //!
-//! Two sweeps over the same C² build on `cnc-runtime`'s sharded engine:
+//! Three sweeps over the same C² build:
 //!
-//! 1. **Map stage** — for `W ∈ {1, 2, 4, 8, 16}` (one reduce shard, no
-//!    spill), the `DeploymentPlan`'s *predicted* figures (Algorithm 2 cost
-//!    model) next to the engine's *measured* ones — the validation loop
-//!    the simulation alone could not close.
-//! 2. **Reduce stage** — for `R ∈ {1, 2, 4}` × spill `{Off, Always}` at a
-//!    fixed worker count, the reduce-stage speed-up the single reducer of
-//!    PR 1 pinned at 1.0, plus shuffle skew and spill traffic.
+//! 1. **Map stage** — for `W ∈ {1, 2, 4, 8, 16}` on `cnc-runtime`'s
+//!    sharded engine (no spill), the `DeploymentPlan`'s *predicted*
+//!    figures (Algorithm 2 cost model) next to the engine's *measured*
+//!    ones — the validation loop the simulation alone could not close.
+//! 2. **Spill lane** — spill `{Off, Always}` at a fixed worker count: the
+//!    same build merged in memory and through per-worker spill files.
+//! 3. **Distributed processes** — `cnc-distrib` over re-exec'd worker
+//!    processes, its partial lists routed to `R` reduce shards.
 //!
-//! Speed-ups here are `Σ busy / makespan` per stage (the scheduling
-//! speed-up; on a machine with fewer cores than shards the wall clock
-//! obviously cannot follow it). `--workers` / `--reduce-shards` pin the
-//! sweeps to one point — CI's smoke run uses
-//! `--workers 2 --reduce-shards 2` on a tiny dataset.
+//! Speed-ups here are `Σ busy / makespan` (the scheduling speed-up; on a
+//! machine with fewer cores than shards the wall clock obviously cannot
+//! follow it). `--workers` pins the first two sweeps to one point,
+//! `--processes` and `--reduce-shards` the distributed one — CI's smoke
+//! run uses `--workers 2 --reduce-shards 2 --processes 2` on a tiny
+//! dataset.
 
 use crate::args::HarnessArgs;
 use cnc_core::C2Config;
@@ -28,12 +30,9 @@ use std::time::Instant;
 /// Worker counts swept by the map-stage table.
 pub const WORKER_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Reduce-shard counts swept by the shuffle table.
-pub const REDUCE_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// The fixed map worker count of the shuffle table (unless `--workers`
+/// The fixed map worker count of the spill table (unless `--workers`
 /// pins one).
-pub const SHUFFLE_WORKERS: usize = 4;
+pub const SPILL_WORKERS: usize = 4;
 
 /// Process counts swept by the distributed table (unless `--processes`
 /// pins one; 1 always runs — it is the speed-up baseline).
@@ -47,7 +46,7 @@ pub const DISTRIB_SHARDS: usize = 2;
 pub fn run(args: &HarnessArgs) -> String {
     // The scaling sweep defaults telemetry *off* (wall-clock fidelity);
     // `--profile-out` or `--telemetry on` capture the per-build
-    // map.worker / reduce.shard span trees for trace inspection.
+    // map.worker span trees for trace inspection.
     cnc_telemetry::Telemetry::global().enable(args.telemetry_enabled(false));
     let mut cfg = SyntheticConfig::small(args.seed);
     cfg.num_users = (8000.0 * args.scale.max(0.05)) as usize;
@@ -67,11 +66,11 @@ pub fn run(args: &HarnessArgs) -> String {
         ..C2Config::default()
     };
 
-    // One similarity build shared across every run of both sweeps (the
-    // PR-2 follow-up: don't re-materialize the backend per execution).
+    // One similarity build shared across every run of the runtime sweeps
+    // (don't re-materialize the backend per execution).
     let sim = SimilarityData::build_parallel(c2.backend, &dataset, 0);
 
-    // --- Map-stage sweep (single reducer isolates the map phase) --------
+    // --- Map-stage sweep ------------------------------------------------
     let worker_counts: Vec<usize> =
         args.workers.map_or_else(|| WORKER_COUNTS.to_vec(), |w| vec![w]);
     let mut num_clusters = 0;
@@ -79,7 +78,6 @@ pub fn run(args: &HarnessArgs) -> String {
     for &workers in &worker_counts {
         let runtime = Runtime::new(RuntimeConfig {
             workers,
-            reduce_shards: 1,
             steal: StealPolicy::MostLoaded,
             ..RuntimeConfig::default()
         });
@@ -99,32 +97,25 @@ pub fn run(args: &HarnessArgs) -> String {
         ));
     }
 
-    // --- Reduce-stage sweep: shards × spill modes -----------------------
-    let shuffle_workers = args.workers.unwrap_or(SHUFFLE_WORKERS);
-    let reduce_counts: Vec<usize> =
-        args.reduce_shards.map_or_else(|| REDUCE_COUNTS.to_vec(), |r| vec![r]);
-    let mut shuffle_rows = String::new();
-    for &reduce_shards in &reduce_counts {
-        for spill in [SpillMode::Off, SpillMode::Always] {
-            let runtime = Runtime::new(RuntimeConfig {
-                workers: shuffle_workers,
-                reduce_shards,
-                spill,
-                steal: StealPolicy::MostLoaded,
-                ..RuntimeConfig::default()
-            });
-            let result = runtime.execute_with(&dataset, &sim, &c2, Instant::now());
-            let report = &result.report;
-            report.check_invariants().expect("runtime report accounting violated");
-            shuffle_rows.push_str(&format!(
-                "| {reduce_shards} | {spill:?} | {:.2} | {:.3} | {} | {} | {:.1} ms |\n",
-                report.reduce_speedup(),
-                report.shuffle_skew(),
-                report.total_spill_entries(),
-                report.total_spill_bytes(),
-                report.reduce_makespan().as_secs_f64() * 1e3,
-            ));
-        }
+    // --- Spill sweep: in-memory merge vs per-worker spill files ---------
+    let spill_workers = args.workers.unwrap_or(SPILL_WORKERS);
+    let mut spill_rows = String::new();
+    for spill in [SpillMode::Off, SpillMode::Always] {
+        let runtime = Runtime::new(RuntimeConfig {
+            workers: spill_workers,
+            spill,
+            steal: StealPolicy::MostLoaded,
+        });
+        let result = runtime.execute_with(&dataset, &sim, &c2, Instant::now());
+        let report = &result.report;
+        report.check_invariants().expect("runtime report accounting violated");
+        spill_rows.push_str(&format!(
+            "| {spill:?} | {:.2} | {} | {} | {:.1} ms |\n",
+            report.measured_speedup(),
+            report.total_spill_entries(),
+            report.total_spill_bytes(),
+            report.map_reduce_wall.as_secs_f64() * 1e3,
+        ));
     }
 
     // --- Distributed processes sweep ------------------------------------
@@ -140,12 +131,11 @@ pub fn run(args: &HarnessArgs) -> String {
          *{} users, {num_clusters} clusters per run; LPT plan + work stealing; \
          speed-up = Σ busy / makespan*\n\n\
          | W | predicted speed-up | measured speed-up | predicted imbalance | \
-         measured imbalance | stolen | shuffle entries | map+reduce wall |\n\
+         measured imbalance | stolen | shuffle entries | map+merge wall |\n\
          |---:|---:|---:|---:|---:|---:|---:|---:|\n{map_rows}\n\
-         ### Reduce shards & spillable shuffle ({shuffle_workers} map workers)\n\n\
-         | R | spill | reduce speed-up | shuffle skew | spilled entries | \
-         spilled bytes | reduce makespan |\n\
-         |---:|:---|---:|---:|---:|---:|---:|\n{shuffle_rows}\n{distrib_section}",
+         ### Spill lane ({spill_workers} map workers)\n\n\
+         | spill | measured speed-up | spilled entries | spilled bytes | map+merge wall |\n\
+         |:---|---:|---:|---:|---:|\n{spill_rows}\n{distrib_section}",
         dataset.num_users(),
     )
 }
@@ -289,25 +279,18 @@ mod tests {
         for workers in WORKER_COUNTS {
             assert!(report.contains(&format!("| {workers} |")), "missing row for W={workers}");
         }
-        for reduce_shards in REDUCE_COUNTS {
-            for spill in ["Off", "Always"] {
-                let row = format!("| {reduce_shards} | {spill} |");
-                assert!(report.contains(&row), "missing shuffle row {row}");
-            }
+        for spill in ["Off", "Always"] {
+            let row = format!("| {spill} |");
+            assert!(report.contains(&row), "missing spill row {row}");
         }
     }
 
     #[test]
-    fn pinned_flags_restrict_both_sweeps() {
-        let args = HarnessArgs {
-            scale: 0.05,
-            workers: Some(2),
-            reduce_shards: Some(2),
-            ..HarnessArgs::default()
-        };
+    fn pinned_workers_restrict_both_runtime_sweeps() {
+        let args = HarnessArgs { scale: 0.05, workers: Some(2), ..HarnessArgs::default() };
         let report = run(&args);
-        assert!(report.contains("| 2 | Off |"));
-        assert!(report.contains("| 2 | Always |"));
+        assert!(report.contains("| Off |"));
+        assert!(report.contains("| Always |"));
         assert!(report.contains("(2 map workers)"));
         for absent in [16, 8, 4, 1] {
             assert!(

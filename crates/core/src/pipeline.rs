@@ -122,14 +122,11 @@ impl ClusterAndConquer {
     /// Runs Step 1 (clustering) alone and returns the raw [`Clustering`].
     ///
     /// This is the entry point for external execution engines that schedule
-    /// Steps 2 + 3 themselves — in particular `cnc-runtime`'s sharded
-    /// map-reduce engine, whose `ShardedBuild::build_sharded` extension
-    /// method (re-exported in the facade prelude) runs the resulting
-    /// clusters on `W` worker shards and merges their partial neighbour
-    /// lists in a concurrent reduce stage. (`build_sharded` lives in
-    /// `cnc-runtime` rather than here because the runtime crate depends on
-    /// this one; the trait keeps the call-site syntax
-    /// `ClusterAndConquer::build_sharded(..)`.)
+    /// Steps 2 + 3 themselves. `cnc-runtime`'s sharded engine
+    /// (`Runtime::execute`, re-exported in the facade prelude) takes the
+    /// same clusters from a `BuildPlan`, solves them on `W` worker threads
+    /// and has each worker merge its partial neighbour lists straight into
+    /// one shared neighbour arena.
     pub fn cluster_step(&self, dataset: &Dataset) -> Clustering {
         Self::cluster(&self.config, dataset)
     }

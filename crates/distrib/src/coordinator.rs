@@ -26,8 +26,9 @@
 use crate::error::DistribError;
 use crate::transport::{self, send_frame, spawn_worker, SocketDir, Transport, WorkerLink};
 use crate::wire::{
-    self, decode_cluster_done, decode_stats, read_frame, Assignment, WorkerWireStats, FRAME_BYE,
-    FRAME_CLUSTER_DONE, FRAME_FINISH, FRAME_IDLE, FRAME_SPANS, FRAME_STATS,
+    self, decode_cluster_done, decode_stats, partition_of, read_frame, Assignment, ReducePartition,
+    WorkerWireStats, FRAME_BYE, FRAME_CLUSTER_DONE, FRAME_FINISH, FRAME_IDLE, FRAME_SPANS,
+    FRAME_STATS,
 };
 use cnc_baselines::local::solve_cluster_partial;
 use cnc_core::distributed::plan_deployment_for;
@@ -35,7 +36,6 @@ use cnc_core::{BuildPlan, C2Config, ClusterAndConquer};
 use cnc_dataset::{Dataset, UserId};
 use cnc_faults::{backoff, catch_injected, Faults, Site};
 use cnc_graph::{KnnGraph, NeighborList};
-use cnc_runtime::{partition_of, ReducePartition};
 use cnc_similarity::SimilarityData;
 use cnc_telemetry::{wire as telemetry_wire, Telemetry};
 use std::cell::OnceCell;
@@ -247,8 +247,7 @@ impl DistribRuntime {
         let n = dataset.num_users();
         let k = c2.k;
 
-        let mut plan = BuildPlan::assign(c2, dataset);
-        plan.fingerprint(dataset);
+        let plan = BuildPlan::assign(c2, dataset);
         let total = plan.clusters().len();
         span.attr("clusters", total as u64);
         span.attr("processes", processes as u64);
@@ -666,9 +665,7 @@ fn reader_loop(
                 FRAME_CLUSTER_DONE => match decode_cluster_done(&frame.payload, k) {
                     Ok(done) if done.groups.iter().all(|(s, _)| (*s as usize) < reduce_shards) => {
                         for (shard, records) in done.groups {
-                            let batch: Vec<(UserId, NeighborList)> =
-                                records.into_iter().map(|(u, _hash, list)| (u, list)).collect();
-                            let _ = shard_txs[shard as usize].send(batch);
+                            let _ = shard_txs[shard as usize].send(records);
                         }
                         let _ = events.send(Event::Done {
                             worker,

@@ -1,20 +1,20 @@
 //! cnc-distrib: the §VIII deployment plan as real processes.
 //!
-//! The in-process engine proved the map/shuffle/reduce decomposition
-//! over threads; this crate runs the *same* decomposition over worker
-//! **processes** — the bench binary re-exec'd in `--distrib-worker`
-//! mode — with the shuffle spill codec as the wire format. Map workers
-//! solve their assigned clusters and ship partial neighbour lists
-//! (cluster content hash on every record) to remote reduce shards; the
-//! coordinator merges the partitions and publishes like the serving
-//! writer. Because the codec is lossless (raw `f32` bits) and the
+//! The in-process engine runs the map stage over threads, merging into
+//! one shared arena; this crate runs a map/shuffle/reduce decomposition
+//! over worker **processes** — the bench binary re-exec'd in
+//! `--distrib-worker` mode — with the runtime's spill codec as the wire
+//! format. Map workers solve their assigned clusters and ship partial
+//! neighbour lists, routed by [`partition_of`], to the coordinator's
+//! reduce shards; the coordinator merges the partitions and publishes
+//! like the serving writer. Because the codec is lossless (raw `f32` bits) and the
 //! bounded-heap merge is order-independent, the distributed graph is
 //! **bit-identical** to [`cnc_core::ClusterAndConquer::build`] —
 //! `tests/distrib.rs` pins that over processes × shards × transports,
 //! including with a worker killed mid-build.
 //!
-//! The single-process `Runtime` is the degenerate case: one process,
-//! one shard, no wire.
+//! The single-process `Runtime` is the degenerate case: one process, no
+//! shards, no wire.
 //!
 //! # Joining a build
 //!
@@ -38,4 +38,5 @@ pub use coordinator::{
 };
 pub use error::DistribError;
 pub use transport::Transport;
+pub use wire::{partition_of, ReducePartition};
 pub use worker::{maybe_run_worker, run_worker, MAX_SOLVE_ATTEMPTS};

@@ -1,12 +1,13 @@
 //! The coordinator↔worker frame protocol.
 //!
 //! Every message is one *frame*: `[kind: u8][len: u32 LE][payload]`.
-//! Neighbour-list payloads inside `ClusterDone` frames reuse the shuffle
-//! spill codec verbatim ([`write_record`]/[`read_record`]: 16-byte
-//! header carrying the source cluster's content hash, 8 bytes per
-//! neighbour, raw `f32` bits) — the spill format *is* the wire format,
-//! so a distributed merge is bit-identical to a spilled local one by
-//! construction.
+//! Neighbour-list payloads inside `ClusterDone` frames reuse the runtime's
+//! spill codec verbatim ([`write_record`]/[`read_record`]: an 8-byte
+//! `(user, len)` header, 8 bytes per neighbour, raw `f32` bits) — the
+//! spill format *is* the wire format, so a distributed merge is
+//! bit-identical to a spilled local one by construction. Each frame
+//! groups its records by reduce shard ([`partition_of`]), the routing
+//! both ends of the wire share.
 //!
 //! Frames are the unit of atomicity: a worker that dies mid-frame
 //! leaves a truncated stream, the coordinator's reader fails the decode
@@ -24,7 +25,48 @@ use cnc_similarity::SimilarityBackend;
 use std::io::{self, Read};
 
 /// Bumped on any incompatible change; both ends verify it.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
+
+/// The reduce shard owning `user`, in `0..reduce_shards`.
+///
+/// A multiplicative (Fibonacci) hash rather than `user % R`: consecutive
+/// user ids scatter across shards the way an opaque key hash would in a
+/// real shuffle.
+///
+/// # Panics
+/// Panics if `reduce_shards == 0`.
+#[inline]
+pub fn partition_of(user: UserId, reduce_shards: usize) -> usize {
+    assert!(reduce_shards > 0, "at least one reduce shard is required");
+    let h = (user as u64).wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_mul(0xD1B5_4A32_D192_ED03);
+    ((h >> 32) as usize) % reduce_shards
+}
+
+/// The reduce-side view of [`partition_of`]: a total, disjoint cover of
+/// `0..n` across `R` shards, plus each user's slot within its shard —
+/// enough to concatenate per-shard outputs back into a graph without a
+/// merge.
+#[derive(Clone, Debug)]
+pub struct ReducePartition {
+    /// `owned[r]` lists shard r's users in increasing order.
+    pub owned: Vec<Vec<UserId>>,
+    /// `local_index[u]` is u's slot within `owned[partition_of(u, R)]`.
+    pub local_index: Vec<u32>,
+}
+
+impl ReducePartition {
+    /// Partitions users `0..n` across `reduce_shards` shards.
+    pub fn new(n: usize, reduce_shards: usize) -> ReducePartition {
+        let mut owned: Vec<Vec<UserId>> = vec![Vec::new(); reduce_shards];
+        let mut local_index: Vec<u32> = vec![0; n];
+        for u in 0..n as u32 {
+            let shard = partition_of(u, reduce_shards);
+            local_index[u as usize] = owned[shard].len() as u32;
+            owned[shard].push(u);
+        }
+        ReducePartition { owned, local_index }
+    }
+}
 
 /// Coordinator → worker: the job preamble (config + dataset + initial
 /// cluster assignment).
@@ -343,10 +385,9 @@ pub fn decode_add_clusters(payload: &[u8]) -> io::Result<Vec<Assignment>> {
 
 // --- ClusterDone ---------------------------------------------------------
 
-/// Decoded spill records bound for one reduce shard:
-/// `(user, cluster content hash, partial list)` exactly as the spill
-/// codec frames them.
-pub type ShardRecords = Vec<(UserId, u64, NeighborList)>;
+/// Decoded spill records bound for one reduce shard: `(user, partial
+/// list)` exactly as the spill codec frames them.
+pub type ShardRecords = Vec<(UserId, NeighborList)>;
 
 /// One solved cluster, decoded: per-shard groups of spill records.
 #[derive(Debug)]
@@ -364,7 +405,6 @@ pub struct ClusterDone {
 pub fn encode_cluster_done(
     cluster: u32,
     comparisons: u64,
-    cluster_hash: u64,
     groups: &[Vec<(UserId, NeighborList)>],
 ) -> io::Result<Vec<u8>> {
     let mut out = Vec::new();
@@ -379,7 +419,7 @@ pub fn encode_cluster_done(
         put_u32(&mut out, shard as u32);
         put_u32(&mut out, group.len() as u32);
         for (user, list) in group {
-            write_record(&mut out, *user, cluster_hash, list)?;
+            write_record(&mut out, *user, list)?;
         }
     }
     Ok(out)
@@ -524,7 +564,7 @@ mod tests {
         let mut b = NeighborList::new(k);
         b.insert(1, f32::from_bits(0x3F80_0001)); // oddball bits stay exact
         let groups = vec![vec![(0u32, a.clone())], vec![], vec![(2u32, b.clone())]];
-        let payload = encode_cluster_done(7, 5_000, 0xDEAD_BEEF, &groups).unwrap();
+        let payload = encode_cluster_done(7, 5_000, &groups).unwrap();
         let done = decode_cluster_done(&payload, k).unwrap();
         assert_eq!(done.cluster, 7);
         assert_eq!(done.comparisons, 5_000);
@@ -532,11 +572,39 @@ mod tests {
         let (shard0, records0) = &done.groups[0];
         assert_eq!(*shard0, 0);
         assert_eq!(records0[0].0, 0);
-        assert_eq!(records0[0].1, 0xDEAD_BEEF, "content hash attributes the record");
-        assert_eq!(records0[0].2.sorted(), a.sorted());
+        assert_eq!(records0[0].1.sorted(), a.sorted());
         let (shard2, records2) = &done.groups[1];
         assert_eq!(*shard2, 2);
-        assert_eq!(records2[0].2.sorted(), b.sorted());
+        assert_eq!(records2[0].1.sorted(), b.sorted());
+    }
+
+    #[test]
+    fn partitioner_is_a_function_into_range() {
+        for shards in 1..8 {
+            for user in 0..5_000u32 {
+                let p = partition_of(user, shards);
+                assert!(p < shards);
+                assert_eq!(p, partition_of(user, shards), "partitioner must be deterministic");
+            }
+        }
+    }
+
+    #[test]
+    fn partitioner_spreads_users_roughly_evenly() {
+        let shards = 4;
+        let mut counts = vec![0usize; shards];
+        for user in 0..10_000u32 {
+            counts[partition_of(user, shards)] += 1;
+        }
+        for (shard, &c) in counts.iter().enumerate() {
+            assert!((1_500..=3_500).contains(&c), "shard {shard} owns {c} of 10000 users");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one reduce shard")]
+    fn zero_shards_panics() {
+        partition_of(0, 0);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! A worker receives the job preamble (config + dataset + initial
 //! clusters), *recomputes* the build plan locally — `BuildPlan::assign`
-//! and `fingerprint` are deterministic in `(config, dataset)`, so only
-//! cluster **indices** ever cross the wire and the coordinator's
-//! content hashes match the worker's by construction — then solves its
-//! queue FIFO, routing each cluster's partial lists to reduce shards
-//! with [`partition_of`] and shipping them as one atomic
-//! `FRAME_CLUSTER_DONE`.
+//! is deterministic in `(config, dataset)`, so only cluster **indices**
+//! ever cross the wire and the coordinator's clusters match the worker's
+//! by construction — then solves its queue FIFO, routing each cluster's
+//! partial lists to reduce shards with [`partition_of`] and shipping
+//! them as one atomic `FRAME_CLUSTER_DONE`.
 //!
 //! Recovery mirrors the in-process engine's map workers: each solve
 //! runs under [`catch_injected`] with up to [`MAX_SOLVE_ATTEMPTS`]
@@ -19,14 +18,13 @@
 use crate::error::DistribError;
 use crate::transport::{self, send_frame, EXIT_INJECTED};
 use crate::wire::{
-    self, decode_add_clusters, decode_job, read_frame, Assignment, WorkerWireStats, FRAME_BYE,
-    FRAME_CLUSTER_DONE, FRAME_FINISH, FRAME_IDLE, FRAME_SPANS, FRAME_STATS,
+    self, decode_add_clusters, decode_job, partition_of, read_frame, Assignment, WorkerWireStats,
+    FRAME_BYE, FRAME_CLUSTER_DONE, FRAME_FINISH, FRAME_IDLE, FRAME_SPANS, FRAME_STATS,
 };
 use cnc_baselines::local::solve_cluster_partial;
 use cnc_core::{BuildPlan, ClusterAndConquer};
 use cnc_faults::{backoff, catch_injected, silence_injected_panics, FaultPlan, Faults, Site};
 use cnc_graph::NeighborList;
-use cnc_runtime::partition_of;
 use cnc_similarity::SimilarityData;
 use cnc_telemetry::Telemetry;
 use std::collections::VecDeque;
@@ -88,8 +86,7 @@ fn worker_loop() -> Result<(), DistribError> {
 
     let c2 = job.config;
     let dataset = job.dataset;
-    let mut plan = BuildPlan::assign(&c2, &dataset);
-    plan.fingerprint(&dataset);
+    let plan = BuildPlan::assign(&c2, &dataset);
     let sim = SimilarityData::build_parallel(c2.backend, &dataset, c2.threads);
     let reduce_shards = job.reduce_shards as usize;
     let threshold = c2.brute_force_threshold();
@@ -122,7 +119,6 @@ fn worker_loop() -> Result<(), DistribError> {
         }
 
         let users = &plan.clusters()[cluster as usize];
-        let cluster_hash = plan.hashes().get(cluster as usize).copied().unwrap_or(0);
         let job_seed = ClusterAndConquer::job_seed(&c2, cluster as usize);
 
         let solve_start = Instant::now();
@@ -150,15 +146,14 @@ fn worker_loop() -> Result<(), DistribError> {
         };
         let busy = solve_start.elapsed();
 
-        // Route per reduce shard; empty lists are dropped at the source,
-        // exactly like the in-process shuffle.
+        // Route per reduce shard; empty lists are dropped at the source.
         let mut groups: Vec<Vec<(u32, NeighborList)>> = vec![Vec::new(); reduce_shards];
         for (&user, list) in users.iter().zip(lists) {
             if !list.is_empty() {
                 groups[partition_of(user, reduce_shards)].push((user, list));
             }
         }
-        let payload = wire::encode_cluster_done(cluster, comparisons, cluster_hash, &groups)?;
+        let payload = wire::encode_cluster_done(cluster, comparisons, &groups)?;
         send_seq += 1;
         send_frame(&mut writer, FRAME_CLUSTER_DONE, &payload, send_seq)?;
 

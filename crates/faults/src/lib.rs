@@ -31,14 +31,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Duration;
 
-/// A typed injection point. The nine sites cover every IO or compute
+/// A typed injection point. The eight sites cover every IO or compute
 /// step whose failure the engine promises to survive (see the README's
 /// fault matrix).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Site {
     /// Appending one record to a spill stream.
     SpillWrite,
-    /// Opening/reading a sealed spill file on the reduce side.
+    /// Opening/reading a sealed spill file to merge it.
     SpillReplay,
     /// Writing a snapshot (temp file + rename).
     SnapshotWrite,
@@ -46,8 +46,6 @@ pub enum Site {
     SnapshotLoad,
     /// One cluster solve on a map worker.
     SolveCluster,
-    /// One shuffle message received by a reduce shard.
-    ReduceShard,
     /// Writing one frame onto a distributed-build transport (socket or
     /// pipe). Injected *before* any byte reaches the wire, so retries
     /// are always safe.
@@ -65,13 +63,12 @@ pub enum Site {
 
 impl Site {
     /// Every site, in stable order (indexes the per-site counters).
-    pub const ALL: [Site; 9] = [
+    pub const ALL: [Site; 8] = [
         Site::SpillWrite,
         Site::SpillReplay,
         Site::SnapshotWrite,
         Site::SnapshotLoad,
         Site::SolveCluster,
-        Site::ReduceShard,
         Site::TransportSend,
         Site::WorkerExit,
         Site::SnapshotMmap,
@@ -85,7 +82,6 @@ impl Site {
             Site::SnapshotWrite => "snapshot.write",
             Site::SnapshotLoad => "snapshot.load",
             Site::SolveCluster => "solve.cluster",
-            Site::ReduceShard => "reduce.shard",
             Site::TransportSend => "transport.send",
             Site::WorkerExit => "worker.exit",
             Site::SnapshotMmap => "snapshot.mmap",
@@ -114,7 +110,7 @@ pub enum Fault {
     /// operation errors. Recovery must truncate back to the last
     /// committed offset.
     Torn,
-    /// An unwinding panic (solver/reducer crash).
+    /// An unwinding panic (a solver crash).
     Panic,
     /// A crash between temp-file write and rename: the temp file is left
     /// behind and the operation errors.
@@ -144,12 +140,12 @@ pub struct FaultPlan {
     /// Upper bound of the per-key failure budget; clamped to `1..=12` so
     /// generous retry loops (≥ 16 attempts) always outlast the schedule.
     pub span: u32,
-    /// Bitmask of armed sites (bit = `Site::ALL` index); 0x1FF = all.
+    /// Bitmask of armed sites (bit = `Site::ALL` index); 0xFF = all.
     pub sites: u16,
 }
 
 /// The mask with every [`Site`] armed.
-pub const ALL_SITES: u16 = 0x1FF;
+pub const ALL_SITES: u16 = 0xFF;
 
 impl FaultPlan {
     /// All sites armed at probability `p` (fraction, not mille).
@@ -254,7 +250,7 @@ impl FaultPlan {
     fn kind(&self, site: Site, key: u64, n: u32) -> Fault {
         let h = mix(self.seed ^ SITE_SALT[site.index()].rotate_left(17) ^ key ^ (n as u64) << 48);
         match site {
-            Site::SolveCluster | Site::ReduceShard => Fault::Panic,
+            Site::SolveCluster => Fault::Panic,
             Site::WorkerExit => Fault::Crash,
             Site::SpillReplay | Site::SnapshotLoad | Site::TransportSend | Site::SnapshotMmap => {
                 Fault::Io
@@ -278,13 +274,12 @@ impl FaultPlan {
 }
 
 /// Per-site salts so the same key draws independently across sites.
-const SITE_SALT: [u64; 9] = [
+const SITE_SALT: [u64; 8] = [
     0x9E37_79B9_7F4A_7C15,
     0xBF58_476D_1CE4_E5B9,
     0x94D0_49BB_1331_11EB,
     0xD6E8_FEB8_6659_FD93,
     0xA076_1D64_78BD_642F,
-    0xE703_7ED1_A0B4_28DB,
     0xC2B2_AE3D_27D4_EB4F,
     0x1656_67B1_9E37_79F9,
     0x2545_F491_4F6C_DD1D,
@@ -633,7 +628,7 @@ mod tests {
         for (site, kinds) in &seen {
             for kind in kinds {
                 let ok = match site {
-                    Site::SolveCluster | Site::ReduceShard => *kind == Fault::Panic,
+                    Site::SolveCluster => *kind == Fault::Panic,
                     Site::WorkerExit => *kind == Fault::Crash,
                     Site::SpillReplay
                     | Site::SnapshotLoad
@@ -657,11 +652,11 @@ mod tests {
         let _serial = lock();
         let faults = Faults::global();
         let _guard = faults.arm(FaultPlan::new(2, 1.0).with_span(1));
-        let err = catch_injected(|| faults.panic_on(Site::ReduceShard, 77)).unwrap_err();
-        assert_eq!(err.site, Site::ReduceShard);
+        let err = catch_injected(|| faults.panic_on(Site::SolveCluster, 77)).unwrap_err();
+        assert_eq!(err.site, Site::SolveCluster);
         assert_eq!(err.key, 77);
         // Budget spent: the same call now succeeds.
-        catch_injected(|| faults.panic_on(Site::ReduceShard, 77)).unwrap();
+        catch_injected(|| faults.panic_on(Site::SolveCluster, 77)).unwrap();
     }
 
     #[test]

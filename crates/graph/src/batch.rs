@@ -11,7 +11,7 @@
 //!   under their row's floor and cost one load, no lock and no
 //!   cluster-local list, so there is nothing left to merge afterwards.
 //! * [`pairwise_lists`] fills one fresh [`NeighborList`] per member — the
-//!   partial lists a map stage ships to a reduce stage (`cnc-runtime`).
+//!   partial lists a map stage merges or ships itself (`cnc-runtime`).
 //!   Each list's root test rejects most offers in one comparison, and
 //!   since a list meets each member once, the rest skip the dedup scan.
 

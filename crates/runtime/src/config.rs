@@ -20,58 +20,38 @@ pub enum StealPolicy {
     MostLoaded,
 }
 
-/// Whether the map→reduce stream goes through memory or local spill files.
+/// Whether a map worker merges its partial lists straight into the shared
+/// neighbour arena or appends them to its spill file first.
 ///
-/// In every mode the decision is taken independently per
-/// `(map worker, reduce shard)` stream, and the merged graph is identical —
-/// the spill codec is lossless and Algorithm 3's merge is
-/// order-independent (asserted by `tests/shuffle.rs`).
+/// In every mode the decision is taken independently per map worker, and
+/// the merged graph is identical — the spill codec is lossless and
+/// Algorithm 3's merge is order-independent (asserted by
+/// `tests/shuffle.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpillMode {
-    /// Everything flows through the bounded in-memory channels (the
-    /// default, and the only mode of the PR-1 engine).
+    /// Every partial list is merged in memory as soon as it is solved (the
+    /// default).
     #[default]
     Off,
-    /// A stream switches to its spill file once it has shipped more than
-    /// this many encoded bytes; `Auto(0)` spills everything,
-    /// `Auto(u64::MAX)` effectively never spills.
+    /// A worker's stream switches to its spill file once it has handed
+    /// over more than this many encoded bytes; `Auto(0)` spills
+    /// everything, `Auto(u64::MAX)` effectively never spills.
     Auto(u64),
-    /// Every partial list is spilled; the channels carry only the replay
-    /// handles. Models a shuffle with no memory budget at all.
+    /// Every partial list is spilled, and merged when its worker's spill
+    /// file is replayed once that worker is done. Models a map stage with
+    /// no memory budget at all.
     Always,
 }
 
 /// All knobs of a [`Runtime`](crate::Runtime).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RuntimeConfig {
     /// Number of worker shards `W`; 0 = all available hardware threads.
     pub workers: usize,
-    /// Number of reduce shards `R`; 0 = match the effective worker count.
-    /// Users are hash-partitioned across reducers with
-    /// [`partition_of`](crate::shuffle::partition_of), and each reducer
-    /// merges its partition independently (Algorithm 3 per shard).
-    pub reduce_shards: usize,
-    /// Bound of each map→reduce channel, in messages (one message per
-    /// solved cluster per reduce shard). Small bounds apply back-pressure
-    /// to the map stage; large bounds decouple the stages at the cost of
-    /// buffered memory.
-    pub channel_capacity: usize,
     /// Work-stealing policy for straggler clusters.
     pub steal: StealPolicy,
-    /// Spill policy for the map→reduce shuffle.
+    /// Spill policy for the map stage's partial lists.
     pub spill: SpillMode,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            workers: 0,
-            reduce_shards: 0,
-            channel_capacity: 64,
-            steal: StealPolicy::default(),
-            spill: SpillMode::default(),
-        }
-    }
 }
 
 impl RuntimeConfig {
@@ -84,23 +64,6 @@ impl RuntimeConfig {
     pub fn effective_workers(&self) -> usize {
         effective_threads(self.workers)
     }
-
-    /// The resolved reduce-shard count (0 = one reducer per worker).
-    pub fn effective_reduce_shards(&self) -> usize {
-        if self.reduce_shards == 0 {
-            self.effective_workers()
-        } else {
-            self.reduce_shards
-        }
-    }
-
-    /// Checks parameter sanity; called by the runtime before running.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.channel_capacity == 0 {
-            return Err("channel_capacity must be positive".into());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -108,9 +71,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_valid_and_steals() {
+    fn default_steals_and_never_spills() {
         let c = RuntimeConfig::default();
-        c.validate().unwrap();
         assert_eq!(c.steal, StealPolicy::MostLoaded);
         assert_eq!(c.spill, SpillMode::Off);
         assert!(c.effective_workers() >= 1);
@@ -119,19 +81,5 @@ mod tests {
     #[test]
     fn with_workers_pins_the_shard_count() {
         assert_eq!(RuntimeConfig::with_workers(4).effective_workers(), 4);
-    }
-
-    #[test]
-    fn zero_reduce_shards_matches_workers() {
-        let c = RuntimeConfig::with_workers(3);
-        assert_eq!(c.effective_reduce_shards(), 3);
-        let pinned = RuntimeConfig { reduce_shards: 2, ..c };
-        assert_eq!(pinned.effective_reduce_shards(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_is_rejected() {
-        let c = RuntimeConfig { channel_capacity: 0, ..RuntimeConfig::default() };
-        assert!(c.validate().is_err());
     }
 }

@@ -1,59 +1,51 @@
-//! The sharded map-reduce engine.
+//! The sharded map engine.
 //!
-//! Execution model (one in-process shard per would-be map worker or
-//! reducer):
+//! Execution model (one in-process thread per would-be map worker):
 //!
 //! ```text
-//!            ┌────────────┐  R bounded channels  ┌─────────────┐
-//!  cluster → │ worker 0   │ ──┬───────────────┬─▶│ reducer 0   │─┐
-//!  queues    │ worker 1   │ ──┼───┐    ┌──────┼─▶│ reducer 1   │ ├→ KnnGraph
-//!  (LPT)     │   ...      │ ──┘   │    │      │  │   ...       │ │ (partition
-//!            │ worker W-1 │ ──────┴────┴──────┴─▶│ reducer R-1 │─┘  concat)
-//!            └────────────┘      Chunk | Spill   └─────────────┘
-//!                  │                                    ▲
-//!                  └── spill files (one per stream) ────┘
+//!            ┌────────────┐  merge_into   ┌────────────────┐
+//!  cluster → │ worker 0   │ ────────────▶ │                │
+//!  queues    │ worker 1   │ ────────────▶ │ SharedKnnGraph │ ─ into_graph ─▶ KnnGraph
+//!  (LPT)     │   ...      │ ────────────▶ │ (n × k arena)  │   (in place)
+//!            │ worker W-1 │ ────────────▶ │                │
+//!            └────────────┘               └────────────────┘
+//!                  │                              ▲
+//!                  └─ one spill file per worker ──┘ replayed once the worker is done
 //! ```
 //!
 //! Workers drain their own LPT queue largest-first (the distributed
 //! generalization of Step 2's priority queue); when a queue runs dry the
 //! worker steals **half** the most-loaded peer's remaining queue (the
 //! victim keeps its larger-cost front half).
-//! Every solved cluster's partial lists are hash-partitioned by user
-//! ([`partition_of`]) and shipped per reduce shard — through that shard's
-//! bounded channel, or (above the [`SpillMode`] threshold) appended to the
-//! stream's spill file, whose replay handle is delivered after the map
-//! phase. Each reducer merges its user partition into per-user bounded
-//! heaps (Algorithm 3) *while the map phase is still running*; the final
-//! graph is assembled by concatenating the partitions.
+//! Every solved cluster's partial lists are merged straight into one
+//! [`SharedKnnGraph`] under its per-row locks (Algorithm 3) — or, above
+//! the [`SpillMode`] threshold, appended to the worker's spill file, which
+//! is replayed into the same arena as soon as the worker has joined. The
+//! arena then freezes in place into the [`KnnGraph`].
 //!
-//! Because [`NeighborList`] keeps the top-k under a strict total order on
+//! Because a row keeps the top-k under a strict total order on
 //! `(similarity, user)` and the spill codec is lossless, the merge is
-//! order- and route-independent: every `(workers, reduce_shards, spill)`
-//! combination produces byte-for-byte the same graph as the
-//! single-process pipeline on the same configuration and seed (asserted
-//! by `tests/shuffle.rs`).
+//! order- and route-independent: every `(workers, spill)` combination
+//! produces exactly the single-process pipeline's graph on the same
+//! configuration and seed (asserted by `tests/shuffle.rs`). Offers
+//! deduplicate, so merging a cluster's lists twice changes nothing.
 
 use crate::config::{RuntimeConfig, SpillMode, StealPolicy};
-use crate::report::{ReduceStats, RuntimeReport, WorkerStats};
-use crate::shuffle::{
-    encoded_len, note_retry, partition_of, replay_spill, FinishedSpill, ReducePartition, SpillDir,
-    SpillWriter,
-};
+use crate::report::{RuntimeReport, WorkerStats};
+use crate::shuffle::{encoded_len, replay_spill, FinishedSpill, SpillDir, SpillWriter};
 use cnc_baselines::local;
 use cnc_core::build_plan::{BuildPlan, ClusterCache, RebuildStats};
 use cnc_core::distributed::{cluster_cost, plan_deployment_for};
 use cnc_core::{C2Config, ClusterAndConquer, DeploymentPlan};
 use cnc_dataset::{Dataset, UserId};
 use cnc_faults::{Faults, Site};
-use cnc_graph::{EntryIndex, KnnGraph, NeighborList};
+use cnc_graph::{EntryIndex, KnnGraph, NeighborList, SharedKnnGraph};
 use cnc_similarity::{GoldFinger, SimilarityData};
 use cnc_telemetry::{SpanRecord, Telemetry};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,24 +62,12 @@ const MAX_SOLVE_ATTEMPTS: u32 = 3;
 /// orchestrator's recovery lane after the workers join.
 const WORKER_PANIC_BUDGET: u32 = 2;
 
-/// One message on a reduce shard's channel.
-enum ShuffleMessage {
-    /// Partial lists routed in memory: pairs `(user, partial list)`, all
-    /// owned by the receiving shard; empty lists are dropped at the source.
-    Chunk {
-        /// The routed `(user, partial list)` pairs.
-        entries: Vec<(UserId, NeighborList)>,
-    },
-    /// A sealed spill file to replay; sent once the map phase is over.
-    Spill(PathBuf),
-}
-
 /// A built graph plus the measured execution record.
 #[derive(Debug)]
 pub struct ShardedResult {
     /// The approximate KNN graph (identical to the single-process build's).
     pub graph: KnnGraph,
-    /// Measured per-worker and per-reducer figures, with the plan inside.
+    /// Measured per-worker figures, with the plan inside.
     pub report: RuntimeReport,
 }
 
@@ -98,8 +78,8 @@ pub struct IncrementalShardedResult {
     /// The approximate KNN graph — bit-identical to a from-scratch build.
     pub graph: KnnGraph,
     /// Measured figures; `report.comparisons` counts exactly the
-    /// similarities this build computed. A patched rebuild ran no map or
-    /// reduce stage: its report has no workers and no reducers.
+    /// similarities this build computed. A patched rebuild ran no map
+    /// stage: its report has no workers.
     pub report: RuntimeReport,
     /// This build's cluster memberships and graph (shared with `graph`,
     /// not copied); `cache.total_comparisons()` equals a from-scratch
@@ -250,15 +230,13 @@ struct MapContext<'a> {
     queues: &'a JobQueues,
     /// The plan's cluster list.
     clusters: &'a [Vec<UserId>],
-    /// Per-cluster content hashes (empty when the build never
-    /// fingerprinted; spill records then carry hash 0).
-    hashes: &'a [u64],
     sim: &'a SimilarityData<'a>,
     c2: &'a C2Config,
     threshold: usize,
-    reduce_shards: usize,
     spill: SpillMode,
     spill_dir: Option<&'a SpillDir>,
+    /// The arena every partial list is merged into (Algorithm 3).
+    graph: &'a SharedKnnGraph,
     /// Per-cluster *failed* solve attempts, shared across
     /// workers: a cluster may be requeued and retried anywhere, but its
     /// total failure budget is [`MAX_SOLVE_ATTEMPTS`] per build.
@@ -268,21 +246,15 @@ struct MapContext<'a> {
     abort: &'a AtomicBool,
 }
 
-/// The sharded map-reduce execution engine.
+/// The sharded map execution engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Runtime {
     config: RuntimeConfig,
 }
 
 impl Runtime {
-    /// Creates an engine from a validated configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid (see [`RuntimeConfig::validate`]).
+    /// Creates an engine.
     pub fn new(config: RuntimeConfig) -> Self {
-        if let Err(msg) = config.validate() {
-            panic!("invalid RuntimeConfig: {msg}");
-        }
         Runtime { config }
     }
 
@@ -304,28 +276,6 @@ impl Runtime {
         self.execute_with(dataset, &sim, c2, start)
     }
 
-    /// Builds the graph against a pre-built, shared fingerprint set — one
-    /// `GoldFinger::build` amortized across runs and bench repetitions
-    /// instead of re-hashing the full dataset per execution (ROADMAP:
-    /// "share one `SimilarityData` fingerprint build across workers").
-    ///
-    /// # Panics
-    /// Panics if the fingerprints don't cover `dataset`'s users, or if
-    /// `c2.backend` is not the GoldFinger configuration the shared build
-    /// was made with — a silent mismatch would produce a graph
-    /// inconsistent with the configuration the plan and report claim.
-    pub fn execute_shared(
-        &self,
-        dataset: &Dataset,
-        c2: &C2Config,
-        goldfinger: Arc<GoldFinger>,
-    ) -> ShardedResult {
-        validate_shared(dataset, c2, &goldfinger);
-        let start = Instant::now();
-        let sim = SimilarityData::from_goldfinger(goldfinger);
-        self.execute_with(dataset, &sim, c2, start)
-    }
-
     /// Builds the graph against an externally-provided similarity oracle
     /// (shares fingerprints across runs, as the bench harness does).
     pub fn execute_with(
@@ -341,11 +291,11 @@ impl Runtime {
     /// Incrementally rebuilds from `prev` — the previous build's cluster
     /// memberships and graph. When the plan's patch stage
     /// ([`BuildPlan::patch`]) takes the rebuild, it runs on this engine's
-    /// worker budget and **no map, shuffle or reduce stage runs at all**:
-    /// there are no partial lists to ship. When it declines (empty or
-    /// other-config cache, a greedy cluster, a restructured plan —
-    /// `rebuild.path` says which) the build is [`Runtime::execute`]'s
-    /// map-reduce over every cluster, and the cache is captured
+    /// worker budget and **no map stage runs at all**: there are no
+    /// partial lists to merge. When it declines (empty or other-config
+    /// cache, a greedy cluster, a restructured plan — `rebuild.path` says
+    /// which) the build is [`Runtime::execute`]'s map stage over every
+    /// cluster, and the cache is captured
     /// afterwards. `_changed` is accepted for source compatibility and
     /// ignored: appended and edited users are found by their profile
     /// digests. The graph is bit-identical to
@@ -369,13 +319,17 @@ impl Runtime {
     }
 
     /// [`Runtime::execute_incremental`] against a pre-built, shared
-    /// fingerprint set (see [`Runtime::execute_shared`]) — the serving
-    /// engine's rebuild path, where one fingerprint set is shared
-    /// between construction and the published epoch's query kernels.
+    /// fingerprint set — one `GoldFinger::build` amortized across builds
+    /// instead of re-hashing the dataset each time. This is the serving
+    /// engine's build and rebuild path, where one fingerprint set is
+    /// shared between construction and the published epoch's query
+    /// kernels.
     ///
     /// # Panics
-    /// Panics on the same fingerprint mismatches as
-    /// [`Runtime::execute_shared`].
+    /// Panics if the fingerprints don't cover `dataset`'s users, or if
+    /// `c2.backend` is not the GoldFinger configuration the shared build
+    /// was made with — a silent mismatch would produce a graph
+    /// inconsistent with the configuration the plan and report claim.
     pub fn execute_incremental_shared(
         &self,
         dataset: &Dataset,
@@ -412,7 +366,7 @@ impl Runtime {
     /// incremental, fingerprint) the [`BuildPlan`]; an incremental build
     /// then offers the rebuild to the plan's patch stage; what it declines
     /// — and every one-shot build — is solved cluster by cluster on the
-    /// map shards and merged by the reducers (Algorithms 2 + 3).
+    /// map shards, each merging into the shared arena (Algorithms 2 + 3).
     fn execute_inner(
         &self,
         dataset: &Dataset,
@@ -424,7 +378,6 @@ impl Runtime {
         let telemetry = Telemetry::global();
         let comparisons_before = sim.comparisons();
         let workers = self.config.effective_workers();
-        let reduce_shards = self.config.effective_reduce_shards();
         let n = dataset.num_users();
 
         // --- Stages 1 + 2: assignment (+ content hashes when a cache is
@@ -457,10 +410,8 @@ impl Runtime {
             let report = RuntimeReport {
                 patched: true,
                 num_clusters: clusters.len(),
-                num_users: n,
                 plan: plan_deployment_for(&[], workers, c2.k, c2.rho),
                 workers: Vec::new(),
-                reducers: Vec::new(),
                 shuffle_entries: 0,
                 spill: self.config.spill,
                 spill_dir: None,
@@ -482,11 +433,6 @@ impl Runtime {
         let costs: Vec<u64> = sizes.iter().map(|&s| cluster_cost(s, c2.k, c2.rho)).collect();
         let queues = JobQueues::new(&deploy, costs, self.config.steal);
 
-        // --- Reduce partitioning: a total disjoint cover of the users ----
-        // Concatenating the per-shard outputs reassembles the graph
-        // without a merge; the same helper routes the distributed wire.
-        let ReducePartition { owned, local_index } = ReducePartition::new(n, reduce_shards);
-
         // The cleanup-on-drop guard lives on this stack frame: a panicking
         // worker unwinds through the thread scope and still removes the
         // spill dir and everything in it.
@@ -496,108 +442,25 @@ impl Runtime {
         };
         let spill_dir_path = spill_dir.as_ref().map(|d| d.path().to_path_buf());
 
-        // --- Map + reduce, overlapped ------------------------------------
+        // --- Map + merge into one arena -----------------------------------
         let attempts: Vec<AtomicU32> = (0..clusters.len()).map(|_| AtomicU32::new(0)).collect();
         let abort = AtomicBool::new(false);
+        let arena = SharedKnnGraph::new(n, c2.k);
         let ctx = MapContext {
             queues: &queues,
             clusters,
-            hashes: plan.hashes(),
             sim,
             c2,
             threshold: c2.brute_force_threshold(),
-            reduce_shards,
             spill: self.config.spill,
             spill_dir: spill_dir.as_ref(),
+            graph: &arena,
             attempts: &attempts,
             abort: &abort,
         };
-
-        let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
-        let mut reduce_outputs: Vec<(Vec<NeighborList>, ReduceStats)> =
-            Vec::with_capacity(reduce_shards);
-        std::thread::scope(|scope| {
-            let (senders, receivers): (Vec<SyncSender<ShuffleMessage>>, Vec<_>) = (0
-                ..reduce_shards)
-                .map(|_| std::sync::mpsc::sync_channel(self.config.channel_capacity))
-                .unzip();
-            let reducer_handles: Vec<_> = receivers
-                .into_iter()
-                .enumerate()
-                .map(|(r, receiver)| {
-                    let owned_users = &owned[r][..];
-                    let local_index = &local_index[..];
-                    scope.spawn(move || reduce_shard(r, receiver, owned_users, local_index, c2.k))
-                })
-                .collect();
-            let worker_handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let senders = senders.clone();
-                    let ctx = &ctx;
-                    scope.spawn(move || map_worker(w, ctx, senders, false))
-                })
-                .collect();
-            // Once a worker is done its spill streams are sealed; hand the
-            // replay handles to the owning reducers, then hang up so the
-            // channels close and the reducers can finish. A worker that
-            // *unwound* (a cluster exhausted its solve attempts, or a
-            // genuine bug) fails the whole build — but only after every
-            // thread has joined and the leftover sweep is skipped, so the
-            // unwind re-raised below is the build's single failure.
-            let mut build_panic: Option<Box<dyn std::any::Any + Send>> = None;
-            let deliver = |(stats, spill_files): (WorkerStats, Vec<Option<FinishedSpill>>),
-                           worker_stats: &mut Vec<WorkerStats>| {
-                worker_stats.push(stats);
-                for (shard, file) in spill_files.into_iter().enumerate() {
-                    if let Some(file) = file {
-                        senders[shard]
-                            .send(ShuffleMessage::Spill(file.path))
-                            .expect("reducer hung up early");
-                    }
-                }
-            };
-            for handle in worker_handles {
-                match handle.join() {
-                    Ok(output) => deliver(output, &mut worker_stats),
-                    Err(payload) => build_panic = Some(payload),
-                }
-            }
-            // Dead workers (panic budget spent) may have left clusters
-            // behind that nobody stole; sweep them on this thread through
-            // the reserved recovery lane — forced stealing, so the sweep
-            // works even under `StealPolicy::Disabled` or with zero
-            // surviving workers.
-            if build_panic.is_none() && queues.any_remaining() {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    map_worker(queues.recovery_lane(), &ctx, senders.clone(), true)
-                })) {
-                    Ok(output) => deliver(output, &mut worker_stats),
-                    Err(payload) => build_panic = Some(payload),
-                }
-            }
-            drop(senders);
-            if let Some(payload) = build_panic {
-                // Reducers drain their closed channels and finish; the
-                // scope joins them as this unwinds.
-                resume_unwind(payload);
-            }
-            for handle in reducer_handles {
-                reduce_outputs.push(handle.join().expect("reducer panicked"));
-            }
-        });
+        let (worker_stats, shuffle_entries) = run_map_stage(&ctx, workers);
         drop(spill_dir); // all spill files removed before the build returns
-
-        // --- Assembly: concatenate the reduce partitions -----------------
-        let mut graph = KnnGraph::new(n, c2.k);
-        let mut shuffle_entries = 0u64;
-        let mut reducer_stats: Vec<ReduceStats> = Vec::with_capacity(reduce_shards);
-        for (r, (lists, stats)) in reduce_outputs.into_iter().enumerate() {
-            shuffle_entries += stats.entries;
-            for (&user, list) in owned[r].iter().zip(lists) {
-                *graph.neighbors_mut(user) = list;
-            }
-            reducer_stats.push(stats);
-        }
+        let graph = arena.into_graph();
         let map_reduce_wall = map_reduce_start.elapsed();
         let comparisons = sim.comparisons() - comparisons_before;
         let (graph, extra) = finish(graph, comparisons);
@@ -605,10 +468,8 @@ impl Runtime {
         let report = RuntimeReport {
             patched: false,
             num_clusters: clusters.len(),
-            num_users: n,
             plan: deploy,
             workers: worker_stats,
-            reducers: reducer_stats,
             shuffle_entries,
             spill: self.config.spill,
             spill_dir: spill_dir_path,
@@ -678,58 +539,37 @@ fn solve_gate(cluster: usize) {
     }
 }
 
-/// One `map.worker` span per worker and one `reduce.shard` span per
-/// reducer, synthesized from the joined stats: durations and comparison
-/// attributions ARE the stats' values (not independently re-measured), so
-/// [`RuntimeReport::check_telemetry`]'s exact equalities hold by
-/// construction — the debug assert catches any future drift between the
-/// two accounts. Synthetic thread ids keep worker and reducer lanes apart
-/// in a Perfetto view.
+/// One `map.worker` span per worker, synthesized from the joined stats:
+/// durations and comparison attributions ARE the stats' values (not
+/// independently re-measured), so [`RuntimeReport::check_telemetry`]'s
+/// exact equalities hold by construction — the debug assert catches any
+/// future drift between the two accounts. Synthetic thread ids give each
+/// worker its own lane in a Perfetto view.
 fn stage_span_records(
     telemetry: &Telemetry,
     report: &RuntimeReport,
     start_ns: u64,
 ) -> Vec<SpanRecord> {
-    let mut records = Vec::with_capacity(report.workers.len() + report.reducers.len());
-    for w in &report.workers {
-        records.push(SpanRecord {
-            name: "map.worker",
-            id: telemetry.next_span_id(),
-            parent: 0,
-            thread: 1_000 + w.worker as u64,
-            start_ns,
-            dur_ns: w.busy.as_nanos() as u64,
-            attrs: vec![
-                ("comparisons", w.comparisons),
-                ("shuffle_entries", w.shuffle_entries),
-                ("spilled_bytes", w.spilled_bytes),
-                ("stolen", w.stolen as u64),
-                ("clusters", w.clusters.len() as u64),
-            ],
-        });
-    }
-    for r in &report.reducers {
-        records.push(SpanRecord {
-            name: "reduce.shard",
-            id: telemetry.next_span_id(),
-            parent: 0,
-            thread: 2_000 + r.shard as u64,
-            start_ns,
-            dur_ns: r.busy.as_nanos() as u64,
-            attrs: vec![("entries", r.entries), ("spilled_bytes", r.spilled_bytes)],
-        });
-    }
-    records
+    let records = report.workers.iter().map(|w| SpanRecord {
+        name: "map.worker",
+        id: telemetry.next_span_id(),
+        parent: 0,
+        thread: 1_000 + w.worker as u64,
+        start_ns,
+        dur_ns: w.busy.as_nanos() as u64,
+        attrs: vec![
+            ("comparisons", w.comparisons),
+            ("shuffle_entries", w.shuffle_entries),
+            ("spilled_bytes", w.spilled_bytes),
+            ("stolen", w.stolen as u64),
+            ("clusters", w.clusters.len() as u64),
+        ],
+    });
+    records.collect()
 }
 
-/// The fingerprint-set validation [`Runtime::execute_shared`] and
-/// [`Runtime::execute_incremental_shared`] share.
-///
-/// # Panics
-/// Panics if the fingerprints don't cover `dataset`'s users, or if
-/// `c2.backend` is not the GoldFinger configuration the shared build was
-/// made with — a silent mismatch would produce a graph inconsistent with
-/// the configuration the plan and report claim.
+/// The fingerprint-set validation of
+/// [`Runtime::execute_incremental_shared`] (its doc lists the panics).
 fn validate_shared(dataset: &Dataset, c2: &C2Config, goldfinger: &GoldFinger) {
     assert_eq!(
         goldfinger.num_users(),
@@ -743,21 +583,138 @@ fn validate_shared(dataset: &Dataset, c2: &C2Config, goldfinger: &GoldFinger) {
             "shared fingerprints must match the configured backend"
         ),
         cnc_similarity::SimilarityBackend::Raw => {
-            panic!("execute_shared requires a GoldFinger backend, config says Raw")
+            panic!("shared fingerprints require a GoldFinger backend, config says Raw")
         }
     }
 }
 
-/// The stable stream identity `(worker, shard)` presents to the fault
-/// registry — the recovery lane reuses dead workers' indices never, so
-/// the hash stays collision-free across a build.
-fn spill_fault_base(worker: usize, shard: usize) -> u64 {
-    ((worker as u64) << 32 | shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// The stable stream identity a worker's spill file presents to the
+/// fault registry — the recovery lane reuses dead workers' indices never,
+/// so the hash stays collision-free across a build.
+fn spill_fault_base(worker: usize) -> u64 {
+    ((worker as u64) << 32).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// One map shard: drain own queue largest-first, then steal, then hang up.
-/// Returns the worker's stats and its sealed spill streams (one slot per
-/// reduce shard).
+/// The map stage: `workers` threads drain the LPT queues and merge every
+/// solved cluster's partial lists into `ctx.graph`. Each worker's spill
+/// file is replayed into the arena on this thread as soon as the worker
+/// has joined, overlapping the peers still running. Clusters dead
+/// workers left behind are swept by the recovery lane on this thread.
+/// Returns the per-worker stats and the entries merged, directly and
+/// from spill files.
+///
+/// A worker that *unwound* (a cluster exhausted its solve attempts, or a
+/// genuine bug) fails the whole build — but only after every thread has
+/// joined and the leftover sweep is skipped, so the unwind re-raised here
+/// is the build's single failure.
+fn run_map_stage(ctx: &MapContext<'_>, workers: usize) -> (Vec<WorkerStats>, u64) {
+    let mut stats: Vec<WorkerStats> = Vec::with_capacity(workers);
+    let mut merged = 0u64;
+    let mut collect = |(worker, spill): (WorkerStats, Option<FinishedSpill>)| {
+        merged += worker.shuffle_entries - worker.spilled_entries;
+        if let Some(file) = spill {
+            merged += replay_into(ctx.graph, &file, ctx.c2.k);
+        }
+        stats.push(worker);
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..workers).map(|w| scope.spawn(move || map_worker(w, ctx, false))).collect();
+        let mut build_panic: Option<Box<dyn std::any::Any + Send>> = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(output) => collect(output),
+                Err(payload) => build_panic = Some(payload),
+            }
+        }
+        // Dead workers (panic budget spent) may have left clusters behind
+        // that nobody stole; sweep them on this thread through the
+        // reserved recovery lane — forced stealing, so the sweep works
+        // even under `StealPolicy::Disabled` or with zero surviving
+        // workers.
+        if build_panic.is_none() && ctx.queues.any_remaining() {
+            let recovery = ctx.queues.recovery_lane();
+            match catch_unwind(AssertUnwindSafe(|| map_worker(recovery, ctx, true))) {
+                Ok(output) => collect(output),
+                Err(payload) => build_panic = Some(payload),
+            }
+        }
+        if let Some(payload) = build_panic {
+            resume_unwind(payload);
+        }
+    });
+    (stats, merged)
+}
+
+/// Merges a sealed spill file into the arena; returns the entries merged.
+/// [`replay_spill`] retries IO failures internally and decodes the whole
+/// file before a single record is merged; only a genuine persistent
+/// failure fails the build.
+fn replay_into(graph: &SharedKnnGraph, file: &FinishedSpill, k: usize) -> u64 {
+    let records =
+        replay_spill(&file.path, k).unwrap_or_else(|e| panic!("spill replay failed: {e}"));
+    let mut entries = 0u64;
+    for (user, partial) in &records {
+        graph.merge_into(*user, partial);
+        entries += partial.len() as u64;
+    }
+    entries
+}
+
+/// A map worker's spill stream: opened on its first record, and broken
+/// for the rest of the build once a create or append exhausts the
+/// writer's retries.
+#[derive(Default)]
+struct SpillStream {
+    writer: Option<SpillWriter>,
+    broken: bool,
+}
+
+impl SpillStream {
+    /// Appends one record, opening the stream first if need be; `false`
+    /// when the stream is (or just became) broken, and the caller merges
+    /// the record directly instead. A failed append leaves the committed
+    /// prefix in place, still perfectly replayable.
+    fn push(
+        &mut self,
+        ctx: &MapContext<'_>,
+        worker: usize,
+        user: UserId,
+        list: &NeighborList,
+    ) -> bool {
+        if self.broken {
+            return false;
+        }
+        let writer = match &mut self.writer {
+            Some(writer) => writer,
+            None => {
+                let dir = ctx.spill_dir.expect("spill requested without a spill dir");
+                match SpillWriter::create(dir.file_path(worker), spill_fault_base(worker)) {
+                    Ok(writer) => self.writer.insert(writer),
+                    Err(_) => {
+                        self.broken = true;
+                        return false;
+                    }
+                }
+            }
+        };
+        self.broken = writer.push(user, list).is_err();
+        !self.broken
+    }
+
+    /// Seals the stream, if one was opened. A seal failure is not
+    /// recoverable by merging directly — records already committed to
+    /// the stream would silently vanish from the merge — so it fails the
+    /// build. (Injected faults never fire here: `finish` only flushes,
+    /// and every append was already durable or merged directly.)
+    fn finish(self) -> Option<FinishedSpill> {
+        self.writer.map(|w| w.finish().unwrap_or_else(|e| panic!("spill seal failed: {e}")))
+    }
+}
+
+/// One map shard: drain own queue largest-first, then steal, merging
+/// every solved cluster into the shared arena. Returns the worker's stats
+/// and its sealed spill stream, if it spilled.
 ///
 /// Failure handling, from the inside out:
 /// * each cluster solve runs under `catch_unwind`; a panicking solve
@@ -771,15 +728,14 @@ fn spill_fault_base(worker: usize, shard: usize) -> u64 {
 ///   (`recovery = true`, which steals even under `StealPolicy::Disabled`
 ///   and never dies — only the attempts bound stops it);
 /// * a spill stream whose create/append exhausts its internal retries is
-///   marked broken and the traffic **reroutes through the in-memory
-///   channel** — the graph is transport-independent, so degrading the
-///   route never changes the result.
+///   marked broken and the worker **merges its records directly** — the
+///   graph is route-independent, so degrading the route never changes the
+///   result.
 fn map_worker(
     worker: usize,
     ctx: &MapContext<'_>,
-    senders: Vec<SyncSender<ShuffleMessage>>,
     recovery: bool,
-) -> (WorkerStats, Vec<Option<FinishedSpill>>) {
+) -> (WorkerStats, Option<FinishedSpill>) {
     let mut stats = WorkerStats {
         worker,
         clusters: Vec::new(),
@@ -802,12 +758,9 @@ fn map_worker(
             telemetry.histogram("cnc_cluster_solve_ns", &[("algo", "greedy")]),
         )
     });
-    // Per reduce shard: encoded bytes shipped so far (drives `Auto`),
-    // the lazily-created spill stream, and whether the stream has been
-    // declared broken (hard create/append failure → route in memory).
-    let mut shipped_bytes: Vec<u64> = vec![0; ctx.reduce_shards];
-    let mut spills: Vec<Option<SpillWriter>> = (0..ctx.reduce_shards).map(|_| None).collect();
-    let mut spill_broken: Vec<bool> = vec![false; ctx.reduce_shards];
+    // Encoded bytes handed to the merge so far (drives `Auto`).
+    let mut shipped_bytes = 0u64;
+    let mut spill = SpillStream::default();
     // Clusters this worker lifted from a peer (half-queue steals park the
     // batch's tail in the own queue; marking attributes them when popped).
     let mut stolen_mark: Vec<bool> = vec![false; ctx.clusters.len()];
@@ -839,7 +792,6 @@ fn map_worker(
         };
         let busy_start = Instant::now();
         let users = &ctx.clusters[cluster];
-        let cluster_hash = ctx.hashes.get(cluster).copied().unwrap_or(0);
         // Algorithm 2: brute force for small clusters, Hyrec above the
         // ρ·k² crossover — the shared dispatch of `cnc_baselines::local`,
         // exactly the single-process pipeline's branch.
@@ -903,182 +855,37 @@ fn map_worker(
             let hist = if users.len() >= ctx.threshold { greedy } else { brute };
             hist.record(busy_start.elapsed().as_nanos() as u64);
         }
-        // Hash-partition the cluster's output by owning reduce shard.
-        let mut routed: Vec<Vec<(UserId, NeighborList)>> = vec![Vec::new(); ctx.reduce_shards];
-        for (&user, list) in users.iter().zip(lists) {
-            if !list.is_empty() {
-                routed[partition_of(user, ctx.reduce_shards)].push((user, list));
+        // Algorithm 3: merge each non-empty partial list into the arena —
+        // or, past the spill threshold, append it to this worker's spill
+        // file, replayed into the arena once the worker is done.
+        for (&user, list) in users.iter().zip(&lists) {
+            if list.is_empty() {
+                continue;
             }
+            let bytes = encoded_len(list);
+            stats.shuffle_entries += list.len() as u64;
+            let spill_now = match ctx.spill {
+                SpillMode::Off => false,
+                SpillMode::Always => true,
+                SpillMode::Auto(threshold) => shipped_bytes + bytes > threshold,
+            };
+            shipped_bytes += bytes;
+            if spill_now {
+                if spill.push(ctx, worker, user, list) {
+                    stats.spilled_entries += list.len() as u64;
+                    stats.spilled_bytes += bytes;
+                    continue;
+                }
+                stats.spill_rerouted += 1;
+            }
+            ctx.graph.merge_into(user, list);
         }
         stats.clusters.push(cluster);
         stats.solved_cost += ctx.queues.costs[cluster];
         stats.stolen += usize::from(stolen);
-        // Route each shard's batch: spill (map work, on the busy clock) or
-        // channel. Channel sends happen after the clock stops — blocking
-        // on a full channel is reducer back-pressure, not map work, and
-        // must not inflate `measured_speedup`.
-        let mut to_send: Vec<(usize, Vec<(UserId, NeighborList)>)> = Vec::new();
-        for (shard, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let batch_entries: u64 = batch.iter().map(|(_, l)| l.len() as u64).sum();
-            let batch_bytes: u64 = batch.iter().map(|(_, l)| encoded_len(l)).sum();
-            stats.shuffle_entries += batch_entries;
-            let spill_now = match ctx.spill {
-                SpillMode::Off => false,
-                SpillMode::Always => true,
-                SpillMode::Auto(threshold) => shipped_bytes[shard] + batch_bytes > threshold,
-            };
-            shipped_bytes[shard] += batch_bytes;
-            if !spill_now {
-                to_send.push((shard, batch));
-                continue;
-            }
-            if spill_broken[shard] {
-                // The stream died earlier; keep degrading to the channel.
-                stats.spill_rerouted += batch.len() as u64;
-                to_send.push((shard, batch));
-                continue;
-            }
-            let dir = ctx.spill_dir.expect("spill requested without a spill dir");
-            if spills[shard].is_none() {
-                match SpillWriter::create(
-                    dir.file_path(worker, shard),
-                    spill_fault_base(worker, shard),
-                ) {
-                    Ok(writer) => spills[shard] = Some(writer),
-                    Err(_) => spill_broken[shard] = true,
-                }
-            }
-            let Some(writer) = spills[shard].as_mut() else {
-                stats.spill_rerouted += batch.len() as u64;
-                to_send.push((shard, batch));
-                continue;
-            };
-            // Per-record accounting: a hard append failure (the writer's
-            // own retry budget exhausted) keeps the committed prefix —
-            // still perfectly replayable — and reroutes this record and
-            // the batch's tail through the channel.
-            let mut wrote = batch.len();
-            for (i, (user, list)) in batch.iter().enumerate() {
-                match writer.push(*user, cluster_hash, list) {
-                    Ok(()) => {
-                        stats.spilled_entries += list.len() as u64;
-                        stats.spilled_bytes += encoded_len(list);
-                    }
-                    Err(_) => {
-                        spill_broken[shard] = true;
-                        wrote = i;
-                        break;
-                    }
-                }
-            }
-            if wrote < batch.len() {
-                stats.spill_rerouted += (batch.len() - wrote) as u64;
-                to_send.push((shard, batch[wrote..].to_vec()));
-            }
-        }
-        stats.busy += busy_start.elapsed();
-        for (shard, batch) in to_send {
-            senders[shard]
-                .send(ShuffleMessage::Chunk { entries: batch })
-                .expect("reducer hung up early");
-        }
-    }
-    // A seal failure is not recoverable by rerouting — records already
-    // committed to the stream would silently vanish from the merge — so
-    // it fails the build; the invariant checks would catch the loss, this
-    // panic just names the cause first. (Injected faults never fire here:
-    // `finish` only flushes, and every append was already durable or
-    // rerouted.)
-    let finished: Vec<Option<FinishedSpill>> = spills
-        .into_iter()
-        .map(|w| w.map(|w| w.finish().unwrap_or_else(|e| panic!("spill seal failed: {e}"))))
-        .collect();
-    (stats, finished)
-}
-
-/// One reduce shard: Algorithm 3's bounded-heap merge over the shard's
-/// user partition, running concurrently with the map phase. Channel chunks
-/// arrive while mapping; spill replay handles arrive once the map phase is
-/// over. Returns the partition's lists (in `owned` order) and the shard's
-/// stats.
-///
-/// Failure handling: each received message passes a `reduce.shard`
-/// injection gate *before* any of it is merged, and an injected panic
-/// there is caught and retried under backoff — merge state is never
-/// partially applied, so the retry is exact. Spill replays go through
-/// [`replay_spill`], which retries IO failures internally and buffers the
-/// whole file before a single record is merged. Only a genuine persistent
-/// failure (typed [`ShuffleError`](crate::ShuffleError)) fails the build.
-fn reduce_shard(
-    shard: usize,
-    receiver: Receiver<ShuffleMessage>,
-    owned: &[UserId],
-    local_index: &[u32],
-    k: usize,
-) -> (Vec<NeighborList>, ReduceStats) {
-    let mut lists: Vec<NeighborList> = vec![NeighborList::new(k); owned.len()];
-    let mut stats = ReduceStats {
-        shard,
-        users: owned.len(),
-        entries: 0,
-        spilled_entries: 0,
-        spilled_bytes: 0,
-        busy: Duration::ZERO,
-    };
-    let faults = Faults::global();
-    for (ordinal, message) in receiver.into_iter().enumerate() {
-        if faults.armed() {
-            // One key per (shard, message): the budget drains across
-            // retries, so the gate always opens.
-            let key = (shard as u64) << 48 | ordinal as u64;
-            let mut attempt = 0u32;
-            while cnc_faults::catch_injected(|| faults.panic_on(Site::ReduceShard, key)).is_err() {
-                note_retry("reduce.shard");
-                cnc_faults::backoff(attempt, 10, 1_000);
-                attempt += 1;
-            }
-        }
-        let busy_start = Instant::now();
-        match message {
-            ShuffleMessage::Chunk { entries } => {
-                for (user, partial) in &entries {
-                    stats.entries += partial.len() as u64;
-                    lists[local_index[*user as usize] as usize].merge(partial);
-                }
-            }
-            ShuffleMessage::Spill(path) => {
-                let records =
-                    replay_spill(&path, k).unwrap_or_else(|e| panic!("spill replay failed: {e}"));
-                for (user, _cluster_hash, partial) in records {
-                    stats.entries += partial.len() as u64;
-                    stats.spilled_entries += partial.len() as u64;
-                    stats.spilled_bytes += encoded_len(&partial);
-                    lists[local_index[user as usize] as usize].merge(&partial);
-                }
-            }
-        }
         stats.busy += busy_start.elapsed();
     }
-    (lists, stats)
-}
-
-/// Sharded construction as a method on [`ClusterAndConquer`].
-///
-/// Lives here (not in `cnc-core`) because the runtime depends on the core
-/// crate; importing this trait — or the facade prelude, which re-exports
-/// it — makes `builder.build_sharded(&dataset, &runtime_config)` available.
-pub trait ShardedBuild {
-    /// Builds the KNN graph on `runtime.workers` map-reduce shards.
-    fn build_sharded(&self, dataset: &Dataset, runtime: &RuntimeConfig) -> ShardedResult;
-}
-
-impl ShardedBuild for ClusterAndConquer {
-    fn build_sharded(&self, dataset: &Dataset, runtime: &RuntimeConfig) -> ShardedResult {
-        Runtime::new(*runtime).execute(dataset, self.config())
-    }
+    (stats, spill.finish())
 }
 
 #[cfg(test)]
@@ -1183,18 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_channel_capacity_still_completes() {
-        let _calm = crate::no_faults();
-        let ds = test_dataset();
-        let config = RuntimeConfig { workers: 3, channel_capacity: 1, ..RuntimeConfig::default() };
-        let single = ClusterAndConquer::new(test_config()).build(&ds);
-        let sharded = Runtime::new(config).execute(&ds, &test_config());
-        for u in ds.users() {
-            assert_eq!(sharded.graph.neighbors(u).sorted(), single.graph.neighbors(u).sorted());
-        }
-    }
-
-    #[test]
     fn empty_dataset_is_handled() {
         let _calm = crate::no_faults();
         let ds = Dataset::from_profiles(vec![], 0);
@@ -1206,42 +1001,11 @@ mod tests {
     }
 
     #[test]
-    fn build_sharded_extension_matches_runtime_execute() {
-        let _calm = crate::no_faults();
-        let ds = test_dataset();
-        let builder = ClusterAndConquer::new(test_config());
-        let via_trait = builder.build_sharded(&ds, &RuntimeConfig::with_workers(2));
-        let via_engine = Runtime::new(RuntimeConfig::with_workers(2)).execute(&ds, &test_config());
-        for u in ds.users() {
-            assert_eq!(
-                via_trait.graph.neighbors(u).sorted(),
-                via_engine.graph.neighbors(u).sorted()
-            );
-        }
-    }
-
-    #[test]
-    fn reduce_partition_covers_every_user_once() {
-        let _calm = crate::no_faults();
-        let ds = test_dataset();
-        let config = RuntimeConfig { workers: 2, reduce_shards: 3, ..RuntimeConfig::default() };
-        let result = Runtime::new(config).execute(&ds, &test_config());
-        assert_eq!(result.report.reducers.len(), 3);
-        let covered: usize = result.report.reducers.iter().map(|r| r.users).sum();
-        assert_eq!(covered, ds.num_users());
-        result.report.check_invariants().unwrap();
-    }
-
-    #[test]
     fn always_spill_routes_all_traffic_through_files() {
         let _calm = crate::no_faults();
         let ds = test_dataset();
-        let config = RuntimeConfig {
-            workers: 2,
-            reduce_shards: 2,
-            spill: SpillMode::Always,
-            ..RuntimeConfig::default()
-        };
+        let config =
+            RuntimeConfig { workers: 2, spill: SpillMode::Always, ..RuntimeConfig::default() };
         let single = ClusterAndConquer::new(test_config()).build(&ds);
         let result = Runtime::new(config).execute(&ds, &test_config());
         let report = &result.report;
@@ -1257,7 +1021,7 @@ mod tests {
     fn auto_spill_threshold_splits_the_stream() {
         let _calm = crate::no_faults();
         let ds = test_dataset();
-        let base = RuntimeConfig { workers: 2, reduce_shards: 2, ..RuntimeConfig::default() };
+        let base = RuntimeConfig::with_workers(2);
 
         // A zero-byte budget spills everything…
         let all = Runtime::new(RuntimeConfig { spill: SpillMode::Auto(0), ..base })
@@ -1270,14 +1034,14 @@ mod tests {
         assert_eq!(none.report.total_spill_entries(), 0);
         assert_eq!(none.report.total_spill_bytes(), 0);
 
-        // …and a mid-range budget sends the head in memory, the tail to
-        // disk. Small clusters keep each batch well under the budget, so
-        // the switch happens mid-stream rather than on the first batch.
+        // …and a mid-range budget merges the head in memory and sends the
+        // tail to disk: each worker's stream switches once it has handed
+        // over 2 KiB.
         let c2 = C2Config { max_cluster_size: 40, ..test_config() };
         let mid =
             Runtime::new(RuntimeConfig { spill: SpillMode::Auto(2_048), ..base }).execute(&ds, &c2);
         let spilled = mid.report.total_spill_entries();
-        assert!(spilled > 0, "2 KiB per stream must overflow on this workload");
+        assert!(spilled > 0, "2 KiB per worker must overflow on this workload");
         assert!(mid.report.total_spill_bytes() > 0);
         assert!(spilled < mid.report.shuffle_entries, "some head entries must stay in memory");
         mid.report.check_invariants().unwrap();
@@ -1287,12 +1051,8 @@ mod tests {
     fn spill_dir_is_gone_after_the_build() {
         let _calm = crate::no_faults();
         let ds = test_dataset();
-        let config = RuntimeConfig {
-            workers: 2,
-            reduce_shards: 2,
-            spill: SpillMode::Always,
-            ..RuntimeConfig::default()
-        };
+        let config =
+            RuntimeConfig { workers: 2, spill: SpillMode::Always, ..RuntimeConfig::default() };
         let result = Runtime::new(config).execute(&ds, &test_config());
         let dir = result.report.spill_dir.as_ref().expect("spilling build must record its dir");
         assert!(
@@ -1318,11 +1078,8 @@ mod tests {
         // One fingerprint build, shared across two further runs.
         let gf = Arc::new(GoldFinger::build(&ds, 1024, 77));
         for workers in [1usize, 2] {
-            let shared = Runtime::new(RuntimeConfig::with_workers(workers)).execute_shared(
-                &ds,
-                &c2,
-                Arc::clone(&gf),
-            );
+            let shared = Runtime::new(RuntimeConfig::with_workers(workers))
+                .execute_incremental_shared(&ds, &c2, Arc::clone(&gf), &ClusterCache::new(&c2));
             assert_eq!(shared.report.comparisons, rebuilt.report.comparisons);
             for u in ds.users() {
                 assert_eq!(
@@ -1345,7 +1102,9 @@ mod tests {
         };
         let tiny = Dataset::from_profiles(vec![vec![1, 2]], 0);
         let gf = Arc::new(GoldFinger::build(&tiny, 64, 1));
-        Runtime::new(RuntimeConfig::with_workers(1)).execute_shared(&ds, &c2, gf);
+        let empty = ClusterCache::new(&c2);
+        Runtime::new(RuntimeConfig::with_workers(1))
+            .execute_incremental_shared(&ds, &c2, gf, &empty);
     }
 
     #[test]
@@ -1360,23 +1119,78 @@ mod tests {
         // Same dataset and width, different hash seed: silently wrong
         // similarities unless the engine refuses.
         let gf = Arc::new(GoldFinger::build(&ds, 1024, 2));
-        Runtime::new(RuntimeConfig::with_workers(1)).execute_shared(&ds, &c2, gf);
+        let empty = ClusterCache::new(&c2);
+        Runtime::new(RuntimeConfig::with_workers(1))
+            .execute_incremental_shared(&ds, &c2, gf, &empty);
     }
 
     #[test]
-    #[should_panic(expected = "requires a GoldFinger backend")]
+    #[should_panic(expected = "require a GoldFinger backend")]
     fn raw_backend_shared_fingerprints_panic() {
         let _calm = crate::no_faults();
         let ds = test_dataset();
         let gf = Arc::new(GoldFinger::build(&ds, 64, 1));
-        Runtime::new(RuntimeConfig::with_workers(1)).execute_shared(&ds, &test_config(), gf);
+        let c2 = test_config();
+        let empty = ClusterCache::new(&c2);
+        Runtime::new(RuntimeConfig::with_workers(1))
+            .execute_incremental_shared(&ds, &c2, gf, &empty);
     }
 
     #[test]
-    #[should_panic(expected = "invalid RuntimeConfig")]
-    fn invalid_runtime_config_panics() {
+    fn a_broken_spill_stream_merges_its_records_directly() {
         let _calm = crate::no_faults();
-        Runtime::new(RuntimeConfig { channel_capacity: 0, ..RuntimeConfig::default() });
+        let ds = test_dataset();
+        let c2 = test_config();
+        let off = Runtime::new(RuntimeConfig::with_workers(2)).execute(&ds, &c2);
+
+        // The map stage of a two-worker `Always` build, handed a spill dir
+        // whose directory is gone: every `SpillWriter::create` fails.
+        let dir = SpillDir::create().unwrap();
+        std::fs::remove_dir(dir.path()).unwrap();
+        let plan = BuildPlan::assign(&c2, &ds);
+        let sizes: Vec<usize> = plan.clusters().iter().map(Vec::len).collect();
+        let deploy = plan_deployment_for(&sizes, 2, c2.k, c2.rho);
+        let costs = sizes.iter().map(|&s| cluster_cost(s, c2.k, c2.rho)).collect();
+        let queues = JobQueues::new(&deploy, costs, StealPolicy::MostLoaded);
+        let sim = SimilarityData::build(c2.backend, &ds);
+        let attempts: Vec<AtomicU32> = sizes.iter().map(|_| AtomicU32::new(0)).collect();
+        let arena = SharedKnnGraph::new(ds.num_users(), c2.k);
+        let ctx = MapContext {
+            queues: &queues,
+            clusters: plan.clusters(),
+            sim: &sim,
+            c2: &c2,
+            threshold: c2.brute_force_threshold(),
+            spill: SpillMode::Always,
+            spill_dir: Some(&dir),
+            graph: &arena,
+            attempts: &attempts,
+            abort: &AtomicBool::new(false),
+        };
+        let (workers, shuffle_entries) = run_map_stage(&ctx, 2);
+        let graph = arena.into_graph();
+        let report = RuntimeReport {
+            patched: false,
+            num_clusters: sizes.len(),
+            plan: deploy,
+            workers,
+            shuffle_entries,
+            spill: SpillMode::Always,
+            spill_dir: Some(dir.path().to_path_buf()),
+            splits: plan.splits(),
+            comparisons: sim.comparisons(),
+            clustering_wall: Duration::ZERO,
+            map_reduce_wall: Duration::ZERO,
+            total_wall: Duration::ZERO,
+        };
+
+        report.check_invariants().unwrap();
+        assert!(report.rerouted_spill_records() > 0, "every record was due to spill");
+        assert_eq!(report.total_spill_entries(), 0, "no entry may be spilled and rerouted");
+        assert_eq!(report.shuffle_entries, off.report.shuffle_entries);
+        for u in ds.users() {
+            assert_eq!(graph.neighbors(u).sorted(), off.graph.neighbors(u).sorted(), "user {u}");
+        }
     }
 
     #[test]
@@ -1563,24 +1377,6 @@ mod tests {
             cnc_faults::is_injected_panic(payload.as_ref()),
             "the abort must re-raise the typed injected payload"
         );
-    }
-
-    #[test]
-    fn injected_reduce_panics_are_absorbed_before_any_merge() {
-        let _serial = crate::fault_lock();
-        cnc_faults::silence_injected_panics();
-        let ds = test_dataset();
-        let clean = Runtime::new(RuntimeConfig::with_workers(2)).execute(&ds, &test_config());
-        let faults = Faults::global();
-        let plan = cnc_faults::FaultPlan::new(5, 1.0).only(&[Site::ReduceShard]).with_span(3);
-        let _guard = faults.arm(plan);
-        let config = RuntimeConfig { workers: 2, reduce_shards: 2, ..RuntimeConfig::default() };
-        let chaotic = Runtime::new(config).execute(&ds, &test_config());
-        assert!(faults.injected(Site::ReduceShard) > 0, "the schedule must have fired");
-        chaotic.report.check_invariants().unwrap();
-        for u in ds.users() {
-            assert_eq!(chaotic.graph.neighbors(u).sorted(), clean.graph.neighbors(u).sorted());
-        }
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! The shuffle layer: user→reduce-shard partitioning and the spill-file
-//! format.
+//! The spill layer: the out-of-core lane of the map stage's merge.
 //!
-//! A real MapReduce deployment cannot keep the whole map→reduce stream in
-//! memory: each map task *spills* its output, partitioned by reducer, to
-//! local files that the reducers later pull. This module provides the two
-//! pieces the engine needs to model that:
+//! A real MapReduce deployment cannot keep the whole map output in
+//! memory: each map task *spills* it to local files that are merged once
+//! the task is done. This module provides the pieces the engine needs to
+//! model that:
 //!
-//! * [`partition_of`] — the deterministic hash partitioner that assigns
-//!   every user to exactly one of `R` reduce shards (a total, disjoint
-//!   cover of the user space, property-tested in `tests/shuffle.rs`);
 //! * a length-prefixed binary codec ([`write_record`] / [`read_record`])
-//!   for partial neighbour lists, plus [`SpillWriter`] and the
-//!   cleanup-on-drop [`SpillDir`] temp-directory guard.
+//!   for partial neighbour lists — also the distributed build's wire
+//!   format;
+//! * [`SpillWriter`], one retrying stream per map worker, and
+//!   [`replay_spill`], which reads a sealed stream back;
+//! * the cleanup-on-drop [`SpillDir`] temp-directory guard.
 //!
 //! The codec is lossless: similarities travel as raw `f32` bits, so a
 //! spilled build merges *exactly* the same values as an in-memory one and
 //! the final graph stays bit-identical.
 
+use cnc_core::build_plan::fnv1a;
 use cnc_dataset::UserId;
 use cnc_faults::{injected_io_error, Fault, Faults, Site};
 use cnc_graph::NeighborList;
@@ -28,8 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Typed failure of the spill layer — what used to unwind as an
 /// `.expect()` panic now surfaces with the site, path and root cause
-/// attached, so the engine can decide between degradation (reroute spill
-/// traffic through the channels) and a build-level failure.
+/// attached, so the engine can decide between degradation (merge the
+/// record straight into the shared arena instead) and a build-level
+/// failure.
 #[derive(Debug)]
 pub enum ShuffleError {
     /// A single-shot IO failure (e.g. sealing a stream).
@@ -96,71 +97,18 @@ pub fn note_retry(site: &'static str) {
     }
 }
 
-/// The reduce shard owning `user`, in `0..reduce_shards`.
-///
-/// A multiplicative (Fibonacci) hash rather than `user % R`: consecutive
-/// user ids scatter across shards the way an opaque key hash would in a
-/// real shuffle, so skew figures are representative.
-///
-/// # Panics
-/// Panics if `reduce_shards == 0`.
-#[inline]
-pub fn partition_of(user: UserId, reduce_shards: usize) -> usize {
-    assert!(reduce_shards > 0, "at least one reduce shard is required");
-    let h = (user as u64).wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_mul(0xD1B5_4A32_D192_ED03);
-    ((h >> 32) as usize) % reduce_shards
-}
-
-/// The reduce-side view of [`partition_of`]: a total, disjoint cover of
-/// `0..n` across `R` shards, plus each user's slot within its shard —
-/// enough to concatenate per-shard outputs back into a graph without a
-/// merge. Shared by the in-process engine and the distributed
-/// coordinator so both sides of a wire agree on routing by construction.
-#[derive(Clone, Debug)]
-pub struct ReducePartition {
-    /// `owned[r]` lists shard r's users in increasing order.
-    pub owned: Vec<Vec<UserId>>,
-    /// `local_index[u]` is u's slot within `owned[partition_of(u, R)]`.
-    pub local_index: Vec<u32>,
-}
-
-impl ReducePartition {
-    /// Partitions users `0..n` across `reduce_shards` shards.
-    pub fn new(n: usize, reduce_shards: usize) -> ReducePartition {
-        let mut owned: Vec<Vec<UserId>> = vec![Vec::new(); reduce_shards];
-        let mut local_index: Vec<u32> = vec![0; n];
-        for u in 0..n as u32 {
-            let shard = partition_of(u, reduce_shards);
-            local_index[u as usize] = owned[shard].len() as u32;
-            owned[shard].push(u);
-        }
-        ReducePartition { owned, local_index }
-    }
-}
-
-/// Encoded size of one spill record, in bytes: a 16-byte header
-/// (`user: u32 LE`, `len: u32 LE`, `cluster_hash: u64 LE`) plus 8 bytes
-/// (`neighbour: u32 LE`, `sim: f32 bits LE`) per retained neighbour.
+/// Encoded size of one spill record, in bytes: an 8-byte header
+/// (`user: u32 LE`, `len: u32 LE`) plus 8 bytes (`neighbour: u32 LE`,
+/// `sim: f32 bits LE`) per retained neighbour.
 #[inline]
 pub fn encoded_len(list: &NeighborList) -> u64 {
-    16 + 8 * list.len() as u64
+    8 + 8 * list.len() as u64
 }
 
-/// Writes one `(user, cluster hash, partial list)` record; returns its
-/// encoded size. The hash is the source cluster's `BuildPlan` content
-/// hash (0 for one-shot builds, which never fingerprint) — it keeps each
-/// record attributable to the cluster solve that produced it, the
-/// provenance an incremental or multi-process consumer of the stream
-/// needs.
-pub fn write_record<W: Write>(
-    out: &mut W,
-    user: UserId,
-    cluster_hash: u64,
-    list: &NeighborList,
-) -> io::Result<u64> {
+/// Writes one `(user, partial list)` record; returns its encoded size.
+pub fn write_record<W: Write>(out: &mut W, user: UserId, list: &NeighborList) -> io::Result<u64> {
     out.write_all(&user.to_le_bytes())?;
     out.write_all(&(list.len() as u32).to_le_bytes())?;
-    out.write_all(&cluster_hash.to_le_bytes())?;
     for n in list.iter() {
         out.write_all(&n.user.to_le_bytes())?;
         out.write_all(&n.sim.to_bits().to_le_bytes())?;
@@ -173,17 +121,13 @@ pub fn write_record<W: Write>(
 /// Returns `Ok(None)` at a clean end of stream; a stream that ends inside
 /// a record, or a record longer than `k`, is an `InvalidData`/
 /// `UnexpectedEof` error.
-pub fn read_record<R: Read>(
-    input: &mut R,
-    k: usize,
-) -> io::Result<Option<(UserId, u64, NeighborList)>> {
-    let mut header = [0u8; 16];
+pub fn read_record<R: Read>(input: &mut R, k: usize) -> io::Result<Option<(UserId, NeighborList)>> {
+    let mut header = [0u8; 8];
     if !read_exact_or_eof(input, &mut header)? {
         return Ok(None);
     }
     let user = u32::from_le_bytes(header[0..4].try_into().unwrap());
     let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-    let cluster_hash = u64::from_le_bytes(header[8..16].try_into().unwrap());
     if len > k {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -200,7 +144,7 @@ pub fn read_record<R: Read>(
         // the decoded list equals the encoded one entry-for-entry.
         list.insert(neighbor, sim);
     }
-    Ok(Some((user, cluster_hash, list)))
+    Ok(Some((user, list)))
 }
 
 /// Fills `buf` completely, or reports a clean EOF *before the first byte*
@@ -259,10 +203,9 @@ impl SpillDir {
         &self.path
     }
 
-    /// The canonical spill-file path for one `(map worker, reduce shard)`
-    /// stream.
-    pub fn file_path(&self, worker: usize, shard: usize) -> PathBuf {
-        self.path.join(format!("map{worker}-reduce{shard}.spill"))
+    /// The canonical spill-file path of one map worker's stream.
+    pub fn file_path(&self, worker: usize) -> PathBuf {
+        self.path.join(format!("map{worker}.spill"))
     }
 }
 
@@ -274,7 +217,7 @@ impl Drop for SpillDir {
     }
 }
 
-/// Buffered writer for one `(map worker, reduce shard)` spill stream,
+/// Buffered writer for one map worker's spill stream,
 /// with retrying, torn-write-recovering appends.
 ///
 /// `bytes` is the stream's *committed* length: records the writer has
@@ -292,13 +235,13 @@ pub struct SpillWriter {
     fault_base: u64,
     /// Records appended so far (the per-record fault-key ordinal).
     records: u64,
-    /// Encode-once scratch buffer; records are tiny (≤ 16 + 8·k bytes).
+    /// Encode-once scratch buffer; records are tiny (≤ 8 + 8·k bytes).
     scratch: Vec<u8>,
 }
 
 impl SpillWriter {
     /// Creates the stream's file. `fault_base` identifies the stream to
-    /// the fault registry (the engine passes a `(worker, shard)` hash).
+    /// the fault registry (the engine passes a hash of the worker index).
     pub fn create(path: PathBuf, fault_base: u64) -> Result<SpillWriter, ShuffleError> {
         let mut attempt = 0u32;
         loop {
@@ -335,15 +278,9 @@ impl SpillWriter {
     }
 
     /// Appends one record, retrying (with rollback) on failure.
-    pub fn push(
-        &mut self,
-        user: UserId,
-        cluster_hash: u64,
-        list: &NeighborList,
-    ) -> Result<(), ShuffleError> {
+    pub fn push(&mut self, user: UserId, list: &NeighborList) -> Result<(), ShuffleError> {
         self.scratch.clear();
-        write_record(&mut self.scratch, user, cluster_hash, list)
-            .expect("encoding into a Vec cannot fail");
+        write_record(&mut self.scratch, user, list).expect("encoding into a Vec cannot fail");
         let key = self.fault_base ^ self.records.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let faults = Faults::global();
         let mut attempt = 0u32;
@@ -414,15 +351,13 @@ impl SpillWriter {
 /// capped backoff ([`SPILL_REPLAY_ATTEMPTS`]). Buffering before the merge
 /// keeps retries trivially idempotent: no record reaches a
 /// [`NeighborList`] until the full file has decoded cleanly.
-pub fn replay_spill(
-    path: &Path,
-    k: usize,
-) -> Result<Vec<(UserId, u64, NeighborList)>, ShuffleError> {
-    let key = path_fault_key(path);
+pub fn replay_spill(path: &Path, k: usize) -> Result<Vec<(UserId, NeighborList)>, ShuffleError> {
+    // The path's FNV-1a is the replay side's stable fault key.
+    let key = fnv1a(path.as_os_str().as_encoded_bytes());
     let faults = Faults::global();
     let mut attempt = 0u32;
     loop {
-        let outcome: io::Result<Vec<(UserId, u64, NeighborList)>> = (|| {
+        let outcome: io::Result<Vec<(UserId, NeighborList)>> = (|| {
             faults.inject_io(Site::SpillReplay, key)?;
             let mut reader = BufReader::new(File::open(path)?);
             let mut records = Vec::new();
@@ -450,16 +385,7 @@ pub fn replay_spill(
     }
 }
 
-/// FNV-1a over the path string: the replay side's stable fault key.
-fn path_fault_key(path: &Path) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in path.to_string_lossy().bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// A sealed spill file, ready to be replayed by its reduce shard.
+/// A sealed spill file, ready to be replayed into the shared arena.
 #[derive(Clone, Debug)]
 pub struct FinishedSpill {
     /// Where the stream lives (inside the build's [`SpillDir`]).
@@ -483,44 +409,14 @@ mod tests {
     }
 
     #[test]
-    fn partitioner_is_a_function_into_range() {
-        for shards in 1..8 {
-            for user in 0..5_000u32 {
-                let p = partition_of(user, shards);
-                assert!(p < shards);
-                assert_eq!(p, partition_of(user, shards), "partitioner must be deterministic");
-            }
-        }
-    }
-
-    #[test]
-    fn partitioner_spreads_users_roughly_evenly() {
-        let shards = 4;
-        let mut counts = vec![0usize; shards];
-        for user in 0..10_000u32 {
-            counts[partition_of(user, shards)] += 1;
-        }
-        for (shard, &c) in counts.iter().enumerate() {
-            assert!((1_500..=3_500).contains(&c), "shard {shard} owns {c} of 10000 users");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one reduce shard")]
-    fn zero_shards_panics() {
-        partition_of(0, 0);
-    }
-
-    #[test]
     fn record_round_trip_is_exact() {
         let original = list(4, &[(9, 0.75), (2, -0.5), (11, 0.75), (3, 0.0)]);
         let mut buf = Vec::new();
-        let written = write_record(&mut buf, 42, 0xDEAD_BEEF_0123, &original).unwrap();
+        let written = write_record(&mut buf, 42, &original).unwrap();
         assert_eq!(written, encoded_len(&original));
         assert_eq!(written as usize, buf.len());
-        let (user, hash, decoded) = read_record(&mut buf.as_slice(), 4).unwrap().unwrap();
+        let (user, decoded) = read_record(&mut buf.as_slice(), 4).unwrap().unwrap();
         assert_eq!(user, 42);
-        assert_eq!(hash, 0xDEAD_BEEF_0123);
         assert_eq!(decoded.sorted(), original.sorted());
         assert!(read_record(&mut io::empty(), 4).unwrap().is_none());
     }
@@ -529,10 +425,9 @@ mod tests {
     fn empty_list_round_trips() {
         let original = list(3, &[]);
         let mut buf = Vec::new();
-        write_record(&mut buf, 7, 3, &original).unwrap();
-        let (user, hash, decoded) = read_record(&mut buf.as_slice(), 3).unwrap().unwrap();
+        write_record(&mut buf, 7, &original).unwrap();
+        let (user, decoded) = read_record(&mut buf.as_slice(), 3).unwrap().unwrap();
         assert_eq!(user, 7);
-        assert_eq!(hash, 3);
         assert!(decoded.is_empty());
     }
 
@@ -541,13 +436,12 @@ mod tests {
         let lists = [list(2, &[(1, 0.9)]), list(2, &[]), list(2, &[(5, 0.1), (6, 0.2)])];
         let mut buf = Vec::new();
         for (i, l) in lists.iter().enumerate() {
-            write_record(&mut buf, i as u32, i as u64 * 11, l).unwrap();
+            write_record(&mut buf, i as u32, l).unwrap();
         }
         let mut reader = buf.as_slice();
         for (i, l) in lists.iter().enumerate() {
-            let (user, hash, decoded) = read_record(&mut reader, 2).unwrap().unwrap();
+            let (user, decoded) = read_record(&mut reader, 2).unwrap().unwrap();
             assert_eq!(user, i as u32);
-            assert_eq!(hash, i as u64 * 11);
             assert_eq!(decoded.sorted(), l.sorted());
         }
         assert!(read_record(&mut reader, 2).unwrap().is_none());
@@ -556,7 +450,7 @@ mod tests {
     #[test]
     fn truncated_record_is_an_error() {
         let mut buf = Vec::new();
-        write_record(&mut buf, 1, 0, &list(2, &[(3, 0.5)])).unwrap();
+        write_record(&mut buf, 1, &list(2, &[(3, 0.5)])).unwrap();
         buf.pop();
         let mut reader = buf.as_slice();
         assert!(read_record(&mut reader, 2).is_err());
@@ -565,7 +459,7 @@ mod tests {
     #[test]
     fn oversized_record_is_rejected() {
         let mut buf = Vec::new();
-        write_record(&mut buf, 1, 0, &list(5, &[(1, 0.1), (2, 0.2), (3, 0.3)])).unwrap();
+        write_record(&mut buf, 1, &list(5, &[(1, 0.1), (2, 0.2), (3, 0.3)])).unwrap();
         let err = read_record(&mut buf.as_slice(), 2).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -574,11 +468,11 @@ mod tests {
     fn spill_writer_counts_bytes_and_entries() {
         let _calm = crate::no_faults();
         let dir = SpillDir::create().unwrap();
-        let mut w = SpillWriter::create(dir.file_path(0, 1), 0).unwrap();
+        let mut w = SpillWriter::create(dir.file_path(0), 0).unwrap();
         let a = list(3, &[(1, 0.5), (2, 0.25)]);
         let b = list(3, &[(9, 0.125)]);
-        w.push(10, 1, &a).unwrap();
-        w.push(11, 2, &b).unwrap();
+        w.push(10, &a).unwrap();
+        w.push(11, &b).unwrap();
         let finished = w.finish().unwrap();
         assert_eq!(finished.bytes, encoded_len(&a) + encoded_len(&b));
         assert_eq!(finished.entries, 3);
@@ -589,7 +483,7 @@ mod tests {
     fn spill_dir_is_removed_on_drop_with_contents() {
         let dir = SpillDir::create().unwrap();
         let path = dir.path().to_path_buf();
-        fs::write(dir.file_path(0, 0), b"payload").unwrap();
+        fs::write(dir.file_path(0), b"payload").unwrap();
         assert!(path.exists());
         drop(dir);
         assert!(!path.exists(), "drop must remove the dir and its files");
@@ -599,7 +493,7 @@ mod tests {
     fn spill_dir_is_removed_when_a_panic_unwinds() {
         let dir = SpillDir::create().unwrap();
         let path = dir.path().to_path_buf();
-        fs::write(dir.file_path(3, 1), b"junk").unwrap();
+        fs::write(dir.file_path(3), b"junk").unwrap();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _guard = dir;
             panic!("worker died mid-spill");
@@ -625,9 +519,9 @@ mod tests {
             (0..64u32).map(|i| list(4, &[(i, 0.5), (i + 100, 0.25)])).collect();
 
         // Fault-free reference stream.
-        let mut clean = SpillWriter::create(dir.file_path(0, 0), 7).unwrap();
+        let mut clean = SpillWriter::create(dir.file_path(0), 7).unwrap();
         for (i, l) in records.iter().enumerate() {
-            clean.push(i as u32, i as u64, l).unwrap();
+            clean.push(i as u32, l).unwrap();
         }
         let clean = clean.finish().unwrap();
         let clean_bytes = fs::read(&clean.path).unwrap();
@@ -638,9 +532,9 @@ mod tests {
         let plan = cnc_faults::FaultPlan::new(99, 1.0).only(&[Site::SpillWrite]).with_span(4);
         let injected = {
             let _guard = faults.arm(plan);
-            let mut chaotic = SpillWriter::create(dir.file_path(1, 0), 7).unwrap();
+            let mut chaotic = SpillWriter::create(dir.file_path(1), 7).unwrap();
             for (i, l) in records.iter().enumerate() {
-                chaotic.push(i as u32, i as u64, l).unwrap();
+                chaotic.push(i as u32, l).unwrap();
             }
             let chaotic = chaotic.finish().unwrap();
             let injected = faults.injected(Site::SpillWrite);
@@ -655,9 +549,9 @@ mod tests {
     fn replay_retries_injected_faults_and_decodes_everything() {
         let _serial = fault_lock();
         let dir = SpillDir::create().unwrap();
-        let mut w = SpillWriter::create(dir.file_path(0, 0), 0).unwrap();
+        let mut w = SpillWriter::create(dir.file_path(0), 0).unwrap();
         for i in 0..16u32 {
-            w.push(i, 5, &list(3, &[(i + 1, 0.5)])).unwrap();
+            w.push(i, &list(3, &[(i + 1, 0.5)])).unwrap();
         }
         let finished = w.finish().unwrap();
 
@@ -667,9 +561,8 @@ mod tests {
         let records = replay_spill(&finished.path, 3).unwrap();
         assert_eq!(records.len(), 16);
         assert!(faults.injected(Site::SpillReplay) > 0);
-        for (i, (user, hash, l)) in records.iter().enumerate() {
+        for (i, (user, l)) in records.iter().enumerate() {
             assert_eq!(*user, i as u32);
-            assert_eq!(*hash, 5);
             assert_eq!(l.len(), 1);
         }
     }

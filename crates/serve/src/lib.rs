@@ -1,7 +1,7 @@
 //! `cnc-serve`: snapshot-backed online KNN serving.
 //!
 //! PR 1–3 built the offline side of the paper's deployment story — a
-//! sharded map-reduce builder with a spillable shuffle and monomorphized
+//! sharded map builder with a spillable merge lane and monomorphized
 //! similarity kernels. This crate is the **online** side those builds are
 //! for: keeping a constructed KNN graph alive across processes and
 //! serving it to concurrent clients under streaming freshness pressure

@@ -141,7 +141,7 @@ impl Telemetry {
     }
 
     /// Submits a fully synthesized record (no-op when disabled) — for
-    /// engine code reconstructing worker/reducer spans from joined stats.
+    /// engine code reconstructing worker spans from joined stats.
     pub fn submit(&self, record: SpanRecord) {
         if self.enabled() {
             self.collector.submit(record);

@@ -2,10 +2,10 @@
 //! attributions, collected centrally for export.
 //!
 //! A [`SpanRecord`] is one completed region of work — a `BuildPlan` stage,
-//! a reducer shard drain, an epoch publish — with a parent pointer so the
+//! a map worker's busy time, an epoch publish — with a parent pointer so the
 //! records form a forest per thread. Guards keep a thread-local parent
 //! stack; layers that already measure their own durations (the runtime's
-//! worker/reducer stats) submit pre-measured records instead so the span
+//! worker stats) submit pre-measured records instead so the span
 //! tree and the stats structs are fed by the *same* `Duration` values and
 //! cannot drift.
 //!
@@ -23,7 +23,7 @@ pub const MAX_SPANS: usize = 65_536;
 /// One completed span.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
-    /// Region name (e.g. `build.assign`, `reduce.shard`, `publish`).
+    /// Region name (e.g. `build.assign`, `map.worker`, `publish`).
     pub name: &'static str,
     /// Unique id within the process.
     pub id: u64,

@@ -1,10 +1,9 @@
-//! Sharded map-reduce graph construction (§VIII, executed).
+//! Sharded graph construction (§VIII, executed).
 //!
 //! Builds the same C² KNN graph twice — once with the in-process pipeline,
-//! once on `cnc-runtime`'s sharded engine with a multi-shard reduce and a
-//! file-backed shuffle — then compares the deployment plan's *predicted*
-//! figures with the engine's *measured* ones and checks the two graphs
-//! agree.
+//! once on `cnc-runtime`'s sharded engine with its file-backed spill lane
+//! — then compares the deployment plan's *predicted* figures with the
+//! engine's *measured* ones and checks the two graphs agree.
 //!
 //! ```text
 //! cargo run --release --example sharded_build
@@ -43,23 +42,17 @@ fn main() {
         single.stats.timings.total.as_secs_f64() * 1e3,
     );
 
-    // Sharded build: 4 map workers, 2 reduce shards, spilling each
-    // map→reduce stream to disk once it exceeds 64 KiB.
+    // Sharded build: 4 map workers, each spilling its partial lists to
+    // disk once it has handed over 64 KiB.
     let runtime = RuntimeConfig {
         workers: 4,
-        reduce_shards: 2,
-        channel_capacity: 64,
         steal: StealPolicy::MostLoaded,
         spill: SpillMode::Auto(64 * 1024),
     };
-    let sharded = builder.build_sharded(&dataset, &runtime);
+    let sharded = Runtime::new(runtime).execute(&dataset, builder.config());
     let report = &sharded.report;
 
-    println!(
-        "\nsharded build over {} workers and {} reduce shards:",
-        report.workers.len(),
-        report.reducers.len()
-    );
+    println!("\nsharded build over {} workers:", report.workers.len());
     println!("  predicted speed-up (LPT plan):  {:.2}", report.plan.speedup());
     println!("  measured speed-up (Σbusy/max):  {:.2}", report.measured_speedup());
     println!("  predicted imbalance:            {:.3}", report.plan.imbalance());
@@ -67,20 +60,18 @@ fn main() {
     println!("  predicted shuffle entries:      {}", report.plan.merge_traffic);
     println!("  measured shuffle entries:       {}", report.shuffle_entries);
     println!("  clusters stolen by idle shards: {}", report.stolen_clusters());
-    println!("  reduce-stage speed-up:          {:.2}", report.reduce_speedup());
-    println!("  shuffle skew (max/ideal):       {:.3}", report.shuffle_skew());
     println!(
         "  spilled to disk:                {} entries, {} bytes",
         report.total_spill_entries(),
         report.total_spill_bytes()
     );
     println!(
-        "  map+reduce wall:                {:.1} ms",
+        "  map+merge wall:                 {:.1} ms",
         report.map_reduce_wall.as_secs_f64() * 1e3
     );
     for w in &report.workers {
         println!(
-            "    worker {}: {} clusters ({} stolen), busy {:.1} ms, shipped {} entries \
+            "    worker {}: {} clusters ({} stolen), busy {:.1} ms, handed over {} entries \
              ({} spilled)",
             w.worker,
             w.clusters.len(),
@@ -90,20 +81,9 @@ fn main() {
             w.spilled_entries,
         );
     }
-    for r in &report.reducers {
-        println!(
-            "    reducer {}: {} users, merged {} entries ({} from spill files), busy {:.1} ms",
-            r.shard,
-            r.users,
-            r.entries,
-            r.spilled_entries,
-            r.busy.as_secs_f64() * 1e3,
-        );
-    }
+    report.check_invariants().expect("merge accounting must balance");
 
-    report.check_invariants().expect("shuffle accounting must balance");
-
-    // The sharded merge is order-independent, so the graphs must agree.
+    // The shared merge is order-independent, so the graphs must agree.
     let agree = dataset
         .users()
         .all(|u| sharded.graph.neighbors(u).sorted() == single.graph.neighbors(u).sorted());

@@ -54,16 +54,14 @@ fn c2_config() -> C2Config {
 /// One chaos cell: builds fault-free, rebuilds under the armed schedule,
 /// and asserts the keystone invariant — identical graphs, balanced
 /// accounting, invariant-clean report.
-fn chaos_case(fault_seed: u64, p: f64, workers: usize, reduce_shards: usize, spill: SpillMode) {
+fn chaos_case(fault_seed: u64, p: f64, workers: usize, spill: SpillMode) {
     let _serial = fault_lock();
     silence_injected_panics();
     let dataset = chaos_dataset();
     let c2 = c2_config();
-    let config = RuntimeConfig { workers, reduce_shards, spill, ..Default::default() };
+    let config = RuntimeConfig { workers, spill, ..Default::default() };
     let runtime = Runtime::new(config);
-    let label = format!(
-        "fault_seed={fault_seed} p={p:.2} workers={workers} shards={reduce_shards} spill={spill:?}"
-    );
+    let label = format!("fault_seed={fault_seed} p={p:.2} workers={workers} spill={spill:?}");
 
     let clean = runtime.execute_incremental(dataset, &c2, &ClusterCache::new(&c2), &[]);
     let faulted = {
@@ -95,15 +93,13 @@ fn chaos_case(fault_seed: u64, p: f64, workers: usize, reduce_shards: usize, spi
 }
 
 /// The acceptance matrix with one fixed schedule at p = 1 — every cluster
-/// solve, reduce shard and spill operation fails at least once before
-/// recovery succeeds.
+/// solve and spill operation fails at least once before recovery
+/// succeeds.
 #[test]
 fn seeded_schedule_survives_bit_identically_across_the_matrix() {
     for workers in [1usize, 3] {
-        for reduce_shards in [1usize, 2] {
-            for spill in [SpillMode::Off, SpillMode::Always] {
-                chaos_case(42, 1.0, workers, reduce_shards, spill);
-            }
+        for spill in [SpillMode::Off, SpillMode::Always] {
+            chaos_case(42, 1.0, workers, spill);
         }
     }
 }
@@ -118,12 +114,11 @@ proptest! {
     fn random_fault_schedules_build_identical_graphs(
         fault_seed in 0u64..10_000,
         p_mille in 50u32..1000,
-        cell in 0usize..8,
+        cell in 0usize..4,
     ) {
         let workers = [1, 3][cell & 1];
-        let reduce_shards = [1, 2][(cell >> 1) & 1];
-        let spill = [SpillMode::Off, SpillMode::Always][(cell >> 2) & 1];
-        chaos_case(fault_seed, p_mille as f64 / 1000.0, workers, reduce_shards, spill);
+        let spill = [SpillMode::Off, SpillMode::Always][(cell >> 1) & 1];
+        chaos_case(fault_seed, p_mille as f64 / 1000.0, workers, spill);
     }
 }
 

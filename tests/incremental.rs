@@ -5,7 +5,7 @@
 //! clusters, plus the rows that lost a neighbour) or declined it to the
 //! from-scratch path — must be **bit-identical** to a from-scratch build
 //! of the same dataset: identical graphs for every `(insert batch ×
-//! workers × reduce shards × spill mode)` cell, `comparisons` counting
+//! workers × spill mode)` cell, `comparisons` counting
 //! exactly the similarities computed, and a cache priced like the
 //! from-scratch build. On top of the matrix: the in-process pipeline's
 //! incremental path; random insert sequences over several generations on
@@ -79,8 +79,8 @@ fn assert_graphs_identical(a: &KnnGraph, b: &KnnGraph, label: &str) {
 }
 
 /// The acceptance matrix: full-vs-incremental bit-identical graphs over
-/// (insert batch sizes × workers × reduce shards × spill modes), with the
-/// comparison accounting attributable per cell.
+/// (insert batch sizes × workers × spill modes), with the comparison
+/// accounting attributable per cell.
 #[test]
 fn incremental_matches_from_scratch_across_the_matrix() {
     let base = base_dataset();
@@ -88,41 +88,34 @@ fn incremental_matches_from_scratch_across_the_matrix() {
     for batch in [1usize, 6, 32] {
         let (grown, inserted) = grow(&base, batch, batch as u32);
         for workers in [1usize, 3] {
-            for reduce_shards in [1usize, 2] {
-                for spill in [SpillMode::Off, SpillMode::Always] {
-                    let label = format!(
-                        "batch={batch} workers={workers} shards={reduce_shards} spill={spill:?}"
-                    );
-                    let config =
-                        RuntimeConfig { workers, reduce_shards, spill, ..Default::default() };
-                    let runtime = Runtime::new(config);
-                    // Seed the cache from the base dataset, then rebuild
-                    // the grown one incrementally.
-                    let seeded =
-                        runtime.execute_incremental(&base, &c2, &ClusterCache::new(&c2), &[]);
-                    let incr = runtime.execute_incremental(&grown, &c2, &seeded.cache, &inserted);
-                    let full = runtime.execute(&grown, &c2);
+            for spill in [SpillMode::Off, SpillMode::Always] {
+                let label = format!("batch={batch} workers={workers} spill={spill:?}");
+                let runtime = Runtime::new(RuntimeConfig { workers, spill, ..Default::default() });
+                // Seed the cache from the base dataset, then rebuild the
+                // grown one incrementally.
+                let seeded = runtime.execute_incremental(&base, &c2, &ClusterCache::new(&c2), &[]);
+                let incr = runtime.execute_incremental(&grown, &c2, &seeded.cache, &inserted);
+                let full = runtime.execute(&grown, &c2);
 
-                    assert_graphs_identical(&incr.graph, &full.graph, &label);
-                    assert!(
-                        incr.rebuild.reuse_ratio > 0.0,
-                        "{label}: no clusters reused after a {batch}-user batch"
-                    );
-                    // Fresh + cached comparisons account for the whole
-                    // from-scratch build, exactly.
-                    assert!(incr.report.comparisons < full.report.comparisons, "{label}");
-                    assert_eq!(
-                        incr.cache.total_comparisons(),
-                        full.report.comparisons,
-                        "{label}: cache totals must equal a from-scratch build's count"
-                    );
-                    assert_eq!(incr.cache.len(), incr.rebuild.clusters_total, "{label}");
-                    incr.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
-                    assert_eq!(
-                        incr.report.num_clusters, incr.rebuild.clusters_total,
-                        "{label}: the report and the rebuild stats must count one clustering"
-                    );
-                }
+                assert_graphs_identical(&incr.graph, &full.graph, &label);
+                assert!(
+                    incr.rebuild.reuse_ratio > 0.0,
+                    "{label}: no clusters reused after a {batch}-user batch"
+                );
+                // Fresh + cached comparisons account for the whole
+                // from-scratch build, exactly.
+                assert!(incr.report.comparisons < full.report.comparisons, "{label}");
+                assert_eq!(
+                    incr.cache.total_comparisons(),
+                    full.report.comparisons,
+                    "{label}: cache totals must equal a from-scratch build's count"
+                );
+                assert_eq!(incr.cache.len(), incr.rebuild.clusters_total, "{label}");
+                incr.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(
+                    incr.report.num_clusters, incr.rebuild.clusters_total,
+                    "{label}: the report and the rebuild stats must count one clustering"
+                );
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Integration: the sharded map-reduce runtime against the single-process
+//! Integration: the sharded runtime against the single-process
 //! pipeline — equivalence, plan agreement, and scaling.
 
 use cluster_and_conquer::prelude::*;
@@ -42,7 +42,7 @@ fn sharded_build_matches_single_process_quality() {
     let builder = ClusterAndConquer::new(c2_config(k));
 
     let single = builder.build(&ds);
-    let sharded = builder.build_sharded(&ds, &RuntimeConfig::with_workers(4));
+    let sharded = Runtime::new(RuntimeConfig::with_workers(4)).execute(&ds, builder.config());
 
     let q_single = graph_quality(&single.graph, &reference, &ds);
     let q_sharded = graph_quality(&sharded.graph, &reference, &ds);
@@ -68,7 +68,7 @@ fn sharded_comparisons_match_single_process() {
     let ds = dataset();
     let builder = ClusterAndConquer::new(c2_config(10));
     let single = builder.build(&ds);
-    let sharded = builder.build_sharded(&ds, &RuntimeConfig::with_workers(3));
+    let sharded = Runtime::new(RuntimeConfig::with_workers(3)).execute(&ds, builder.config());
     assert_eq!(
         sharded.report.comparisons, single.stats.comparisons,
         "sharded run performed a different amount of similarity work"
@@ -102,8 +102,8 @@ fn four_workers_speed_up_a_large_build() {
     };
     let builder = ClusterAndConquer::new(c2);
 
-    let one = builder.build_sharded(&ds, &RuntimeConfig::with_workers(1));
-    let four = builder.build_sharded(&ds, &RuntimeConfig::with_workers(4));
+    let one = Runtime::new(RuntimeConfig::with_workers(1)).execute(&ds, builder.config());
+    let four = Runtime::new(RuntimeConfig::with_workers(4)).execute(&ds, builder.config());
 
     // The plan itself must promise near-linear scaling on this workload …
     assert!(
@@ -126,7 +126,7 @@ fn four_workers_speed_up_a_large_build() {
     let t4 = four.report.map_reduce_wall.as_secs_f64();
     assert!(
         t1 / t4 > 1.5,
-        "4-worker map+reduce only {:.2}× faster than 1 worker ({t1:.3}s vs {t4:.3}s)",
+        "4-worker map+merge only {:.2}× faster than 1 worker ({t1:.3}s vs {t4:.3}s)",
         t1 / t4
     );
 }

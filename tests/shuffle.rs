@@ -1,12 +1,13 @@
-//! The determinism/equivalence suite for the multi-shard reduce and the
-//! file-backed shuffle: every `(workers, reduce_shards, spill)`
-//! combination must produce **exactly** the graph of the single-process
-//! `ClusterAndConquer::build`, and the shuffle's own accounting must
+//! The determinism/equivalence suite for the runtime's merge and its
+//! file-backed spill lane: every `(workers, spill)` combination must
+//! produce **exactly** the graph of the single-process
+//! `ClusterAndConquer::build`, and the merge's own accounting must
 //! balance.
 
 use cluster_and_conquer::prelude::*;
+use cnc_distrib::partition_of;
 use cnc_graph::NeighborList;
-use cnc_runtime::shuffle::{encoded_len, partition_of, read_record, write_record};
+use cnc_runtime::shuffle::{encoded_len, read_record, write_record};
 use cnc_runtime::Runtime;
 
 fn dataset() -> Dataset {
@@ -32,49 +33,46 @@ fn c2_config() -> C2Config {
     }
 }
 
-/// The acceptance matrix: workers × reduce shards × spill modes, each
-/// cell checked for exact graph equality with the single-process build
-/// and for balanced shuffle accounting.
+/// The acceptance matrix: workers × spill modes, each cell checked for
+/// exact graph equality with the single-process build and for balanced
+/// merge accounting.
 #[test]
 fn every_configuration_reproduces_the_single_process_graph() {
     let ds = dataset();
     let single = ClusterAndConquer::new(c2_config()).build(&ds);
     for workers in [1usize, 2, 4] {
-        for reduce_shards in [1usize, 2, 3] {
-            for spill in [SpillMode::Off, SpillMode::Always] {
-                let config =
-                    RuntimeConfig { workers, reduce_shards, spill, ..RuntimeConfig::default() };
-                let sharded = Runtime::new(config).execute(&ds, &c2_config());
-                let report = &sharded.report;
-                let label = format!("W={workers} R={reduce_shards} spill={spill:?}");
+        for spill in [SpillMode::Off, SpillMode::Auto(2_048), SpillMode::Always] {
+            let config = RuntimeConfig { workers, spill, ..RuntimeConfig::default() };
+            let sharded = Runtime::new(config).execute(&ds, &c2_config());
+            let report = &sharded.report;
+            let label = format!("W={workers} spill={spill:?}");
 
-                report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
-                assert_eq!(report.reducers.len(), reduce_shards, "{label}");
-                for u in ds.users() {
-                    assert_eq!(
-                        sharded.graph.neighbors(u).sorted(),
-                        single.graph.neighbors(u).sorted(),
-                        "{label}: user {u} differs from the single-process build"
-                    );
+            report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(report.shuffle_entries, report.plan.merge_traffic, "{label}");
+            for u in ds.users() {
+                assert_eq!(
+                    sharded.graph.neighbors(u).sorted(),
+                    single.graph.neighbors(u).sorted(),
+                    "{label}: user {u} differs from the single-process build"
+                );
+            }
+            let spilled = report.total_spill_entries();
+            match spill {
+                SpillMode::Off => {
+                    assert_eq!(report.total_spill_bytes(), 0, "{label}");
+                    assert_eq!(spilled, 0, "{label}");
+                    assert!(report.spill_dir.is_none(), "{label}");
                 }
-                match spill {
-                    SpillMode::Off => {
-                        assert_eq!(report.total_spill_bytes(), 0, "{label}");
-                        assert_eq!(report.total_spill_entries(), 0, "{label}");
-                        assert!(report.spill_dir.is_none(), "{label}");
-                    }
-                    _ => {
-                        // The acceptance criterion: a spilling multi-shard
-                        // reduce really routes bytes through files.
-                        if reduce_shards >= 2 {
-                            assert!(report.total_spill_bytes() > 0, "{label}: no spill bytes");
-                        }
-                        assert_eq!(
-                            report.total_spill_entries(),
-                            report.shuffle_entries,
-                            "{label}: Always must spill every entry"
-                        );
-                    }
+                SpillMode::Auto(_) => {
+                    // Each worker merges its stream's head in memory and
+                    // spills the tail once it has handed over 2 KiB.
+                    assert!(0 < spilled && spilled < report.shuffle_entries, "{label}: {spilled}");
+                }
+                SpillMode::Always => {
+                    // The acceptance criterion: a spilling build really
+                    // routes bytes through files.
+                    assert!(report.total_spill_bytes() > 0, "{label}: no spill bytes");
+                    assert_eq!(spilled, report.shuffle_entries, "{label}: Always spills all");
                 }
             }
         }
@@ -82,16 +80,11 @@ fn every_configuration_reproduces_the_single_process_graph() {
 }
 
 /// Repeated builds of the same configuration are deterministic — the
-/// shuffle introduces no ordering or scheduling dependence.
+/// merge introduces no ordering or scheduling dependence.
 #[test]
 fn sharded_builds_are_reproducible() {
     let ds = dataset();
-    let config = RuntimeConfig {
-        workers: 3,
-        reduce_shards: 2,
-        spill: SpillMode::Always,
-        ..RuntimeConfig::default()
-    };
+    let config = RuntimeConfig { workers: 3, spill: SpillMode::Always, ..RuntimeConfig::default() };
     let a = Runtime::new(config).execute(&ds, &c2_config());
     let b = Runtime::new(config).execute(&ds, &c2_config());
     assert_eq!(a.report.shuffle_entries, b.report.shuffle_entries);
@@ -104,12 +97,7 @@ fn sharded_builds_are_reproducible() {
 #[test]
 fn spill_directory_is_cleaned_up() {
     let ds = dataset();
-    let config = RuntimeConfig {
-        workers: 2,
-        reduce_shards: 2,
-        spill: SpillMode::Always,
-        ..RuntimeConfig::default()
-    };
+    let config = RuntimeConfig { workers: 2, spill: SpillMode::Always, ..RuntimeConfig::default() };
     let result = Runtime::new(config).execute(&ds, &c2_config());
     let dir = result.report.spill_dir.as_ref().expect("spilling build records its dir");
     assert!(!dir.exists(), "{} must be removed after the build", dir.display());
@@ -122,8 +110,9 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Partitioning is a total disjoint cover: every user lands in
-        /// exactly one in-range shard, deterministically.
+        /// The distributed build's partitioning is a total disjoint cover:
+        /// every user lands in exactly one in-range shard,
+        /// deterministically.
         #[test]
         fn partitioning_is_a_total_disjoint_cover(n in 1usize..3000, shards in 1usize..10) {
             let mut counts = vec![0usize; shards];
@@ -144,7 +133,6 @@ mod properties {
         #[test]
         fn spill_round_trip_is_lossless(
             user in 0u32..100_000,
-            cluster_hash in 0u64..u64::MAX,
             inserts in proptest::collection::vec((0u32..5_000, -1000i32..1000), 0..40),
             k in 1usize..16,
         ) {
@@ -153,15 +141,13 @@ mod properties {
                 original.insert(neighbor, sim_raw as f32 / 128.0);
             }
             let mut buf = Vec::new();
-            let written = write_record(&mut buf, user, cluster_hash, &original).unwrap();
+            let written = write_record(&mut buf, user, &original).unwrap();
             prop_assert_eq!(written, encoded_len(&original));
             prop_assert_eq!(written as usize, buf.len());
 
             let mut reader = buf.as_slice();
-            let (decoded_user, decoded_hash, decoded) =
-                read_record(&mut reader, k).unwrap().unwrap();
+            let (decoded_user, decoded) = read_record(&mut reader, k).unwrap().unwrap();
             prop_assert_eq!(decoded_user, user);
-            prop_assert_eq!(decoded_hash, cluster_hash);
             prop_assert_eq!(decoded.len(), original.len());
             let got: Vec<(u32, u32)> =
                 decoded.sorted().iter().map(|n| (n.user, n.sim.to_bits())).collect();
@@ -172,7 +158,7 @@ mod properties {
         }
 
         /// Concatenated records decode back one-for-one, in order — the
-        /// exact access pattern of a reducer replaying a spill file.
+        /// exact access pattern of a spill file's replay.
         #[test]
         fn spill_streams_replay_in_order(
             lists in proptest::collection::vec(
@@ -193,13 +179,12 @@ mod properties {
                 .collect();
             let mut buf = Vec::new();
             for (i, l) in originals.iter().enumerate() {
-                write_record(&mut buf, i as u32, i as u64 * 31, l).unwrap();
+                write_record(&mut buf, i as u32, l).unwrap();
             }
             let mut reader = buf.as_slice();
             for (i, l) in originals.iter().enumerate() {
-                let (user, hash, decoded) = read_record(&mut reader, k).unwrap().unwrap();
+                let (user, decoded) = read_record(&mut reader, k).unwrap().unwrap();
                 prop_assert_eq!(user, i as u32);
-                prop_assert_eq!(hash, i as u64 * 31);
                 prop_assert_eq!(decoded.sorted(), l.sorted());
             }
             prop_assert!(read_record(&mut reader, k).unwrap().is_none());
