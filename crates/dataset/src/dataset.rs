@@ -95,6 +95,37 @@ impl Dataset {
         }
     }
 
+    /// [`Dataset::into_shared`], first giving the owned CSR arrays room for
+    /// at least `users` more profiles holding `ratings` items in all, so
+    /// [`Dataset::appended`] extends the dataset in place (see
+    /// [`Storage::into_growable`]). Only for a dataset that will be
+    /// appended to: making room may move an array.
+    pub fn into_growable(self, users: usize, ratings: usize) -> Dataset {
+        Dataset {
+            offsets: self.offsets.into_growable(users),
+            items: self.items.into_growable(ratings),
+            num_items: self.num_items,
+        }
+    }
+
+    /// This dataset's profiles followed by the ones `tail` holds, as one
+    /// shared dataset; `num_items` keeps this dataset's universe as a
+    /// floor. Each CSR array is written in place past the end of this
+    /// one's when its buffer has room and no other append claimed it
+    /// first ([`Storage::appended`]): O(`tail`), and the result shares
+    /// this dataset's allocations. Otherwise that array is copied once,
+    /// with room for the appends after it. `self` is unchanged either way.
+    pub fn appended(&self, tail: &DatasetBuilder) -> Dataset {
+        let shift = self.items.len();
+        let offsets: Vec<usize> = tail.offsets.iter().skip(1).map(|&at| at + shift).collect();
+        let top = tail.max_item.map_or(0, |m| m + 1);
+        Dataset {
+            offsets: self.offsets.appended(&offsets),
+            items: self.items.appended(&tail.items),
+            num_items: self.num_items.max(top),
+        }
+    }
+
     /// The raw offset array (`num_users + 1` entries).
     #[inline]
     pub fn offsets(&self) -> &[usize] {
@@ -269,17 +300,6 @@ impl DatasetBuilder {
         self.offsets.push(self.items.len());
     }
 
-    /// Appends every profile of `dataset` in one bulk copy of its CSR; the
-    /// built dataset's `num_items` is at least `dataset.num_items()`.
-    pub fn push_dataset(&mut self, dataset: &Dataset) {
-        let shift = self.items.len();
-        self.items.extend_from_slice(dataset.items());
-        self.offsets.extend(dataset.offsets()[1..].iter().map(|&at| at + shift));
-        if let Some(top) = dataset.num_items.checked_sub(1) {
-            self.max_item = Some(self.max_item.map_or(top, |m| m.max(top)));
-        }
-    }
-
     /// Number of profiles pushed so far.
     pub fn num_users(&self) -> usize {
         self.offsets.len() - 1
@@ -410,20 +430,39 @@ mod tests {
     }
 
     #[test]
-    fn push_dataset_appends_profiles_and_keeps_the_item_floor() {
+    fn appended_adds_the_tail_profiles_and_keeps_the_item_floor() {
         let base = Dataset::from_profiles(vec![vec![0, 3], vec![], vec![2]], 9);
-        let mut builder = DatasetBuilder::new();
-        builder.push_sorted_profile(&[1]);
-        builder.push_dataset(&base);
-        builder.push_sorted_profile(&[4, 5]);
-        assert_eq!(builder.num_users(), 5);
-        assert_eq!(builder.profile(2), &[] as &[ItemId]);
-        assert_eq!(builder.profile(4), &[4, 5]);
-        let built = builder.build();
-        assert_eq!(built.num_items(), 9, "the appended dataset's universe is a floor");
-        let expect =
-            Dataset::from_profiles(vec![vec![1], vec![0, 3], vec![], vec![2], vec![4, 5]], 9);
-        assert_eq!(built, expect);
+        let mut tail = DatasetBuilder::new();
+        tail.push_sorted_profile(&[1]);
+        tail.push_sorted_profile(&[]);
+        tail.push_sorted_profile(&[4, 5]);
+        let grown = base.appended(&tail);
+        assert_eq!(grown.num_users(), 6);
+        assert_eq!(grown.num_items(), 9, "the base's universe is a floor");
+        let expect = Dataset::from_profiles(
+            vec![vec![0, 3], vec![], vec![2], vec![1], vec![], vec![4, 5]],
+            9,
+        );
+        assert_eq!(grown, expect);
+        grown.validate().unwrap();
+        tail.push_sorted_profile(&[12]);
+        assert_eq!(base.appended(&tail).num_items(), 13, "the tail can widen the universe");
+        assert_eq!(base.appended(&DatasetBuilder::new()), base, "an empty tail adds nothing");
+    }
+
+    #[test]
+    fn a_growable_dataset_appends_in_place_and_keeps_its_views() {
+        let base = toy().into_growable(1, 2);
+        let mut tail = DatasetBuilder::new();
+        tail.push_sorted_profile(&[1, 4]);
+        let grown = base.appended(&tail);
+        assert_eq!(grown.items().as_ptr(), base.items().as_ptr(), "items grow in place");
+        assert_eq!(grown.offsets().as_ptr(), base.offsets().as_ptr(), "offsets grow in place");
+        assert_eq!(base, toy(), "the base view reads what it read");
+        assert_eq!(grown.profile(4), &[1, 4]);
+        let copied = base.appended(&tail);
+        assert_ne!(copied.items().as_ptr(), base.items().as_ptr(), "the slots are taken");
+        assert_eq!(copied, grown);
     }
 
     #[test]

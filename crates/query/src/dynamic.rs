@@ -29,7 +29,11 @@
 //! its first write. The index owns only what the stream adds: the
 //! newcomers' profiles, fingerprint rows and neighbour rows, plus the base
 //! rows a symmetric update changed. [`DynamicIndex::to_dataset`] and
-//! [`DynamicIndex::to_fingerprints`] materialize base ⊕ inserts once each.
+//! [`DynamicIndex::to_fingerprints`] give base ⊕ inserts by appending the
+//! inserts to the snapshot's buffers ([`Dataset::appended`],
+//! [`GoldFinger::appended`]): in place, O(inserts), when those buffers
+//! have room past the snapshot's end and no other append claimed it
+//! first; one copy of the snapshot otherwise.
 //!
 //! A production deployment alternates: C² rebuild every epoch,
 //! [`DynamicIndex`] absorbing the stream in between — exactly the writer
@@ -179,28 +183,27 @@ impl DynamicIndex {
         &self.graph
     }
 
-    /// Materializes the current profiles (base + inserted) as one
-    /// immutable CSR dataset, in one copy — the input of the next epoch's
-    /// rebuild in the serve loop. Item ids keep the source dataset's
-    /// universe floor.
+    /// The current profiles (base + inserted) as one immutable CSR
+    /// dataset — the input of the next epoch's rebuild in the serve loop.
+    /// Item ids keep the source dataset's universe floor.
+    ///
+    /// The inserts are appended to the base's arrays
+    /// ([`Dataset::appended`]): written in place past the base's end when
+    /// its buffers have room and this is the first append from them, so
+    /// the result shares the base's allocations; copied once otherwise
+    /// (an owned or mapped base, no room left, or a second call).
     pub fn to_dataset(&self) -> Dataset {
-        let mut builder = DatasetBuilder::with_capacity(self.num_users());
-        builder.push_dataset(&self.base);
-        for inserted in 0..self.tail.num_users() {
-            builder.push_sorted_profile(self.tail.profile(inserted));
-        }
-        builder.build()
+        self.base.appended(&self.tail)
     }
 
-    /// Materializes the current fingerprints (base + inserted rows) as one
-    /// set, in one copy — the fingerprints of the next epoch's rebuild,
-    /// equal to fingerprinting [`DynamicIndex::to_dataset`] afresh; `None`
-    /// when scoring on raw profiles.
+    /// The current fingerprints (base + inserted rows) as one set — the
+    /// fingerprints of the next epoch's rebuild, equal to fingerprinting
+    /// [`DynamicIndex::to_dataset`] afresh; `None` when scoring on raw
+    /// profiles. Appended like [`DynamicIndex::to_dataset`]
+    /// ([`GoldFinger::appended`]).
     pub fn to_fingerprints(&self) -> Option<GoldFinger> {
         let gf = self.fingerprints.as_ref()?;
-        let words = [gf.base.words(), gf.tail.words()].concat();
-        let grown = GoldFinger::from_parts(words, gf.base.bits(), gf.base.seed());
-        Some(grown.expect("rows of one width"))
+        Some(gf.base.appended(&gf.tail))
     }
 
     /// Inserts a new user with the given profile; returns her id and the
@@ -661,6 +664,25 @@ mod tests {
         assert_eq!(grown.num_users(), ds.num_users() + 1);
         assert_eq!(grown.num_items(), ds.num_items(), "item universe floor preserved");
         assert_eq!(grown.profile(ds.num_users() as u32), &[1, 2, 5]);
+    }
+
+    #[test]
+    fn a_growable_base_takes_the_inserts_in_place_once_then_copies() {
+        let (ds, graph) = base();
+        let ds = ds.into_growable(5, 5 * 300);
+        let gf = GoldFinger::build(&ds, 192, 4).into_growable(5);
+        let mut index = DynamicIndex::with_goldfinger(&ds, graph, config(), gf.clone());
+        for i in 0..5u32 {
+            index.add_user(ds.profile(i * 7).iter().map(|&item| item + 1).collect(), i as u64);
+        }
+        let (grown, words) = (index.to_dataset(), index.to_fingerprints().unwrap());
+        assert_eq!(grown.items().as_ptr(), ds.items().as_ptr(), "profiles appended in place");
+        assert_eq!(words.words().as_ptr(), gf.words().as_ptr(), "rows appended in place");
+        assert_eq!(words.words(), GoldFinger::build(&grown, 192, 4).words());
+        // The base's tail is claimed now: a second call copies, equally.
+        let (again, words_again) = (index.to_dataset(), index.to_fingerprints().unwrap());
+        assert_ne!(again.items().as_ptr(), ds.items().as_ptr());
+        assert_eq!((again, words_again.words()), (grown, words.words()));
     }
 
     #[test]

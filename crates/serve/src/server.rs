@@ -519,7 +519,10 @@ impl ServingEngine {
     /// pipeline on the sharded runtime, fingerprinting once and sharing
     /// the build between construction and serving. The build's cluster
     /// memberships and graph seed the writer's [`ClusterCache`], so the
-    /// first published epoch already rebuilds incrementally.
+    /// first published epoch already rebuilds incrementally. An engine
+    /// that publishes on its own (`rebuild_after > 0`) gives the epoch's
+    /// dataset and fingerprints room past their end, so its publishes
+    /// append the inserts in place instead of copying the epoch.
     ///
     /// # Panics
     /// Panics if the configurations are invalid (see [`Runtime::new`] and
@@ -527,15 +530,17 @@ impl ServingEngine {
     pub fn build(dataset: Dataset, config: ServingConfig) -> Self {
         let fingerprints = match config.c2.backend {
             SimilarityBackend::GoldFinger { bits, seed } => {
-                Some(Arc::new(GoldFinger::build_parallel(
-                    &dataset,
-                    bits,
-                    seed,
-                    config.runtime.effective_workers(),
-                )))
+                let threads = config.runtime.effective_workers();
+                Some(Arc::new(match config.rebuild_after {
+                    0 => GoldFinger::build_parallel(&dataset, bits, seed, threads),
+                    _ => GoldFinger::build_growable(&dataset, bits, seed, threads),
+                }))
             }
             SimilarityBackend::Raw => None,
         };
+        // Room before the build: when the dataset has to move for it, the
+        // build's working memory reuses the allocation it leaves.
+        let dataset = dataset_room(&config, dataset);
         let empty = ClusterCache::new(&config.c2);
         let built = build_epoch(&dataset, fingerprints.as_ref(), &config, &empty);
         let epoch = ServingEpoch::new(1, dataset, built.graph, fingerprints)
@@ -561,6 +566,8 @@ impl ServingEngine {
         config: ServingConfig,
     ) -> Self {
         let entries = Arc::new(BuildPlan::assign(&config.c2, &dataset).entry_index());
+        let dataset = dataset_room(&config, dataset);
+        let fingerprints = fingerprint_room(&config, fingerprints);
         let epoch = ServingEpoch::new(1, dataset, graph, fingerprints).with_entries(entries);
         let cache = ClusterCache::new(&config.c2);
         Self::from_epoch(epoch, config, cache, RebuildStats::default())
@@ -621,7 +628,9 @@ impl ServingEngine {
     pub fn from_snapshot(snapshot: Snapshot, config: ServingConfig) -> Self {
         let Snapshot { dataset, graph, goldfinger, cache, entries } = snapshot;
         let cache = cache.unwrap_or_else(|| ClusterCache::new(&config.c2));
-        let epoch = ServingEpoch::new(1, dataset, graph, goldfinger.map(Arc::new))
+        let dataset = dataset_room(&config, dataset);
+        let fingerprints = fingerprint_room(&config, goldfinger.map(Arc::new));
+        let epoch = ServingEpoch::new(1, dataset, graph, fingerprints)
             .with_entries(Arc::new(entries.unwrap_or_default()));
         Self::from_epoch(epoch, config, cache, RebuildStats::default())
     }
@@ -1115,9 +1124,13 @@ impl ServingEngine {
         // unopened; the rebuild then runs straight off the live epoch's
         // shared buffers. Otherwise the next epoch's dataset and
         // fingerprints are the live epoch's followed by the inserts',
-        // materialized once each and moved into the epoch below.
-        // Fingerprints are per-user independent, so the inserts' rows the
-        // index appended stand in for re-hashing all `n` profiles.
+        // appended in place past the live epoch's end: the two epochs
+        // share one allocation per array, and the publish writes only the
+        // batch (see `dataset_room`). A buffer without room, a mapped
+        // one, or one a failed attempt already appended to is copied
+        // once, with room for the publishes after it. Fingerprints are
+        // per-user independent, so the inserts' rows the index appended
+        // stand in for re-hashing all `n` profiles.
         let (dataset, fingerprints) = match &writer.dynamic {
             Some(dynamic) => (dynamic.to_dataset(), dynamic.to_fingerprints().map(Arc::new)),
             None => {
@@ -1185,6 +1198,43 @@ impl ServingEngine {
         history.push_back(rebuild);
         Ok(next)
     }
+}
+
+/// Gives the first epoch's dataset room to grow in place when the engine
+/// publishes on its own (`rebuild_after > 0`). Each publish appends its
+/// inserts to the live epoch's buffers ([`Dataset::appended`]), and with
+/// room past their end it writes only the batch. The room holds one batch
+/// of users as large as the largest profile, so a stream of users like
+/// the existing ones fits; an array short of it grows to twice its
+/// capacity, and a publish that still finds no room copies once the same
+/// way. The batch is bounded by the users the dataset holds and the room
+/// by its ratings: `rebuild_after` is a setting, and room past that is
+/// the doubling copy's job. Making room may move an array, so an engine
+/// that publishes only when told skips it and copies on its first publish.
+fn dataset_room(config: &ServingConfig, dataset: Dataset) -> Dataset {
+    let users = config.rebuild_after.min(dataset.num_users());
+    if users == 0 {
+        return dataset;
+    }
+    let widest = dataset.users().map(|u| dataset.profile_len(u)).max().unwrap_or(0);
+    let ratings = users.saturating_mul(widest).min(dataset.num_ratings());
+    dataset.into_growable(users, ratings)
+}
+
+/// [`dataset_room`] for the fingerprints: room for one batch of rows
+/// ([`GoldFinger::appended`]). A set whose `Arc` has other holders is
+/// kept as it is.
+fn fingerprint_room(
+    config: &ServingConfig,
+    fingerprints: Option<Arc<GoldFinger>>,
+) -> Option<Arc<GoldFinger>> {
+    fingerprints.map(|gf| match Arc::try_unwrap(gf) {
+        Ok(gf) => match config.rebuild_after.min(gf.num_users()) {
+            0 => Arc::new(gf),
+            users => Arc::new(gf.into_growable(users)),
+        },
+        Err(held) => held,
+    })
 }
 
 /// Panics unless the fingerprints' presence and shape match the backend

@@ -56,10 +56,37 @@ impl GoldFinger {
     /// Panics if `bits` is zero or not a multiple of 64.
     pub fn build_parallel(dataset: &Dataset, bits: usize, seed: u64, threads: usize) -> Self {
         assert!(bits > 0 && bits.is_multiple_of(64), "bits must be a positive multiple of 64");
+        let words = vec![0u64; dataset.num_users() * (bits / 64)];
+        Self::fill(words, dataset, bits, seed, threads)
+    }
+
+    /// [`GoldFinger::build_parallel`] into a word array allocated with room
+    /// for as many rows again, frozen like [`GoldFinger::into_growable`]:
+    /// [`GoldFinger::appended`] extends it in place without ever moving
+    /// the built rows.
+    ///
+    /// # Panics
+    /// Panics if `bits` is zero or not a multiple of 64.
+    pub fn build_growable(dataset: &Dataset, bits: usize, seed: u64, threads: usize) -> Self {
+        assert!(bits > 0 && bits.is_multiple_of(64), "bits must be a positive multiple of 64");
+        let len = dataset.num_users() * (bits / 64);
+        let mut words = Vec::with_capacity(2 * len);
+        words.resize(len, 0);
+        Self::fill(words, dataset, bits, seed, threads).into_shared()
+    }
+
+    /// Fills `words` — zeroed, one row per user of `dataset` — with the
+    /// users' fingerprints on `threads` workers.
+    fn fill(
+        mut words: Vec<u64>,
+        dataset: &Dataset,
+        bits: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Self {
         let words_per_user = bits / 64;
         let hash = SeededHash::new(seed);
         let n = dataset.num_users();
-        let mut words = vec![0u64; n * words_per_user];
         let threads = cnc_threadpool::effective_threads(threads);
         if threads <= 1 || n < 2 * threads {
             for (u, profile) in dataset.iter() {
@@ -209,6 +236,37 @@ impl GoldFinger {
         GoldFinger { words: self.words.into_shared(), ..self }
     }
 
+    /// [`GoldFinger::into_shared`], first giving an owned word array room
+    /// for at least `users` more rows, so [`GoldFinger::appended`] extends
+    /// it in place (see `Storage::into_growable`). Only for a set that will
+    /// be appended to: making room may move the array.
+    pub fn into_growable(self, users: usize) -> GoldFinger {
+        GoldFinger { words: self.words.into_growable(users * self.words_per_user), ..self }
+    }
+
+    /// This set's rows followed by `tail`'s, as one shared set — equal to
+    /// fingerprinting the concatenated profiles afresh, since every row
+    /// depends on its own profile only. The words are written in place
+    /// past this set's when its buffer has room and no other append
+    /// claimed it first (`Storage::appended`): O(`tail`), sharing this
+    /// set's allocation. Otherwise they are copied once, with room for the
+    /// appends after it. `self` is unchanged either way.
+    ///
+    /// # Panics
+    /// Panics if the two sets differ in width or seed.
+    pub fn appended(&self, tail: &GoldFinger) -> GoldFinger {
+        assert_eq!(
+            (self.bits, self.seed),
+            (tail.bits, tail.seed),
+            "appended fingerprints must share width and seed"
+        );
+        GoldFinger {
+            words: self.words.appended(&tail.words),
+            num_users: self.num_users + tail.num_users,
+            ..*self
+        }
+    }
+
     /// Estimated Jaccard similarity of two users, in `[0, 1]`.
     ///
     /// Exact when no two distinct items of the union hash to the same bit;
@@ -335,6 +393,10 @@ mod tests {
         for threads in [0, 2, 3, 7] {
             let parallel = GoldFinger::build_parallel(&ds, 1024, 9, threads);
             assert_eq!(serial.words(), parallel.words(), "threads = {threads}");
+            let growable = GoldFinger::build_growable(&ds, 1024, 9, threads);
+            assert_eq!(serial.words(), growable.words(), "growable, threads = {threads}");
+            let grown = growable.appended(&serial);
+            assert_eq!(grown.words().as_ptr(), growable.words().as_ptr(), "room for as many again");
         }
     }
 
@@ -369,6 +431,29 @@ mod tests {
         }
         assert_eq!(grown.num_users(), full.num_users());
         assert_eq!(grown.words(), full.words());
+    }
+
+    #[test]
+    fn appended_equals_a_fresh_build_and_grows_a_growable_set_in_place() {
+        let profiles =
+            vec![vec![1u32, 2, 3], vec![4, 5], vec![1, 9, 20, 31], vec![], vec![7, 8, 9]];
+        let full = GoldFinger::build(&Dataset::from_profiles(profiles.clone(), 0), 256, 5);
+        let base = GoldFinger::build(&Dataset::from_profiles(profiles[..3].to_vec(), 0), 256, 5)
+            .into_growable(2);
+        let tail = GoldFinger::build(&Dataset::from_profiles(profiles[3..].to_vec(), 0), 256, 5);
+        let grown = base.appended(&tail);
+        assert_eq!(grown.num_users(), full.num_users());
+        assert_eq!(grown.words(), full.words());
+        assert_eq!(grown.words().as_ptr(), base.words().as_ptr(), "rows land past the base");
+        assert_eq!(base.num_users(), 3);
+        assert_eq!(base.words(), &full.words()[..12], "the base reads what it read");
+    }
+
+    #[test]
+    #[should_panic(expected = "share width and seed")]
+    fn appending_another_width_panics() {
+        let ds = Dataset::from_profiles(vec![vec![1u32]], 0);
+        GoldFinger::build(&ds, 128, 5).appended(&GoldFinger::build(&ds, 64, 5));
     }
 
     #[test]

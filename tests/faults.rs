@@ -200,6 +200,30 @@ fn readers_never_observe_a_partial_epoch_while_rebuilds_fail() {
             }
             writer.join().expect("writer thread panicked");
         });
+        // What every publish appends: a failed attempt leaves its slots
+        // claimed past the live epoch's end, and the retry copies.
+        let published = |engine: &ServingEngine| {
+            let mut grown = cluster_and_conquer::dataset::DatasetBuilder::new();
+            for (_, profile) in base.iter() {
+                grown.push_sorted_profile(profile);
+            }
+            for i in 0..inserts {
+                let mut profile = base.profile((i % users0) as u32).to_vec();
+                profile.push((i % 50) as u32);
+                grown.push_profile(profile);
+            }
+            let grown = grown.build_with_min_items(base.num_items() as u32);
+            let epoch = engine.current_epoch();
+            assert_eq!(epoch.dataset(), &grown, "span {span}: the published dataset");
+            let oracle = ClusterAndConquer::new(config.c2).build(&grown).graph;
+            for u in grown.users() {
+                assert_eq!(
+                    epoch.graph().neighbors(u).sorted(),
+                    oracle.neighbors(u).sorted(),
+                    "span {span}: user {u} differs from a fresh build"
+                );
+            }
+        };
 
         let stats = engine.stats();
         assert!(Faults::global().injected(Site::SolveCluster) > 0, "span {span} injected nothing");
@@ -209,6 +233,8 @@ fn readers_never_observe_a_partial_epoch_while_rebuilds_fail() {
             assert_eq!(stats.num_users, users0 + inserts, "every insert published unaided");
             let swaps = (inserts / config.rebuild_after) as u64;
             assert_eq!(stats.epoch_swaps, swaps, "one swap per `rebuild_after` inserts");
+            drop(guard);
+            published(&engine);
             continue;
         }
         assert_eq!(stats.num_users, users0, "a failed rebuild must not publish");
@@ -223,6 +249,7 @@ fn readers_never_observe_a_partial_epoch_while_rebuilds_fail() {
         engine.publish();
         let healed = engine.stats();
         assert_eq!(healed.num_users, users0 + inserts, "queued inserts publish after recovery");
+        published(&engine);
     }
 }
 

@@ -3,10 +3,11 @@
 //! corrupt-file matrix, serve-after-reload equivalence, and the
 //! concurrent reader/writer epoch-swap behaviour.
 
+use cluster_and_conquer::dataset::DatasetBuilder;
 use cluster_and_conquer::prelude::*;
 use cluster_and_conquer::serve::{
-    checksum64, write_snapshot, write_snapshot_full, AdoptedSnapshot, SnapshotAdopter,
-    SnapshotError, SnapshotPublisher,
+    checksum64, write_snapshot, write_snapshot_full, AdoptedSnapshot, ServingEpoch,
+    SnapshotAdopter, SnapshotError, SnapshotPublisher,
 };
 use cnc_query::QueryResult;
 use cnc_similarity::SimilarityData;
@@ -887,6 +888,109 @@ fn published_epochs_carry_the_fingerprints_a_fresh_build_would_make() {
         epoch.fingerprints().unwrap().words(),
         GoldFinger::build(epoch.dataset(), bits, seed).words()
     );
+}
+
+/// `dataset`'s profiles followed by `inserts`, copied afresh: the
+/// oracle of a published epoch's dataset.
+fn fresh_copy(dataset: &Dataset, inserts: &[Vec<u32>]) -> Dataset {
+    let mut builder = DatasetBuilder::with_capacity(dataset.num_users() + inserts.len());
+    for (_, profile) in dataset.iter() {
+        builder.push_sorted_profile(profile);
+    }
+    for profile in inserts {
+        builder.push_profile(profile.clone());
+    }
+    builder.build_with_min_items(dataset.num_items() as u32)
+}
+
+/// The epoch serves `expect`, its fresh fingerprints, and the graph
+/// `ClusterAndConquer::build` makes of it (rows compared as sets: the
+/// sharded merge may lay a heap out in another order).
+fn assert_epoch_is_a_fresh_build(epoch: &ServingEpoch, expect: &Dataset, config: &ServingConfig) {
+    let SimilarityBackend::GoldFinger { bits, seed } = config.c2.backend else {
+        panic!("the serving tests run on fingerprints");
+    };
+    assert_eq!(epoch.dataset(), expect, "epoch {}: dataset", epoch.epoch());
+    assert_eq!(
+        epoch.fingerprints().unwrap().words(),
+        GoldFinger::build(expect, bits, seed).words(),
+        "epoch {}: fingerprints",
+        epoch.epoch()
+    );
+    let oracle = ClusterAndConquer::new(config.c2).build(expect).graph;
+    assert_eq!(epoch.graph().num_users(), oracle.num_users());
+    for u in expect.users() {
+        assert_eq!(
+            epoch.graph().neighbors(u).sorted(),
+            oracle.neighbors(u).sorted(),
+            "epoch {}: user {u}",
+            epoch.epoch()
+        );
+    }
+}
+
+/// Whether `next` reads `prev`'s dataset and fingerprint allocations.
+fn shares_buffers(next: &ServingEpoch, prev: &ServingEpoch) -> [bool; 3] {
+    let words = |epoch: &ServingEpoch| epoch.fingerprints().unwrap().words().as_ptr();
+    [
+        next.dataset().items().as_ptr() == prev.dataset().items().as_ptr(),
+        next.dataset().offsets().as_ptr() == prev.dataset().offsets().as_ptr(),
+        words(next) == words(prev),
+    ]
+}
+
+#[test]
+fn publishes_append_the_inserts_to_the_live_epochs_buffers_in_place() {
+    let ds = dataset(23, 220);
+    let config = serving_config(4);
+    let stream: Vec<Vec<u32>> = (0..16u32)
+        .map(|i| {
+            let mut profile = ds.profile(i * 37 % 220).to_vec();
+            profile.push(i * 7 % 90);
+            profile
+        })
+        .collect();
+    // The engine makes room for one batch of `rebuild_after` users as
+    // large as the largest profile; two of this stream's batches fit.
+    let widest = ds.iter().map(|(_, p)| p.len()).max().unwrap();
+    assert!(stream[..8].iter().map(Vec::len).sum::<usize>() <= 4 * widest);
+
+    // Publishes the next four inserts of the stream and checks the new
+    // epoch against a fresh build of `base` ⊕ the inserts so far.
+    let publish = |engine: &ServingEngine, base: &Dataset, inserted: &mut usize| {
+        let prev = engine.current_epoch();
+        for (i, profile) in stream[*inserted..*inserted + 4].iter().enumerate() {
+            let outcome = engine.insert(profile.clone(), (*inserted + i) as u64);
+            assert_eq!(outcome.published.is_some(), i == 3, "the fourth insert publishes");
+        }
+        *inserted += 4;
+        let next = engine.current_epoch();
+        assert_eq!(next.epoch(), prev.epoch() + 1);
+        assert_epoch_is_a_fresh_build(&next, &fresh_copy(base, &stream[..*inserted]), &config);
+        shares_buffers(&next, &prev)
+    };
+
+    let engine = ServingEngine::build(ds.clone(), config);
+    let mut inserted = 0;
+    assert_eq!(publish(&engine, &ds, &mut inserted), [true; 3], "the first publish appends");
+    assert_eq!(publish(&engine, &ds, &mut inserted), [true; 3], "so does the second");
+
+    // An engine serving a mapped snapshot never writes the file's bytes:
+    // its first publish copies them once, with room, and the next appends.
+    let path = TempPath::new("in-place");
+    engine.write_snapshot(&path.0).unwrap();
+    let written = engine.current_epoch().dataset().clone();
+    let adopted = AdoptedSnapshot::open(&path.0).unwrap();
+    let mapped = adopted.mapped;
+    let restored = ServingEngine::build(dataset(24, 120), config);
+    restored.adopt(adopted);
+    let mut more = 0;
+    let first = publish(&restored, &written, &mut more);
+    if mapped {
+        assert_eq!(first, [false; 3], "the map is copied");
+    }
+    assert_eq!(publish(&restored, &written, &mut more), [true; 3], "the copy has room");
+    assert_eq!(engine.current_epoch().dataset(), &written, "the writer's epoch is untouched");
 }
 
 proptest! {
