@@ -54,8 +54,9 @@ pub fn brute_force_partial_counted(
 
 /// Algorithm 2's dispatch into `out`: brute force below `threshold`
 /// (= `ρ·k²`, seed-independent), greedy Hyrec above — the branch
-/// `core::pipeline` takes per cluster, beside [`solve_cluster_partial`]'s
-/// map-stage form of the same branch, so the build paths cannot drift.
+/// `cnc-core`'s `BuildPlan::patch` takes per cluster solved whole, beside
+/// [`solve_cluster_partial`]'s map-stage form of the same branch, so the
+/// build paths cannot drift.
 pub fn solve_cluster(
     users: &[UserId],
     sim: &SimilarityData<'_>,
@@ -73,7 +74,8 @@ pub fn solve_cluster(
 }
 
 /// Algorithm 2's dispatch, in map-stage form (see [`solve_cluster`]) —
-/// the branch `cnc-runtime` takes per cluster. Returns the partial lists
+/// the branch `cnc-runtime`'s map workers and `cnc-distrib` take per
+/// cluster. Returns the partial lists
 /// (aligned with `users`) and the similarity count the solve flushed.
 pub fn solve_cluster_partial(
     users: &[UserId],

@@ -47,12 +47,15 @@
 //!    recomputed from its `t` clusters: a row that holds no such
 //!    neighbour is still the top-k of candidates that are all still
 //!    valid, so dropping the others cannot change it. Every other row is
-//!    untouched. The stage runs over the dirty clusters largest-first on
-//!    the [`PriorityPool`], row sweeps go through
-//!    [`one_vs_many`], and both the
-//!    in-process pipeline and `cnc-runtime` call this one implementation.
-//!    [`BuildPlan::finish`] then captures the plan's memberships and the
-//!    graph as the next build's cache.
+//!    untouched. A dirty cluster whose members are all fresh has no
+//!    previous rows to build on and is solved whole by Algorithm 2's
+//!    dispatch ([`local::solve_cluster`]). The stage runs over the dirty
+//!    clusters largest-first on the [`PriorityPool`] and row sweeps go
+//!    through [`one_vs_many`]. It is the one solve loop of
+//!    `ClusterAndConquer::{build, build_incremental}` and of
+//!    `cnc-runtime`'s incremental builds: a one-shot build patches an
+//!    empty cache. [`BuildPlan::finish`] then captures the plan's
+//!    memberships and the graph as the next build's cache.
 //!
 //! The result is **bit-identical** to a from-scratch build as a set of
 //! `(neighbour, similarity bits)` per user (locked by
@@ -60,11 +63,12 @@
 //! 256-user batch into 70k users when no cluster is restructured (3.3 %
 //! when one crosses `N` and splits).
 //!
-//! **When the stage declines.** The choice of path is made here, from
-//! exact counts known before the first similarity is computed — in the
-//! spirit of Algorithm 2's own `ρ·k²` rule, and with no knob — and a
-//! declined rebuild simply runs from scratch and captures its state
-//! ([`RebuildPath`] says why):
+//! **When the previous graph is not reused.** The choice of path is made
+//! here, from exact counts known before the first similarity is computed
+//! — in the spirit of Algorithm 2's own `ρ·k²` rule, and with no knob. A
+//! cache the stage cannot use is treated as an empty one: every user is
+//! fresh, so every cluster is dirty and solved whole, and the stage *is*
+//! the from-scratch build ([`RebuildPath`] says why):
 //!
 //! * an empty cache, or one built under another configuration token;
 //! * any cluster of the old *or* the new plan at or above
@@ -85,8 +89,10 @@
 
 use crate::clustering::Clustering;
 use crate::config::C2Config;
+use crate::distributed::cluster_cost;
 use crate::frh::FastRandomHash;
 use crate::pipeline::ClusterAndConquer;
+use cnc_baselines::local;
 use cnc_dataset::{Dataset, ItemId, UserId};
 use cnc_graph::{EntryIndex, KnnGraph, Neighbor, NeighborList, SharedKnnGraph};
 use cnc_similarity::kernel::{one_vs_many, pair_count, SimKernel, SimSolve};
@@ -200,7 +206,8 @@ pub struct ClusterCache {
 
 impl ClusterCache {
     /// An empty cache bound to `config` (the first build under any cache
-    /// runs from scratch and captures its state).
+    /// runs from scratch and captures its state; a one-shot build patches
+    /// one and captures nothing).
     pub fn new(config: &C2Config) -> Self {
         ClusterCache {
             config_token: config_token(config),
@@ -448,26 +455,44 @@ pub struct PlanPartition {
     pub reused: Vec<usize>,
 }
 
-/// What stage 4 hands back: the patched graph — or `None`, when the stage
-/// declined (see [`RebuildPath`]) and the caller builds from scratch —
-/// and the rebuild record so far (`comparisons` and `rebuild_ms` are
-/// filled in by [`BuildPlan::finish`]).
+/// What stage 4 hands back: the graph, bit-identical to a from-scratch
+/// build's whichever path produced it, and the rebuild record so far
+/// (`comparisons` and `rebuild_ms` are filled in by [`BuildPlan::finish`]).
 pub struct Patch {
-    /// The patched graph, bit-identical to a from-scratch build's.
-    pub graph: Option<KnnGraph>,
+    /// The graph, bit-identical to a from-scratch build's.
+    pub graph: KnnGraph,
     /// The hash split, the path taken and the row counts.
     pub rebuild: RebuildStats,
 }
 
-/// One dirty cluster's share of the patch stage: its members ordered by
-/// group, smallest group first, so each member sweeps only the groups
-/// after its own and every cross-group pair is computed exactly once —
-/// by its smaller side.
+/// One dirty cluster's job in stage 4: its index, and the cross-group
+/// sweep it owes — `None` when every member is fresh and the cluster is
+/// solved whole.
+type Job = (usize, Option<Box<PatchJob>>);
+
+/// Stage 4's jobs, each with its priority: the pairs it computes, or its
+/// predicted cost when solved whole.
+type Jobs = Vec<(u64, Job)>;
+
+/// What stage 4 owes on top of the jobs when it builds on a cache: the
+/// rows to recompute, and the counts its record reports.
+struct Reuse {
+    now: Memberships,
+    recompute: Vec<UserId>,
+    rows_patched: usize,
+    patch_pairs: u64,
+    recompute_pairs: u64,
+}
+
+/// One dirty cluster's sweep: its members ordered by group, smallest
+/// group first, so each member sweeps only the groups after its own and
+/// every cross-group pair is computed exactly once — by its smaller side.
 struct PatchJob {
-    cluster: usize,
     order: Vec<UserId>,
     /// End offset of each group in `order`.
     ends: Vec<u32>,
+    /// The cross-group pairs, counted by the job that computes them.
+    pairs: u64,
 }
 
 /// The sweep of one [`PatchJob`], monomorphized per kernel. A member's
@@ -533,6 +558,8 @@ impl SimSolve for RecomputeRows<'_> {
 pub struct BuildPlan {
     config: C2Config,
     clustering: Clustering,
+    /// Users of the dataset the plan was assigned on.
+    users: usize,
     hashes: Vec<u64>,
     /// [`profile_digest`] per user (empty until [`BuildPlan::fingerprint`]).
     digests: Vec<u64>,
@@ -551,7 +578,14 @@ impl BuildPlan {
         let seeds = (0..clustering.clusters.len())
             .map(|index| ClusterAndConquer::job_seed(config, index))
             .collect();
-        BuildPlan { config: *config, clustering, hashes: Vec::new(), digests: Vec::new(), seeds }
+        BuildPlan {
+            config: *config,
+            clustering,
+            users: dataset.num_users(),
+            hashes: Vec::new(),
+            digests: Vec::new(),
+            seeds,
+        }
     }
 
     /// **Stage 2** — content-hashes every cluster's membership. Per-user
@@ -604,10 +638,11 @@ impl BuildPlan {
         (0..self.digests.len()).map(|u| cache.digests.get(u) != Some(&self.digests[u])).collect()
     }
 
-    /// The inverse of `cache`'s cluster list — `None` for a cache of
-    /// another configuration or with a malformed (persisted) list.
+    /// The inverse of `cache`'s cluster list — `None` for an empty cache,
+    /// one of another configuration or one with a malformed (persisted)
+    /// list.
     fn remembered(&self, cache: &ClusterCache) -> Option<Memberships> {
-        (cache.config_token() == config_token(&self.config))
+        (!cache.is_empty() && cache.config_token() == config_token(&self.config))
             .then(|| Memberships::of(cache.clusters(), cache.digests.len(), self.config.t))
             .flatten()
     }
@@ -633,21 +668,24 @@ impl BuildPlan {
         PlanPartition { dirty, reused }
     }
 
-    /// **Stage 4** — decides, from counts known before the first
-    /// similarity is computed, whether `prev`'s graph can be patched into
-    /// this plan's graph for clearly less than a from-scratch build, and
-    /// if so does it (module docs). Appended users and edited or emptied
+    /// **Stage 4** — builds this plan's graph from `prev`'s (module docs).
+    /// Whether `prev`'s graph can be patched for clearly less than a
+    /// from-scratch build is decided from counts known before the first
+    /// similarity is computed; a cache the stage cannot use is treated as
+    /// an empty one, every user fresh and every cluster solved whole —
+    /// the from-scratch build. Appended users and edited or emptied
     /// profiles are found by their digests.
     ///
-    /// The patch runs on `threads` workers, dirty clusters largest-first.
-    /// `gate(cluster)` is called once per dirty cluster before its sweep
-    /// touches any row — the fault-injection seam (`cnc-runtime` arms its
-    /// `solve.cluster` site there). A panic out of the gate or a sweep
-    /// stops the stage and is re-raised, with its payload, on the calling
-    /// thread; `prev` is only ever read.
+    /// The stage runs on `threads` workers, dirty clusters largest-first.
+    /// `gate(cluster)` is called once per dirty cluster before its solve
+    /// or sweep touches any row — the fault-injection seam (`cnc-runtime`
+    /// arms its `solve.cluster` site there). A panic out of the gate or a
+    /// job stops the stage and is re-raised, with its payload, on the
+    /// calling thread; `prev` is only ever read.
     ///
     /// # Panics
-    /// Panics if [`BuildPlan::fingerprint`] has not run.
+    /// Panics if `prev` is not empty and [`BuildPlan::fingerprint`] has
+    /// not run.
     pub fn patch(
         &self,
         sim: &SimilarityData<'_>,
@@ -655,50 +693,112 @@ impl BuildPlan {
         threads: usize,
         gate: &(dyn Fn(usize) + Sync),
     ) -> Patch {
-        self.assert_fingerprinted();
+        if !prev.is_empty() {
+            self.assert_fingerprinted();
+        }
         let before = self.remembered(prev);
         let dirty = self.split(prev, before.as_ref()).dirty;
         let mut span = Telemetry::global().span("build.patch");
-        let patch = self.patch_stage(sim, prev, before, dirty, threads, gate);
-        span.attr("path", patch.rebuild.path as u64);
-        span.attr("dirty", patch.rebuild.clusters_resolved as u64);
-        span.attr("rows_patched", patch.rebuild.rows_patched as u64);
-        span.attr("rows_recomputed", patch.rebuild.rows_recomputed as u64);
-        span.attr("comparisons", patch.rebuild.comparisons);
-        patch
+        let (n, k, config) = (self.users, self.config.k, &self.config);
+        let mut rebuild = RebuildStats::new(self.clusters().len(), dirty.len(), 0.0);
+        let (rows, jobs, reuse) = match self.reuse(prev, before, dirty) {
+            Ok((rows, jobs, reuse)) => (rows, jobs, Some(reuse)),
+            Err(path) => {
+                // Every user fresh: every cluster solved whole, into
+                // empty rows.
+                rebuild.path = path;
+                let cost = |users: &Vec<UserId>| cluster_cost(users.len(), k, config.rho);
+                let clusters = self.clusters().iter().enumerate();
+                let jobs = clusters.map(|(index, users)| (cost(users), (index, None))).collect();
+                (SharedKnnGraph::new(n, k), jobs, None)
+            }
+        };
+
+        let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        PriorityPool::run(threads, jobs, |(cluster, sweep): Job| {
+            if failure.lock().expect("failure slot poisoned").is_some() {
+                return;
+            }
+            let done = catch_unwind(AssertUnwindSafe(|| {
+                gate(cluster);
+                match sweep {
+                    // Algorithm 2: brute force below the ρ·k² crossover,
+                    // Hyrec above, writing the rows directly.
+                    None => local::solve_cluster(
+                        &self.clusters()[cluster],
+                        sim,
+                        &rows,
+                        config.brute_force_threshold(),
+                        config.rho,
+                        config.delta,
+                        self.seed(cluster),
+                    ),
+                    Some(sweep) => {
+                        sim.solve_global(CrossGroups { job: &sweep, rows: &rows });
+                        sim.add_comparisons(sweep.pairs);
+                    }
+                }
+            }));
+            if let Err(payload) = done {
+                failure.lock().expect("failure slot poisoned").get_or_insert(payload);
+            }
+        });
+        if let Some(payload) = failure.into_inner().expect("failure slot poisoned") {
+            resume_unwind(payload);
+        }
+        if let Some(reuse) = reuse {
+            parallel_ranges(threads, reuse.recompute.len(), 16, |range| {
+                sim.solve_global(RecomputeRows {
+                    users: &reuse.recompute[range],
+                    plan: self,
+                    now: &reuse.now,
+                    rows: &rows,
+                });
+            });
+            sim.add_comparisons(reuse.recompute_pairs);
+            rebuild = RebuildStats {
+                path: RebuildPath::Patched,
+                rows_patched: reuse.rows_patched,
+                rows_recomputed: reuse.recompute.len(),
+                comparisons: reuse.patch_pairs + reuse.recompute_pairs,
+                ..rebuild
+            };
+        }
+        span.attr("path", rebuild.path as u64);
+        span.attr("dirty", rebuild.clusters_resolved as u64);
+        span.attr("rows_patched", rebuild.rows_patched as u64);
+        span.attr("rows_recomputed", rebuild.rows_recomputed as u64);
+        span.attr("comparisons", rebuild.comparisons);
+        Patch { graph: rows.into_graph(), rebuild }
     }
 
-    fn patch_stage(
+    /// What stage 4 can build on `prev` — the working rows, filled straight
+    /// from its graph, the jobs of the dirty clusters and the rest it owes
+    /// — or, from exact counts before the first similarity is computed,
+    /// the [`RebuildPath`] saying why it can use none of it.
+    fn reuse(
         &self,
-        sim: &SimilarityData<'_>,
         prev: &ClusterCache,
         before: Option<Memberships>,
         dirty: Vec<usize>,
-        threads: usize,
-        gate: &(dyn Fn(usize) + Sync),
-    ) -> Patch {
+    ) -> Result<(SharedKnnGraph, Jobs, Reuse), RebuildPath> {
         let clusters = self.clusters();
-        let (n, t, k) = (self.digests.len(), self.config.t, self.config.k);
-        let decline = |path| {
-            let rebuild =
-                RebuildStats { path, ..RebuildStats::new(clusters.len(), dirty.len(), 0.0) };
-            Patch { graph: None, rebuild }
-        };
+        let (n, t, k) = (self.users, self.config.t, self.config.k);
         if prev.config_token() != config_token(&self.config) {
-            return decline(RebuildPath::ConfigChanged);
+            return Err(RebuildPath::ConfigChanged);
         }
         if prev.is_empty() || prev.graph.k() != k {
-            return decline(RebuildPath::Cold);
+            return Err(RebuildPath::Cold);
         }
         let largest =
             clusters.iter().map(Vec::as_slice).chain(prev.clusters()).map(<[_]>::len).max();
         if largest.unwrap_or(0) >= self.config.brute_force_threshold() {
-            return decline(RebuildPath::GreedyCluster);
+            return Err(RebuildPath::GreedyCluster);
         }
         let (Some(now), Some(before)) =
             (Memberships::of(clusters.iter().map(Vec::as_slice), n, t), before)
         else {
-            return decline(RebuildPath::Cold);
+            return Err(RebuildPath::Cold);
         };
         let fresh = self.fresh(prev);
         let kept = |u: UserId| (u as usize) < n && !fresh[u as usize];
@@ -742,12 +842,13 @@ impl BuildPlan {
 
         // Cross-group pairs of the dirty clusters: members grouped by the
         // cluster they sat in under the same function last time.
-        let mut jobs: Vec<(u64, PatchJob)> = Vec::new();
+        let mut jobs = Jobs::new();
         let mut patched = vec![false; n];
         let mut patch_pairs = 0u64;
-        for &cluster in &dirty {
+        for cluster in dirty {
+            let users = &clusters[cluster];
             let f = now.function[cluster] as usize;
-            let mut keyed: Vec<(u64, UserId)> = clusters[cluster]
+            let mut keyed: Vec<(u64, UserId)> = users
                 .iter()
                 .enumerate()
                 .map(|(at, &u)| match kept(u).then(|| before.home(u, f)) {
@@ -760,26 +861,33 @@ impl BuildPlan {
             if groups.len() < 2 {
                 continue;
             }
+            for &u in users {
+                patched[u as usize] = true;
+            }
+            if !users.iter().any(|&u| kept(u)) {
+                // Every pair is owed and there is no row to build on.
+                let pairs = pair_count(users.len());
+                patch_pairs += pairs;
+                jobs.push((pairs, (cluster, None)));
+                continue;
+            }
             groups.sort_by_key(|group| group.len());
             let within: u64 = groups.iter().map(|group| pair_count(group.len())).sum();
             let pairs = pair_count(keyed.len()) - within;
             let mut job =
-                PatchJob { cluster, order: Vec::with_capacity(keyed.len()), ends: Vec::new() };
+                PatchJob { order: Vec::with_capacity(keyed.len()), ends: Vec::new(), pairs };
             for group in &groups[..groups.len() - 1] {
                 job.order.extend(group.iter().map(|&(_, u)| u));
                 job.ends.push(job.order.len() as u32);
             }
             job.order.extend(groups[groups.len() - 1].iter().map(|&(_, u)| u));
-            for &u in &job.order {
-                patched[u as usize] = true;
-            }
             patch_pairs += pairs;
-            jobs.push((pairs, job));
+            jobs.push((pairs, (cluster, Some(Box::new(job)))));
         }
 
         let full: u64 = clusters.iter().map(|users| pair_count(users.len())).sum();
         if (patch_pairs + recompute_pairs) * 100 > full * C2Config::PATCH_MAX_PAIR_SHARE_PCT {
-            return decline(RebuildPath::PastCrossover);
+            return Err(RebuildPath::PastCrossover);
         }
 
         // The working graph, filled straight from the cache's rows: kept
@@ -791,40 +899,8 @@ impl BuildPlan {
                 &[]
             }
         });
-        let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        PriorityPool::run(threads, jobs, |job| {
-            if failure.lock().expect("failure slot poisoned").is_some() {
-                return;
-            }
-            let swept = catch_unwind(AssertUnwindSafe(|| {
-                gate(job.cluster);
-                sim.solve_global(CrossGroups { job: &job, rows: &rows });
-            }));
-            if let Err(payload) = swept {
-                failure.lock().expect("failure slot poisoned").get_or_insert(payload);
-            }
-        });
-        if let Some(payload) = failure.into_inner().expect("failure slot poisoned") {
-            resume_unwind(payload);
-        }
-        parallel_ranges(threads, recompute.len(), 16, |range| {
-            sim.solve_global(RecomputeRows {
-                users: &recompute[range],
-                plan: self,
-                now: &now,
-                rows: &rows,
-            });
-        });
-        sim.add_comparisons(patch_pairs + recompute_pairs);
-
-        let rebuild = RebuildStats {
-            path: RebuildPath::Patched,
-            rows_patched: patched.iter().filter(|&&p| p).count(),
-            rows_recomputed: recompute.len(),
-            comparisons: patch_pairs + recompute_pairs,
-            ..RebuildStats::new(clusters.len(), dirty.len(), 0.0)
-        };
-        Patch { graph: Some(rows.into_graph()), rebuild }
+        let rows_patched = patched.iter().filter(|&&p| p).count();
+        Ok((rows, jobs, Reuse { now, recompute, rows_patched, patch_pairs, recompute_pairs }))
     }
 
     /// Closes an incremental build, whichever path it took: freezes

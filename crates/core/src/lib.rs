@@ -32,4 +32,4 @@ pub use clustering::{cluster_dataset, Clustering};
 pub use config::{C2Config, ClusteringScheme};
 pub use distributed::{plan_deployment, DeploymentPlan};
 pub use frh::FastRandomHash;
-pub use pipeline::{C2Result, C2Stats, ClusterAndConquer, IncrementalResult, PhaseTimings};
+pub use pipeline::{C2Result, C2Stats, ClusterAndConquer, IncrementalResult};

@@ -1,43 +1,33 @@
 //! Steps 2 and 3 of C²: scheduling, local KNN and merging (§II-F, §II-G,
 //! Algorithms 2 and 3) — the end-to-end [`ClusterAndConquer`] pipeline.
 //!
-//! The clusters of the [`BuildPlan`] run largest-first on a
-//! [`PriorityPool`], each through Algorithm 2's dispatch
-//! ([`local::solve_cluster`]) writing straight into one
-//! [`SharedKnnGraph`] — an `n × k` arena with a lock and a lock-free
-//! worst-similarity floor per row. A brute-forced cluster offers each pair
-//! to both members' rows, so Algorithm 3's bounded-heap merge happens at
-//! the offer: most fall under the row's floor and never lock, and no
-//! cluster-local list is built or merged. (Greedy clusters, absent at the
-//! paper's parameters, merge their lists per member.) The arena then
-//! freezes in place into the graph. An incremental build first offers the
-//! work to [`BuildPlan::patch`], which patches an arena filled from the
-//! previous graph.
+//! Every build runs the [`BuildPlan`]'s one solve loop,
+//! [`BuildPlan::patch`]: a one-shot build patches an empty cache, so every
+//! user is fresh and every cluster runs largest-first on a
+//! [`PriorityPool`](cnc_threadpool::PriorityPool) through Algorithm 2's
+//! dispatch (`cnc_baselines::local::solve_cluster`), writing straight into
+//! one [`SharedKnnGraph`](cnc_graph::SharedKnnGraph) — an `n × k` arena
+//! with a lock and a lock-free worst-similarity floor per row. A
+//! brute-forced cluster offers each pair to both members' rows, so
+//! Algorithm 3's bounded-heap merge happens at the offer: most fall under
+//! the row's floor and never lock, and no cluster-local list is built or
+//! merged. (Greedy clusters, absent at the paper's parameters, merge their
+//! lists per member.) The arena then freezes in place into the graph. An
+//! incremental build patches the previous build's cache instead: its
+//! arena starts from the previous graph, and only what changed is solved.
 
-use crate::build_plan::{BuildPlan, ClusterCache, RebuildStats};
+use crate::build_plan::{BuildPlan, ClusterCache, RebuildPath, RebuildStats};
 use crate::clustering::{cluster_dataset, Clustering};
 use crate::config::{C2Config, ClusteringScheme};
 use crate::frh::FastRandomHash;
 use crate::minhash_variant::cluster_minhash;
-use cnc_baselines::{local, BuildContext, KnnAlgorithm};
+use cnc_baselines::{BuildContext, KnnAlgorithm};
 use cnc_dataset::Dataset;
-use cnc_graph::{KnnGraph, SharedKnnGraph};
+use cnc_graph::KnnGraph;
 use cnc_similarity::{SeededHash, SimilarityData};
 use cnc_telemetry::Telemetry;
-use cnc_threadpool::{effective_threads, PriorityPool};
-use std::time::{Duration, Instant};
-
-/// Wall-clock durations of the pipeline phases.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimings {
-    /// Step 1: hashing + recursive splitting (plus fingerprint building
-    /// when the backend is GoldFinger and `build` constructed it).
-    pub clustering: Duration,
-    /// Steps 2 + 3: per-cluster KNN and concurrent merging.
-    pub local_knn: Duration,
-    /// End-to-end duration.
-    pub total: Duration,
-}
+use cnc_threadpool::effective_threads;
+use std::time::Instant;
 
 /// Instrumentation of one C² run (drives Tables II, IV, V and Figs 6–8).
 #[derive(Clone, Debug)]
@@ -50,8 +40,6 @@ pub struct C2Stats {
     pub cluster_sizes_desc: Vec<usize>,
     /// Similarity computations performed during the run.
     pub comparisons: u64,
-    /// Phase timings.
-    pub timings: PhaseTimings,
 }
 
 /// A built KNN graph plus the run's instrumentation.
@@ -100,33 +88,30 @@ impl ClusterAndConquer {
     }
 
     /// Builds the KNN graph of `dataset`, materializing the similarity
-    /// backend declared in the configuration.
-    ///
-    /// Fingerprint construction (for GoldFinger backends) is timed as part
-    /// of the clustering phase, mirroring the paper's inclusion of all
-    /// preprocessing in the reported wall-clock times. The build runs on
-    /// the configured worker threads (bit-identical to a serial build).
+    /// backend declared in the configuration (GoldFinger fingerprints are
+    /// built on the configured worker threads). The build runs on those
+    /// threads too, bit-identical to a serial build.
     pub fn build(&self, dataset: &Dataset) -> C2Result {
-        let start = Instant::now();
         let sim = SimilarityData::build_parallel(self.config.backend, dataset, self.config.threads);
-        self.run(&self.config, dataset, &sim, start)
+        self.run(&self.config, dataset, &sim)
     }
 
     /// Builds the graph against an externally-provided similarity oracle
     /// (used by the experiment harness to share fingerprints between
     /// algorithms, as the paper does).
     pub fn build_with(&self, dataset: &Dataset, sim: &SimilarityData<'_>) -> C2Result {
-        self.run(&self.config, dataset, sim, Instant::now())
+        self.run(&self.config, dataset, sim)
     }
 
     /// Runs Step 1 (clustering) alone and returns the raw [`Clustering`].
     ///
     /// This is the entry point for external execution engines that schedule
-    /// Steps 2 + 3 themselves. `cnc-runtime`'s sharded engine
+    /// Steps 2 + 3 themselves. `cnc-runtime`'s one-shot sharded build
     /// (`Runtime::execute`, re-exported in the facade prelude) takes the
-    /// same clusters from a `BuildPlan`, solves them on `W` worker threads
+    /// same clusters from a `BuildPlan`, solves them on `W` map workers
     /// and has each worker merge its partial neighbour lists straight into
-    /// one shared neighbour arena.
+    /// one shared neighbour arena; its incremental builds, like this
+    /// pipeline's, run [`BuildPlan::patch`].
     pub fn cluster_step(&self, dataset: &Dataset) -> Clustering {
         Self::cluster(&self.config, dataset)
     }
@@ -156,10 +141,11 @@ impl ClusterAndConquer {
     /// pairs of the clusters whose content changed, plus the rows that
     /// lost a neighbour. When patching would not clearly pay (empty or
     /// other-config cache, a greedy cluster, a restructured plan) the
-    /// build runs from scratch instead; `rebuild.path` says which. Either
-    /// way the graph is bit-identical to [`ClusterAndConquer::build`] on
-    /// the same dataset and `result.stats.comparisons` counts exactly the
-    /// similarities computed — both locked by `tests/incremental.rs`.
+    /// patch stage treats the cache as empty and solves every cluster;
+    /// `rebuild.path` says why. Either way the graph is bit-identical to
+    /// [`ClusterAndConquer::build`] on the same dataset and
+    /// `result.stats.comparisons` counts exactly the similarities
+    /// computed — both locked by `tests/incremental.rs`.
     /// Pass [`ClusterCache::new`] (empty) for the first build; feed the
     /// returned cache to the next call.
     pub fn build_incremental(&self, dataset: &Dataset, prev: &ClusterCache) -> IncrementalResult {
@@ -170,90 +156,60 @@ impl ClusterAndConquer {
         IncrementalResult { result, cache, rebuild }
     }
 
-    fn run(
-        &self,
-        config: &C2Config,
-        dataset: &Dataset,
-        sim: &SimilarityData<'_>,
-        start: Instant,
-    ) -> C2Result {
-        self.execute_plan(config, dataset, sim, start, None).0
+    fn run(&self, config: &C2Config, dataset: &Dataset, sim: &SimilarityData<'_>) -> C2Result {
+        self.execute_plan(config, dataset, sim, Instant::now(), None).0
     }
 
-    /// The body shared by [`ClusterAndConquer::build`] (every cluster
-    /// solved, nothing captured) and
-    /// [`ClusterAndConquer::build_incremental`] (the plan's patch stage
-    /// first; the same solve loop when it declines) — `tests/incremental.rs`
-    /// locks their bit-identity.
+    /// The body shared by [`ClusterAndConquer::build`] (against an empty
+    /// cache, nothing captured) and
+    /// [`ClusterAndConquer::build_incremental`] (against `prev`, the
+    /// plan's memberships and graph captured) — one solve loop, the plan's
+    /// patch stage; `tests/incremental.rs` locks their bit-identity.
     fn execute_plan(
         &self,
         config: &C2Config,
         dataset: &Dataset,
         sim: &SimilarityData<'_>,
         start: Instant,
-        incremental: Option<&ClusterCache>,
+        prev: Option<&ClusterCache>,
     ) -> (C2Result, Option<(ClusterCache, RebuildStats)>) {
         let telemetry = Telemetry::global();
         let mut build_span = telemetry.span("build");
         let comparisons_before = sim.comparisons();
         let n = dataset.num_users();
-        let threads = effective_threads(config.threads);
 
         // --- Stages 1 + 2: assignment (+ content hashes when a cache is
-        // in play; one-shot builds skip the fingerprint stage) ------------
+        // in play; an empty cache needs none, so one-shot builds skip
+        // the fingerprint stage) -----------------------------------------
         let mut plan = BuildPlan::assign(config, dataset);
-        if incremental.is_some() {
+        if prev.is_some() {
             plan.fingerprint(dataset);
         }
-        let clustering_elapsed = start.elapsed();
 
         // --- Stages 3 + 4: patch the previous graph, or solve every
-        // cluster and merge (Algorithms 2 + 3) ----------------------------
+        // cluster into empty rows (Algorithms 2 + 3) ----------------------
         let local_start_ns = telemetry.stamp();
         let local_start = Instant::now();
-        let patch = incremental.map(|prev| plan.patch(sim, prev, threads, &|_| {}));
-        let (patched, rebuild) = patch.map_or((None, None), |p| (p.graph, Some(p.rebuild)));
-        let solved = if patched.is_some() { 0 } else { plan.clusters().len() };
-        let graph = patched.unwrap_or_else(|| {
-            let shared = SharedKnnGraph::new(n, config.k);
-            let jobs: Vec<(u64, usize)> = plan
-                .clusters()
-                .iter()
-                .enumerate()
-                .map(|(index, users)| (users.len() as u64, index))
-                .collect();
-            PriorityPool::run(threads, jobs, |index| {
-                // Algorithm 2 (brute force for small clusters, Hyrec above
-                // the ρ·k² crossover) writing the rows directly — the
-                // shared dispatch in `cnc_baselines::local`.
-                local::solve_cluster(
-                    &plan.clusters()[index],
-                    sim,
-                    &shared,
-                    config.brute_force_threshold(),
-                    config.rho,
-                    config.delta,
-                    plan.seed(index),
-                );
-            });
-            shared.into_graph()
-        });
+        let empty = ClusterCache::new(config);
+        let threads = effective_threads(config.threads);
+        let patch = plan.patch(sim, prev.unwrap_or(&empty), threads, &|_| {});
+        let solved = match patch.rebuild.path {
+            RebuildPath::Patched => 0,
+            _ => plan.clusters().len(),
+        };
         let run_comparisons = sim.comparisons() - comparisons_before;
-        let (graph, extra) = match rebuild {
-            Some(rebuild) => {
-                let (graph, cache, rebuild) = plan.finish(graph, rebuild, run_comparisons, start);
+        let (graph, extra) = match prev {
+            Some(_) => {
+                let (graph, cache, rebuild) =
+                    plan.finish(patch.graph, patch.rebuild, run_comparisons, start);
                 (graph, Some((cache, rebuild)))
             }
-            None => (graph, None),
+            None => (patch.graph, None),
         };
-        let local_elapsed = local_start.elapsed();
-
-        // Span fed by the identical Duration that feeds the stats struct,
-        // so stage timings cannot drift between the two accounts.
         telemetry.record_complete(
             "build.local_knn",
             local_start_ns,
-            local_elapsed.as_nanos() as u64,
+            local_start.elapsed().as_nanos() as u64,
             vec![("comparisons", run_comparisons), ("clusters_solved", solved as u64)],
         );
         if telemetry.enabled() {
@@ -271,11 +227,6 @@ impl ClusterAndConquer {
                 splits: plan.splits(),
                 cluster_sizes_desc,
                 comparisons: run_comparisons,
-                timings: PhaseTimings {
-                    clustering: clustering_elapsed,
-                    local_knn: local_elapsed,
-                    total: start.elapsed(),
-                },
             },
         };
         (result, extra)
@@ -295,7 +246,7 @@ impl KnnAlgorithm for ClusterAndConquer {
     /// uniformly.
     fn build(&self, ctx: &BuildContext<'_>) -> KnnGraph {
         let config = C2Config { k: ctx.k, threads: ctx.threads, seed: ctx.seed, ..self.config };
-        self.run(&config, ctx.dataset, ctx.sim, Instant::now()).graph
+        self.run(&config, ctx.dataset, ctx.sim).graph
     }
 }
 
@@ -362,7 +313,6 @@ mod tests {
         let result = ClusterAndConquer::new(small_config()).build(&ds);
         assert!(result.stats.num_clusters >= 4, "at least one cluster per function");
         assert_eq!(result.stats.cluster_sizes_desc.len(), result.stats.num_clusters);
-        assert!(result.stats.timings.total >= result.stats.timings.local_knn);
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //! Every `(workers, spill)` combination produces exactly the
 //! single-process pipeline's graph — `tests/shuffle.rs` asserts the full
 //! matrix — and [`Runtime::execute_incremental`] rebuilds from the
-//! previous build's graph and cluster memberships: when the `BuildPlan`'s
-//! patch stage takes the rebuild, no map stage runs at all (there are no
-//! partial lists to merge); when it declines, the build is the map stage
-//! above (bit-identical to a from-scratch run either way;
+//! previous build's graph and cluster memberships through the
+//! `BuildPlan`'s patch stage, the in-process pipeline's one solve loop, on
+//! the same worker budget. No map stage runs there: a cache the stage
+//! cannot use counts as an empty one, and every cluster is solved straight
+//! into the arena (bit-identical to a from-scratch run either way;
 //! `tests/incremental.rs`).
 //!
 //! [`DeploymentPlan`]: cnc_core::DeploymentPlan

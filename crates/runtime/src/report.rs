@@ -45,18 +45,12 @@ pub struct WorkerStats {
     pub comparisons: u64,
 }
 
-/// The measured record of one sharded build, paired with the plan that
-/// drove it so predicted and measured figures can be compared directly.
-///
-/// An incremental rebuild the plan's patch stage took
-/// (`cnc_core::BuildPlan::patch`) ran no map stage: its report says so in
-/// [`patched`](RuntimeReport::patched) and has no workers and an empty
-/// plan (what the stage did is in the result's `RebuildStats`).
+/// The measured record of one map-stage build (`Runtime::execute`),
+/// paired with the plan that drove it so predicted and measured figures
+/// can be compared directly. Incremental builds run no map stage and
+/// report in their `RebuildStats` instead.
 #[derive(Clone, Debug)]
 pub struct RuntimeReport {
-    /// True when the plan's patch stage produced the graph and no map
-    /// stage ran.
-    pub patched: bool,
     /// The static LPT plan the run started from (predicted makespan,
     /// per-worker costs and shuffle volume live here).
     pub plan: DeploymentPlan,
@@ -73,7 +67,7 @@ pub struct RuntimeReport {
     /// not a live location.
     pub spill_dir: Option<PathBuf>,
     /// Number of clusters in the build's clustering — each *scheduled and
-    /// executed* by a map worker unless the rebuild was `patched`.
+    /// executed* by a map worker.
     pub num_clusters: usize,
     /// Recursive splits performed during clustering.
     pub splits: usize,
@@ -170,8 +164,7 @@ impl RuntimeReport {
     /// Cross-checks the report's own accounting. The engine asserts this
     /// in debug builds; the test suites assert it on every configuration.
     ///
-    /// A `patched` rebuild must have run no worker and shuffled nothing;
-    /// that is all there is to check. Invariants of a map-stage build:
+    /// Invariants:
     /// * entries the workers handed to the merge = `shuffle_entries`, the
     ///   entries merged directly plus those replayed from spill files —
     ///   nothing lost or duplicated on the way through a spill file;
@@ -183,13 +176,6 @@ impl RuntimeReport {
     ///   to the report's `comparisons` (the oracle's atomic delta) — two
     ///   independently fed accounts of the paper's primary cost metric.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.patched {
-            let stages = (self.workers.len(), self.shuffle_entries);
-            return match stages {
-                (0, 0) => Ok(()),
-                _ => Err(format!("a patched rebuild ran (workers, shuffled entries) = {stages:?}")),
-            };
-        }
         let sent: u64 = self.workers.iter().map(|w| w.shuffle_entries).sum();
         if sent != self.shuffle_entries {
             return Err(format!(
@@ -280,7 +266,6 @@ mod tests {
             comparisons: 50,
         };
         RuntimeReport {
-            patched: false,
             plan: DeploymentPlan {
                 assignments: vec![vec![0], vec![1]],
                 worker_costs: vec![10, 10],
@@ -332,30 +317,6 @@ mod tests {
         let mut cost = consistent_report();
         cost.workers[0].solved_cost += 1;
         assert!(cost.check_invariants().unwrap_err().contains("plan totals"), "cost drift");
-    }
-
-    #[test]
-    fn patched_reports_have_no_stages_to_balance() {
-        // The shape a patched rebuild reports: no map worker, nothing
-        // shuffled — and only under the explicit mark.
-        let mut report = consistent_report();
-        report.patched = true;
-        assert!(report.check_invariants().unwrap_err().contains("patched"), "stages ran");
-        report.plan = DeploymentPlan {
-            assignments: vec![vec![], vec![]],
-            worker_costs: vec![0, 0],
-            merge_traffic: 0,
-        };
-        report.workers.clear();
-        report.shuffle_entries = 0;
-        report.check_invariants().unwrap();
-        report.shuffle_entries = 1;
-        assert!(report.check_invariants().unwrap_err().contains("patched"));
-        // The same empty stats without the mark are a map-stage build
-        // that lost its clusters.
-        report.shuffle_entries = 0;
-        report.patched = false;
-        assert!(report.check_invariants().unwrap_err().contains("executed"));
     }
 
     #[test]

@@ -178,6 +178,10 @@ mod avx512 {
 
     /// Reduces eight 8-lane `u64` vectors to one vector whose lane `r`
     /// holds the lane-sum of `v[r]` (three unpack/shuffle + add levels).
+    ///
+    /// # Safety
+    /// The caller must have verified [`available`]: the body is AVX-512F
+    /// instructions. It takes no pointer and touches no memory of its own.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
     unsafe fn hsum8(v: [__m512i; 8]) -> __m512i {
@@ -203,8 +207,11 @@ mod avx512 {
     /// as two vectors whose lane `r` belongs to cached row `r`.
     ///
     /// # Safety
-    /// `rows` must point at `8 * W` readable words; `W` must be a positive
-    /// multiple of 8 (one `zmm` per 8-word chunk).
+    /// The caller must have verified [`available`] (AVX-512F loads and
+    /// adds, AVX-512 VPOPCNTDQ popcounts). `rows` must point at `8 * W`
+    /// readable words, and `W` must be a positive multiple of 8 (one
+    /// `zmm` per 8-word chunk), so that every unaligned 8-word load below
+    /// stays inside `rows` and `other`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
     unsafe fn counts_vs8<const W: usize>(rows: *const u64, other: &[u64; W]) -> (__m512i, __m512i) {
@@ -213,9 +220,13 @@ mod avx512 {
         let mut union = [_mm512_setzero_si512(); 8];
         let mut chunk = 0;
         while chunk < W {
+            // SAFETY: `chunk + 8 <= W` (W is a multiple of 8), so words
+            // `chunk..chunk + 8` of `other` are in bounds.
             let vo = _mm512_loadu_si512(other.as_ptr().add(chunk) as *const _);
             let mut r = 0;
             while r < 8 {
+                // SAFETY: `r < 8` and `chunk + 8 <= W`, so the eight words
+                // from `r * W + chunk` lie inside the `8 * W` at `rows`.
                 let vr = _mm512_loadu_si512(rows.add(r * W + chunk) as *const _);
                 inter[r] =
                     _mm512_add_epi64(inter[r], _mm512_popcnt_epi64(_mm512_and_si512(vr, vo)));
@@ -232,7 +243,9 @@ mod avx512 {
     /// cannot trap — FP exceptions are masked).
     ///
     /// # Safety
-    /// The caller must have verified [`available`].
+    /// The caller must have verified [`available`] (AVX-512F division and
+    /// masking, AVX-512DQ `u64 → f64` conversion). It takes no pointer and
+    /// stores only into its own eight-lane array.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
     unsafe fn ratio8(inter: __m512i, union: __m512i) -> [f32; 8] {
@@ -258,6 +271,7 @@ mod avx512 {
     /// [`available`].
     #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
     pub unsafe fn group_vs_row<const W: usize>(rows: *const u64, other: &[u64; W]) -> [f32; 8] {
+        // SAFETY: this function's contract is the union of its callees'.
         let (inter, union) = counts_vs8::<W>(rows, other);
         ratio8(inter, union)
     }
@@ -377,8 +391,10 @@ impl<const W: usize> SimKernel for GoldFingerKernel<'_, W> {
         if W.is_multiple_of(8) && avx512::available() {
             let mut groups = tail.chunks_exact(LANES * W);
             for group in &mut groups {
-                // SAFETY: `group` is exactly `8 * W` contiguous words and
-                // `available()` verified the CPU features at runtime.
+                // SAFETY: `group` is exactly `8 * W` contiguous words, `W`
+                // is a multiple of 8 (the branch condition) and positive
+                // (`new` asserts it), and `available()` verified the CPU
+                // features at runtime.
                 let sims = unsafe { avx512::group_vs_row::<W>(group.as_ptr(), &ri) };
                 for s in sims {
                     sink(j, s);
@@ -432,8 +448,10 @@ impl<const W: usize> SimKernel for GoldFingerKernel<'_, W> {
                 for (offset, chunk) in tail.chunks_exact(W).enumerate() {
                     let rj: &[u64; W] = chunk.try_into().expect("chunks_exact yields W-word rows");
                     let j = (start + height + offset) as u32;
-                    // SAFETY: `block` is `8 * W` contiguous words and
-                    // `available()` verified the CPU features at runtime.
+                    // SAFETY: `block` is `LANES = 8` rows of `W` contiguous
+                    // words, `W` is a positive multiple of 8 (the branch
+                    // condition; `new` asserts `W > 0`), and `available()`
+                    // verified the CPU features at runtime.
                     let sims =
                         unsafe { avx512::group_vs_row::<W>(block.as_ptr() as *const u64, rj) };
                     for (r, s) in sims.into_iter().enumerate() {
@@ -974,6 +992,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Drives the safe callers of the AVX-512 blocks (on a host that has
+    /// them; the portable path elsewhere) at every monomorphized width and
+    /// every row count from 0 to 17, around the 8-row groups and blocks:
+    /// each pair is visited once and is bit-equal to the scalar kernel,
+    /// 0/0 pairs of empty rows included.
+    #[test]
+    fn simd_sweeps_match_the_scalar_kernel_at_group_edges() {
+        fn check<const W: usize>() {
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ W as u64;
+            let words: Vec<u64> = (0..17 * W)
+                .map(|at| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    // Rows 3 and 11 stay empty.
+                    if matches!(at / W, 3 | 11) {
+                        0
+                    } else {
+                        state >> (state % 64)
+                    }
+                })
+                .collect();
+            let scalar = GoldFingerDynKernel::new(&words, W);
+            for n in 0..=17usize {
+                let kernel = GoldFingerKernel::<W>::new(&words[..n * W]);
+                let mut seen = vec![false; n * n];
+                kernel.sweep_pairs(|i, j, s| {
+                    let (lo, hi) = (i.min(j) as usize, i.max(j) as usize);
+                    assert!(lo < hi && !seen[lo * n + hi], "W={W} n={n}: pair ({i}, {j})");
+                    seen[lo * n + hi] = true;
+                    assert_eq!(s.to_bits(), scalar.sim(i, j).to_bits(), "W={W} n={n}: ({i}, {j})");
+                });
+                let visited = seen.iter().filter(|&&pair| pair).count() as u64;
+                assert_eq!(visited, pair_count(n), "W={W} n={n}: pairs visited");
+                for i in 0..n as u32 {
+                    let mut next = i + 1;
+                    kernel.sweep_row(i, |j, s| {
+                        assert_eq!(j, next, "W={W} n={n}: row {i} skipped or repeated");
+                        assert_eq!(
+                            s.to_bits(),
+                            scalar.sim(i, j).to_bits(),
+                            "W={W} n={n}: ({i}, {j})"
+                        );
+                        next += 1;
+                    });
+                    assert_eq!(next as usize, n, "W={W} n={n}: row {i} cut short");
+                }
+            }
+        }
+        check::<1>();
+        check::<16>();
+        check::<64>();
+        check::<128>();
     }
 
     #[test]

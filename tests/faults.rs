@@ -14,6 +14,7 @@
 //! unit tests).
 
 use cluster_and_conquer::prelude::*;
+use cnc_core::RebuildPath;
 use cnc_faults::{silence_injected_panics, Site};
 use cnc_runtime::Runtime;
 use proptest::prelude::*;
@@ -51,9 +52,31 @@ fn c2_config() -> C2Config {
     }
 }
 
-/// One chaos cell: builds fault-free, rebuilds under the armed schedule,
-/// and asserts the keystone invariant — identical graphs, balanced
-/// accounting, invariant-clean report.
+/// Runs `build` under a chaos cell's schedule: every site may fire, each
+/// key failing at most twice.
+fn under_faults<T>(fault_seed: u64, p: f64, build: impl FnOnce() -> T) -> T {
+    let _guard = Faults::global().arm(FaultPlan::new(fault_seed, p).with_span(2));
+    build()
+}
+
+/// Asserts the keystone invariant's graph half: the faulted build is the
+/// fault-free one, user for user.
+fn assert_same_graph(clean: &KnnGraph, faulted: &KnnGraph, label: &str) {
+    assert_eq!(clean.num_users(), faulted.num_users(), "{label}");
+    for u in 0..clean.num_users() as u32 {
+        assert_eq!(
+            clean.neighbors(u).sorted(),
+            faulted.neighbors(u).sorted(),
+            "{label}: user {u} differs between the fault-free and the faulted build"
+        );
+    }
+}
+
+/// One chaos cell: each build runs fault-free, then again under the armed
+/// schedule, and must come out identical. The map stage
+/// (`Runtime::execute`) also keeps an invariant-clean report with equal
+/// comparison totals; the patch stage (`execute_incremental`, from an
+/// empty cache and from a warm one) keeps its cache accounting balanced.
 fn chaos_case(fault_seed: u64, p: f64, workers: usize, spill: SpillMode) {
     let _serial = fault_lock();
     silence_injected_panics();
@@ -62,34 +85,36 @@ fn chaos_case(fault_seed: u64, p: f64, workers: usize, spill: SpillMode) {
     let config = RuntimeConfig { workers, spill, ..Default::default() };
     let runtime = Runtime::new(config);
     let label = format!("fault_seed={fault_seed} p={p:.2} workers={workers} spill={spill:?}");
-
-    let clean = runtime.execute_incremental(dataset, &c2, &ClusterCache::new(&c2), &[]);
-    let faulted = {
-        let _guard = Faults::global().arm(FaultPlan::new(fault_seed, p).with_span(2));
-        runtime.execute_incremental(dataset, &c2, &ClusterCache::new(&c2), &[])
-    };
+    let clean = runtime.execute(dataset, &c2);
+    let chaotic = under_faults(fault_seed, p, || runtime.execute(dataset, &c2));
     assert!(!Faults::global().armed(), "{label}: guard must disarm on drop");
-
-    assert_eq!(clean.graph.num_users(), faulted.graph.num_users(), "{label}");
-    for u in 0..clean.graph.num_users() as u32 {
-        assert_eq!(
-            clean.graph.neighbors(u).sorted(),
-            faulted.graph.neighbors(u).sorted(),
-            "{label}: user {u} differs between the fault-free and the faulted build"
-        );
-    }
-    faulted
-        .cache
-        .check_accounting(&faulted.rebuild)
-        .unwrap_or_else(|e| panic!("{label}: accounting broke under faults: {e}"));
-    faulted.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_same_graph(&clean.graph, &chaotic.graph, &format!("{label} map stage"));
+    chaotic.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
     // Comparisons are a function of the graph, not of the recovery path:
     // requeued clusters are re-solved from scratch, never double-counted.
     assert_eq!(
-        faulted.cache.total_comparisons(),
-        clean.cache.total_comparisons(),
+        chaotic.report.comparisons, clean.report.comparisons,
         "{label}: comparison totals drifted under fault recovery"
     );
+
+    // The warm cache is a fault-free build of all but the last few users.
+    let head = dataset.iter().take(dataset.num_users() - 6).map(|(_, p)| p.to_vec()).collect();
+    let head = Dataset::from_profiles(head, dataset.num_items() as u32);
+    let cold = ClusterCache::new(&c2);
+    let warm = runtime.execute_incremental(&head, &c2, &cold, &[]).cache;
+    for (prev, want) in [(&cold, RebuildPath::Cold), (&warm, RebuildPath::Patched)] {
+        let label = format!("{label} {want:?}");
+        let clean = runtime.execute_incremental(dataset, &c2, prev, &[]);
+        let chaotic =
+            under_faults(fault_seed, p, || runtime.execute_incremental(dataset, &c2, prev, &[]));
+        assert_eq!(clean.rebuild.path, want, "{label}");
+        assert_same_graph(&clean.graph, &chaotic.graph, &label);
+        chaotic
+            .cache
+            .check_accounting(&chaotic.rebuild)
+            .unwrap_or_else(|e| panic!("{label}: accounting broke under faults: {e}"));
+        assert_eq!(chaotic.rebuild.comparisons, clean.rebuild.comparisons, "{label}");
+    }
 }
 
 /// The acceptance matrix with one fixed schedule at p = 1 — every cluster

@@ -1,11 +1,11 @@
 //! The incremental-rebuild equivalence suite.
 //!
 //! The contract of the staged `BuildPlan` path: an incremental build —
-//! whether its patch stage took it (cross-group pairs of the dirty
-//! clusters, plus the rows that lost a neighbour) or declined it to the
-//! from-scratch path — must be **bit-identical** to a from-scratch build
-//! of the same dataset: identical graphs for every `(insert batch ×
-//! workers × spill mode)` cell, `comparisons` counting
+//! whether its patch stage reused the previous graph (cross-group pairs of
+//! the dirty clusters, plus the rows that lost a neighbour) or treated the
+//! cache as empty and solved every cluster — must be **bit-identical** to
+//! a from-scratch build of the same dataset: identical graphs for every
+//! `(insert batch × workers × spill mode)` cell, `comparisons` counting
 //! exactly the similarities computed, and a cache priced like the
 //! from-scratch build. On top of the matrix: the in-process pipeline's
 //! incremental path; random insert sequences over several generations on
@@ -104,16 +104,18 @@ fn incremental_matches_from_scratch_across_the_matrix() {
                 );
                 // Fresh + cached comparisons account for the whole
                 // from-scratch build, exactly.
-                assert!(incr.report.comparisons < full.report.comparisons, "{label}");
+                assert!(incr.rebuild.comparisons < full.report.comparisons, "{label}");
                 assert_eq!(
                     incr.cache.total_comparisons(),
                     full.report.comparisons,
                     "{label}: cache totals must equal a from-scratch build's count"
                 );
                 assert_eq!(incr.cache.len(), incr.rebuild.clusters_total, "{label}");
-                incr.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
+                incr.cache
+                    .check_accounting(&incr.rebuild)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_eq!(
-                    incr.report.num_clusters, incr.rebuild.clusters_total,
+                    full.report.num_clusters, incr.rebuild.clusters_total,
                     "{label}: the report and the rebuild stats must count one clustering"
                 );
             }
@@ -325,9 +327,8 @@ fn random_insert_sequences_stay_bit_identical_through_restructuring() {
                 let sharded = rt.execute_incremental(&grown, &config, cache, &[]);
                 assert_graphs_identical(&sharded.graph, &full.graph, &label);
                 assert_eq!(sharded.rebuild.path, incr.rebuild.path, "{label}");
-                assert_eq!(sharded.report.comparisons, incr.rebuild.comparisons, "{label}");
+                assert_eq!(sharded.rebuild.comparisons, incr.rebuild.comparisons, "{label}");
                 assert_eq!(sharded.cache.total_comparisons(), full.stats.comparisons, "{label}");
-                sharded.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
                 sharded
                     .cache
                     .check_accounting(&sharded.rebuild)
@@ -348,8 +349,10 @@ fn random_insert_sequences_stay_bit_identical_through_restructuring() {
     );
 }
 
-/// One case per reason the patch stage declines — each still the
-/// from-scratch graph, each capturing a cache the next build can patch.
+/// One case per reason the patch stage reuses nothing of the previous
+/// graph — each, in process and on the sharded engine at 1 and 3 workers,
+/// still the from-scratch graph at the from-scratch cost, each capturing
+/// a cache the next build can patch.
 #[test]
 fn every_fallback_builds_the_from_scratch_graph() {
     let base = tight_dataset(77);
@@ -359,12 +362,25 @@ fn every_fallback_builds_the_from_scratch_graph() {
     assert_eq!(seeded.rebuild.path, RebuildPath::Cold, "an empty cache is a cold build");
     assert_eq!(seeded.rebuild.comparisons, seeded.cache.total_comparisons());
     let (grown, _) = grow(&base, 3, 5);
+    let runtimes = [1usize, 3].map(|workers| Runtime::new(RuntimeConfig::with_workers(workers)));
     let check = |builder: &ClusterAndConquer, dataset: &Dataset, prev: &ClusterCache, want| {
         let full = builder.build(dataset);
         let incr = builder.build_incremental(dataset, prev);
         assert_eq!(incr.rebuild.path, want);
         assert_graphs_identical(&incr.result.graph, &full.graph, &format!("{want:?}"));
         assert_eq!(incr.result.stats.comparisons, full.stats.comparisons, "{want:?}");
+        for runtime in &runtimes {
+            let label = format!("{want:?}, {} workers", runtime.config().workers);
+            let sharded = runtime.execute_incremental(dataset, builder.config(), prev, &[]);
+            assert_eq!(sharded.rebuild.path, want, "{label}");
+            assert_graphs_identical(&sharded.graph, &full.graph, &label);
+            assert_eq!(sharded.rebuild.comparisons, full.stats.comparisons, "{label}");
+            // The map stage solves with the partial-list solvers: an
+            // oracle outside the loop the three builds above share.
+            let mapped = runtime.execute(dataset, builder.config());
+            assert_graphs_identical(&mapped.graph, &full.graph, &format!("{label}, map stage"));
+            assert_eq!(mapped.report.comparisons, full.stats.comparisons, "{label}, map stage");
+        }
         // The captured cache is live: an unchanged dataset patches to
         // itself at no cost (greedy plans keep declining).
         let again = builder.build_incremental(dataset, &incr.cache);
@@ -375,6 +391,8 @@ fn every_fallback_builds_the_from_scratch_graph() {
     };
     // The control: a few inserts under the same configuration patch.
     assert_eq!(builder.build_incremental(&grown, &seeded.cache).rebuild.path, RebuildPath::Patched);
+
+    check(&builder, &grown, &ClusterCache::new(&config), RebuildPath::Cold);
 
     let reseeded = ClusterAndConquer::new(C2Config { seed: config.seed + 1, ..config });
     check(&reseeded, &grown, &seeded.cache, RebuildPath::ConfigChanged);
