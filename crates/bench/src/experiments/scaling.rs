@@ -22,7 +22,7 @@ use crate::args::HarnessArgs;
 use cnc_core::C2Config;
 use cnc_dataset::{Dataset, SyntheticConfig};
 use cnc_distrib::{DistribConfig, DistribRuntime, Transport};
-use cnc_runtime::{Runtime, RuntimeConfig, SpillMode, StealPolicy};
+use cnc_runtime::{Runtime, RuntimeConfig, SpillMode};
 use cnc_similarity::{SimilarityBackend, SimilarityData};
 use serde::{json, Value};
 use std::time::Instant;
@@ -76,11 +76,7 @@ pub fn run(args: &HarnessArgs) -> String {
     let mut num_clusters = 0;
     let mut map_rows = String::new();
     for &workers in &worker_counts {
-        let runtime = Runtime::new(RuntimeConfig {
-            workers,
-            steal: StealPolicy::MostLoaded,
-            ..RuntimeConfig::default()
-        });
+        let runtime = Runtime::new(RuntimeConfig::with_workers(workers));
         let result = runtime.execute_with(&dataset, &sim, &c2, Instant::now());
         let report = &result.report;
         report.check_invariants().expect("runtime report accounting violated");
@@ -101,11 +97,7 @@ pub fn run(args: &HarnessArgs) -> String {
     let spill_workers = args.workers.unwrap_or(SPILL_WORKERS);
     let mut spill_rows = String::new();
     for spill in [SpillMode::Off, SpillMode::Always] {
-        let runtime = Runtime::new(RuntimeConfig {
-            workers: spill_workers,
-            spill,
-            steal: StealPolicy::MostLoaded,
-        });
+        let runtime = Runtime::new(RuntimeConfig { workers: spill_workers, spill });
         let result = runtime.execute_with(&dataset, &sim, &c2, Instant::now());
         let report = &result.report;
         report.check_invariants().expect("runtime report accounting violated");

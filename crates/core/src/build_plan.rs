@@ -20,19 +20,14 @@
 //!    [`ClusterAndConquer::build`] runs it — deterministic clustering via
 //!    `cluster_step`, per-cluster solver seeds via `job_seed`.
 //! 2. **Fingerprint** ([`BuildPlan::fingerprint`]): each user's item set
-//!    is digested, and each cluster's membership content-hashed — FNV-1a
-//!    over the *sorted* member ids interleaved with those digests (the
-//!    snapshot checksum idiom of `cnc-serve`). The hash changes iff the
-//!    membership or any member's item set changes, and is invariant under
-//!    member reordering; it names a cluster's content on the shuffle wire
-//!    and in the evaluation cache. The digests are what the next two
-//!    stages read.
+//!    is digested ([`profile_digest`], FNV-1a over the sorted items), so
+//!    the next two stages can tell an appended or edited user from an
+//!    unchanged one.
 //! 3. **Partition** ([`BuildPlan::partition`]): a cluster none of whose
 //!    members is new or edited (their digests say) and whose exact member
 //!    list the [`ClusterCache`] remembers is *reused* — every pair in it
-//!    was offered to both its rows last time; the rest are *dirty*. This
-//!    is the split the content hashes make, decided by equality, so the
-//!    cache keeps no hash.
+//!    was offered to both its rows last time; the rest are *dirty*. The
+//!    split is decided by equality alone.
 //! 4. **Patch** ([`BuildPlan::patch`]): the members of each dirty cluster
 //!    are grouped by the cluster they sat in under the same hash function
 //!    last time (newcomers and edited users are singletons) and only the
@@ -80,7 +75,7 @@
 //!   is cheaper to rebuild (the constant's docs record the measured
 //!   crossover).
 //!
-//! Correctness is never entrusted to a cluster hash: a reused cluster
+//! Correctness is never entrusted to a hash of a cluster: a reused cluster
 //! equals its remembered member list entry for entry, clusters holding an
 //! edited or appended user are dirty by construction, and which pairs are
 //! owed is decided from the memberships themselves. What rests on 64 bits
@@ -109,8 +104,8 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice — the workspace's shared integrity-hash
-/// primitive (cluster content hashes here, snapshot-path fault keys in
-/// `cnc-serve`).
+/// primitive (profile digests and configuration tokens here, spill and
+/// snapshot-path fault keys in `cnc-runtime` and `cnc-serve`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_bytes(FNV_OFFSET, bytes)
 }
@@ -137,23 +132,6 @@ pub fn profile_digest(profile: &[ItemId]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &item in profile {
         hash = fnv1a_u64(hash, item as u64);
-    }
-    hash
-}
-
-/// Content hash of one cluster: FNV-1a over `(member id, item-set digest)`
-/// pairs in *sorted member order*, prefixed with the member count.
-///
-/// Invariant under member reordering; changes (w.h.p.) iff the membership
-/// or any member's item set changes. `digests[u]` must hold
-/// [`profile_digest`] of user `u`'s profile.
-pub fn cluster_hash(users: &[UserId], digests: &[u64]) -> u64 {
-    let mut sorted: Vec<UserId> = users.to_vec();
-    sorted.sort_unstable();
-    let mut hash = fnv1a_u64(FNV_OFFSET, sorted.len() as u64);
-    for &u in &sorted {
-        hash = fnv1a_u64(hash, u as u64);
-        hash = fnv1a_u64(hash, digests[u as usize]);
     }
     hash
 }
@@ -407,9 +385,9 @@ pub enum RebuildPath {
 pub struct RebuildStats {
     /// Clusters in the build's clustering.
     pub clusters_total: usize,
-    /// Clusters whose content hash missed the cache (dirty).
+    /// Clusters the cache does not remember as they are (dirty).
     pub clusters_resolved: usize,
-    /// `1 - resolved/total`: the share of clusters whose hash hit.
+    /// `1 - resolved/total`: the share of clusters reused.
     pub reuse_ratio: f64,
     /// Wall-clock of the rebuild, milliseconds.
     pub rebuild_ms: f64,
@@ -439,7 +417,7 @@ impl RebuildStats {
         }
     }
 
-    /// Clusters whose hash hit the cache.
+    /// Clusters the cache remembers as they are (reused).
     pub fn clusters_reused(&self) -> usize {
         self.clusters_total - self.clusters_resolved
     }
@@ -461,7 +439,7 @@ pub struct PlanPartition {
 pub struct Patch {
     /// The graph, bit-identical to a from-scratch build's.
     pub graph: KnnGraph,
-    /// The hash split, the path taken and the row counts.
+    /// The dirty/reused split, the path taken and the row counts.
     pub rebuild: RebuildStats,
 }
 
@@ -553,14 +531,13 @@ impl SimSolve for RecomputeRows<'_> {
 }
 
 /// The staged construction plan (module docs): Step-1 assignment plus the
-/// per-cluster content hashes an incremental executor needs to tell what
-/// changed since the previous build.
+/// per-user profile digests an incremental build needs to tell what
+/// changed since the previous one.
 pub struct BuildPlan {
     config: C2Config,
     clustering: Clustering,
     /// Users of the dataset the plan was assigned on.
     users: usize,
-    hashes: Vec<u64>,
     /// [`profile_digest`] per user (empty until [`BuildPlan::fingerprint`]).
     digests: Vec<u64>,
     seeds: Vec<u64>,
@@ -582,40 +559,30 @@ impl BuildPlan {
             config: *config,
             clustering,
             users: dataset.num_users(),
-            hashes: Vec::new(),
             digests: Vec::new(),
             seeds,
         }
     }
 
-    /// **Stage 2** — content-hashes every cluster's membership. Per-user
-    /// item-set digests are computed once and shared across the `t`
-    /// configurations a user appears in. Idempotent.
+    /// **Stage 2** — digests every user's item set ([`profile_digest`]),
+    /// once per user however many of the `t` clusterings it sits in.
+    /// Idempotent.
     pub fn fingerprint(&mut self, dataset: &Dataset) {
-        if self.hashes.len() == self.clustering.clusters.len()
-            && self.digests.len() == dataset.num_users()
-        {
+        if self.digests.len() == dataset.num_users() {
             return;
         }
         let mut span = Telemetry::global().span("build.fingerprint");
         self.digests = dataset.iter().map(|(_, profile)| profile_digest(profile)).collect();
-        self.hashes = self
-            .clustering
-            .clusters
-            .iter()
-            .map(|users| cluster_hash(users, &self.digests))
-            .collect();
-        span.attr("clusters", self.hashes.len() as u64);
+        span.attr("users", self.digests.len() as u64);
     }
 
-    /// **Stage 3** — splits the clusters by content: a cluster none of
+    /// **Stage 3** — splits the clusters by equality: a cluster none of
     /// whose members is new or edited since `cache`'s build (their item-set
     /// digests say) and whose exact member list `cache` remembers is
-    /// *reused*, the rest are *dirty* — the split the cluster content
-    /// hashes make, decided by equality instead. A cache built under a
-    /// different configuration token is treated as empty. `_force_dirty`
-    /// is accepted for source compatibility and ignored: an edit cannot
-    /// hide from its digest.
+    /// *reused*, the rest are *dirty*. A cache built under a different
+    /// configuration token is treated as empty. `_force_dirty` is accepted
+    /// for source compatibility and ignored: an edit cannot hide from its
+    /// digest.
     ///
     /// # Panics
     /// Panics if [`BuildPlan::fingerprint`] has not run.
@@ -626,8 +593,8 @@ impl BuildPlan {
 
     fn assert_fingerprinted(&self) {
         assert_eq!(
-            self.hashes.len(),
-            self.clustering.clusters.len(),
+            self.digests.len(),
+            self.users,
             "fingerprint() must run before partition() and patch()"
         );
     }
@@ -958,11 +925,6 @@ impl BuildPlan {
         self.clustering.entry_index(&functions)
     }
 
-    /// Per-cluster content hashes (empty until [`BuildPlan::fingerprint`]).
-    pub fn hashes(&self) -> &[u64] {
-        &self.hashes
-    }
-
     /// The greedy solver seed of cluster `index`.
     pub fn seed(&self, index: usize) -> u64 {
         self.seeds[index]
@@ -981,34 +943,8 @@ mod tests {
         cfg.generate()
     }
 
-    fn digests(ds: &Dataset) -> Vec<u64> {
-        ds.iter().map(|(_, p)| profile_digest(p)).collect()
-    }
-
     fn config() -> C2Config {
         C2Config { k: 6, b: 32, t: 2, threads: 1, ..C2Config::default() }
-    }
-
-    #[test]
-    fn cluster_hash_is_order_invariant() {
-        let ds = dataset();
-        let d = digests(&ds);
-        let a = cluster_hash(&[3, 9, 41, 7], &d);
-        let b = cluster_hash(&[41, 7, 3, 9], &d);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cluster_hash_changes_with_membership_and_items() {
-        let ds = dataset();
-        let d = digests(&ds);
-        let base = cluster_hash(&[1, 2, 3], &d);
-        assert_ne!(base, cluster_hash(&[1, 2], &d), "dropped member");
-        assert_ne!(base, cluster_hash(&[1, 2, 4], &d), "swapped member");
-        // Same members, one changed item set.
-        let mut d2 = d.clone();
-        d2[2] = d2[2].wrapping_add(1);
-        assert_ne!(base, cluster_hash(&[1, 2, 3], &d2), "changed item set");
     }
 
     #[test]
@@ -1074,9 +1010,7 @@ mod tests {
         let ds = dataset();
         let cfg = config();
         let mut plan = BuildPlan::assign(&cfg, &ds);
-        assert!(plan.hashes().is_empty());
         plan.fingerprint(&ds);
-        assert_eq!(plan.hashes().len(), plan.clusters().len());
         let cache = ClusterCache::new(&cfg);
         let part = plan.partition(&cache, &[]);
         assert_eq!(part.dirty.len(), plan.clusters().len());

@@ -60,7 +60,7 @@ pub struct IncrementalResult {
     pub result: C2Result,
     /// This build's cluster memberships and graph, for the next one.
     pub cache: ClusterCache,
-    /// The hash split, the path taken and what it cost.
+    /// The dirty/reused split, the path taken and what it cost.
     pub rebuild: RebuildStats,
 }
 
@@ -94,13 +94,6 @@ impl ClusterAndConquer {
     pub fn build(&self, dataset: &Dataset) -> C2Result {
         let sim = SimilarityData::build_parallel(self.config.backend, dataset, self.config.threads);
         self.run(&self.config, dataset, &sim)
-    }
-
-    /// Builds the graph against an externally-provided similarity oracle
-    /// (used by the experiment harness to share fingerprints between
-    /// algorithms, as the paper does).
-    pub fn build_with(&self, dataset: &Dataset, sim: &SimilarityData<'_>) -> C2Result {
-        self.run(&self.config, dataset, sim)
     }
 
     /// Runs Step 1 (clustering) alone and returns the raw [`Clustering`].
@@ -178,7 +171,7 @@ impl ClusterAndConquer {
         let comparisons_before = sim.comparisons();
         let n = dataset.num_users();
 
-        // --- Stages 1 + 2: assignment (+ content hashes when a cache is
+        // --- Stages 1 + 2: assignment (+ profile digests when a cache is
         // in play; an empty cache needs none, so one-shot builds skip
         // the fingerprint stage) -----------------------------------------
         let mut plan = BuildPlan::assign(config, dataset);

@@ -26,9 +26,9 @@
 //! worker steals **half** the most-loaded peer's remaining queue (the
 //! victim keeps its larger-cost front half).
 //! Every solved cluster's partial lists are merged straight into one
-//! [`SharedKnnGraph`] under its per-row locks (Algorithm 3) — or, above
-//! the [`SpillMode`] threshold, appended to the worker's spill file, which
-//! is replayed into the same arena as soon as the worker has joined. The
+//! [`SharedKnnGraph`] under its per-row locks (Algorithm 3) — or, under
+//! [`SpillMode::Always`], appended to the worker's spill file, which is
+//! replayed into the same arena as soon as the worker has joined. The
 //! arena then freezes in place into the [`KnnGraph`].
 //!
 //! Because a row keeps the top-k under a strict total order on
@@ -38,7 +38,7 @@
 //! configuration and seed (asserted by `tests/shuffle.rs`). Offers
 //! deduplicate, so merging a cluster's lists twice changes nothing.
 
-use crate::config::{RuntimeConfig, SpillMode, StealPolicy};
+use crate::config::{RuntimeConfig, SpillMode};
 use crate::report::{RuntimeReport, WorkerStats};
 use crate::shuffle::{encoded_len, replay_spill, FinishedSpill, SpillDir, SpillWriter};
 use cnc_baselines::local;
@@ -89,8 +89,8 @@ pub struct IncrementalShardedResult {
     /// not copied); `cache.total_comparisons()` equals a from-scratch
     /// build's comparison count.
     pub cache: ClusterCache,
-    /// The hash split, the path taken and what it cost; `comparisons`
-    /// counts exactly the similarities this build computed.
+    /// The dirty/reused split, the path taken and what it cost;
+    /// `comparisons` counts exactly the similarities this build computed.
     pub rebuild: RebuildStats,
     /// The plan's entry index ([`BuildPlan::entry_index`]): routes a query
     /// profile to this build's clusters, so whoever serves `graph` needs
@@ -105,11 +105,10 @@ struct JobQueues {
     /// only ranks steal victims).
     remaining: Vec<AtomicU64>,
     costs: Vec<u64>,
-    policy: StealPolicy,
 }
 
 impl JobQueues {
-    fn new(plan: &DeploymentPlan, costs: Vec<u64>, policy: StealPolicy) -> Self {
+    fn new(plan: &DeploymentPlan, costs: Vec<u64>) -> Self {
         // Each worker's LPT assignment is already in decreasing-cost order
         // (clusters are assigned globally largest-first), so popping from
         // the front preserves Step 2's largest-first schedule per shard.
@@ -132,7 +131,7 @@ impl JobQueues {
         // worker left behind are executed even with zero survivors.
         queues.push(Mutex::new(VecDeque::new()));
         remaining.push(AtomicU64::new(0));
-        JobQueues { queues, remaining, costs, policy }
+        JobQueues { queues, remaining, costs }
     }
 
     /// The extra lane the orchestrator's recovery sweep pops and steals
@@ -172,21 +171,6 @@ impl JobQueues {
     /// the rest is queued on the thief (where peers may re-steal it).
     /// Returns `(execute now, also queued on the thief)`.
     fn steal(&self, thief: usize) -> Option<(usize, Vec<usize>)> {
-        if self.policy == StealPolicy::Disabled {
-            return None;
-        }
-        self.steal_impl(thief)
-    }
-
-    /// [`JobQueues::steal`] minus the policy gate: the recovery lane
-    /// redistributes a dead worker's leftovers even under
-    /// [`StealPolicy::Disabled`] — the policy governs load balancing,
-    /// not crash recovery.
-    fn steal_forced(&self, thief: usize) -> Option<(usize, Vec<usize>)> {
-        self.steal_impl(thief)
-    }
-
-    fn steal_impl(&self, thief: usize) -> Option<(usize, Vec<usize>)> {
         loop {
             // Rank victims by predicted work remaining, best first.
             let mut victims: Vec<(u64, usize)> = self
@@ -309,7 +293,7 @@ impl Runtime {
         let sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
         let deploy = plan_deployment_for(&sizes, workers, c2.k, c2.rho);
         let costs: Vec<u64> = sizes.iter().map(|&s| cluster_cost(s, c2.k, c2.rho)).collect();
-        let queues = JobQueues::new(&deploy, costs, self.config.steal);
+        let queues = JobQueues::new(&deploy, costs);
 
         // The cleanup-on-drop guard lives on this stack frame: a panicking
         // worker unwinds through the thread scope and still removes the
@@ -581,9 +565,8 @@ fn run_map_stage(ctx: &MapContext<'_>, workers: usize) -> (Vec<WorkerStats>, u64
         }
         // Dead workers (panic budget spent) may have left clusters behind
         // that nobody stole; sweep them on this thread through the
-        // reserved recovery lane — forced stealing, so the sweep works
-        // even under `StealPolicy::Disabled` or with zero surviving
-        // workers.
+        // reserved recovery lane, which steals them like any idle worker
+        // — so the sweep works with zero surviving workers too.
         if build_panic.is_none() && ctx.queues.any_remaining() {
             let recovery = ctx.queues.recovery_lane();
             match catch_unwind(AssertUnwindSafe(|| map_worker(recovery, ctx, true))) {
@@ -677,8 +660,8 @@ impl SpillStream {
 /// * a worker that catches [`WORKER_PANIC_BUDGET`] panics is declared
 ///   *dead* and returns early; its remaining queue stays claimable by
 ///   stealing peers and, failing that, the orchestrator's recovery lane
-///   (`recovery = true`, which steals even under `StealPolicy::Disabled`
-///   and never dies — only the attempts bound stops it);
+///   (`recovery = true`, which never dies — only the attempts bound stops
+///   it);
 /// * a spill stream whose create/append exhausts its internal retries is
 ///   marked broken and the worker **merges its records directly** — the
 ///   graph is route-independent, so degrading the route never changes the
@@ -710,8 +693,6 @@ fn map_worker(
             telemetry.histogram("cnc_cluster_solve_ns", &[("algo", "greedy")]),
         )
     });
-    // Encoded bytes handed to the merge so far (drives `Auto`).
-    let mut shipped_bytes = 0u64;
     let mut spill = SpillStream::default();
     // Clusters this worker lifted from a peer (half-queue steals park the
     // batch's tail in the own queue; marking attributes them when popped).
@@ -725,22 +706,15 @@ fn map_worker(
         }
         let (cluster, stolen) = match ctx.queues.pop_own(worker) {
             Some(c) => (c, stolen_mark[c]),
-            None => {
-                let lifted = if recovery {
-                    ctx.queues.steal_forced(worker)
-                } else {
-                    ctx.queues.steal(worker)
-                };
-                match lifted {
-                    Some((first, queued)) => {
-                        for c in queued {
-                            stolen_mark[c] = true;
-                        }
-                        (first, true)
+            None => match ctx.queues.steal(worker) {
+                Some((first, queued)) => {
+                    for c in queued {
+                        stolen_mark[c] = true;
                     }
-                    None => break,
+                    (first, true)
                 }
-            }
+                None => break,
+            },
         };
         let busy_start = Instant::now();
         let users = &ctx.clusters[cluster];
@@ -808,24 +782,17 @@ fn map_worker(
             hist.record(busy_start.elapsed().as_nanos() as u64);
         }
         // Algorithm 3: merge each non-empty partial list into the arena —
-        // or, past the spill threshold, append it to this worker's spill
-        // file, replayed into the arena once the worker is done.
+        // or, when spilling, append it to this worker's spill file,
+        // replayed into the arena once the worker is done.
         for (&user, list) in users.iter().zip(&lists) {
             if list.is_empty() {
                 continue;
             }
-            let bytes = encoded_len(list);
             stats.shuffle_entries += list.len() as u64;
-            let spill_now = match ctx.spill {
-                SpillMode::Off => false,
-                SpillMode::Always => true,
-                SpillMode::Auto(threshold) => shipped_bytes + bytes > threshold,
-            };
-            shipped_bytes += bytes;
-            if spill_now {
+            if ctx.spill == SpillMode::Always {
                 if spill.push(ctx, worker, user, list) {
                     stats.spilled_entries += list.len() as u64;
-                    stats.spilled_bytes += bytes;
+                    stats.spilled_bytes += encoded_len(list);
                     continue;
                 }
                 stats.spill_rerouted += 1;
@@ -901,22 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_stealing_executes_the_plan_verbatim() {
-        let _calm = crate::no_faults();
-        let ds = test_dataset();
-        let config =
-            RuntimeConfig { workers: 4, steal: StealPolicy::Disabled, ..RuntimeConfig::default() };
-        let result = Runtime::new(config).execute(&ds, &test_config());
-        assert_eq!(result.report.stolen_clusters(), 0);
-        let executed = result.report.executed_assignments();
-        for (w, planned) in result.report.plan.assignments.iter().enumerate() {
-            let mut planned = planned.clone();
-            planned.sort_unstable();
-            assert_eq!(executed[w], planned, "worker {w} deviated from the plan");
-        }
-    }
-
-    #[test]
     fn measured_shuffle_matches_predicted_merge_traffic() {
         let _calm = crate::no_faults();
         let ds = test_dataset();
@@ -956,8 +907,7 @@ mod tests {
     fn always_spill_routes_all_traffic_through_files() {
         let _calm = crate::no_faults();
         let ds = test_dataset();
-        let config =
-            RuntimeConfig { workers: 2, spill: SpillMode::Always, ..RuntimeConfig::default() };
+        let config = RuntimeConfig { workers: 2, spill: SpillMode::Always };
         let single = ClusterAndConquer::new(test_config()).build(&ds);
         let result = Runtime::new(config).execute(&ds, &test_config());
         let report = &result.report;
@@ -970,41 +920,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_spill_threshold_splits_the_stream() {
-        let _calm = crate::no_faults();
-        let ds = test_dataset();
-        let base = RuntimeConfig::with_workers(2);
-
-        // A zero-byte budget spills everything…
-        let all = Runtime::new(RuntimeConfig { spill: SpillMode::Auto(0), ..base })
-            .execute(&ds, &test_config());
-        assert_eq!(all.report.total_spill_entries(), all.report.shuffle_entries);
-
-        // …an unlimited budget spills nothing…
-        let none = Runtime::new(RuntimeConfig { spill: SpillMode::Auto(u64::MAX), ..base })
-            .execute(&ds, &test_config());
-        assert_eq!(none.report.total_spill_entries(), 0);
-        assert_eq!(none.report.total_spill_bytes(), 0);
-
-        // …and a mid-range budget merges the head in memory and sends the
-        // tail to disk: each worker's stream switches once it has handed
-        // over 2 KiB.
-        let c2 = C2Config { max_cluster_size: 40, ..test_config() };
-        let mid =
-            Runtime::new(RuntimeConfig { spill: SpillMode::Auto(2_048), ..base }).execute(&ds, &c2);
-        let spilled = mid.report.total_spill_entries();
-        assert!(spilled > 0, "2 KiB per worker must overflow on this workload");
-        assert!(mid.report.total_spill_bytes() > 0);
-        assert!(spilled < mid.report.shuffle_entries, "some head entries must stay in memory");
-        mid.report.check_invariants().unwrap();
-    }
-
-    #[test]
     fn spill_dir_is_gone_after_the_build() {
         let _calm = crate::no_faults();
         let ds = test_dataset();
-        let config =
-            RuntimeConfig { workers: 2, spill: SpillMode::Always, ..RuntimeConfig::default() };
+        let config = RuntimeConfig { workers: 2, spill: SpillMode::Always };
         let result = Runtime::new(config).execute(&ds, &test_config());
         let dir = result.report.spill_dir.as_ref().expect("spilling build must record its dir");
         assert!(
@@ -1103,7 +1022,7 @@ mod tests {
         let sizes: Vec<usize> = plan.clusters().iter().map(Vec::len).collect();
         let deploy = plan_deployment_for(&sizes, 2, c2.k, c2.rho);
         let costs = sizes.iter().map(|&s| cluster_cost(s, c2.k, c2.rho)).collect();
-        let queues = JobQueues::new(&deploy, costs, StealPolicy::MostLoaded);
+        let queues = JobQueues::new(&deploy, costs);
         let sim = SimilarityData::build(c2.backend, &ds);
         let attempts: Vec<AtomicU32> = sizes.iter().map(|_| AtomicU32::new(0)).collect();
         let arena = SharedKnnGraph::new(ds.num_users(), c2.k);
@@ -1153,7 +1072,7 @@ mod tests {
             worker_costs: vec![50, 0],
             merge_traffic: 0,
         };
-        let queues = JobQueues::new(&plan, vec![20, 10, 8, 7, 5], StealPolicy::MostLoaded);
+        let queues = JobQueues::new(&plan, vec![20, 10, 8, 7, 5]);
         let (first, queued) = queues.steal(1).expect("loaded peer must yield work");
         // The victim keeps its larger front half {0, 1}; the stolen tail
         // {2, 3, 4} yields its largest (2) for immediate execution and
@@ -1179,7 +1098,7 @@ mod tests {
             worker_costs: vec![9, 0],
             merge_traffic: 0,
         };
-        let queues = JobQueues::new(&plan, vec![9], StealPolicy::MostLoaded);
+        let queues = JobQueues::new(&plan, vec![9]);
         let (first, queued) = queues.steal(1).unwrap();
         assert_eq!((first, queued), (0, vec![]));
         assert_eq!(queues.pop_own(0), None);
@@ -1280,7 +1199,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_clusters_are_swept_even_with_stealing_disabled() {
+    fn dead_worker_clusters_are_swept_by_the_recovery_lane() {
         let _serial = crate::fault_lock();
         cnc_faults::silence_injected_panics();
         let ds = test_dataset();
@@ -1288,12 +1207,10 @@ mod tests {
         let faults = Faults::global();
         let plan = cnc_faults::FaultPlan::new(11, 1.0).only(&[Site::SolveCluster]).with_span(1);
         let _guard = faults.arm(plan);
-        // Both workers die after two caught panics each; with stealing
-        // disabled only the orchestrator's recovery lane (which steals by
-        // force) can claim their leftovers.
-        let config =
-            RuntimeConfig { workers: 2, steal: StealPolicy::Disabled, ..RuntimeConfig::default() };
-        let chaotic = Runtime::new(config).execute(&ds, &test_config());
+        // Every cluster's first solve panics, so both workers die after
+        // two caught panics each with clusters still queued: only the
+        // orchestrator's recovery lane is left to claim them.
+        let chaotic = Runtime::new(RuntimeConfig::with_workers(2)).execute(&ds, &test_config());
         chaotic.report.check_invariants().unwrap();
         assert_eq!(
             chaotic.report.workers.len(),

@@ -15,15 +15,13 @@
 //!   [`cnc_baselines::local`]'s partial solvers;
 //! * each worker merges the partial per-user neighbour lists straight
 //!   into one shared `n × k` neighbour arena ([`cnc_graph::SharedKnnGraph`],
-//!   Algorithm 3 under per-row locks) — or, above the configured
-//!   [`SpillMode`] threshold, appends them to its own **spill file** in a
-//!   length-prefixed binary format, replayed into the same arena once the
-//!   worker is done (the out-of-core lane of a real MapReduce, in
-//!   miniature); the arena then freezes in place into the
-//!   [`cnc_graph::KnnGraph`];
-//! * idle workers **steal** queued clusters from the most-loaded peer
-//!   (configurable via [`StealPolicy`]), absorbing stragglers the static
-//!   LPT plan cannot predict.
+//!   Algorithm 3 under per-row locks) — or, under [`SpillMode::Always`],
+//!   appends them to its own **spill file** in a length-prefixed binary
+//!   format, replayed into the same arena once the worker is done (the
+//!   out-of-core lane of a real MapReduce, in miniature); the arena then
+//!   freezes in place into the [`cnc_graph::KnnGraph`];
+//! * an idle worker **steals** half the queue of the most-loaded peer,
+//!   absorbing stragglers the static LPT plan cannot predict.
 //!
 //! The run produces a [`RuntimeReport`] with *measured* per-worker busy
 //! time, makespan, imbalance and spill traffic, so the bench layer can
@@ -47,7 +45,7 @@ pub mod engine;
 pub mod report;
 pub mod shuffle;
 
-pub use config::{RuntimeConfig, SpillMode, StealPolicy};
+pub use config::{RuntimeConfig, SpillMode};
 pub use engine::{IncrementalShardedResult, Runtime, ShardedResult};
 pub use report::{RuntimeReport, WorkerStats};
 pub use shuffle::ShuffleError;

@@ -118,8 +118,8 @@ impl RuntimeReport {
         self.measured_makespan().as_secs_f64() / ideal
     }
 
-    /// Total clusters stolen across workers (0 under
-    /// [`StealPolicy::Disabled`](crate::StealPolicy::Disabled)).
+    /// Total clusters idle workers took from a peer's queue; the
+    /// recovery lane's sweep of dead workers' leftovers counts too.
     pub fn stolen_clusters(&self) -> usize {
         self.workers.iter().map(|w| w.stolen).sum()
     }
@@ -134,20 +134,6 @@ impl RuntimeReport {
     /// hard-failed (0 on a fault-free run).
     pub fn rerouted_spill_records(&self) -> u64 {
         self.workers.iter().map(|w| w.spill_rerouted).sum()
-    }
-
-    /// The executed assignment as sorted cluster-index lists per worker —
-    /// directly comparable with [`DeploymentPlan::assignments`] (which the
-    /// engine also keeps sorted-insertion-free; sort before comparing).
-    pub fn executed_assignments(&self) -> Vec<Vec<usize>> {
-        self.workers
-            .iter()
-            .map(|w| {
-                let mut c = w.clusters.clone();
-                c.sort_unstable();
-                c
-            })
-            .collect()
     }
 
     /// Encoded bytes that went through spill files (0 when the spill mode

@@ -15,10 +15,11 @@
 //! Sequence numbers, not mtimes, order epochs: the publisher scans for
 //! the highest existing `epoch-<seq>.snap` on startup and continues from
 //! there, so restarts never publish backwards; the adopter remembers the
-//! last sequence it adopted and only moves forward. A published file
-//! that fails to open is quarantined (same policy as
-//! [`load_newest_valid`](crate::snapshot::load_newest_valid)) and the
-//! adopter falls back to the next-newest candidate.
+//! last sequence it adopted and only moves forward. Loading a published
+//! file follows one policy ([`SnapshotAdopter::poll`]): transient I/O is
+//! retried with backoff, a file whose bytes are condemned is quarantined,
+//! a file from a newer format version is left in place, and the adopter
+//! falls back to the next-newest candidate.
 
 use crate::mmap::AdoptedSnapshot;
 use crate::server::ServingEngine;
@@ -26,6 +27,12 @@ use crate::snapshot::{quarantine_snapshot, sweep_temp_files, SnapshotError};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Open attempts per candidate file in [`SnapshotAdopter::poll`] before a
+/// transient I/O error is treated as fatal for that candidate. Far above
+/// the fault schedule's maximum failure budget (12), so injected faults
+/// always drain first.
+const SNAPSHOT_LOAD_ATTEMPTS: u32 = 16;
 
 /// The file-name prefix/suffix of published epochs.
 const EPOCH_PREFIX: &str = "epoch-";
@@ -144,9 +151,19 @@ impl SnapshotAdopter {
 
     /// Opens the newest published snapshot strictly newer than the last
     /// adopted one, without touching an engine. `Ok(None)` when there is
-    /// nothing new. Candidates that fail to open are quarantined and the
-    /// scan falls back to the next-newest; an error is returned only
-    /// when every new candidate fails.
+    /// nothing new. Each candidate, newest first, is opened under one
+    /// policy:
+    ///
+    /// * a transient I/O error backs off and retries (capped exponential,
+    ///   up to 16 attempts) and never condemns the file;
+    /// * a verdict on the bytes — truncation, bad magic, a checksum
+    ///   mismatch, a corrupt or missing section — quarantines the file
+    ///   ([`quarantine_snapshot`]), since re-reading them cannot help;
+    /// * version skew leaves the file in place: a newer build wrote it,
+    ///   and it is unreadable here, not corrupt.
+    ///
+    /// A candidate that fails makes the scan fall back to the next-newest;
+    /// the last error is returned only when every new candidate fails.
     pub fn poll(&mut self) -> Result<Option<(u64, AdoptedSnapshot)>, SnapshotError> {
         let mut candidates: Vec<u64> = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
@@ -160,13 +177,16 @@ impl SnapshotAdopter {
         candidates.sort_unstable_by(|a, b| b.cmp(a));
         let mut last_err = None;
         for seq in candidates {
-            match AdoptedSnapshot::open(seq_path(&self.dir, seq)) {
+            let path = seq_path(&self.dir, seq);
+            match open_with_retry(&path) {
                 Ok(adopted) => {
                     self.last_adopted = Some(seq);
                     return Ok(Some((seq, adopted)));
                 }
                 Err(error) => {
-                    let _ = quarantine_snapshot(seq_path(&self.dir, seq));
+                    if condemns_bytes(&error) {
+                        let _ = quarantine_snapshot(&path);
+                    }
                     last_err = Some(error);
                 }
             }
@@ -188,5 +208,145 @@ impl SnapshotAdopter {
             }
             None => Ok(None),
         }
+    }
+}
+
+/// [`AdoptedSnapshot::open`] with bounded retries: an I/O error that does
+/// not condemn the bytes is transient, backs off and retries; any other
+/// verdict returns at once.
+fn open_with_retry(path: &Path) -> Result<AdoptedSnapshot, SnapshotError> {
+    let mut attempt = 0;
+    loop {
+        match AdoptedSnapshot::open(path) {
+            Err(error @ SnapshotError::Io(_))
+                if !condemns_bytes(&error) && attempt + 1 < SNAPSHOT_LOAD_ATTEMPTS =>
+            {
+                cnc_faults::backoff(attempt, 20, 2_000);
+                attempt += 1;
+            }
+            other => return other,
+        }
+    }
+}
+
+/// True for open errors that condemn the *bytes* (quarantine material)
+/// rather than the read path: truncation, bad magic, checksum or
+/// structural failures. Version skew is deliberately excluded — a
+/// snapshot from a newer build is not corrupt, just unreadable here.
+fn condemns_bytes(error: &SnapshotError) -> bool {
+    match error {
+        SnapshotError::Io(e) => e.kind() == io::ErrorKind::UnexpectedEof,
+        SnapshotError::BadMagic(_)
+        | SnapshotError::ChecksumMismatch { .. }
+        | SnapshotError::Corrupt(_)
+        | SnapshotError::MissingSection(_) => true,
+        SnapshotError::UnsupportedVersion(_) => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::tests::{build, fresh_dir};
+    use crate::snapshot::Snapshot;
+    use cnc_faults::{FaultPlan, Faults, Site};
+
+    /// The adopted state is the published one: same profiles, same rows
+    /// down to the similarity bits.
+    fn assert_adopts(adopted: &AdoptedSnapshot, published: &Snapshot) {
+        let bits = |list: &[cnc_graph::Neighbor]| -> Vec<(u32, u32)> {
+            list.iter().map(|n| (n.user, n.sim.to_bits())).collect()
+        };
+        assert_eq!(adopted.dataset, published.dataset);
+        for (u, list) in published.graph.iter() {
+            let adopted_row = adopted.graph.neighbors(u);
+            assert_eq!(bits(adopted_row.as_slice()), bits(list.as_slice()), "user {u}");
+        }
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn poll_retries_transient_faults_and_leaves_version_skew_in_place() {
+        let _serial = crate::fault_lock();
+        let dir = fresh_dir("poll-policy");
+        let epoch = build(61);
+        epoch.write(seq_path(&dir, 0)).unwrap();
+
+        // Both load paths fail 1–3 times for this file: the map, then the
+        // copy it falls back to, whose error is the open's.
+        let faults = Faults::global();
+        let plan = FaultPlan::new(7, 1.0).only(&[Site::SnapshotMmap, Site::SnapshotLoad]);
+        let guard = faults.arm(plan.with_span(3));
+        let mut adopter = SnapshotAdopter::new(&dir);
+        let (seq, adopted) = adopter.poll().unwrap().expect("epoch 0 is new");
+        // Each injected copy-path failure was an open that failed outright;
+        // the poll outlasted them without condemning the good bytes.
+        assert!(faults.injected(Site::SnapshotMmap) > 0, "the map never failed");
+        assert!(faults.injected(Site::SnapshotLoad) > 0, "no open ever failed");
+        drop(guard);
+        assert_eq!(seq, 0);
+        assert_adopts(&adopted, &epoch);
+        assert_eq!(names(&dir), ["epoch-0.snap"], "transient I/O must never condemn a file");
+
+        // A newer epoch from a newer format version is unreadable here,
+        // not corrupt: the scan falls back to the older valid epoch and
+        // leaves the newer file for a build that can read it.
+        let mut bytes = Vec::new();
+        build(62).write_to(&mut bytes).unwrap();
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        fs::write(seq_path(&dir, 2), &bytes).unwrap();
+        build(63).write(seq_path(&dir, 1)).unwrap();
+        let (seq, _) = adopter.poll().unwrap().expect("epoch 1 is new");
+        assert_eq!(seq, 1);
+        assert_eq!(names(&dir), ["epoch-0.snap", "epoch-1.snap", "epoch-2.snap"]);
+        // Until then every poll reports the skew, and still moves nothing.
+        assert!(matches!(adopter.poll(), Err(SnapshotError::UnsupportedVersion(3))));
+        assert_eq!(adopter.last_adopted(), Some(1));
+        assert_eq!(names(&dir), ["epoch-0.snap", "epoch-1.snap", "epoch-2.snap"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn poll_quarantines_corrupt_epochs_and_falls_back() {
+        let _calm = crate::no_faults();
+        let dir = fresh_dir("poll-quarantine");
+        let mut adopter = SnapshotAdopter::new(&dir);
+        assert!(adopter.poll().unwrap().is_none(), "an empty directory has nothing new");
+
+        let old = build(51);
+        old.write(seq_path(&dir, 0)).unwrap();
+        // A dead writer's leftover temp file…
+        fs::write(dir.join("epoch-1.snap.tmp-99999-0"), b"partial").unwrap();
+        // …and a *newer* epoch whose payload rotted.
+        let mut bytes = Vec::new();
+        build(52).write_to(&mut bytes).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        fs::write(seq_path(&dir, 1), &bytes).unwrap();
+
+        let (seq, adopted) = adopter.poll().unwrap().expect("epoch 0 still loads");
+        assert_eq!(seq, 0, "the scan must fall back to the valid epoch");
+        assert_adopts(&adopted, &old);
+        let after = names(&dir);
+        assert!(!after.contains(&"epoch-1.snap".to_string()), "corrupt epoch kept: {after:?}");
+        assert!(
+            after.iter().any(|n| n.starts_with("epoch-1.snap.quarantine-")),
+            "quarantine rename missing: {after:?}"
+        );
+        // Temp litter is never a candidate; taking the directory over as
+        // its publisher sweeps it.
+        assert!(after.contains(&"epoch-1.snap.tmp-99999-0".to_string()), "{after:?}");
+        assert!(adopter.poll().unwrap().is_none(), "a quarantined file is no candidate");
+        SnapshotPublisher::open(&dir).unwrap();
+        assert!(!names(&dir).iter().any(|n| n.contains(".tmp-")), "temp litter not swept");
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

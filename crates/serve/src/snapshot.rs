@@ -590,8 +590,9 @@ pub fn write_snapshot_parts_to<W: Write>(
 /// another still-running one) are left alone, so concurrent writers to
 /// one path stay independent: per-call unique temp names and the atomic
 /// rename guarantee the destination is always a complete snapshot.
-/// Same-process crash litter is collected by the directory-maintenance
-/// paths instead ([`sweep_temp_files`], [`load_newest_valid`]).
+/// Same-process crash litter is collected by directory maintenance
+/// instead ([`sweep_temp_files`], which
+/// [`SnapshotPublisher::open`](crate::SnapshotPublisher::open) runs).
 pub fn write_snapshot(
     dataset: &Dataset,
     graph: &KnnGraph,
@@ -730,8 +731,8 @@ pub fn sweep_temp_files(dir: impl AsRef<Path>) -> io::Result<usize> {
 }
 
 /// Moves a snapshot that failed validation aside as
-/// `<name>.quarantine-<pid>-<n>`, so the directory's newest-valid scan
-/// never re-reads it and an operator can post-mortem the bytes; returns
+/// `<name>.quarantine-<pid>-<n>`, so the adopter's directory scan
+/// ([`SnapshotAdopter::poll`](crate::SnapshotAdopter::poll)) never re-reads it and an operator can post-mortem the bytes; returns
 /// the quarantine path. Counted in `cnc_quarantined_snapshots_total`.
 pub fn quarantine_snapshot(path: impl AsRef<Path>) -> io::Result<PathBuf> {
     static QUARANTINE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -749,92 +750,6 @@ pub fn quarantine_snapshot(path: impl AsRef<Path>) -> io::Result<PathBuf> {
         telemetry.counter("cnc_quarantined_snapshots_total", &[]).inc();
     }
     Ok(target)
-}
-
-/// Load attempts per candidate file in [`load_newest_valid`] before a
-/// transient I/O error is treated as fatal for that candidate. Far above
-/// the fault schedule's maximum failure budget (12), so injected faults
-/// always drain first.
-const SNAPSHOT_LOAD_ATTEMPTS: u32 = 16;
-
-/// [`Snapshot::load`] with bounded retries: transient I/O errors back off
-/// and retry (capped exponential); structural verdicts — corrupt bytes,
-/// bad magic, truncation — return immediately, because re-reading the
-/// same bytes cannot change them.
-pub fn load_snapshot_with_retry(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
-    let path = path.as_ref();
-    let mut attempt = 0;
-    loop {
-        match Snapshot::load(path) {
-            Err(SnapshotError::Io(e))
-                if e.kind() != io::ErrorKind::UnexpectedEof
-                    && attempt + 1 < SNAPSHOT_LOAD_ATTEMPTS =>
-            {
-                cnc_faults::backoff(attempt, 20, 2_000);
-                attempt += 1;
-            }
-            other => return other,
-        }
-    }
-}
-
-/// True for load errors that condemn the *bytes* (quarantine material)
-/// rather than the read path: truncation, bad magic, checksum or
-/// structural failures. Version skew is deliberately excluded — a
-/// snapshot from a newer build is not corrupt, just unreadable here.
-fn condemns_bytes(error: &SnapshotError) -> bool {
-    match error {
-        SnapshotError::Io(e) => e.kind() == io::ErrorKind::UnexpectedEof,
-        SnapshotError::BadMagic(_)
-        | SnapshotError::ChecksumMismatch { .. }
-        | SnapshotError::Corrupt(_)
-        | SnapshotError::MissingSection(_) => true,
-        SnapshotError::UnsupportedVersion(_) => false,
-    }
-}
-
-/// Loads the newest valid snapshot in `dir`: sweeps stale temp files,
-/// then tries every regular file newest-first (mtime, then name, so the
-/// order is total). Files that fail validation are renamed aside
-/// ([`quarantine_snapshot`]) and the scan falls back to the next-newest
-/// candidate; transient I/O errors retry with capped backoff and are
-/// *not* quarantine grounds. Returns the winning path alongside the
-/// snapshot, or the last error when nothing in the directory loads.
-pub fn load_newest_valid(dir: impl AsRef<Path>) -> Result<(PathBuf, Snapshot), SnapshotError> {
-    let dir = dir.as_ref();
-    sweep_temp_files(dir)?;
-    let mut candidates: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.contains(".tmp-") || name.contains(".quarantine-") {
-            continue;
-        }
-        let meta = entry.metadata()?;
-        if !meta.is_file() {
-            continue;
-        }
-        candidates
-            .push((meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH), entry.path()));
-    }
-    candidates.sort_by(|a, b| b.cmp(a));
-    let mut last_err = SnapshotError::Io(io::Error::new(
-        io::ErrorKind::NotFound,
-        format!("no snapshot candidates in {}", dir.display()),
-    ));
-    for (_, path) in candidates {
-        match load_snapshot_with_retry(&path) {
-            Ok(snapshot) => return Ok((path, snapshot)),
-            Err(error) => {
-                if condemns_bytes(&error) {
-                    let _ = quarantine_snapshot(&path);
-                }
-                last_err = error;
-            }
-        }
-    }
-    Err(last_err)
 }
 
 /// Largest neighbourhood bound a snapshot may declare: an untrusted `k`
@@ -1076,13 +991,13 @@ fn read_memberships(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cnc_baselines::{BruteForce, BuildContext, KnnAlgorithm};
     use cnc_dataset::SyntheticConfig;
     use cnc_similarity::{SimilarityBackend, SimilarityData};
 
-    fn build(seed: u64) -> Snapshot {
+    pub(crate) fn build(seed: u64) -> Snapshot {
         let mut cfg = SyntheticConfig::small(seed);
         cfg.num_users = 150;
         cfg.num_items = 120;
@@ -1300,7 +1215,7 @@ mod tests {
             .collect()
     }
 
-    fn fresh_dir(tag: &str) -> PathBuf {
+    pub(crate) fn fresh_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cnc-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
@@ -1361,69 +1276,6 @@ mod tests {
         assert!(!temp_files(&dir).is_empty(), "the schedule left no crash litter to sweep");
         sweep_temp_files(&dir).unwrap();
         assert!(temp_files(&dir).is_empty(), "directory maintenance must sweep crash litter");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn newest_valid_scan_quarantines_corrupt_files_and_falls_back() {
-        let _serial = crate::fault_lock();
-        let dir = fresh_dir("snap-dir");
-        match load_newest_valid(&dir) {
-            Err(SnapshotError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::NotFound),
-            other => panic!("empty dir must report NotFound, got {other:?}"),
-        }
-
-        let old = build(51);
-        old.write(dir.join("old.snap")).unwrap();
-        // The scan orders candidates by modification time, which the file
-        // system keeps at a coarse tick: two writes in one tick would tie
-        // and fall back to name order. Age the valid file explicitly.
-        let an_hour_ago = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
-        let file = fs::File::options().write(true).open(dir.join("old.snap")).unwrap();
-        file.set_modified(an_hour_ago).unwrap();
-        // A dead writer's leftover temp file…
-        fs::write(dir.join("new.snap.tmp-99999-0"), b"partial").unwrap();
-        // …and a *newer* snapshot whose payload rotted.
-        let mut bytes = Vec::new();
-        build(52).write_to(&mut bytes).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 1;
-        fs::write(dir.join("new.snap"), &bytes).unwrap();
-
-        let (path, snap) = load_newest_valid(&dir).unwrap();
-        assert_eq!(path, dir.join("old.snap"), "the scan must fall back to the valid file");
-        assert_identical(&old, &snap);
-        assert!(!dir.join("new.snap").exists(), "the corrupt file must be moved aside");
-        let names: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            names.iter().any(|n| n.starts_with("new.snap.quarantine-")),
-            "quarantine rename missing: {names:?}"
-        );
-        assert!(!names.iter().any(|n| n.contains(".tmp-")), "temp litter not swept: {names:?}");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn injected_load_faults_drain_under_retry() {
-        let _serial = crate::fault_lock();
-        let dir = fresh_dir("snap-load-retry");
-        let path = dir.join("epoch.snap");
-        let snap = build(61);
-        snap.write(&path).unwrap();
-        let faults = Faults::global();
-        let _guard =
-            faults.arm(cnc_faults::FaultPlan::new(7, 1.0).only(&[Site::SnapshotLoad]).with_span(3));
-        // Unretried loads fail while the budget lasts…
-        assert!(matches!(Snapshot::load(&path), Err(SnapshotError::Io(_))));
-        // …but the retrying loader outlasts it without quarantining the
-        // perfectly good bytes.
-        let back = load_snapshot_with_retry(&path).unwrap();
-        assert_identical(&snap, &back);
-        assert!(path.exists(), "transient I/O must never condemn the file");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,7 +4,7 @@
 //! every KNN-graph algorithm it studies (Brute Force, Hyrec, NNDescent, LSH,
 //! C²) differs only in *which pairs* it compares. This crate provides:
 //!
-//! * [`jaccard`] / [`cosine`] — exact set similarities over sorted profiles;
+//! * [`jaccard`] — exact set similarity over sorted profiles;
 //! * [`hash`] — a seeded family of fast 64-bit avalanche hash functions
 //!   (SplitMix64 finalizer), the stand-in for the paper's Jenkins hash;
 //! * [`goldfinger`] — the GoldFinger compact fingerprint (Guerraoui et al.,
@@ -22,7 +22,6 @@
 //!   comparison accounting batched into one flush.
 
 pub mod backend;
-pub mod cosine;
 pub mod goldfinger;
 pub mod hash;
 pub mod jaccard;

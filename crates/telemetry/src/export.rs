@@ -1,7 +1,7 @@
-//! Exporters: Prometheus text exposition, JSON run profiles, and Chrome
-//! `trace_event` JSON (Perfetto-loadable).
+//! Exporters: JSON run profiles and Chrome `trace_event` JSON
+//! (Perfetto-loadable).
 //!
-//! All three are string builders over registry/collector snapshots — no
+//! Both are string builders over registry/collector snapshots — no
 //! serde (offline-build constraint), so JSON strings are escaped by hand
 //! and every number is emitted through `format!`.
 
@@ -9,7 +9,7 @@ use crate::metrics::{Histogram, MetricsRegistry};
 use crate::span::{SpanCollector, SpanRecord};
 use std::fmt::Write as _;
 
-/// Quantiles rendered in the text exposition and JSON profile.
+/// Quantiles rendered in the JSON profile.
 pub const EXPORT_QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
 
 fn escape_json(s: &str) -> String {
@@ -36,42 +36,6 @@ fn json_labels(labels: &[(String, String)]) -> String {
         .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
         .collect();
     format!("{{{}}}", pairs.join(","))
-}
-
-/// Renders the registry in Prometheus text exposition format. Histograms
-/// are rendered as summaries: `_count`, `_sum` and `{quantile="..."}`
-/// sample lines.
-pub fn prometheus_text(registry: &MetricsRegistry) -> String {
-    let mut out = String::new();
-    for (key, value) in registry.counter_values() {
-        let _ = writeln!(out, "# TYPE {} counter", key.name);
-        let _ = writeln!(out, "{} {}", key.render(), value);
-    }
-    for (key, value) in registry.gauge_values() {
-        let _ = writeln!(out, "# TYPE {} gauge", key.name);
-        let _ = writeln!(out, "{} {}", key.render(), value);
-    }
-    for (key, hist) in registry.histogram_handles() {
-        let _ = writeln!(out, "# TYPE {} summary", key.name);
-        for (q, label) in EXPORT_QUANTILES {
-            let mut labels = key.labels.clone();
-            labels.push(("quantile".to_string(), label.to_string()));
-            let rendered: Vec<String> =
-                labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-            let _ = writeln!(out, "{}{{{}}} {}", key.name, rendered.join(","), hist.quantile(q));
-        }
-        let _ = writeln!(out, "{}_sum{} {}", key.name, suffix_labels(&key.labels), hist.sum());
-        let _ = writeln!(out, "{}_count{} {}", key.name, suffix_labels(&key.labels), hist.count());
-    }
-    out
-}
-
-fn suffix_labels(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let rendered: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-    format!("{{{}}}", rendered.join(","))
 }
 
 fn json_histogram(hist: &Histogram) -> String {
@@ -203,18 +167,6 @@ mod tests {
         let collector = SpanCollector::new();
         collector.record_complete("publish", 0, 5_000, vec![("bytes", 64)]);
         (registry, collector)
-    }
-
-    #[test]
-    fn prometheus_text_has_all_sample_lines() {
-        let (registry, _) = seeded();
-        let text = prometheus_text(&registry);
-        assert!(text.contains("# TYPE cnc_queries_total counter"));
-        assert!(text.contains("cnc_queries_total{outcome=\"served\"} 12"));
-        assert!(text.contains("cnc_epoch 3"));
-        assert!(text.contains("cnc_query_latency_ns{quantile=\"0.5\"}"));
-        assert!(text.contains("cnc_query_latency_ns_count 4"));
-        assert!(text.contains("cnc_query_latency_ns_sum 1500"));
     }
 
     #[test]

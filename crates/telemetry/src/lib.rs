@@ -17,13 +17,12 @@
 //!     span.attr("clusters", 128);
 //! } // recorded on drop
 //! t.counter("cnc_build_comparisons_total", &[]).add(1_000);
-//! println!("{}", t.prometheus_text());
+//! println!("{}", t.json_profile());
 //! # t.reset();
 //! # t.enable(false);
 //! ```
 //!
-//! Exports: [`Telemetry::prometheus_text`] (scrape-style exposition),
-//! [`Telemetry::json_profile`] (run profile written next to
+//! Exports: [`Telemetry::json_profile`] (run profile written next to
 //! `BENCH_*.json`), [`Telemetry::chrome_trace`] (Perfetto-loadable).
 //!
 //! The registry is *global and cumulative*: parallel tests and repeated
@@ -163,11 +162,6 @@ impl Telemetry {
         self.collector.summary()
     }
 
-    /// Prometheus text exposition of the registry.
-    pub fn prometheus_text(&self) -> String {
-        export::prometheus_text(&self.registry)
-    }
-
     /// JSON run profile (counters, gauges, histograms, span summary).
     pub fn json_profile(&self) -> String {
         export::json_profile(&self.registry, &self.collector)
@@ -264,9 +258,9 @@ mod tests {
         t.enable(true);
         t.counter("demo_total", &[]).add(4);
         t.histogram("demo_ns", &[]).record(123);
-        let text = export::prometheus_text(t.registry());
-        assert!(text.contains("demo_total 4"));
-        assert!(text.contains("demo_ns_count 1"));
+        let json = t.json_profile();
+        assert!(json.contains("{\"name\": \"demo_total\", \"labels\": {}, \"value\": 4}"));
+        assert!(json.contains("\"name\": \"demo_ns\", \"labels\": {}, \"stats\": {\"count\":1,"));
         t.reset();
         assert_eq!(t.counter("demo_total", &[]).value(), 0);
     }

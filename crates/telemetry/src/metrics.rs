@@ -363,15 +363,6 @@ impl MetricKey {
         labels.sort();
         MetricKey { name: name.to_string(), labels }
     }
-
-    /// Renders `name{k="v",...}` (bare name when unlabeled).
-    pub fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.clone();
-        }
-        let labels: Vec<String> = self.labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-        format!("{}{{{}}}", self.name, labels.join(","))
-    }
 }
 
 /// The registry of declared metric families. Registration takes a lock
@@ -589,7 +580,7 @@ mod tests {
         assert_eq!(a.value(), 3);
         let values = reg.counter_values();
         assert_eq!(values.len(), 2);
-        assert_eq!(values[0].0.render(), "x_total{k=\"v\"}");
+        assert_eq!(values[0].0, MetricKey::new("x_total", &[("k", "v")]));
         assert_eq!(values[0].1, 3);
         assert_eq!(values[1].1, 10);
     }

@@ -44,12 +44,8 @@ fn main() {
     );
 
     // Sharded build: 4 map workers, each spilling its partial lists to
-    // disk once it has handed over 64 KiB.
-    let runtime = RuntimeConfig {
-        workers: 4,
-        steal: StealPolicy::MostLoaded,
-        spill: SpillMode::Auto(64 * 1024),
-    };
+    // disk and replaying them once it is done.
+    let runtime = RuntimeConfig { workers: 4, spill: SpillMode::Always };
     let sharded = Runtime::new(runtime).execute(&dataset, builder.config());
     let report = &sharded.report;
 

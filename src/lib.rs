@@ -42,7 +42,7 @@ pub mod prelude {
     pub use cnc_faults::{FaultPlan, Faults};
     pub use cnc_graph::{EntryIndex, KnnGraph};
     pub use cnc_query::{BeamSearchConfig, DynamicIndex, QueryIndex};
-    pub use cnc_runtime::{Runtime, RuntimeConfig, SpillMode, StealPolicy};
+    pub use cnc_runtime::{Runtime, RuntimeConfig, SpillMode};
     pub use cnc_serve::{ServingConfig, ServingEngine, Snapshot};
     pub use cnc_similarity::{GoldFinger, Jaccard, SimilarityBackend};
     pub use cnc_telemetry::Telemetry;

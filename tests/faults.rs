@@ -82,7 +82,7 @@ fn chaos_case(fault_seed: u64, p: f64, workers: usize, spill: SpillMode) {
     silence_injected_panics();
     let dataset = chaos_dataset();
     let c2 = c2_config();
-    let config = RuntimeConfig { workers, spill, ..Default::default() };
+    let config = RuntimeConfig { workers, spill };
     let runtime = Runtime::new(config);
     let label = format!("fault_seed={fault_seed} p={p:.2} workers={workers} spill={spill:?}");
     let clean = runtime.execute(dataset, &c2);

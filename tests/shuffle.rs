@@ -41,8 +41,8 @@ fn every_configuration_reproduces_the_single_process_graph() {
     let ds = dataset();
     let single = ClusterAndConquer::new(c2_config()).build(&ds);
     for workers in [1usize, 2, 4] {
-        for spill in [SpillMode::Off, SpillMode::Auto(2_048), SpillMode::Always] {
-            let config = RuntimeConfig { workers, spill, ..RuntimeConfig::default() };
+        for spill in [SpillMode::Off, SpillMode::Always] {
+            let config = RuntimeConfig { workers, spill };
             let sharded = Runtime::new(config).execute(&ds, &c2_config());
             let report = &sharded.report;
             let label = format!("W={workers} spill={spill:?}");
@@ -63,11 +63,6 @@ fn every_configuration_reproduces_the_single_process_graph() {
                     assert_eq!(spilled, 0, "{label}");
                     assert!(report.spill_dir.is_none(), "{label}");
                 }
-                SpillMode::Auto(_) => {
-                    // Each worker merges its stream's head in memory and
-                    // spills the tail once it has handed over 2 KiB.
-                    assert!(0 < spilled && spilled < report.shuffle_entries, "{label}: {spilled}");
-                }
                 SpillMode::Always => {
                     // The acceptance criterion: a spilling build really
                     // routes bytes through files.
@@ -84,7 +79,7 @@ fn every_configuration_reproduces_the_single_process_graph() {
 #[test]
 fn sharded_builds_are_reproducible() {
     let ds = dataset();
-    let config = RuntimeConfig { workers: 3, spill: SpillMode::Always, ..RuntimeConfig::default() };
+    let config = RuntimeConfig { workers: 3, spill: SpillMode::Always };
     let a = Runtime::new(config).execute(&ds, &c2_config());
     let b = Runtime::new(config).execute(&ds, &c2_config());
     assert_eq!(a.report.shuffle_entries, b.report.shuffle_entries);
@@ -97,7 +92,7 @@ fn sharded_builds_are_reproducible() {
 #[test]
 fn spill_directory_is_cleaned_up() {
     let ds = dataset();
-    let config = RuntimeConfig { workers: 2, spill: SpillMode::Always, ..RuntimeConfig::default() };
+    let config = RuntimeConfig { workers: 2, spill: SpillMode::Always };
     let result = Runtime::new(config).execute(&ds, &c2_config());
     let dir = result.report.spill_dir.as_ref().expect("spilling build records its dir");
     assert!(!dir.exists(), "{} must be removed after the build", dir.display());
