@@ -58,9 +58,6 @@ const FIDELITY_NOTES: &str = "\
 ";
 
 fn main() {
-    // The scaling section's distributed sweep re-execs this binary as
-    // its worker fleet.
-    cnc_distrib::maybe_run_worker();
     let args = HarnessArgs::from_env();
     let started = std::time::Instant::now();
 
@@ -77,7 +74,7 @@ fn main() {
     );
 
     type Runner = fn(&HarnessArgs) -> String;
-    let sections: [(&str, Runner); 10] = [
+    let sections: [(&str, Runner); 9] = [
         ("table1", experiments::table1::run),
         ("table2", experiments::table2::run),
         ("table3", experiments::table3::run),
@@ -87,7 +84,6 @@ fn main() {
         ("fig7", experiments::fig7::run),
         ("fig8", experiments::fig8::run),
         ("theory", experiments::theory::run),
-        ("scaling", experiments::scaling::run),
     ];
     for (name, runner) in sections {
         eprintln!("=== {name} ===");

@@ -5,7 +5,6 @@
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod scaling;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -2,7 +2,7 @@
 //!
 //! The in-process engine runs the map stage over threads, merging into
 //! one shared arena; this crate runs a map/shuffle/reduce decomposition
-//! over worker **processes** — the bench binary re-exec'd in
+//! over worker **processes** — the current binary re-exec'd in
 //! `--distrib-worker` mode — with the runtime's spill codec as the wire
 //! format. Map workers solve their assigned clusters and ship partial
 //! neighbour lists, routed by [`partition_of`], to the coordinator's

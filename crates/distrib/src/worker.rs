@@ -38,7 +38,7 @@ pub const MAX_SOLVE_ATTEMPTS: u32 = 3;
 
 /// Checks the environment/arguments for worker mode and, if present,
 /// runs the worker protocol and **never returns**. Binaries that a
-/// distributed coordinator may re-exec (the bench binaries, the distrib
+/// distributed coordinator may re-exec (the `perf` benchmark, the distrib
 /// test runner) call this first thing in `main`, before touching stdout.
 pub fn maybe_run_worker() {
     let flagged = std::env::args().any(|a| a == "--distrib-worker")

@@ -170,7 +170,8 @@ impl FaultPlan {
         self
     }
 
-    /// Parses a `--faults` spec: comma-separated `key=value` pairs.
+    /// Parses a fault spec, the form [`FaultPlan::spec`] renders:
+    /// comma-separated `key=value` pairs.
     ///
     /// ```text
     /// seed=42,p=0.02                 all sites, 2% per key, span 4

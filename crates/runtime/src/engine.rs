@@ -254,37 +254,21 @@ impl Runtime {
 
     /// Builds the KNN graph of `dataset` under `c2` on `W` worker shards,
     /// materializing the similarity backend declared in the configuration
-    /// (GoldFinger fingerprints are built in parallel on the map workers).
+    /// (GoldFinger fingerprints are built in parallel on the map workers):
+    /// stage 1 assigns the [`BuildPlan`], then every cluster is solved on
+    /// the map shards, each merging into the shared arena (Algorithms 2 +
+    /// 3).
     ///
     /// # Panics
     /// Panics if `c2` is invalid.
     pub fn execute(&self, dataset: &Dataset, c2: &C2Config) -> ShardedResult {
-        let start = Instant::now();
-        let sim =
-            SimilarityData::build_parallel(c2.backend, dataset, self.config.effective_workers());
-        self.execute_with(dataset, &sim, c2, start)
-    }
-
-    /// Builds the graph against an externally-provided similarity oracle
-    /// (shares fingerprints across runs, as the bench harness does):
-    /// stage 1 assigns the [`BuildPlan`], then every cluster is solved on
-    /// the map shards, each merging into the shared arena (Algorithms 2 +
-    /// 3).
-    pub fn execute_with(
-        &self,
-        dataset: &Dataset,
-        sim: &SimilarityData<'_>,
-        c2: &C2Config,
-        start: Instant,
-    ) -> ShardedResult {
         let telemetry = Telemetry::global();
-        let comparisons_before = sim.comparisons();
         let workers = self.config.effective_workers();
+        let sim = SimilarityData::build_parallel(c2.backend, dataset, workers);
         let n = dataset.num_users();
 
         // --- Stage 1: assignment, identical to the in-process pipeline ---
         let plan = BuildPlan::assign(c2, dataset);
-        let clustering_wall = start.elapsed();
         let clusters = plan.clusters();
         let map_reduce_start_ns = telemetry.stamp();
         let map_reduce_start = Instant::now();
@@ -311,7 +295,7 @@ impl Runtime {
         let ctx = MapContext {
             queues: &queues,
             clusters,
-            sim,
+            sim: &sim,
             c2,
             threshold: c2.brute_force_threshold(),
             spill: self.config.spill,
@@ -333,10 +317,8 @@ impl Runtime {
             spill: self.config.spill,
             spill_dir: spill_dir_path,
             splits: plan.splits(),
-            comparisons: sim.comparisons() - comparisons_before,
-            clustering_wall,
+            comparisons: sim.comparisons(),
             map_reduce_wall,
-            total_wall: start.elapsed(),
         };
         if cfg!(debug_assertions) {
             report.check_invariants().expect("runtime report accounting violated");
@@ -885,7 +867,6 @@ mod tests {
         let report = &result.report;
         report.check_invariants().unwrap();
         assert!(report.comparisons > 0);
-        assert!(report.total_wall >= report.map_reduce_wall);
         assert!(report.measured_speedup() >= 1.0 - 1e-9);
         assert!(report.measured_imbalance() >= 1.0 - 1e-9);
         let solved: u64 = report.workers.iter().map(|w| w.solved_cost).sum();
@@ -1049,9 +1030,7 @@ mod tests {
             spill_dir: Some(dir.path().to_path_buf()),
             splits: plan.splits(),
             comparisons: sim.comparisons(),
-            clustering_wall: Duration::ZERO,
             map_reduce_wall: Duration::ZERO,
-            total_wall: Duration::ZERO,
         };
 
         report.check_invariants().unwrap();

@@ -24,9 +24,8 @@
 //!   absorbing stragglers the static LPT plan cannot predict.
 //!
 //! The run produces a [`RuntimeReport`] with *measured* per-worker busy
-//! time, makespan, imbalance and spill traffic, so the bench layer can
-//! plot predicted-vs-measured speed-up from the cost model
-//! (`cargo run -p cnc-bench --release --bin scaling`).
+//! time, makespan, imbalance and spill traffic, next to the cost model's
+//! predicted figures (`cargo run --release --example sharded_build`).
 //!
 //! Every `(workers, spill)` combination produces exactly the
 //! single-process pipeline's graph — `tests/shuffle.rs` asserts the full

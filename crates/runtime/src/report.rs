@@ -73,12 +73,8 @@ pub struct RuntimeReport {
     pub splits: usize,
     /// Similarity computations performed during the run.
     pub comparisons: u64,
-    /// Wall-clock of Step 1 (clustering + fingerprint building).
-    pub clustering_wall: Duration,
     /// Wall-clock of the map stage, its merge and the spill replay.
     pub map_reduce_wall: Duration,
-    /// End-to-end wall-clock.
-    pub total_wall: Duration,
 }
 
 impl RuntimeReport {
@@ -264,9 +260,7 @@ mod tests {
             num_clusters: 2,
             splits: 0,
             comparisons: 100,
-            clustering_wall: Duration::from_millis(1),
             map_reduce_wall: Duration::from_millis(8),
-            total_wall: Duration::from_millis(9),
         }
     }
 
