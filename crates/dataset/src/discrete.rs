@@ -11,7 +11,10 @@
 //! exactly `k · 2⁻⁵³` with `k = next_u64() >> 11 < 2⁵³`, and scaling a
 //! probability in `[0, 1]` by 2⁵³ is exact, so `k < keep` is the same
 //! predicate as `coin < prob`: the table consumes the stream draw for
-//! draw as a float comparison would and returns the same index.
+//! draw as a float comparison would and returns the same index. The
+//! argument holds for any probability in `[0, 1]`, so the synthetic
+//! generator's affinity coin, `random::<f64>() < affinity`, is the integer
+//! test `k < ⌈affinity · 2⁵³⌉` too ([`coin_threshold`]).
 
 use rand::{Rng, RngExt};
 
@@ -21,14 +24,29 @@ use rand::{Rng, RngExt};
 /// variant of Walker's alias method.
 #[derive(Clone, Debug)]
 pub struct AliasTable {
-    /// Per column: the keep threshold in units of 2⁻⁵³ (the column keeps
-    /// its own index iff the 53-bit coin is below it), and the fallback
-    /// index when the coin rejects it.
-    columns: Vec<(u64, u32)>,
+    columns: Vec<Column>,
+}
+
+/// One column of an [`AliasTable`]: a draw that lands here returns `own`
+/// iff the 53-bit coin is below `keep`, and `alias` otherwise.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Column {
+    /// The column's probability as a threshold in units of 2⁻⁵³.
+    pub(crate) keep: u64,
+    /// The label of the column's own index.
+    pub(crate) own: u32,
+    /// The label of the fallback index.
+    pub(crate) alias: u32,
 }
 
 /// `2⁵³`, the resolution of the 53-bit coin.
 const COIN_SCALE: f64 = (1u64 << 53) as f64;
+
+/// `⌈min(p, 1) · 2⁵³⌉`: the 53-bit coin `k = word >> 11` satisfies
+/// `k < coin_threshold(p)` iff the `f64` coin `k · 2⁻⁵³` is below `p`.
+pub(crate) fn coin_threshold(p: f64) -> u64 {
+    (p.min(1.0) * COIN_SCALE).ceil() as u64
+}
 
 impl AliasTable {
     /// Builds the table from weights. Zero weights are allowed; at least one
@@ -38,13 +56,29 @@ impl AliasTable {
     /// Panics if `weights` is empty, contains a negative or non-finite value,
     /// or sums to zero.
     pub fn new(weights: &[f64]) -> Self {
+        Self::labelled(weights, |index| index)
+    }
+
+    /// Builds the table from weights, returning `label(i)` wherever
+    /// [`AliasTable::new`] returns index `i`: a draw from a pool is one
+    /// column read, with no lookup of the pool afterwards.
+    pub(crate) fn labelled(weights: &[f64], label: impl Fn(u32) -> u32) -> Self {
         let (prob, alias) = vose(weights);
-        let columns = prob
-            .iter()
-            .zip(alias)
-            .map(|(&p, a)| ((p.min(1.0) * COIN_SCALE).ceil() as u64, a))
+        let columns = (0..weights.len() as u32)
+            .zip(prob.iter().zip(alias))
+            .map(|(own, (&p, alias))| Column {
+                keep: coin_threshold(p),
+                own: label(own),
+                alias: label(alias),
+            })
             .collect();
         AliasTable { columns }
+    }
+
+    /// The columns, for a caller that draws from a look-ahead window of
+    /// the stream instead of through [`AliasTable::sample`].
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.columns
     }
 
     /// Size of the support, `n`.
@@ -59,15 +93,15 @@ impl AliasTable {
         self.columns.is_empty()
     }
 
-    /// Draws one index in `0..n` with probability proportional to its weight.
+    /// Draws one index in `0..n` (its label, for a labelled table) with
+    /// probability proportional to its weight.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        let column = rng.random_range(0..self.columns.len());
-        let (keep, alias) = self.columns[column];
-        if rng.next_u64() >> 11 < keep {
-            column as u32
+        let column = self.columns[rng.random_range(0..self.columns.len())];
+        if rng.next_u64() >> 11 < column.keep {
+            column.own
         } else {
-            alias
+            column.alias
         }
     }
 }
@@ -229,6 +263,37 @@ mod tests {
         assert_matches_float_draw(&[42.0], 100, 8);
         assert!(vose(&[1.0; 8]).0.iter().all(|&p| p == 1.0));
         assert_matches_float_draw(&[1.0; 8], 1_000, 9);
+    }
+
+    #[test]
+    fn a_labelled_table_returns_the_label_of_the_plain_draw() {
+        let weights: Vec<f64> = (1..=300).map(|r| (r as f64).powf(-0.9)).collect();
+        let labels: Vec<u32> = (0..300).map(|i| 7 * i + 3).collect();
+        let plain = AliasTable::new(&weights);
+        let labelled = AliasTable::labelled(&weights, |index| labels[index as usize]);
+        let mut plain_rng = SmallRng::seed_from_u64(12);
+        let mut labelled_rng = SmallRng::seed_from_u64(12);
+        for _ in 0..10_000 {
+            let index = plain.sample(&mut plain_rng);
+            assert_eq!(labelled.sample(&mut labelled_rng), labels[index as usize]);
+        }
+    }
+
+    #[test]
+    fn the_affinity_threshold_is_the_float_coin() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let mut cases: Vec<f64> = (0..200).map(|_| rng.random::<f64>()).collect();
+        cases.extend([0.0, 1.0, 0.5, 0.65, 0.85, f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0]);
+        for p in cases {
+            let threshold = coin_threshold(p);
+            let edge = (p * COIN_SCALE).floor() as u64;
+            for k in [edge.saturating_sub(1), edge, edge + 1, 0, (1 << 53) - 1] {
+                let k = k.min((1 << 53) - 1);
+                let word = k << 11 | 0x5a5;
+                let coin: f64 = Script(vec![word]).random();
+                assert_eq!(word >> 11 < threshold, coin < p, "p = {p}, coin {k}·2⁻⁵³");
+            }
+        }
     }
 
     /// Replays fixed words, so a test can put the coin on a threshold.

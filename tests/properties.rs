@@ -179,3 +179,23 @@ fn synthetic_datasets_match_golden_digests() {
     ];
     assert_eq!(digests, golden.map(|(name, digest)| (name.to_string(), digest)));
 }
+
+/// The golden digests above cover scale 0.02; this pins the three presets
+/// the benchmark generates at full scale, where ml20M and ml10M profiles
+/// are long enough for the radix sort and DBLP's 203k items are not.
+/// Optimised builds only: a debug build spends ≈ 12 s generating them.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full-scale generation; run with --release")]
+fn full_scale_presets_match_golden_digests() {
+    let presets =
+        [DatasetProfile::MovieLens20M, DatasetProfile::MovieLens10M, DatasetProfile::Dblp];
+    let digests =
+        presets.map(|p| (format!("{}@42", p.name()), dataset_digest(&p.generate(1.0, 42))));
+    // Recorded from the generator before its look-ahead rewrite.
+    let golden: [(&str, u64); 3] = [
+        ("ml20M@42", 0x34e47ed7c786a378),
+        ("ml10M@42", 0xa8a298cbf945d837),
+        ("DBLP@42", 0x4d749e6a62a90a73),
+    ];
+    assert_eq!(digests, golden.map(|(name, digest)| (name.to_string(), digest)));
+}
