@@ -74,7 +74,7 @@ pub fn solve_cluster(
 }
 
 /// Algorithm 2's dispatch, in map-stage form (see [`solve_cluster`]) —
-/// the branch `cnc-runtime`'s map workers and `cnc-distrib` take per
+/// the branch `cnc-runtime`'s map-stage jobs and `cnc-distrib` take per
 /// cluster. Returns the partial lists
 /// (aligned with `users`) and the similarity count the solve flushed.
 pub fn solve_cluster_partial(

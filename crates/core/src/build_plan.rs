@@ -94,9 +94,6 @@ use cnc_similarity::kernel::{one_vs_many, pair_count, SimKernel, SimSolve};
 use cnc_similarity::{SimilarityBackend, SimilarityData};
 use cnc_telemetry::Telemetry;
 use cnc_threadpool::{parallel_ranges, PriorityPool};
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// FNV-1a's initial value: the running hash of no bytes.
@@ -681,38 +678,26 @@ impl BuildPlan {
             }
         };
 
-        let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         PriorityPool::run(threads, jobs, |(cluster, sweep): Job| {
-            if failure.lock().expect("failure slot poisoned").is_some() {
-                return;
-            }
-            let done = catch_unwind(AssertUnwindSafe(|| {
-                gate(cluster);
-                match sweep {
-                    // Algorithm 2: brute force below the ρ·k² crossover,
-                    // Hyrec above, writing the rows directly.
-                    None => local::solve_cluster(
-                        &self.clusters()[cluster],
-                        sim,
-                        &rows,
-                        config.brute_force_threshold(),
-                        config.rho,
-                        config.delta,
-                        self.seed(cluster),
-                    ),
-                    Some(sweep) => {
-                        sim.solve_global(CrossGroups { job: &sweep, rows: &rows });
-                        sim.add_comparisons(sweep.pairs);
-                    }
+            gate(cluster);
+            match sweep {
+                // Algorithm 2: brute force below the ρ·k² crossover, Hyrec
+                // above, writing the rows directly.
+                None => local::solve_cluster(
+                    &self.clusters()[cluster],
+                    sim,
+                    &rows,
+                    config.brute_force_threshold(),
+                    config.rho,
+                    config.delta,
+                    self.seed(cluster),
+                ),
+                Some(sweep) => {
+                    sim.solve_global(CrossGroups { job: &sweep, rows: &rows });
+                    sim.add_comparisons(sweep.pairs);
                 }
-            }));
-            if let Err(payload) = done {
-                failure.lock().expect("failure slot poisoned").get_or_insert(payload);
             }
         });
-        if let Some(payload) = failure.into_inner().expect("failure slot poisoned") {
-            resume_unwind(payload);
-        }
         if let Some(reuse) = reuse {
             parallel_ranges(threads, reuse.recompute.len(), 16, |range| {
                 sim.solve_global(RecomputeRows {

@@ -99,12 +99,14 @@ impl ClusterAndConquer {
     /// Runs Step 1 (clustering) alone and returns the raw [`Clustering`].
     ///
     /// This is the entry point for external execution engines that schedule
-    /// Steps 2 + 3 themselves. `cnc-runtime`'s one-shot sharded build
-    /// (`Runtime::execute`, re-exported in the facade prelude) takes the
-    /// same clusters from a `BuildPlan`, solves them on `W` map workers
-    /// and has each worker merge its partial neighbour lists straight into
-    /// one shared neighbour arena; its incremental builds, like this
-    /// pipeline's, run [`BuildPlan::patch`].
+    /// Steps 2 + 3 themselves, and for planning a deployment of them
+    /// ([`plan_deployment`](crate::plan_deployment)). `cnc-runtime`'s
+    /// one-shot sharded build (`Runtime::execute`, re-exported in the
+    /// facade prelude) takes the same clusters from a `BuildPlan`, solves
+    /// each as one largest-first `PriorityPool` job on `W` threads and
+    /// merges its partial neighbour lists straight into one shared
+    /// neighbour arena; its incremental builds, like this pipeline's, run
+    /// [`BuildPlan::patch`].
     pub fn cluster_step(&self, dataset: &Dataset) -> Clustering {
         Self::cluster(&self.config, dataset)
     }

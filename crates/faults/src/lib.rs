@@ -44,7 +44,7 @@ pub enum Site {
     SnapshotWrite,
     /// Opening/reading a snapshot at load.
     SnapshotLoad,
-    /// One cluster solve on a map worker.
+    /// One cluster solve, at the gate in front of each cluster job.
     SolveCluster,
     /// Writing one frame onto a distributed-build transport (socket or
     /// pipe). Injected *before* any byte reaches the wire, so retries

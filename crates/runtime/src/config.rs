@@ -2,8 +2,8 @@
 
 use cnc_threadpool::effective_threads;
 
-/// Whether a map worker merges its partial lists straight into the shared
-/// neighbour arena or appends them to its spill file first.
+/// Whether the map stage merges its partial lists straight into the shared
+/// neighbour arena or appends them to the build's spill stream first.
 ///
 /// The merged graph is identical either way — the spill codec is lossless
 /// and Algorithm 3's merge is order-independent (asserted by
@@ -14,16 +14,16 @@ pub enum SpillMode {
     /// default).
     #[default]
     Off,
-    /// Every partial list is spilled, and merged when its worker's spill
-    /// file is replayed once that worker is done. Models a map stage with
-    /// no memory budget at all.
+    /// Every partial list is appended to the build's one spill stream,
+    /// which is replayed into the arena once every cluster is solved.
+    /// Models a map stage with no memory budget at all.
     Always,
 }
 
 /// All knobs of a [`Runtime`](crate::Runtime).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RuntimeConfig {
-    /// Number of worker shards `W`; 0 = all available hardware threads.
+    /// Number of worker threads `W`; 0 = all available hardware threads.
     pub workers: usize,
     /// Spill policy for the map stage's partial lists.
     pub spill: SpillMode,

@@ -2,30 +2,32 @@
 //!
 //! The paper's §VIII observes that Cluster-and-Conquer is "particularly
 //! amenable to large-scale distributed deployments, in particular within a
-//! map-reduce infrastructure". `cnc_core::distributed` *simulates* such a
-//! deployment — it computes an LPT [`DeploymentPlan`] and predicts makespan
-//! and merge volume from Algorithm 2's cost model. This crate **executes**
-//! that plan:
+//! map-reduce infrastructure". `cnc_core::distributed` *predicts* such a
+//! deployment — an LPT [`DeploymentPlan`] with its makespan and merge
+//! volume, from Algorithm 2's cost model. This crate **executes** the map
+//! and merge stages in one process:
 //!
-//! * a [`Runtime`] spawns `W` map worker threads;
-//! * clusters are partitioned across workers exactly as `plan_deployment`
-//!   assigns them, each worker draining its own queue largest-first;
-//! * each worker solves its clusters locally — brute force below the
-//!   `ρ·k²` crossover, greedy Hyrec above, reusing
+//! * a [`Runtime`] solves every cluster as one job of Step 2's
+//!   largest-first [`PriorityPool`](cnc_threadpool::PriorityPool) on `W`
+//!   threads — in one process a shared decreasing queue already is LPT
+//!   list scheduling, with free and perfect load balancing — each job
+//!   behind the same `solve.cluster` fault gate as the incremental builds;
+//! * a job solves its cluster locally — brute force below the `ρ·k²`
+//!   crossover, greedy Hyrec above — into partial per-user lists, with
 //!   [`cnc_baselines::local`]'s partial solvers;
-//! * each worker merges the partial per-user neighbour lists straight
-//!   into one shared `n × k` neighbour arena ([`cnc_graph::SharedKnnGraph`],
-//!   Algorithm 3 under per-row locks) — or, under [`SpillMode::Always`],
-//!   appends them to its own **spill file** in a length-prefixed binary
-//!   format, replayed into the same arena once the worker is done (the
-//!   out-of-core lane of a real MapReduce, in miniature); the arena then
-//!   freezes in place into the [`cnc_graph::KnnGraph`];
-//! * an idle worker **steals** half the queue of the most-loaded peer,
-//!   absorbing stragglers the static LPT plan cannot predict.
+//! * the partial lists are merged straight into one shared `n × k`
+//!   neighbour arena ([`cnc_graph::SharedKnnGraph`], Algorithm 3 under
+//!   per-row locks) — or, under [`SpillMode::Always`], appended to the
+//!   build's one **spill stream** in a length-prefixed binary format,
+//!   replayed into the same arena once every job has run (the out-of-core
+//!   lane of a real MapReduce, in miniature); the arena then freezes in
+//!   place into the [`cnc_graph::KnnGraph`].
 //!
-//! The run produces a [`RuntimeReport`] with *measured* per-worker busy
-//! time, makespan, imbalance and spill traffic, next to the cost model's
-//! predicted figures (`cargo run --release --example sharded_build`).
+//! The run produces a [`RuntimeReport`]: the entries handed to the merge
+//! (the measured counterpart of the plan's `merge_traffic`), the spill
+//! traffic and the wall-clock of the map and merge stages
+//! (`cargo run --release --example sharded_build` prints them beside the
+//! plan's prediction).
 //!
 //! Every `(workers, spill)` combination produces exactly the
 //! single-process pipeline's graph — `tests/shuffle.rs` asserts the full
@@ -41,12 +43,10 @@
 
 pub mod config;
 pub mod engine;
-pub mod report;
 pub mod shuffle;
 
 pub use config::{RuntimeConfig, SpillMode};
-pub use engine::{IncrementalShardedResult, Runtime, ShardedResult};
-pub use report::{RuntimeReport, WorkerStats};
+pub use engine::{IncrementalShardedResult, Runtime, RuntimeReport, ShardedResult};
 pub use shuffle::ShuffleError;
 
 /// The crate's tests share one process, and with it the process-global

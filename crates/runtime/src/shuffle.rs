@@ -8,7 +8,7 @@
 //! * a length-prefixed binary codec ([`write_record`] / [`read_record`])
 //!   for partial neighbour lists — also the distributed build's wire
 //!   format;
-//! * [`SpillWriter`], one retrying stream per map worker, and
+//! * [`SpillWriter`], the build's one retrying stream, and
 //!   [`replay_spill`], which reads a sealed stream back;
 //! * the cleanup-on-drop [`SpillDir`] temp-directory guard.
 //!
@@ -174,9 +174,9 @@ static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// A unique temporary directory for one build's spill files, removed —
 /// with everything inside it — when the guard drops.
 ///
-/// The engine holds the guard on the orchestrating thread's stack, outside
-/// the worker scope: a panicking worker unwinds through the scope and
-/// drops the guard, so spill files never outlive the build that wrote
+/// The engine holds the guard on the calling thread's stack, outside the
+/// thread pool: a panicking job unwinds through the pool and drops the
+/// guard, so spill files never outlive the build that wrote
 /// them (asserted by `spill_dir_is_removed_when_a_panic_unwinds` below).
 #[derive(Debug)]
 pub struct SpillDir {
@@ -203,9 +203,9 @@ impl SpillDir {
         &self.path
     }
 
-    /// The canonical spill-file path of one map worker's stream.
-    pub fn file_path(&self, worker: usize) -> PathBuf {
-        self.path.join(format!("map{worker}.spill"))
+    /// The canonical path of the `index`-th spill stream in this dir.
+    pub fn file_path(&self, index: usize) -> PathBuf {
+        self.path.join(format!("map{index}.spill"))
     }
 }
 
@@ -217,7 +217,7 @@ impl Drop for SpillDir {
     }
 }
 
-/// Buffered writer for one map worker's spill stream,
+/// Buffered writer for one spill stream,
 /// with retrying, torn-write-recovering appends.
 ///
 /// `bytes` is the stream's *committed* length: records the writer has
@@ -241,7 +241,7 @@ pub struct SpillWriter {
 
 impl SpillWriter {
     /// Creates the stream's file. `fault_base` identifies the stream to
-    /// the fault registry (the engine passes a hash of the worker index).
+    /// the fault registry.
     pub fn create(path: PathBuf, fault_base: u64) -> Result<SpillWriter, ShuffleError> {
         let mut attempt = 0u32;
         loop {

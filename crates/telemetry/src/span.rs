@@ -2,10 +2,10 @@
 //! attributions, collected centrally for export.
 //!
 //! A [`SpanRecord`] is one completed region of work — a `BuildPlan` stage,
-//! a map worker's busy time, an epoch publish — with a parent pointer so the
-//! records form a forest per thread. Guards keep a thread-local parent
+//! a worker process's busy time, an epoch publish — with a parent pointer so
+//! the records form a forest per thread. Guards keep a thread-local parent
 //! stack; layers that already measure their own durations (the runtime's
-//! worker stats) submit pre-measured records instead so the span
+//! map-reduce wall-clock) submit pre-measured records instead so the span
 //! tree and the stats structs are fed by the *same* `Duration` values and
 //! cannot drift.
 //!
@@ -23,15 +23,15 @@ pub const MAX_SPANS: usize = 65_536;
 /// One completed span.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
-    /// Region name (e.g. `build.assign`, `map.worker`, `publish`).
+    /// Region name (e.g. `build.assign`, `build.map_reduce`, `publish`).
     pub name: &'static str,
     /// Unique id within the process.
     pub id: u64,
     /// Enclosing span's id, or 0 for a root.
     pub parent: u64,
     /// Logical thread id (guards use the recording thread; synthesized
-    /// records — e.g. per-worker spans built from runtime stats — carry
-    /// the worker's logical id).
+    /// records — e.g. per-worker spans built from a worker's own stats —
+    /// carry the worker's logical id).
     pub thread: u64,
     /// Start, in nanoseconds on the collector's clock ([`SpanCollector::stamp`]).
     pub start_ns: u64,

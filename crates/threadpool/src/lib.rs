@@ -17,8 +17,11 @@
 //! allowed crate set, and the paper's scheduling is explicit enough that a
 //! bespoke pool is the more faithful reproduction.
 
+use parking_lot::Mutex;
+use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A largest-first parallel executor over a fixed set of prioritized jobs.
 pub struct PriorityPool;
@@ -31,8 +34,10 @@ impl PriorityPool {
     /// which makes single-threaded runs fully deterministic.
     ///
     /// # Panics
-    /// Panics if `threads == 0`. Worker panics propagate after all threads
-    /// join (std scope semantics).
+    /// Panics if `threads == 0`. The first job to panic stops dispatch:
+    /// jobs already running finish, no further job starts, and once every
+    /// thread has joined its payload is re-raised, intact, on the calling
+    /// thread.
     pub fn run<J, F>(threads: usize, mut jobs: Vec<(u64, J)>, worker: F)
     where
         J: Send,
@@ -42,22 +47,28 @@ impl PriorityPool {
         jobs.sort_by_key(|(priority, _)| std::cmp::Reverse(*priority));
         let cursor = AtomicUsize::new(0);
         // Hand out jobs through Option slots so workers can take ownership.
-        let slots: Vec<parking_lot::Mutex<Option<J>>> =
-            jobs.into_iter().map(|(_, job)| parking_lot::Mutex::new(Some(job))).collect();
+        let slots: Vec<Mutex<Option<J>>> =
+            jobs.into_iter().map(|(_, job)| Mutex::new(Some(job))).collect();
+        let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let stopped = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for _ in 0..threads.min(slots.len()).max(1) {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= slots.len() {
-                        break;
-                    }
-                    let job = slots[index].lock().take();
-                    if let Some(job) = job {
-                        worker(job);
+                scope.spawn(|| {
+                    while !stopped.load(Ordering::Relaxed) {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(index) else { break };
+                        let Some(job) = slot.lock().take() else { continue };
+                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| worker(job))) {
+                            stopped.store(true, Ordering::Relaxed);
+                            failure.lock().get_or_insert(payload);
+                        }
                     }
                 });
             }
         });
+        if let Some(payload) = failure.into_inner() {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -184,6 +195,31 @@ mod tests {
     fn effective_threads_resolves_auto() {
         assert_eq!(effective_threads(3), 3);
         assert!(effective_threads(0) >= 1);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Payload(u32);
+
+    #[test]
+    fn a_job_panic_reaches_the_caller_with_its_payload() {
+        for threads in [1usize, 4] {
+            let ran = Mutex::new(Vec::new());
+            let jobs: Vec<(u64, u32)> = (0..8).map(|i| (8 - i as u64, i)).collect();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                PriorityPool::run(threads, jobs, |job| {
+                    ran.lock().unwrap().push(job);
+                    if job == 3 {
+                        std::panic::panic_any(Payload(job));
+                    }
+                })
+            }));
+            let payload = outcome.expect_err("the panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<Payload>(), Some(&Payload(3)), "{threads} threads");
+            if threads == 1 {
+                // Largest-first runs jobs 0..=3; none after the panicking one.
+                assert_eq!(*ran.lock().unwrap(), vec![0, 1, 2, 3]);
+            }
+        }
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! Builds the same C² KNN graph twice — once with the in-process pipeline,
 //! once on `cnc-runtime`'s sharded engine with its file-backed spill lane
-//! — then compares the deployment plan's *predicted* figures with the
-//! engine's *measured* ones and checks the two graphs agree.
+//! — then prints the §VIII deployment plan's *predicted* figures beside
+//! the engine's *measured* wall-clock, shuffle and spill totals, and
+//! checks the two graphs agree.
 //!
 //! ```text
 //! cargo run --release --example sharded_build
 //! ```
 
+use cluster_and_conquer::core::plan_deployment;
 use cluster_and_conquer::prelude::*;
 use std::time::Instant;
 
@@ -43,42 +45,30 @@ fn main() {
         single.stats.num_clusters, single.stats.comparisons, single_ms,
     );
 
-    // Sharded build: 4 map workers, each spilling its partial lists to
-    // disk and replaying them once it is done.
-    let runtime = RuntimeConfig { workers: 4, spill: SpillMode::Always };
+    // Sharded build: 4 worker threads, every partial list spilled to the
+    // build's spill stream on disk and replayed once all clusters are
+    // solved.
+    let workers = 4;
+    let runtime = RuntimeConfig { workers, spill: SpillMode::Always };
     let sharded = Runtime::new(runtime).execute(&dataset, builder.config());
     let report = &sharded.report;
+    let plan = plan_deployment(&builder.cluster_step(&dataset), workers, c2.k, c2.rho);
 
-    println!("\nsharded build over {} workers:", report.workers.len());
-    println!("  predicted speed-up (LPT plan):  {:.2}", report.plan.speedup());
-    println!("  measured speed-up (Σbusy/max):  {:.2}", report.measured_speedup());
-    println!("  predicted imbalance:            {:.3}", report.plan.imbalance());
-    println!("  measured imbalance:             {:.3}", report.measured_imbalance());
-    println!("  predicted shuffle entries:      {}", report.plan.merge_traffic);
-    println!("  measured shuffle entries:       {}", report.shuffle_entries);
-    println!("  clusters stolen by idle shards: {}", report.stolen_clusters());
-    println!(
-        "  spilled to disk:                {} entries, {} bytes",
-        report.total_spill_entries(),
-        report.total_spill_bytes()
-    );
+    println!("\nsharded build on {workers} threads:");
+    println!("  predicted speed-up (LPT plan):  {:.2}", plan.speedup());
+    println!("  predicted imbalance:            {:.3}", plan.imbalance());
     println!(
         "  map+merge wall:                 {:.1} ms",
         report.map_reduce_wall.as_secs_f64() * 1e3
     );
-    for w in &report.workers {
-        println!(
-            "    worker {}: {} clusters ({} stolen), busy {:.1} ms, handed over {} entries \
-             ({} spilled)",
-            w.worker,
-            w.clusters.len(),
-            w.stolen,
-            w.busy.as_secs_f64() * 1e3,
-            w.shuffle_entries,
-            w.spilled_entries,
-        );
-    }
-    report.check_invariants().expect("merge accounting must balance");
+    println!("  predicted shuffle entries:      {}", plan.merge_traffic);
+    println!("  measured shuffle entries:       {}", report.shuffle_entries);
+    println!(
+        "  spilled to disk:                {} entries, {} bytes",
+        report.spilled_entries, report.spilled_bytes
+    );
+    assert_eq!(report.shuffle_entries, plan.merge_traffic, "the merge took an unplanned volume");
+    assert_eq!(report.spilled_entries, report.shuffle_entries, "Always spills every entry");
 
     // The shared merge is order-independent, so the graphs must agree.
     let agree = dataset

@@ -74,7 +74,7 @@ fn assert_same_graph(clean: &KnnGraph, faulted: &KnnGraph, label: &str) {
 
 /// One chaos cell: each build runs fault-free, then again under the armed
 /// schedule, and must come out identical. The map stage
-/// (`Runtime::execute`) also keeps an invariant-clean report with equal
+/// (`Runtime::execute`) also hands the merge the same entries for equal
 /// comparison totals; the patch stage (`execute_incremental`, from an
 /// empty cache and from a warm one) keeps its cache accounting balanced.
 fn chaos_case(fault_seed: u64, p: f64, workers: usize, spill: SpillMode) {
@@ -89,9 +89,9 @@ fn chaos_case(fault_seed: u64, p: f64, workers: usize, spill: SpillMode) {
     let chaotic = under_faults(fault_seed, p, || runtime.execute(dataset, &c2));
     assert!(!Faults::global().armed(), "{label}: guard must disarm on drop");
     assert_same_graph(&clean.graph, &chaotic.graph, &format!("{label} map stage"));
-    chaotic.report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(chaotic.report.shuffle_entries, clean.report.shuffle_entries, "{label}");
     // Comparisons are a function of the graph, not of the recovery path:
-    // requeued clusters are re-solved from scratch, never double-counted.
+    // a failed gate fires before the solve, so a re-attempt costs none.
     assert_eq!(
         chaotic.report.comparisons, clean.report.comparisons,
         "{label}: comparison totals drifted under fault recovery"

@@ -1,7 +1,8 @@
 //! Integration: the sharded runtime against the single-process
-//! pipeline — equivalence, plan agreement, and scaling.
+//! pipeline — equivalence, agreement with the §VIII plan, and scaling.
 
 use cluster_and_conquer::prelude::*;
+use cnc_core::plan_deployment;
 use cnc_graph::quality as graph_quality;
 use cnc_similarity::SimilarityData;
 
@@ -102,24 +103,21 @@ fn four_workers_speed_up_a_large_build() {
     };
     let builder = ClusterAndConquer::new(c2);
 
-    let one = Runtime::new(RuntimeConfig::with_workers(1)).execute(&ds, builder.config());
-    let four = Runtime::new(RuntimeConfig::with_workers(4)).execute(&ds, builder.config());
-
     // The plan itself must promise near-linear scaling on this workload …
+    let plan = plan_deployment(&builder.cluster_step(&ds), 4, c2.k, c2.rho);
     assert!(
-        four.report.plan.speedup() > 3.0,
+        plan.speedup() > 3.0,
         "LPT plan predicts only {:.2}× on 4 workers — dataset too lumpy",
-        four.report.plan.speedup()
+        plan.speedup()
     );
 
     if cores < 4 {
-        eprintln!(
-            "skipping wall-clock speed-up assertion: {cores} core(s) available, need 4 \
-             (measured Σbusy/makespan = {:.2})",
-            four.report.measured_speedup()
-        );
+        eprintln!("skipping wall-clock speed-up assertion: {cores} core(s) available, need 4");
         return;
     }
+
+    let one = Runtime::new(RuntimeConfig::with_workers(1)).execute(&ds, builder.config());
+    let four = Runtime::new(RuntimeConfig::with_workers(4)).execute(&ds, builder.config());
 
     // … and the measured wall clock must follow it.
     let t1 = one.report.map_reduce_wall.as_secs_f64();
@@ -142,7 +140,7 @@ mod plan_agreement {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Measured shuffle entry counts equal the plan's predicted
-        /// `merge_traffic`, whichever worker ends up solving a cluster.
+        /// `merge_traffic`, whichever thread ends up solving a cluster.
         #[test]
         fn measured_shuffle_equals_merge_traffic(seed in 0u64..500, workers in 1usize..6) {
             let mut cfg = SyntheticConfig::small(seed ^ 0xABCD);
@@ -162,9 +160,9 @@ mod plan_agreement {
                 ..C2Config::default()
             };
             let result = Runtime::new(RuntimeConfig::with_workers(workers)).execute(&ds, &c2);
-            prop_assert_eq!(result.report.shuffle_entries, result.report.plan.merge_traffic);
-            let sent: u64 = result.report.workers.iter().map(|w| w.shuffle_entries).sum();
-            prop_assert_eq!(sent, result.report.shuffle_entries);
+            let clustering = ClusterAndConquer::new(c2).cluster_step(&ds);
+            let predicted = plan_deployment(&clustering, workers, c2.k, c2.rho);
+            prop_assert_eq!(result.report.shuffle_entries, predicted.merge_traffic);
         }
     }
 }

@@ -1,10 +1,11 @@
 //! The determinism/equivalence suite for the runtime's merge and its
 //! file-backed spill lane: every `(workers, spill)` combination must
 //! produce **exactly** the graph of the single-process
-//! `ClusterAndConquer::build`, and the merge's own accounting must
-//! balance.
+//! `ClusterAndConquer::build`, hand the merge exactly the entries the
+//! §VIII cost model predicts, and route them as the spill mode says.
 
 use cluster_and_conquer::prelude::*;
+use cnc_core::plan_deployment;
 use cnc_distrib::partition_of;
 use cnc_graph::NeighborList;
 use cnc_runtime::shuffle::{encoded_len, read_record, write_record};
@@ -34,12 +35,14 @@ fn c2_config() -> C2Config {
 }
 
 /// The acceptance matrix: workers × spill modes, each cell checked for
-/// exact graph equality with the single-process build and for balanced
-/// merge accounting.
+/// exact graph equality with the single-process build, for the predicted
+/// merge traffic and for the route the spill mode prescribes.
 #[test]
 fn every_configuration_reproduces_the_single_process_graph() {
     let ds = dataset();
-    let single = ClusterAndConquer::new(c2_config()).build(&ds);
+    let c2 = c2_config();
+    let single = ClusterAndConquer::new(c2).build(&ds);
+    let clustering = ClusterAndConquer::new(c2).cluster_step(&ds);
     for workers in [1usize, 2, 4] {
         for spill in [SpillMode::Off, SpillMode::Always] {
             let config = RuntimeConfig { workers, spill };
@@ -47,8 +50,10 @@ fn every_configuration_reproduces_the_single_process_graph() {
             let report = &sharded.report;
             let label = format!("W={workers} spill={spill:?}");
 
-            report.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
-            assert_eq!(report.shuffle_entries, report.plan.merge_traffic, "{label}");
+            let predicted = plan_deployment(&clustering, workers, c2.k, c2.rho);
+            assert_eq!(report.shuffle_entries, predicted.merge_traffic, "{label}");
+            assert_eq!(report.comparisons, single.stats.comparisons, "{label}");
+            assert_eq!(report.rerouted_records, 0, "{label}");
             for u in ds.users() {
                 assert_eq!(
                     sharded.graph.neighbors(u).sorted(),
@@ -56,17 +61,17 @@ fn every_configuration_reproduces_the_single_process_graph() {
                     "{label}: user {u} differs from the single-process build"
                 );
             }
-            let spilled = report.total_spill_entries();
+            let spilled = report.spilled_entries;
             match spill {
                 SpillMode::Off => {
-                    assert_eq!(report.total_spill_bytes(), 0, "{label}");
+                    assert_eq!(report.spilled_bytes, 0, "{label}");
                     assert_eq!(spilled, 0, "{label}");
                     assert!(report.spill_dir.is_none(), "{label}");
                 }
                 SpillMode::Always => {
                     // The acceptance criterion: a spilling build really
                     // routes bytes through files.
-                    assert!(report.total_spill_bytes() > 0, "{label}: no spill bytes");
+                    assert!(report.spilled_bytes > 0, "{label}: no spill bytes");
                     assert_eq!(spilled, report.shuffle_entries, "{label}: Always spills all");
                 }
             }
