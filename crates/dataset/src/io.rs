@@ -90,9 +90,13 @@ pub fn read_ratings<R: Read>(reader: R, options: LoadOptions) -> Result<Dataset,
             (Some(u), Some(i), Some(r)) => (u, i, r),
             _ => return Err(IoError::Parse { line: line_no + 1, content: line.clone() }),
         };
-        let rating: f64 = rating
-            .parse()
-            .map_err(|_| IoError::Parse { line: line_no + 1, content: line.clone() })?;
+        // `nan`, `inf` and out-of-range literals such as `1e400` parse as
+        // `f64`, and `NaN <= binarize_above` is false: reject them here so
+        // they are not kept as positive ratings.
+        let rating = match rating.parse::<f64>() {
+            Ok(rating) if rating.is_finite() => rating,
+            _ => return Err(IoError::Parse { line: line_no + 1, content: line.clone() }),
+        };
         if rating <= options.binarize_above {
             continue;
         }
@@ -192,6 +196,19 @@ mod tests {
         match err {
             IoError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_ratings_report_their_line_number() {
+        for rating in ["nan", "inf", "1e400"] {
+            let data = format!("u,i,5\nu,j,{rating}\n");
+            match read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap_err() {
+                IoError::Parse { line, content } => {
+                    assert_eq!((line, content), (2, format!("u,j,{rating}")))
+                }
+                other => panic!("{rating}: expected parse error, got {other}"),
+            }
         }
     }
 

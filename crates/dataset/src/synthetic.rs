@@ -42,13 +42,24 @@
 //! completes the profile. The rest stay in the window, where the next
 //! user's size draw reads them first, so every word goes where the
 //! one-draw-at-a-time loop sent it.
+//!
+//! The draw loop is serial: where a user's draws start in the stream
+//! depends on how many draws the previous user's dedup kept. What follows
+//! it is not, and runs on a second core. The loop leaves each profile
+//! unsorted in a chunk buffer of `CHUNK` users and hands every full
+//! chunk over a bounded channel to one helper thread, scoped to the call.
+//! The helper sorts each profile in place, appends it to the CSR and sends
+//! the emptied buffer back for reuse. The channel is FIFO and the sort is
+//! deterministic, so the output does not depend on how the two threads are
+//! scheduled, one core included.
 
 use crate::dataset::{Dataset, DatasetBuilder, ItemId};
 use crate::discrete::{coin_threshold, AliasTable};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt, SeedableRng};
-use std::hint;
+use std::sync::mpsc;
+use std::{hint, mem, thread};
 
 /// Parameters of the latent-community generator.
 #[derive(Clone, Debug, PartialEq)]
@@ -116,64 +127,96 @@ impl SyntheticConfig {
         // `random::<f64>() < affinity` as an integer compare on the word.
         let affinity = coin_threshold(self.affinity);
 
-        let mut builder = DatasetBuilder::with_capacity(self.num_users);
         // `stamp[item] == user` iff `item` was already drawn for `user`.
         let mut stamp = vec![u32::MAX; self.num_items];
-        // Holds the largest profile the size clamp allows.
-        let mut profile: Vec<ItemId> = vec![0; self.num_items / 2 + 1];
-        // The radix sort's second buffer, when every item id has two bytes.
-        let radix = self.num_items <= 1 << 16;
-        let mut sorted: Vec<ItemId> = if radix { vec![0; profile.len()] } else { Vec::new() };
-        for user in 0..self.num_users {
-            // The affinity coin indexes this pair: the global table, or
-            // the user's community table.
-            let tables = [global.columns(), communities[user % self.communities].columns()];
-            let target = self.sample_profile_len(&mut stream);
-            // Rejection loop: draw until `target` distinct items or the
-            // attempt budget is exhausted (protects degenerate configs where
-            // the pool is barely larger than the target).
-            let (mut len, mut attempts) = (0usize, 0usize);
-            let budget = target * 30 + 100;
-            while len < target && attempts < budget {
-                // Draw a block ahead without a data-dependent branch...
-                let n = BLOCK.min(budget - attempts);
-                let mut block = [0 as ItemId; BLOCK];
-                for (item, words) in block.iter_mut().zip(stream.peek(3 * n).chunks_exact(3)) {
-                    let table = tables[(words[0] >> 11 < affinity) as usize];
-                    let column = table[(words[1] % table.len() as u64) as usize];
-                    *item = hint::select_unpredictable(
-                        words[2] >> 11 < column.keep,
-                        column.own,
-                        column.alias,
-                    );
+        thread::scope(|scope| {
+            let (full, full_rx) = mpsc::sync_channel::<Chunk>(IN_FLIGHT);
+            // Unbounded, so the assembler never waits to hand a buffer
+            // back. The draw loop makes a buffer only when none is waiting
+            // here, so at most `IN_FLIGHT + 3` ever exist.
+            let (empty_tx, empty) = mpsc::channel::<Chunk>();
+            let assembler = scope.spawn(move || {
+                let mut builder = DatasetBuilder::with_capacity(self.num_users);
+                for mut chunk in full_rx {
+                    let mut start = 0;
+                    for &len in &chunk.lens {
+                        let profile = &mut chunk.items[start..start + len as usize];
+                        profile.sort_unstable();
+                        builder.push_sorted_profile(profile);
+                        start += len as usize;
+                    }
+                    chunk.items.clear();
+                    chunk.lens.clear();
+                    // Fails only if the draw loop panicked: the buffer is
+                    // then dropped.
+                    let _ = empty_tx.send(chunk);
                 }
-                // ...then keep its draws up to the one that completes the
-                // profile. Branch-free dedup: every draw is written, only
-                // a fresh one advances past its slot.
-                let mut used = n;
-                for (draw, &item) in block[..n].iter().enumerate() {
-                    let fresh = stamp[item as usize] != user as u32;
-                    stamp[item as usize] = user as u32;
-                    profile[len] = item;
-                    len += fresh as usize;
-                    if len == target {
-                        used = draw + 1;
+                builder.build_with_min_items(self.num_items as u32)
+            });
+
+            // Holds the largest profile the size clamp allows, and stays in
+            // cache: each profile is copied to the chunk once it is drawn.
+            let mut profile: Vec<ItemId> = vec![0; self.num_items / 2 + 1];
+            let mut chunk = Chunk::default();
+            for user in 0..self.num_users {
+                // The affinity coin indexes this pair: the global table, or
+                // the user's community table.
+                let tables = [global.columns(), communities[user % self.communities].columns()];
+                let target = self.sample_profile_len(&mut stream);
+                // Rejection loop: draw until `target` distinct items or the
+                // attempt budget is exhausted (protects degenerate configs
+                // where the pool is barely larger than the target).
+                let (mut len, mut attempts) = (0usize, 0usize);
+                let budget = target * 30 + 100;
+                while len < target && attempts < budget {
+                    // Draw a block ahead without a data-dependent branch...
+                    let n = BLOCK.min(budget - attempts);
+                    let mut block = [0 as ItemId; BLOCK];
+                    let ahead = stream.peek(3 * n);
+                    for (item, words) in block.iter_mut().zip(ahead.chunks_exact(3)) {
+                        let table = tables[(words[0] >> 11 < affinity) as usize];
+                        let column = table[(words[1] % table.len() as u64) as usize];
+                        *item = hint::select_unpredictable(
+                            words[2] >> 11 < column.keep,
+                            column.own,
+                            column.alias,
+                        );
+                    }
+                    // ...then keep its draws up to the one that completes
+                    // the profile. Branch-free dedup: every draw is written,
+                    // only a fresh one advances past its slot.
+                    let mut used = n;
+                    for (draw, &item) in block[..n].iter().enumerate() {
+                        let fresh = stamp[item as usize] != user as u32;
+                        stamp[item as usize] = user as u32;
+                        profile[len] = item;
+                        len += fresh as usize;
+                        if len == target {
+                            used = draw + 1;
+                            break;
+                        }
+                    }
+                    // The words of the draws past it stay in the window.
+                    stream.consume(3 * used);
+                    attempts += used;
+                }
+                chunk.items.extend_from_slice(&profile[..len]);
+                chunk.lens.push(len as u32);
+                if chunk.lens.len() == CHUNK {
+                    let next = empty.try_recv().unwrap_or_default();
+                    // Fails only if the assembler panicked: its join below
+                    // re-raises the panic.
+                    if full.send(mem::replace(&mut chunk, next)).is_err() {
                         break;
                     }
                 }
-                // The words of the draws past it stay in the window.
-                stream.consume(3 * used);
-                attempts += used;
             }
-            let profile = &mut profile[..len];
-            if radix && len >= RADIX_MIN_LEN {
-                radix_sort(profile, &mut sorted[..len]);
-            } else {
-                profile.sort_unstable();
+            if !chunk.lens.is_empty() {
+                let _ = full.send(chunk);
             }
-            builder.push_sorted_profile(profile);
-        }
-        builder.build_with_min_items(self.num_items as u32)
+            drop(full);
+            assembler.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
     }
 
     /// The item distributions, drawn from the head of the stream: the
@@ -225,10 +268,22 @@ impl SyntheticConfig {
 /// Draws the generator computes ahead per block; each reads three words.
 const BLOCK: usize = 16;
 
-/// The shortest profile [`radix_sort`] sorts: on distinct items from 10k
-/// to 65k-item universes the two sorts tie at 44–48 items, and the radix
-/// sort is 8–16 % faster at 52 and 40 % at 64.
-const RADIX_MIN_LEN: usize = 48;
+/// Profiles the draw loop hands the assembler thread at a time.
+const CHUNK: usize = 256;
+
+/// Full chunks queued for the assembler before the draw loop waits. Deep,
+/// so that a stall of the assembler's core (another process taking its
+/// turn) does not stall the draw loop; buffers past the two or three in
+/// use are made only while the assembler is behind.
+const IN_FLIGHT: usize = 64;
+
+/// Unsorted profiles on their way to the assembler: `lens[i]` items each,
+/// back to back in `items`.
+#[derive(Default)]
+struct Chunk {
+    items: Vec<ItemId>,
+    lens: Vec<u32>,
+}
 
 /// The SplitMix64 stream read through a window of words drawn ahead of
 /// the reader. Words leave the window in stream order, and a word peeked
@@ -272,33 +327,6 @@ impl Rng for Lookahead {
         let word = self.peek(1)[0];
         self.consume(1);
         word
-    }
-}
-
-/// Sorts `items`, each below 2¹⁶, by two stable counting passes over its
-/// bytes: low byte into `buffer` (as long as `items`), high byte back.
-fn radix_sort(items: &mut [ItemId], buffer: &mut [ItemId]) {
-    debug_assert!(items.iter().all(|&item| item < 1 << 16));
-    let mut starts = [[0u32; 256]; 2];
-    for &item in items.iter() {
-        starts[0][(item & 0xff) as usize] += 1;
-        starts[1][(item >> 8) as usize] += 1;
-    }
-    for digit in &mut starts {
-        let mut start = 0;
-        for slot in digit.iter_mut() {
-            (*slot, start) = (start, start + *slot);
-        }
-    }
-    for &item in items.iter() {
-        let slot = &mut starts[0][(item & 0xff) as usize];
-        buffer[*slot as usize] = item;
-        *slot += 1;
-    }
-    for &item in buffer.iter() {
-        let slot = &mut starts[1][(item >> 8) as usize];
-        items[*slot as usize] = item;
-        *slot += 1;
     }
 }
 
@@ -481,33 +509,31 @@ mod tests {
         }
     }
 
-    /// The edges of the look-ahead path a test must reach.
-    const EDGES: [&str; 7] = [
+    /// The edges of the look-ahead path and of the chunk handoff a test
+    /// must reach.
+    const EDGES: [&str; 6] = [
         "target reached on a block's first draw",
         "target reached on a block's last draw",
         "budget exhausted part-way through a block",
         "target of 0",
-        "two-byte ids, profile shorter than RADIX_MIN_LEN",
-        "two-byte ids, profile of RADIX_MIN_LEN or more",
-        "wider ids, profile of RADIX_MIN_LEN or more",
+        "profile last of a full chunk",
+        "profile first of a chunk after the first",
     ];
 
     /// How many profiles reach each of [`EDGES`], read off the
     /// reference's per-user `(target, attempts)`.
-    fn edges(cfg: &SyntheticConfig, ds: &Dataset, draws: &[(usize, usize)]) -> [usize; 7] {
-        let mut hits = [0; 7];
-        let radix = cfg.num_items <= 1 << 16;
-        for ((_, profile), &(target, attempts)) in ds.iter().zip(draws) {
+    fn edges(ds: &Dataset, draws: &[(usize, usize)]) -> [usize; 6] {
+        let mut hits = [0; 6];
+        for ((user, profile), &(target, attempts)) in ds.iter().zip(draws) {
             let done = profile.len() == target;
-            let long = profile.len() >= RADIX_MIN_LEN;
+            let user = user as usize;
             let reached = [
                 done && attempts % BLOCK == 1,
                 done && attempts > 0 && attempts % BLOCK == 0,
                 !done && attempts % BLOCK != 0,
                 target == 0,
-                radix && !long,
-                radix && long,
-                !radix && long,
+                user % CHUNK == CHUNK - 1,
+                user > 0 && user.is_multiple_of(CHUNK),
             ];
             for (hit, reached) in hits.iter_mut().zip(reached) {
                 *hit += reached as usize;
@@ -549,8 +575,7 @@ mod tests {
                 min_profile: 0,
                 ..base.clone()
             },
-            // Profiles of 2 to ~200 items, either side of the radix sort's
-            // cutoff, ending anywhere in a block.
+            // Profiles of 2 to ~200 items, ending anywhere in a block.
             SyntheticConfig {
                 num_items: 800,
                 mean_profile: 60.0,
@@ -560,27 +585,13 @@ mod tests {
                 ..base.clone()
             },
             // Profiles at the size clamp, half the universe.
-            SyntheticConfig {
-                mean_profile: 500.0,
-                profile_sigma: 1.0,
-                affinity: 0.3,
-                ..base.clone()
-            },
-            // Item ids past two bytes: long profiles take `sort_unstable`.
-            SyntheticConfig {
-                num_users: 40,
-                num_items: 70_000,
-                mean_profile: 150.0,
-                profile_sigma: 0.5,
-                affinity: 0.5,
-                ..base
-            },
+            SyntheticConfig { mean_profile: 500.0, profile_sigma: 1.0, affinity: 0.3, ..base },
         ];
-        let mut hits = [0; 7];
+        let mut hits = [0; 6];
         for cfg in &cases {
             let (reference, draws) = cfg.generate_by_sorted_insert();
             assert_eq!(cfg.generate(), reference, "{cfg:?}");
-            for (total, hit) in hits.iter_mut().zip(edges(cfg, &reference, &draws)) {
+            for (total, hit) in hits.iter_mut().zip(edges(&reference, &draws)) {
                 *total += hit;
             }
         }
@@ -590,29 +601,40 @@ mod tests {
     }
 
     #[test]
-    fn radix_sort_equals_sort_unstable() {
-        let mut rng = SmallRng::seed_from_u64(41);
-        let mut buffer = vec![0; 2 * RADIX_MIN_LEN];
-        let mut lists = vec![vec![65_535, 0, 256, 255, 65_280, 511, 1, 65_534]];
-        for universe in [1u32, 2, 255, 256, 257, 1 << 12, 1 << 16] {
-            for len in 0..=(2 * RADIX_MIN_LEN).min(universe as usize) {
-                let mut seen = std::collections::HashSet::new();
-                let mut items = Vec::with_capacity(len);
-                while items.len() < len {
-                    let item = rng.random_range(0..universe);
-                    if seen.insert(item) {
-                        items.push(item);
-                    }
-                }
-                lists.push(items);
-            }
+    fn chunk_boundaries_match_the_reference() {
+        let base = SyntheticConfig {
+            num_users: 1,
+            num_items: 200,
+            communities: 4,
+            mean_profile: 12.0,
+            profile_sigma: 0.8,
+            min_profile: 0,
+            zipf_exponent: 1.0,
+            affinity: 0.7,
+            seed: 9,
+        };
+        for num_users in [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1] {
+            let cfg = SyntheticConfig { num_users, ..base.clone() };
+            assert_eq!(cfg.generate(), cfg.generate_by_sorted_insert().0, "{num_users} users");
         }
-        for mut items in lists {
-            let mut expected = items.clone();
-            expected.sort_unstable();
-            radix_sort(&mut items, &mut buffer[..expected.len()]);
-            assert_eq!(items, expected);
-        }
+    }
+
+    /// Far more chunks than the handoff queues: a return path that could
+    /// block the assembler would stall both threads here.
+    #[test]
+    fn many_chunks_of_tiny_profiles_match_the_reference() {
+        let cfg = SyntheticConfig {
+            num_users: 8 * IN_FLIGHT * CHUNK + 7,
+            num_items: 64,
+            communities: 4,
+            mean_profile: 1.5,
+            profile_sigma: 0.5,
+            min_profile: 1,
+            zipf_exponent: 1.0,
+            affinity: 0.5,
+            seed: 3,
+        };
+        assert_eq!(cfg.generate(), cfg.generate_by_sorted_insert().0);
     }
 
     #[test]

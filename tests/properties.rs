@@ -180,9 +180,10 @@ fn synthetic_datasets_match_golden_digests() {
     assert_eq!(digests, golden.map(|(name, digest)| (name.to_string(), digest)));
 }
 
-/// The golden digests above cover scale 0.02; this pins the three presets
-/// the benchmark generates at full scale, where ml20M and ml10M profiles
-/// are long enough for the radix sort and DBLP's 203k items are not.
+/// The golden digests above cover scale 0.02, where ml10M's 1,396 users
+/// and ml20M's 2,767 already fill several of the generator's 256-user
+/// chunks; this pins the three presets the benchmark generates at full
+/// scale: dense ml20M and ml10M and sparse DBLP, in 541, 273 and 74 chunks.
 /// Optimised builds only: a debug build spends ≈ 12 s generating them.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full-scale generation; run with --release")]
