@@ -116,7 +116,7 @@ pub fn read_ratings<R: Read>(reader: R, options: LoadOptions) -> Result<Dataset,
         profile.sort_unstable();
         profile.dedup();
         if profile.len() >= options.min_profile {
-            builder.push_profile(profile);
+            builder.push_sorted_profile(&profile);
         }
     }
     Ok(builder.build_with_min_items(num_items))
@@ -217,6 +217,15 @@ mod tests {
         let data = "u,i,5\nu,i,4\n";
         let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
         assert_eq!(ds.num_ratings(), 1);
+
+        // Out of order and duplicated between other items: the profile is
+        // sorted and deduplicated once, before the builder sees it, and
+        // the size filter counts distinct items.
+        let data = "u,j,5\nu,i,5\nu,j,4\nu,k,5\nu,i,5\nv,i,5\nv,i,5\n";
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 2)).unwrap();
+        ds.validate().unwrap();
+        assert_eq!(ds.num_users(), 1, "v holds one distinct item");
+        assert_eq!(ds.profile(0), &[0, 1, 2]);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! clusters as a flat, immutable [`EntryIndex`]. A query profile is routed
 //! through the same `t` functions and its beam is seeded with members of
 //! the clusters it lands in — users that share its minimum-hash items —
-//! instead of users drawn at random.
+//! instead of users drawn at random: those who share the most of the
+//! smaller half of its clusters first (`cnc_query`'s `pick_seeds`).
 //!
 //! Layout (flat arrays, so a snapshot section can hold them verbatim and a
 //! mapped file can lend them out in place):

@@ -4,14 +4,16 @@
 #[derive(Clone, Copy, Debug)]
 pub struct BeamSearchConfig {
     /// Beam width (candidates kept under consideration). Larger = better
-    /// recall, more similarity computations. Must be ≥ the query `k`.
+    /// recall, more similarity computations. Must be ≥ the query `k`. Also
+    /// the most seeds a search bound to an entry index takes from the
+    /// users who share two or more of the smaller half of its routed
+    /// clusters.
     pub beam_width: usize,
-    /// The floor **random** users top the seeds up to. A search bound to an
-    /// entry index starts at up to `beam_width` members of the
-    /// FastRandomHash clusters its profile routes to; random users only
-    /// fill in when routing supplies fewer than this — all of the seeds
-    /// when there is no index, the profile is empty, or it lands in
-    /// buckets Step 1 never saw.
+    /// The floor the seeds are topped up to: first with the next-ranked
+    /// members of the smaller half of the routed clusters (users who share
+    /// only one of them, once those sharing two or more are used up), then
+    /// with **random** users — all of the seeds when there is no index,
+    /// the profile is empty, or it lands in buckets Step 1 never saw.
     pub entry_points: usize,
     /// Hard cap on similarity computations per query, seeds included
     /// (0 = unlimited); protects latency SLOs on adversarial queries.
@@ -26,7 +28,8 @@ impl Default for BeamSearchConfig {
 
 impl BeamSearchConfig {
     /// The most seeds one search scores before `max_comparisons` cuts in:
-    /// a full beam of routed seeds, or the random floor if that is larger.
+    /// `beam_width` users who share two or more routed clusters, or the
+    /// `entry_points` floor if that is larger.
     pub fn max_seeds(&self) -> usize {
         self.beam_width.max(self.entry_points)
     }

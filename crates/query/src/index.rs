@@ -63,6 +63,12 @@ pub struct Searcher {
     pub(crate) hashes: Vec<u32>,
     /// Routing scratch: the clusters the query routed to.
     pub(crate) clusters: Vec<u32>,
+    /// Seeding scratch: per user, how many counted clusters hold it (one
+    /// byte per user, grown on demand; zero outside a seeding pass).
+    pub(crate) counts: Vec<u8>,
+    /// Seeding scratch: the counted clusters' members, in first-appearance
+    /// order.
+    pub(crate) members: Vec<UserId>,
 }
 
 impl Searcher {
@@ -73,6 +79,8 @@ impl Searcher {
             batch: Vec::new(),
             hashes: Vec::new(),
             clusters: Vec::new(),
+            counts: Vec::new(),
+            members: Vec::new(),
         }
     }
 }
@@ -262,7 +270,7 @@ pub(crate) mod tests {
     use cnc_dataset::SyntheticConfig;
     use cnc_graph::SplitTree;
     use cnc_similarity::{SeededHash, SimilarityBackend, SimilarityData};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     /// A split-free entry index over `ds`: one bucket per `H(u)` under each
     /// seeded function (Algorithm 1 without the recursive splitting, which
@@ -411,43 +419,94 @@ pub(crate) mod tests {
         }
     }
 
+    /// The routed seeds the rule asks for, computed independently of
+    /// `pick_seeds`' counters and histogram: count the members of the
+    /// smaller half of the routed clusters in a map, stable-sort them by
+    /// count (descending, so ties keep their first-appearance order), and
+    /// take those held by two or more clusters up to `beam_width`, the
+    /// ranking continuing to `entry_points` if that is more — all within
+    /// the comparison cap. Also returns each seed's count.
+    fn reference_seeds(
+        entries: &EntryIndex,
+        query: &[ItemId],
+        n: usize,
+        config: &BeamSearchConfig,
+    ) -> Vec<(UserId, usize)> {
+        let (mut hashes, mut routed) = (Vec::new(), Vec::new());
+        entries.route(query, &mut hashes, &mut routed);
+        routed.sort_by_key(|&c| entries.cluster(c).len());
+        let counted = &routed[..routed.len().div_ceil(2)];
+        let mut count: HashMap<UserId, usize> = HashMap::new();
+        let mut ranked: Vec<UserId> = Vec::new();
+        for &c in counted {
+            for &user in entries.cluster(c) {
+                let held = count.entry(user).or_insert(0);
+                if *held == 0 {
+                    ranked.push(user);
+                }
+                *held += 1;
+            }
+        }
+        ranked.sort_by_key(|user| std::cmp::Reverse(count[user]));
+        let multi = ranked.iter().filter(|user| count[user] >= 2).count();
+        let cap = if config.max_comparisons > 0 { config.max_comparisons.min(n) } else { n };
+        let take = config.beam_width.min(multi).max(config.entry_points).min(cap);
+        ranked.into_iter().take(take).map(|user| (user, count[&user])).collect()
+    }
+
     #[test]
-    fn seeds_come_from_the_routed_clusters_smallest_first() {
+    fn seeds_rank_members_by_how_many_smaller_clusters_hold_them() {
         let (ds, _) = setup();
         let n = ds.num_users();
-        let entries = bucket_entries(&ds, &[0xE1, 0xE2, 0xE3], 64);
-        let config = BeamSearchConfig { beam_width: 32, entry_points: 6, max_comparisons: 0 };
-        let (mut hashes, mut routed) = (Vec::new(), Vec::new());
-        for q in [3u32, 77, 210, 499] {
-            let query = ds.profile(q);
-            entries.route(query, &mut hashes, &mut routed);
-            assert_eq!(routed.len(), 3, "an in-sample profile routes under every function");
-            assert!(routed.iter().all(|&c| entries.cluster(c).contains(&q)));
-            // Round-robin over the routed clusters, smallest first.
-            routed.sort_by_key(|&c| entries.cluster(c).len());
-            let mut expect: Vec<UserId> = Vec::new();
-            let longest = routed.iter().map(|&c| entries.cluster(c).len()).max().unwrap();
-            for round in 0..longest {
-                for &c in &routed {
-                    if let Some(&user) = entries.cluster(c).get(round) {
-                        if !expect.contains(&user) {
-                            expect.push(user);
-                        }
+        let (mut tie_at_cut, mut single_top_up) = (false, false);
+        for functions in [&[0xE1][..], &[0xE1, 0xE2], &[0xE1, 0xE2, 0xE3], &[5, 6, 7, 8, 9]] {
+            let entries = bucket_entries(&ds, functions, 64);
+            for (beam_width, entry_points) in [(32, 6), (8, 6), (4, 6)] {
+                let config = BeamSearchConfig { beam_width, entry_points, max_comparisons: 0 };
+                for q in (0..500u32).step_by(7) {
+                    let query = ds.profile(q);
+                    let expect = reference_seeds(&entries, query, n, &config);
+                    let (seeds, routed) = seeds_of(Some(&entries), query, n, &config, 9);
+                    let users: Vec<UserId> = expect.iter().map(|&(user, _)| user).collect();
+                    let case =
+                        format!("{} functions, beam {beam_width}, query {q}", functions.len());
+                    assert_eq!(seeds[..routed], users[..], "{case}");
+                    // Random users only top a short routing up.
+                    assert_eq!(seeds.len(), routed.max(entry_points));
+                    // t' = 1 and t' = 2 count one cluster: the seeds are
+                    // the first `entry_points` members of the smaller one.
+                    if functions.len() <= 2 {
+                        assert!(expect.iter().all(|&(_, held)| held == 1));
+                    }
+                    let multi = expect.iter().filter(|&&(_, held)| held >= 2).count();
+                    single_top_up |= multi > 0 && multi < routed;
+                    let unbounded = BeamSearchConfig { beam_width: n, ..config };
+                    let all = reference_seeds(&entries, query, n, &unbounded);
+                    tie_at_cut |= routed >= 2
+                        && all.len() > routed
+                        && expect[routed - 1].1 >= 2
+                        && all[routed].1 == expect[routed - 1].1;
+
+                    // A capped search scores a prefix of the seeds.
+                    for max_comparisons in [1, 4, routed] {
+                        let capped = BeamSearchConfig { max_comparisons, ..config };
+                        let (few, few_routed) = seeds_of(Some(&entries), query, n, &capped, 9);
+                        assert_eq!(few[..], seeds[..max_comparisons.min(seeds.len())]);
+                        assert_eq!(few_routed, routed.min(max_comparisons));
                     }
                 }
             }
-            expect.truncate(config.beam_width);
-            let (seeds, from_clusters) = seeds_of(Some(&entries), query, n, &config, 9);
-            assert_eq!(from_clusters, expect.len());
-            assert_eq!(seeds[..from_clusters], expect[..]);
-            // Random users only top a short routing up to `entry_points`.
-            assert_eq!(seeds.len(), from_clusters.max(config.entry_points));
-
-            // A capped search scores at most `max_comparisons` seeds.
-            let capped = BeamSearchConfig { max_comparisons: 4, ..config };
-            let (few, _) = seeds_of(Some(&entries), query, n, &capped, 9);
-            assert_eq!(few[..], seeds[..4]);
         }
+        assert!(tie_at_cut, "some query must split a tied count at the cut");
+        assert!(single_top_up, "some query must top up with single-cluster members");
+
+        // A profile that routes nowhere gets no routed seeds at all.
+        let entries = bucket_entries(&ds, &[0xE1, 0xE2, 0xE3], 1 << 20);
+        let config = BeamSearchConfig { beam_width: 32, entry_points: 6, max_comparisons: 0 };
+        let stranger: Vec<u32> = vec![400_001, 400_002, 400_003];
+        assert!(reference_seeds(&entries, &stranger, n, &config).is_empty());
+        let (seeds, routed) = seeds_of(Some(&entries), &stranger, n, &config, 9);
+        assert_eq!((seeds.len(), routed), (config.entry_points, 0));
     }
 
     #[test]

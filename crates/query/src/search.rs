@@ -18,8 +18,10 @@
 //! Every search — a query, each query of a batch, insert placement — gets its
 //! seeds from one routine, [`pick_seeds`]: the query profile is routed
 //! through the graph's [`EntryIndex`] to the FastRandomHash clusters it
-//! belongs to and the beam starts at their members; random users only
-//! fill in when routing comes up short.
+//! belongs to, and the beam starts at the users who share the most of the
+//! smaller half of those clusters — two or more of them first, then, up to
+//! `entry_points`, users who share one; random users only fill in when
+//! routing comes up short.
 
 use crate::beam::BeamSearchConfig;
 use crate::index::Searcher;
@@ -59,18 +61,29 @@ impl PartialOrd for Candidate {
 /// marks, fills `batch` with the seeds (marking them visited) and returns
 /// how many of them were routed — the rest are random fill.
 ///
-/// Routed seeds come first and aim at a **full beam**: `query` is routed
-/// through `entries` to (at most) one cluster per hash function, and
-/// members are taken round-robin over those clusters, smallest cluster
-/// first (fewer co-members share the query's minimum-hash item, so each
-/// is likelier to be similar), until `beam_width` seeds are found or the
-/// clusters run out. A beam filled with good candidates terminates
-/// sooner, so more routed seeds cost *fewer* comparisons overall.
-/// `entry_points` is the floor random users top the seeds up to — the
+/// Routed seeds are the users who share the most of the query's smaller
+/// clusters. `query` is routed through `entries` to (at most) one cluster
+/// per hash function; of those `t'` clusters, the smaller half
+/// (`⌈t'/2⌉`, smallest first — fewer co-members share the query's
+/// minimum-hash item there, so each is likelier to be similar) is
+/// *counted*: every member gets the number of counted clusters that hold
+/// it. Members held by at least two counted clusters are the seeds,
+/// highest count first, ties in the order they first appear, up to
+/// `beam_width`; the ranking continues up to `entry_points` if that is
+/// more, so members held by one counted cluster only top the seeds up to
+/// that floor. Co-membership is the paper's locality signal
+/// (Theorem 1), and a user sharing several of the query's buckets is
+/// likelier still to be similar, so the beam starts nearer its answer.
+/// `entry_points` is also the floor random users top the seeds up to — the
 /// whole seed set when routing places the profile nowhere (no index, an
 /// empty profile, unseen buckets), which makes that case draw-for-draw
-/// the random start this routine replaced. Seeds count against
-/// `max_comparisons`: a capped search scores at most that many.
+/// the random start. Seeds count against `max_comparisons`: a capped
+/// search scores at most that many, a prefix of the uncapped seeds.
+///
+/// Counting reads the members of the counted clusters once, ranks them
+/// with a histogram over their counts (no sort) and clears only the
+/// counters it set, so no query touches anything O(n). Counters are one
+/// `u8` per user and saturate at 255.
 pub(crate) fn pick_seeds(
     entries: Option<&EntryIndex>,
     query: &[ItemId],
@@ -79,37 +92,57 @@ pub(crate) fn pick_seeds(
     seed: u64,
     searcher: &mut Searcher,
 ) -> usize {
-    let Searcher { visited, batch, hashes, clusters } = searcher;
+    let Searcher { visited, batch, hashes, clusters, counts, members } = searcher;
     visited.grow(n);
     visited.clear();
     batch.clear();
     let cap = if config.max_comparisons > 0 { config.max_comparisons.min(n) } else { n };
+    let floor = config.entry_points.min(cap);
 
     if let Some(entries) = entries.filter(|e| !e.is_empty()) {
-        let want = config.beam_width.min(cap);
         entries.route(query, hashes, clusters);
         clusters.sort_by_key(|&c| entries.cluster(c).len());
-        let mut round = 0;
-        let mut live = true;
-        while live && batch.len() < want {
-            live = false;
-            for &cluster in clusters.iter() {
-                if let Some(&user) = entries.cluster(cluster).get(round) {
-                    live = true;
-                    if visited.insert(user) {
-                        batch.push(user);
-                        if batch.len() == want {
-                            break;
-                        }
-                    }
+        clusters.truncate(clusters.len().div_ceil(2));
+        if counts.len() < n {
+            counts.resize(n, 0);
+        }
+        members.clear();
+        for &cluster in clusters.iter() {
+            for &user in entries.cluster(cluster) {
+                let count = &mut counts[user as usize];
+                if *count == 0 {
+                    members.push(user);
                 }
+                *count = count.saturating_add(1);
             }
-            round += 1;
+        }
+        // `rank[c]`: members held by exactly `c` counted clusters, then
+        // where they start in the seed order (highest count first).
+        let mut rank = [0u32; 256];
+        let levels = clusters.len().min(u8::MAX as usize) + 1;
+        for &user in members.iter() {
+            rank[counts[user as usize] as usize] += 1;
+        }
+        let multi = members.len() - rank[1] as usize;
+        let take = config.beam_width.min(cap).min(multi).max(floor).min(members.len());
+        let mut start = 0;
+        for slot in rank[1..levels].iter_mut().rev() {
+            (*slot, start) = (start, start + *slot);
+        }
+        batch.resize(take, 0);
+        for &user in members.iter() {
+            let count = &mut counts[user as usize];
+            let at = &mut rank[*count as usize];
+            if (*at as usize) < take {
+                batch[*at as usize] = user;
+                visited.insert(user);
+            }
+            *at += 1;
+            *count = 0;
         }
     }
     let routed = batch.len();
 
-    let floor = config.entry_points.min(cap);
     if batch.len() < floor {
         let mut rng = SmallRng::seed_from_u64(seed);
         while batch.len() < floor {

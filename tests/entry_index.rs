@@ -3,8 +3,10 @@
 //! Property-tested over small `b` / `N`, so recursive splits (and both of
 //! their exceptions) happen on every case: routing a profile reproduces
 //! exactly the clusters `ClusterAndConquer::cluster_step` put that user in,
-//! the index's clusters are the clustering's, and profiles routing cannot
-//! place fall back to `entry_points` random seeds.
+//! the index's clusters are the clustering's, an in-sample search starts
+//! from distinct members of those clusters (the user itself among them),
+//! and profiles routing cannot place fall back to `entry_points` random
+//! seeds.
 
 use cluster_and_conquer::prelude::*;
 use proptest::prelude::*;
@@ -80,6 +82,76 @@ proptest! {
             prop_assert_eq!(routed.len(), t, "user {} must route under every function", u);
             prop_assert!(routed.iter().all(|&c| index.cluster(c).contains(&u)));
             prop_assert_eq!(&routed, &of_user[u as usize], "user {} routed elsewhere", u);
+        }
+    }
+
+    #[test]
+    fn in_sample_searches_start_from_distinct_co_members_and_the_user_itself(
+        seed in 0u64..10_000,
+        users in 150usize..300,
+        b in 2u32..16,
+        t in 3usize..7,
+        max_cluster_size in 2usize..12,
+        beam_width in 2usize..24,
+    ) {
+        let ds = dataset(seed, users);
+        let config = C2Config {
+            k: 2,
+            b,
+            t,
+            max_cluster_size,
+            backend: SimilarityBackend::Raw,
+            seed,
+            threads: 1,
+            ..C2Config::default()
+        };
+        let graph = ClusterAndConquer::new(config).build(&ds).graph;
+        let entries = BuildPlan::assign(&config, &ds).entry_index();
+        let index = QueryIndex::new(&ds, &graph).with_entries(&entries);
+        // One entry point: an in-sample profile is held by all of its
+        // counted clusters, so it never needs random fill.
+        let beam = BeamSearchConfig { beam_width, entry_points: 1, max_comparisons: 0 };
+        let (mut hashes, mut routed) = (Vec::new(), Vec::new());
+        for (u, profile) in ds.iter() {
+            if profile.is_empty() {
+                continue;
+            }
+            let full = index.search(profile, beam_width, &beam, u as u64);
+            let seeds = full.routed_seeds + full.random_seeds;
+            prop_assert_eq!(full.random_seeds, 0, "user {} needed random fill", u);
+            prop_assert!(seeds >= 1 && seeds <= beam.max_seeds());
+            // Capped at its own seed count, the search scores exactly the
+            // seeds (the same prefix) and stops: its beam *is* the seeds.
+            let capped = BeamSearchConfig { max_comparisons: seeds, ..beam };
+            let start = index.search(profile, beam_width, &capped, u as u64);
+            prop_assert_eq!(start.comparisons, seeds);
+            prop_assert_eq!(start.neighbors.len(), seeds, "user {}: seeds must be distinct", u);
+
+            entries.route(profile, &mut hashes, &mut routed);
+            prop_assert_eq!(routed.len(), t);
+            for nb in &start.neighbors {
+                prop_assert!(
+                    routed.iter().any(|&c| entries.cluster(c).contains(&nb.user)),
+                    "user {}: seed {} is in none of its clusters", u, nb.user
+                );
+            }
+            // The user is held by every counted cluster, the highest count
+            // there is: it is seeded unless a full beam of users shares
+            // all of them too.
+            routed.sort_by_key(|&c| entries.cluster(c).len());
+            let counted = &routed[..t.div_ceil(2)];
+            let sharing_all = entries
+                .cluster(counted[0])
+                .iter()
+                .filter(|&&v| v != u && counted.iter().all(|&c| entries.cluster(c).contains(&v)))
+                .count();
+            if sharing_all < beam_width {
+                prop_assert!(
+                    start.neighbors.iter().any(|nb| nb.user == u),
+                    "user {} shares its counted clusters with {} users yet is not seeded",
+                    u, sharing_all
+                );
+            }
         }
     }
 }
