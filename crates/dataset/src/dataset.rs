@@ -201,22 +201,6 @@ impl Dataset {
         self.num_ratings() as f64 / (self.num_users() as f64 * self.num_items() as f64)
     }
 
-    /// Returns a new dataset containing only users with at least
-    /// `min_profile` items, re-numbering users densely but keeping item ids.
-    ///
-    /// This is the paper's cold-start filter ("we only consider users with at
-    /// least 20 ratings: the others are removed from the user set but not
-    /// from the item set").
-    pub fn filter_min_profile(&self, min_profile: usize) -> Dataset {
-        let mut builder = DatasetBuilder::with_capacity(self.num_users());
-        for (_, profile) in self.iter() {
-            if profile.len() >= min_profile {
-                builder.push_sorted_profile(profile);
-            }
-        }
-        builder.build_with_min_items(self.num_items)
-    }
-
     /// Checks the CSR invariants; used by tests and debug assertions.
     pub fn validate(&self) -> Result<(), String> {
         if self.offsets.first() != Some(&0) {
@@ -379,16 +363,6 @@ mod tests {
     fn min_items_floor_is_respected() {
         let ds = Dataset::from_profiles(vec![vec![1]], 100);
         assert_eq!(ds.num_items(), 100);
-    }
-
-    #[test]
-    fn filter_min_profile_drops_small_users_but_keeps_items() {
-        let ds = toy();
-        let filtered = ds.filter_min_profile(3);
-        assert_eq!(filtered.num_users(), 2);
-        assert_eq!(filtered.num_items(), 5);
-        assert_eq!(filtered.profile(0), &[0, 1, 2]);
-        assert_eq!(filtered.profile(1), &[2, 3, 4]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! draw as a float comparison would and returns the same index. The
 //! argument holds for any probability in `[0, 1]`, so the synthetic
 //! generator's affinity coin, `random::<f64>() < affinity`, is the integer
-//! test `k < ⌈affinity · 2⁵³⌉` too ([`coin_threshold`]).
+//! test `k < ⌈affinity · 2⁵³⌉` too (`coin_threshold`).
 
 use rand::{Rng, RngExt};
 

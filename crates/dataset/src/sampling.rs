@@ -1,5 +1,5 @@
 //! Profile sampling (Kermarrec, Ruas, Taïani, Euro-Par'18 — the paper's
-//! reference [39]: "Nobody cares if you liked Star Wars: KNN graph
+//! reference \[39\]: "Nobody cares if you liked Star Wars: KNN graph
 //! construction on the cheap").
 //!
 //! A complementary way to cut similarity costs: cap every profile at `s`
@@ -20,7 +20,7 @@ use rand::SeedableRng;
 pub enum SamplingPolicy {
     /// Keep a uniform random subset.
     Random,
-    /// Keep the least-popular items (the [39] recommendation).
+    /// Keep the least-popular items (the \[39\] recommendation).
     LeastPopular,
     /// Keep the most-popular items (the anti-policy, useful as a control).
     MostPopular,

@@ -105,11 +105,6 @@ impl FoldSplit {
     pub fn test_items(&self, user: UserId) -> &[ItemId] {
         &self.test[user as usize]
     }
-
-    /// Total number of held-out ratings.
-    pub fn num_test_ratings(&self) -> usize {
-        self.test.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]

@@ -42,20 +42,6 @@ impl DatasetStats {
             max_item_degree,
         }
     }
-
-    /// Renders one row of Table I: `users items ratings |Pu| |Pi| density%`.
-    pub fn table_row(&self, name: &str) -> String {
-        format!(
-            "{:<8} {:>9} {:>9} {:>11} {:>8.2} {:>8.2} {:>8.3}%",
-            name,
-            self.users,
-            self.items,
-            self.ratings,
-            self.avg_profile,
-            self.avg_item_degree,
-            self.density * 100.0
-        )
-    }
 }
 
 impl fmt::Display for DatasetStats {
@@ -106,12 +92,5 @@ mod tests {
         assert_eq!(s.users, 0);
         assert_eq!(s.avg_profile, 0.0);
         assert_eq!(s.avg_item_degree, 0.0);
-    }
-
-    #[test]
-    fn table_row_contains_name() {
-        let ds = Dataset::from_profiles(vec![vec![0]], 0);
-        let row = DatasetStats::compute(&ds).table_row("ml1M");
-        assert!(row.starts_with("ml1M"));
     }
 }

@@ -1,5 +1,5 @@
 //! KNN classification on top of the graph (the paper's first motivating
-//! application class, refs [1], [2]).
+//! application class, refs \[1\], \[2\]).
 //!
 //! Given labels for a *training* subset of users, each remaining user is
 //! classified by a similarity-weighted majority vote among her KNN-graph

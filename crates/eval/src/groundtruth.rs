@@ -68,8 +68,9 @@ impl GroundTruth {
     /// `score(donor, candidate)` — the hook for measuring recall against
     /// the *serving backend's* own metric (e.g. the GoldFinger estimate
     /// the engine actually ranks by, `gf.estimate(d, c) as f32`). Recall
-    /// against the same-metric oracle isolates what the SLO machinery
-    /// degrades (beam coverage), not sketch approximation error.
+    /// against the same-metric oracle isolates what the beam search
+    /// misses (beam coverage, the comparison cap), not sketch
+    /// approximation error.
     pub fn compute_with(
         dataset: &Dataset,
         config: &GroundTruthConfig,

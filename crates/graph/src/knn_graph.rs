@@ -89,7 +89,7 @@ impl Overlay {
 }
 
 /// An approximate (or exact) KNN graph: one bounded neighbour list per
-/// user, stored owned or borrowed from a mapped snapshot (see [`Repr`]).
+/// user, stored owned or borrowed from a mapped snapshot (see `Repr`).
 #[derive(Clone, Debug)]
 pub struct KnnGraph {
     repr: Repr,

@@ -26,7 +26,7 @@
 //!   of the [`KnnGraph`]: no second copy of the graph is ever held.
 
 use crate::knn_graph::KnnGraph;
-use crate::neighbors::{offer, sift_up, worst_sim, Neighbor, NeighborList, Neighbors, Verdict};
+use crate::neighbors::{offer, sift_up, worst_sim, Neighbor, NeighborList, Verdict};
 use cnc_dataset::UserId;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -180,12 +180,6 @@ impl SharedKnnGraph {
         });
     }
 
-    /// Copies `user`'s current row (used to snapshot between greedy
-    /// iterations), heap layout kept.
-    pub fn snapshot_user(&self, user: UserId) -> NeighborList {
-        self.with_row(user, |row, len| Neighbors::new(&row[..*len], self.k).to_list())
-    }
-
     /// Snapshots the neighbour ids of every user (cheap read phase of the
     /// greedy algorithms).
     pub fn snapshot_ids(&self) -> Vec<Vec<UserId>> {
@@ -333,11 +327,6 @@ mod tests {
             lists[0] = worse;
             assert!(shared.insert(0, 41, 0.01));
             assert!(lists[0].insert(41, 0.01));
-            for u in 0..n {
-                let snap = shared.snapshot_user(u);
-                assert_eq!(snap.as_view().as_slice(), lists[u as usize].as_view().as_slice());
-                assert_eq!(snap.k(), k);
-            }
             let ids = shared.snapshot_ids();
             for (u, list) in lists.iter().enumerate() {
                 assert_eq!(ids[u], list.iter().map(|nb| nb.user).collect::<Vec<_>>());

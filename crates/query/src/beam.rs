@@ -27,13 +27,6 @@ impl Default for BeamSearchConfig {
 }
 
 impl BeamSearchConfig {
-    /// The most seeds one search scores before `max_comparisons` cuts in:
-    /// `beam_width` users who share two or more routed clusters, or the
-    /// `entry_points` floor if that is larger.
-    pub fn max_seeds(&self) -> usize {
-        self.beam_width.max(self.entry_points)
-    }
-
     /// Validates the parameters against a query `k`.
     pub fn validate(&self, k: usize) -> Result<(), String> {
         if self.beam_width == 0 {

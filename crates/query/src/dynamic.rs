@@ -14,7 +14,7 @@
 //!   from the FastRandomHash clusters the newcomer's profile routes to,
 //!   otherwise at random users;
 //! * the beam expansion is batched through
-//!   [`cnc_similarity::kernel::one_vs_many`] (see [`crate::search`]), over
+//!   [`cnc_similarity::kernel::one_vs_many`] (see the crate's `search` module), over
 //!   raw profiles or — in [`DynamicIndex::with_goldfinger`] mode — over
 //!   GoldFinger fingerprints, each newcomer's row appended with
 //!   [`GoldFinger::push_user`];
@@ -216,9 +216,8 @@ impl DynamicIndex {
     ///
     /// `config.max_comparisons` bounds the placement search exactly like
     /// a query (a change from the original insertion loop, which ignored
-    /// the cap) — insert latency needs the same SLO protection queries
-    /// get, and the semantics are locked by the capped equivalence test
-    /// below.
+    /// the cap) — insert latency gets the same bound queries get, and the
+    /// semantics are locked by the capped equivalence test below.
     pub fn add_user(&mut self, mut profile: Vec<ItemId>, seed: u64) -> (UserId, usize) {
         profile.sort_unstable();
         profile.dedup();

@@ -149,12 +149,6 @@ impl<'a> QueryIndex<'a> {
         self
     }
 
-    /// True if queries are scored on fingerprints rather than raw
-    /// profiles.
-    pub fn is_fingerprinted(&self) -> bool {
-        self.goldfinger.is_some()
-    }
-
     /// Allocates reusable scratch for this index.
     pub fn searcher(&self) -> Searcher {
         Searcher::new(self.dataset.num_users())
@@ -546,7 +540,6 @@ pub(crate) mod tests {
             let entries = seedings[entries].as_ref();
             let gf = GoldFinger::build(&ds, bits, 31);
             let index = bind(QueryIndex::with_goldfinger(&ds, &graph, &gf), entries);
-            assert!(index.is_fingerprinted());
             for (q, max_comparisons) in [(3usize, 0usize), (55, 90), (8, 1)] {
                 let query: Vec<u32> = ds.profile((q * 11 % 500) as u32).to_vec();
                 let qwords = gf.fingerprint_profile(&query);

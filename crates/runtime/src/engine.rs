@@ -7,7 +7,7 @@
 //! runs too. Both stages schedule their clusters the same way: one
 //! [`PriorityPool`] job per cluster, largest predicted cost first (Step
 //! 2's decreasing priority queue), each behind the `solve.cluster` fault
-//! gate ([`solve_gate`]).
+//! gate (`solve_gate`).
 //!
 //! ```text
 //!             ┌──────────────┐  merge_into   ┌────────────────┐

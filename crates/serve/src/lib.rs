@@ -38,7 +38,6 @@
 pub mod mmap;
 pub mod publish;
 pub mod server;
-pub mod slo;
 pub mod snapshot;
 
 pub use cnc_core::RebuildStats;
@@ -48,7 +47,6 @@ pub use server::{
     BatchRequest, InsertOutcome, RebuildFailure, ServingConfig, ServingEngine, ServingEpoch,
     ServingSession, ServingStats,
 };
-pub use slo::{ManualClock, Rejected, SloAction, SloConfig, SloController, TokenBucket};
 pub use snapshot::{
     checksum64, quarantine_snapshot, sweep_temp_files, write_snapshot, write_snapshot_full,
     write_snapshot_parts_to, Snapshot, SnapshotError,

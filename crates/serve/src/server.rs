@@ -32,7 +32,6 @@
 //! answering queries identically to the engine that wrote it (locked by
 //! `tests/serve.rs`).
 
-use crate::slo::{scaled_beam, Rejected, SloConfig, SloController, TokenBucket};
 use crate::snapshot::{Snapshot, SnapshotError};
 use cnc_core::{BuildPlan, C2Config, ClusterCache, RebuildStats};
 use cnc_dataset::{Dataset, ItemId, UserId};
@@ -40,11 +39,12 @@ use cnc_graph::{EntryIndex, KnnGraph};
 use cnc_query::{BeamSearchConfig, DynamicIndex, QueryIndex, QueryResult, Searcher};
 use cnc_runtime::{IncrementalShardedResult, Runtime, RuntimeConfig};
 use cnc_similarity::{GoldFinger, SimilarityBackend};
-use cnc_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
+use cnc_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -61,9 +61,6 @@ pub struct ServingConfig {
     /// Rebuild and publish a new epoch after this many inserts
     /// (0 = only on explicit [`ServingEngine::publish`] calls).
     pub rebuild_after: usize,
-    /// Admission control and adaptive beam knobs (all off by default; see
-    /// [`SloConfig`]).
-    pub slo: SloConfig,
 }
 
 impl Default for ServingConfig {
@@ -73,7 +70,6 @@ impl Default for ServingConfig {
             runtime: RuntimeConfig::default(),
             beam: BeamSearchConfig::default(),
             rebuild_after: 1024,
-            slo: SloConfig::default(),
         }
     }
 }
@@ -292,10 +288,7 @@ pub struct ServingStats {
     pub num_users: usize,
     /// Inserts absorbed but not yet published.
     pub pending_inserts: usize,
-    /// Queries admitted by the budget (0 when admission is disabled —
-    /// unmetered queries are not counted here).
-    pub admitted: u64,
-    /// Queries shed with a typed rejection.
+    /// Queries shed: always 0, the engine answers every query.
     pub shed: u64,
     /// Epoch rebuilds that failed and were absorbed (the last good epoch
     /// stayed live; see [`RebuildFailure`]).
@@ -358,9 +351,6 @@ struct ServeMetrics {
     epoch: Arc<Gauge>,
     epoch_users: Arc<Gauge>,
     pending_inserts: Arc<Gauge>,
-    admitted_total: Arc<Counter>,
-    shed_total: Arc<Counter>,
-    beam_scale_pct: Arc<Gauge>,
     epoch_adopt_seconds: Arc<Histogram>,
     epoch_adopt_mmap: Arc<Counter>,
     epoch_adopt_copy: Arc<Counter>,
@@ -397,90 +387,11 @@ impl ServeMetrics {
             epoch: t.gauge("cnc_epoch", &[]),
             epoch_users: t.gauge("cnc_epoch_users", &[]),
             pending_inserts: t.gauge("cnc_pending_inserts", &[]),
-            admitted_total: t.counter("cnc_admission_total", &[("outcome", "admitted")]),
-            shed_total: t.counter("cnc_admission_total", &[("outcome", "shed")]),
-            beam_scale_pct: t.gauge("cnc_beam_scale_pct", &[]),
             epoch_adopt_seconds: t.histogram("cnc_epoch_adopt_seconds", &[]),
             epoch_adopt_mmap: t.counter("cnc_epoch_adopt_total", &[("path", "mmap")]),
             epoch_adopt_copy: t.counter("cnc_epoch_adopt_total", &[("path", "copy")]),
         }
     }
-}
-
-/// The windowed-p99 evaluation state the controller ticks against
-/// (guarded by one mutex so evaluations are serialized; queries that
-/// find it busy skip the tick instead of stalling).
-struct ControllerTick {
-    controller: SloController,
-    baseline: HistogramSnapshot,
-}
-
-/// Engine-side SLO state assembled from [`SloConfig`].
-struct SloState {
-    /// The global admission budget (`None` = admission disabled).
-    bucket: Option<TokenBucket>,
-    /// Adaptive-beam controller (`None` = fixed beam).
-    controller: Option<Mutex<ControllerTick>>,
-    /// The controller's current scale, cached for lock-free reads on the
-    /// query path.
-    scale_pct: AtomicU32,
-    /// The controller's beam floor.
-    min_beam: usize,
-    /// Queries between controller evaluations.
-    every: u64,
-    /// Queries since engine start (drives the evaluation cadence).
-    seen: AtomicU64,
-}
-
-impl SloState {
-    fn new(config: &ServingConfig) -> Self {
-        let slo = &config.slo;
-        let bucket = (slo.budget_per_sec > 0).then(|| {
-            // The burst must cover at least one full-price query, or
-            // nothing could ever be admitted.
-            let floor = query_charge(&admission_beam(&config.beam));
-            let burst = if slo.burst > 0 { slo.burst } else { slo.budget_per_sec };
-            TokenBucket::new(slo.budget_per_sec, burst.max(floor))
-        });
-        let controller = (slo.target_p99_us > 0).then(|| {
-            let full = config.beam.beam_width;
-            let min_beam = slo.min_beam_width.clamp(1, full);
-            Mutex::new(ControllerTick {
-                controller: SloController::new(slo.target_p99_us * 1_000, full, min_beam),
-                baseline: HistogramSnapshot::default(),
-            })
-        });
-        SloState {
-            bucket,
-            controller,
-            scale_pct: AtomicU32::new(100),
-            min_beam: config.slo.min_beam_width.clamp(1, config.beam.beam_width),
-            every: slo.controller_every.max(1),
-            seen: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The hard per-query comparison cap admission enforces so a query's
-/// actual work never exceeds its charge. An explicit `max_comparisons`
-/// is kept; an unlimited config gets a generous derived cap (the seeds
-/// plus 64 expansions' worth of beam) — the budget needs a finite unit
-/// of account.
-fn admission_beam(beam: &BeamSearchConfig) -> BeamSearchConfig {
-    let mut capped = *beam;
-    if capped.max_comparisons == 0 {
-        capped.max_comparisons = capped.max_seeds() + 64 * capped.beam_width;
-    }
-    capped
-}
-
-/// The worst-case comparison count of one query under an
-/// [`admission_beam`] — what admission charges. Seeds, routed or random,
-/// count against `max_comparisons` like every other scored candidate
-/// (see `cnc_query`'s `pick_seeds`), so the cap itself is the bound.
-fn query_charge(beam: &BeamSearchConfig) -> u64 {
-    debug_assert!(beam.max_comparisons > 0, "admission needs a capped beam");
-    beam.max_comparisons as u64
 }
 
 /// A concurrent KNN serving engine (see the module docs).
@@ -501,11 +412,6 @@ pub struct ServingEngine {
     /// monitoring state without bound; the oldest swaps are dropped.
     rebuild_history: Mutex<std::collections::VecDeque<RebuildStats>>,
     metrics: ServeMetrics,
-    /// Admission and adaptive beam state (always present;
-    /// individual mechanisms are `None`/inert when unconfigured).
-    slo: SloState,
-    admitted: AtomicU64,
-    shed: AtomicU64,
     /// Rebuilds that panicked and were absorbed (see [`RebuildFailure`]).
     rebuild_failures: AtomicU64,
 }
@@ -594,7 +500,6 @@ impl ServingEngine {
             metrics.epoch.set(epoch.epoch() as i64);
             metrics.epoch_users.set(epoch.num_users() as i64);
         }
-        let slo = SloState::new(&config);
         ServingEngine {
             config,
             current: RwLock::new(epoch),
@@ -605,9 +510,6 @@ impl ServingEngine {
             pending: AtomicUsize::new(0),
             rebuild_history: Mutex::new(std::collections::VecDeque::new()),
             metrics,
-            slo,
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             rebuild_failures: AtomicU64::new(0),
         }
     }
@@ -796,12 +698,8 @@ impl ServingEngine {
         self.query_with(&mut session, profile, k, seed)
     }
 
-    /// Answers one KNN query with per-client scratch.
-    ///
-    /// This is the **unmetered** path: the adaptive beam applies (a
-    /// degraded engine answers every caller with the narrowed beam), but
-    /// the admission budget is neither checked nor consumed —
-    /// SLO-governed clients go through [`ServingEngine::try_query_with`].
+    /// Answers one KNN query with per-client scratch, on the configured
+    /// beam.
     pub fn query_with(
         &self,
         session: &mut ServingSession,
@@ -809,201 +707,45 @@ impl ServingEngine {
         k: usize,
         seed: u64,
     ) -> QueryResult {
-        let beam = self.effective_beam(k, false);
-        self.run_query(session, profile, k, seed, &beam)
-    }
-
-    /// Answers one KNN query under admission control: the query is
-    /// charged its worst-case comparison cost against the global token
-    /// bucket up front (unspent tokens are refunded after execution) and
-    /// **shed** with a typed [`Rejected`] when the budget cannot cover
-    /// it — never a panic, never a silently slow answer. With no budget
-    /// configured every query is admitted.
-    pub fn try_query(
-        &self,
-        profile: &[ItemId],
-        k: usize,
-        seed: u64,
-    ) -> Result<QueryResult, Rejected> {
-        let mut session = self.session();
-        self.try_query_with(&mut session, profile, k, seed)
-    }
-
-    /// [`ServingEngine::try_query`] with per-client scratch.
-    pub fn try_query_with(
-        &self,
-        session: &mut ServingSession,
-        profile: &[ItemId],
-        k: usize,
-        seed: u64,
-    ) -> Result<QueryResult, Rejected> {
-        let beam = self.effective_beam(k, true);
-        let charge = self.admit(&beam)?;
-        Ok(self.run_charged(session, profile, k, seed, &beam, charge))
-    }
-
-    /// Answers a batch of queries, one outcome per request, in order.
-    /// The whole batch is admitted up front against the beam of its
-    /// largest `k` — a request the budget cannot cover at that moment is
-    /// shed with its [`Rejected`] whatever its neighbours later refund —
-    /// and the admitted ones then run one after another on one session.
-    /// Per query, neighbours and comparison counts equal
-    /// [`ServingEngine::try_query`] with the same arguments and that beam.
-    pub fn query_batch(&self, requests: &[BatchRequest]) -> Vec<Result<QueryResult, Rejected>> {
-        let beam = self.effective_beam(requests.iter().map(|r| r.k).max().unwrap_or(1), true);
-        let admissions: Vec<_> = requests.iter().map(|_| self.admit(&beam)).collect();
-        let mut session = self.session();
-        requests
-            .iter()
-            .zip(admissions)
-            .map(|(request, admission)| {
-                let charge = admission?;
-                Ok(self.run_charged(
-                    &mut session,
-                    &request.profile,
-                    request.k,
-                    request.seed,
-                    &beam,
-                    charge,
-                ))
-            })
-            .collect()
-    }
-
-    /// Runs one admitted query and settles its charge (if any) against
-    /// the comparisons it actually spent.
-    fn run_charged(
-        &self,
-        session: &mut ServingSession,
-        profile: &[ItemId],
-        k: usize,
-        seed: u64,
-        beam: &BeamSearchConfig,
-        charge: Option<u64>,
-    ) -> QueryResult {
-        let result = self.run_query(session, profile, k, seed, beam);
-        if let (Some(bucket), Some(charge)) = (&self.slo.bucket, charge) {
-            bucket.settle(charge, result.comparisons as u64);
-        }
-        result
-    }
-
-    /// The query execution core: search on the current epoch with
-    /// `beam`, then account metrics and feed the controller.
-    fn run_query(
-        &self,
-        session: &mut ServingSession,
-        profile: &[ItemId],
-        k: usize,
-        seed: u64,
-        beam: &BeamSearchConfig,
-    ) -> QueryResult {
-        let telemetry_on = Telemetry::global().enabled();
-        // The controller needs the latency histogram populated even when
-        // telemetry export is off — it is the engine's own SLO signal.
-        let timer = (telemetry_on || self.slo.controller.is_some()).then(Instant::now);
+        let timer = Telemetry::global().enabled().then(Instant::now);
         let mut query = profile.to_vec();
         query.sort_unstable();
         query.dedup();
         // Clone the Arc under the read lock, run the query outside it: a
         // concurrent publish proceeds without waiting for this query.
         let epoch = self.current_epoch();
-        let result = epoch.index().search_with(&mut session.searcher, &query, k, beam, seed);
+        let result =
+            epoch.index().search_with(&mut session.searcher, &query, k, &self.config.beam, seed);
         self.queries.fetch_add(1, Ordering::Relaxed);
         if let Some(start) = timer {
             self.metrics.query_latency_ns.record(start.elapsed().as_nanos() as u64);
-        }
-        if telemetry_on {
             self.metrics.record_query(&result);
         }
-        self.slo_tick();
         result
     }
 
-    /// The beam configuration queries actually run with: the controller's
-    /// current scale applied to width and cap (never below the floor or
-    /// `k`), plus — on admission-metered paths — the hard comparison cap
-    /// that makes a query's cost chargeable.
-    fn effective_beam(&self, k: usize, metered: bool) -> BeamSearchConfig {
-        let mut beam = self.config.beam;
-        if self.slo.controller.is_some() {
-            let pct = self.slo.scale_pct.load(Ordering::Relaxed);
-            if pct < 100 {
-                beam.beam_width = scaled_beam(beam.beam_width, self.slo.min_beam, pct).max(k);
-                if beam.max_comparisons > 0 {
-                    beam.max_comparisons =
-                        (beam.max_comparisons * pct as usize / 100).max(beam.beam_width);
-                }
-            }
-        }
-        if metered && self.slo.bucket.is_some() {
-            beam = admission_beam(&beam);
-        }
-        beam
+    /// [`ServingEngine::query_with`], which never fails; kept with this
+    /// signature for existing callers.
+    pub fn try_query_with(
+        &self,
+        session: &mut ServingSession,
+        profile: &[ItemId],
+        k: usize,
+        seed: u64,
+    ) -> Result<QueryResult, Infallible> {
+        Ok(self.query_with(session, profile, k, seed))
     }
 
-    /// Charges one query against the budget. Returns the charge to settle
-    /// later (`None` when admission is disabled), or the typed rejection.
-    fn admit(&self, beam: &BeamSearchConfig) -> Result<Option<u64>, Rejected> {
-        let Some(bucket) = &self.slo.bucket else {
-            return Ok(None);
-        };
-        let charge = query_charge(beam);
-        match bucket.try_acquire(charge) {
-            Ok(()) => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                if Telemetry::global().enabled() {
-                    self.metrics.admitted_total.inc();
-                }
-                Ok(Some(charge))
-            }
-            Err(rejected) => {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                if Telemetry::global().enabled() {
-                    self.metrics.shed_total.inc();
-                }
-                Err(rejected)
-            }
-        }
-    }
-
-    /// Every `slo.controller_every` queries, evaluates the rolling p99
-    /// over the window since the last evaluation and lets the controller
-    /// adjust the beam scale. Non-blocking: a query finding the
-    /// evaluation mutex busy skips the tick.
-    fn slo_tick(&self) {
-        let Some(ctl) = &self.slo.controller else {
-            return;
-        };
-        let n = self.slo.seen.fetch_add(1, Ordering::Relaxed) + 1;
-        if !n.is_multiple_of(self.slo.every) {
-            return;
-        }
-        let Ok(mut tick) = ctl.try_lock() else {
-            return;
-        };
-        if let Some(p99) = self.metrics.query_latency_ns.quantile_since(&tick.baseline, 0.99) {
-            tick.controller.observe(p99);
-            let pct = tick.controller.scale_pct();
-            self.slo.scale_pct.store(pct, Ordering::Relaxed);
-            if Telemetry::global().enabled() {
-                self.metrics.beam_scale_pct.set(pct as i64);
-            }
-        }
-        tick.baseline = self.metrics.query_latency_ns.snapshot();
-    }
-
-    /// The controller's current beam scale in percent (100 = full width;
-    /// always 100 when no p99 target is configured).
-    pub fn beam_scale_pct(&self) -> u32 {
-        self.slo.scale_pct.load(Ordering::Relaxed)
-    }
-
-    /// Comparison tokens left in the admission budget right now (`None`
-    /// when admission is disabled) — with a query's charge and its
-    /// [`QueryResult::comparisons`], what it takes to audit a refund.
-    pub fn budget_balance(&self) -> Option<u64> {
-        self.slo.bucket.as_ref().map(TokenBucket::balance)
+    /// Answers a batch of queries, one outcome per request, in order, one
+    /// after another on one session. Each outcome equals
+    /// [`ServingEngine::query_with`] with the same arguments and never
+    /// fails.
+    pub fn query_batch(&self, requests: &[BatchRequest]) -> Vec<Result<QueryResult, Infallible>> {
+        let mut session = self.session();
+        requests
+            .iter()
+            .map(|r| Ok(self.query_with(&mut session, &r.profile, r.k, r.seed)))
+            .collect()
     }
 
     /// Absorbs one streaming insert: the newcomer is placed in the
@@ -1082,8 +824,7 @@ impl ServingEngine {
             epoch: epoch.epoch(),
             num_users: epoch.num_users(),
             pending_inserts: pending,
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            shed: 0,
             rebuild_failures: self.rebuild_failures.load(Ordering::Relaxed),
         }
     }
@@ -1320,7 +1061,6 @@ mod tests {
             runtime: RuntimeConfig::with_workers(2),
             beam: BeamSearchConfig { beam_width: 24, entry_points: 5, max_comparisons: 0 },
             rebuild_after,
-            slo: SloConfig::default(),
         }
     }
 

@@ -243,16 +243,6 @@ impl Snapshot {
         Snapshot { dataset, graph, goldfinger, cache: None, entries: None }
     }
 
-    /// Attaches a builder's cluster cache for persistence. Only its
-    /// memberships are written; on load they are paired with this
-    /// snapshot's graph, so a `cache` of any other graph than `graph` is
-    /// left out of the file (it loads with `cache: None`: a cold first
-    /// publish, never a wrong patch).
-    pub fn with_cache(mut self, cache: ClusterCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Attaches the graph's entry index for persistence.
     ///
     /// # Panics

@@ -187,11 +187,6 @@ impl<'a> SimilarityData<'a> {
         self.comparisons.load(Ordering::Relaxed)
     }
 
-    /// Resets the comparison counter (used between experiment phases).
-    pub fn reset_comparisons(&self) {
-        self.comparisons.store(0, Ordering::Relaxed);
-    }
-
     /// The GoldFinger fingerprints, if this backend uses them.
     pub fn goldfinger(&self) -> Option<&GoldFinger> {
         match &self.kind {
@@ -244,15 +239,13 @@ mod tests {
     }
 
     #[test]
-    fn comparisons_are_counted_and_resettable() {
+    fn comparisons_are_counted() {
         let ds = toy();
         let sim = SimilarityData::build(SimilarityBackend::Raw, &ds);
         assert_eq!(sim.comparisons(), 0);
         sim.sim(0, 1);
         sim.sim(1, 2);
         assert_eq!(sim.comparisons(), 2);
-        sim.reset_comparisons();
-        assert_eq!(sim.comparisons(), 0);
     }
 
     #[test]

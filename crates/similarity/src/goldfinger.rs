@@ -1,6 +1,6 @@
 //! GoldFinger compact fingerprints (paper §II-F, Table V).
 //!
-//! GoldFinger [19], [40] summarizes each user's profile into a short bit
+//! GoldFinger \[19\], \[40\] summarizes each user's profile into a short bit
 //! vector (a *Single Hash Fingerprint*): bit `h(i) mod B` is set for every
 //! item `i ∈ P_u`. The Jaccard similarity of two profiles is then estimated
 //! from the fingerprints alone:

@@ -1,7 +1,7 @@
 //! Seeded family of fast 64-bit hash functions.
 //!
 //! The paper computes its FastRandomHash values "using Jenkins' hash
-//! function" [31]. Any fast avalanche hash with uniform output works — the
+//! function" \[31\]. Any fast avalanche hash with uniform output works — the
 //! theory (Theorems 1 and 2) only assumes the generative hash behaves like a
 //! uniform random function. We use the SplitMix64 finalizer (Stafford's
 //! Mix13 constants), which passes avalanche tests, is three multiplications

@@ -25,7 +25,7 @@ impl Jaccard {
     /// Size of the intersection of two strictly increasing slices.
     ///
     /// Balanced inputs take the branch-light linear merge; skewed inputs
-    /// (one side more than [`GALLOP_CUTOFF`]× the other) gallop the
+    /// (one side more than `GALLOP_CUTOFF`× the other) gallop the
     /// smaller side through the larger one — exponential probe then
     /// binary search, resuming where the previous item landed. The count
     /// is exact either way, so every similarity stays bit-identical to

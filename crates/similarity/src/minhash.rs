@@ -1,6 +1,6 @@
 //! MinHash: min-wise hashing over the item universe.
 //!
-//! Classic MinHash [17] applies a (pseudo-)random permutation `π` of the
+//! Classic MinHash \[17\] applies a (pseudo-)random permutation `π` of the
 //! item universe and keeps `min_{i ∈ P_u} π(i)`. Two users agree on this
 //! minimum with probability exactly their Jaccard similarity. The paper uses
 //! MinHash in two roles, both reproduced here:

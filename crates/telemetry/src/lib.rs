@@ -36,7 +36,7 @@ pub mod metrics;
 pub mod span;
 pub mod wire;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricKey, MetricsRegistry};
+pub use metrics::{Counter, Gauge, Histogram, MetricKey, MetricsRegistry};
 pub use span::{SpanCollector, SpanRecord, SpanSummary};
 
 use std::sync::atomic::{AtomicBool, Ordering};

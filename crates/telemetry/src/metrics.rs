@@ -127,21 +127,6 @@ impl Default for Gauge {
 const SUB_BITS: u32 = 5;
 const SUB: usize = 1 << SUB_BITS;
 
-/// A point-in-time copy of a [`Histogram`]'s bucket counts, used as the
-/// baseline for windowed quantiles (see [`Histogram::quantile_since`]).
-#[derive(Clone, Debug, Default)]
-pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl HistogramSnapshot {
-    /// Total observations at capture time.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
 /// A log-linear (HDR-style) histogram over `u64` values.
 ///
 /// Values below 32 get exact unit buckets; above that, each power-of-two
@@ -278,42 +263,6 @@ impl Histogram {
             }
         }
         Self::bucket_lower_bound(Self::NUM_BUCKETS - 1)
-    }
-
-    /// A point-in-time copy of the bucket counts, for windowed (delta)
-    /// quantiles: capture a snapshot, let traffic accumulate, then ask
-    /// [`Histogram::quantile_since`] for the quantile of just the samples
-    /// recorded in between. This is how rolling percentiles are read from
-    /// the cumulative registry histograms without resetting them (resets
-    /// would race other readers).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count(),
-        }
-    }
-
-    /// The `q`-quantile of the samples recorded since `prev` was captured
-    /// (same bucket-lower-bound convention as [`Histogram::quantile`]).
-    /// Returns `None` when no new samples have arrived. `prev` must be a
-    /// snapshot of *this* histogram; a mismatched snapshot saturates the
-    /// per-bucket deltas at zero rather than panicking.
-    pub fn quantile_since(&self, prev: &HistogramSnapshot, q: f64) -> Option<u64> {
-        let count = self.count().saturating_sub(prev.count);
-        if count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-        let mut cumulative = 0u64;
-        for (index, bucket) in self.buckets.iter().enumerate() {
-            let now = bucket.load(Ordering::Relaxed);
-            let before = prev.buckets.get(index).copied().unwrap_or(0);
-            cumulative += now.saturating_sub(before);
-            if cumulative >= target {
-                return Some(Self::bucket_lower_bound(index));
-            }
-        }
-        Some(Self::bucket_lower_bound(Self::NUM_BUCKETS - 1))
     }
 
     /// The non-empty buckets as `(lower bound, count)` pairs, ascending.
@@ -518,32 +467,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.nonzero_buckets().is_empty());
-    }
-
-    #[test]
-    fn quantile_since_sees_only_the_window() {
-        let h = Histogram::new();
-        for _ in 0..100 {
-            h.record(5);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 100);
-        assert_eq!(h.quantile_since(&snap, 0.99), None, "no new samples yet");
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        // The cumulative p50 is dominated by the hundred 5s, but the
-        // windowed quantiles match a fresh histogram of just 1..=100.
-        let fresh = Histogram::new();
-        for v in 1..=100u64 {
-            fresh.record(v);
-        }
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile_since(&snap, q), Some(fresh.quantile(q)), "q={q}");
-        }
-        let snap2 = h.snapshot();
-        h.record(1 << 20);
-        assert_eq!(h.quantile_since(&snap2, 0.5), Some(1 << 20));
     }
 
     #[test]

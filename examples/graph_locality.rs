@@ -33,20 +33,35 @@ fn main() {
     let random_locality = avg_exact_similarity(&random, &dataset);
 
     // --- (b) C² start: k co-cluster members -------------------------------
-    // Build the paper's clustering and, for each user, take the first k
-    // users sharing one of her clusters (round-robin over her t clusters).
+    // Build the paper's clustering and, for each user, take k distinct
+    // co-members round-robin over her t clusters: in each round, the next
+    // member after her in each of her clusters in turn.
     let functions = FastRandomHash::family(9, 8, 4096);
     let clustering = cluster_dataset(&dataset, &functions, 2000);
+    let mut of_user: Vec<Vec<usize>> = vec![Vec::new(); dataset.num_users()];
+    for (c, cluster) in clustering.clusters.iter().enumerate() {
+        for &u in cluster {
+            of_user[u as usize].push(c);
+        }
+    }
     let mut graph = KnnGraph::new(dataset.num_users(), k);
-    for cluster in &clustering.clusters {
-        for (i, &u) in cluster.iter().enumerate() {
-            for offset in 1..=k {
-                let v = cluster[(i + offset) % cluster.len()];
-                if v != u {
-                    graph.insert(u, v, 0.0);
-                }
+    for (u, clusters) in of_user.iter().enumerate() {
+        let u = u as u32;
+        let mine: Vec<(&[u32], usize)> = clusters
+            .iter()
+            .map(|&c| {
+                let cluster = clustering.clusters[c].as_slice();
+                (cluster, cluster.iter().position(|&v| v == u).expect("u is a member"))
+            })
+            .collect();
+        let longest = mine.iter().map(|(cluster, _)| cluster.len()).max().unwrap_or(0);
+        'fill: for offset in 1..longest {
+            for &(cluster, i) in &mine {
                 if graph.neighbors(u).len() >= k {
-                    break;
+                    break 'fill;
+                }
+                if offset < cluster.len() {
+                    graph.insert(u, cluster[(i + offset) % cluster.len()], 0.0);
                 }
             }
         }
@@ -60,12 +75,6 @@ fn main() {
     // order) — the seeds `cnc-query` starts a search of that profile from.
     // Some users have fewer than k such co-members, so this is the mean
     // over the pairs found, not over k·n slots.
-    let mut of_user: Vec<Vec<usize>> = vec![Vec::new(); dataset.num_users()];
-    for (c, cluster) in clustering.clusters.iter().enumerate() {
-        for &u in cluster {
-            of_user[u as usize].push(c);
-        }
-    }
     let (mut shared_sum, mut shared_pairs) = (0.0, 0usize);
     let mut count = vec![0usize; dataset.num_users()];
     let mut members: Vec<u32> = Vec::new();

@@ -71,7 +71,6 @@ fn main() {
         beam: BeamSearchConfig { beam_width: 48, entry_points: 8, max_comparisons: 0 },
         // Small epoch budget so the demo stream triggers a swap.
         rebuild_after: 25,
-        ..ServingConfig::default()
     };
     let t2 = Instant::now();
     let engine = ServingEngine::build(split.train.clone(), serving_config);

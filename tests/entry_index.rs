@@ -119,7 +119,7 @@ proptest! {
             let full = index.search(profile, beam_width, &beam, u as u64);
             let seeds = full.routed_seeds + full.random_seeds;
             prop_assert_eq!(full.random_seeds, 0, "user {} needed random fill", u);
-            prop_assert!(seeds >= 1 && seeds <= beam.max_seeds());
+            prop_assert!(seeds >= 1 && seeds <= beam_width);
             // Capped at its own seed count, the search scores exactly the
             // seeds (the same prefix) and stops: its beam *is* the seeds.
             let capped = BeamSearchConfig { max_comparisons: seeds, ..beam };

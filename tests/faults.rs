@@ -180,7 +180,6 @@ fn readers_never_observe_a_partial_epoch_while_rebuilds_fail() {
         runtime: RuntimeConfig::with_workers(2),
         beam: BeamSearchConfig { beam_width: 24, entry_points: 5, max_comparisons: 0 },
         rebuild_after: 2,
-        ..ServingConfig::default()
     };
     let inserts = 8usize;
 
@@ -308,7 +307,6 @@ fn injected_mmap_failures_fall_back_to_the_copy_path() {
         runtime: RuntimeConfig::with_workers(2),
         beam: BeamSearchConfig { beam_width: 24, entry_points: 5, max_comparisons: 0 },
         rebuild_after: 0,
-        ..ServingConfig::default()
     };
     let engine = ServingEngine::build(base.clone(), config);
     let path = std::env::temp_dir().join(format!("cnc-chaos-mmap-{}.snap", std::process::id()));

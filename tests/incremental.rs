@@ -514,7 +514,6 @@ fn serving_epochs_are_bit_identical_to_from_scratch_builds() {
         runtime: RuntimeConfig::with_workers(2),
         beam: cnc_query::BeamSearchConfig { beam_width: 24, entry_points: 5, max_comparisons: 0 },
         rebuild_after: 0,
-        ..cnc_serve::ServingConfig::default()
     };
     let engine = ServingEngine::build(base.clone(), config);
     // Three epochs of randomized insert batches (sizes 3, 1, 7; profiles

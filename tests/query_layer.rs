@@ -3,6 +3,7 @@
 //! users online).
 
 use cluster_and_conquer::prelude::*;
+use cnc_eval::groundtruth::{GroundTruth, GroundTruthConfig};
 use std::sync::Arc;
 
 fn dataset() -> Dataset {
@@ -150,4 +151,76 @@ fn recommender_works_on_a_dynamically_grown_graph() {
     for u in 0..20u32 {
         assert!(!index.knn(u).is_empty());
     }
+}
+
+/// The recall harness against a live engine: exact search scores a
+/// perfect recall, the approximate path scores within `[0, 1]`, and
+/// recall never falls as the per-query comparison cap loosens.
+#[test]
+fn recall_harness_is_exact_and_monotone_in_the_comparison_cap() {
+    let mut cfg = SyntheticConfig::small(53);
+    cfg.num_users = 170;
+    cfg.num_items = 170;
+    cfg.communities = 6;
+    cfg.mean_profile = 16.0;
+    cfg.min_profile = 5;
+    let config = ServingConfig {
+        c2: C2Config {
+            k: 8,
+            backend: SimilarityBackend::GoldFinger { bits: 1024, seed: 21 },
+            seed: 5,
+            threads: 1,
+            ..C2Config::default()
+        },
+        runtime: RuntimeConfig::with_workers(2),
+        beam: BeamSearchConfig { beam_width: 16, entry_points: 4, max_comparisons: 0 },
+        rebuild_after: 0,
+    };
+    let engine = ServingEngine::build(cfg.generate(), config);
+    let truth_cfg = GroundTruthConfig { sample: 10, k: 6, seed: 77 };
+
+    let epoch = engine.current_epoch();
+    let truth = GroundTruth::compute(epoch.dataset(), &truth_cfg, 0);
+
+    // Exact search recalls 1.0 on every sampled query.
+    let index = epoch.index();
+    for (qi, &donor) in truth.queries.iter().enumerate() {
+        let exact = index.exact_search(epoch.dataset().profile(donor), truth_cfg.k);
+        let ids: Vec<u32> = exact.neighbors.iter().map(|n| n.user).collect();
+        assert_eq!(truth.recall_of(qi, &ids), 1.0, "exact search must recall 1.0");
+        assert_eq!(exact.comparisons, epoch.dataset().num_users());
+    }
+    // The approximate path is bounded by 1 and not degenerate.
+    for (qi, &donor) in truth.queries.iter().enumerate() {
+        let approx = engine.query(epoch.dataset().profile(donor), truth_cfg.k, qi as u64);
+        let ids: Vec<u32> = approx.neighbors.iter().map(|n| n.user).collect();
+        let recall = truth.recall_of(qi, &ids);
+        assert!((0.0..=1.0).contains(&recall));
+    }
+
+    // Against the metric the engine ranks by (the GoldFinger estimate), a
+    // looser per-query comparison cap never recalls less: a capped search
+    // visits a prefix of what the uncapped one visits.
+    let gf = epoch.fingerprints().expect("a GoldFinger epoch carries its fingerprints");
+    let same_metric =
+        GroundTruth::compute_with(epoch.dataset(), &truth_cfg, 0, |d, v| gf.estimate(d, v) as f32);
+    let recall_at = |max_comparisons: usize| {
+        let beam = BeamSearchConfig { max_comparisons, ..engine.config().beam };
+        let answers: Vec<Vec<u32>> = same_metric
+            .queries
+            .iter()
+            .enumerate()
+            .map(|(qi, &donor)| {
+                let profile = epoch.dataset().profile(donor);
+                let found = index.search(profile, truth_cfg.k, &beam, qi as u64).neighbors;
+                found.iter().map(|n| n.user).collect()
+            })
+            .collect();
+        same_metric.mean_recall(&answers)
+    };
+    let recalls = [16, 32, 64, 0].map(recall_at);
+    assert!(
+        recalls.windows(2).all(|w| w[1] >= w[0] - 1e-9),
+        "recall fell as the cap rose: {recalls:?}"
+    );
 }

@@ -6,7 +6,7 @@
 use cluster_and_conquer::dataset::DatasetBuilder;
 use cluster_and_conquer::prelude::*;
 use cluster_and_conquer::serve::{
-    checksum64, write_snapshot, write_snapshot_full, AdoptedSnapshot, ServingEpoch,
+    checksum64, write_snapshot, write_snapshot_full, AdoptedSnapshot, BatchRequest, ServingEpoch,
     SnapshotAdopter, SnapshotError, SnapshotPublisher,
 };
 use cnc_query::QueryResult;
@@ -77,7 +77,6 @@ fn serving_config(rebuild_after: usize) -> ServingConfig {
         runtime: RuntimeConfig::with_workers(2),
         beam: BeamSearchConfig { beam_width: 24, entry_points: 5, max_comparisons: 0 },
         rebuild_after,
-        ..ServingConfig::default()
     }
 }
 
@@ -189,6 +188,79 @@ fn reloaded_engine_answers_queries_identically() {
         assert_eq!(fresh.neighbors, replay.neighbors, "query {q} diverged after reload");
         assert_eq!(fresh.comparisons, replay.comparisons, "query {q} cost diverged");
     }
+}
+
+/// What a query answered, compared bit for bit: `(user, sim bit pattern)`
+/// per neighbour, then comparisons, routed seeds and random seeds.
+type Answer = (Vec<(u32, u32)>, usize, usize, usize);
+
+fn answer(result: &QueryResult) -> Answer {
+    let neighbors = result.neighbors.iter().map(|n| (n.user, n.sim.to_bits())).collect();
+    (neighbors, result.comparisons, result.routed_seeds, result.random_seeds)
+}
+
+/// One query path: on a raw and on a GoldFinger epoch, every
+/// `query_batch` slot answers, in order, bit for bit like `query_with`
+/// and `try_query_with` with the same arguments; each query is counted
+/// once, and nothing sheds.
+#[test]
+fn engine_batched_paths_match_try_query_bitwise() {
+    let ds = dataset(31, 180);
+    for backend in [SimilarityBackend::Raw, SimilarityBackend::GoldFinger { bits: 1024, seed: 21 }]
+    {
+        let mut config = serving_config(0);
+        config.c2.backend = backend;
+        let engine = ServingEngine::build(ds.clone(), config);
+        let fingerprinted = matches!(backend, SimilarityBackend::GoldFinger { .. });
+        assert_eq!(engine.current_epoch().fingerprints().is_some(), fingerprinted);
+        assert!(engine.query_batch(&[]).is_empty());
+        let mut session = engine.session();
+        for batch in [1usize, 10, 70] {
+            let requests: Vec<BatchRequest> = (0..batch)
+                .map(|q| BatchRequest {
+                    // Reversed: the engine normalizes batch profiles too.
+                    profile: ds.profile((q * 11 % 180) as u32).iter().rev().copied().collect(),
+                    k: 3 + q % 4,
+                    seed: 900 + q as u64,
+                })
+                .collect();
+            let before = engine.stats().queries;
+            let batched = engine.query_batch(&requests);
+            assert_eq!(batched.len(), requests.len());
+            assert_eq!(engine.stats().queries - before, batch as u64);
+            for (request, outcome) in requests.iter().zip(batched) {
+                let Ok(got) = outcome;
+                let (profile, k, seed) = (&request.profile, request.k, request.seed);
+                let single = engine.query_with(&mut session, profile, k, seed);
+                let Ok(tried) = engine.try_query_with(&mut session, profile, k, seed);
+                assert!(!got.neighbors.is_empty());
+                assert_eq!(answer(&got), answer(&single), "{backend:?}: batch vs query_with");
+                assert_eq!(answer(&got), answer(&tried), "{backend:?}: batch vs try_query_with");
+            }
+        }
+        assert_eq!(engine.stats().shed, 0);
+    }
+}
+
+/// With no budget to spend, nothing sheds, and every query runs on the
+/// configured beam: the engine answers exactly what the epoch's index
+/// answers with `config.beam`.
+#[test]
+fn unbudgeted_engine_never_sheds() {
+    let ds = dataset(43, 120);
+    let engine = ServingEngine::build(ds.clone(), serving_config(0));
+    let epoch = engine.current_epoch();
+    let mut session = engine.session();
+    for q in 0..30u64 {
+        let profile = ds.profile((q % 40) as u32);
+        let Ok(got) = engine.try_query_with(&mut session, profile, 5, q);
+        let direct = epoch.index().search(profile, 5, &engine.config().beam, q);
+        assert_eq!(got.neighbors.len(), 5);
+        assert_eq!(answer(&got), answer(&direct), "query {q} left the configured beam");
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.queries, 30);
+    assert_eq!(stats.shed, 0);
 }
 
 #[test]
