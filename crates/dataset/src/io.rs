@@ -68,13 +68,17 @@ impl Default for LoadOptions {
 ///
 /// Separators may be commas, tabs or runs of spaces (the `::` separator of
 /// the raw MovieLens dumps is also accepted). Lines starting with `#` and
-/// blank lines are skipped. External user/item identifiers are arbitrary
-/// strings and are densely re-numbered in first-appearance order.
+/// blank lines are skipped, and so is a header: the first other line, when
+/// its rating field is not a number (MovieLens 20M's `ratings.csv` starts
+/// with `userId,movieId,rating,timestamp`). Any later line that does not
+/// parse is an [`IoError::Parse`]. External user/item identifiers are
+/// arbitrary strings and are densely re-numbered in first-appearance order.
 pub fn read_ratings<R: Read>(reader: R, options: LoadOptions) -> Result<Dataset, IoError> {
     let reader = BufReader::new(reader);
     let mut user_ids: HashMap<String, u32> = HashMap::new();
     let mut item_ids: HashMap<String, u32> = HashMap::new();
     let mut profiles: Vec<Vec<ItemId>> = Vec::new();
+    let mut first_record = true;
 
     for (line_no, line) in reader.lines().enumerate() {
         let line = line?;
@@ -82,6 +86,7 @@ pub fn read_ratings<R: Read>(reader: R, options: LoadOptions) -> Result<Dataset,
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
+        let may_be_header = std::mem::replace(&mut first_record, false);
         let normalized = trimmed.replace("::", " ");
         let mut fields = normalized
             .split(|c: char| c == ',' || c == '\t' || c.is_whitespace())
@@ -95,6 +100,7 @@ pub fn read_ratings<R: Read>(reader: R, options: LoadOptions) -> Result<Dataset,
         // they are not kept as positive ratings.
         let rating = match rating.parse::<f64>() {
             Ok(rating) if rating.is_finite() => rating,
+            Err(_) if may_be_header => continue,
             _ => return Err(IoError::Parse { line: line_no + 1, content: line.clone() }),
         };
         if rating <= options.binarize_above {
@@ -187,6 +193,24 @@ mod tests {
         let data = "# header\n\nu,i,5\n";
         let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
         assert_eq!(ds.num_ratings(), 1);
+    }
+
+    #[test]
+    fn a_header_is_skipped_on_the_first_record_only() {
+        let data = "# MovieLens 20M\n\nuserId,movieId,rating,timestamp\n1,10,4.5,1112486027\n";
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
+        assert_eq!((ds.num_users(), ds.num_ratings()), (1, 1));
+        // A header-like line past the first record is still an error.
+        let data = "userId,movieId,rating\n1,10,4.5\nuserId,movieId,rating\n";
+        match read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap_err() {
+            IoError::Parse { line, .. } => assert_eq!(line, 3),
+            other => panic!("expected parse error, got {other}"),
+        }
+        // A first record whose rating is a number but not finite is no header.
+        match read_ratings("u,i,nan\n".as_bytes(), opts(3.0, 1)).unwrap_err() {
+            IoError::Parse { line, .. } => assert_eq!(line, 1),
+            other => panic!("expected parse error, got {other}"),
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The KNN-graph container.
 
-use crate::neighbors::{accepts, is_heap, Neighbor, NeighborList, Neighbors};
+use crate::neighbors::{is_heap, Neighbor, NeighborList, Neighbors};
 use cnc_dataset::{SharedSlice, Storage, UserId};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -9,11 +9,10 @@ use rand::{RngExt, SeedableRng};
 /// [`KnnGraph::new`] and [`KnnGraph::random_init`] start from. A flat CSR
 /// (offsets + heap-ordered entries) is what a [`crate::SharedKnnGraph`]
 /// freezes into, what [`KnnGraph::into_shared`] makes, and what the
-/// zero-copy snapshot path borrows straight out of a mapped file. A CSR is
-/// never promoted as a whole: its first write turns it into an
-/// [`Overlay`], which copies a row only when a write changes it and reads
-/// every other row from the CSR in place (row-granular copy-on-write).
-/// Reads go through [`Neighbors`] views in every form.
+/// zero-copy snapshot path borrows straight out of a mapped file. No
+/// library path writes to a CSR row by row: its first write promotes it to
+/// owned lists, one copy of every row. Reads go through [`Neighbors`]
+/// views in both forms.
 #[derive(Clone, Debug)]
 enum Repr {
     /// One bounded heap per user.
@@ -22,8 +21,6 @@ enum Repr {
     /// built as heaps in this crate, so views uphold every
     /// [`NeighborList`] invariant.
     Csr(Csr),
-    /// A CSR plus the rows written since.
-    Overlay(Overlay),
 }
 
 /// Flat CSR: `offsets[u]..offsets[u + 1]` delimits user `u`'s entries in
@@ -42,49 +39,6 @@ impl Csr {
 
     fn num_users(&self) -> usize {
         self.offsets.len() - 1
-    }
-}
-
-/// A CSR base under row-granular copy-on-write: a user's row is read from
-/// the base until a write changes it, and users appended past the base
-/// own their rows from the start.
-#[derive(Clone, Debug)]
-struct Overlay {
-    base: Csr,
-    /// Per user: 0 reads the base row, `s > 0` reads `rows[s - 1]`.
-    /// Allocated zeroed, so opening an overlay writes no per-user state.
-    slots: Vec<u32>,
-    /// The owned rows: base rows in order of their first write, and
-    /// appended users.
-    rows: Vec<NeighborList>,
-}
-
-impl Overlay {
-    fn over(base: Csr) -> Self {
-        let slots = vec![0; base.num_users()];
-        Overlay { base, slots, rows: Vec::new() }
-    }
-
-    #[inline]
-    fn row(&self, u: usize) -> &[Neighbor] {
-        match self.slots[u] {
-            0 => self.base.row(u),
-            s => self.rows[s as usize - 1].as_view().as_slice(),
-        }
-    }
-
-    /// `u`'s own row, copied from the base on first use.
-    fn row_mut(&mut self, u: usize, k: usize) -> &mut NeighborList {
-        if self.slots[u] == 0 {
-            self.rows.push(Neighbors::new(self.base.row(u), k).to_list());
-            self.slots[u] = self.rows.len() as u32;
-        }
-        &mut self.rows[self.slots[u] as usize - 1]
-    }
-
-    fn push(&mut self, row: NeighborList) {
-        self.rows.push(row);
-        self.slots.push(self.rows.len() as u32);
     }
 }
 
@@ -196,7 +150,7 @@ impl KnnGraph {
     pub fn is_shared(&self) -> bool {
         match &self.repr {
             Repr::Csr(csr) => csr.offsets.is_shared() || csr.entries.is_shared(),
-            Repr::Lists(_) | Repr::Overlay(_) => false,
+            Repr::Lists(_) => false,
         }
     }
 
@@ -204,9 +158,9 @@ impl KnnGraph {
     /// every clone of the result is O(1) and shares one copy of the
     /// entries — how an incremental build hands the same graph to its
     /// caller and to the cache the next build patches, and how a serving
-    /// epoch lets the writer read its rows in place. A CSR is moved, not
+    /// epoch shares its rows with snapshots. A CSR is moved, not
     /// copied; owned rows are flattened. Writing to any holder of the
-    /// result copies only the rows that write changes.
+    /// result promotes that holder to owned lists; the others are untouched.
     pub fn into_shared(self) -> KnnGraph {
         let k = self.k;
         let mut offsets = Vec::with_capacity(self.num_users() + 1);
@@ -225,24 +179,22 @@ impl KnnGraph {
                     offsets.push(entries.len() as u64);
                 }
             }
-            Repr::Overlay(overlay) => {
-                for u in 0..overlay.slots.len() {
-                    entries.extend_from_slice(overlay.row(u));
-                    offsets.push(entries.len() as u64);
-                }
-            }
         }
         KnnGraph::from_trusted_csr(k, offsets, entries)
     }
 
-    /// Turns a CSR-backed graph into an overlay over it: the CSR moves,
-    /// no row is copied. A no-op for any other form.
-    fn open_overlay(&mut self) {
-        if let Repr::Csr(_) = self.repr {
-            let Repr::Csr(base) = std::mem::replace(&mut self.repr, Repr::Lists(Vec::new())) else {
-                unreachable!("matched above")
-            };
-            self.repr = Repr::Overlay(Overlay::over(base));
+    /// The owned lists, promoting a CSR-backed graph to them first (one
+    /// copy of every row, in heap order).
+    fn lists_mut(&mut self) -> &mut Vec<NeighborList> {
+        if let Repr::Csr(csr) = &self.repr {
+            let k = self.k;
+            let lists =
+                (0..csr.num_users()).map(|u| Neighbors::new(csr.row(u), k).to_list()).collect();
+            self.repr = Repr::Lists(lists);
+        }
+        match &mut self.repr {
+            Repr::Lists(lists) => lists,
+            Repr::Csr(_) => unreachable!("promoted above"),
         }
     }
 
@@ -258,7 +210,6 @@ impl KnnGraph {
         match &self.repr {
             Repr::Lists(lists) => lists.len(),
             Repr::Csr(csr) => csr.num_users(),
-            Repr::Overlay(overlay) => overlay.slots.len(),
         }
     }
 
@@ -269,38 +220,21 @@ impl KnnGraph {
         match &self.repr {
             Repr::Lists(lists) => lists[u].as_view(),
             Repr::Csr(csr) => Neighbors::new(csr.row(u), self.k),
-            Repr::Overlay(overlay) => Neighbors::new(overlay.row(u), self.k),
         }
     }
 
-    /// Mutable access to the neighbour list of `user`. On a CSR-backed
-    /// graph this copies that one row (copy-on-write); prefer
-    /// [`KnnGraph::insert`], which copies only a row the offer changes.
+    /// Mutable access to the neighbour list of `user`. A CSR-backed graph
+    /// is promoted to owned lists first.
     #[inline]
     pub fn neighbors_mut(&mut self, user: UserId) -> &mut NeighborList {
-        let k = self.k;
-        self.open_overlay();
-        match &mut self.repr {
-            Repr::Lists(lists) => &mut lists[user as usize],
-            Repr::Overlay(overlay) => overlay.row_mut(user as usize, k),
-            Repr::Csr(_) => unreachable!("opened above"),
-        }
+        &mut self.lists_mut()[user as usize]
     }
 
     /// Offers the directed edge `user → neighbor`; returns `true` on change.
-    /// A row read from a CSR is copied only when the offer changes it.
+    /// A CSR-backed graph is promoted to owned lists first.
     #[inline]
     pub fn insert(&mut self, user: UserId, neighbor: UserId, sim: f32) -> bool {
         debug_assert_ne!(user, neighbor, "self-loops are not KNN edges");
-        let borrowed = match &self.repr {
-            Repr::Lists(_) => false,
-            Repr::Csr(_) => true,
-            Repr::Overlay(overlay) => overlay.slots[user as usize] == 0,
-        };
-        let candidate = Neighbor { user: neighbor, sim };
-        if borrowed && !accepts(self.neighbors(user).as_slice(), self.k, candidate) {
-            return false;
-        }
         self.neighbors_mut(user).insert(neighbor, sim)
     }
 
@@ -309,7 +243,6 @@ impl KnnGraph {
         match &self.repr {
             Repr::Lists(lists) => lists.iter().map(NeighborList::len).sum(),
             Repr::Csr(csr) => csr.entries.len(),
-            Repr::Overlay(_) => self.iter().map(|(_, view)| view.len()).sum(),
         }
     }
 
@@ -356,8 +289,7 @@ impl KnnGraph {
     }
 
     /// Merges another graph into this one user-by-user (Algorithm 3 over
-    /// whole graphs); returns the number of list updates. Rows the merge
-    /// leaves unchanged are not copied.
+    /// whole graphs); returns the number of list updates.
     pub fn merge(&mut self, other: &KnnGraph) -> usize {
         assert_eq!(self.num_users(), other.num_users(), "graphs must cover the same users");
         other
@@ -384,17 +316,13 @@ impl KnnGraph {
     }
 
     /// Appends a new user with an empty neighbourhood; returns her id.
-    /// Supports online growth (see `cnc-query::DynamicIndex`); on a
-    /// CSR-backed graph no existing row is copied.
+    /// Supports online growth (see `cnc-query::DynamicIndex`). A
+    /// CSR-backed graph is promoted to owned lists first.
     pub fn add_user(&mut self) -> UserId {
         let row = NeighborList::new(self.k);
-        self.open_overlay();
-        match &mut self.repr {
-            Repr::Lists(lists) => lists.push(row),
-            Repr::Overlay(overlay) => overlay.push(row),
-            Repr::Csr(_) => unreachable!("opened above"),
-        }
-        (self.num_users() - 1) as UserId
+        let lists = self.lists_mut();
+        lists.push(row);
+        (lists.len() - 1) as UserId
     }
 
     /// The best (most similar) neighbour of `user`, if any.
@@ -591,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_mutation_copies_only_the_rows_it_writes() {
+    fn csr_mutation_keeps_every_base_row() {
         let g = sample_graph();
         let (offsets, entries) = to_csr(&g);
         let mut csr = KnnGraph::from_csr_storage(g.k(), offsets.into(), entries.into()).unwrap();
@@ -625,37 +553,17 @@ mod tests {
     }
 
     #[test]
-    fn untouched_rows_stay_pointer_equal_to_the_shared_csr() {
-        let shared = sample_graph().into_shared();
-        let mut writer = shared.clone();
-        writes(&mut writer);
-        assert!(!writer.is_shared(), "a written graph owns some rows");
-        let mut copied = Vec::new();
-        for u in 0..shared.num_users() as UserId {
-            let (mine, base) = (writer.neighbors(u).as_slice(), shared.neighbors(u).as_slice());
-            if std::ptr::eq(mine, base) {
-                continue;
-            }
-            assert_ne!(mine, base, "row {u} was copied though no write changed it");
-            copied.push(u);
-        }
-        // The rows the newcomer entered and the one a better neighbour
-        // refined — not the two rows whose offers fell below the root.
-        assert_eq!(copied, vec![0, 3, 5, 17]);
-    }
-
-    #[test]
-    fn into_shared_of_an_overlay_equals_the_fully_promoted_graph() {
+    fn a_written_csr_equals_the_graph_written_as_lists() {
         let shared = sample_graph().into_shared();
         let other = KnnGraph::random_init(40, 4, 99, |u, v| ((u * 7 + v * 3) % 89) as f32 / 89.0);
-        let mut overlay = shared.clone();
+        let mut written = shared.clone();
         let mut lists = promoted(&shared);
-        let updates = overlay.merge(&other);
+        let updates = written.merge(&other);
         assert!(updates > 0);
         assert_eq!(updates, lists.merge(&other));
-        writes(&mut overlay);
+        writes(&mut written);
         writes(&mut lists);
-        let frozen = overlay.into_shared();
+        let frozen = written.into_shared();
         assert!(frozen.is_shared());
         assert_eq!(frozen.num_users(), lists.num_users());
         assert_eq!(frozen.num_edges(), lists.num_edges());

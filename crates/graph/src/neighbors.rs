@@ -340,17 +340,6 @@ pub(crate) fn offer(
     Verdict::Changed
 }
 
-/// Whether [`offer`] would change `heap` — its decision without the write,
-/// so a row read in place (`KnnGraph`'s copy-on-write rows) is copied only
-/// for an offer that lands.
-#[inline]
-pub(crate) fn accepts(heap: &[Neighbor], k: usize, candidate: Neighbor) -> bool {
-    if heap.len() == k && !heap[0].worse_than(&candidate) {
-        return false;
-    }
-    heap.iter().find(|n| n.user == candidate.user).is_none_or(|n| candidate.sim > n.sim)
-}
-
 /// The root's similarity once `heap` holds `k` entries, `-∞` before: no
 /// candidate below it can enter.
 #[inline]
@@ -650,21 +639,6 @@ mod proptests {
                     reference_insert(&mut reference, k, user, sim)
                 );
                 prop_assert_eq!(list.iter().copied().collect::<Vec<_>>(), reference.clone());
-            }
-        }
-
-        /// `accepts` predicts the offer's return value without writing.
-        #[test]
-        fn accepts_predicts_whether_an_offer_changes_the_heap(
-            offers in proptest::collection::vec((0u32..40, 0u32..8), 0..300),
-            which_k in 0usize..3,
-        ) {
-            let k = [1, 2, 30][which_k];
-            let mut list = NeighborList::new(k);
-            for (user, level) in offers {
-                let candidate = Neighbor { user, sim: level as f32 / 8.0 };
-                let predicted = accepts(&list.entries, k, candidate);
-                prop_assert_eq!(predicted, list.insert(user, candidate.sim));
             }
         }
 

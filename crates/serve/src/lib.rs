@@ -16,10 +16,11 @@
 //!   never panics.
 //! * [`server`] — a concurrent [`ServingEngine`]: readers query an
 //!   `Arc`-swapped immutable [`ServingEpoch`] through the batched
-//!   one-vs-many beam search, while a single writer absorbs streaming
-//!   inserts into a [`DynamicIndex`](cnc_query::DynamicIndex) and
-//!   periodically rebuilds + atomically publishes fresh epochs on the
-//!   sharded [`Runtime`](cnc_runtime::Runtime).
+//!   one-vs-many beam search, while a single writer queues streaming
+//!   inserts as a pending batch and periodically rebuilds + atomically
+//!   publishes fresh epochs on the sharded
+//!   [`Runtime`](cnc_runtime::Runtime) from the live epoch followed by the
+//!   batch.
 //!
 //! ```no_run
 //! use cnc_serve::{ServingConfig, ServingEngine, Snapshot};

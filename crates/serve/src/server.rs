@@ -13,18 +13,18 @@
 //!   `cnc-query`, started in the query's own FastRandomHash clusters. Any
 //!   number of threads query in parallel, and a query started on epoch
 //!   `e` finishes on epoch `e` even if a swap happens mid-flight.
-//! * **The writer** absorbs streaming inserts into a [`DynamicIndex`]
-//!   opened over the live epoch, which it reads in place and does not
-//!   copy. Each newcomer is placed at once and offered to the users its
-//!   search visited as a reverse neighbour, so later placements already
-//!   navigate through it; queries see no newcomer until the next publish.
-//!   Every [`ServingConfig::rebuild_after`] inserts it rebuilds the graph
+//! * **The writer** keeps the streaming inserts as a pending batch: their
+//!   sorted, deduplicated profiles and, on a GoldFinger backend, their
+//!   fingerprint rows. An insert is not placed in any graph; queries see
+//!   no newcomer until the next publish. Every
+//!   [`ServingConfig::rebuild_after`] inserts it rebuilds the graph
 //!   **incrementally** on the sharded [`Runtime`] — the previous epoch's
-//!   graph is patched row by row for the users the stream added
+//!   graph is patched row by row for the users the batch added
 //!   (`cnc_core::build_plan`, stage 4), falling back to the full C²
-//!   pipeline when that would not pay — on the live epoch's fingerprints
-//!   followed by the inserts' rows, which the published epoch's query
-//!   kernels then share; then **atomically publishes** the new epoch.
+//!   pipeline when that would not pay — on the live epoch's dataset and
+//!   fingerprints followed by the batch's, which the published epoch's
+//!   query kernels then share; then **atomically publishes** the new
+//!   epoch.
 //!
 //! Epochs persist: [`ServingEngine::snapshot`] captures the current epoch
 //! in the [`crate::Snapshot`] format and
@@ -34,9 +34,9 @@
 
 use crate::snapshot::{Snapshot, SnapshotError};
 use cnc_core::{BuildPlan, C2Config, ClusterCache, RebuildStats};
-use cnc_dataset::{Dataset, ItemId, UserId};
+use cnc_dataset::{Dataset, DatasetBuilder, ItemId, UserId};
 use cnc_graph::{EntryIndex, KnnGraph};
-use cnc_query::{BeamSearchConfig, DynamicIndex, QueryIndex, QueryResult, Searcher};
+use cnc_query::{BeamSearchConfig, QueryIndex, QueryResult, Searcher};
 use cnc_runtime::{IncrementalShardedResult, Runtime, RuntimeConfig};
 use cnc_similarity::{GoldFinger, SimilarityBackend};
 use cnc_telemetry::{Counter, Gauge, Histogram, Telemetry};
@@ -56,7 +56,7 @@ pub struct ServingConfig {
     pub c2: C2Config,
     /// The sharded runtime executing (re)builds.
     pub runtime: RuntimeConfig,
-    /// Beam-search parameters for queries and insert placements.
+    /// Beam-search parameters for queries (inserts are not placed).
     pub beam: BeamSearchConfig,
     /// Rebuild and publish a new epoch after this many inserts
     /// (0 = only on explicit [`ServingEngine::publish`] calls).
@@ -108,8 +108,8 @@ impl ServingEpoch {
     /// The dataset, graph and fingerprint words are frozen behind
     /// reference counts (`into_shared`: moved, not copied; a graph of
     /// owned rows is flattened), so every clone of an epoch part is O(1) —
-    /// the writer's `DynamicIndex` and [`ServingEngine::snapshot`] read
-    /// the epoch in place. Fingerprints whose `Arc` has other holders are
+    /// the next publish and [`ServingEngine::snapshot`] read the epoch in
+    /// place. Fingerprints whose `Arc` has other holders are
     /// kept as they are.
     ///
     /// # Panics
@@ -261,13 +261,13 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
     "opaque panic payload".into()
 }
 
-/// The result of one streaming insert.
+/// The result of one streaming insert, which joins the writer's pending
+/// batch.
 #[derive(Clone, Copy, Debug)]
 pub struct InsertOutcome {
-    /// The id the newcomer will have in the next published epoch.
+    /// The id the newcomer will have in the next published epoch: the
+    /// live epoch's users, then the batch's in insert order.
     pub user: UserId,
-    /// Similarity computations the placement search spent.
-    pub comparisons: usize,
     /// `Some(epoch)` when this insert triggered a rebuild and published
     /// that epoch.
     pub published: Option<u64>,
@@ -301,19 +301,17 @@ pub struct ServingSession {
     searcher: Searcher,
 }
 
-/// The writer side: the dynamic index absorbing the stream, plus the
-/// cluster cache the next incremental rebuild patches. The
-/// pending count lives in an engine-level atomic so monitoring never has
-/// to take this lock (a rebuild holds it for the full build).
+/// The writer side: the pending batch, plus the cluster cache the next
+/// incremental rebuild patches. The pending count lives in an
+/// engine-level atomic so monitoring never has to take this lock (a
+/// rebuild holds it for the full build).
 struct Writer {
-    /// The stream-absorbing index, opened on the first insert after a
-    /// publish or adoption (`None` until then; a pure serving replica
-    /// never opens one). It is a delta over the live epoch: base
-    /// profiles, fingerprint rows and every neighbour row no insert has
-    /// changed are read from the epoch in place, so opening it copies no
-    /// per-user data. It owns the inserts' profiles, fingerprint rows and
-    /// neighbour rows, and the base rows their symmetric updates changed.
-    dynamic: Option<DynamicIndex>,
+    /// The inserts since the live epoch was published, as ids
+    /// `epoch.num_users()..`: their sorted, deduplicated profiles.
+    batch: DatasetBuilder,
+    /// Their fingerprint rows, in the configured width and seed; `None`
+    /// on the raw backend.
+    rows: Option<GoldFinger>,
     /// Empty, or the memberships and graph of the build that published
     /// the live epoch (it shares that epoch's graph entries) — publishes
     /// replace both under this lock, adoption empties it.
@@ -489,7 +487,8 @@ impl ServingEngine {
         epoch.rebuild = rebuild;
         let epoch = Arc::new(epoch);
         let writer = Writer {
-            dynamic: None,
+            batch: DatasetBuilder::new(),
+            rows: empty_rows(&config),
             cache,
             failed_attempts: 0,
             retry_after: None,
@@ -604,7 +603,7 @@ impl ServingEngine {
 
     /// The writer lock, recovering from poison. [`Self::rebuild_locked`]
     /// mutates writer state only *after* a build succeeds (a panicking
-    /// build leaves the dynamic index, cache and pending count exactly as
+    /// build leaves the pending batch, cache and pending count exactly as
     /// they were), so the state under a poisoned lock is always coherent.
     fn writer_state(&self) -> MutexGuard<'_, Writer> {
         self.writer.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -620,15 +619,6 @@ impl ServingEngine {
     /// like; swaps never invalidate it).
     pub fn current_epoch(&self) -> Arc<ServingEpoch> {
         Arc::clone(&self.epoch_read())
-    }
-
-    /// The writer's dynamic index, opened over the live epoch on first use
-    /// (see [`Writer::dynamic`]).
-    fn writer_dynamic<'a>(&self, writer: &'a mut Writer) -> &'a mut DynamicIndex {
-        if writer.dynamic.is_none() {
-            writer.dynamic = Some(writer_index(&self.current_epoch(), &self.config));
-        }
-        writer.dynamic.as_mut().expect("opened above")
     }
 
     /// Hot-swaps the serving state to an externally produced snapshot —
@@ -657,7 +647,8 @@ impl ServingEngine {
             ServingEpoch::new(next, dataset, graph, fingerprints)
                 .with_entries(Arc::new(entries.unwrap_or_default())),
         );
-        writer.dynamic = None;
+        writer.batch = DatasetBuilder::new();
+        writer.rows = empty_rows(&self.config);
         // The adopted graph came without the memberships of its build.
         writer.cache = ClusterCache::new(&self.config.c2);
         writer.failed_attempts = 0;
@@ -748,11 +739,13 @@ impl ServingEngine {
             .collect()
     }
 
-    /// Absorbs one streaming insert: the newcomer is placed in the
-    /// writer's dynamic index immediately, where later placements see it;
-    /// queries see it from the *next* epoch. Every
+    /// Absorbs one streaming insert: the profile (normalized) joins the
+    /// writer's pending batch, with its fingerprint row on a GoldFinger
+    /// backend; queries see it from the *next* epoch. Every
     /// [`ServingConfig::rebuild_after`] inserts the graph is rebuilt and
-    /// the new epoch published atomically.
+    /// the new epoch published atomically. `_seed` is accepted for source
+    /// compatibility and ignored: no placement search runs, so there is no
+    /// random fill to seed.
     ///
     /// Single-writer: concurrent inserts serialize on the writer lock;
     /// queries are never blocked.
@@ -763,14 +756,20 @@ impl ServingEngine {
     /// insert-triggered publishes are deferred by a capped exponential
     /// backoff (see [`RebuildFailure`]; explicit
     /// [`ServingEngine::publish`] calls retry immediately).
-    pub fn insert(&self, profile: Vec<ItemId>, seed: u64) -> InsertOutcome {
+    pub fn insert(&self, mut profile: Vec<ItemId>, _seed: u64) -> InsertOutcome {
         let timer = Telemetry::global().enabled().then(Instant::now);
+        profile.sort_unstable();
+        profile.dedup();
         let mut writer = self.writer_state();
-        let (user, comparisons) = self.writer_dynamic(&mut writer).add_user(profile, seed);
+        let user = (self.epoch_read().num_users() + writer.batch.num_users()) as UserId;
+        if let Some(rows) = &mut writer.rows {
+            rows.push_user(&profile);
+        }
+        writer.batch.push_sorted_profile(&profile);
         let pending = self.pending.fetch_add(1, Ordering::Relaxed) + 1;
         self.inserts.fetch_add(1, Ordering::Relaxed);
         if let Some(start) = timer {
-            // Placement latency only — a triggered rebuild is accounted by
+            // Queueing latency only — a triggered rebuild is accounted by
             // its own `publish` span and `cnc_rebuild_ms`.
             self.metrics.insert_latency_ns.record(start.elapsed().as_nanos() as u64);
             self.metrics.inserts_total.inc();
@@ -780,7 +779,7 @@ impl ServingEngine {
         let backing_off = writer.retry_after.is_some_and(|at| Instant::now() < at);
         let published =
             if due && !backing_off { self.rebuild_locked(&mut writer).ok() } else { None };
-        InsertOutcome { user, comparisons, published }
+        InsertOutcome { user, published }
     }
 
     /// Rebuilds from the writer's current state and publishes the epoch
@@ -851,7 +850,7 @@ impl ServingEngine {
     /// single pointer store below.
     ///
     /// A build that panics is caught *before* any engine state changes:
-    /// the writer's dynamic index, cache and pending count are untouched
+    /// the writer's batch, cache and pending count are untouched
     /// (the build only read them), the epoch pointer never moves, and the
     /// failure is recorded (`cnc_rebuild_failures_total`, the
     /// `cnc_epoch_staleness_ms` gauge) with a backoff deferral for the
@@ -861,23 +860,22 @@ impl ServingEngine {
     fn rebuild_locked(&self, writer: &mut Writer) -> Result<u64, RebuildFailure> {
         let telemetry = Telemetry::global();
         let mut span = telemetry.span("publish");
-        // No inserts since the last swap leaves the dynamic index
-        // unopened; the rebuild then runs straight off the live epoch's
-        // shared buffers. Otherwise the next epoch's dataset and
-        // fingerprints are the live epoch's followed by the inserts',
-        // appended in place past the live epoch's end: the two epochs
-        // share one allocation per array, and the publish writes only the
-        // batch (see `dataset_room`). A buffer without room, a mapped
-        // one, or one a failed attempt already appended to is copied
-        // once, with room for the publishes after it. Fingerprints are
-        // per-user independent, so the inserts' rows the index appended
-        // stand in for re-hashing all `n` profiles.
-        let (dataset, fingerprints) = match &writer.dynamic {
-            Some(dynamic) => (dynamic.to_dataset(), dynamic.to_fingerprints().map(Arc::new)),
-            None => {
-                let epoch = self.current_epoch();
-                (epoch.dataset.clone(), epoch.fingerprints.clone())
-            }
+        // The next epoch's dataset and fingerprints are the live epoch's
+        // followed by the batch's, appended in place past the live epoch's
+        // end: the two epochs share one allocation per array, and the
+        // publish writes only the batch (see `dataset_room`). A buffer
+        // without room, a mapped one, or one a failed attempt already
+        // appended to is copied once, with room for the publishes after
+        // it. An empty batch rebuilds straight off the live epoch's parts.
+        // Fingerprints are per-user independent, so the batch's rows stand
+        // in for re-hashing all `n` profiles.
+        let live = self.current_epoch();
+        let (dataset, fingerprints) = if writer.batch.num_users() == 0 {
+            (live.dataset.clone(), live.fingerprints.clone())
+        } else {
+            let grown = live.fingerprints.as_ref().zip(writer.rows.as_ref());
+            let grown = grown.map(|(gf, rows)| Arc::new(gf.appended(rows)));
+            (live.dataset.appended(&writer.batch), grown)
         };
         let built = catch_unwind(AssertUnwindSafe(|| {
             build_epoch(&dataset, fingerprints.as_ref(), &self.config, &writer.cache)
@@ -909,7 +907,8 @@ impl ServingEngine {
             .with_entries(Arc::new(built.entries));
         epoch.rebuild = rebuild;
         let epoch = Arc::new(epoch);
-        writer.dynamic = None;
+        writer.batch = DatasetBuilder::new();
+        writer.rows = empty_rows(&self.config);
         writer.cache = built.cache;
         writer.failed_attempts = 0;
         writer.retry_after = None;
@@ -1016,21 +1015,17 @@ fn build_epoch(
     result
 }
 
-/// A fresh writer-side dynamic index over a published epoch, placing
-/// inserts through the epoch's entry index. It reads the epoch in place:
-/// [`ServingEpoch::new`] froze the dataset, graph and fingerprint words,
-/// so the clones below are reference-count bumps, not copies.
-fn writer_index(epoch: &ServingEpoch, config: &ServingConfig) -> DynamicIndex {
-    let index = match &epoch.fingerprints {
-        Some(gf) => DynamicIndex::with_goldfinger(
-            &epoch.dataset,
-            epoch.graph.clone(),
-            config.beam,
-            (**gf).clone(),
+/// An empty set of fingerprint rows in the configured backend's width
+/// and seed — the writer's batch rows after a publish or adoption; `None`
+/// on the raw backend.
+fn empty_rows(config: &ServingConfig) -> Option<GoldFinger> {
+    match config.c2.backend {
+        SimilarityBackend::GoldFinger { bits, seed } => Some(
+            GoldFinger::from_parts(Vec::new(), bits, seed)
+                .expect("check_backend matched the width to a fingerprint set's"),
         ),
-        None => DynamicIndex::new(&epoch.dataset, epoch.graph.clone(), config.beam),
-    };
-    index.with_entries(Arc::clone(&epoch.entries))
+        SimilarityBackend::Raw => None,
+    }
 }
 
 #[cfg(test)]
@@ -1299,23 +1294,17 @@ mod tests {
         assert_eq!(stats.num_users, ds.num_users() + 3, "no insert may be lost to the outage");
     }
 
-    /// Every neighbour row, with the address it is read from.
-    type Rows = Vec<(Vec<cnc_graph::Neighbor>, usize)>;
-
-    /// Everything the writer's index holds, by value: its grown dataset
-    /// and fingerprint words, and its rows.
-    fn delta_of(dynamic: &DynamicIndex) -> (Dataset, Vec<u64>, Rows) {
-        let rows = dynamic
-            .graph()
-            .iter()
-            .map(|(_, row)| (row.as_slice().to_vec(), row.as_slice().as_ptr() as usize))
-            .collect();
-        let words = dynamic.to_fingerprints().expect("GoldFinger backend").words().to_vec();
-        (dynamic.to_dataset(), words, rows)
+    /// The writer's pending batch, by value: its profiles and fingerprint
+    /// words.
+    fn batch_of(engine: &ServingEngine) -> (Vec<Vec<ItemId>>, Vec<u64>) {
+        let writer = engine.writer_state();
+        let batch = &writer.batch;
+        let profiles = (0..batch.num_users()).map(|i| batch.profile(i).to_vec()).collect();
+        (profiles, writer.rows.as_ref().expect("GoldFinger backend").words().to_vec())
     }
 
     #[test]
-    fn the_writer_reads_the_live_epoch_in_place_and_owns_only_its_delta() {
+    fn the_writer_queues_a_pending_batch_and_leaves_the_live_epoch_alone() {
         let _serial = crate::fault_lock();
         silence_injected_panics();
         let ds = dataset(103);
@@ -1323,70 +1312,83 @@ mod tests {
         let engine = ServingEngine::build(ds.clone(), config(0));
         let live = engine.current_epoch();
         let gf = live.fingerprints().expect("GoldFinger backend");
-        assert!(live.dataset().is_shared() && live.graph().is_shared() && gf.is_shared());
+        let before = (live.dataset().clone(), live.graph().clone(), gf.words().to_vec());
 
-        // The reference places the same stream over deep copies: owned
-        // profiles and words, every row promoted to an owned list.
-        let owned = Dataset::from_csr(
-            live.dataset().offsets().to_vec(),
-            live.dataset().items().to_vec(),
-            live.dataset().num_items() as u32,
-        )
-        .unwrap();
-        let mut lists = KnnGraph::new(n, live.graph().k());
-        for (u, row) in live.graph().iter() {
-            *lists.neighbors_mut(u) = row.to_list();
-        }
-        let words = GoldFinger::from_parts(gf.words().to_vec(), gf.bits(), gf.seed()).unwrap();
-        let mut reference = DynamicIndex::with_goldfinger(&owned, lists, config(0).beam, words)
-            .with_entries(Arc::clone(live.entries()));
+        // Some profiles unsorted, some with repeated items.
         let m = 12u32;
+        let mut normalized = Vec::new();
         for i in 0..m {
             let mut profile = ds.profile(i * 23 % n as u32).to_vec();
             profile.push(240 + i % 7);
-            let outcome = engine.insert(profile.clone(), i as u64);
-            assert_eq!((outcome.user, outcome.comparisons), reference.add_user(profile, i as u64));
-            assert_eq!(outcome.published, None);
-        }
-
-        let mut writer = engine.writer_state();
-        let dynamic = writer.dynamic.as_ref().expect("the first insert opens the index");
-        assert_eq!(dynamic.inserted_users(), m as usize);
-        let mut changed = 0;
-        for u in 0..n as UserId {
-            assert!(std::ptr::eq(dynamic.profile(u), live.dataset().profile(u)), "profile {u}");
-            assert!(std::ptr::eq(dynamic.fingerprint(u).unwrap(), gf.fingerprint(u)), "row {u}");
-            let (mine, theirs) = (dynamic.graph().neighbors(u), live.graph().neighbors(u));
-            if !std::ptr::eq(mine.as_slice(), theirs.as_slice()) {
-                assert_ne!(mine.as_slice(), theirs.as_slice(), "row {u} copied but unchanged");
-                changed += 1;
+            if i % 3 == 1 {
+                profile.reverse();
             }
+            if i % 4 == 2 {
+                profile.extend_from_within(..profile.len() / 2);
+            }
+            let outcome = engine.insert(profile.clone(), i as u64);
+            assert_eq!(outcome.user, n as UserId + i, "ids continue the epoch's");
+            assert_eq!(outcome.published, None);
+            profile.sort_unstable();
+            profile.dedup();
+            normalized.push(profile);
         }
-        assert!(changed > 0, "the inserts' symmetric updates must change some base rows");
-        for u in 0..(n + m as usize) as UserId {
-            let (mine, theirs) = (dynamic.graph().neighbors(u), reference.graph().neighbors(u));
-            assert_eq!(mine.as_slice(), theirs.as_slice(), "row {u} differs from the reference");
-        }
-        let before = delta_of(dynamic);
-        drop(writer);
 
-        // A rebuild that panics leaves the delta exactly as it was.
+        // Nothing was written to the live epoch, and it is still shared.
+        assert!(live.dataset().is_shared() && live.graph().is_shared() && gf.is_shared());
+        assert_eq!(live.dataset(), &before.0);
+        for u in 0..n as UserId {
+            assert!(std::ptr::eq(
+                live.graph().neighbors(u).as_slice(),
+                before.1.neighbors(u).as_slice()
+            ));
+        }
+        assert_eq!(gf.words(), &before.2[..]);
+
+        // The batch holds exactly the normalized profiles and their rows.
+        let mut rows = GoldFinger::from_parts(Vec::new(), gf.bits(), gf.seed()).unwrap();
+        for profile in &normalized {
+            rows.push_user(profile);
+        }
+        let queued = batch_of(&engine);
+        assert_eq!(queued, (normalized.clone(), rows.words().to_vec()));
+
+        // A publish that panics leaves the batch and the pending count as
+        // they were.
         let guard = Faults::global()
             .arm(FaultPlan::new(12345, 1.0).only(&[Site::SolveCluster]).with_span(12));
         assert!(engine.try_publish().is_err());
-        writer = engine.writer_state();
-        assert_eq!(delta_of(writer.dynamic.as_ref().unwrap()), before);
-        drop(writer);
+        assert_eq!(batch_of(&engine), queued);
+        assert_eq!(engine.stats().pending_inserts, m as usize);
         drop(guard);
 
-        // The next epoch is the live one followed by the inserts.
+        // The next epoch is the live one followed by the inserts, and its
+        // fingerprints are a fresh build of that dataset's.
         engine.publish();
+        assert_eq!(batch_of(&engine), (vec![], vec![]), "the publish empties the batch");
         let published = engine.current_epoch();
-        assert_eq!(published.dataset(), &reference.to_dataset());
+        let mut grown: Vec<Vec<ItemId>> = ds.iter().map(|(_, p)| p.to_vec()).collect();
+        grown.extend(normalized);
+        let grown = Dataset::from_profiles(grown, ds.num_items() as u32);
+        assert_eq!(published.dataset(), &grown);
         assert_eq!(
             published.fingerprints().unwrap().words(),
-            reference.to_fingerprints().unwrap().words()
+            GoldFinger::build(&grown, gf.bits(), gf.seed()).words()
         );
+
+        // Adoption empties the batch too.
+        engine.insert(ds.profile(0).to_vec(), 0);
+        assert_eq!(batch_of(&engine).0.len(), 1);
+        let snapshot = engine.snapshot();
+        engine.adopt(crate::mmap::AdoptedSnapshot {
+            dataset: snapshot.dataset,
+            graph: snapshot.graph,
+            goldfinger: snapshot.goldfinger,
+            entries: snapshot.entries,
+            mapped: false,
+        });
+        assert_eq!(batch_of(&engine), (vec![], vec![]), "adoption empties the batch");
+        assert_eq!(engine.stats().pending_inserts, 0);
     }
 
     #[test]

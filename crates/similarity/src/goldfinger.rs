@@ -181,9 +181,9 @@ impl GoldFinger {
         row
     }
 
-    /// Appends one user's fingerprint (online growth — the rows
-    /// `cnc-query::DynamicIndex` adds for its inserts); returns the new
-    /// user's id. Copy-on-write: a shared set (mapped, or frozen by
+    /// Appends one user's fingerprint (online growth — the rows the
+    /// serving writer's pending batch and `cnc-query::DynamicIndex` add
+    /// for their inserts); returns the new user's id. Copy-on-write: a shared set (mapped, or frozen by
     /// [`GoldFinger::into_shared`]) is promoted to an owned copy on the
     /// first push.
     pub fn push_user(&mut self, profile: &[ItemId]) -> UserId {

@@ -44,7 +44,7 @@
 
 use crate::goldfinger::GoldFinger;
 use crate::jaccard::Jaccard;
-use cnc_dataset::{Dataset, DatasetBuilder, UserId};
+use cnc_dataset::{Dataset, UserId};
 
 /// A monomorphized similarity oracle over row indices `0..len()`.
 ///
@@ -673,44 +673,28 @@ pub fn one_vs_many<K: SimKernel>(
 #[derive(Clone, Copy)]
 pub struct RawQueryKernel<'a> {
     dataset: &'a Dataset,
-    /// Profiles continuing the user rows past the dataset's.
-    tail: Option<&'a DatasetBuilder>,
     query: &'a [u32],
-    query_row: u32,
 }
 
 impl<'a> RawQueryKernel<'a> {
     /// A kernel over `dataset`'s users with the (sorted) `query` profile
     /// as the external trailing row.
     pub fn new(dataset: &'a Dataset, query: &'a [u32]) -> Self {
-        let query_row = dataset.num_users() as u32;
-        RawQueryKernel { dataset, tail: None, query, query_row }
-    }
-
-    /// [`RawQueryKernel::new`] over a grown user set: rows
-    /// `dataset.num_users()..` are `tail`'s profiles, read in place, and
-    /// the query row comes after them — `cnc-query`'s `DynamicIndex`
-    /// scores its base users and its inserts without copying either.
-    pub fn with_tail(dataset: &'a Dataset, tail: &'a DatasetBuilder, query: &'a [u32]) -> Self {
-        let query_row = (dataset.num_users() + tail.num_users()) as u32;
-        RawQueryKernel { dataset, tail: Some(tail), query, query_row }
+        RawQueryKernel { dataset, query }
     }
 
     /// The external row's index (== the number of user rows).
     #[inline]
     pub fn query_row(&self) -> u32 {
-        self.query_row
+        self.dataset.num_users() as u32
     }
 
     #[inline]
     fn profile(&self, i: u32) -> &[u32] {
-        let base = self.dataset.num_users() as u32;
-        if i < base {
-            self.dataset.profile(i)
-        } else if i == self.query_row {
+        if i == self.query_row() {
             self.query
         } else {
-            self.tail.expect("rows past the dataset's are the tail's").profile((i - base) as usize)
+            self.dataset.profile(i)
         }
     }
 }
@@ -718,7 +702,7 @@ impl<'a> RawQueryKernel<'a> {
 impl SimKernel for RawQueryKernel<'_> {
     #[inline]
     fn len(&self) -> usize {
-        self.query_row as usize + 1
+        self.dataset.num_users() + 1
     }
 
     #[inline]
@@ -737,8 +721,6 @@ impl SimKernel for RawQueryKernel<'_> {
 #[derive(Clone, Copy)]
 pub struct GoldFingerQueryKernel<'a, const W: usize> {
     words: &'a [u64],
-    /// Rows continuing the user rows past `words`'.
-    tail: &'a [u64],
     query: &'a [u64; W],
 }
 
@@ -749,22 +731,9 @@ impl<'a, const W: usize> GoldFingerQueryKernel<'a, W> {
     /// # Panics
     /// Panics if `W == 0` or the slice length is not a multiple of `W`.
     pub fn new(words: &'a [u64], query: &'a [u64; W]) -> Self {
-        Self::with_tail(words, &[], query)
-    }
-
-    /// [`GoldFingerQueryKernel::new`] over a grown user set: the rows of
-    /// `tail` follow those of `words`, and the query row comes after
-    /// them (see [`RawQueryKernel::with_tail`]).
-    ///
-    /// # Panics
-    /// Panics if `W == 0` or either slice is not a whole number of rows.
-    pub fn with_tail(words: &'a [u64], tail: &'a [u64], query: &'a [u64; W]) -> Self {
         assert!(W > 0, "fingerprint width must be positive");
-        assert!(
-            words.len().is_multiple_of(W) && tail.len().is_multiple_of(W),
-            "word slice is not a whole number of {W}-word rows"
-        );
-        GoldFingerQueryKernel { words, tail, query }
+        assert!(words.len().is_multiple_of(W), "word slice is not a whole number of {W}-word rows");
+        GoldFingerQueryKernel { words, query }
     }
 
     /// A kernel whose user rows are the fingerprinted users of `gf`.
@@ -779,21 +748,17 @@ impl<'a, const W: usize> GoldFingerQueryKernel<'a, W> {
     /// The external row's index (== the number of user rows).
     #[inline]
     pub fn query_row(&self) -> u32 {
-        ((self.words.len() + self.tail.len()) / W) as u32
+        (self.words.len() / W) as u32
     }
 
     #[inline(always)]
     fn row(&self, i: u32) -> &[u64; W] {
-        let at = i as usize * W;
-        let row = if at < self.words.len() {
-            &self.words[at..at + W]
-        } else if i == self.query_row() {
-            return self.query;
+        if i == self.query_row() {
+            self.query
         } else {
-            let at = at - self.words.len();
-            &self.tail[at..at + W]
-        };
-        row.try_into().expect("row is exactly W words")
+            let base = i as usize * W;
+            self.words[base..base + W].try_into().expect("row is exactly W words")
+        }
     }
 }
 
@@ -814,8 +779,6 @@ impl<const W: usize> SimKernel for GoldFingerQueryKernel<'_, W> {
 #[derive(Clone, Copy)]
 pub struct GoldFingerDynQueryKernel<'a> {
     words: &'a [u64],
-    /// Rows continuing the user rows past `words`'.
-    tail: &'a [u64],
     words_per_user: usize,
     query: &'a [u64],
 }
@@ -828,45 +791,28 @@ impl<'a> GoldFingerDynQueryKernel<'a> {
     /// Panics if `words_per_user` is zero, does not divide the slice, or
     /// does not match the query row's width.
     pub fn new(words: &'a [u64], words_per_user: usize, query: &'a [u64]) -> Self {
-        Self::with_tail(words, &[], words_per_user, query)
-    }
-
-    /// [`GoldFingerDynQueryKernel::new`] with the rows of `tail` after
-    /// those of `words` (see [`GoldFingerQueryKernel::with_tail`]).
-    ///
-    /// # Panics
-    /// As [`GoldFingerDynQueryKernel::new`], for either slice.
-    pub fn with_tail(
-        words: &'a [u64],
-        tail: &'a [u64],
-        words_per_user: usize,
-        query: &'a [u64],
-    ) -> Self {
         assert!(words_per_user > 0, "fingerprint width must be positive");
         assert!(
-            words.len().is_multiple_of(words_per_user) && tail.len().is_multiple_of(words_per_user),
+            words.len().is_multiple_of(words_per_user),
             "word slice is not a whole number of rows"
         );
         assert_eq!(query.len(), words_per_user, "query fingerprint width mismatch");
-        GoldFingerDynQueryKernel { words, tail, words_per_user, query }
+        GoldFingerDynQueryKernel { words, words_per_user, query }
     }
 
     /// The external row's index (== the number of user rows).
     #[inline]
     pub fn query_row(&self) -> u32 {
-        ((self.words.len() + self.tail.len()) / self.words_per_user) as u32
+        (self.words.len() / self.words_per_user) as u32
     }
 
     #[inline]
     fn row(&self, i: u32) -> &[u64] {
-        let at = i as usize * self.words_per_user;
-        if at < self.words.len() {
-            &self.words[at..at + self.words_per_user]
-        } else if i == self.query_row() {
+        if i == self.query_row() {
             self.query
         } else {
-            let at = at - self.words.len();
-            &self.tail[at..at + self.words_per_user]
+            let base = i as usize * self.words_per_user;
+            &self.words[base..base + self.words_per_user]
         }
     }
 }
@@ -897,29 +843,11 @@ pub fn solve_query_words<S: SimSolve>(
     query: &[u64],
     solver: S,
 ) -> S::Output {
-    solve_query_words_with_tail(words, &[], words_per_user, query, solver)
-}
-
-/// [`solve_query_words`] over a grown user set: the rows of `tail` follow
-/// those of `words` (ids `words.len() / words_per_user ..`), and the query
-/// row comes after them — `cnc-query`'s `DynamicIndex` reads the epoch's
-/// fingerprint words and its own inserts' rows in place.
-///
-/// # Panics
-/// As [`solve_query_words`], for either slice.
-pub fn solve_query_words_with_tail<S: SimSolve>(
-    words: &[u64],
-    tail: &[u64],
-    words_per_user: usize,
-    query: &[u64],
-    solver: S,
-) -> S::Output {
     assert_eq!(query.len(), words_per_user, "query fingerprint width mismatch");
     macro_rules! fixed {
         ($w:literal) => {
-            solver.run(&GoldFingerQueryKernel::<$w>::with_tail(
+            solver.run(&GoldFingerQueryKernel::<$w>::new(
                 words,
-                tail,
                 query.try_into().expect("width checked above"),
             ))
         };
@@ -929,7 +857,7 @@ pub fn solve_query_words_with_tail<S: SimSolve>(
         16 => fixed!(16),
         64 => fixed!(64),
         128 => fixed!(128),
-        _ => solver.run(&GoldFingerDynQueryKernel::with_tail(words, tail, words_per_user, query)),
+        _ => solver.run(&GoldFingerDynQueryKernel::new(words, words_per_user, query)),
     }
 }
 
@@ -1189,50 +1117,6 @@ mod tests {
                 .iter()
                 .map(|&u| (u, (reference.estimate(ds.num_users() as UserId, u) as f32).to_bits()))
                 .collect();
-            assert_eq!(got, expect, "{bits} bits");
-        }
-    }
-
-    #[test]
-    fn tail_kernels_score_like_kernels_over_the_concatenation() {
-        // Base rows, then tail rows, then the query: every pair of rows —
-        // across the seam and against the query — must score exactly as
-        // in a kernel over the concatenated user set.
-        let ds = dataset();
-        let split = 90;
-        let profiles: Vec<Vec<u32>> = ds.iter().map(|(_, p)| p.to_vec()).collect();
-        let base = Dataset::from_profiles(profiles[..split].to_vec(), 0);
-        let mut tail = DatasetBuilder::new();
-        for profile in &profiles[split..] {
-            tail.push_sorted_profile(profile);
-        }
-        let query: Vec<u32> = vec![3, 17, 40, 77, 150];
-        let rows = ds.num_users() as u32 + 1;
-        let (whole, grown) =
-            (RawQueryKernel::new(&ds, &query), RawQueryKernel::with_tail(&base, &tail, &query));
-        assert_eq!((grown.len(), grown.query_row()), (whole.len(), whole.query_row()));
-        for i in (0..rows).step_by(5).chain([rows - 1]) {
-            for j in (0..rows).step_by(3) {
-                assert_eq!(grown.sim(i, j).to_bits(), whole.sim(i, j).to_bits(), "raw ({i}, {j})");
-            }
-        }
-        struct Rows(Vec<(u32, u32)>);
-        impl SimSolve for Rows {
-            type Output = Vec<u32>;
-            fn run<K: SimKernel>(self, kernel: &K) -> Vec<u32> {
-                assert_eq!(kernel.len(), 121);
-                self.0.iter().map(|&(i, j)| kernel.sim(i, j).to_bits()).collect()
-            }
-        }
-        let pairs: Vec<(u32, u32)> =
-            (0..rows).step_by(4).flat_map(|i| [(i, rows - 1), (i, 95), (i, 10)]).collect();
-        for bits in [64usize, 192, 1024] {
-            let gf = GoldFinger::build(&ds, bits, 29);
-            let w = gf.words_per_user();
-            let (head, rest) = gf.words().split_at(split * w);
-            let qwords = gf.fingerprint_profile(&query);
-            let expect = solve_query_words(gf.words(), w, &qwords, Rows(pairs.clone()));
-            let got = solve_query_words_with_tail(head, rest, w, &qwords, Rows(pairs.clone()));
             assert_eq!(got, expect, "{bits} bits");
         }
     }

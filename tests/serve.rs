@@ -509,8 +509,8 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
         }
     }
 
-    // The adopted engine is not read-only: inserts copy-on-write and the
-    // serving loop continues.
+    // The adopted engine is not read-only: inserts queue, the publish
+    // copies the mapped epoch once, and the serving loop continues.
     serving.insert(ds.profile(7).to_vec(), 99);
     serving.publish();
     assert_eq!(serving.stats().num_users, 251);
