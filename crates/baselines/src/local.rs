@@ -14,9 +14,9 @@
 //!   cost one load, and no cluster-local list is built or merged. A greedy
 //!   cluster runs on a local graph and merges its lists member by member
 //!   (Algorithm 3).
-//! * **As partial lists** ([`solve_cluster_partial`] and the `_partial`
-//!   solvers) — one bounded list per member, for a map stage that merges
-//!   them later (`cnc-runtime`) or ships them over a wire (`cnc-distrib`).
+//! * **As partial lists** ([`solve_cluster_partial`]) — one bounded list
+//!   per member, for a map stage that merges them later (`cnc-runtime`) or
+//!   ships them over a wire (`cnc-distrib`).
 //!
 //! The two forms make the same offers, so a row ends with the same top-k.
 
@@ -30,15 +30,14 @@ use cnc_similarity::SimilarityData;
 /// aligned with `users`) and the number of similarities computed (already
 /// flushed to `sim`).
 ///
-/// This is the *map-stage* form of Algorithm 2's cheap branch, for a
-/// caller that merges or ships the partial lists itself (`cnc-runtime`);
-/// [`brute_force`] is the in-process form.
+/// This is the *map-stage* form of Algorithm 2's cheap branch, behind
+/// [`solve_cluster_partial`]; [`brute_force`] is the in-process form.
 ///
 /// Runs on the batched kernel layer: one backend dispatch and (for
 /// GoldFinger) one contiguous fingerprint tile per cluster, then a
 /// monomorphized all-pairs sweep, then **one** comparison-count flush for
 /// the whole cluster — the totals are identical to counting per pair.
-pub fn brute_force_partial_counted(
+fn brute_force_partial_counted(
     users: &[UserId],
     sim: &SimilarityData<'_>,
     k: usize,
@@ -136,27 +135,15 @@ impl SimSolve for BruteShared<'_> {
 }
 
 /// Greedy Hyrec restricted to `users`, returning one bounded list per user
-/// (positionally aligned with `users`) — the *map-stage* form of
+/// (positionally aligned with `users`) and the number of similarities it
+/// computed (already flushed to `sim`) — the *map-stage* form of
 /// Algorithm 2's expensive branch, bounded by `ρ·k²·|C|/2` similarities.
 ///
 /// Runs the standard Hyrec loop on a *local* graph over the cluster: random
 /// k-degree init, then up to `rho` iterations comparing every user with its
 /// neighbours-of-neighbours, stopping early when an iteration produces fewer
 /// than `delta·k·|C|` updates.
-pub fn hyrec_partial(
-    users: &[UserId],
-    sim: &SimilarityData<'_>,
-    k: usize,
-    rho: usize,
-    delta: f64,
-    seed: u64,
-) -> Vec<NeighborList> {
-    hyrec_partial_counted(users, sim, k, rho, delta, seed).0
-}
-
-/// [`hyrec_partial`] plus the number of similarities it computed (already
-/// flushed to `sim`; see [`brute_force_partial_counted`]).
-pub fn hyrec_partial_counted(
+fn hyrec_partial_counted(
     users: &[UserId],
     sim: &SimilarityData<'_>,
     k: usize,
@@ -262,7 +249,7 @@ impl SimSolve for HyrecPartial<'_> {
 }
 
 /// Greedy Hyrec restricted to `users`, merged into `out` (Algorithm 2's
-/// expensive branch; see [`hyrec_partial`]).
+/// expensive branch; the local loop is `hyrec_partial_counted`'s).
 pub fn hyrec(
     users: &[UserId],
     sim: &SimilarityData<'_>,
@@ -274,7 +261,7 @@ pub fn hyrec(
     if users.len() < 2 {
         return;
     }
-    let lists = hyrec_partial(users, sim, out.k(), rho, delta, seed);
+    let (lists, _) = hyrec_partial_counted(users, sim, out.k(), rho, delta, seed);
     for (i, &u) in users.iter().enumerate() {
         out.merge_into(u, &lists[i]);
     }
@@ -407,7 +394,7 @@ mod tests {
             let sim_b = SimilarityData::build(SimilarityBackend::Raw, &ds);
             let lists = if greedy {
                 hyrec(&users, &sim_a, &out, 5, 0.001, 3);
-                hyrec_partial(&users, &sim_b, k, 5, 0.001, 3)
+                hyrec_partial_counted(&users, &sim_b, k, 5, 0.001, 3).0
             } else {
                 brute_force(&users, &sim_a, &out);
                 brute_force_partial_counted(&users, &sim_b, k).0
@@ -438,17 +425,17 @@ mod tests {
 
         // Small-cluster Hyrec degenerates to brute force: exact count.
         let sim = SimilarityData::build(backend, &ds);
-        hyrec_partial(&(0..9u32).collect::<Vec<_>>(), &sim, 10, 5, 0.001, 3);
+        hyrec_partial_counted(&(0..9u32).collect::<Vec<_>>(), &sim, 10, 5, 0.001, 3);
         assert_eq!(sim.comparisons(), 9 * 8 / 2);
 
         // Greedy Hyrec: random init costs exactly n·k, and every further
         // comparison flows through the same batched counter.
         let sim = SimilarityData::build(backend, &ds);
         let users: Vec<u32> = (0..40).collect();
-        hyrec_partial(&users, &sim, 2, 0, 0.001, 11);
+        hyrec_partial_counted(&users, &sim, 2, 0, 0.001, 11);
         assert_eq!(sim.comparisons(), 40 * 2, "rho = 0 leaves only the random init");
         let sim_full = SimilarityData::build(backend, &ds);
-        hyrec_partial(&users, &sim_full, 2, 3, 0.001, 11);
+        hyrec_partial_counted(&users, &sim_full, 2, 3, 0.001, 11);
         assert!(sim_full.comparisons() > 40 * 2);
         assert!(sim_full.comparisons() < 780);
     }

@@ -94,6 +94,7 @@ use cnc_similarity::kernel::{one_vs_many, pair_count, SimKernel, SimSolve};
 use cnc_similarity::{SimilarityBackend, SimilarityData};
 use cnc_telemetry::Telemetry;
 use cnc_threadpool::{parallel_ranges, PriorityPool};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// FNV-1a's initial value: the running hash of no bytes.
@@ -164,16 +165,17 @@ pub fn config_token(config: &C2Config) -> u64 {
 }
 
 /// What one build leaves for the next (module docs): the cluster
-/// memberships of its plan — `t·n` ids — the per-user item-set digests of
+/// memberships of its plan — `t·n` ids, held as the plan's [`EntryIndex`],
+/// the one record of its clusters, which the epoch serving the build's
+/// graph routes queries through as well — the per-user item-set digests of
 /// the dataset it ran on, and the merged graph itself (shared with the
-/// build's caller, not copied: see [`KnnGraph::into_shared`]).
+/// build's caller, not copied: see [`KnnGraph::into_shared`]). A clone is
+/// O(1) but for the digests.
 #[derive(Clone, Debug)]
 pub struct ClusterCache {
     config_token: u64,
-    /// CSR over `members`: cluster `i` is `members[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
-    /// Every cluster's members, in solve order.
-    members: Vec<UserId>,
+    /// The remembered plan's clusters, in solve order.
+    entries: Arc<EntryIndex>,
     /// [`profile_digest`] of every user of the dataset the graph was built on.
     digests: Vec<u64>,
     graph: KnnGraph,
@@ -186,46 +188,38 @@ impl ClusterCache {
     pub fn new(config: &C2Config) -> Self {
         ClusterCache {
             config_token: config_token(config),
-            offsets: vec![0],
-            members: Vec::new(),
+            entries: Arc::default(),
             digests: Vec::new(),
             graph: KnnGraph::new(0, config.k),
         }
     }
 
-    /// Rebuilds a cache from persisted memberships plus the dataset and
-    /// graph persisted beside them (the snapshot loader's inverse of
-    /// [`ClusterCache::offsets`] / [`members`](ClusterCache::members)).
-    /// The token is stored verbatim, so a cache persisted under one
-    /// configuration still misses wholesale under any other. The arrays
-    /// come from a file: every structural invariant is checked, none
-    /// assumed.
+    /// Rebuilds a cache from a persisted configuration token and the entry
+    /// index, dataset and graph persisted beside it (the snapshot loader's
+    /// inverse of [`ClusterCache::config_token`] /
+    /// [`entries`](ClusterCache::entries)). The token is stored verbatim,
+    /// so a cache persisted under one configuration still misses wholesale
+    /// under any other. The index's member arrays were checked by
+    /// [`EntryIndex::from_storage`]; here only the parts are checked to
+    /// cover the same users.
     pub fn from_parts(
         config_token: u64,
-        offsets: Vec<u32>,
-        members: Vec<UserId>,
+        entries: Arc<EntryIndex>,
         dataset: &Dataset,
         graph: KnnGraph,
     ) -> Result<Self, String> {
-        if offsets.first() != Some(&0)
-            || offsets.windows(2).any(|w| w[0] > w[1])
-            || offsets.last().map(|&end| end as usize) != Some(members.len())
-        {
-            return Err(format!(
-                "{} member offsets do not tile the {} member slots from 0",
-                offsets.len(),
-                members.len()
-            ));
-        }
         let n = dataset.num_users();
         if graph.num_users() != n {
             return Err(format!("graph covers {} users, dataset {n}", graph.num_users()));
         }
-        if let Some(&bad) = members.iter().find(|&&u| u as usize >= n) {
-            return Err(format!("cluster member {bad} outside the {n} users"));
+        if entries.user_bound() > n {
+            return Err(format!(
+                "cluster member {} outside the {n} users",
+                entries.user_bound() - 1
+            ));
         }
         let digests = dataset.iter().map(|(_, profile)| profile_digest(profile)).collect();
-        Ok(ClusterCache { config_token, offsets, members, digests, graph: graph.into_shared() })
+        Ok(ClusterCache { config_token, entries, digests, graph: graph.into_shared() })
     }
 
     /// The configuration token the cache was built under.
@@ -235,7 +229,7 @@ impl ClusterCache {
 
     /// Number of clusters in the remembered plan.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.entries.num_clusters()
     }
 
     /// True if nothing is cached.
@@ -252,22 +246,19 @@ impl ClusterCache {
 
     /// Heap bytes the cache holds — memberships, digests and the graph.
     /// `tests/incremental.rs` bounds it by the graph plus `4·t·n`, so the
-    /// cache cannot quietly grow back to `t` lists per user.
+    /// cache cannot quietly grow back to `t` lists per user. The index's
+    /// routing table is the query path's and is not counted.
     pub fn size_bytes(&self) -> usize {
-        4 * (self.offsets.len() + self.members.len())
+        4 * (self.entries.offsets().len() + self.entries.members().len())
             + 8 * self.digests.len()
             + std::mem::size_of::<Neighbor>() * self.graph.num_edges()
             + 8 * (self.graph.num_users() + 1)
     }
 
-    /// The member offsets (`len() + 1` entries, leading 0).
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// Every cluster's members, concatenated in plan order.
-    pub fn members(&self) -> &[UserId] {
-        &self.members
+    /// The remembered plan's clusters: the entry index of the build that
+    /// captured the cache (empty for an empty cache).
+    pub fn entries(&self) -> &Arc<EntryIndex> {
+        &self.entries
     }
 
     /// The graph the remembered plan produced.
@@ -277,7 +268,7 @@ impl ClusterCache {
 
     /// The members of remembered cluster `index`, in solve order.
     fn cluster(&self, index: usize) -> &[UserId] {
-        &self.members[self.offsets[index] as usize..self.offsets[index + 1] as usize]
+        self.entries.cluster(index as u32)
     }
 
     /// Every remembered cluster, in plan order.
@@ -669,8 +660,9 @@ impl BuildPlan {
             Ok((rows, jobs, reuse)) => (rows, jobs, Some(reuse)),
             Err(path) => {
                 // Every user fresh: every cluster solved whole, into
-                // empty rows.
-                rebuild.path = path;
+                // empty rows, and none of them reused.
+                let total = rebuild.clusters_total;
+                rebuild = RebuildStats { path, ..RebuildStats::new(total, total, 0.0) };
                 let cost = |users: &Vec<UserId>| cluster_cost(users.len(), k, config.rho);
                 let clusters = self.clusters().iter().enumerate();
                 let jobs = clusters.map(|(index, users)| (cost(users), (index, None))).collect();
@@ -857,7 +849,9 @@ impl BuildPlan {
 
     /// Closes an incremental build, whichever path it took: freezes
     /// `graph` ([`KnnGraph::into_shared`]), captures this plan's
-    /// memberships beside it as the next build's cache, and completes the
+    /// memberships beside it as the next build's cache — flattened once,
+    /// into the plan's [`EntryIndex`], which the cache and whoever serves
+    /// the graph share ([`ClusterCache::entries`]) — and completes the
     /// rebuild record with the `comparisons` the build computed and the
     /// wall-clock since `start`. Returns the graph for the caller, sharing
     /// its entries with the cache.
@@ -868,21 +862,10 @@ impl BuildPlan {
         comparisons: u64,
         start: Instant,
     ) -> (KnnGraph, ClusterCache, RebuildStats) {
-        let clusters = self.clusters();
-        let mut offsets = Vec::with_capacity(clusters.len() + 1);
-        let mut members = Vec::with_capacity(clusters.iter().map(Vec::len).sum());
-        offsets.push(0u32);
-        for users in clusters {
-            members.extend_from_slice(users);
-            offsets.push(
-                u32::try_from(members.len()).expect("a plan holds at most u32::MAX member slots"),
-            );
-        }
         let graph = graph.into_shared();
         let cache = ClusterCache {
             config_token: config_token(&self.config),
-            offsets,
-            members,
+            entries: Arc::new(self.entry_index()),
             digests: self.digests.clone(),
             graph: graph.clone(),
         };
@@ -903,8 +886,8 @@ impl BuildPlan {
     /// The [`EntryIndex`] of this assignment: the split tree Step 1 walked,
     /// frozen over its clusters, so a query profile can be routed to the
     /// clusters an in-sample user with that profile was put in. Costs one
-    /// copy of the member lists, no hashing. Empty (routes nowhere) under
-    /// the MinHash scheme, which records no tree.
+    /// copy of the member lists, no hashing. Under the MinHash scheme,
+    /// which records no tree, it routes nowhere but holds the clusters.
     pub fn entry_index(&self) -> EntryIndex {
         let functions = FastRandomHash::family(self.config.seed, self.config.t, self.config.b);
         self.clustering.entry_index(&functions)
@@ -956,22 +939,36 @@ mod tests {
         }
     }
 
+    /// `cache` with its stored member array replaced by `members`.
+    fn with_members(cache: &ClusterCache, members: Vec<UserId>, ds: &Dataset) -> ClusterCache {
+        let e = cache.entries();
+        let (keys, targets) = (e.keys().to_vec().into(), e.targets().to_vec().into());
+        let n = ds.num_users();
+        let entries = EntryIndex::from_storage(
+            e.b(),
+            e.seeds().to_vec(),
+            keys,
+            targets,
+            e.offsets().to_vec().into(),
+            members.into(),
+            n,
+        )
+        .unwrap();
+        ClusterCache::from_parts(cache.config_token(), Arc::new(entries), ds, cache.graph().clone())
+            .unwrap()
+    }
+
     #[test]
-    fn from_parts_rejects_malformed_memberships() {
+    fn from_parts_checks_that_the_parts_cover_the_same_users() {
         let ds = Dataset::from_profiles(vec![vec![1]; 3], 0);
-        let graph = || KnnGraph::new(3, 4);
-        let parts = |offsets: Vec<u32>, members: Vec<u32>, graph: KnnGraph| {
-            ClusterCache::from_parts(0, offsets, members, &ds, graph)
-        };
-        let cache = parts(vec![0, 2, 3], vec![0, 1, 2], graph()).unwrap();
+        let tree = cnc_graph::SplitTree::default();
+        let index = |clusters: &[Vec<UserId>]| Arc::new(EntryIndex::build(1, &[], &tree, clusters));
+        let parts = |entries, graph| ClusterCache::from_parts(0, entries, &ds, graph);
+        let cache = parts(index(&[vec![0, 1], vec![2]]), KnnGraph::new(3, 4)).unwrap();
         assert_eq!((cache.len(), cache.total_comparisons()), (2, 1));
         assert_eq!(cache.cluster(1), &[2]);
-        assert!(parts(vec![], vec![], graph()).is_err(), "no leading offset");
-        assert!(parts(vec![1, 2], vec![0, 1], graph()).is_err(), "offsets start past 0");
-        assert!(parts(vec![0, 2, 1], vec![0, 1], graph()).is_err(), "decreasing");
-        assert!(parts(vec![0, 3], vec![0, 1], graph()).is_err(), "offsets overrun");
-        assert!(parts(vec![0, 2], vec![0, 9], graph()).is_err(), "member outside the dataset");
-        assert!(parts(vec![0, 2], vec![0, 1], KnnGraph::new(2, 4)).is_err(), "graph size");
+        assert!(parts(index(&[vec![0, 3]]), KnnGraph::new(3, 4)).is_err(), "member outside");
+        assert!(parts(index(&[vec![0, 1]]), KnnGraph::new(2, 4)).is_err(), "graph size");
     }
 
     #[test]
@@ -1009,7 +1006,7 @@ mod tests {
         let mut plan = BuildPlan::assign(&cfg, &ds);
         plan.fingerprint(&ds);
         let graph = KnnGraph::new(ds.num_users(), cfg.k);
-        let (graph, cache, _) = plan.finish(graph, RebuildStats::default(), 0, Instant::now());
+        let (_, cache, _) = plan.finish(graph, RebuildStats::default(), 0, Instant::now());
         assert_eq!(cache.len(), plan.clusters().len());
         let mut replan = BuildPlan::assign(&cfg, &ds);
         replan.fingerprint(&ds);
@@ -1020,16 +1017,10 @@ mod tests {
         // Equality is exact: the same members in another order are not
         // the remembered cluster.
         let victim = plan.clusters().iter().position(|users| users.len() > 1).unwrap();
-        let mut members = cache.members().to_vec();
-        members.swap(cache.offsets()[victim] as usize, cache.offsets()[victim] as usize + 1);
-        let reordered = ClusterCache::from_parts(
-            cache.config_token(),
-            cache.offsets().to_vec(),
-            members,
-            &ds,
-            graph,
-        )
-        .unwrap();
+        let mut members = cache.entries().members().to_vec();
+        let at = cache.entries().offsets()[victim] as usize;
+        members.swap(at, at + 1);
+        let reordered = with_members(&cache, members, &ds);
         assert_eq!(replan.partition(&reordered, &[]).dirty, vec![victim]);
 
         // An edited profile dirties exactly the clusters that hold it.

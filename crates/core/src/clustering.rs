@@ -59,12 +59,6 @@ impl Clustering {
     pub fn max_size(&self) -> usize {
         self.clusters.iter().map(Vec::len).max().unwrap_or(0)
     }
-
-    /// Total user slots across clusters (= t × |users with items| when no
-    /// user is dropped).
-    pub fn total_assignments(&self) -> usize {
-        self.clusters.iter().map(Vec::len).sum()
-    }
 }
 
 /// Runs Algorithm 1 plus recursive splitting: clusters `dataset` under each
@@ -176,7 +170,7 @@ mod tests {
         let ds = SyntheticConfig::small(51).generate();
         let t = 4;
         let clustering = cluster_dataset(&ds, &functions(t, 64), usize::MAX);
-        assert_eq!(clustering.total_assignments(), t * ds.num_users());
+        assert_eq!(clustering.clusters.concat().len(), t * ds.num_users());
         // Per-function partition check: count each user's occurrences.
         let mut counts = vec![0usize; ds.num_users()];
         for cluster in &clustering.clusters {
@@ -302,7 +296,7 @@ mod tests {
         let clustering = cluster_dataset(&ds, &functions(2, 64), 200);
         let sizes = clustering.sizes_desc();
         assert!(sizes.windows(2).all(|w| w[0] >= w[1]));
-        assert_eq!(sizes.iter().sum::<usize>(), clustering.total_assignments());
+        assert_eq!(sizes.iter().sum::<usize>(), clustering.clusters.concat().len());
     }
 
     #[test]

@@ -64,6 +64,20 @@ impl Default for LoadOptions {
     }
 }
 
+/// A loaded ratings file: the dataset and the file's own names of its
+/// users and items.
+#[derive(Clone, Debug)]
+pub struct Ratings {
+    /// The binarized, filtered profiles, densely numbered.
+    pub dataset: Dataset,
+    /// The file's name of each kept user, in dataset order (`users[u]`
+    /// is user `u`).
+    pub users: Vec<String>,
+    /// The file's name of each item, in dataset order (`items[i]` is item
+    /// `i`).
+    pub items: Vec<String>,
+}
+
 /// Parses `user <sep> item <sep> rating` triples from a reader.
 ///
 /// Separators may be commas, tabs or runs of spaces (the `::` separator of
@@ -72,11 +86,14 @@ impl Default for LoadOptions {
 /// its rating field is not a number (MovieLens 20M's `ratings.csv` starts
 /// with `userId,movieId,rating,timestamp`). Any later line that does not
 /// parse is an [`IoError::Parse`]. External user/item identifiers are
-/// arbitrary strings and are densely re-numbered in first-appearance order.
-pub fn read_ratings<R: Read>(reader: R, options: LoadOptions) -> Result<Dataset, IoError> {
+/// arbitrary strings, densely re-numbered in first-appearance order; the
+/// same pass returns them ([`Ratings::users`], [`Ratings::items`]), so a
+/// caller can speak the file's names.
+pub fn read_ratings<R: Read>(reader: R, options: LoadOptions) -> Result<Ratings, IoError> {
     let reader = BufReader::new(reader);
     let mut user_ids: HashMap<String, u32> = HashMap::new();
     let mut item_ids: HashMap<String, u32> = HashMap::new();
+    let (mut user_names, mut item_names) = (Vec::new(), Vec::new());
     let mut profiles: Vec<Vec<ItemId>> = Vec::new();
     let mut first_record = true;
 
@@ -106,30 +123,34 @@ pub fn read_ratings<R: Read>(reader: R, options: LoadOptions) -> Result<Dataset,
         if rating <= options.binarize_above {
             continue;
         }
-        let next_user = user_ids.len() as u32;
-        let uid = *user_ids.entry(user.to_owned()).or_insert(next_user);
-        let next_item = item_ids.len() as u32;
-        let iid = *item_ids.entry(item.to_owned()).or_insert(next_item);
-        if uid as usize == profiles.len() {
+        let uid = *user_ids.entry(user.to_owned()).or_insert_with(|| {
+            user_names.push(user.to_owned());
             profiles.push(Vec::new());
-        }
+            profiles.len() as u32 - 1
+        });
+        let iid = *item_ids.entry(item.to_owned()).or_insert_with(|| {
+            item_names.push(item.to_owned());
+            item_names.len() as u32 - 1
+        });
         profiles[uid as usize].push(iid);
     }
 
-    let num_items = item_ids.len() as u32;
+    let num_items = item_names.len() as u32;
     let mut builder = DatasetBuilder::with_capacity(profiles.len());
-    for mut profile in profiles {
+    let mut users = Vec::with_capacity(profiles.len());
+    for (mut profile, name) in profiles.into_iter().zip(user_names) {
         profile.sort_unstable();
         profile.dedup();
         if profile.len() >= options.min_profile {
             builder.push_sorted_profile(&profile);
+            users.push(name);
         }
     }
-    Ok(builder.build_with_min_items(num_items))
+    Ok(Ratings { dataset: builder.build_with_min_items(num_items), users, items: item_names })
 }
 
 /// Loads a ratings file from disk with [`read_ratings`].
-pub fn load_ratings<P: AsRef<Path>>(path: P, options: LoadOptions) -> Result<Dataset, IoError> {
+pub fn load_ratings<P: AsRef<Path>>(path: P, options: LoadOptions) -> Result<Ratings, IoError> {
     let file = std::fs::File::open(path)?;
     read_ratings(file, options)
 }
@@ -158,7 +179,7 @@ mod tests {
     #[test]
     fn parses_comma_separated_triples() {
         let data = "u1,i1,5\nu1,i2,4\nu2,i1,5\n";
-        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap().dataset;
         assert_eq!(ds.num_users(), 2);
         assert_eq!(ds.num_items(), 2);
         assert_eq!(ds.profile(0), &[0, 1]);
@@ -168,7 +189,7 @@ mod tests {
     #[test]
     fn parses_tab_and_movielens_double_colon() {
         let data = "1::10::4.5\n1\t11\t5\n";
-        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap().dataset;
         assert_eq!(ds.num_users(), 1);
         assert_eq!(ds.profile(0).len(), 2);
     }
@@ -176,14 +197,14 @@ mod tests {
     #[test]
     fn binarization_drops_low_ratings() {
         let data = "u,i1,3\nu,i2,3.5\nu,i3,1\n";
-        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap().dataset;
         assert_eq!(ds.num_ratings(), 1);
     }
 
     #[test]
     fn min_profile_filter_applies_after_binarization() {
         let data = "a,i1,5\na,i2,5\nb,i1,5\nb,i2,2\n";
-        let ds = read_ratings(data.as_bytes(), opts(3.0, 2)).unwrap();
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 2)).unwrap().dataset;
         // User b keeps only one rating after binarization and is dropped.
         assert_eq!(ds.num_users(), 1);
     }
@@ -191,14 +212,14 @@ mod tests {
     #[test]
     fn comments_and_blank_lines_are_skipped() {
         let data = "# header\n\nu,i,5\n";
-        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap().dataset;
         assert_eq!(ds.num_ratings(), 1);
     }
 
     #[test]
     fn a_header_is_skipped_on_the_first_record_only() {
         let data = "# MovieLens 20M\n\nuserId,movieId,rating,timestamp\n1,10,4.5,1112486027\n";
-        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap().dataset;
         assert_eq!((ds.num_users(), ds.num_ratings()), (1, 1));
         // A header-like line past the first record is still an error.
         let data = "userId,movieId,rating\n1,10,4.5\nuserId,movieId,rating\n";
@@ -239,17 +260,31 @@ mod tests {
     #[test]
     fn duplicate_ratings_collapse() {
         let data = "u,i,5\nu,i,4\n";
-        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap();
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 1)).unwrap().dataset;
         assert_eq!(ds.num_ratings(), 1);
 
         // Out of order and duplicated between other items: the profile is
         // sorted and deduplicated once, before the builder sees it, and
         // the size filter counts distinct items.
         let data = "u,j,5\nu,i,5\nu,j,4\nu,k,5\nu,i,5\nv,i,5\nv,i,5\n";
-        let ds = read_ratings(data.as_bytes(), opts(3.0, 2)).unwrap();
+        let ds = read_ratings(data.as_bytes(), opts(3.0, 2)).unwrap().dataset;
         ds.validate().unwrap();
         assert_eq!(ds.num_users(), 1, "v holds one distinct item");
         assert_eq!(ds.profile(0), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn the_files_names_come_back_in_dataset_order() {
+        // carol's one rating falls under min_profile and her user is
+        // dropped; her item is still numbered, in first-appearance order.
+        // A rating binarized away names no item.
+        let data = "alice,m1,5\nbob,m2,5\ncarol,m3,5\nalice,m2,5\nbob,m1,4\nalice,m9,1\n";
+        let ratings = read_ratings(data.as_bytes(), opts(3.0, 2)).unwrap();
+        assert_eq!(ratings.users, ["alice", "bob"]);
+        assert_eq!(ratings.items, ["m1", "m2", "m3"]);
+        assert_eq!(ratings.dataset.num_users(), 2);
+        assert_eq!(ratings.dataset.num_items(), 3);
+        assert_eq!(ratings.dataset.profile(1), &[0, 1], "bob rated m2, then m1");
     }
 
     #[test]
@@ -257,7 +292,7 @@ mod tests {
         let ds = Dataset::from_profiles(vec![vec![0, 2], vec![1]], 0);
         let mut buffer = Vec::new();
         write_ratings(&ds, &mut buffer).unwrap();
-        let reloaded = read_ratings(buffer.as_slice(), opts(3.0, 1)).unwrap();
+        let reloaded = read_ratings(buffer.as_slice(), opts(3.0, 1)).unwrap().dataset;
         assert_eq!(reloaded.num_users(), ds.num_users());
         assert_eq!(reloaded.num_ratings(), ds.num_ratings());
     }

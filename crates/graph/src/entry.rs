@@ -27,7 +27,9 @@
 //!   again. `η = 0` is never a hash value (`h(i) ∈ ⟦1, b⟧`), so
 //!   `(node, 0)` addresses the node's *remainder* — the users the split
 //!   left behind;
-//! * `offsets` / `members` — the cluster member arrays, CSR.
+//! * `offsets` / `members` — the cluster member arrays, CSR: the one
+//!   record of the plan's clusters, which `cnc_core`'s `ClusterCache`
+//!   shares instead of keeping a copy.
 //!
 //! Routing mirrors `cnc_core::clustering::split_recursive` exactly,
 //! including its two exceptions (`H\η` undefined → stays; alone in the new
@@ -121,19 +123,14 @@ impl Default for EntryIndex {
 impl EntryIndex {
     /// Freezes a recorded split tree over the clusters it names.
     /// `seeds[f]` and `b` identify the hash functions Step 1 ran with. A
-    /// tree without routes (the MinHash ablation records none) yields the
-    /// empty index, members included.
+    /// tree without routes (the MinHash ablation records none) yields an
+    /// index that routes nowhere but still holds the clusters: the index is
+    /// the one record of a plan's clusters, which the incremental build
+    /// reads back as well.
     ///
     /// # Panics
     /// Panics if the clusters hold more than `u32::MAX` member slots.
     pub fn build(b: u32, seeds: &[u64], tree: &SplitTree, clusters: &[Vec<UserId>]) -> Self {
-        if tree.routes.is_empty() {
-            return EntryIndex::default();
-        }
-        assert_eq!(seeds.len(), tree.functions as usize, "one seed per hash function");
-        let mut routes = tree.routes.clone();
-        routes.sort_unstable_by_key(|&(key, _)| key);
-        let (keys, targets): (Vec<u64>, Vec<u32>) = routes.into_iter().unzip();
         let total: usize = clusters.iter().map(Vec::len).sum();
         assert!(u32::try_from(total).is_ok(), "entry index holds at most u32::MAX member slots");
         let mut offsets = Vec::with_capacity(clusters.len() + 1);
@@ -144,22 +141,29 @@ impl EntryIndex {
             offsets.push(members.len() as u32);
         }
         let user_bound = members.iter().max().map_or(0, |&u| u as usize + 1);
-        EntryIndex {
-            b,
-            seeds: seeds.to_vec(),
-            keys: keys.into(),
-            targets: targets.into(),
+        let mut index = EntryIndex {
             offsets: offsets.into(),
             members: members.into(),
             user_bound,
+            ..EntryIndex::default()
+        };
+        if !tree.routes.is_empty() {
+            assert_eq!(seeds.len(), tree.functions as usize, "one seed per hash function");
+            let mut routes = tree.routes.clone();
+            routes.sort_unstable_by_key(|&(key, _)| key);
+            let (keys, targets): (Vec<u64>, Vec<u32>) = routes.into_iter().unzip();
+            (index.b, index.seeds) = (b, seeds.to_vec());
+            (index.keys, index.targets) = (keys.into(), targets.into());
         }
+        index
     }
 
     /// Assembles an index from stored (owned or mapped) arrays — the
-    /// snapshot loaders' entry point. The parts come from an untrusted
-    /// file, so everything routing and seeding rely on is checked here, in
-    /// streaming passes with no allocation: the table strictly sorted and
-    /// pointing only at existing clusters or non-root nodes, remainders
+    /// snapshot loaders' entry point, and the one validator of a persisted
+    /// member CSR. The parts come from an untrusted file, so everything
+    /// routing, seeding and the incremental build rely on is checked here,
+    /// in streaming passes with no allocation: the table strictly sorted
+    /// and pointing only at existing clusters or non-root nodes, remainders
     /// pointing at clusters, offsets monotone and covering the members
     /// exactly, member ids below `num_users`.
     pub fn from_storage(
@@ -216,7 +220,8 @@ impl EntryIndex {
         Ok(EntryIndex { b, seeds, keys, targets, offsets, members, user_bound })
     }
 
-    /// True if the index routes nowhere (no routing entries).
+    /// True if the index routes nowhere (no routing entries). It may still
+    /// hold clusters: the MinHash scheme records no split tree.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
@@ -355,11 +360,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_tree_builds_the_empty_index() {
-        let index = EntryIndex::build(8, &[], &SplitTree::default(), &[vec![1, 2]]);
+    fn empty_tree_routes_nowhere_but_keeps_the_clusters() {
+        let index = EntryIndex::build(8, &[11], &SplitTree::default(), &[vec![1, 2], vec![0]]);
         assert!(index.is_empty());
-        assert_eq!(index.num_clusters(), 0);
-        assert!(index.members().is_empty(), "an index that routes nowhere stores no members");
+        assert!(index.seeds().is_empty(), "an index without routes hashes nothing");
+        assert_eq!(index.num_clusters(), 2);
+        assert_eq!((index.cluster(0), index.cluster(1)), (&[1, 2][..], &[0][..]));
+        assert_eq!(index.user_bound(), 3);
         let (mut hashes, mut out) = (Vec::new(), vec![9]);
         index.route(&[1, 2, 3], &mut hashes, &mut out);
         assert!(out.is_empty());

@@ -246,18 +246,6 @@ impl KnnGraph {
         }
     }
 
-    /// Average of the *stored* similarities over `k·n` slots — Eq. (1) with
-    /// missing edges contributing 0. For the paper's quality ratio the
-    /// similarities are recomputed exactly; see [`crate::metrics`].
-    pub fn avg_stored_similarity(&self) -> f64 {
-        let n = self.num_users();
-        if n == 0 {
-            return 0.0;
-        }
-        let total: f64 = self.iter().map(|(_, view)| view.sim_sum()).sum();
-        total / (self.k as f64 * n as f64)
-    }
-
     /// Initializes every user with `k` distinct random non-self neighbours,
     /// scoring each edge with `sim` — the "initial random k-degree graph"
     /// every greedy competitor starts from (§I).
@@ -343,7 +331,6 @@ mod tests {
         let g = KnnGraph::new(5, 3);
         assert_eq!(g.num_users(), 5);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.avg_stored_similarity(), 0.0);
     }
 
     #[test]
@@ -418,14 +405,6 @@ mod tests {
         assert_eq!(rev[1], vec![0, 2]);
         assert_eq!(rev[0], vec![1]);
         assert!(rev[2].is_empty());
-    }
-
-    #[test]
-    fn avg_stored_similarity_divides_by_k_times_n() {
-        let mut g = KnnGraph::new(2, 2);
-        g.insert(0, 1, 1.0);
-        // One edge of sim 1.0 over k·n = 4 slots.
-        assert!((g.avg_stored_similarity() - 0.25).abs() < 1e-12);
     }
 
     #[test]

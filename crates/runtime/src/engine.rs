@@ -38,7 +38,7 @@ use cnc_core::distributed::cluster_cost;
 use cnc_core::{C2Config, ClusterAndConquer};
 use cnc_dataset::{Dataset, UserId};
 use cnc_faults::{Faults, Site};
-use cnc_graph::{EntryIndex, KnnGraph, NeighborList, SharedKnnGraph};
+use cnc_graph::{KnnGraph, NeighborList, SharedKnnGraph};
 use cnc_similarity::{GoldFinger, SimilarityData};
 use cnc_telemetry::Telemetry;
 use cnc_threadpool::PriorityPool;
@@ -106,15 +106,14 @@ pub struct IncrementalShardedResult {
     pub graph: KnnGraph,
     /// This build's cluster memberships and graph (shared with `graph`,
     /// not copied); `cache.total_comparisons()` equals a from-scratch
-    /// build's comparison count.
+    /// build's comparison count, and `cache.entries()` is the plan's entry
+    /// index ([`BuildPlan::entry_index`]), which routes a query profile to
+    /// this build's clusters — whoever serves `graph` shares it and needs
+    /// no second Step-1 pass to seed searches.
     pub cache: ClusterCache,
     /// The dirty/reused split, the path taken and what it cost;
     /// `comparisons` counts exactly the similarities this build computed.
     pub rebuild: RebuildStats,
-    /// The plan's entry index ([`BuildPlan::entry_index`]): routes a query
-    /// profile to this build's clusters, so whoever serves `graph` needs
-    /// no second Step-1 pass to seed searches.
-    pub entries: EntryIndex,
 }
 
 /// The sharded map execution engine.
@@ -269,7 +268,7 @@ impl Runtime {
         if telemetry.enabled() {
             telemetry.counter("cnc_build_comparisons_total", &[]).add(comparisons);
         }
-        IncrementalShardedResult { graph, cache, rebuild, entries: plan.entry_index() }
+        IncrementalShardedResult { graph, cache, rebuild }
     }
 }
 

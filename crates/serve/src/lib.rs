@@ -48,10 +48,7 @@ pub use server::{
     BatchRequest, InsertOutcome, RebuildFailure, ServingConfig, ServingEngine, ServingEpoch,
     ServingSession, ServingStats,
 };
-pub use snapshot::{
-    checksum64, quarantine_snapshot, sweep_temp_files, write_snapshot, write_snapshot_full,
-    write_snapshot_parts_to, Snapshot, SnapshotError,
-};
+pub use snapshot::{checksum64, quarantine_snapshot, sweep_temp_files, Snapshot, SnapshotError};
 
 /// The crate's tests share one process, and with it the process-global
 /// fault registry: a test that arms it holds this lock exclusively

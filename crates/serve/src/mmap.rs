@@ -1,6 +1,6 @@
 //! Zero-copy snapshot adoption off a memory map.
 //!
-//! A v2 snapshot (see [`crate::snapshot`]) lays its bulk arrays out flat
+//! A snapshot (see [`crate::snapshot`]) lays its bulk arrays out flat
 //! at aligned offsets precisely so a serving process can adopt one
 //! without decoding: the file is `mmap`ed read-only and handed to the
 //! snapshot module's one section-table walker as its byte source. The
@@ -48,7 +48,7 @@ pub struct AdoptedSnapshot {
     pub goldfinger: Option<GoldFinger>,
     /// The graph's entry index, when the snapshot carries the section
     /// (arrays borrowing the map when `mapped`).
-    pub entries: Option<EntryIndex>,
+    pub entries: Option<Arc<EntryIndex>>,
     /// `true` = zero-copy off the map; `false` = decoded copy.
     pub mapped: bool,
 }

@@ -18,8 +18,8 @@
 //! last sequence it adopted and only moves forward. Loading a published
 //! file follows one policy ([`SnapshotAdopter::poll`]): transient I/O is
 //! retried with backoff, a file whose bytes are condemned is quarantined,
-//! a file from a newer format version is left in place, and the adopter
-//! falls back to the next-newest candidate.
+//! a file of any other format version — older or newer — is left in
+//! place, and the adopter falls back to the next-newest candidate.
 
 use crate::mmap::AdoptedSnapshot;
 use crate::server::ServingEngine;
@@ -159,8 +159,8 @@ impl SnapshotAdopter {
     /// * a verdict on the bytes — truncation, bad magic, a checksum
     ///   mismatch, a corrupt or missing section — quarantines the file
     ///   ([`quarantine_snapshot`]), since re-reading them cannot help;
-    /// * version skew leaves the file in place: a newer build wrote it,
-    ///   and it is unreadable here, not corrupt.
+    /// * version skew leaves the file in place: an older or a newer build
+    ///   wrote it, and it is unreadable here, not corrupt.
     ///
     /// A candidate that fails makes the scan fall back to the next-newest;
     /// the last error is returned only when every new candidate fails.
@@ -232,7 +232,8 @@ fn open_with_retry(path: &Path) -> Result<AdoptedSnapshot, SnapshotError> {
 /// True for open errors that condemn the *bytes* (quarantine material)
 /// rather than the read path: truncation, bad magic, checksum or
 /// structural failures. Version skew is deliberately excluded — a
-/// snapshot from a newer build is not corrupt, just unreadable here.
+/// snapshot from an older or a newer build is not corrupt, just
+/// unreadable here.
 fn condemns_bytes(error: &SnapshotError) -> bool {
     match error {
         SnapshotError::Io(e) => e.kind() == io::ErrorKind::UnexpectedEof,
@@ -296,21 +297,25 @@ mod tests {
         assert_adopts(&adopted, &epoch);
         assert_eq!(names(&dir), ["epoch-0.snap"], "transient I/O must never condemn a file");
 
-        // A newer epoch from a newer format version is unreadable here,
-        // not corrupt: the scan falls back to the older valid epoch and
-        // leaves the newer file for a build that can read it.
-        let mut bytes = Vec::new();
-        build(62).write_to(&mut bytes).unwrap();
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        fs::write(seq_path(&dir, 2), &bytes).unwrap();
+        // Newer epochs in a newer and an older format version are
+        // unreadable here, not corrupt: the scan falls back to the older
+        // valid epoch and leaves both files for a build that can read them.
+        let version = crate::snapshot::VERSION;
+        for (seq, skew) in [(2, version + 1), (3, version - 1)] {
+            let mut bytes = Vec::new();
+            build(62).write_to(&mut bytes).unwrap();
+            bytes[8..12].copy_from_slice(&skew.to_le_bytes());
+            fs::write(seq_path(&dir, seq), &bytes).unwrap();
+        }
         build(63).write(seq_path(&dir, 1)).unwrap();
         let (seq, _) = adopter.poll().unwrap().expect("epoch 1 is new");
         assert_eq!(seq, 1);
-        assert_eq!(names(&dir), ["epoch-0.snap", "epoch-1.snap", "epoch-2.snap"]);
+        let all = ["epoch-0.snap", "epoch-1.snap", "epoch-2.snap", "epoch-3.snap"];
+        assert_eq!(names(&dir), all);
         // Until then every poll reports the skew, and still moves nothing.
-        assert!(matches!(adopter.poll(), Err(SnapshotError::UnsupportedVersion(3))));
+        assert!(matches!(adopter.poll(), Err(SnapshotError::UnsupportedVersion(_))));
         assert_eq!(adopter.last_adopted(), Some(1));
-        assert_eq!(names(&dir), ["epoch-0.snap", "epoch-1.snap", "epoch-2.snap"]);
+        assert_eq!(names(&dir), all);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -313,8 +313,9 @@ struct Writer {
     /// on the raw backend.
     rows: Option<GoldFinger>,
     /// Empty, or the memberships and graph of the build that published
-    /// the live epoch (it shares that epoch's graph entries) — publishes
-    /// replace both under this lock, adoption empties it.
+    /// the live epoch (it shares that epoch's graph entries and entry
+    /// index) — publishes replace both under this lock, adoption empties
+    /// it.
     cache: ClusterCache,
     /// Consecutive failed publish attempts (reset on success); drives the
     /// retry backoff.
@@ -423,7 +424,8 @@ impl ServingEngine {
     /// pipeline on the sharded runtime, fingerprinting once and sharing
     /// the build between construction and serving. The build's cluster
     /// memberships and graph seed the writer's [`ClusterCache`], so the
-    /// first published epoch already rebuilds incrementally. An engine
+    /// first published epoch already rebuilds incrementally; the epoch
+    /// routes queries through the same member arrays. An engine
     /// that publishes on its own (`rebuild_after > 0`) gives the epoch's
     /// dataset and fingerprints room past their end, so its publishes
     /// append the inserts in place instead of copying the epoch.
@@ -447,8 +449,8 @@ impl ServingEngine {
         let dataset = dataset_room(&config, dataset);
         let empty = ClusterCache::new(&config.c2);
         let built = build_epoch(&dataset, fingerprints.as_ref(), &config, &empty);
-        let epoch = ServingEpoch::new(1, dataset, built.graph, fingerprints)
-            .with_entries(Arc::new(built.entries));
+        let entries = Arc::clone(built.cache.entries());
+        let epoch = ServingEpoch::new(1, dataset, built.graph, fingerprints).with_entries(entries);
         Self::from_epoch(epoch, config, built.cache, built.rebuild)
     }
 
@@ -515,9 +517,10 @@ impl ServingEngine {
 
     /// Brings an engine up from a persisted snapshot; it answers queries
     /// identically to the engine that wrote the snapshot. When the
-    /// snapshot carries the builder's cluster memberships (a v2 file
-    /// written by [`ServingEngine::write_snapshot`]), they and the file's
-    /// graph seed the writer's [`ClusterCache`] — the first publish after
+    /// snapshot carries the builder's cluster cache (a file written by
+    /// [`ServingEngine::write_snapshot`]), its token, the file's entry
+    /// index and graph seed the writer's [`ClusterCache`], sharing the
+    /// epoch's member arrays — the first publish after
     /// a restart patches that graph instead of rebuilding it (a cache
     /// persisted under a different configuration misses wholesale, by
     /// token).
@@ -532,19 +535,19 @@ impl ServingEngine {
         let dataset = dataset_room(&config, dataset);
         let fingerprints = fingerprint_room(&config, goldfinger.map(Arc::new));
         let epoch = ServingEpoch::new(1, dataset, graph, fingerprints)
-            .with_entries(Arc::new(entries.unwrap_or_default()));
+            .with_entries(entries.unwrap_or_default());
         Self::from_epoch(epoch, config, cache, RebuildStats::default())
     }
 
     /// Persists the current epoch to `path` **atomically**, streaming
     /// straight from the epoch's buffers (no clone of the dataset, graph
     /// or fingerprint words — the footprint matters at serving scale);
-    /// returns the encoded size. The writer's [`ClusterCache`] rides
-    /// along as one flat membership section (its other half is the graph
-    /// section), so the engine that reloads this file rebuilds
-    /// incrementally from the first publish, and the epoch's entry index
-    /// as another, so whoever loads or maps the file seeds queries exactly
-    /// as this engine does. Pending (unpublished) inserts are not
+    /// returns the encoded size. The epoch's entry index rides along, so
+    /// whoever loads or maps the file seeds queries exactly as this engine
+    /// does, and so does the writer's [`ClusterCache`] — its configuration
+    /// token, over the graph and entry-index sections that hold the rest
+    /// of it — so the engine that reloads this file rebuilds incrementally
+    /// from the first publish. Pending (unpublished) inserts are not
     /// included — publish first if they must survive.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
         // Epoch and cache are read under the writer lock, which every
@@ -554,14 +557,14 @@ impl ServingEngine {
             let writer = self.writer_state();
             (self.current_epoch(), writer.cache.clone())
         };
-        crate::snapshot::write_snapshot_full(
-            &epoch.dataset,
-            &epoch.graph,
-            epoch.fingerprints.as_deref(),
-            Some(&cache),
-            Some(&epoch.entries),
-            path,
-        )
+        crate::snapshot::Parts {
+            dataset: &epoch.dataset,
+            graph: &epoch.graph,
+            goldfinger: epoch.fingerprints.as_deref(),
+            cache: Some(&cache),
+            entries: Some(&epoch.entries),
+        }
+        .write(path.as_ref())
     }
 
     /// Captures the current epoch as a persistable [`Snapshot`], sharing
@@ -577,7 +580,7 @@ impl ServingEngine {
         if epoch.entries.is_empty() {
             snapshot
         } else {
-            snapshot.with_entries((*epoch.entries).clone())
+            snapshot.with_entries(Arc::clone(&epoch.entries))
         }
     }
 
@@ -645,7 +648,7 @@ impl ServingEngine {
         let next = self.epoch_read().epoch() + 1;
         let epoch = Arc::new(
             ServingEpoch::new(next, dataset, graph, fingerprints)
-                .with_entries(Arc::new(entries.unwrap_or_default())),
+                .with_entries(entries.unwrap_or_default()),
         );
         writer.batch = DatasetBuilder::new();
         writer.rows = empty_rows(&self.config);
@@ -904,7 +907,7 @@ impl ServingEngine {
         let next = self.epoch_read().epoch() + 1;
         let rebuild = built.rebuild;
         let mut epoch = ServingEpoch::new(next, dataset, built.graph, fingerprints)
-            .with_entries(Arc::new(built.entries));
+            .with_entries(Arc::clone(built.cache.entries()));
         epoch.rebuild = rebuild;
         let epoch = Arc::new(epoch);
         writer.batch = DatasetBuilder::new();
@@ -1213,6 +1216,35 @@ mod tests {
         restored.insert(ds.profile(9).to_vec(), 2);
         restored.publish();
         assert!(restored.current_epoch().rebuild_stats().reuse_ratio > 0.5);
+    }
+
+    /// True when the live epoch routes through the very member array the
+    /// writer's cache remembers (one allocation, not two equal ones).
+    fn shares_members(engine: &ServingEngine) -> bool {
+        let writer = engine.writer_state();
+        let members = engine.current_epoch().entries().members().as_ptr();
+        !writer.cache.is_empty() && std::ptr::eq(writer.cache.entries().members().as_ptr(), members)
+    }
+
+    #[test]
+    fn the_epoch_and_the_writers_cache_share_one_member_array() {
+        let _calm = crate::no_faults();
+        let ds = dataset(83);
+        let engine = ServingEngine::build(ds.clone(), config(0));
+        assert!(shares_members(&engine), "after build");
+        engine.insert(ds.profile(5).to_vec(), 1);
+        engine.publish();
+        assert!(shares_members(&engine), "after publish");
+        let dir = crate::snapshot::tests::fresh_dir("shared-members");
+        engine.write_snapshot(dir.join("epoch.snap")).unwrap();
+        let snapshot = Snapshot::load(dir.join("epoch.snap")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let restored = ServingEngine::from_snapshot(snapshot, config(0));
+        assert!(shares_members(&restored), "after from_snapshot");
+        restored.insert(ds.profile(6).to_vec(), 2);
+        restored.publish();
+        assert_eq!(restored.current_epoch().rebuild_stats().path, cnc_core::RebuildPath::Patched);
+        assert!(shares_members(&restored), "after a restored engine's publish");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! [`Snapshot`] persists everything an online epoch needs into **one
 //! file**.
 //!
-//! Format **v2** — the only version written or read; any other version
-//! in the header, 1 included, is refused with
+//! Format **v3** — the only version written or read; any other version
+//! in the header, older or newer, is refused with
 //! [`SnapshotError::UnsupportedVersion`].
 //! A 16-byte header, then every payload at a **64-byte-aligned file
 //! offset** recorded in the table, with the bulk arrays laid out *flat* so
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
-//! │ magic "CNCSNAP1" (8) │ version = 2 u32 │ section_count u32        │
+//! │ magic "CNCSNAP1" (8) │ version = 3 u32 │ section_count u32        │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │ section table: { id u32, offset u64, len u64, checksum u64 }     │
 //! ├── zero padding to each 64-byte-aligned offset ───────────────────┤
@@ -29,33 +29,36 @@
 //! │   5 ENTRIES       b u32, functions u32, clusters u64, routes u64,│
 //! │     (optional)    members u64, seeds functions×u64,              │
 //! │                   keys routes×u64, offsets (clusters+1)×u32,     │
-//! │                   targets routes×u32, members ×u32               │
-//! │   6 MEMBERSHIPS   config_token u64, clusters u64, members u64,   │
-//! │     (optional)    offsets (clusters+1)×u32,                      │
-//! │                   members ×u32 (solve order)                     │
+//! │                   targets routes×u32, members ×u32 (solve order) │
+//! │   6 MEMBERSHIPS   config_token u64                               │
+//! │     (optional)                                                   │
 //! └──────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The MEMBERSHIPS section is the builder's half of its [`ClusterCache`]:
-//! the build plan's cluster member lists. The other half is the GRAPH
-//! section the file carries anyway — the cache *is* the previous build's
-//! graph plus who sat together when it was built — so a restarted
-//! builder's first publish patches that graph instead of rebuilding it.
-//! The writer therefore persists a cache only beside the very graph it
-//! was captured with.
+//! The ENTRIES section is the build's [`EntryIndex`] (`cnc_graph::entry`):
+//! the flat routing table that lets a query start in its own
+//! FastRandomHash clusters, and the cluster member arrays — the one record
+//! of the build plan's clusters. It is optional: a file without it (an
+//! epoch-only snapshot of a state that records no routes) loads and serves
+//! from random seeds.
 //!
-//! The ENTRIES section is the epoch's [`EntryIndex`] (`cnc_graph::entry`):
-//! the flat routing table and cluster member arrays that let a query start
-//! in its own FastRandomHash clusters. It is optional — a file without it
-//! (an older writer, a MinHash build) loads and serves from random seeds.
+//! The MEMBERSHIPS section marks the file as carrying the builder's
+//! [`ClusterCache`], and holds the one part of it no other section does:
+//! the configuration token it was built under. The cache *is* the previous
+//! build's graph (the GRAPH section) plus who sat together when it was
+//! built (the ENTRIES section's member arrays), so a restarted builder's
+//! first publish patches that graph instead of rebuilding it. The writer
+//! therefore persists a cache only beside the very graph and entry index
+//! it was captured with, and a MEMBERSHIPS section without ENTRIES is
+//! refused ([`SnapshotError::MissingSection`]).
 //!
 //! Alignment rules: each payload starts on a 64-byte boundary (one cache
 //! line, and a multiple of every element alignment used), and within a
 //! section the headers are sized so `u64` arrays land on 8-byte and
-//! interleaved `{u32, f32}` entries on 4-byte boundaries. A mapped v2
-//! file can therefore hand out its offset, entry, word and entry-index
-//! arrays as typed slices directly (see [`crate::mmap`]) — adoption does
-//! no per-user work.
+//! interleaved `{u32, f32}` entries on 4-byte boundaries. A mapped file
+//! can therefore hand out its offset, entry, word and entry-index arrays
+//! as typed slices directly (see [`crate::mmap`]) — adoption does no
+//! per-user work.
 //!
 //! Everything is little-endian; similarities travel as raw `f32` bits
 //! and fingerprints as raw `u64` words — the same codec discipline as
@@ -78,15 +81,17 @@
 //!    read. Rows are read one at a time, so a lying count sizes nothing.
 //!    Every id is known and none repeats; every offset is 64-byte
 //!    aligned; the payloads lie in strictly increasing, non-overlapping
-//!    offset order, inside the file.
+//!    offset order, inside the file; a MEMBERSHIPS row comes with an
+//!    ENTRIES row.
 //! 3. **Checksums** (the chunked [`checksum64`]) of every section the
 //!    caller reads. DATASET, GRAPH, GOLDFINGER and ENTRIES are always
 //!    read; MEMBERSHIPS only by `Snapshot::load*`, which restores the
 //!    builder's cache. Adoption never reads it.
 //! 4. **Structure:** the validated constructors both paths call
 //!    (`Dataset::from_csr_storage`, `KnnGraph::from_csr_storage`,
-//!    `GoldFinger::from_storage`, `EntryIndex::from_storage`,
-//!    `ClusterCache::from_parts`), plus the cross-section user counts.
+//!    `GoldFinger::from_storage`, `EntryIndex::from_storage` — the one
+//!    check of the cluster member arrays — and `ClusterCache::from_parts`),
+//!    plus the cross-section user counts.
 //!
 //! A file's length is known before its table is read, so a section past
 //! the end is refused at step 2. [`Snapshot::load_from`] on a reader of
@@ -111,7 +116,7 @@ pub const MAGIC: [u8; 8] = *b"CNCSNAP1";
 
 /// The format version — the writer's output and the only one the
 /// loaders read.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 const SECTION_DATASET: u32 = 1;
 const SECTION_GRAPH: u32 = 2;
@@ -119,9 +124,9 @@ const SECTION_GOLDFINGER: u32 = 3;
 const SECTION_ENTRIES: u32 = 5;
 const SECTION_MEMBERSHIPS: u32 = 6;
 
-/// Every v2 payload starts on this file-offset boundary (one cache line;
-/// a multiple of every element alignment the format uses).
-const V2_ALIGN: u64 = 64;
+/// Every payload starts on this file-offset boundary (one cache line; a
+/// multiple of every element alignment the format uses).
+const ALIGN: u64 = 64;
 
 /// Why a snapshot failed to load (or write).
 #[derive(Debug)]
@@ -219,13 +224,14 @@ pub struct Snapshot {
     /// The fingerprints backing query scoring (`None` for raw-Jaccard
     /// deployments).
     pub goldfinger: Option<GoldFinger>,
-    /// The builder's persisted [`ClusterCache`] — the file's memberships
-    /// over (a shared view of) `graph` — for v2 files that carry the
-    /// MEMBERSHIPS section; `None` otherwise.
+    /// The builder's persisted [`ClusterCache`] — the file's configuration
+    /// token over `entries` and (a shared view of) `graph` — for files that
+    /// carry the MEMBERSHIPS section; `None` otherwise.
     pub cache: Option<ClusterCache>,
-    /// The graph's [`EntryIndex`] (v2 files that carry the section;
-    /// `None` otherwise — such a state serves from random seeds).
-    pub entries: Option<EntryIndex>,
+    /// The graph's [`EntryIndex`] (files that carry the section; `None`
+    /// otherwise — such a state serves from random seeds). The same
+    /// allocation as `cache`'s clusters when both are present.
+    pub entries: Option<Arc<EntryIndex>>,
 }
 
 impl Snapshot {
@@ -247,7 +253,7 @@ impl Snapshot {
     ///
     /// # Panics
     /// Panics if the index names users the dataset does not have.
-    pub fn with_entries(mut self, entries: EntryIndex) -> Self {
+    pub fn with_entries(mut self, entries: Arc<EntryIndex>) -> Self {
         assert!(
             entries.user_bound() <= self.dataset.num_users(),
             "entry index must be built on this dataset's users"
@@ -256,29 +262,27 @@ impl Snapshot {
         self
     }
 
-    /// Writes the snapshot to `path` **atomically** (see
-    /// [`write_snapshot`]); returns the encoded size in bytes.
+    /// Writes the snapshot to `path` **atomically**: the bytes go to a
+    /// sibling temp file, are fsynced, and are renamed over `path` in one
+    /// step, so a crash or full disk mid-write never clobbers a previous
+    /// good snapshot at `path`. Returns the encoded size in bytes.
     pub fn write(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-        write_snapshot_full(
-            &self.dataset,
-            &self.graph,
-            self.goldfinger.as_ref(),
-            self.cache.as_ref(),
-            self.entries.as_ref(),
-            path,
-        )
+        self.parts().write(path.as_ref())
     }
 
     /// Writes the snapshot to any sink; returns the encoded size in bytes.
     pub fn write_to<W: Write>(&self, out: &mut W) -> Result<u64, SnapshotError> {
-        write_snapshot_parts_to(
-            &self.dataset,
-            &self.graph,
-            self.goldfinger.as_ref(),
-            self.cache.as_ref(),
-            self.entries.as_ref(),
-            out,
-        )
+        self.parts().write_to(out)
+    }
+
+    fn parts(&self) -> Parts<'_> {
+        Parts {
+            dataset: &self.dataset,
+            graph: &self.graph,
+            goldfinger: self.goldfinger.as_ref(),
+            cache: self.cache.as_ref(),
+            entries: self.entries.as_deref(),
+        }
     }
 
     /// Loads a snapshot from `path` — its cluster cache included — under
@@ -420,8 +424,8 @@ pub(crate) fn read_snapshot(
             return Err(SnapshotError::Corrupt(format!("duplicate section {id}")));
         }
         seen |= 1 << id;
-        if !offset.is_multiple_of(V2_ALIGN) {
-            return corrupt(format!("offset {offset} is not {V2_ALIGN}-byte aligned"));
+        if !offset.is_multiple_of(ALIGN) {
+            return corrupt(format!("offset {offset} is not {ALIGN}-byte aligned"));
         }
         if offset < end {
             return corrupt("overlaps its predecessor".into());
@@ -436,12 +440,16 @@ pub(crate) fn read_snapshot(
     if src.len().is_some_and(|file| end > file) {
         return Err(truncated(end));
     }
+    // The cache's clusters are the entry index's.
+    if seen & (1 << SECTION_MEMBERSHIPS) != 0 && seen & (1 << SECTION_ENTRIES) == 0 {
+        return Err(SnapshotError::MissingSection("entries"));
+    }
 
     let map = src.map();
     let map = map.as_ref();
     let (mut dataset, mut graph, mut goldfinger) = (None, None, None);
     // Assembled once the dataset they are checked against is in.
-    let (mut entries, mut cache) = (None, None);
+    let (mut entries, mut token) = (None, None);
     for (id, offset, len, checksum) in table {
         if id == SECTION_MEMBERSHIPS && !memberships {
             continue;
@@ -455,17 +463,24 @@ pub(crate) fn read_snapshot(
             SECTION_GRAPH => graph = Some(read_graph(payload, map)?),
             SECTION_GOLDFINGER => goldfinger = Some(read_goldfinger(payload, map)?),
             SECTION_ENTRIES => entries = Some(read_entries(payload, map)?),
-            _ => cache = Some(read_memberships(payload)?),
+            _ => token = Some(read_memberships(payload)?),
         }
     }
 
     let dataset = dataset.ok_or(SnapshotError::MissingSection("dataset"))?;
     let graph = graph.ok_or(SnapshotError::MissingSection("graph"))?;
     cross_validate(&dataset, &graph, goldfinger.as_ref())?;
-    // The cache shares the graph's entries instead of copying them.
-    let graph = if cache.is_some() { graph.into_shared() } else { graph };
-    let cache = cache.map(|cache| cache(&dataset, graph.clone())).transpose()?;
-    let entries = entries.map(|index| index(dataset.num_users())).transpose()?;
+    let entries = entries.map(|index| index(dataset.num_users()).map(Arc::new)).transpose()?;
+    // The cache shares the graph's neighbour entries and the index's
+    // member arrays instead of copying them.
+    let graph = if token.is_some() { graph.into_shared() } else { graph };
+    let cache = token
+        .zip(entries.clone())
+        .map(|(token, entries)| {
+            ClusterCache::from_parts(token, entries, &dataset, graph.clone())
+                .map_err(|reason| SnapshotError::Corrupt(format!("cluster cache: {reason}")))
+        })
+        .transpose()?;
     Ok(Snapshot { dataset, graph, goldfinger, cache, entries })
 }
 
@@ -495,168 +510,162 @@ fn cross_validate(
     Ok(())
 }
 
-/// Streams one serving state to a sink from **borrowed** parts — the
-/// encoding core shared by [`Snapshot::write_to`] and
+/// One serving state's parts, **borrowed** — the one writer behind
+/// [`Snapshot::write`], [`Snapshot::write_to`] and
 /// `ServingEngine::write_snapshot`, which must not deep-clone an epoch
-/// (dataset + graph + fingerprint words) just to persist it. Writes
-/// format v2 (see the module docs); returns the encoded size in bytes.
-///
-/// # Panics
-/// Panics if the parts disagree on the user count (same contract as
-/// [`Snapshot::new`]).
-pub fn write_snapshot_parts_to<W: Write>(
-    dataset: &Dataset,
-    graph: &KnnGraph,
-    goldfinger: Option<&GoldFinger>,
-    cache: Option<&ClusterCache>,
-    entries: Option<&EntryIndex>,
-    out: &mut W,
-) -> Result<u64, SnapshotError> {
-    assert_eq!(dataset.num_users(), graph.num_users(), "graph/dataset user mismatch");
-    if let Some(gf) = goldfinger {
-        assert_eq!(gf.num_users(), dataset.num_users(), "fingerprints must cover the dataset");
-    }
-    let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(4);
-    sections.push((SECTION_DATASET, encode_dataset_v2(dataset)));
-    sections.push((SECTION_GRAPH, encode_graph_v2(graph)));
-    if let Some(gf) = goldfinger {
-        sections.push((SECTION_GOLDFINGER, encode_goldfinger_v2(gf)));
-    }
-    // An index that routes nowhere is what a missing section loads as.
-    if let Some(entries) = entries.filter(|e| !e.is_empty()) {
-        assert!(
-            entries.user_bound() <= dataset.num_users(),
-            "entry index must be built on this dataset's users"
-        );
-        sections.push((SECTION_ENTRIES, encode_entries_v2(entries)));
-    }
-    // Memberships are only meaningful beside the graph they were captured
-    // with: entry-for-entry equality, O(n·k), small next to the write.
-    let captured_with = |cache: &&ClusterCache| {
-        let theirs = cache.graph();
-        theirs.k() == graph.k()
-            && theirs.num_users() == graph.num_users()
-            && theirs.iter().zip(graph.iter()).all(|((_, a), (_, b))| a.as_slice() == b.as_slice())
-    };
-    if let Some(cache) = cache.filter(captured_with) {
-        sections.push((SECTION_MEMBERSHIPS, encode_memberships(cache)));
-    }
-
-    out.write_all(&MAGIC)?;
-    out.write_all(&VERSION.to_le_bytes())?;
-    out.write_all(&(sections.len() as u32).to_le_bytes())?;
-    // Lay payloads out in table order, each at the next 64-byte-aligned
-    // file offset.
-    let mut at = 16 + 28 * sections.len() as u64;
-    let mut offsets = Vec::with_capacity(sections.len());
-    for (id, payload) in &sections {
-        let offset = at.next_multiple_of(V2_ALIGN);
-        offsets.push(offset);
-        out.write_all(&id.to_le_bytes())?;
-        out.write_all(&offset.to_le_bytes())?;
-        out.write_all(&(payload.len() as u64).to_le_bytes())?;
-        out.write_all(&checksum64(payload).to_le_bytes())?;
-        at = offset + payload.len() as u64;
-    }
-    let mut written = 16 + 28 * sections.len() as u64;
-    for ((_, payload), offset) in sections.iter().zip(offsets) {
-        const ZEROS: [u8; V2_ALIGN as usize] = [0; V2_ALIGN as usize];
-        out.write_all(&ZEROS[..(offset - written) as usize])?;
-        out.write_all(payload)?;
-        written = offset + payload.len() as u64;
-    }
-    Ok(written)
+/// (dataset + graph + fingerprint words) just to persist it.
+pub(crate) struct Parts<'a> {
+    pub dataset: &'a Dataset,
+    pub graph: &'a KnnGraph,
+    pub goldfinger: Option<&'a GoldFinger>,
+    pub cache: Option<&'a ClusterCache>,
+    pub entries: Option<&'a EntryIndex>,
 }
 
-/// **Atomic** snapshot-to-file write from borrowed parts: the bytes go to
-/// a sibling temp file, are fsynced, and are renamed over `path` in one
-/// step — a crash or full disk mid-write never clobbers a previous good
-/// snapshot at `path` (the multi-process serving story depends on
-/// published files always being loadable). Returns the encoded size.
-///
-/// Before writing, stale `.tmp-*` siblings of `path` left by a writer
-/// *process that no longer exists* — the droppings of a crash between
-/// write and rename — are swept. Temps of live writers (this process, or
-/// another still-running one) are left alone, so concurrent writers to
-/// one path stay independent: per-call unique temp names and the atomic
-/// rename guarantee the destination is always a complete snapshot.
-/// Same-process crash litter is collected by directory maintenance
-/// instead ([`sweep_temp_files`], which
-/// [`SnapshotPublisher::open`](crate::SnapshotPublisher::open) runs).
-pub fn write_snapshot(
-    dataset: &Dataset,
-    graph: &KnnGraph,
-    goldfinger: Option<&GoldFinger>,
-    path: impl AsRef<Path>,
-) -> Result<u64, SnapshotError> {
-    write_snapshot_full(dataset, graph, goldfinger, None, None, path)
-}
-
-/// [`write_snapshot`] with a builder's [`ClusterCache`] (its memberships;
-/// the graph section is its other half) and the graph's [`EntryIndex`]
-/// persisted alongside the serving state, one flat section each; see the
-/// module docs.
-pub fn write_snapshot_full(
-    dataset: &Dataset,
-    graph: &KnnGraph,
-    goldfinger: Option<&GoldFinger>,
-    cache: Option<&ClusterCache>,
-    entries: Option<&EntryIndex>,
-    path: impl AsRef<Path>,
-) -> Result<u64, SnapshotError> {
-    // The temp name must be unique per *call*, not just per process: two
-    // engine threads snapshotting to the same path would otherwise
-    // interleave writes in one temp file and rename garbage over a good
-    // snapshot — exactly what the atomic rename exists to prevent.
-    static WRITE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let path = path.as_ref();
-    let _ = sweep_sibling_temps(path);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        WRITE_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    let tmp = PathBuf::from(tmp);
-    let telemetry = Telemetry::global();
-    let start_ns = telemetry.stamp();
-    // `Fault::Crash` models a writer killed between temp-file write and
-    // rename: the temp file stays on disk (the cleanup below is skipped)
-    // and the caller sees an error — exactly the litter `sweep_*` exists
-    // to collect.
-    let mut simulated_crash = false;
-    let result = (|| {
-        let mut out = BufWriter::new(File::create(&tmp)?);
-        let bytes = write_snapshot_parts_to(dataset, graph, goldfinger, cache, entries, &mut out)?;
-        out.flush()?;
-        out.get_ref().sync_all()?;
-        drop(out);
-        match Faults::global().inject(Site::SnapshotWrite, path_key(path)) {
-            Some(Fault::Crash) => {
-                simulated_crash = true;
-                return Err(SnapshotError::Io(io::Error::other(
-                    "injected crash between temp write and rename at snapshot.write",
-                )));
-            }
-            Some(_) => return Err(SnapshotError::Io(injected_io_error(Site::SnapshotWrite))),
-            None => {}
+impl Parts<'_> {
+    /// Streams the parts to a sink in the current format (module docs);
+    /// returns the encoded size in bytes.
+    ///
+    /// # Panics
+    /// Panics if the parts disagree on the user count (same contract as
+    /// [`Snapshot::new`]).
+    pub fn write_to<W: Write>(&self, out: &mut W) -> Result<u64, SnapshotError> {
+        let Parts { dataset, graph, goldfinger, cache, entries } = *self;
+        assert_eq!(dataset.num_users(), graph.num_users(), "graph/dataset user mismatch");
+        if let Some(gf) = goldfinger {
+            assert_eq!(gf.num_users(), dataset.num_users(), "fingerprints must cover the dataset");
         }
-        fs::rename(&tmp, path)?;
-        Ok(bytes)
-    })();
-    if let Ok(bytes) = &result {
-        telemetry.record_complete(
-            "snapshot.write",
-            start_ns,
-            telemetry.stamp().saturating_sub(start_ns),
-            vec![("bytes", *bytes), ("users", dataset.num_users() as u64)],
-        );
+        // A cache is only meaningful beside the graph it was captured with
+        // (entry-for-entry equality, O(n·k), small next to the write) and
+        // the index holding its clusters, which the file carries anyway.
+        let captured_with = |cache: &&ClusterCache| {
+            let (theirs, clusters) = (cache.graph(), cache.entries());
+            !cache.is_empty()
+                && theirs.k() == graph.k()
+                && theirs.num_users() == graph.num_users()
+                && theirs
+                    .iter()
+                    .zip(graph.iter())
+                    .all(|((_, a), (_, b))| a.as_slice() == b.as_slice())
+                && entries.is_some_and(|e| {
+                    e.offsets() == clusters.offsets() && e.members() == clusters.members()
+                })
+        };
+        let cache = cache.filter(captured_with);
+        let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(5);
+        sections.push((SECTION_DATASET, encode_dataset(dataset)));
+        sections.push((SECTION_GRAPH, encode_graph(graph)));
+        if let Some(gf) = goldfinger {
+            sections.push((SECTION_GOLDFINGER, encode_goldfinger(gf)));
+        }
+        // An index that neither routes nor holds a cache's clusters is
+        // what a missing section loads as.
+        if let Some(entries) = entries.filter(|e| !e.is_empty() || cache.is_some()) {
+            assert!(
+                entries.user_bound() <= dataset.num_users(),
+                "entry index must be built on this dataset's users"
+            );
+            sections.push((SECTION_ENTRIES, encode_entries(entries)));
+        }
+        if let Some(cache) = cache {
+            sections.push((SECTION_MEMBERSHIPS, cache.config_token().to_le_bytes().to_vec()));
+        }
+
+        out.write_all(&MAGIC)?;
+        out.write_all(&VERSION.to_le_bytes())?;
+        out.write_all(&(sections.len() as u32).to_le_bytes())?;
+        // Lay payloads out in table order, each at the next 64-byte-aligned
+        // file offset.
+        let mut at = 16 + 28 * sections.len() as u64;
+        let mut offsets = Vec::with_capacity(sections.len());
+        for (id, payload) in &sections {
+            let offset = at.next_multiple_of(ALIGN);
+            offsets.push(offset);
+            out.write_all(&id.to_le_bytes())?;
+            out.write_all(&offset.to_le_bytes())?;
+            out.write_all(&(payload.len() as u64).to_le_bytes())?;
+            out.write_all(&checksum64(payload).to_le_bytes())?;
+            at = offset + payload.len() as u64;
+        }
+        let mut written = 16 + 28 * sections.len() as u64;
+        for ((_, payload), offset) in sections.iter().zip(offsets) {
+            const ZEROS: [u8; ALIGN as usize] = [0; ALIGN as usize];
+            out.write_all(&ZEROS[..(offset - written) as usize])?;
+            out.write_all(payload)?;
+            written = offset + payload.len() as u64;
+        }
+        Ok(written)
     }
-    if result.is_err() && !simulated_crash {
-        // Best effort: never leave a half-written temp file behind.
-        let _ = fs::remove_file(&tmp);
+
+    /// **Atomic** write to `path`: the bytes go to a sibling temp file, are
+    /// fsynced, and are renamed over `path` in one step — a crash or full
+    /// disk mid-write never clobbers a previous good snapshot at `path`
+    /// (the multi-process serving story depends on published files always
+    /// being loadable). Returns the encoded size.
+    ///
+    /// Before writing, stale `.tmp-*` siblings of `path` left by a writer
+    /// *process that no longer exists* — the droppings of a crash between
+    /// write and rename — are swept. Temps of live writers (this process,
+    /// or another still-running one) are left alone, so concurrent writers
+    /// to one path stay independent: per-call unique temp names and the
+    /// atomic rename guarantee the destination is always a complete
+    /// snapshot. Same-process crash litter is collected by directory
+    /// maintenance instead ([`sweep_temp_files`], which
+    /// [`SnapshotPublisher::open`](crate::SnapshotPublisher::open) runs).
+    pub fn write(&self, path: &Path) -> Result<u64, SnapshotError> {
+        // The temp name must be unique per *call*, not just per process:
+        // two engine threads snapshotting to the same path would otherwise
+        // interleave writes in one temp file and rename garbage over a
+        // good snapshot — exactly what the atomic rename exists to prevent.
+        static WRITE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let _ = sweep_sibling_temps(path);
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            WRITE_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let tmp = PathBuf::from(tmp);
+        let telemetry = Telemetry::global();
+        let start_ns = telemetry.stamp();
+        // `Fault::Crash` models a writer killed between temp-file write and
+        // rename: the temp file stays on disk (the cleanup below is
+        // skipped) and the caller sees an error — exactly the litter
+        // `sweep_*` exists to collect.
+        let mut simulated_crash = false;
+        let result = (|| {
+            let mut out = BufWriter::new(File::create(&tmp)?);
+            let bytes = self.write_to(&mut out)?;
+            out.flush()?;
+            out.get_ref().sync_all()?;
+            drop(out);
+            match Faults::global().inject(Site::SnapshotWrite, path_key(path)) {
+                Some(Fault::Crash) => {
+                    simulated_crash = true;
+                    return Err(SnapshotError::Io(io::Error::other(
+                        "injected crash between temp write and rename at snapshot.write",
+                    )));
+                }
+                Some(_) => return Err(SnapshotError::Io(injected_io_error(Site::SnapshotWrite))),
+                None => {}
+            }
+            fs::rename(&tmp, path)?;
+            Ok(bytes)
+        })();
+        if let Ok(bytes) = &result {
+            telemetry.record_complete(
+                "snapshot.write",
+                start_ns,
+                telemetry.stamp().saturating_sub(start_ns),
+                vec![("bytes", *bytes), ("users", self.dataset.num_users() as u64)],
+            );
+        }
+        if result.is_err() && !simulated_crash {
+            // Best effort: never leave a half-written temp file behind.
+            let _ = fs::remove_file(&tmp);
+        }
+        result
     }
-    result
 }
 
 /// The fault-registry key of a snapshot path (stable across retries of
@@ -748,7 +757,7 @@ pub fn quarantine_snapshot(path: impl AsRef<Path>) -> io::Result<PathBuf> {
 const MAX_K: usize = 1 << 16;
 
 // ---------------------------------------------------------------------
-// Format v2 sections. Each reader checks a verified payload's geometry —
+// Sections. Each reader checks a verified payload's geometry —
 // untrusted counts must account for its length exactly before anything
 // is sliced or sized from them — and hands every array to the one
 // materializer (`crate::mmap::array`), which borrows it from a map or
@@ -820,7 +829,7 @@ fn read_goldfinger(payload: &[u8], map: Option<&Arc<Map>>) -> Result<GoldFinger,
         .map_err(SnapshotError::Corrupt)
 }
 
-fn encode_dataset_v2(ds: &Dataset) -> Vec<u8> {
+fn encode_dataset(ds: &Dataset) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + 8 * (ds.num_users() + 1) + 4 * ds.num_ratings());
     out.extend_from_slice(&(ds.num_users() as u64).to_le_bytes());
     out.extend_from_slice(&(ds.num_items() as u32).to_le_bytes());
@@ -834,7 +843,7 @@ fn encode_dataset_v2(ds: &Dataset) -> Vec<u8> {
     out
 }
 
-fn encode_graph_v2(graph: &KnnGraph) -> Vec<u8> {
+fn encode_graph(graph: &KnnGraph) -> Vec<u8> {
     let n = graph.num_users();
     let mut out = Vec::with_capacity(16 + 8 * (n + 1) + 8 * graph.num_edges());
     out.extend_from_slice(&(n as u64).to_le_bytes());
@@ -857,7 +866,7 @@ fn encode_graph_v2(graph: &KnnGraph) -> Vec<u8> {
     out
 }
 
-fn encode_goldfinger_v2(gf: &GoldFinger) -> Vec<u8> {
+fn encode_goldfinger(gf: &GoldFinger) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + 8 * gf.words().len());
     out.extend_from_slice(&(gf.bits() as u32).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
@@ -917,7 +926,7 @@ fn read_entries(
     })
 }
 
-fn encode_entries_v2(entries: &EntryIndex) -> Vec<u8> {
+fn encode_entries(entries: &EntryIndex) -> Vec<u8> {
     let wide = entries.seeds().len() + entries.keys().len();
     let half = entries.offsets().len() + entries.targets().len() + entries.members().len();
     let mut out = Vec::with_capacity(ENTRIES_HEADER + 8 * wide + 4 * half);
@@ -935,49 +944,16 @@ fn encode_entries_v2(entries: &EntryIndex) -> Vec<u8> {
     out
 }
 
-/// Bytes before the MEMBERSHIPS section's arrays: the config token and
-/// the cluster and member counts.
-const MEMBERSHIPS_HEADER: usize = 24;
-
-fn encode_memberships(cache: &ClusterCache) -> Vec<u8> {
-    let half = cache.offsets().len() + cache.members().len();
-    let mut out = Vec::with_capacity(MEMBERSHIPS_HEADER + 4 * half);
-    out.extend_from_slice(&cache.config_token().to_le_bytes());
-    out.extend_from_slice(&(cache.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(cache.members().len() as u64).to_le_bytes());
-    for &half in cache.offsets().iter().chain(cache.members()) {
-        out.extend_from_slice(&half.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a MEMBERSHIPS section; the returned assembly pairs it with the
-/// file's dataset and graph, where [`ClusterCache::from_parts`] checks the
-/// offsets and every member id against the dataset's user count.
-fn read_memberships(
-    payload: &[u8],
-) -> Result<impl FnOnce(&Dataset, KnnGraph) -> Result<ClusterCache, SnapshotError>, SnapshotError> {
-    let corrupt = |what: String| SnapshotError::Corrupt(format!("memberships section: {what}"));
-    if payload.len() < MEMBERSHIPS_HEADER {
-        return Err(corrupt("shorter than its header".into()));
-    }
-    let (token, clusters, members) =
-        (le_u64(payload), le_u64(&payload[8..]), le_u64(&payload[16..]));
-    let expected = clusters
-        .checked_add(members)
-        .and_then(|halves| halves.checked_mul(4))
-        .and_then(|bytes| bytes.checked_add(MEMBERSHIPS_HEADER as u64 + 4));
-    if expected != Some(payload.len() as u64) {
-        return Err(corrupt(format!(
-            "{clusters} clusters and {members} members do not account for {} bytes",
+/// Decodes a MEMBERSHIPS section: the configuration token of the cache
+/// whose clusters the ENTRIES section holds.
+fn read_memberships(payload: &[u8]) -> Result<u64, SnapshotError> {
+    match payload.first_chunk() {
+        Some(token) if payload.len() == 8 => Ok(u64::from_le_bytes(*token)),
+        _ => Err(SnapshotError::Corrupt(format!(
+            "memberships section holds {} bytes, not the 8 of a configuration token",
             payload.len()
-        )));
+        ))),
     }
-    let (offsets, members) = payload[MEMBERSHIPS_HEADER..].split_at(4 * (clusters as usize + 1));
-    let (offsets, members) = (decode(offsets), decode(members));
-    Ok(move |dataset: &Dataset, graph| {
-        ClusterCache::from_parts(token, offsets, members, dataset, graph).map_err(corrupt)
-    })
 }
 
 #[cfg(test)]
@@ -1099,18 +1075,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn borrowed_writer_matches_the_owned_one() {
-        let _calm = crate::no_faults();
-        let snap = build(34);
-        let mut owned = Vec::new();
-        snap.write_to(&mut owned).unwrap();
-        let mut borrowed = Vec::new();
-        let gf = snap.goldfinger.as_ref();
-        write_snapshot_parts_to(&snap.dataset, &snap.graph, gf, None, None, &mut borrowed).unwrap();
-        assert_eq!(owned, borrowed, "the two writers must produce identical bytes");
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let _calm = crate::no_faults();
         let mut buf = Vec::new();
@@ -1127,10 +1091,13 @@ pub(crate) mod tests {
         let _calm = crate::no_faults();
         let mut buf = Vec::new();
         build(25).write_to(&mut buf).unwrap();
-        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
-        match Snapshot::load_from(&mut buf.as_slice()) {
-            Err(SnapshotError::UnsupportedVersion(3)) => {}
-            other => panic!("expected UnsupportedVersion(3), got {other:?}"),
+        // Older and newer alike.
+        for version in [VERSION - 1, VERSION + 1] {
+            buf[8..12].copy_from_slice(&version.to_le_bytes());
+            match Snapshot::load_from(&mut buf.as_slice()) {
+                Err(SnapshotError::UnsupportedVersion(v)) if v == version => {}
+                other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
+            }
         }
     }
 

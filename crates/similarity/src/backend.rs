@@ -194,20 +194,6 @@ impl<'a> SimilarityData<'a> {
             Kind::Raw(_) => None,
         }
     }
-
-    /// A shareable handle to the fingerprints, if this backend uses them
-    /// (pass it to [`SimilarityData::from_goldfinger`] to reuse the build).
-    pub fn goldfinger_arc(&self) -> Option<Arc<GoldFinger>> {
-        match &self.kind {
-            Kind::GoldFinger(gf) => Some(Arc::clone(gf)),
-            Kind::Raw(_) => None,
-        }
-    }
-
-    /// True if this oracle computes exact Jaccard.
-    pub fn is_exact(&self) -> bool {
-        matches!(self.kind, Kind::Raw(_))
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +209,6 @@ mod tests {
     fn raw_backend_is_exact() {
         let ds = toy();
         let sim = SimilarityData::build(SimilarityBackend::Raw, &ds);
-        assert!(sim.is_exact());
         assert!((sim.sim(0, 1) - 0.2).abs() < 1e-6);
         assert_eq!(sim.sim(0, 2), 1.0);
     }
@@ -232,7 +217,6 @@ mod tests {
     fn goldfinger_backend_estimates() {
         let ds = toy();
         let sim = SimilarityData::build(SimilarityBackend::GoldFinger { bits: 4096, seed: 1 }, &ds);
-        assert!(!sim.is_exact());
         assert!(sim.goldfinger().is_some());
         // With 5 items in 4096 bits the estimate is exact w.h.p.
         assert!((sim.sim(0, 1) - 0.2).abs() < 1e-6);
@@ -288,17 +272,18 @@ mod tests {
     #[test]
     fn from_goldfinger_shares_one_build() {
         let ds = toy();
+        let gf = Arc::new(GoldFinger::build(&ds, 256, 9));
         let built =
             SimilarityData::build(SimilarityBackend::GoldFinger { bits: 256, seed: 9 }, &ds);
-        let arc = built.goldfinger_arc().unwrap();
-        let shared = SimilarityData::from_goldfinger(Arc::clone(&arc));
-        // Same underlying fingerprints (pointer-equal), same values,
-        // independent counters.
-        assert!(std::ptr::eq(built.goldfinger().unwrap(), shared.goldfinger().unwrap()));
+        let shared = SimilarityData::from_goldfinger(Arc::clone(&gf));
+        let again = SimilarityData::from_goldfinger(Arc::clone(&gf));
+        // Same underlying fingerprints (pointer-equal), the values of a
+        // fresh build, independent counters.
+        assert!(std::ptr::eq(shared.goldfinger().unwrap(), again.goldfinger().unwrap()));
         assert_eq!(shared.sim(0, 1).to_bits(), built.sim(0, 1).to_bits());
         assert_eq!(built.comparisons(), 1);
         assert_eq!(shared.comparisons(), 1);
-        assert!(SimilarityData::build(SimilarityBackend::Raw, &ds).goldfinger_arc().is_none());
+        assert_eq!(again.comparisons(), 0);
     }
 
     #[test]

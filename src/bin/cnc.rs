@@ -17,11 +17,14 @@
 //! ```
 //!
 //! The ratings file holds `user item rating` triples (comma/tab/space/`::`
-//! separated — MovieLens dumps work unmodified).
+//! separated — MovieLens dumps work unmodified). Users and items are named
+//! as the file names them: `build` prints edges between the file's user
+//! ids, and `query` takes the file's item ids and answers with user ids.
 
 use cluster_and_conquer::prelude::*;
-use cnc_dataset::io::{load_ratings, LoadOptions};
+use cnc_dataset::io::{load_ratings, LoadOptions, Ratings};
 use cnc_similarity::SimilarityData;
+use std::collections::HashMap;
 use std::io::Write;
 use std::process::exit;
 
@@ -78,10 +81,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn load(path: &str, opts: &Options) -> Dataset {
+fn load(path: &str, opts: &Options) -> Ratings {
     let load_opts = LoadOptions { binarize_above: opts.binarize, min_profile: opts.min_profile };
     match load_ratings(path, load_opts) {
-        Ok(ds) => ds,
+        Ok(ratings) => ratings,
         Err(err) => {
             eprintln!("cnc: cannot load {path}: {err}");
             exit(1);
@@ -126,8 +129,7 @@ fn cmd_stats(opts: &Options) {
         eprintln!("usage: cnc stats <ratings-file>");
         exit(2);
     };
-    let ds = load(path, opts);
-    println!("{}", DatasetStats::compute(&ds));
+    println!("{}", DatasetStats::compute(&load(path, opts).dataset));
 }
 
 fn cmd_build(opts: &Options) {
@@ -135,7 +137,7 @@ fn cmd_build(opts: &Options) {
         eprintln!("usage: cnc build <ratings-file> [options]");
         exit(2);
     };
-    let ds = load(path, opts);
+    let Ratings { dataset: ds, users, .. } = load(path, opts);
     eprintln!("loaded: {}", DatasetStats::compute(&ds));
     let (graph, comparisons, seconds) = build_graph(&ds, opts);
     eprintln!("built {} graph in {seconds:.2}s ({comparisons} similarity computations)", opts.algo);
@@ -150,7 +152,8 @@ fn cmd_build(opts: &Options) {
     };
     for (u, list) in graph.iter() {
         for nb in list.sorted() {
-            writeln!(out, "{u}\t{}\t{:.6}", nb.user, nb.sim).expect("write edge");
+            let (from, to) = (&users[u as usize], &users[nb.user as usize]);
+            writeln!(out, "{from}\t{to}\t{:.6}", nb.sim).expect("write edge");
         }
     }
 }
@@ -160,16 +163,22 @@ fn cmd_query(opts: &Options) {
         eprintln!("usage: cnc query <ratings-file> <item,item,...> [options]");
         exit(2);
     };
-    let ds = load(path, opts);
-    let mut profile: Vec<u32> = items
-        .split(',')
-        .map(|s| {
-            s.trim().parse().unwrap_or_else(|_| {
-                eprintln!("cnc: bad item id {s:?}");
-                exit(2);
-            })
-        })
-        .collect();
+    let Ratings { dataset: ds, users, items: names } = load(path, opts);
+    let ids: HashMap<&str, u32> =
+        names.iter().zip(0..).map(|(name, id)| (name.as_str(), id)).collect();
+    let (mut profile, mut unknown) = (Vec::new(), false);
+    for name in items.split(',').map(str::trim) {
+        match ids.get(name) {
+            Some(&id) => profile.push(id),
+            None => {
+                eprintln!("cnc: unknown item {name:?}: {path} rates it nowhere above --binarize");
+                unknown = true;
+            }
+        }
+    }
+    if unknown {
+        exit(2);
+    }
     profile.sort_unstable();
     profile.dedup();
     let (graph, _, _) = build_graph(&ds, opts);
@@ -179,7 +188,7 @@ fn cmd_query(opts: &Options) {
     let result = index.search(&profile, opts.k, &config, opts.seed);
     println!("# {} comparisons", result.comparisons);
     for nb in result.neighbors {
-        println!("{}\t{:.6}", nb.user, nb.sim);
+        println!("{}\t{:.6}", users[nb.user as usize], nb.sim);
     }
 }
 

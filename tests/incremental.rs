@@ -350,8 +350,9 @@ fn random_insert_sequences_stay_bit_identical_through_restructuring() {
 
 /// One case per reason the patch stage reuses nothing of the previous
 /// graph — each, in process and on the sharded engine at 1 and 3 workers,
-/// still the from-scratch graph at the from-scratch cost, each capturing
-/// a cache the next build can patch.
+/// still the from-scratch graph at the from-scratch cost, reporting every
+/// cluster re-solved and none reused, each capturing a cache the next
+/// build can patch.
 #[test]
 fn every_fallback_builds_the_from_scratch_graph() {
     let base = tight_dataset(77);
@@ -368,10 +369,17 @@ fn every_fallback_builds_the_from_scratch_graph() {
         assert_eq!(incr.rebuild.path, want);
         assert_graphs_identical(&incr.result.graph, &full.graph, &format!("{want:?}"));
         assert_eq!(incr.result.stats.comparisons, full.stats.comparisons, "{want:?}");
+        let solved_whole = |rebuild: &RebuildStats, label: &str| {
+            assert_eq!(rebuild.clusters_total, full.stats.num_clusters, "{label}");
+            assert_eq!(rebuild.clusters_resolved, rebuild.clusters_total, "{label}");
+            assert_eq!((rebuild.clusters_reused(), rebuild.reuse_ratio), (0, 0.0), "{label}");
+        };
+        solved_whole(&incr.rebuild, &format!("{want:?}"));
         for runtime in &runtimes {
             let label = format!("{want:?}, {} workers", runtime.config().workers);
             let sharded = runtime.execute_incremental(dataset, builder.config(), prev, &[]);
             assert_eq!(sharded.rebuild.path, want, "{label}");
+            solved_whole(&sharded.rebuild, &label);
             assert_graphs_identical(&sharded.graph, &full.graph, &label);
             assert_eq!(sharded.rebuild.comparisons, full.stats.comparisons, "{label}");
             // The map stage solves with the partial-list solvers: an
@@ -592,13 +600,23 @@ mod proptests {
             let victim = pick % plan.clusters().len();
             let users = &plan.clusters()[victim];
             let (a, b) = (swap.0 % users.len(), swap.1 % users.len());
-            let at = cache.offsets()[victim] as usize;
-            let mut members = cache.members().to_vec();
+            let e = cache.entries();
+            let at = e.offsets()[victim] as usize;
+            let mut members = e.members().to_vec();
             members.swap(at + a, at + b);
+            let entries = EntryIndex::from_storage(
+                e.b(),
+                e.seeds().to_vec(),
+                e.keys().to_vec().into(),
+                e.targets().to_vec().into(),
+                e.offsets().to_vec().into(),
+                members.into(),
+                ds.num_users(),
+            )
+            .unwrap();
             let permuted = ClusterCache::from_parts(
                 cache.config_token(),
-                cache.offsets().to_vec(),
-                members,
+                std::sync::Arc::new(entries),
                 ds,
                 cache.graph().clone(),
             )

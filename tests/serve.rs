@@ -3,11 +3,12 @@
 //! corrupt-file matrix, serve-after-reload equivalence, and the
 //! concurrent reader/writer epoch-swap behaviour.
 
+use cluster_and_conquer::core::{ClusteringScheme, RebuildPath};
 use cluster_and_conquer::dataset::DatasetBuilder;
 use cluster_and_conquer::prelude::*;
 use cluster_and_conquer::serve::{
-    checksum64, write_snapshot, write_snapshot_full, AdoptedSnapshot, BatchRequest, ServingEpoch,
-    SnapshotAdopter, SnapshotError, SnapshotPublisher,
+    checksum64, AdoptedSnapshot, BatchRequest, ServingEpoch, SnapshotAdopter, SnapshotError,
+    SnapshotPublisher,
 };
 use cnc_query::QueryResult;
 use cnc_similarity::SimilarityData;
@@ -121,33 +122,23 @@ fn snapshot_file_round_trip_is_bit_exact() {
     assert_snapshots_identical(&snap, &back);
     assert_entries_identical(snap.entries.as_ref().unwrap(), back.entries.as_ref().unwrap());
 
-    // The streaming borrowed-parts writer produces the identical file
-    // without cloning the parts.
-    let streamed = TempPath::new("streamed");
-    write_snapshot_full(
-        &snap.dataset,
-        &snap.graph,
-        snap.goldfinger.as_ref(),
-        None,
-        snap.entries.as_ref(),
-        &streamed.0,
-    )
-    .unwrap();
-    assert_eq!(
-        std::fs::read(&path.0).unwrap(),
-        std::fs::read(&streamed.0).unwrap(),
-        "owned and streamed writers must emit identical bytes"
-    );
+    // The file and the stream writer emit identical bytes.
+    let mut streamed = Vec::new();
+    snap.write_to(&mut streamed).unwrap();
+    assert_eq!(std::fs::read(&path.0).unwrap(), streamed, "file and stream writers differ");
 
     // The engine-side writer additionally persists the builder's cluster
-    // cache (one extra membership section) but restores the identical
-    // serving state.
+    // cache — one table row and its 8-byte configuration token, the rest
+    // of the cache being the graph and entry-index sections — but
+    // restores the identical serving state.
     let engine_written = TempPath::new("engine");
-    engine.write_snapshot(&engine_written.0).unwrap();
+    let engine_bytes = engine.write_snapshot(&engine_written.0).unwrap();
     let full = Snapshot::load(&engine_written.0).unwrap();
     assert_snapshots_identical(&snap, &full);
     assert!(full.cache.is_some(), "engine snapshots must carry the cluster cache");
     assert!(snap.cache.is_none(), "epoch-only snapshots carry no builder state");
+    let extra = engine_bytes - streamed.len() as u64;
+    assert!(extra <= 28 + 64 + 8, "the cache costs {extra} bytes beyond the epoch");
 }
 
 #[test]
@@ -422,10 +413,7 @@ fn borrowed_bytes(adopted: &AdoptedSnapshot) -> u64 {
 #[test]
 fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
     let ds = dataset(10, 250);
-    // The paper's k = 30, with a beam wide enough for it. At the suite's
-    // k = 8 the builder's membership section, which adoption never reads,
-    // is a tenth of the file, and the zero-copy share below would measure
-    // that shape rather than the load path.
+    // The paper's k = 30, with a beam wide enough for it.
     let base = serving_config(0);
     let config = ServingConfig {
         c2: C2Config { k: 30, ..base.c2 },
@@ -440,7 +428,7 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
     assert_eq!(
         adopted.mapped,
         AdoptedSnapshot::zero_copy_supported(),
-        "a v2 file must map wherever the platform allows"
+        "a snapshot must map wherever the platform allows"
     );
     let copied = AdoptedSnapshot::load_copied(&path.0).unwrap();
     assert!(!copied.mapped);
@@ -471,8 +459,8 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
         assert!(adopted.goldfinger.as_ref().unwrap().is_shared());
         assert!(mapped_entries.is_shared(), "mapped member array must borrow the file");
         // Zero copies, as a count: the borrowed arrays cover all of the
-        // file but the section table and the builder's membership
-        // section, which adoption never reads.
+        // file but the headers, the padding and the builder's 8-byte
+        // configuration token, which adoption never reads.
         let share = borrowed_bytes(&adopted) as f64 / file_bytes as f64;
         assert!(share >= 0.9, "only {share:.3} of the file is served in place");
     }
@@ -518,50 +506,54 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
 
 #[test]
 fn a_v1_header_is_refused_with_unsupported_version_on_every_load_path() {
-    // Nothing past the header is read: the version decides first.
-    let mut v1 = b"CNCSNAP1".to_vec();
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&3u32.to_le_bytes());
-    let refused = |outcome: Result<(), SnapshotError>, path: &str| match outcome {
-        Err(SnapshotError::UnsupportedVersion(1)) => {}
-        other => panic!("{path}: expected UnsupportedVersion(1), got {other:?}"),
-    };
-    refused(Snapshot::load_from(&mut v1.as_slice()).map(|_| ()), "load_from");
-    let path = TempPath::new("v1");
-    std::fs::write(&path.0, &v1).unwrap();
-    refused(AdoptedSnapshot::open(&path.0).map(|_| ()), "open");
-    refused(AdoptedSnapshot::load_copied(&path.0).map(|_| ()), "load_copied");
+    // Nothing past the header is read: the version decides first. Version
+    // 2, which wrote the cache's member arrays a second time, is refused
+    // the same way.
+    for version in [1u32, 2] {
+        let mut old = b"CNCSNAP1".to_vec();
+        old.extend_from_slice(&version.to_le_bytes());
+        old.extend_from_slice(&3u32.to_le_bytes());
+        let refused = |outcome: Result<(), SnapshotError>, path: &str| match outcome {
+            Err(SnapshotError::UnsupportedVersion(v)) if v == version => {}
+            other => panic!("{path}: expected UnsupportedVersion({version}), got {other:?}"),
+        };
+        refused(Snapshot::load_from(&mut old.as_slice()).map(|_| ()), "load_from");
+        let path = TempPath::new("old-version");
+        std::fs::write(&path.0, &old).unwrap();
+        refused(AdoptedSnapshot::open(&path.0).map(|_| ()), "open");
+        refused(AdoptedSnapshot::load_copied(&path.0).map(|_| ()), "load_copied");
+    }
 }
 
 #[test]
 fn version_header_skew_and_table_truncation_are_typed_errors() {
     let ds = dataset(13, 100);
     let engine = ServingEngine::build(ds, serving_config(0));
-    let mut v2 = Vec::new();
-    engine.snapshot().write_to(&mut v2).unwrap();
+    let mut file = Vec::new();
+    engine.snapshot().write_to(&mut file).unwrap();
 
-    // A v1 header over v2 sections: the version is refused before any
+    // A v2 header over v3 sections: the version is refused before any
     // section is interpreted — never a panic, never a half-decoded
     // snapshot.
-    let mut crossed = v2.clone();
-    crossed[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let mut crossed = file.clone();
+    crossed[8..12].copy_from_slice(&2u32.to_le_bytes());
     assert!(
         matches!(
             Snapshot::load_from(&mut crossed.as_slice()),
-            Err(SnapshotError::UnsupportedVersion(1))
+            Err(SnapshotError::UnsupportedVersion(2))
         ),
-        "v1 header over v2 sections must not load"
+        "v2 header over v3 sections must not load"
     );
     let path = TempPath::new("crossed");
     std::fs::write(&path.0, &crossed).unwrap();
     assert!(
-        matches!(AdoptedSnapshot::open(&path.0), Err(SnapshotError::UnsupportedVersion(1))),
+        matches!(AdoptedSnapshot::open(&path.0), Err(SnapshotError::UnsupportedVersion(2))),
         "adoption must reject it too"
     );
 
-    // Truncation inside the v2 section table, through both load paths.
+    // Truncation inside the section table, through both load paths.
     for cut in [17usize, 16 + 10, 16 + 28, 16 + 28 + 5] {
-        let truncated = &v2[..cut];
+        let truncated = &file[..cut];
         match Snapshot::load_from(&mut truncated.to_vec().as_slice()) {
             Err(SnapshotError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}")
@@ -658,8 +650,8 @@ fn snapshot_directory_publisher_and_adopter_hand_off_epochs() {
 }
 
 /// `(offset, len)` of section `id` and the file position of its checksum,
-/// read from a v2 file's section table.
-fn v2_section(file: &[u8], id: u32) -> (usize, usize, usize) {
+/// read from a snapshot file's section table.
+fn section_of(file: &[u8], id: u32) -> (usize, usize, usize) {
     let count = u32::from_le_bytes(file[12..16].try_into().unwrap()) as usize;
     (0..count)
         .map(|i| 16 + 28 * i)
@@ -681,7 +673,7 @@ fn corrupt_entries_sections_are_typed_errors_on_both_load_paths() {
     let snap = engine.snapshot();
     snap.write_to(&mut good).unwrap();
     assert!(snap.entries.is_some());
-    let (offset, len, checksum_at) = v2_section(&good, SECTION_ENTRIES);
+    let (offset, len, checksum_at) = section_of(&good, SECTION_ENTRIES);
     let path = TempPath::new("entries-corrupt");
     let load_both = |bytes: &[u8]| {
         std::fs::write(&path.0, bytes).unwrap();
@@ -738,14 +730,15 @@ fn corrupt_entries_sections_are_typed_errors_on_both_load_paths() {
 }
 
 #[test]
-fn a_v2_file_without_the_entries_section_serves_from_random_seeds() {
+fn a_file_without_the_entries_section_serves_from_random_seeds() {
     let ds = dataset(17, 160);
     let config = serving_config(0);
     let engine = ServingEngine::build(ds.clone(), config);
-    let snap = engine.snapshot();
-    // The entries-less writer: what an older build produced.
+    let mut snap = engine.snapshot();
+    // An epoch-only snapshot that leaves the index out.
+    snap.entries = None;
     let path = TempPath::new("no-entries");
-    write_snapshot(&snap.dataset, &snap.graph, snap.goldfinger.as_ref(), &path.0).unwrap();
+    snap.write(&path.0).unwrap();
 
     let loaded = Snapshot::load(&path.0).unwrap();
     assert!(loaded.entries.is_none());
@@ -771,23 +764,23 @@ fn a_v2_file_without_the_entries_section_serves_from_random_seeds() {
 
 const SECTION_MEMBERSHIPS: u32 = 6;
 
-/// Every `(id, payload)` of a v2 file, in table order.
-fn v2_sections(file: &[u8]) -> Vec<(u32, Vec<u8>)> {
+/// Every `(id, payload)` of a snapshot file, in table order.
+fn sections_of(file: &[u8]) -> Vec<(u32, Vec<u8>)> {
     let count = u32::from_le_bytes(file[12..16].try_into().unwrap()) as usize;
     (0..count)
         .map(|i| {
             let id = u32::from_le_bytes(file[16 + 28 * i..][..4].try_into().unwrap());
-            let (offset, len, _) = v2_section(file, id);
+            let (offset, len, _) = section_of(file, id);
             (id, file[offset..offset + len].to_vec())
         })
         .collect()
 }
 
-/// Lays `sections` out as a v2 file: header, table, each payload at the
-/// next 64-byte boundary under its `checksum64`.
-fn v2_file(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+/// Lays `sections` out as a snapshot file: header, table, each payload at
+/// the next 64-byte boundary under its `checksum64`.
+fn file_of(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut file = b"CNCSNAP1".to_vec();
-    file.extend_from_slice(&2u32.to_le_bytes());
+    file.extend_from_slice(&cluster_and_conquer::serve::snapshot::VERSION.to_le_bytes());
     file.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut at = 16 + 28 * sections.len();
     let mut offsets = Vec::new();
@@ -815,22 +808,30 @@ fn the_cluster_cache_persists_as_one_flat_section_with_typed_corruption_errors()
     let path = TempPath::new("memberships");
     engine.write_snapshot(&path.0).unwrap();
     let good = std::fs::read(&path.0).unwrap();
-    let ids: Vec<u32> = v2_sections(&good).iter().map(|&(id, _)| id).collect();
+    let sections = sections_of(&good);
+    let ids: Vec<u32> = sections.iter().map(|&(id, _)| id).collect();
     assert_eq!(ids, [1, 2, 3, SECTION_ENTRIES, SECTION_MEMBERSHIPS], "one section per part");
+    // The cache's own section is its configuration token: its clusters are
+    // the entry index's, its graph the file's.
+    let token = cluster_and_conquer::core::build_plan::config_token(&config.c2);
+    assert_eq!(sections[4].1, token.to_le_bytes());
 
-    // The file restores the plan's memberships over the file's own graph.
+    // The file restores the plan's memberships over the file's own graph
+    // and entry index, one copy of each.
     let plan = BuildPlan::assign(&config.c2, &ds);
     let loaded = Snapshot::load(&path.0).unwrap();
     let cache = loaded.cache.as_ref().expect("the membership section must load as a cache");
     assert_eq!(cache.len(), plan.clusters().len());
-    assert_eq!(cache.members(), plan.clusters().concat());
+    assert_eq!(cache.entries().members(), plan.clusters().concat());
+    assert!(Arc::ptr_eq(cache.entries(), loaded.entries.as_ref().unwrap()));
     assert_eq!(cache.graph().num_users(), ds.num_users());
     assert_graphs_identical(cache.graph(), &loaded.graph);
     assert!(loaded.graph.is_shared(), "cache and snapshot share one copy of the graph");
 
-    let (offset, len, checksum_at) = v2_section(&good, SECTION_MEMBERSHIPS);
+    let (offset, len, _) = section_of(&good, SECTION_MEMBERSHIPS);
+    assert_eq!(len, 8);
     let load = |bytes: &[u8]| Snapshot::load_from(&mut &bytes[..]).map(|_| ());
-    for at in [offset, offset + 30, offset + len / 2, offset + len - 1] {
+    for at in offset..offset + len {
         let mut rotten = good.clone();
         rotten[at] ^= 0x10;
         match load(&rotten) {
@@ -841,32 +842,93 @@ fn the_cluster_cache_persists_as_one_flat_section_with_typed_corruption_errors()
         std::fs::write(&path.0, &rotten).unwrap();
         assert!(AdoptedSnapshot::open(&path.0).is_ok());
     }
-    let reseal = |bytes: &mut Vec<u8>| {
-        let sum = checksum64(&bytes[offset..offset + len]);
-        bytes[checksum_at..checksum_at + 8].copy_from_slice(&sum.to_le_bytes());
-    };
-    // Counts that do not account for the bytes that follow are refused
-    // before anything is allocated from them.
-    for (field, lie) in [(8usize, u64::MAX), (8, 1 << 40), (16, u64::MAX / 4), (16, 3)] {
-        let mut lying = good.clone();
-        lying[offset + field..offset + field + 8].copy_from_slice(&lie.to_le_bytes());
-        reseal(&mut lying);
-        match load(&lying) {
+    // A payload of any other length, under a matching checksum, is no
+    // token.
+    for payload in [vec![], vec![1; 7], vec![1; 9], vec![0; 4096]] {
+        let mut resized = sections.clone();
+        resized[4].1 = payload;
+        match load(&file_of(&resized)) {
             Err(SnapshotError::Corrupt(reason)) => assert!(reason.contains("memberships")),
-            other => panic!("count {lie} at +{field}: expected Corrupt, got {other:?}"),
+            other => panic!("{} bytes: expected Corrupt, got {other:?}", resized[4].1.len()),
         }
     }
-    // Well-formed geometry, invalid content: a member past the dataset,
-    // offsets that do not tile the members.
-    let first_offset = offset + 24;
-    for (at, value) in [(offset + len - 4, u32::MAX), (first_offset + 4, u32::MAX)] {
-        let mut bad = good.clone();
-        bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
-        reseal(&mut bad);
-        match load(&bad) {
-            Err(SnapshotError::Corrupt(reason)) => assert!(reason.contains("memberships")),
-            other => panic!("{value} at {at}: expected Corrupt, got {other:?}"),
+    // A cache without the entry index that holds its clusters is refused
+    // from the table, by every load path alike.
+    let orphan = file_of(&[sections[0].clone(), sections[1].clone(), sections[4].clone()]);
+    std::fs::write(&path.0, &orphan).unwrap();
+    for (outcome, via) in [
+        (load(&orphan), "load_from"),
+        (AdoptedSnapshot::open(&path.0).map(|_| ()), "open"),
+        (AdoptedSnapshot::load_copied(&path.0).map(|_| ()), "load_copied"),
+    ] {
+        match outcome {
+            Err(SnapshotError::MissingSection("entries")) => {}
+            other => panic!("{via}: expected MissingSection(entries), got {other:?}"),
         }
+    }
+    // Corrupt member data in ENTRIES — offsets that do not tile the
+    // members, a member past the dataset — gets the one entry-index
+    // verdict from the cache's loader and from adoption.
+    let entries = &sections[3].1;
+    let field = |at: usize| u64::from_le_bytes(entries[at..at + 8].try_into().unwrap()) as usize;
+    let functions = u32::from_le_bytes(entries[4..8].try_into().unwrap()) as usize;
+    let second_offset = 32 + 8 * (functions + field(16)) + 4;
+    for (at, value) in [(second_offset, u32::MAX), (entries.len() - 4, u32::MAX)] {
+        let mut bad = sections.clone();
+        bad[3].1[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let bad = file_of(&bad);
+        std::fs::write(&path.0, &bad).unwrap();
+        for (outcome, via) in [
+            (Snapshot::load(&path.0).map(|_| ()), "load"),
+            (AdoptedSnapshot::open(&path.0).map(|_| ()), "open"),
+            (AdoptedSnapshot::load_copied(&path.0).map(|_| ()), "load_copied"),
+        ] {
+            match outcome {
+                Err(SnapshotError::Corrupt(reason)) => assert!(reason.contains("entry index")),
+                other => panic!("{via}, {value} at +{at}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// The MinHash scheme records no split tree: its epochs route no query,
+/// yet their entry index still holds the plan's clusters, which the
+/// writer's cache reads — through a snapshot and back, into a patched
+/// publish.
+#[test]
+fn a_minhash_engine_persists_its_clusters_and_patches_after_a_restart() {
+    let ds = dataset(23, 240);
+    let base = serving_config(0);
+    let config =
+        ServingConfig { c2: C2Config { scheme: ClusteringScheme::MinHash, ..base.c2 }, ..base };
+    let engine = ServingEngine::build(ds.clone(), config);
+    assert!(engine.current_epoch().entries().is_empty(), "MinHash records no routes");
+    let path = TempPath::new("minhash");
+    engine.write_snapshot(&path.0).unwrap();
+    let ids: Vec<u32> =
+        sections_of(&std::fs::read(&path.0).unwrap()).iter().map(|&(id, _)| id).collect();
+    assert_eq!(ids, [1, 2, 3, SECTION_ENTRIES, SECTION_MEMBERSHIPS]);
+
+    let snap = Snapshot::load(&path.0).unwrap();
+    let cache = snap.cache.as_ref().expect("a MinHash engine persists its cache");
+    let plan = BuildPlan::assign(&config.c2, &ds);
+    let restored_clusters: Vec<&[u32]> =
+        (0..cache.len() as u32).map(|c| cache.entries().cluster(c)).collect();
+    assert_eq!(restored_clusters, plan.clusters().iter().map(Vec::as_slice).collect::<Vec<_>>());
+
+    let restored = ServingEngine::from_snapshot(snap, config);
+    let inserts: Vec<Vec<u32>> = [3u32, 8, 13].iter().map(|&u| ds.profile(u).to_vec()).collect();
+    for (i, profile) in inserts.iter().enumerate() {
+        restored.insert(profile.clone(), i as u64);
+    }
+    restored.publish();
+    let epoch = restored.current_epoch();
+    assert_eq!(epoch.rebuild_stats().path, RebuildPath::Patched);
+    assert_epoch_is_a_fresh_build(&epoch, &fresh_copy(&ds, &inserts), &config);
+    for q in 0..10u32 {
+        let result = restored.query(ds.profile(q * 7), 6, q as u64);
+        assert_eq!((result.routed_seeds, result.random_seeds), (0, config.beam.entry_points));
+        assert_eq!(result.neighbors.len(), 6);
     }
 }
 
@@ -883,12 +945,16 @@ fn a_cache_of_another_graph_is_left_out_of_the_file() {
     let reload = |snap: &Snapshot| {
         let mut file = Vec::new();
         snap.write_to(&mut file).unwrap();
-        let kept = v2_sections(&file).iter().any(|&(id, _)| id == SECTION_MEMBERSHIPS);
+        let kept = sections_of(&file).iter().any(|&(id, _)| id == SECTION_MEMBERSHIPS);
         let loaded = Snapshot::load_from(&mut &file[..]).unwrap();
         assert_eq!(loaded.cache.is_some(), kept);
         loaded
     };
     assert!(reload(&own).cache.is_some(), "a cache travels beside its own graph");
+    // Nor beside any index but the one holding its clusters.
+    let mut other_index = own.clone();
+    other_index.entries = None;
+    assert!(reload(&other_index).cache.is_none(), "the file holds the cache's clusters");
 
     let mut stranger = own.clone();
     let row = stranger.graph.neighbors_mut(0);
@@ -908,7 +974,7 @@ fn a_cache_of_another_graph_is_left_out_of_the_file() {
 }
 
 #[test]
-fn a_v2_file_carrying_an_unknown_section_id_is_corrupt_on_both_paths() {
+fn a_file_carrying_an_unknown_section_id_is_corrupt_on_both_paths() {
     let engine = ServingEngine::build(dataset(20, 150), serving_config(0));
     let mut plain = Vec::new();
     engine.snapshot().write_to(&mut plain).unwrap();
@@ -917,9 +983,9 @@ fn a_v2_file_carrying_an_unknown_section_id_is_corrupt_on_both_paths() {
     let path = TempPath::new("unknown-section");
     for (id, payload) in [(4u32, vec![7u8; 16]), (0x100, vec![0xAB; 100]), (0x101, vec![0xCD; 36])]
     {
-        let mut sections = v2_sections(&plain);
+        let mut sections = sections_of(&plain);
         sections.push((id, payload));
-        let file = v2_file(&sections);
+        let file = file_of(&sections);
         let unknown = |outcome: Result<(), SnapshotError>, path: &str| match outcome {
             Err(SnapshotError::Corrupt(msg)) if msg.contains("unknown section id") => {}
             other => panic!("section {id:#x} via {path}: expected Corrupt, got {other:?}"),

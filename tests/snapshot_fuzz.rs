@@ -2,7 +2,7 @@
 //!
 //! The corpus is what the writers produce: GoldFinger-1024 and raw-Jaccard
 //! engine snapshots (`ServingEngine::write_snapshot`, ENTRIES and
-//! MEMBERSHIPS included) and an epoch-only one (`write_snapshot`). Every
+//! MEMBERSHIPS included) and an epoch-only one (`Snapshot::write`). Every
 //! file is mutated in a fixed, seeded set of ways — bit flips in the
 //! header, the table and each payload; truncation around every section
 //! boundary; lying counts and lengths in every section header and table
@@ -19,9 +19,8 @@
 //!   load, as counted by this binary's own allocator.
 
 use cluster_and_conquer::prelude::*;
-use cluster_and_conquer::serve::{
-    checksum64, write_snapshot, write_snapshot_parts_to, AdoptedSnapshot, SnapshotError,
-};
+use cluster_and_conquer::serve::snapshot::VERSION;
+use cluster_and_conquer::serve::{checksum64, AdoptedSnapshot, SnapshotError};
 use cnc_faults::Site;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -126,28 +125,25 @@ fn refused(error: SnapshotError) -> Verdict {
     })
 }
 
-fn loaded(
-    dataset: &Dataset,
-    graph: &KnnGraph,
-    goldfinger: Option<&GoldFinger>,
-    entries: Option<&EntryIndex>,
-) -> Verdict {
+/// The serving state a load produced, re-encoded without the builder's
+/// cache (which only `Snapshot::load*` restores).
+fn loaded(snapshot: Snapshot) -> Verdict {
     let mut bytes = Vec::new();
-    write_snapshot_parts_to(dataset, graph, goldfinger, None, entries, &mut bytes).unwrap();
+    Snapshot { cache: None, ..snapshot }.write_to(&mut bytes).unwrap();
     Verdict::Loaded(bytes)
 }
 
 /// An adoption's verdict and whether it came off the map.
 fn adoption(result: Result<AdoptedSnapshot, SnapshotError>) -> (Verdict, bool) {
     match result {
-        Ok(a) => {
-            (loaded(&a.dataset, &a.graph, a.goldfinger.as_ref(), a.entries.as_ref()), a.mapped)
+        Ok(AdoptedSnapshot { dataset, graph, goldfinger, entries, mapped }) => {
+            (loaded(Snapshot { dataset, graph, goldfinger, cache: None, entries }), mapped)
         }
         Err(e) => (refused(e), false),
     }
 }
 
-/// One row of a v2 section table: its id, payload range and file
+/// One row of a section table: its id, payload range and file
 /// position.
 #[derive(Clone, Copy)]
 struct Row {
@@ -218,7 +214,7 @@ fn header_fields(id: u32) -> &'static [(usize, usize)] {
         1 | 2 => &[(0, 8), (8, 4), (12, 4)],
         3 => &[(0, 4), (4, 4), (8, 8), (16, 8)],
         5 => &[(0, 4), (4, 4), (8, 8), (16, 8), (24, 8)],
-        6 => &[(0, 8), (8, 8), (16, 8)],
+        6 => &[(0, 8)],
         other => panic!("the writers produce no section {other}"),
     }
 }
@@ -370,7 +366,7 @@ fn check(bytes: &[u8], memberships_untouched: bool, path: &std::path::Path) -> V
     let ((copied, _), peak) = peak_heap(|| adoption(AdoptedSnapshot::load_copied(path)));
     heap("load_copied", peak);
     let (streamed, peak) = peak_heap(|| match Snapshot::load_from(&mut &bytes[..]) {
-        Ok(s) => loaded(&s.dataset, &s.graph, s.goldfinger.as_ref(), s.entries.as_ref()),
+        Ok(s) => loaded(s),
         Err(e) => refused(e),
     });
     heap("load_from", peak);
@@ -437,7 +433,7 @@ fn every_mutation_gets_one_verdict_from_every_load_path_within_bounded_heap() {
     let raw = engine_snapshot(SimilarityBackend::Raw, path);
     let epoch_only = {
         let snap = Snapshot::load_from(&mut &gf[..]).unwrap();
-        write_snapshot(&snap.dataset, &snap.graph, snap.goldfinger.as_ref(), path).unwrap();
+        Snapshot::new(snap.dataset, snap.graph, snap.goldfinger).write(path).unwrap();
         std::fs::read(path).unwrap()
     };
     let ids = |file: &[u8]| table(file).iter().map(|row| row.id).collect::<Vec<_>>();
@@ -447,7 +443,7 @@ fn every_mutation_gets_one_verdict_from_every_load_path_within_bounded_heap() {
 
     // A bare header whose count promises 65,535 rows.
     let mut lying_header = b"CNCSNAP1".to_vec();
-    lying_header.extend_from_slice(&2u32.to_le_bytes());
+    lying_header.extend_from_slice(&VERSION.to_le_bytes());
     lying_header.extend_from_slice(&65_535u32.to_le_bytes());
     lying_header.resize(64, 0);
 
@@ -473,5 +469,5 @@ fn every_mutation_gets_one_verdict_from_every_load_path_within_bounded_heap() {
         failures.len(),
         failures.join("\n")
     );
-    assert_eq!(cases, 1_096, "the case count is fixed by the corpus layout");
+    assert_eq!(cases, 1_072, "the case count is fixed by the corpus layout");
 }
