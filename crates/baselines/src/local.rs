@@ -399,13 +399,17 @@ mod tests {
                 brute_force(&users, &sim_a, &out);
                 brute_force_partial_counted(&users, &sim_b, k).0
             };
+            let slots = out.snapshot_ids();
             let merged = out.into_graph();
             assert_eq!(sim_a.comparisons(), sim_b.comparisons(), "greedy={greedy}");
-            // The same offers in the same order: the same heaps, slot for slot.
+            // The same offers in the same order: the same heaps, slot for
+            // slot, before the freeze lays each row out worst first.
             for (i, &u) in users.iter().enumerate() {
+                let ids: Vec<u32> = lists[i].iter().map(|n| n.user).collect();
+                assert_eq!(ids, slots[u as usize], "greedy={greedy}: user {u}'s heap differs");
                 assert_eq!(
-                    lists[i].as_view().as_slice(),
-                    merged.neighbors(u).as_slice(),
+                    lists[i].sorted(),
+                    merged.neighbors(u).sorted(),
                     "greedy={greedy}: user {u} differs"
                 );
             }

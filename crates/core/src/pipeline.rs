@@ -207,11 +207,8 @@ impl ClusterAndConquer {
             local_start.elapsed().as_nanos() as u64,
             vec![("comparisons", run_comparisons), ("clusters_solved", solved as u64)],
         );
-        if telemetry.enabled() {
-            build_span.attr("comparisons", run_comparisons);
-            build_span.attr("users", n as u64);
-            telemetry.counter("cnc_build_comparisons_total", &[]).add(run_comparisons);
-        }
+        build_span.attr("comparisons", run_comparisons);
+        build_span.attr("users", n as u64);
 
         let mut cluster_sizes_desc: Vec<usize> = plan.clusters().iter().map(Vec::len).collect();
         cluster_sizes_desc.sort_unstable_by(|a, b| b.cmp(a));

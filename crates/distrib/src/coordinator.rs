@@ -544,12 +544,9 @@ impl DistribRuntime {
         let worker_injected =
             workers.iter().filter_map(|p| p.wire.as_ref()).map(|s| s.injected).sum::<u64>();
 
-        if telemetry.enabled() {
-            telemetry.counter("cnc_distrib_worker_deaths_total", &[]).add(worker_deaths as u64);
-            telemetry.counter("cnc_distrib_requeued_clusters_total", &[]).add(requeued_clusters);
-            telemetry.counter("cnc_distrib_inline_recovered_total", &[]).add(recovered_inline);
-        }
         span.attr("worker_deaths", worker_deaths as u64);
+        span.attr("requeued_clusters", requeued_clusters);
+        span.attr("recovered_inline", recovered_inline);
         span.attr("comparisons", comparisons_total);
 
         Ok(DistribResult {
@@ -777,28 +774,15 @@ impl DistribPublisher {
     }
 
     /// Rebuilds; on success the new result becomes current, on failure
-    /// the previous result stays live and the failure is counted
-    /// (`cnc_distrib_rebuild_failures_total`).
+    /// the previous result stays live and the error is returned.
     pub fn rebuild(
         &self,
         dataset: &Dataset,
         c2: &C2Config,
     ) -> Result<Arc<DistribResult>, DistribError> {
-        match self.runtime.execute(dataset, c2) {
-            Ok(result) => {
-                let result = Arc::new(result);
-                *self.last_good.lock().unwrap_or_else(|p| p.into_inner()) =
-                    Some(Arc::clone(&result));
-                Ok(result)
-            }
-            Err(e) => {
-                let telemetry = Telemetry::global();
-                if telemetry.enabled() {
-                    telemetry.counter("cnc_distrib_rebuild_failures_total", &[]).add(1);
-                }
-                Err(e)
-            }
-        }
+        let result = Arc::new(self.runtime.execute(dataset, c2)?);
+        *self.last_good.lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&result));
+        Ok(result)
     }
 
     /// The last successfully published result.

@@ -16,7 +16,6 @@
 use crate::error::DistribError;
 use crate::wire::frame_bytes;
 use cnc_faults::{backoff, Faults, Site};
-use cnc_runtime::shuffle::note_retry;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -112,7 +111,6 @@ pub fn send_frame<W: Write>(
                     return Err(DistribError::TransportExhausted { attempts: attempt, last });
                 }
                 TRANSPORT_RETRIES.fetch_add(1, Ordering::Relaxed);
-                note_retry("transport.send");
                 backoff(attempt, 20, 2_000);
             }
         }

@@ -74,7 +74,7 @@ impl Site {
         Site::SnapshotMmap,
     ];
 
-    /// The site's wire name, as used in `sites=` plan specs and metrics.
+    /// The site's wire name, as used in `sites=` plan specs and typed errors.
     pub fn name(self) -> &'static str {
         match self {
             Site::SpillWrite => "spill.write",

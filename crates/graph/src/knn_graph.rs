@@ -1,6 +1,6 @@
 //! The KNN-graph container.
 
-use crate::neighbors::{is_heap, Neighbor, NeighborList, Neighbors};
+use crate::neighbors::{is_heap, sort_worst_first, Neighbor, NeighborList, Neighbors};
 use cnc_dataset::{SharedSlice, Storage, UserId};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -159,8 +159,10 @@ impl KnnGraph {
     /// entries — how an incremental build hands the same graph to its
     /// caller and to the cache the next build patches, and how a serving
     /// epoch shares its rows with snapshots. A CSR is moved, not
-    /// copied; owned rows are flattened. Writing to any holder of the
-    /// result promotes that holder to owned lists; the others are untouched.
+    /// copied; owned rows are flattened, each laid out worst first (one
+    /// order per content, as [`crate::SharedKnnGraph::into_graph`] freezes
+    /// its rows). Writing to any holder of the result promotes that holder
+    /// to owned lists; the others are untouched.
     pub fn into_shared(self) -> KnnGraph {
         let k = self.k;
         let mut offsets = Vec::with_capacity(self.num_users() + 1);
@@ -175,7 +177,9 @@ impl KnnGraph {
                 // Consumed list by list, so the owned lists are freed as
                 // the flat copy grows.
                 for list in lists {
+                    let start = entries.len();
                     entries.extend(list.iter().copied());
+                    sort_worst_first(&mut entries[start..]);
                     offsets.push(entries.len() as u64);
                 }
             }
@@ -477,13 +481,16 @@ mod tests {
     }
 
     #[test]
-    fn into_shared_keeps_every_heap_and_clones_without_copying() {
+    fn into_shared_lays_every_row_out_worst_first_and_clones_without_copying() {
         let g = sample_graph();
         let shared = g.clone().into_shared();
         assert!(shared.is_shared());
         let clone = shared.clone();
         for (u, view) in g.iter() {
-            assert_eq!(view.as_slice(), shared.neighbors(u).as_slice());
+            let mut worst_first = view.sorted();
+            worst_first.reverse();
+            assert_eq!(shared.neighbors(u).as_slice(), worst_first, "row {u}");
+            assert!(is_heap(shared.neighbors(u).as_slice()));
             assert!(
                 std::ptr::eq(shared.neighbors(u).as_slice(), clone.neighbors(u).as_slice()),
                 "a clone must read the same entries, not a copy"
@@ -542,11 +549,13 @@ mod tests {
         assert_eq!(updates, lists.merge(&other));
         writes(&mut written);
         writes(&mut lists);
+        assert_eq!(rows(&written), rows(&lists), "heap for heap");
+        // Frozen, both lay every row out the same canonical way.
         let frozen = written.into_shared();
         assert!(frozen.is_shared());
         assert_eq!(frozen.num_users(), lists.num_users());
         assert_eq!(frozen.num_edges(), lists.num_edges());
-        assert_eq!(rows(&frozen), rows(&lists), "heap for heap");
+        assert_eq!(rows(&frozen), rows(&lists.into_shared()), "row for row");
     }
 
     #[test]

@@ -351,6 +351,15 @@ pub(crate) fn worst_sim(heap: &[Neighbor], k: usize) -> f32 {
     }
 }
 
+/// Lays `row` out in the one canonical order of its content: worst first
+/// under the heap's own order ([`Neighbor::worse_than`]: ascending
+/// similarity, ties on the descending user id — total on a row's distinct
+/// users). Each entry is then no better than the entries after it, so the
+/// row is a valid heap — the same one whatever sequence of offers built it.
+pub(crate) fn sort_worst_first(row: &mut [Neighbor]) {
+    row.sort_unstable_by(|a, b| a.sim.partial_cmp(&b.sim).unwrap().then(b.user.cmp(&a.user)));
+}
+
 /// Moves `heap[pos]` toward the root until its parent is not worse;
 /// returns where it settled.
 pub(crate) fn sift_up(heap: &mut [Neighbor], mut pos: usize) -> usize {
@@ -394,6 +403,29 @@ pub(crate) fn is_heap(heap: &[Neighbor]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worst_first_is_one_heap_per_content() {
+        let offers = [(1, 0.5), (2, 0.9), (3, 0.5), (4, 0.7), (5, 0.2), (6, 0.5), (7, 0.9)];
+        let mut layouts = Vec::new();
+        for rotate in 0..offers.len() {
+            let mut list = NeighborList::new(5);
+            let mut order = offers;
+            order.rotate_left(rotate);
+            order[..rotate.min(3)].reverse();
+            for (user, sim) in order {
+                list.insert(user, sim);
+            }
+            let mut row = list.as_view().as_slice().to_vec();
+            sort_worst_first(&mut row);
+            assert!(is_heap(&row));
+            layouts.push(row);
+        }
+        let want: Vec<(u32, f32)> = vec![(3, 0.5), (1, 0.5), (4, 0.7), (7, 0.9), (2, 0.9)];
+        for row in layouts {
+            assert_eq!(row.iter().map(|n| (n.user, n.sim)).collect::<Vec<_>>(), want);
+        }
+    }
 
     #[test]
     fn keeps_the_best_k() {

@@ -26,7 +26,9 @@
 //!   of the [`KnnGraph`]: no second copy of the graph is ever held.
 
 use crate::knn_graph::KnnGraph;
-use crate::neighbors::{offer, sift_up, worst_sim, Neighbor, NeighborList, Verdict};
+use crate::neighbors::{
+    offer, sift_up, sort_worst_first, worst_sim, Neighbor, NeighborList, Verdict,
+};
 use cnc_dataset::UserId;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -191,8 +193,9 @@ impl SharedKnnGraph {
     /// Freezes into a [`KnnGraph`] — a flat CSR behind shared storage, as
     /// [`KnnGraph::into_shared`] makes — **in place**: the rows are
     /// compacted to the front of the slot allocation, which becomes the
-    /// graph's entry array, so the graph is never held twice. Every row
-    /// keeps its heap layout.
+    /// graph's entry array, so the graph is never held twice. Every row is
+    /// laid out worst first, one order per content, so the frozen graph
+    /// does not depend on the order concurrent workers offered in.
     pub fn into_graph(self) -> KnnGraph {
         let SharedKnnGraph { slots, rows, k, .. } = self;
         // SAFETY: `UnsafeCell<Neighbor>` is `repr(transparent)` over
@@ -209,6 +212,7 @@ impl SharedKnnGraph {
             if end != u * k {
                 entries.copy_within(u * k..u * k + len, end);
             }
+            sort_worst_first(&mut entries[end..end + len]);
             end += len;
             offsets.push(end as u64);
         }
@@ -338,7 +342,9 @@ mod tests {
             assert!(graph.is_shared(), "the freeze hands out shared storage");
             assert_eq!(graph.num_edges(), lists.iter().map(NeighborList::len).sum::<usize>());
             for (u, list) in lists.iter().enumerate() {
-                assert_eq!(graph.neighbors(u as UserId).as_slice(), list.as_view().as_slice());
+                let mut worst_first = list.sorted();
+                worst_first.reverse();
+                assert_eq!(graph.neighbors(u as UserId).as_slice(), worst_first, "row {u}");
             }
         }
     }

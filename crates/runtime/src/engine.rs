@@ -31,7 +31,7 @@
 //! configuration and seed (asserted by `tests/shuffle.rs`).
 
 use crate::config::{RuntimeConfig, SpillMode};
-use crate::shuffle::{replay_spill, FinishedSpill, SpillDir, SpillWriter};
+use crate::shuffle::{replay_spill, FinishedSpill, ShuffleError, SpillDir, SpillWriter};
 use cnc_baselines::local;
 use cnc_core::build_plan::{BuildPlan, ClusterCache, RebuildStats};
 use cnc_core::distributed::cluster_cost;
@@ -180,17 +180,16 @@ impl Runtime {
             comparisons: sim.comparisons(),
             map_reduce_wall,
         };
-        if telemetry.enabled() {
-            telemetry.record_complete(
-                "build.map_reduce",
-                map_reduce_start_ns,
-                map_reduce_wall.as_nanos() as u64,
-                vec![("shuffle_entries", report.shuffle_entries)],
-            );
-            telemetry.counter("cnc_build_comparisons_total", &[]).add(report.comparisons);
-            telemetry.counter("cnc_shuffle_entries_total", &[]).add(report.shuffle_entries);
-            telemetry.counter("cnc_spill_bytes_total", &[]).add(report.spilled_bytes);
-        }
+        telemetry.record_complete(
+            "build.map_reduce",
+            map_reduce_start_ns,
+            map_reduce_wall.as_nanos() as u64,
+            vec![
+                ("shuffle_entries", report.shuffle_entries),
+                ("requeued_clusters", totals.requeued_clusters),
+                ("spill_retries", totals.spill_retries),
+            ],
+        );
         ShardedResult { graph, report }
     }
 
@@ -249,7 +248,9 @@ impl Runtime {
     }
 
     /// Stages 1–4 of the [`BuildPlan`], every cluster job behind
-    /// [`solve_gate`], then the cache captured for the next call.
+    /// [`solve_gate`], then the cache captured for the next call — under
+    /// one `build` span, as the in-process pipeline's, which also counts
+    /// the clusters the gate requeued.
     fn execute_incremental_with(
         &self,
         dataset: &Dataset,
@@ -258,26 +259,28 @@ impl Runtime {
         prev: &ClusterCache,
         start: Instant,
     ) -> IncrementalShardedResult {
+        let mut span = Telemetry::global().span("build");
         let comparisons_before = sim.comparisons();
         let mut plan = BuildPlan::assign(c2, dataset);
         plan.fingerprint(dataset);
-        let patch = plan.patch(sim, prev, self.config.effective_workers(), &solve_gate);
+        let requeued = AtomicU64::new(0);
+        let gate = |cluster| solve_gate(cluster, &requeued);
+        let patch = plan.patch(sim, prev, self.config.effective_workers(), &gate);
         let comparisons = sim.comparisons() - comparisons_before;
         let (graph, cache, rebuild) = plan.finish(patch.graph, patch.rebuild, comparisons, start);
-        let telemetry = Telemetry::global();
-        if telemetry.enabled() {
-            telemetry.counter("cnc_build_comparisons_total", &[]).add(comparisons);
-        }
+        span.attr("comparisons", comparisons);
+        span.attr("users", dataset.num_users() as u64);
+        span.attr("requeued_clusters", requeued.into_inner());
         IncrementalShardedResult { graph, cache, rebuild }
     }
 }
 
 /// The per-cluster `solve.cluster` fault gate of both stages: an injected
-/// panic is caught and the cluster re-attempted (counted as a requeue), up
-/// to [`MAX_SOLVE_ATTEMPTS`] failures per cluster. Exhaustion re-raises
+/// panic is caught and the cluster re-attempted (counted in `requeued`),
+/// up to [`MAX_SOLVE_ATTEMPTS`] failures per cluster. Exhaustion re-raises
 /// the typed payload, which fails the build before the cluster's solve
 /// has touched a row.
-fn solve_gate(cluster: usize) {
+fn solve_gate(cluster: usize, requeued: &AtomicU64) {
     let faults = Faults::global();
     if !faults.armed() {
         return;
@@ -287,10 +290,7 @@ fn solve_gate(cluster: usize) {
             Ok(()) => return,
             Err(injected) if attempt >= MAX_SOLVE_ATTEMPTS => std::panic::panic_any(injected),
             Err(_) => {
-                let telemetry = Telemetry::global();
-                if telemetry.enabled() {
-                    telemetry.counter("cnc_requeued_clusters_total", &[]).add(1);
-                }
+                requeued.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -316,13 +316,18 @@ fn validate_shared(dataset: &Dataset, c2: &C2Config, goldfinger: &GoldFinger) {
     }
 }
 
-/// What the map stage handed to the merge, and by which route.
+/// What the map stage handed to the merge, by which route, and what
+/// recovery it took to get there.
 #[derive(Debug, Default)]
 struct MapTotals {
     shuffle_entries: u64,
     spilled_entries: u64,
     spilled_bytes: u64,
     rerouted_records: u64,
+    /// Cluster attempts the `solve.cluster` gate caught and re-ran.
+    requeued_clusters: u64,
+    /// Failed spill creates, appends and replays that were retried.
+    spill_retries: u64,
 }
 
 /// The map stage: every cluster of `plan` is one [`PriorityPool`] job on
@@ -342,30 +347,17 @@ fn run_map_stage(
 ) -> MapTotals {
     let clusters = plan.clusters();
     let threshold = c2.brute_force_threshold();
-    // Per-algorithm solve-latency histograms, resolved once per build
-    // (never per cluster) and only when telemetry is on.
-    let telemetry = Telemetry::global();
-    let solve_hists = telemetry.enabled().then(|| {
-        (
-            telemetry.histogram("cnc_cluster_solve_ns", &[("algo", "brute")]),
-            telemetry.histogram("cnc_cluster_solve_ns", &[("algo", "greedy")]),
-        )
-    });
+    let requeued = AtomicU64::new(0);
     let stream = spill_dir.map(|dir| Mutex::new(SpillStream::open(dir)));
     let shuffle_entries = AtomicU64::new(0);
     let jobs = clusters.iter().enumerate();
     let jobs = jobs.map(|(index, users)| (cluster_cost(users.len(), c2.k, c2.rho), index));
     PriorityPool::run(workers, jobs.collect(), |cluster| {
-        solve_gate(cluster);
-        let started = Instant::now();
+        solve_gate(cluster, &requeued);
         let users = &clusters[cluster];
         let seed = ClusterAndConquer::job_seed(c2, cluster);
         let (lists, _) =
             local::solve_cluster_partial(users, sim, c2.k, threshold, c2.rho, c2.delta, seed);
-        if let Some((brute, greedy)) = &solve_hists {
-            let hist = if users.len() >= threshold { greedy } else { brute };
-            hist.record(started.elapsed().as_nanos() as u64);
-        }
         let mut spill = stream.as_ref().map(Mutex::lock);
         let mut entries = 0;
         for (&user, list) in users.iter().zip(&lists).filter(|(_, list)| !list.is_empty()) {
@@ -377,32 +369,37 @@ fn run_map_stage(
         shuffle_entries.fetch_add(entries, Ordering::Relaxed);
     });
 
-    let mut totals =
-        MapTotals { shuffle_entries: shuffle_entries.into_inner(), ..MapTotals::default() };
+    let mut totals = MapTotals {
+        shuffle_entries: shuffle_entries.into_inner(),
+        requeued_clusters: requeued.into_inner(),
+        ..MapTotals::default()
+    };
     if let Some(stream) = stream.map(Mutex::into_inner) {
         totals.rerouted_records = stream.rerouted;
+        totals.spill_retries = stream.create_retries;
         if let Some(file) = stream.finish() {
-            let replayed = replay_into(graph, &file, c2.k);
+            let (replayed, retries) = replay_into(graph, &file, c2.k);
             debug_assert_eq!(replayed, file.entries, "the spill replay lost entries");
             (totals.spilled_entries, totals.spilled_bytes) = (file.entries, file.bytes);
+            totals.spill_retries += file.retries + retries;
         }
     }
     totals
 }
 
-/// Merges a sealed spill file into the arena; returns the entries merged.
-/// [`replay_spill`] retries IO failures internally and decodes the whole
-/// file before a single record is merged; only a genuine persistent
-/// failure fails the build.
-fn replay_into(graph: &SharedKnnGraph, file: &FinishedSpill, k: usize) -> u64 {
-    let records =
+/// Merges a sealed spill file into the arena; returns the entries merged
+/// and the read retries it took. [`replay_spill`] retries IO failures
+/// internally and decodes the whole file before a single record is
+/// merged; only a genuine persistent failure fails the build.
+fn replay_into(graph: &SharedKnnGraph, file: &FinishedSpill, k: usize) -> (u64, u64) {
+    let (records, retries) =
         replay_spill(&file.path, k).unwrap_or_else(|e| panic!("spill replay failed: {e}"));
     let mut entries = 0u64;
     for (user, partial) in &records {
         graph.merge_into(*user, partial);
         entries += partial.len() as u64;
     }
-    entries
+    (entries, retries.into())
 }
 
 /// The build's spill stream, shared by every job behind a lock. It is
@@ -415,13 +412,21 @@ struct SpillStream {
     broken: bool,
     /// Records due to spill that were merged directly instead.
     rerouted: u64,
+    /// Retries of a create that exhausted them (a created writer counts
+    /// its own).
+    create_retries: u64,
 }
 
 impl SpillStream {
     /// Creates the stream's file in `dir`.
     fn open(dir: &SpillDir) -> Self {
-        let writer = SpillWriter::create(dir.file_path(0), 0).ok();
-        SpillStream { broken: writer.is_none(), writer, rerouted: 0 }
+        let (writer, create_retries) = match SpillWriter::create(dir.file_path(0), 0) {
+            Ok(writer) => (Some(writer), 0),
+            // Every attempt but the last was a retry.
+            Err(ShuffleError::Exhausted { attempts, .. }) => (None, u64::from(attempts) - 1),
+            Err(ShuffleError::Io { .. }) => (None, 0),
+        };
+        SpillStream { broken: writer.is_none(), writer, rerouted: 0, create_retries }
     }
 
     /// Appends one record; `false` when the stream is (or just became)

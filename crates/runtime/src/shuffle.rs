@@ -20,7 +20,6 @@ use cnc_core::build_plan::fnv1a;
 use cnc_dataset::UserId;
 use cnc_faults::{injected_io_error, Fault, Faults, Site};
 use cnc_graph::NeighborList;
-use cnc_telemetry::Telemetry;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -86,16 +85,6 @@ pub const SPILL_WRITE_ATTEMPTS: u32 = 16;
 
 /// Retry budget for replaying a sealed spill file.
 pub const SPILL_REPLAY_ATTEMPTS: u32 = 16;
-
-/// Counts one recovery retry at `site` (telemetry-gated, like every
-/// hook). Public so transport layers built on this codec (the
-/// distributed runner) account their retries under the same metric.
-pub fn note_retry(site: &'static str) {
-    let telemetry = Telemetry::global();
-    if telemetry.enabled() {
-        telemetry.counter("cnc_fault_retries_total", &[("site", site)]).add(1);
-    }
-}
 
 /// Encoded size of one spill record, in bytes: an 8-byte header
 /// (`user: u32 LE`, `len: u32 LE`) plus 8 bytes (`neighbour: u32 LE`,
@@ -235,6 +224,8 @@ pub struct SpillWriter {
     fault_base: u64,
     /// Records appended so far (the per-record fault-key ordinal).
     records: u64,
+    /// Failed attempts retried so far, the create's included.
+    retries: u64,
     /// Encode-once scratch buffer; records are tiny (≤ 8 + 8·k bytes).
     scratch: Vec<u8>,
 }
@@ -257,6 +248,7 @@ impl SpillWriter {
                         entries: 0,
                         fault_base,
                         records: 0,
+                        retries: attempt.into(),
                         scratch: Vec::new(),
                     })
                 }
@@ -270,7 +262,6 @@ impl SpillWriter {
                             last,
                         });
                     }
-                    note_retry("spill.write");
                     cnc_faults::backoff(attempt, 20, 2_000);
                 }
             }
@@ -318,7 +309,7 @@ impl SpillWriter {
                             last,
                         });
                     }
-                    note_retry("spill.write");
+                    self.retries += 1;
                     cnc_faults::backoff(attempt, 20, 2_000);
                 }
             }
@@ -343,21 +334,23 @@ impl SpillWriter {
             path: self.path.clone(),
             source,
         })?;
-        Ok(FinishedSpill { path: self.path, bytes: self.bytes, entries: self.entries })
+        let (path, bytes, entries, retries) = (self.path, self.bytes, self.entries, self.retries);
+        Ok(FinishedSpill { path, bytes, entries, retries })
     }
 }
 
 /// Replays a sealed spill file into memory, retrying the whole read under
-/// capped backoff ([`SPILL_REPLAY_ATTEMPTS`]). Buffering before the merge
-/// keeps retries trivially idempotent: no record reaches a
-/// [`NeighborList`] until the full file has decoded cleanly.
-pub fn replay_spill(path: &Path, k: usize) -> Result<Vec<(UserId, NeighborList)>, ShuffleError> {
+/// capped backoff ([`SPILL_REPLAY_ATTEMPTS`]); returns the records and
+/// the retries made. Buffering before the merge keeps retries trivially
+/// idempotent: no record reaches a [`NeighborList`] until the full file
+/// has decoded cleanly.
+pub fn replay_spill(path: &Path, k: usize) -> Result<(Records, u32), ShuffleError> {
     // The path's FNV-1a is the replay side's stable fault key.
     let key = fnv1a(path.as_os_str().as_encoded_bytes());
     let faults = Faults::global();
     let mut attempt = 0u32;
     loop {
-        let outcome: io::Result<Vec<(UserId, NeighborList)>> = (|| {
+        let outcome: io::Result<Records> = (|| {
             faults.inject_io(Site::SpillReplay, key)?;
             let mut reader = BufReader::new(File::open(path)?);
             let mut records = Vec::new();
@@ -367,7 +360,7 @@ pub fn replay_spill(path: &Path, k: usize) -> Result<Vec<(UserId, NeighborList)>
             Ok(records)
         })();
         match outcome {
-            Ok(records) => return Ok(records),
+            Ok(records) => return Ok((records, attempt)),
             Err(last) => {
                 attempt += 1;
                 if attempt >= SPILL_REPLAY_ATTEMPTS {
@@ -378,7 +371,6 @@ pub fn replay_spill(path: &Path, k: usize) -> Result<Vec<(UserId, NeighborList)>
                         last,
                     });
                 }
-                note_retry("spill.replay");
                 cnc_faults::backoff(attempt, 20, 2_000);
             }
         }
@@ -394,7 +386,14 @@ pub struct FinishedSpill {
     pub bytes: u64,
     /// Neighbour entries `(user, neighbour, sim)` written.
     pub entries: u64,
+    /// Failed writes that were rolled back and retried, the create's
+    /// included.
+    pub retries: u64,
 }
+
+/// A replayed spill stream: every `(user, partial list)` record, in
+/// stream order.
+pub type Records = Vec<(UserId, NeighborList)>;
 
 #[cfg(test)]
 mod tests {
@@ -540,6 +539,8 @@ mod tests {
             let injected = faults.injected(Site::SpillWrite);
             assert_eq!(fs::read(&chaotic.path).unwrap(), clean_bytes, "streams must be identical");
             assert_eq!((chaotic.bytes, chaotic.entries), (clean.bytes, clean.entries));
+            // Every injected write fault was rolled back and retried once.
+            assert_eq!((clean.retries, chaotic.retries), (0, injected));
             injected
         };
         assert!(injected > 0, "the schedule must actually have fired");
@@ -558,9 +559,10 @@ mod tests {
         let faults = Faults::global();
         let _guard =
             faults.arm(cnc_faults::FaultPlan::new(3, 1.0).only(&[Site::SpillReplay]).with_span(6));
-        let records = replay_spill(&finished.path, 3).unwrap();
+        let (records, retries) = replay_spill(&finished.path, 3).unwrap();
         assert_eq!(records.len(), 16);
-        assert!(faults.injected(Site::SpillReplay) > 0);
+        assert!(retries > 0);
+        assert_eq!(u64::from(retries), faults.injected(Site::SpillReplay));
         for (i, (user, l)) in records.iter().enumerate() {
             assert_eq!(*user, i as u32);
             assert_eq!(l.len(), 1);

@@ -24,6 +24,7 @@
 use crate::mmap::AdoptedSnapshot;
 use crate::server::ServingEngine;
 use crate::snapshot::{quarantine_snapshot, sweep_temp_files, SnapshotError};
+use cnc_telemetry::Telemetry;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -164,6 +165,9 @@ impl SnapshotAdopter {
     ///
     /// A candidate that fails makes the scan fall back to the next-newest;
     /// the last error is returned only when every new candidate fails.
+    /// A poll that found a candidate records a `snapshot.poll` span: the
+    /// sequence adopted, the transient open retries and the files
+    /// quarantined on the way to it.
     pub fn poll(&mut self) -> Result<Option<(u64, AdoptedSnapshot)>, SnapshotError> {
         let mut candidates: Vec<u64> = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
@@ -174,18 +178,25 @@ impl SnapshotAdopter {
                 }
             }
         }
+        if candidates.is_empty() {
+            return Ok(None);
+        }
         candidates.sort_unstable_by(|a, b| b.cmp(a));
+        let mut span = Telemetry::global().span("snapshot.poll");
         let mut last_err = None;
         for seq in candidates {
             let path = seq_path(&self.dir, seq);
-            match open_with_retry(&path) {
+            let (opened, retries) = open_with_retry(&path);
+            span.attr("retries", retries.into());
+            match opened {
                 Ok(adopted) => {
                     self.last_adopted = Some(seq);
+                    span.attr("seq", seq);
                     return Ok(Some((seq, adopted)));
                 }
                 Err(error) => {
-                    if condemns_bytes(&error) {
-                        let _ = quarantine_snapshot(&path);
+                    if condemns_bytes(&error) && quarantine_snapshot(&path).is_ok() {
+                        span.attr("quarantined", 1);
                     }
                     last_err = Some(error);
                 }
@@ -213,8 +224,8 @@ impl SnapshotAdopter {
 
 /// [`AdoptedSnapshot::open`] with bounded retries: an I/O error that does
 /// not condemn the bytes is transient, backs off and retries; any other
-/// verdict returns at once.
-fn open_with_retry(path: &Path) -> Result<AdoptedSnapshot, SnapshotError> {
+/// verdict returns at once. Also returns the retries made.
+fn open_with_retry(path: &Path) -> (Result<AdoptedSnapshot, SnapshotError>, u32) {
     let mut attempt = 0;
     loop {
         match AdoptedSnapshot::open(path) {
@@ -224,7 +235,7 @@ fn open_with_retry(path: &Path) -> Result<AdoptedSnapshot, SnapshotError> {
                 cnc_faults::backoff(attempt, 20, 2_000);
                 attempt += 1;
             }
-            other => return other,
+            other => return (other, attempt),
         }
     }
 }

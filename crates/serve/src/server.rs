@@ -39,7 +39,7 @@ use cnc_graph::{EntryIndex, KnnGraph};
 use cnc_query::{BeamSearchConfig, QueryIndex, QueryResult, Searcher};
 use cnc_runtime::{IncrementalShardedResult, Runtime, RuntimeConfig};
 use cnc_similarity::{GoldFinger, SimilarityBackend};
-use cnc_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use cnc_telemetry::Telemetry;
 use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -329,70 +329,6 @@ struct Writer {
     published_at: Instant,
 }
 
-/// Telemetry handles for the serving path, resolved once at engine
-/// construction (the registry lock never appears on the query path).
-/// Recording is gated on [`Telemetry::enabled`] at each site; the
-/// histograms are the bounded-memory source of the engine's latency
-/// percentiles.
-struct ServeMetrics {
-    queries_served: Arc<Counter>,
-    queries_empty: Arc<Counter>,
-    query_latency_ns: Arc<Histogram>,
-    query_comparisons: Arc<Histogram>,
-    seeds_routed: Arc<Counter>,
-    seeds_random: Arc<Counter>,
-    insert_latency_ns: Arc<Histogram>,
-    inserts_total: Arc<Counter>,
-    epoch_publishes: Arc<Counter>,
-    rebuild_failures: Arc<Counter>,
-    epoch_staleness_ms: Arc<Gauge>,
-    rebuild_ms: Arc<Histogram>,
-    epoch: Arc<Gauge>,
-    epoch_users: Arc<Gauge>,
-    pending_inserts: Arc<Gauge>,
-    epoch_adopt_seconds: Arc<Histogram>,
-    epoch_adopt_mmap: Arc<Counter>,
-    epoch_adopt_copy: Arc<Counter>,
-}
-
-impl ServeMetrics {
-    /// Per-query accounting (callers gate on [`Telemetry::enabled`]).
-    fn record_query(&self, result: &QueryResult) {
-        self.query_comparisons.record(result.comparisons as u64);
-        self.seeds_routed.add(result.routed_seeds as u64);
-        self.seeds_random.add(result.random_seeds as u64);
-        if result.neighbors.is_empty() {
-            self.queries_empty.inc();
-        } else {
-            self.queries_served.inc();
-        }
-    }
-
-    fn new() -> Self {
-        let t = Telemetry::global();
-        ServeMetrics {
-            queries_served: t.counter("cnc_queries_total", &[("outcome", "served")]),
-            queries_empty: t.counter("cnc_queries_total", &[("outcome", "empty")]),
-            query_latency_ns: t.histogram("cnc_query_latency_ns", &[]),
-            query_comparisons: t.histogram("cnc_query_comparisons", &[]),
-            seeds_routed: t.counter("cnc_query_seeds_total", &[("source", "routed")]),
-            seeds_random: t.counter("cnc_query_seeds_total", &[("source", "random")]),
-            insert_latency_ns: t.histogram("cnc_insert_latency_ns", &[]),
-            inserts_total: t.counter("cnc_inserts_total", &[]),
-            epoch_publishes: t.counter("cnc_epoch_publishes_total", &[]),
-            rebuild_failures: t.counter("cnc_rebuild_failures_total", &[]),
-            epoch_staleness_ms: t.gauge("cnc_epoch_staleness_ms", &[]),
-            rebuild_ms: t.histogram("cnc_rebuild_ms", &[]),
-            epoch: t.gauge("cnc_epoch", &[]),
-            epoch_users: t.gauge("cnc_epoch_users", &[]),
-            pending_inserts: t.gauge("cnc_pending_inserts", &[]),
-            epoch_adopt_seconds: t.histogram("cnc_epoch_adopt_seconds", &[]),
-            epoch_adopt_mmap: t.counter("cnc_epoch_adopt_total", &[("path", "mmap")]),
-            epoch_adopt_copy: t.counter("cnc_epoch_adopt_total", &[("path", "copy")]),
-        }
-    }
-}
-
 /// A concurrent KNN serving engine (see the module docs).
 pub struct ServingEngine {
     config: ServingConfig,
@@ -410,7 +346,6 @@ pub struct ServingEngine {
     /// long-lived engine publishing every few seconds must not grow
     /// monitoring state without bound; the oldest swaps are dropped.
     rebuild_history: Mutex<std::collections::VecDeque<RebuildStats>>,
-    metrics: ServeMetrics,
     /// Rebuilds that panicked and were absorbed (see [`RebuildFailure`]).
     rebuild_failures: AtomicU64,
 }
@@ -496,11 +431,6 @@ impl ServingEngine {
             retry_after: None,
             published_at: Instant::now(),
         };
-        let metrics = ServeMetrics::new();
-        if Telemetry::global().enabled() {
-            metrics.epoch.set(epoch.epoch() as i64);
-            metrics.epoch_users.set(epoch.num_users() as i64);
-        }
         ServingEngine {
             config,
             current: RwLock::new(epoch),
@@ -510,7 +440,6 @@ impl ServingEngine {
             epoch_swaps: AtomicU64::new(0),
             pending: AtomicUsize::new(0),
             rebuild_history: Mutex::new(std::collections::VecDeque::new()),
-            metrics,
             rebuild_failures: AtomicU64::new(0),
         }
     }
@@ -633,15 +562,11 @@ impl ServingEngine {
     /// count. Pending (unpublished) inserts are discarded: an adopting
     /// replica serves, it does not build.
     ///
-    /// Records `cnc_epoch_adopt_seconds` and bumps
-    /// `cnc_epoch_adopt_total{path="mmap"|"copy"}`.
-    ///
     /// # Panics
     /// Panics if the snapshot's fingerprints don't match the configured
     /// backend (same contract as [`ServingEngine::from_snapshot`]).
     pub fn adopt(&self, adopted: crate::mmap::AdoptedSnapshot) -> u64 {
-        let start = Instant::now();
-        let crate::mmap::AdoptedSnapshot { dataset, graph, goldfinger, entries, mapped } = adopted;
+        let crate::mmap::AdoptedSnapshot { dataset, graph, goldfinger, entries, .. } = adopted;
         let fingerprints = goldfinger.map(Arc::new);
         check_backend(&self.config, fingerprints.as_deref());
         let mut writer = self.writer_state();
@@ -660,21 +585,6 @@ impl ServingEngine {
         self.pending.store(0, Ordering::Relaxed);
         *self.epoch_write() = Arc::clone(&epoch);
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
-        if Telemetry::global().enabled() {
-            // The histogram is integer-bucketed; adoption is sub-second by
-            // design, so the SI-named metric records at nanosecond
-            // resolution (consumers divide by 1e9).
-            self.metrics.epoch_adopt_seconds.record(start.elapsed().as_nanos() as u64);
-            if mapped {
-                self.metrics.epoch_adopt_mmap.inc();
-            } else {
-                self.metrics.epoch_adopt_copy.inc();
-            }
-            self.metrics.epoch.set(next as i64);
-            self.metrics.epoch_users.set(epoch.num_users() as i64);
-            self.metrics.pending_inserts.set(0);
-            self.metrics.epoch_staleness_ms.set(0);
-        }
         next
     }
 
@@ -701,7 +611,6 @@ impl ServingEngine {
         k: usize,
         seed: u64,
     ) -> QueryResult {
-        let timer = Telemetry::global().enabled().then(Instant::now);
         let mut query = profile.to_vec();
         query.sort_unstable();
         query.dedup();
@@ -711,10 +620,6 @@ impl ServingEngine {
         let result =
             epoch.index().search_with(&mut session.searcher, &query, k, &self.config.beam, seed);
         self.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(start) = timer {
-            self.metrics.query_latency_ns.record(start.elapsed().as_nanos() as u64);
-            self.metrics.record_query(&result);
-        }
         result
     }
 
@@ -760,7 +665,6 @@ impl ServingEngine {
     /// backoff (see [`RebuildFailure`]; explicit
     /// [`ServingEngine::publish`] calls retry immediately).
     pub fn insert(&self, mut profile: Vec<ItemId>, _seed: u64) -> InsertOutcome {
-        let timer = Telemetry::global().enabled().then(Instant::now);
         profile.sort_unstable();
         profile.dedup();
         let mut writer = self.writer_state();
@@ -771,13 +675,6 @@ impl ServingEngine {
         writer.batch.push_sorted_profile(&profile);
         let pending = self.pending.fetch_add(1, Ordering::Relaxed) + 1;
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if let Some(start) = timer {
-            // Queueing latency only — a triggered rebuild is accounted by
-            // its own `publish` span and `cnc_rebuild_ms`.
-            self.metrics.insert_latency_ns.record(start.elapsed().as_nanos() as u64);
-            self.metrics.inserts_total.inc();
-            self.metrics.pending_inserts.set(pending as i64);
-        }
         let due = self.config.rebuild_after > 0 && pending >= self.config.rebuild_after;
         let backing_off = writer.retry_after.is_some_and(|at| Instant::now() < at);
         let published =
@@ -855,14 +752,13 @@ impl ServingEngine {
     /// A build that panics is caught *before* any engine state changes:
     /// the writer's batch, cache and pending count are untouched
     /// (the build only read them), the epoch pointer never moves, and the
-    /// failure is recorded (`cnc_rebuild_failures_total`, the
-    /// `cnc_epoch_staleness_ms` gauge) with a backoff deferral for the
-    /// next insert-triggered retry. Readers can never observe a partial
+    /// failure is recorded ([`ServingStats::rebuild_failures`], the
+    /// `publish` span's `failed` and `staleness_ms`) with a backoff
+    /// deferral for the next insert-triggered retry. Readers can never observe a partial
     /// epoch: the only visible transition is the single `Arc` store on
     /// the success path.
     fn rebuild_locked(&self, writer: &mut Writer) -> Result<u64, RebuildFailure> {
-        let telemetry = Telemetry::global();
-        let mut span = telemetry.span("publish");
+        let mut span = Telemetry::global().span("publish");
         // The next epoch's dataset and fingerprints are the live epoch's
         // followed by the batch's, appended in place past the live epoch's
         // end: the two epochs share one allocation per array, and the
@@ -891,11 +787,8 @@ impl ServingEngine {
                 writer.retry_after = Some(Instant::now() + retry_after);
                 self.rebuild_failures.fetch_add(1, Ordering::Relaxed);
                 let staleness = writer.published_at.elapsed();
-                if telemetry.enabled() {
-                    span.attr("failed", 1);
-                    self.metrics.rebuild_failures.inc();
-                    self.metrics.epoch_staleness_ms.set(staleness.as_millis() as i64);
-                }
+                span.attr("failed", 1);
+                span.attr("staleness_ms", staleness.as_millis() as u64);
                 return Err(RebuildFailure {
                     reason: describe_panic(payload.as_ref()),
                     attempts: writer.failed_attempts,
@@ -919,21 +812,14 @@ impl ServingEngine {
         self.pending.store(0, Ordering::Relaxed);
         *self.epoch_write() = Arc::clone(&epoch);
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
-        if telemetry.enabled() {
-            span.attr("epoch", next);
-            span.attr("clusters_resolved", rebuild.clusters_resolved as u64);
-            span.attr("clusters_reused", rebuild.clusters_reused() as u64);
-            span.attr("path", rebuild.path as u64);
-            span.attr("rows_patched", rebuild.rows_patched as u64);
-            span.attr("rows_recomputed", rebuild.rows_recomputed as u64);
-            span.attr("comparisons", rebuild.comparisons);
-            self.metrics.epoch_publishes.inc();
-            self.metrics.rebuild_ms.record(rebuild.rebuild_ms as u64);
-            self.metrics.epoch.set(next as i64);
-            self.metrics.epoch_users.set(epoch.num_users() as i64);
-            self.metrics.pending_inserts.set(0);
-            self.metrics.epoch_staleness_ms.set(0);
-        }
+        span.attr("epoch", next);
+        span.attr("users", epoch.num_users() as u64);
+        span.attr("clusters_resolved", rebuild.clusters_resolved as u64);
+        span.attr("clusters_reused", rebuild.clusters_reused() as u64);
+        span.attr("path", rebuild.path as u64);
+        span.attr("rows_patched", rebuild.rows_patched as u64);
+        span.attr("rows_recomputed", rebuild.rows_recomputed as u64);
+        span.attr("comparisons", rebuild.comparisons);
         let mut history = self.history_state();
         if history.len() == REBUILD_HISTORY_CAP {
             history.pop_front();

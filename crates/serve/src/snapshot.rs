@@ -732,7 +732,8 @@ pub fn sweep_temp_files(dir: impl AsRef<Path>) -> io::Result<usize> {
 /// Moves a snapshot that failed validation aside as
 /// `<name>.quarantine-<pid>-<n>`, so the adopter's directory scan
 /// ([`SnapshotAdopter::poll`](crate::SnapshotAdopter::poll)) never re-reads it and an operator can post-mortem the bytes; returns
-/// the quarantine path. Counted in `cnc_quarantined_snapshots_total`.
+/// the quarantine path. The poll counts its quarantines on its
+/// `snapshot.poll` span.
 pub fn quarantine_snapshot(path: impl AsRef<Path>) -> io::Result<PathBuf> {
     static QUARANTINE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let path = path.as_ref();
@@ -744,10 +745,6 @@ pub fn quarantine_snapshot(path: impl AsRef<Path>) -> io::Result<PathBuf> {
     ));
     let target = PathBuf::from(target);
     fs::rename(path, &target)?;
-    let telemetry = Telemetry::global();
-    if telemetry.enabled() {
-        telemetry.counter("cnc_quarantined_snapshots_total", &[]).inc();
-    }
     Ok(target)
 }
 

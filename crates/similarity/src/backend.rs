@@ -21,9 +21,8 @@ use crate::goldfinger::GoldFinger;
 use crate::jaccard::Jaccard;
 use crate::kernel::{ClusterTile, RawKernel, Remap, SimSolve};
 use cnc_dataset::{Dataset, UserId};
-use cnc_telemetry::{Counter, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which similarity implementation to use (paper §IV-C: all main experiments
 /// run on 1024-bit GoldFinger; Table V ablates raw data).
@@ -56,11 +55,6 @@ enum Kind<'a> {
 pub struct SimilarityData<'a> {
     kind: Kind<'a>,
     comparisons: AtomicU64,
-    /// Telemetry mirror of the comparison counter, labeled by kernel
-    /// width (`cnc_kernel_comparisons_total{width="raw"|"<bits>"}`).
-    /// Resolved through the registry lock once per oracle, only when
-    /// telemetry is enabled.
-    kernel_counter: OnceLock<Arc<Counter>>,
 }
 
 impl<'a> SimilarityData<'a> {
@@ -84,7 +78,7 @@ impl<'a> SimilarityData<'a> {
                 Kind::GoldFinger(Arc::new(GoldFinger::build_parallel(dataset, bits, seed, threads)))
             }
         };
-        SimilarityData { kind, comparisons: AtomicU64::new(0), kernel_counter: OnceLock::new() }
+        SimilarityData { kind, comparisons: AtomicU64::new(0) }
     }
 
     /// An oracle over a pre-built, shared fingerprint set.
@@ -95,30 +89,7 @@ impl<'a> SimilarityData<'a> {
     /// per consumer instead of re-hashing the full dataset. Each oracle
     /// still counts its own comparisons.
     pub fn from_goldfinger(goldfinger: Arc<GoldFinger>) -> SimilarityData<'static> {
-        SimilarityData {
-            kind: Kind::GoldFinger(goldfinger),
-            comparisons: AtomicU64::new(0),
-            kernel_counter: OnceLock::new(),
-        }
-    }
-
-    /// Mirrors `n` comparisons into the per-kernel-width telemetry
-    /// counter. One relaxed load when disabled; the handle is resolved
-    /// once per oracle and cached.
-    #[inline]
-    fn telemetry_comparisons(&self, n: u64) {
-        let telemetry = Telemetry::global();
-        if !telemetry.enabled() {
-            return;
-        }
-        let counter = self.kernel_counter.get_or_init(|| {
-            let width = match &self.kind {
-                Kind::Raw(_) => "raw".to_string(),
-                Kind::GoldFinger(gf) => gf.bits().to_string(),
-            };
-            telemetry.counter("cnc_kernel_comparisons_total", &[("width", &width)])
-        });
-        counter.add(n);
+        SimilarityData { kind: Kind::GoldFinger(goldfinger), comparisons: AtomicU64::new(0) }
     }
 
     /// The similarity of users `u` and `v` in `[0, 1]`, counted as one
@@ -126,7 +97,6 @@ impl<'a> SimilarityData<'a> {
     #[inline]
     pub fn sim(&self, u: UserId, v: UserId) -> f32 {
         self.comparisons.fetch_add(1, Ordering::Relaxed);
-        self.telemetry_comparisons(1);
         self.sim_uncounted(u, v)
     }
 
@@ -148,7 +118,6 @@ impl<'a> SimilarityData<'a> {
     pub fn add_comparisons(&self, n: u64) {
         if n > 0 {
             self.comparisons.fetch_add(n, Ordering::Relaxed);
-            self.telemetry_comparisons(n);
         }
     }
 

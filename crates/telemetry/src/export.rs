@@ -1,16 +1,12 @@
 //! Exporters: JSON run profiles and Chrome `trace_event` JSON
 //! (Perfetto-loadable).
 //!
-//! Both are string builders over registry/collector snapshots — no
-//! serde (offline-build constraint), so JSON strings are escaped by hand
-//! and every number is emitted through `format!`.
+//! Both are string builders over collector snapshots — no serde
+//! (offline-build constraint), so JSON strings are escaped by hand and
+//! every number is emitted through `format!`.
 
-use crate::metrics::{Histogram, MetricsRegistry};
 use crate::span::{SpanCollector, SpanRecord};
 use std::fmt::Write as _;
-
-/// Quantiles rendered in the JSON profile.
-pub const EXPORT_QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
 
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -30,79 +26,11 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-fn json_labels(labels: &[(String, String)]) -> String {
-    let pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
-        .collect();
-    format!("{{{}}}", pairs.join(","))
-}
-
-fn json_histogram(hist: &Histogram) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3}",
-        hist.count(),
-        hist.sum(),
-        hist.min(),
-        hist.max(),
-        hist.mean()
-    );
-    for (q, label) in EXPORT_QUANTILES {
-        let _ = write!(out, ",\"p{}\":{}", label.trim_start_matches("0."), hist.quantile(q));
-    }
-    out.push('}');
-    out
-}
-
-/// Renders a JSON run profile: counters/gauges as `{name, labels, value}`
-/// object arrays (grep- and `json.load`-friendly for CI), histograms with
-/// count/sum/min/max/mean/quantiles, and a per-name span summary.
-pub fn json_profile(registry: &MetricsRegistry, collector: &SpanCollector) -> String {
-    let mut out = String::from("{\n  \"counters\": [");
-    let counters: Vec<String> = registry
-        .counter_values()
-        .iter()
-        .map(|(key, value)| {
-            format!(
-                "\n    {{\"name\": \"{}\", \"labels\": {}, \"value\": {}}}",
-                escape_json(&key.name),
-                json_labels(&key.labels),
-                value
-            )
-        })
-        .collect();
-    out.push_str(&counters.join(","));
-    out.push_str("\n  ],\n  \"gauges\": [");
-    let gauges: Vec<String> = registry
-        .gauge_values()
-        .iter()
-        .map(|(key, value)| {
-            format!(
-                "\n    {{\"name\": \"{}\", \"labels\": {}, \"value\": {}}}",
-                escape_json(&key.name),
-                json_labels(&key.labels),
-                value
-            )
-        })
-        .collect();
-    out.push_str(&gauges.join(","));
-    out.push_str("\n  ],\n  \"histograms\": [");
-    let histograms: Vec<String> = registry
-        .histogram_handles()
-        .iter()
-        .map(|(key, hist)| {
-            format!(
-                "\n    {{\"name\": \"{}\", \"labels\": {}, \"stats\": {}}}",
-                escape_json(&key.name),
-                json_labels(&key.labels),
-                json_histogram(hist)
-            )
-        })
-        .collect();
-    out.push_str(&histograms.join(","));
-    out.push_str("\n  ],\n  \"spans\": [");
+/// Renders a JSON run profile: a per-name span summary (count, total
+/// wall time and summed attributes; grep- and `json.load`-friendly for
+/// CI) and the number of spans dropped past the collector's cap.
+pub fn json_profile(collector: &SpanCollector) -> String {
+    let mut out = String::from("{\n  \"spans\": [");
     let spans: Vec<String> = collector
         .summary()
         .iter()
@@ -156,26 +84,18 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
 mod tests {
     use super::*;
 
-    fn seeded() -> (MetricsRegistry, SpanCollector) {
-        let registry = MetricsRegistry::new();
-        registry.counter("cnc_queries_total", &[("outcome", "served")]).add(12);
-        registry.gauge("cnc_epoch", &[]).set(3);
-        let hist = registry.histogram("cnc_query_latency_ns", &[]);
-        for v in [100u64, 200, 400, 800] {
-            hist.record(v);
-        }
+    fn seeded() -> SpanCollector {
         let collector = SpanCollector::new();
         collector.record_complete("publish", 0, 5_000, vec![("bytes", 64)]);
-        (registry, collector)
+        collector.record_complete("publish", 5_000, 3_000, vec![("bytes", 36)]);
+        collector
     }
 
     #[test]
     fn json_profile_is_shaped_for_ci_grep() {
-        let (registry, collector) = seeded();
-        let json = json_profile(&registry, &collector);
-        assert!(json.contains("\"name\": \"cnc_queries_total\""));
-        assert!(json.contains("\"value\": 12"));
-        assert!(json.contains("\"name\": \"publish\""));
+        let json = json_profile(&seeded());
+        assert!(json.contains("\"name\": \"publish\", \"count\": 2, \"total_ns\": 8000"));
+        assert!(json.contains("\"bytes\": 100"));
         assert!(json.contains("\"spans_dropped\": 0"));
         // Balanced braces/brackets — cheap structural sanity without a
         // JSON parser dependency.
@@ -185,7 +105,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_events_are_complete_events() {
-        let (_, collector) = seeded();
+        let collector = seeded();
         let trace = chrome_trace(&collector.records());
         assert!(trace.contains("\"traceEvents\":["));
         assert!(trace.contains("\"ph\":\"X\""));

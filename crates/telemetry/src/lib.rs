@@ -1,11 +1,17 @@
 //! `cnc-telemetry` — the workspace observability substrate.
 //!
-//! One global [`Telemetry`] instance carries a [`MetricsRegistry`]
-//! (sharded counters, gauges, log-linear histograms) and a
-//! [`SpanCollector`] (per-thread span trees). Instrumented layers ask
-//! [`Telemetry::global`] and check [`Telemetry::enabled`] — a single
+//! One global [`Telemetry`] instance carries a [`SpanCollector`]
+//! (per-thread span trees with numeric attributes). Instrumented layers
+//! ask [`Telemetry::global`] and check [`Telemetry::enabled`] — a single
 //! relaxed atomic load — before doing any work, so a disabled build pays
 //! one branch per hook and allocates nothing.
+//!
+//! Spans and the layers' typed results are the one book: a count a
+//! result already returns (`C2Stats::comparisons`, `RebuildStats`,
+//! `ServingStats`, `RuntimeReport`, `QueryResult`) is read there, and a
+//! count that only exists while an action runs — a requeued cluster, a
+//! retried spill write, a quarantined snapshot — is an attribute of the
+//! span that encloses the action.
 //!
 //! ```
 //! use cnc_telemetry::Telemetry;
@@ -16,47 +22,37 @@
 //!     let mut span = t.span("build.assign");
 //!     span.attr("clusters", 128);
 //! } // recorded on drop
-//! t.counter("cnc_build_comparisons_total", &[]).add(1_000);
 //! println!("{}", t.json_profile());
 //! # t.reset();
 //! # t.enable(false);
 //! ```
 //!
-//! Exports: [`Telemetry::json_profile`] (run profile written next to
-//! `BENCH_*.json`), [`Telemetry::chrome_trace`] (Perfetto-loadable).
+//! Exports: [`Telemetry::json_profile`] (a per-name span summary) and
+//! [`Telemetry::chrome_trace`] (every buffered span, Perfetto-loadable).
 //!
-//! The registry is *global and cumulative*: parallel tests and repeated
-//! bench phases all write into it. Code asserting exact totals must use
-//! per-run handles or local deltas, not global snapshots — the runtime
-//! engine follows this rule by cross-checking span records it built
-//! itself against its own `RuntimeReport` before publishing.
+//! The collector is *global and cumulative*: parallel tests and repeated
+//! bench phases all record into it. Code asserting exact figures finds
+//! its own spans by their attributes, not by global totals.
 
 pub mod export;
-pub mod metrics;
 pub mod span;
 pub mod wire;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricKey, MetricsRegistry};
 pub use span::{SpanCollector, SpanRecord, SpanSummary};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The process-wide telemetry hub.
 pub struct Telemetry {
     enabled: AtomicBool,
-    registry: MetricsRegistry,
     collector: SpanCollector,
 }
 
 impl Telemetry {
     /// A private instance (tests; production code uses [`Telemetry::global`]).
     pub fn new() -> Self {
-        Telemetry {
-            enabled: AtomicBool::new(false),
-            registry: MetricsRegistry::new(),
-            collector: SpanCollector::new(),
-        }
+        Telemetry { enabled: AtomicBool::new(false), collector: SpanCollector::new() }
     }
 
     /// The process-wide instance. Starts disabled; benches and serving
@@ -77,31 +73,9 @@ impl Telemetry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The metric registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// The span collector.
     pub fn collector(&self) -> &SpanCollector {
         &self.collector
-    }
-
-    /// Counter handle (always resolvable so layers can cache it once;
-    /// recording through it is a no-op decision made by the caller via
-    /// [`Telemetry::enabled`]).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.registry.counter(name, labels)
-    }
-
-    /// Gauge handle.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.registry.gauge(name, labels)
-    }
-
-    /// Histogram handle.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.registry.histogram(name, labels)
     }
 
     /// Opens a RAII span guard. When disabled this is `Span(None)`: no
@@ -162,9 +136,9 @@ impl Telemetry {
         self.collector.summary()
     }
 
-    /// JSON run profile (counters, gauges, histograms, span summary).
+    /// JSON run profile (the span summary).
     pub fn json_profile(&self) -> String {
-        export::json_profile(&self.registry, &self.collector)
+        export::json_profile(&self.collector)
     }
 
     /// Chrome `trace_event` JSON of all buffered spans.
@@ -172,9 +146,8 @@ impl Telemetry {
         export::chrome_trace(&self.collector.records())
     }
 
-    /// Zeroes all metrics and clears all spans (handles stay valid).
+    /// Clears all spans.
     pub fn reset(&self) {
-        self.registry.reset();
         self.collector.reset();
     }
 }
@@ -253,16 +226,15 @@ mod tests {
     }
 
     #[test]
-    fn metrics_flow_to_exports() {
+    fn spans_flow_to_exports() {
         let t = Telemetry::new();
         t.enable(true);
-        t.counter("demo_total", &[]).add(4);
-        t.histogram("demo_ns", &[]).record(123);
+        t.record_complete("demo", 0, 123, vec![("rows", 4)]);
         let json = t.json_profile();
-        assert!(json.contains("{\"name\": \"demo_total\", \"labels\": {}, \"value\": 4}"));
-        assert!(json.contains("\"name\": \"demo_ns\", \"labels\": {}, \"stats\": {\"count\":1,"));
+        assert!(json.contains("\"name\": \"demo\", \"count\": 1, \"total_ns\": 123"));
+        assert!(json.contains("\"rows\": 4"));
         t.reset();
-        assert_eq!(t.counter("demo_total", &[]).value(), 0);
+        assert!(t.span_records().is_empty());
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! separated — MovieLens dumps work unmodified). Users and items are named
 //! as the file names them: `build` prints edges between the file's user
 //! ids, and `query` takes the file's item ids and answers with user ids.
+//!
+//! `query` starts its beam search at the users who share the query's
+//! FastRandomHash clusters (C²'s Step 1 on the file, whatever `--algo`
+//! built the graph), falling back to random users where the query routes
+//! nowhere. Routing is not a guarantee: on a file whose graph falls apart
+//! into disconnected groups of identical users, a query whose clusters
+//! hold none of its true neighbours can still answer from the wrong
+//! group.
 
 use cluster_and_conquer::prelude::*;
 use cnc_dataset::io::{load_ratings, LoadOptions, Ratings};
@@ -100,12 +108,19 @@ fn backend(opts: &Options) -> SimilarityBackend {
     }
 }
 
+/// The C² configuration `--algo c2` builds under; its Step 1 also routes
+/// every query.
+fn c2_config(opts: &Options) -> C2Config {
+    let (k, threads, seed) = (opts.k, opts.threads, opts.seed);
+    C2Config { k, threads, seed, backend: backend(opts), ..C2Config::default() }
+}
+
 fn build_graph(ds: &Dataset, opts: &Options) -> (KnnGraph, u64, f64) {
     let start = std::time::Instant::now();
     let sim = SimilarityData::build(backend(opts), ds);
     let ctx =
         BuildContext { dataset: ds, sim: &sim, k: opts.k, threads: opts.threads, seed: opts.seed };
-    let c2 = ClusterAndConquer::new(C2Config { seed: opts.seed, ..C2Config::default() });
+    let c2 = ClusterAndConquer::new(c2_config(opts));
     let hyrec = Hyrec::default();
     let nnd = NnDescent::default();
     let lsh = Lsh::default();
@@ -182,7 +197,8 @@ fn cmd_query(opts: &Options) {
     profile.sort_unstable();
     profile.dedup();
     let (graph, _, _) = build_graph(&ds, opts);
-    let index = QueryIndex::new(&ds, &graph);
+    let entries = BuildPlan::assign(&c2_config(opts), &ds).entry_index();
+    let index = QueryIndex::new(&ds, &graph).with_entries(&entries);
     let config =
         BeamSearchConfig { beam_width: (2 * opts.k).max(32), ..BeamSearchConfig::default() };
     let result = index.search(&profile, opts.k, &config, opts.seed);

@@ -342,3 +342,86 @@ fn injected_mmap_failures_fall_back_to_the_copy_path() {
     let result = engine.query(base.profile(3), 5, 1);
     assert!(!result.neighbors.is_empty(), "the adopted fallback epoch must answer queries");
 }
+
+/// What recovery did is read from the span that encloses it: the map
+/// stage's `build.map_reduce` counts the clusters the `solve.cluster` gate
+/// requeued and the spill operations it retried, the incremental build's
+/// `build` span its requeues, and a snapshot poll's `snapshot.poll` span
+/// the transient open retries and the files it quarantined. Each count
+/// equals the injections the armed schedule fired at those sites.
+#[test]
+fn recovery_counts_are_attributes_of_the_enclosing_span() {
+    use cluster_and_conquer::serve::SnapshotAdopter;
+    use cnc_telemetry::SpanRecord;
+
+    let _serial = fault_lock();
+    silence_injected_panics();
+    // Telemetry never changes a result (`tests/telemetry_identity.rs`), so
+    // the switch stays on for whatever else runs in this binary.
+    let telemetry = Telemetry::global();
+    telemetry.enable(true);
+    let faults = Faults::global();
+    let has = |name: &str, want: &[(&str, u64)]| {
+        let matches = |r: &SpanRecord| {
+            r.name == name && want.iter().all(|&(key, value)| r.attrs.contains(&(key, value)))
+        };
+        telemetry.span_records().iter().any(matches)
+    };
+    let dataset = chaos_dataset();
+    let c2 = c2_config();
+    let runtime = Runtime::new(RuntimeConfig { workers: 2, spill: SpillMode::Always });
+
+    let sites = [Site::SolveCluster, Site::SpillWrite, Site::SpillReplay];
+    let (report, requeued, retried) = {
+        let _guard = faults.arm(FaultPlan::new(3, 1.0).only(&sites).with_span(2));
+        let report = runtime.execute(dataset, &c2).report;
+        let retried = faults.injected(Site::SpillWrite) + faults.injected(Site::SpillReplay);
+        (report, faults.injected(Site::SolveCluster), retried)
+    };
+    assert!(requeued > 0 && retried > 0, "the schedule must have fired at every site");
+    let map_reduce = [
+        ("shuffle_entries", report.shuffle_entries),
+        ("requeued_clusters", requeued),
+        ("spill_retries", retried),
+    ];
+    assert!(has("build.map_reduce", &map_reduce), "no build.map_reduce span with {map_reduce:?}");
+
+    let (rebuild, requeued) = {
+        let _guard = faults.arm(FaultPlan::new(4, 1.0).only(&[Site::SolveCluster]).with_span(2));
+        let built = runtime.execute_incremental(dataset, &c2, &ClusterCache::new(&c2), &[]);
+        (built.rebuild, faults.injected(Site::SolveCluster))
+    };
+    assert!(requeued > 0, "the schedule must have fired");
+    let build = [("comparisons", rebuild.comparisons), ("requeued_clusters", requeued)];
+    assert!(has("build", &build), "no build span with {build:?}");
+
+    // A valid epoch 0 and a newer epoch 1 with one rotten byte mid-file
+    // (inside a section adoption reads), polled while both load paths
+    // fail transiently.
+    let dir = std::env::temp_dir().join(format!("cnc-chaos-poll-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = ServingConfig {
+        c2: C2Config { threads: 1, ..c2 },
+        runtime: RuntimeConfig::with_workers(1),
+        ..ServingConfig::default()
+    };
+    let engine = ServingEngine::build(dataset.clone(), config);
+    engine.write_snapshot(dir.join("epoch-0.snap")).unwrap();
+    let mut rotten = std::fs::read(dir.join("epoch-0.snap")).unwrap();
+    let middle = rotten.len() / 2;
+    rotten[middle] ^= 1;
+    std::fs::write(dir.join("epoch-1.snap"), rotten).unwrap();
+    let (seq, retries) = {
+        let sites = [Site::SnapshotMmap, Site::SnapshotLoad];
+        let _guard = faults.arm(FaultPlan::new(6, 1.0).only(&sites).with_span(2));
+        let (seq, _) = SnapshotAdopter::new(&dir).poll().unwrap().expect("epoch 0 loads");
+        // Each injected copy-path failure was one failed open, retried.
+        (seq, faults.injected(Site::SnapshotLoad))
+    };
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(seq, 0, "the poll falls back past the rotten epoch");
+    assert!(retries > 0, "the schedule must have fired");
+    let poll = [("seq", 0), ("quarantined", 1), ("retries", retries)];
+    assert!(has("snapshot.poll", &poll), "no snapshot.poll span with {poll:?}");
+}

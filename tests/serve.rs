@@ -589,22 +589,46 @@ fn persisted_cluster_cache_makes_the_first_post_restart_publish_incremental() {
     );
 
     // And reuse is exact: the incremental post-restart build publishes
-    // the same neighbourhoods — same users, same similarity bits — as a
-    // from-scratch engine fed the same insert. (Heap *layout* is compared
-    // order-independently: the multi-worker merge order varies even
-    // between two identical in-process builds.)
+    // the same neighbourhoods — same users, same similarity bits, same row
+    // layout — as a from-scratch engine fed the same insert.
     let scratch = ServingEngine::build(ds.clone(), config);
     scratch.insert(ds.profile(4).to_vec(), 1);
     scratch.publish();
-    let (a, b) = (restored.current_epoch(), scratch.current_epoch());
-    assert_eq!(a.graph().num_users(), b.graph().num_users());
-    for (u, list) in a.graph().iter() {
-        let mut mine: Vec<(u32, u32)> = list.iter().map(|n| (n.user, n.sim.to_bits())).collect();
-        let mut theirs: Vec<(u32, u32)> =
-            b.graph().neighbors(u).iter().map(|n| (n.user, n.sim.to_bits())).collect();
-        mine.sort_unstable();
-        theirs.sort_unstable();
-        assert_eq!(mine, theirs, "user {u}: restart-incremental differs from from-scratch");
+    assert_graphs_identical(restored.current_epoch().graph(), scratch.current_epoch().graph());
+}
+
+/// Every entry of `graph`, row by row, in stored order.
+fn layout(graph: &KnnGraph) -> Vec<(u32, u32)> {
+    graph.iter().flat_map(|(_, list)| list.iter().map(|n| (n.user, n.sim.to_bits()))).collect()
+}
+
+/// A row is frozen in one canonical order of its content, so the stored
+/// layout of a build — and of the publish after it — does not depend on
+/// the order concurrent workers offered in: repeated 2-worker runs lay
+/// every row out as the 1-worker run does.
+#[test]
+fn epoch_rows_have_one_layout_whatever_the_worker_count() {
+    let ds = dataset(21, 2_000);
+    let run = |workers: usize| {
+        let config =
+            ServingConfig { runtime: RuntimeConfig::with_workers(workers), ..serving_config(0) };
+        let engine = ServingEngine::build(ds.clone(), config);
+        let built = layout(engine.current_epoch().graph());
+        for u in 0..64 {
+            engine.insert(ds.profile(u * 31).to_vec(), 0);
+        }
+        engine.publish();
+        (built, layout(engine.current_epoch().graph()))
+    };
+    let (built, published) = run(1);
+    for round in 0..4 {
+        let workers = if round == 0 { 1 } else { 2 };
+        let (b, p) = run(workers);
+        assert!(b == built, "round {round}: the {workers}-worker build laid its rows out anew");
+        assert!(
+            p == published,
+            "round {round}: the {workers}-worker publish laid its rows out anew"
+        );
     }
 }
 
