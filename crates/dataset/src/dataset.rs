@@ -22,8 +22,8 @@ pub type ItemId = u32;
 /// * each profile slice is strictly increasing (sorted, no duplicates);
 /// * every item id is `< num_items`.
 ///
-/// The two arrays live behind [`Storage`], so a dataset can either own
-/// its CSR (every construction path here) or borrow it from a mapped
+/// The two arrays live behind [`Storage`], so a clone is O(1) and reads
+/// the same profiles, and a dataset can borrow its CSR from a mapped
 /// snapshot (`cnc-serve`'s zero-copy adoption) with identical behavior.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Dataset {
@@ -76,28 +76,15 @@ impl Dataset {
         Ok(ds)
     }
 
-    /// True when the CSR is reference-counted — borrowed from a mapped
-    /// snapshot or frozen by [`Dataset::into_shared`] — so a clone is O(1)
-    /// (see [`Storage::is_shared`]).
-    pub fn is_shared(&self) -> bool {
-        self.offsets.is_shared() || self.items.is_shared()
+    /// True when the CSR borrows a mapped snapshot file (see
+    /// [`Storage::is_mapped`]).
+    pub fn is_mapped(&self) -> bool {
+        self.offsets.is_mapped() || self.items.is_mapped()
     }
 
-    /// Freezes the CSR behind reference counts, moving both arrays (no
-    /// profile is copied), so every clone of the result is O(1) — how a
-    /// published serving epoch lets the writer that grows the next one
-    /// read its profiles in place. A shared dataset is returned as is.
-    pub fn into_shared(self) -> Dataset {
-        Dataset {
-            offsets: self.offsets.into_shared(),
-            items: self.items.into_shared(),
-            num_items: self.num_items,
-        }
-    }
-
-    /// [`Dataset::into_shared`], first giving the owned CSR arrays room for
-    /// at least `users` more profiles holding `ratings` items in all, so
-    /// [`Dataset::appended`] extends the dataset in place (see
+    /// The dataset with room past its CSR arrays for at least `users`
+    /// more profiles holding `ratings` items in all, so
+    /// [`Dataset::appended`] extends it in place (see
     /// [`Storage::into_growable`]). Only for a dataset that will be
     /// appended to: making room may move an array.
     pub fn into_growable(self, users: usize, ratings: usize) -> Dataset {
@@ -393,14 +380,12 @@ mod tests {
     }
 
     #[test]
-    fn into_shared_moves_the_csr_and_clones_in_place() {
+    fn a_clone_shares_the_csr() {
         let ds = toy();
-        let items = ds.items().as_ptr();
-        let shared = ds.clone().into_shared();
-        assert!(!ds.is_shared() && shared.is_shared());
-        assert_eq!(shared, ds);
-        assert!(std::ptr::eq(shared.clone().items(), shared.items()), "clones share items");
-        assert_eq!(ds.into_shared().items().as_ptr(), items, "freezing copies nothing");
+        let clone = ds.clone();
+        assert_eq!(clone, ds);
+        assert!(std::ptr::eq(clone.items(), ds.items()), "clones share items");
+        assert!(std::ptr::eq(clone.offsets(), ds.offsets()), "and offsets");
     }
 
     #[test]
@@ -441,8 +426,9 @@ mod tests {
 
     #[test]
     fn validate_rejects_corrupt_offsets() {
-        let mut ds = toy();
-        ds.offsets.to_mut()[1] = 100;
-        assert!(ds.validate().is_err());
+        let ds = toy();
+        let mut offsets = ds.offsets().to_vec();
+        offsets[1] = 100;
+        assert!(Dataset::from_csr(offsets, ds.items().to_vec(), ds.num_items() as u32).is_err());
     }
 }

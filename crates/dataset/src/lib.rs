@@ -34,5 +34,5 @@ pub use dataset::{Dataset, DatasetBuilder, ItemId, UserId};
 pub use sampling::{sample_profiles, SamplingPolicy};
 pub use split::{CrossValidation, FoldSplit};
 pub use stats::DatasetStats;
-pub use storage::{SharedSlice, Storage};
+pub use storage::Storage;
 pub use synthetic::{DatasetProfile, SyntheticConfig};

@@ -1,23 +1,25 @@
-//! Owned-or-borrowed backing storage for CSR arrays.
+//! Reference-counted backing storage for CSR arrays.
 //!
-//! The zero-copy snapshot path (`cnc-serve`) maps a file and wants the
-//! [`crate::Dataset`] / graph / fingerprint arrays to *borrow* the mapped
-//! bytes instead of copying them. [`Storage`] is the seam: an array that
-//! is either an owned `Vec<T>` (every existing construction path) or a
-//! [`SharedSlice`] borrowing from a reference-counted owner (an mmap, a
-//! loaded byte buffer). Readers see `&[T]` either way via `Deref`; the
-//! rare mutating paths go through [`Storage::to_mut`], which promotes a
-//! shared slice to an owned copy first (copy-on-write).
+//! Every array of a [`crate::Dataset`], a graph, a fingerprint set and an
+//! entry index is a [`Storage`]: a view into a reference-counted owner,
+//! so a clone is O(1) and reads the same elements, and a build hands its
+//! arrays to the serving epoch, the cluster cache and every snapshot
+//! without copying them. The owner is either a frozen vector — what
+//! `From<Vec<T>>` makes of a vector, by moving it — or memory someone else
+//! keeps alive: the mapped snapshot file `cnc-serve` borrows its arrays
+//! from ([`Storage::from_raw_parts`], [`Storage::is_mapped`]). Readers
+//! see `&[T]` via `Deref`. No view is ever written: a longer array is a
+//! new view ([`Storage::appended`]).
 //!
 //! # Appending in place
 //!
-//! A vector frozen by [`SharedSlice::from_vec`] keeps its spare capacity,
-//! and [`Storage::appended`] grows a view into it: the serving engine
-//! publishes each epoch's arrays as the live epoch's followed by the
-//! batch, written past the end the live epoch reads. The frozen vector
-//! is a `Buffer`: its allocation plus a *committed length*, and every
-//! view of it is a prefix no longer than that length. Two rules keep
-//! every view immutable:
+//! A frozen vector keeps its spare capacity, and [`Storage::appended`]
+//! grows a view into it: the serving engine publishes each epoch's
+//! arrays as the live epoch's followed by the batch, written past the
+//! end the live epoch reads. The frozen vector is a `Buffer`: its
+//! allocation plus a *committed length*, and every view of it is a
+//! prefix no longer than that length. Two rules keep every view
+//! immutable:
 //!
 //! * slots below the committed length are never written again;
 //! * slots past it are written only by the one appender whose
@@ -25,9 +27,17 @@
 //!   view; it builds the longer view once they are written.
 //!
 //! An append that cannot claim its slots copies instead: the storage is
-//! owned or borrowed from another owner (an mmap), the allocation is out
-//! of room, or the view does not end at the committed length (another
-//! append, perhaps one whose result was dropped, claimed those slots).
+//! borrowed from another owner (an mmap), the allocation is out of room,
+//! or the view does not end at the committed length (another append,
+//! perhaps one whose result was dropped, claimed those slots).
+//!
+//! # Taking the vector back
+//!
+//! [`Storage::into_growable`] makes room for appends ahead of time. A
+//! view that is the only holder of its frozen vector takes the vector
+//! back, reserves and freezes it again: the elements move only if the
+//! allocation has to grow, as `Vec::reserve` moves them. Any other view
+//! is copied first.
 
 use std::any::Any;
 use std::fmt;
@@ -78,6 +88,17 @@ impl<T> Buffer<T> {
                 .compare_exchange(end, end + extra, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
     }
+
+    /// The vector `new` took apart, holding every committed slot.
+    fn into_vec(self) -> Vec<T> {
+        let mut buffer = ManuallyDrop::new(self);
+        let len = *buffer.committed.get_mut();
+        // SAFETY: the contract `Drop` relies on: `ptr` and `capacity` are
+        // the allocation of the vector `new` took apart, and its first
+        // `len <= capacity` slots are initialized. `ManuallyDrop` keeps
+        // `Drop` from freeing the allocation the vector now owns.
+        unsafe { Vec::from_raw_parts(buffer.ptr, len, buffer.capacity) }
+    }
 }
 
 impl<T> Drop for Buffer<T> {
@@ -92,34 +113,37 @@ impl<T> Drop for Buffer<T> {
     }
 }
 
-/// A `&[T]` whose lifetime is carried by a reference-counted owner
-/// instead of a borrow — the building block that lets long-lived
-/// structures hold views into an mmap without lifetime parameters.
-pub struct SharedSlice<T: 'static> {
+/// An array viewed in a reference-counted owner (see the module docs):
+/// a `&[T]` whose lifetime is carried by the owner instead of a borrow,
+/// so long-lived structures hold views into an mmap without lifetime
+/// parameters. Equality and `Debug` go through the element slice, so a
+/// `Storage<T>` field keeps the containing type's derived semantics.
+pub struct Storage<T: 'static> {
     ptr: *const T,
     len: usize,
-    /// Keeps the backing memory (an `Mmap`, a `Buffer`, …) alive.
+    /// Keeps the backing memory (a `Buffer`, an `Mmap`, …) alive.
     owner: Arc<dyn Any + Send + Sync>,
 }
 
-impl<T> SharedSlice<T> {
+impl<T> Storage<T> {
     /// Wraps raw parts borrowing from `owner`. Such a view never grows in
-    /// place: [`Storage::appended`] copies it.
+    /// place ([`Storage::appended`] copies it) and reports
+    /// [`Storage::is_mapped`].
     ///
     /// # Safety
     /// `ptr..ptr + len` must be a properly aligned, initialized run of
     /// `T` that stays valid and **unmutated** for as long as `owner` is
-    /// alive (the slice holds a clone of `owner`, so: forever, from the
+    /// alive (the view holds a clone of `owner`, so: forever, from the
     /// caller's perspective).
     pub unsafe fn from_raw_parts(
         ptr: *const T,
         len: usize,
         owner: Arc<dyn Any + Send + Sync>,
     ) -> Self {
-        SharedSlice { ptr, len, owner }
+        Storage { ptr, len, owner }
     }
 
-    /// The borrowed elements.
+    /// The elements.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
         // SAFETY: upheld by the `from_raw_parts` contract. A view of a
@@ -127,28 +151,57 @@ impl<T> SharedSlice<T> {
         // never written again, so the contract holds for it too.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
+
+    /// True when the elements borrow memory another owner keeps alive —
+    /// a mapped snapshot file, the one such owner the library makes
+    /// ([`Storage::from_raw_parts`]) — rather than a frozen vector.
+    pub fn is_mapped(&self) -> bool {
+        !(*self.owner).is::<Buffer<T>>()
+    }
 }
 
-impl<T: Send + Sync> SharedSlice<T> {
-    /// Moves `vec` behind a reference count and views all of it: clones
-    /// of the result are O(1) and read the same elements. The vector's
-    /// spare capacity stays, for [`Storage::appended`] to grow into.
-    pub fn from_vec(vec: Vec<T>) -> Self {
+impl<T: Send + Sync> From<Vec<T>> for Storage<T> {
+    /// Moves `vec` behind a reference count and views all of it; no
+    /// element is copied. The vector's spare capacity stays, for
+    /// [`Storage::appended`] to grow into.
+    fn from(vec: Vec<T>) -> Self {
         let len = vec.len();
         let buffer = Buffer::new(vec);
         let ptr = buffer.ptr.cast_const();
         // SAFETY: the first `len` slots are the vector's elements, below
         // the buffer's committed length, so never written again; the
         // buffer frees them only when the last clone of the owner drops.
-        unsafe { SharedSlice::from_raw_parts(ptr, len, Arc::new(buffer)) }
+        unsafe { Storage::from_raw_parts(ptr, len, Arc::new(buffer)) }
     }
 }
 
-impl<T: Copy + Send + Sync> SharedSlice<T> {
+impl<T: Copy + Send + Sync> Storage<T> {
+    /// These elements followed by `tail`; `self` reads the same elements
+    /// as before either way.
+    ///
+    /// When `self` views a frozen vector up to its committed length and
+    /// the allocation has room, `tail` is written into the slots just past
+    /// the view and the result views the **same** allocation: O(`tail`)
+    /// (see the module docs). Otherwise the elements are copied once into
+    /// a new vector with room for as many again, so the appends after it
+    /// go in place; a run of appends costs amortized O(`tail`) each.
+    pub fn appended(&self, tail: &[T]) -> Storage<T> {
+        if tail.is_empty() {
+            return self.clone();
+        }
+        if let Some(grown) = self.appended_in_place(tail) {
+            return grown;
+        }
+        let mut grown = Vec::with_capacity(2 * (self.len + tail.len()));
+        grown.extend_from_slice(self);
+        grown.extend_from_slice(tail);
+        grown.into()
+    }
+
     /// This view followed by `tail`, written into the slots just past the
     /// view when it can claim them (see the module docs); `None` when it
     /// cannot.
-    fn appended_in_place(&self, tail: &[T]) -> Option<SharedSlice<T>> {
+    fn appended_in_place(&self, tail: &[T]) -> Option<Storage<T>> {
         let buffer = (*self.owner).downcast_ref::<Buffer<T>>()?;
         if !std::ptr::eq(buffer.ptr.cast_const(), self.ptr) || !buffer.claim(self.len, tail.len()) {
             return None;
@@ -162,161 +215,52 @@ impl<T: Copy + Send + Sync> SharedSlice<T> {
             std::ptr::copy_nonoverlapping(tail.as_ptr(), buffer.ptr.add(self.len), tail.len());
         }
         // The longer view exists only now that its new slots are written.
-        Some(SharedSlice {
-            ptr: self.ptr,
-            len: self.len + tail.len(),
-            owner: Arc::clone(&self.owner),
-        })
-    }
-}
-
-// SAFETY: a SharedSlice is an immutable view plus an Arc; it is exactly
-// as thread-safe as `&[T]` + `Arc<_>`, i.e. Send + Sync when `T: Sync`
-// (`T: Send` required for the owned data it may keep alive).
-unsafe impl<T: Send + Sync> Send for SharedSlice<T> {}
-// SAFETY: as for `Send` above.
-unsafe impl<T: Send + Sync> Sync for SharedSlice<T> {}
-
-impl<T> Clone for SharedSlice<T> {
-    fn clone(&self) -> Self {
-        SharedSlice { ptr: self.ptr, len: self.len, owner: Arc::clone(&self.owner) }
-    }
-}
-
-impl<T> Deref for SharedSlice<T> {
-    type Target = [T];
-    #[inline]
-    fn deref(&self) -> &[T] {
-        self.as_slice()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for SharedSlice<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedSlice").field("len", &self.len).finish()
-    }
-}
-
-/// An array that is either owned or borrowed from a shared owner (see
-/// the module docs). Equality, hashing-free ordering and `Debug` all go
-/// through the element slice, so swapping a `Vec<T>` field for
-/// `Storage<T>` preserves the containing type's derived semantics.
-pub enum Storage<T: 'static> {
-    /// The array owns its elements (every pre-existing path).
-    Owned(Vec<T>),
-    /// The array borrows from a reference-counted owner (mmap adoption).
-    Shared(SharedSlice<T>),
-}
-
-impl<T> Storage<T> {
-    /// The elements, whatever the backing.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Shared(s) => s.as_slice(),
-        }
+        Some(Storage { ptr: self.ptr, len: self.len + tail.len(), owner: Arc::clone(&self.owner) })
     }
 
-    /// True when the array is reference-counted — a view into a mapped
-    /// file, or a buffer frozen by [`Storage::into_shared`] — so a clone is
-    /// O(1) and reads the same elements. It does not say *mapped*: an
-    /// array the snapshot copy path decoded is owned (false) until
-    /// something freezes it, and whether an adopted snapshot borrows its
-    /// file is `cnc-serve`'s `AdoptedSnapshot::mapped`.
-    #[inline]
-    pub fn is_shared(&self) -> bool {
-        matches!(self, Storage::Shared(_))
-    }
-}
-
-impl<T: Send + Sync> Storage<T> {
-    /// Freezes owned storage behind a reference count by moving the
-    /// vector (no element is copied); shared storage is returned as is.
-    /// Every clone of the result is O(1).
-    pub fn into_shared(self) -> Storage<T> {
-        match self {
-            Storage::Owned(v) => Storage::Shared(SharedSlice::from_vec(v)),
-            shared => shared,
-        }
-    }
-
-    /// [`Storage::into_shared`], first giving owned storage room for at
-    /// least `additional` more elements, so [`Storage::appended`] extends
-    /// it in place. Short of room, the vector grows as `Vec::reserve`
-    /// grows it: to at least twice its capacity. Only for arrays that will
-    /// be appended to: growing may move the vector, a copy that a path
-    /// which never appends should not pay.
+    /// These elements with room past them for at least `additional` more,
+    /// so [`Storage::appended`] extends them in place. A view that is the
+    /// only holder of its frozen vector takes the vector back; any other
+    /// view, one with other holders or a mapped one, is copied into a
+    /// vector of its length. Either vector then grows as `Vec::reserve`
+    /// grows it: not at all when it has the room, else to at least twice
+    /// its capacity. Only for arrays that will be appended to: making
+    /// room may move or copy the elements, which a path that never
+    /// appends should not pay.
     pub fn into_growable(self, additional: usize) -> Storage<T> {
-        match self {
-            Storage::Owned(mut v) => {
-                v.reserve(additional);
-                Storage::Shared(SharedSlice::from_vec(v))
+        let mut vec = self.try_into_vec().unwrap_or_else(|view| view.to_vec());
+        vec.reserve(additional);
+        vec.into()
+    }
+
+    /// The frozen vector this view starts, cut to the view's length, when
+    /// the view is its only holder; the view itself otherwise.
+    fn try_into_vec(self) -> Result<Vec<T>, Storage<T>> {
+        let Storage { ptr, len, owner } = self;
+        let buffer = match owner.downcast::<Buffer<T>>() {
+            Ok(buffer) if std::ptr::eq(buffer.ptr.cast_const(), ptr) => buffer,
+            Ok(buffer) => return Err(Storage { ptr, len, owner: buffer }),
+            Err(owner) => return Err(Storage { ptr, len, owner }),
+        };
+        match Arc::try_unwrap(buffer) {
+            Ok(buffer) => {
+                // Slots an append claimed past this view are `Copy`
+                // values no view reads any more.
+                let mut vec = buffer.into_vec();
+                vec.truncate(len);
+                Ok(vec)
             }
-            shared => shared,
+            Err(buffer) => Err(Storage { ptr, len, owner: buffer }),
         }
     }
 }
 
-impl<T: Copy + Send + Sync> Storage<T> {
-    /// These elements followed by `tail`, as shared storage; `self` reads
-    /// the same elements as before either way.
-    ///
-    /// When `self` views a frozen vector up to its committed length and
-    /// the allocation has room, `tail` is written into the slots just past
-    /// the view and the result views the **same** allocation: O(`tail`)
-    /// (see the module docs). Otherwise the elements are copied once into
-    /// a new vector with room for as many again, so the appends after it
-    /// go in place; a run of appends costs amortized O(`tail`) each.
-    pub fn appended(&self, tail: &[T]) -> Storage<T> {
-        if let Storage::Shared(view) = self {
-            if tail.is_empty() {
-                return self.clone();
-            }
-            if let Some(grown) = view.appended_in_place(tail) {
-                return Storage::Shared(grown);
-            }
-        }
-        let mut grown = Vec::with_capacity(2 * (self.len() + tail.len()));
-        grown.extend_from_slice(self);
-        grown.extend_from_slice(tail);
-        Storage::Shared(SharedSlice::from_vec(grown))
-    }
-}
-
-impl<T: Clone> Storage<T> {
-    /// Mutable access, promoting shared storage to an owned copy first
-    /// (copy-on-write). Cheap no-op for owned storage.
-    pub fn to_mut(&mut self) -> &mut Vec<T> {
-        if let Storage::Shared(s) = self {
-            *self = Storage::Owned(s.as_slice().to_vec());
-        }
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Shared(_) => unreachable!("promoted above"),
-        }
-    }
-
-    /// Extracts an owned vector (clones only if shared).
-    pub fn into_vec(self) -> Vec<T> {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Shared(s) => s.as_slice().to_vec(),
-        }
-    }
-}
-
-impl<T> From<Vec<T>> for Storage<T> {
-    fn from(v: Vec<T>) -> Self {
-        Storage::Owned(v)
-    }
-}
-
-impl<T> From<SharedSlice<T>> for Storage<T> {
-    fn from(s: SharedSlice<T>) -> Self {
-        Storage::Shared(s)
-    }
-}
+// SAFETY: a Storage is an immutable view plus an Arc; it is exactly as
+// thread-safe as `&[T]` + `Arc<_>`, i.e. Send + Sync when `T: Sync`
+// (`T: Send` required for the owned data it may keep alive).
+unsafe impl<T: Send + Sync> Send for Storage<T> {}
+// SAFETY: as for `Send` above.
+unsafe impl<T: Send + Sync> Sync for Storage<T> {}
 
 impl<T> Deref for Storage<T> {
     type Target = [T];
@@ -326,14 +270,11 @@ impl<T> Deref for Storage<T> {
     }
 }
 
-impl<T: Clone> Clone for Storage<T> {
+impl<T> Clone for Storage<T> {
+    /// O(1): the clone views the same elements — an epoch clone never
+    /// duplicates a mapped gigabyte.
     fn clone(&self) -> Self {
-        match self {
-            Storage::Owned(v) => Storage::Owned(v.clone()),
-            // Cloning a shared view stays shared — an epoch clone must
-            // not silently duplicate a mapped gigabyte.
-            Storage::Shared(s) => Storage::Shared(s.clone()),
-        }
+        Storage { ptr: self.ptr, len: self.len, owner: Arc::clone(&self.owner) }
     }
 }
 
@@ -351,9 +292,9 @@ impl<T: fmt::Debug> fmt::Debug for Storage<T> {
     }
 }
 
-impl<T> Default for Storage<T> {
+impl<T: Send + Sync> Default for Storage<T> {
     fn default() -> Self {
-        Storage::Owned(Vec::new())
+        Vec::new().into()
     }
 }
 
@@ -361,43 +302,39 @@ impl<T> Default for Storage<T> {
 mod tests {
     use super::*;
 
-    fn shared_from_vec(v: Vec<u32>) -> SharedSlice<u32> {
-        SharedSlice::from_vec(v)
+    /// The first three elements of a vector no one mutates, borrowed.
+    fn borrowed(owner: &Arc<Vec<u32>>) -> Storage<u32> {
+        // SAFETY: the run lies inside a vector no one mutates, kept alive
+        // by the view's clone of the Arc.
+        unsafe { Storage::from_raw_parts(owner.as_ptr(), 3, owner.clone()) }
     }
 
     #[test]
-    fn owned_and_shared_deref_identically() {
-        let owned: Storage<u32> = vec![1, 2, 3].into();
-        let shared: Storage<u32> = shared_from_vec(vec![1, 2, 3]).into();
-        assert_eq!(&owned[..], &[1, 2, 3]);
-        assert_eq!(&shared[..], &[1, 2, 3]);
-        assert_eq!(owned, shared);
-        assert!(!owned.is_shared());
-        assert!(shared.is_shared());
+    fn a_frozen_vector_and_a_borrowed_run_deref_identically() {
+        let frozen: Storage<u32> = vec![1, 2, 3].into();
+        let owner = Arc::new(vec![1, 2, 3, 4]);
+        let borrowed = borrowed(&owner);
+        assert_eq!(&frozen[..], &[1, 2, 3]);
+        assert_eq!(frozen, borrowed);
+        assert!(!frozen.is_mapped());
+        assert!(borrowed.is_mapped());
     }
 
     #[test]
-    fn to_mut_promotes_shared_to_owned() {
-        let mut storage: Storage<u32> = shared_from_vec(vec![5, 6]).into();
-        storage.to_mut().push(7);
-        assert!(!storage.is_shared());
-        assert_eq!(&storage[..], &[5, 6, 7]);
+    fn a_clone_reads_the_same_elements() {
+        let frozen: Storage<u32> = vec![9, 8].into();
+        assert_eq!(frozen.clone().as_ptr(), frozen.as_ptr(), "a clone copies nothing");
+        let owner = Arc::new(vec![1, 2, 3]);
+        let borrowed = borrowed(&owner);
+        assert_eq!(borrowed.clone().as_ptr(), owner.as_ptr());
+        assert!(borrowed.clone().is_mapped());
     }
 
     #[test]
-    fn clone_preserves_backing_kind() {
-        let shared: Storage<u32> = shared_from_vec(vec![9]).into();
-        assert!(shared.clone().is_shared());
-        let owned: Storage<u32> = vec![9u32].into();
-        assert!(!owned.clone().is_shared());
-        assert_eq!(shared, owned);
-    }
-
-    #[test]
-    fn shared_slice_outlives_its_creation_scope() {
+    fn a_view_outlives_its_creation_scope() {
         let storage: Storage<u32> = {
-            let slice = shared_from_vec((0..100).collect());
-            slice.into()
+            let v: Vec<u32> = (0..100).collect();
+            v.into()
         };
         assert_eq!(storage.len(), 100);
         assert_eq!(storage[99], 99);
@@ -413,7 +350,7 @@ mod tests {
     fn roomy() -> Storage<u32> {
         let mut v = Vec::with_capacity(8);
         v.extend([1, 2, 3]);
-        shared_from_vec(v).into()
+        v.into()
     }
 
     fn in_place(grown: &Storage<u32>, base: &Storage<u32>) -> bool {
@@ -421,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_keeps_spare_capacity_and_appends_grow_into_it() {
+    fn a_frozen_vector_keeps_spare_capacity_and_appends_grow_into_it() {
         let base = roomy();
         let grown = base.appended(&[4, 5]);
         assert_eq!(&grown[..], &[1, 2, 3, 4, 5]);
@@ -430,7 +367,7 @@ mod tests {
         let again = grown.appended(&[6, 7, 8]);
         assert_eq!(&again[..], &[1, 2, 3, 4, 5, 6, 7, 8]);
         assert!(in_place(&again, &base), "a chain of appends stays in place");
-        assert!(base.appended(&[]).is_shared() && in_place(&base.appended(&[]), &base));
+        assert!(in_place(&base.appended(&[]), &base));
     }
 
     #[test]
@@ -475,7 +412,7 @@ mod tests {
 
     #[test]
     fn out_of_room_copies_with_room_to_spare() {
-        let base: Storage<u32> = shared_from_vec(vec![1, 2]).into();
+        let base: Storage<u32> = vec![1, 2].into();
         let grown = base.appended(&[3, 4, 5]);
         assert!(!in_place(&grown, &base));
         assert_eq!(&grown[..], &[1, 2, 3, 4, 5]);
@@ -484,36 +421,66 @@ mod tests {
 
     #[test]
     fn borrowed_storage_copies_on_append_and_its_owner_is_never_written() {
-        let owner: Arc<Vec<u32>> = Arc::new(vec![1, 2, 3, 40, 50]);
-        // SAFETY: the first three elements of a vector no one mutates,
-        // kept alive by the view's clone of the Arc.
-        let prefix = unsafe { SharedSlice::from_raw_parts(owner.as_ptr(), 3, owner.clone()) };
-        let base = Storage::Shared(prefix);
+        let owner = Arc::new(vec![1, 2, 3, 40, 50]);
+        let base = borrowed(&owner);
         let grown = base.appended(&[4]);
         assert!(!in_place(&grown, &base), "a foreign owner's memory is not the view's to grow");
+        assert!(!grown.is_mapped(), "the copy is a frozen vector");
         assert_eq!(&grown[..], &[1, 2, 3, 4]);
         assert_eq!(&owner[..], &[1, 2, 3, 40, 50], "the slots past the view keep their values");
         assert!(in_place(&grown.appended(&[5]), &grown), "the copy appends in place");
     }
 
     #[test]
-    fn owned_storage_copies_on_append() {
-        let base: Storage<u32> = Vec::with_capacity(8).into();
-        let grown = base.appended(&[1]);
-        assert!(grown.is_shared() && !base.is_shared());
-        assert_eq!(&grown[..], &[1]);
-        assert!(base.appended(&[]).is_shared(), "even an empty batch yields shared storage");
+    fn into_growable_takes_a_sole_held_vector_back_without_copying() {
+        let base = roomy();
+        let data = base.as_ptr();
+        let growable = base.into_growable(5);
+        assert_eq!(growable.as_ptr(), data, "the room was there: nothing moved");
+        assert_eq!(&growable[..], &[1, 2, 3]);
+        let grown = growable.appended(&[4, 5, 6, 7, 8]);
+        assert!(in_place(&grown, &growable));
+        // Short of room, the vector grows as `Vec::reserve` grows it.
+        let tight: Storage<u32> = vec![1, 2, 3].into();
+        let growable = tight.into_growable(1);
+        assert!(in_place(&growable.appended(&[4, 5, 6]), &growable), "grown to twice");
+        assert_eq!(&growable[..], &[1, 2, 3]);
     }
 
     #[test]
-    fn into_growable_makes_room_and_only_freezes_shared() {
-        let base = Storage::Owned(vec![1u32, 2, 3]).into_growable(3);
-        assert!(base.is_shared());
-        let grown = base.appended(&[4, 5, 6]);
-        assert!(in_place(&grown, &base));
-        assert_eq!(&grown[..], &[1, 2, 3, 4, 5, 6]);
-        let frozen: Storage<u32> = shared_from_vec(vec![1]).into();
-        assert!(in_place(&frozen.clone().into_growable(8), &frozen), "shared is kept as is");
+    fn into_growable_takes_back_a_vector_an_aborted_append_claimed_past() {
+        let base = roomy();
+        let data = base.as_ptr();
+        drop(base.appended(&[4, 5]));
+        let growable = base.into_growable(2);
+        assert_eq!(growable.as_ptr(), data);
+        assert_eq!(&growable[..], &[1, 2, 3], "the claimed slots are cut off");
+        let grown = growable.appended(&[6, 7]);
+        assert!(in_place(&grown, &growable), "and free again");
+        assert_eq!(&grown[..], &[1, 2, 3, 6, 7]);
+    }
+
+    #[test]
+    fn into_growable_copies_a_view_with_other_holders() {
+        let base = roomy();
+        let clone = base.clone();
+        let growable = base.into_growable(5);
+        assert!(!in_place(&growable, &clone), "a live clone keeps its vector");
+        let grown = growable.appended(&[9, 9, 9, 9, 9]);
+        assert!(in_place(&grown, &growable), "the copy has the room asked for");
+        assert_eq!(&clone[..], &[1, 2, 3], "the clone still reads its old elements");
+        assert!(in_place(&clone.appended(&[4]), &clone), "and the copy claimed none of its room");
+    }
+
+    #[test]
+    fn into_growable_copies_a_borrowed_view() {
+        let owner = Arc::new(vec![1, 2, 3, 40, 50]);
+        let growable = borrowed(&owner).into_growable(2);
+        assert_ne!(growable.as_ptr(), owner.as_ptr());
+        assert!(!growable.is_mapped());
+        assert_eq!(&growable[..], &[1, 2, 3]);
+        assert!(in_place(&growable.appended(&[4, 5]), &growable));
+        assert_eq!(&owner[..], &[1, 2, 3, 40, 50]);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl EntryIndex {
         index
     }
 
-    /// Assembles an index from stored (owned or mapped) arrays — the
+    /// Assembles an index from stored (frozen or mapped) arrays — the
     /// snapshot loaders' entry point, and the one validator of a persisted
     /// member CSR. The parts come from an untrusted file, so everything
     /// routing, seeding and the incremental build rely on is checked here,
@@ -274,9 +274,10 @@ impl EntryIndex {
         &self.members[self.offsets[c] as usize..self.offsets[c + 1] as usize]
     }
 
-    /// True when the member array borrows shared (mapped) memory.
-    pub fn is_shared(&self) -> bool {
-        self.members.is_shared()
+    /// True when the member array borrows a mapped snapshot file (see
+    /// [`Storage::is_mapped`]).
+    pub fn is_mapped(&self) -> bool {
+        self.members.is_mapped()
     }
 
     #[inline]

@@ -1,18 +1,19 @@
 //! The KNN-graph container.
 
 use crate::neighbors::{is_heap, sort_worst_first, Neighbor, NeighborList, Neighbors};
-use cnc_dataset::{SharedSlice, Storage, UserId};
+use cnc_dataset::{Storage, UserId};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 /// The graph's backing storage. Owned per-user lists are what
 /// [`KnnGraph::new`] and [`KnnGraph::random_init`] start from. A flat CSR
 /// (offsets + heap-ordered entries) is what a [`crate::SharedKnnGraph`]
-/// freezes into, what [`KnnGraph::into_shared`] makes, and what the
-/// zero-copy snapshot path borrows straight out of a mapped file. No
-/// library path writes to a CSR row by row: its first write promotes it to
-/// owned lists, one copy of every row. Reads go through [`Neighbors`]
-/// views in both forms.
+/// freezes into, what [`KnnGraph::into_shared`] makes of lists, and what
+/// the zero-copy snapshot path borrows straight out of a mapped file; its
+/// arrays are [`Storage`], so a clone of it is O(1). No library path
+/// writes to a CSR row by row: its first write promotes it to owned
+/// lists, one copy of every row. Reads go through [`Neighbors`] views in
+/// both forms.
 #[derive(Clone, Debug)]
 enum Repr {
     /// One bounded heap per user.
@@ -43,7 +44,8 @@ impl Csr {
 }
 
 /// An approximate (or exact) KNN graph: one bounded neighbour list per
-/// user, stored owned or borrowed from a mapped snapshot (see `Repr`).
+/// user, stored as lists or as a flat CSR, which may borrow a mapped
+/// snapshot (see `Repr`).
 #[derive(Clone, Debug)]
 pub struct KnnGraph {
     repr: Repr,
@@ -56,8 +58,8 @@ impl KnnGraph {
         KnnGraph { repr: Repr::Lists(vec![NeighborList::new(k); n]), k }
     }
 
-    /// Assembles a graph borrowing (or owning) a flat CSR — the zero-copy
-    /// snapshot loader's entry point. The parts come from an untrusted
+    /// Assembles a graph over a stored (frozen or mapped) flat CSR — the
+    /// snapshot loaders' entry point. The parts come from an untrusted
     /// file, so every neighbour-list invariant is checked here, in one
     /// streaming pass whose only allocation is one stamp per user:
     /// offsets monotone and bounded, per-user entry counts ≤ `k`,
@@ -126,63 +128,52 @@ impl KnnGraph {
 
     /// Assembles a graph from a CSR built in this crate — the in-place
     /// freeze of [`crate::SharedKnnGraph::into_graph`], whose rows are heaps
-    /// by construction — and moves it behind a reference count as
-    /// [`KnnGraph::into_shared`] does, so clones are O(1). What
-    /// [`KnnGraph::from_csr_storage`] checks of untrusted bytes is only
-    /// debug-asserted here.
+    /// by construction — moving both vectors into [`Storage`], so clones
+    /// are O(1). What [`KnnGraph::from_csr_storage`] checks of untrusted
+    /// bytes is only debug-asserted here.
     pub(crate) fn from_trusted_csr(k: usize, offsets: Vec<u64>, entries: Vec<Neighbor>) -> Self {
         debug_assert_eq!(offsets.last(), Some(&(entries.len() as u64)));
         debug_assert!(offsets.windows(2).all(|w| {
             let row = &entries[w[0] as usize..w[1] as usize];
             row.len() <= k && is_heap(row)
         }));
-        let csr = Csr {
-            offsets: SharedSlice::from_vec(offsets).into(),
-            entries: SharedSlice::from_vec(entries).into(),
-        };
+        let csr = Csr { offsets: offsets.into(), entries: entries.into() };
         KnnGraph { repr: Repr::Csr(csr), k }
     }
 
-    /// True when the graph is a reference-counted CSR — borrowed from a
-    /// mapped snapshot or frozen by [`KnnGraph::into_shared`] — so a clone
-    /// is O(1). A graph holding owned rows (lists, or CSR rows written
-    /// since) is not.
-    pub fn is_shared(&self) -> bool {
+    /// True when the graph is a CSR borrowing a mapped snapshot file (see
+    /// [`Storage::is_mapped`]).
+    pub fn is_mapped(&self) -> bool {
         match &self.repr {
-            Repr::Csr(csr) => csr.offsets.is_shared() || csr.entries.is_shared(),
+            Repr::Csr(csr) => csr.offsets.is_mapped() || csr.entries.is_mapped(),
             Repr::Lists(_) => false,
         }
     }
 
-    /// Freezes the graph into a flat CSR behind reference-counted storage:
-    /// every clone of the result is O(1) and shares one copy of the
-    /// entries — how an incremental build hands the same graph to its
-    /// caller and to the cache the next build patches, and how a serving
-    /// epoch shares its rows with snapshots. A CSR is moved, not
-    /// copied; owned rows are flattened, each laid out worst first (one
-    /// order per content, as [`crate::SharedKnnGraph::into_graph`] freezes
-    /// its rows). Writing to any holder of the result promotes that holder
-    /// to owned lists; the others are untouched.
+    /// Freezes the graph into a flat CSR: every clone of the result is
+    /// O(1) and shares one copy of the entries — how an incremental build
+    /// hands the same graph to its caller and to the cache the next build
+    /// patches, and how a serving epoch shares its rows with snapshots.
+    /// Owned rows are flattened, each laid out worst first (one order per
+    /// content, as [`crate::SharedKnnGraph::into_graph`] freezes its
+    /// rows); a CSR is returned as it is. Writing to any holder of the
+    /// result promotes that holder to owned lists; the others are
+    /// untouched.
     pub fn into_shared(self) -> KnnGraph {
-        let k = self.k;
-        let mut offsets = Vec::with_capacity(self.num_users() + 1);
-        let mut entries = Vec::with_capacity(self.num_edges());
+        let (k, edges) = (self.k, self.num_edges());
+        let Repr::Lists(lists) = self.repr else {
+            return self;
+        };
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        let mut entries = Vec::with_capacity(edges);
         offsets.push(0u64);
-        match self.repr {
-            Repr::Csr(Csr { offsets, entries }) => {
-                let csr = Csr { offsets: offsets.into_shared(), entries: entries.into_shared() };
-                return KnnGraph { repr: Repr::Csr(csr), k };
-            }
-            Repr::Lists(lists) => {
-                // Consumed list by list, so the owned lists are freed as
-                // the flat copy grows.
-                for list in lists {
-                    let start = entries.len();
-                    entries.extend(list.iter().copied());
-                    sort_worst_first(&mut entries[start..]);
-                    offsets.push(entries.len() as u64);
-                }
-            }
+        // Consumed list by list, so the owned lists are freed as the flat
+        // copy grows.
+        for list in lists {
+            let start = entries.len();
+            entries.extend(list.iter().copied());
+            sort_worst_first(&mut entries[start..]);
+            offsets.push(entries.len() as u64);
         }
         KnnGraph::from_trusted_csr(k, offsets, entries)
     }
@@ -469,7 +460,7 @@ mod tests {
         let csr = KnnGraph::from_csr_storage(g.k(), offsets.into(), entries.into()).unwrap();
         assert_eq!(csr.num_users(), g.num_users());
         assert_eq!(csr.num_edges(), g.num_edges());
-        assert!(!csr.is_shared(), "owned vectors are not shared storage");
+        assert!(!csr.is_mapped(), "vectors are not a mapped file");
         for (u, view) in g.iter() {
             // Identical heap order, not merely identical sorted content.
             assert_eq!(
@@ -484,7 +475,6 @@ mod tests {
     fn into_shared_lays_every_row_out_worst_first_and_clones_without_copying() {
         let g = sample_graph();
         let shared = g.clone().into_shared();
-        assert!(shared.is_shared());
         let clone = shared.clone();
         for (u, view) in g.iter() {
             let mut worst_first = view.sorted();
@@ -527,7 +517,6 @@ mod tests {
         writes(&mut writer);
         assert_ne!(rows(&writer)[..before.len()], before[..], "some base row must change");
         for holder in [&shared, &reader] {
-            assert!(holder.is_shared());
             assert_eq!(rows(holder), before);
             for u in 0..holder.num_users() as UserId {
                 assert!(std::ptr::eq(
@@ -552,7 +541,10 @@ mod tests {
         assert_eq!(rows(&written), rows(&lists), "heap for heap");
         // Frozen, both lay every row out the same canonical way.
         let frozen = written.into_shared();
-        assert!(frozen.is_shared());
+        assert!(std::ptr::eq(
+            frozen.clone().neighbors(0).as_slice(),
+            frozen.neighbors(0).as_slice()
+        ));
         assert_eq!(frozen.num_users(), lists.num_users());
         assert_eq!(frozen.num_edges(), lists.num_edges());
         assert_eq!(rows(&frozen), rows(&lists.into_shared()), "row for row");

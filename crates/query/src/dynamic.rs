@@ -22,9 +22,10 @@
 //!   versus `n` for a linear scan and a full rebuild for batch algorithms.
 //!
 //! The index keeps every user in one store of its own. It copies the
-//! profiles it opens on, so its appends never take the room past the end
-//! of a dataset another owner grows; a shared CSR graph is promoted to
-//! owned lists, and shared fingerprints to an owned copy, on the first
+//! profiles it opens on and makes the fingerprints its own
+//! ([`GoldFinger::into_growable`] copies a set another owner holds), so
+//! its appends never take the room past the end of arrays another owner
+//! grows; a shared CSR graph is promoted to owned lists on the first
 //! insert. Nothing it was opened on changes.
 //!
 //! `cnc-serve`'s `ServingEngine` does not place its inserts: its writer
@@ -107,6 +108,8 @@ impl DynamicIndex {
             dataset.num_items() as u32,
         )
         .expect("a dataset's own parts are valid");
+        // Its own buffer, so the rows it pushes claim no other owner's room.
+        let fingerprints = fingerprints.map(|gf| gf.into_growable(1));
         DynamicIndex {
             profiles,
             opened_with: dataset.num_users(),
@@ -410,7 +413,6 @@ mod tests {
             index.add_user(profile, i as u64);
         }
         assert_eq!(index.inserted_users(), 5);
-        assert!(graph.is_shared() && ds.is_shared() && gf.is_shared());
         for u in 0..ds.num_users() as UserId {
             assert_ne!(
                 index.graph().neighbors(u).as_slice().as_ptr(),

@@ -304,15 +304,8 @@ fn validate_shared(dataset: &Dataset, c2: &C2Config, goldfinger: &GoldFinger) {
         dataset.num_users(),
         "shared fingerprints must cover the dataset"
     );
-    match c2.backend {
-        cnc_similarity::SimilarityBackend::GoldFinger { bits, seed } => assert_eq!(
-            (bits, seed),
-            (goldfinger.bits(), goldfinger.seed()),
-            "shared fingerprints must match the configured backend"
-        ),
-        cnc_similarity::SimilarityBackend::Raw => {
-            panic!("shared fingerprints require a GoldFinger backend, config says Raw")
-        }
+    if let Err(reason) = c2.backend.check_fingerprints(Some(goldfinger)) {
+        panic!("shared {reason}");
     }
 }
 

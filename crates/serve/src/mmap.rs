@@ -33,12 +33,11 @@ use std::sync::Arc;
 /// One serving state opened for adoption: the same parts as a
 /// [`Snapshot`] minus the builder-only cluster cache, plus the record of
 /// which path produced it. When `mapped` is true the dataset, graph,
-/// fingerprints and entry index borrow the underlying memory map (their
-/// storages report `is_shared()`), and they keep the map alive for as
-/// long as any clone of them lives — dropping the engine epoch unmaps
-/// the file. On the copy path they own their arrays and report
-/// `is_shared()` false until an epoch freezes them, so `mapped`, not
-/// `is_shared()`, says which path ran once an epoch holds them.
+/// fingerprints and entry index borrow the underlying memory map (each
+/// reports `is_mapped()`), and they keep the map alive for as long as any
+/// clone of them lives — dropping the engine epoch unmaps the file. On
+/// the copy path they hold decoded vectors and report `is_mapped()`
+/// false.
 pub struct AdoptedSnapshot {
     /// The user profiles (CSR borrowing the map when `mapped`).
     pub dataset: Dataset,
@@ -138,7 +137,7 @@ pub(crate) enum Map {}
 
 /// The one materializer of a snapshot array: borrowed in place when
 /// `bytes` lie inside `map`, aligned for `T`; otherwise decoded element by
-/// element into an owned vector — the copy path's form.
+/// element into a vector — the copy path's form.
 pub(crate) fn array<T: Element>(bytes: &[u8], map: Option<&Arc<Map>>) -> Storage<T> {
     #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
     if let Some(borrowed) = map.and_then(|map| zc::borrow(bytes, map)) {
@@ -146,7 +145,7 @@ pub(crate) fn array<T: Element>(bytes: &[u8], map: Option<&Arc<Map>>) -> Storage
     }
     #[cfg(not(all(unix, target_pointer_width = "64", target_endian = "little")))]
     let _ = map;
-    Storage::Owned(decode(bytes))
+    decode(bytes).into()
 }
 
 /// Decodes a little-endian array into an owned vector.
@@ -159,7 +158,7 @@ pub(crate) fn decode<T: Element>(bytes: &[u8]) -> Vec<T> {
 mod zc {
     use super::{AdoptedSnapshot, Element};
     use crate::snapshot::{path_key, read_snapshot, truncated, SnapshotError, Source};
-    use cnc_dataset::{SharedSlice, Storage};
+    use cnc_dataset::Storage;
     use cnc_faults::{Faults, Site};
     use cnc_telemetry::Telemetry;
     use std::any::Any;
@@ -243,7 +242,7 @@ mod zc {
         fn drop(&mut self) {
             // SAFETY: `ptr`/`len` are exactly the live mapping `map`
             // made, unmapped once, here. Every borrow of it is a `&self`
-            // or a `SharedSlice` holding an `Arc<Mmap>`, so none outlives
+            // or a `Storage` holding an `Arc<Mmap>`, so none outlives
             // this drop.
             unsafe {
                 sys::munmap(self.ptr, self.len);
@@ -323,7 +322,7 @@ mod zc {
         })
     }
 
-    /// `bytes` as shared storage kept alive by `map` — `None` unless they
+    /// `bytes` as storage kept alive by `map` — `None` unless they
     /// lie inside the map and [`cast_slice`] accepts them.
     pub fn borrow<T: Element>(bytes: &[u8], map: &Arc<Mmap>) -> Option<Storage<T>> {
         let inside = map.as_ptr_range();
@@ -333,9 +332,7 @@ mod zc {
         // SAFETY: `slice` lies inside the mapping (checked above), which
         // `owner` keeps mapped, and never written, for as long as any
         // clone of the storage lives.
-        Some(Storage::Shared(unsafe {
-            SharedSlice::from_raw_parts(slice.as_ptr(), slice.len(), owner)
-        }))
+        Some(unsafe { Storage::from_raw_parts(slice.as_ptr(), slice.len(), owner) })
     }
 }
 
@@ -360,16 +357,16 @@ mod tests {
         assert!(cast_slice::<T>(misaligned).is_none(), "a misaligned run must be refused");
         assert!(cast_slice::<T>(ragged).is_none(), "a ragged run must be refused");
         for refused in [misaligned, ragged] {
-            let owned = array::<T>(refused, Some(map));
-            assert!(!owned.is_shared(), "a refused run is decoded, not borrowed");
-            assert_eq!(&owned[..], &by_hand::<T>(refused)[..]);
+            let decoded = array::<T>(refused, Some(map));
+            assert!(!decoded.is_mapped(), "a refused run is decoded, not borrowed");
+            assert_eq!(&decoded[..], &by_hand::<T>(refused)[..]);
         }
         let borrowed = array::<T>(aligned, Some(map));
-        assert!(borrowed.is_shared(), "an aligned, whole run inside the map is borrowed");
+        assert!(borrowed.is_mapped(), "an aligned, whole run inside the map is borrowed");
         assert_eq!(&borrowed[..], &by_hand::<T>(aligned)[..]);
         // The same bytes outside any map are decoded.
         let copy = aligned.to_vec();
-        assert!(!array::<T>(&copy, Some(map)).is_shared());
+        assert!(!array::<T>(&copy, Some(map)).is_mapped());
         borrowed.to_vec()
     }
 

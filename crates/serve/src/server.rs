@@ -105,12 +105,11 @@ pub struct ServingEpoch {
 impl ServingEpoch {
     /// Bundles an epoch; the parts must agree on the user count.
     ///
-    /// The dataset, graph and fingerprint words are frozen behind
-    /// reference counts (`into_shared`: moved, not copied; a graph of
-    /// owned rows is flattened), so every clone of an epoch part is O(1) —
-    /// the next publish and [`ServingEngine::snapshot`] read the epoch in
-    /// place. Fingerprints whose `Arc` has other holders are
-    /// kept as they are.
+    /// The graph is frozen into a flat CSR ([`KnnGraph::into_shared`]: a
+    /// graph of owned rows is flattened, a CSR is kept). Every array of
+    /// the parts is reference-counted storage, so every clone of an epoch
+    /// part is O(1) — the next publish and [`ServingEngine::snapshot`]
+    /// read the epoch in place.
     ///
     /// # Panics
     /// Panics on a user-count mismatch.
@@ -124,13 +123,9 @@ impl ServingEpoch {
         if let Some(gf) = &fingerprints {
             assert_eq!(gf.num_users(), dataset.num_users(), "fingerprints must cover the dataset");
         }
-        let fingerprints = fingerprints.map(|gf| match Arc::try_unwrap(gf) {
-            Ok(gf) => Arc::new(gf.into_shared()),
-            Err(held) => held,
-        });
         ServingEpoch {
             epoch,
-            dataset: dataset.into_shared(),
+            dataset,
             graph: graph.into_shared(),
             fingerprints,
             entries: Arc::default(),
@@ -420,7 +415,9 @@ impl ServingEngine {
         cache: ClusterCache,
         rebuild: RebuildStats,
     ) -> Self {
-        check_backend(&config, epoch.fingerprints.as_deref());
+        if let Err(reason) = config.c2.backend.check_fingerprints(epoch.fingerprints.as_deref()) {
+            panic!("{reason}");
+        }
         epoch.rebuild = rebuild;
         let epoch = Arc::new(epoch);
         let writer = Writer {
@@ -568,7 +565,9 @@ impl ServingEngine {
     pub fn adopt(&self, adopted: crate::mmap::AdoptedSnapshot) -> u64 {
         let crate::mmap::AdoptedSnapshot { dataset, graph, goldfinger, entries, .. } = adopted;
         let fingerprints = goldfinger.map(Arc::new);
-        check_backend(&self.config, fingerprints.as_deref());
+        if let Err(reason) = self.config.c2.backend.check_fingerprints(fingerprints.as_deref()) {
+            panic!("{reason}");
+        }
         let mut writer = self.writer_state();
         let next = self.epoch_read().epoch() + 1;
         let epoch = Arc::new(
@@ -702,11 +701,6 @@ impl ServingEngine {
     pub fn try_publish(&self) -> Result<u64, RebuildFailure> {
         let mut writer = self.writer_state();
         self.rebuild_locked(&mut writer)
-    }
-
-    /// Epoch rebuilds that failed and were absorbed since engine start.
-    pub fn rebuild_failures(&self) -> u64 {
-        self.rebuild_failures.load(Ordering::Relaxed)
     }
 
     /// The engine's counters, in one consistent-enough view for
@@ -866,25 +860,6 @@ fn fingerprint_room(
     })
 }
 
-/// Panics unless the fingerprints' presence and shape match the backend
-/// the engine is configured to build and score with.
-fn check_backend(config: &ServingConfig, fingerprints: Option<&GoldFinger>) {
-    match (&config.c2.backend, fingerprints) {
-        (SimilarityBackend::GoldFinger { bits, seed }, Some(gf)) => assert_eq!(
-            (*bits, *seed),
-            (gf.bits(), gf.seed()),
-            "fingerprints must match the configured backend"
-        ),
-        (SimilarityBackend::GoldFinger { .. }, None) => {
-            panic!("GoldFinger backend requires the epoch's fingerprints")
-        }
-        (SimilarityBackend::Raw, Some(_)) => {
-            panic!("Raw backend must not carry fingerprints")
-        }
-        (SimilarityBackend::Raw, None) => {}
-    }
-}
-
 /// One **incremental** C² build on the sharded runtime against `prev`,
 /// on `fingerprints` — the dataset's, for a GoldFinger backend.
 /// `rebuild.rebuild_ms` covers the whole call.
@@ -911,7 +886,7 @@ fn empty_rows(config: &ServingConfig) -> Option<GoldFinger> {
     match config.c2.backend {
         SimilarityBackend::GoldFinger { bits, seed } => Some(
             GoldFinger::from_parts(Vec::new(), bits, seed)
-                .expect("check_backend matched the width to a fingerprint set's"),
+                .expect("check_fingerprints matched the width to a fingerprint set's"),
         ),
         SimilarityBackend::Raw => None,
     }
@@ -1190,7 +1165,7 @@ mod tests {
         // and is absorbed.
         let first = engine.insert(ds.profile(1).to_vec(), 1);
         assert_eq!(first.published, None);
-        let failures = engine.rebuild_failures();
+        let failures = engine.stats().rebuild_failures;
         assert!(failures >= 1);
         assert_eq!(engine.current_epoch().epoch(), 1);
 
@@ -1198,7 +1173,7 @@ mod tests {
         // no rebuild is even attempted.
         let second = engine.insert(ds.profile(2).to_vec(), 2);
         assert_eq!(second.published, None);
-        assert_eq!(engine.rebuild_failures(), failures, "backoff must gate the retry");
+        assert_eq!(engine.stats().rebuild_failures, failures, "backoff must gate the retry");
         assert_eq!(engine.stats().pending_inserts, 2);
 
         // Chaos over; once the deferral lapses the next insert publishes
@@ -1252,8 +1227,8 @@ mod tests {
             normalized.push(profile);
         }
 
-        // Nothing was written to the live epoch, and it is still shared.
-        assert!(live.dataset().is_shared() && live.graph().is_shared() && gf.is_shared());
+        // Nothing was written to the live epoch: it reads the arrays it read.
+        assert!(std::ptr::eq(live.dataset().items(), before.0.items()));
         assert_eq!(live.dataset(), &before.0);
         for u in 0..n as UserId {
             assert!(std::ptr::eq(

@@ -58,7 +58,10 @@
 //! interleaved `{u32, f32}` entries on 4-byte boundaries. A mapped file
 //! can therefore hand out its offset, entry, word and entry-index arrays
 //! as typed slices directly (see [`crate::mmap`]) — adoption does no
-//! per-user work.
+//! per-user work. Either way every array is reference-counted
+//! ([`cnc_dataset::Storage`]): a decoded vector is frozen where it is
+//! decoded, a mapped run is a view into the map, so the cluster cache
+//! shares the loaded graph and entry index instead of copying them.
 //!
 //! Everything is little-endian; similarities travel as raw `f32` bits
 //! and fingerprints as raw `u64` words — the same codec discipline as
@@ -225,7 +228,7 @@ pub struct Snapshot {
     /// deployments).
     pub goldfinger: Option<GoldFinger>,
     /// The builder's persisted [`ClusterCache`] — the file's configuration
-    /// token over `entries` and (a shared view of) `graph` — for files that
+    /// token over `entries` and (an O(1) clone of) `graph` — for files that
     /// carry the MEMBERSHIPS section; `None` otherwise.
     pub cache: Option<ClusterCache>,
     /// The graph's [`EntryIndex`] (files that carry the section; `None`
@@ -473,7 +476,6 @@ pub(crate) fn read_snapshot(
     let entries = entries.map(|index| index(dataset.num_users()).map(Arc::new)).transpose()?;
     // The cache shares the graph's neighbour entries and the index's
     // member arrays instead of copying them.
-    let graph = if token.is_some() { graph.into_shared() } else { graph };
     let cache = token
         .zip(entries.clone())
         .map(|(token, entries)| {
@@ -758,7 +760,7 @@ const MAX_K: usize = 1 << 16;
 // untrusted counts must account for its length exactly before anything
 // is sliced or sized from them — and hands every array to the one
 // materializer (`crate::mmap::array`), which borrows it from a map or
-// decodes an owned copy. Structural invariants are the validated
+// decodes a copy. Structural invariants are the validated
 // constructors' job.
 // ---------------------------------------------------------------------
 

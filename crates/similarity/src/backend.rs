@@ -41,6 +41,34 @@ impl Default for SimilarityBackend {
     }
 }
 
+impl SimilarityBackend {
+    /// Checks that `fingerprints` are what this backend builds and scores
+    /// with: a GoldFinger backend needs a set of its width and seed, and
+    /// the raw backend takes none. A mismatch would score with
+    /// similarities inconsistent with the configuration; `Err` says which.
+    pub fn check_fingerprints(&self, fingerprints: Option<&GoldFinger>) -> Result<(), String> {
+        match (*self, fingerprints) {
+            (SimilarityBackend::GoldFinger { bits, seed }, Some(gf))
+                if (bits, seed) != (gf.bits(), gf.seed()) =>
+            {
+                Err(format!(
+                    "fingerprints must match the configured backend: \
+                     built with {} bits and seed {}, configured {bits} bits and seed {seed}",
+                    gf.bits(),
+                    gf.seed()
+                ))
+            }
+            (SimilarityBackend::GoldFinger { .. }, None) => {
+                Err("a GoldFinger backend requires fingerprints".into())
+            }
+            (SimilarityBackend::Raw, Some(_)) => {
+                Err("fingerprints require a GoldFinger backend, config says Raw".into())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 enum Kind<'a> {
     Raw(&'a Dataset),
     /// Shared so one fingerprint build can back many oracles (bench
@@ -189,6 +217,25 @@ mod tests {
         assert!(sim.goldfinger().is_some());
         // With 5 items in 4096 bits the estimate is exact w.h.p.
         assert!((sim.sim(0, 1) - 0.2).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fingerprints_are_checked_against_the_backend() {
+        let gf = GoldFinger::build(&toy(), 128, 7);
+        let matching = SimilarityBackend::GoldFinger { bits: 128, seed: 7 };
+        assert_eq!(matching.check_fingerprints(Some(&gf)), Ok(()));
+        assert_eq!(SimilarityBackend::Raw.check_fingerprints(None), Ok(()));
+        for other in [
+            SimilarityBackend::GoldFinger { bits: 128, seed: 8 },
+            SimilarityBackend::GoldFinger { bits: 256, seed: 7 },
+        ] {
+            let reason = other.check_fingerprints(Some(&gf)).unwrap_err();
+            assert!(reason.contains("fingerprints must match the configured backend"), "{reason}");
+        }
+        let reason = matching.check_fingerprints(None).unwrap_err();
+        assert!(reason.contains("requires fingerprints"), "{reason}");
+        let reason = SimilarityBackend::Raw.check_fingerprints(Some(&gf)).unwrap_err();
+        assert!(reason.contains("require a GoldFinger backend"), "{reason}");
     }
 
     #[test]

@@ -17,10 +17,10 @@ use cnc_dataset::{Dataset, ItemId, Storage, UserId};
 
 /// Per-dataset GoldFinger fingerprints (one `bits`-wide vector per user).
 ///
-/// The word array lives behind [`Storage`], so a fingerprint set either
-/// owns its words (every build path) or borrows them straight out of a
-/// mapped snapshot (`cnc-serve` zero-copy adoption); the rare mutating
-/// path ([`GoldFinger::push_user`]) promotes to an owned copy first.
+/// The word array lives behind [`Storage`], so a clone is O(1) and reads
+/// the same words, and a set can borrow them straight out of a mapped
+/// snapshot (`cnc-serve` zero-copy adoption); a set grows by appending
+/// rows ([`GoldFinger::push_user`], [`GoldFinger::appended`]).
 #[derive(Clone, Debug)]
 pub struct GoldFinger {
     words: Storage<u64>,
@@ -61,7 +61,7 @@ impl GoldFinger {
     }
 
     /// [`GoldFinger::build_parallel`] into a word array allocated with room
-    /// for as many rows again, frozen like [`GoldFinger::into_growable`]:
+    /// for as many rows again, like [`GoldFinger::into_growable`]:
     /// [`GoldFinger::appended`] extends it in place without ever moving
     /// the built rows.
     ///
@@ -72,7 +72,7 @@ impl GoldFinger {
         let len = dataset.num_users() * (bits / 64);
         let mut words = Vec::with_capacity(2 * len);
         words.resize(len, 0);
-        Self::fill(words, dataset, bits, seed, threads).into_shared()
+        Self::fill(words, dataset, bits, seed, threads)
     }
 
     /// Fills `words` — zeroed, one row per user of `dataset` — with the
@@ -183,14 +183,13 @@ impl GoldFinger {
 
     /// Appends one user's fingerprint (online growth — the rows the
     /// serving writer's pending batch and `cnc-query::DynamicIndex` add
-    /// for their inserts); returns the new user's id. Copy-on-write: a shared set (mapped, or frozen by
-    /// [`GoldFinger::into_shared`]) is promoted to an owned copy on the
-    /// first push.
+    /// for their inserts); returns the new user's id. The row is appended
+    /// to the word array as [`GoldFinger::appended`] appends a set: in
+    /// place when the array has room no other append claimed, else
+    /// copied once with room for the pushes after it; every clone of the
+    /// set keeps reading its own rows.
     pub fn push_user(&mut self, profile: &[ItemId]) -> UserId {
-        let words = self.words.to_mut();
-        let base = words.len();
-        words.resize(base + self.words_per_user, 0);
-        Self::fill_user(&mut words[base..], profile, SeededHash::new(self.seed), self.bits);
+        self.words = self.words.appended(&self.fingerprint_profile(profile));
         self.num_users += 1;
         (self.num_users - 1) as UserId
     }
@@ -222,24 +221,16 @@ impl GoldFinger {
         Ok(GoldFinger { words, words_per_user, bits, seed, num_users })
     }
 
-    /// True when the word array is reference-counted — borrowed from a
-    /// mapped snapshot or frozen by [`GoldFinger::into_shared`] — so a
-    /// clone is O(1) (see [`Storage::is_shared`]).
-    pub fn is_shared(&self) -> bool {
-        self.words.is_shared()
+    /// True when the word array borrows a mapped snapshot file (see
+    /// [`Storage::is_mapped`]).
+    pub fn is_mapped(&self) -> bool {
+        self.words.is_mapped()
     }
 
-    /// Freezes the word array behind a reference count (a move, no copy),
-    /// so every clone of the result is O(1), as `Dataset::into_shared`
-    /// does for profiles.
-    pub fn into_shared(self) -> GoldFinger {
-        GoldFinger { words: self.words.into_shared(), ..self }
-    }
-
-    /// [`GoldFinger::into_shared`], first giving an owned word array room
-    /// for at least `users` more rows, so [`GoldFinger::appended`] extends
-    /// it in place (see `Storage::into_growable`). Only for a set that will
-    /// be appended to: making room may move the array.
+    /// The set with room past its word array for at least `users` more
+    /// rows, so [`GoldFinger::appended`] extends it in place (see
+    /// [`Storage::into_growable`]). Only for a set that will be appended
+    /// to: making room may move the array.
     pub fn into_growable(self, users: usize) -> GoldFinger {
         GoldFinger { words: self.words.into_growable(users * self.words_per_user), ..self }
     }
@@ -426,11 +417,13 @@ mod tests {
         let full = GoldFinger::build(&Dataset::from_profiles(profiles.clone(), 0), 256, 5);
         let mut grown =
             GoldFinger::build(&Dataset::from_profiles(profiles[..2].to_vec(), 0), 256, 5);
+        let held = grown.clone();
         for (expect_id, profile) in profiles.iter().enumerate().skip(2) {
             assert_eq!(grown.push_user(profile) as usize, expect_id);
         }
         assert_eq!(grown.num_users(), full.num_users());
         assert_eq!(grown.words(), full.words());
+        assert_eq!(held.words(), &full.words()[..8], "a clone keeps reading its own rows");
     }
 
     #[test]

@@ -394,16 +394,16 @@ fn borrowed_bytes(adopted: &AdoptedSnapshot) -> u64 {
     let AdoptedSnapshot { dataset, graph, goldfinger, entries, .. } = adopted;
     let offsets = 8 * (dataset.num_users() + 1);
     let mut bytes = 0;
-    if dataset.is_shared() {
+    if dataset.is_mapped() {
         bytes += offsets + 4 * dataset.num_ratings();
     }
-    if graph.is_shared() {
+    if graph.is_mapped() {
         bytes += offsets + 8 * graph.num_edges();
     }
-    if let Some(gf) = goldfinger.as_ref().filter(|gf| gf.is_shared()) {
+    if let Some(gf) = goldfinger.as_ref().filter(|gf| gf.is_mapped()) {
         bytes += 8 * gf.words().len();
     }
-    if let Some(index) = entries.as_ref().filter(|index| index.is_shared()) {
+    if let Some(index) = entries.as_ref().filter(|index| index.is_mapped()) {
         bytes += 8 * (index.seeds().len() + index.keys().len())
             + 4 * (index.offsets().len() + index.targets().len() + index.members().len());
     }
@@ -449,15 +449,15 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
     assert!(!written.entries().is_empty(), "a C² build records its split tree");
     assert_entries_identical(mapped_entries, written.entries());
     assert_entries_identical(copied_entries, written.entries());
-    assert!(!copied_entries.is_shared());
+    assert!(!copied_entries.is_mapped());
 
     if adopted.mapped {
         // The structural zero-copy assertion: every bulk array borrows
         // the map — adoption did no per-user work.
-        assert!(adopted.dataset.is_shared(), "mapped dataset must borrow the file");
-        assert!(adopted.graph.is_shared(), "mapped graph must borrow the file");
-        assert!(adopted.goldfinger.as_ref().unwrap().is_shared());
-        assert!(mapped_entries.is_shared(), "mapped member array must borrow the file");
+        assert!(adopted.dataset.is_mapped(), "mapped dataset must borrow the file");
+        assert!(adopted.graph.is_mapped(), "mapped graph must borrow the file");
+        assert!(adopted.goldfinger.as_ref().unwrap().is_mapped());
+        assert!(mapped_entries.is_mapped(), "mapped member array must borrow the file");
         // Zero copies, as a count: the borrowed arrays cover all of the
         // file but the headers, the padding and the builder's 8-byte
         // configuration token, which adoption never reads.
@@ -473,9 +473,9 @@ fn mmap_adoption_is_zero_copy_and_bit_identical_to_the_copy_path() {
     if AdoptedSnapshot::zero_copy_supported() {
         let current = serving.current_epoch();
         assert!(
-            current.dataset().is_shared()
-                && current.graph().is_shared()
-                && current.entries().is_shared(),
+            current.dataset().is_mapped()
+                && current.graph().is_mapped()
+                && current.entries().is_mapped(),
             "the adopted epoch must keep borrowing the map"
         );
     }
@@ -850,7 +850,10 @@ fn the_cluster_cache_persists_as_one_flat_section_with_typed_corruption_errors()
     assert!(Arc::ptr_eq(cache.entries(), loaded.entries.as_ref().unwrap()));
     assert_eq!(cache.graph().num_users(), ds.num_users());
     assert_graphs_identical(cache.graph(), &loaded.graph);
-    assert!(loaded.graph.is_shared(), "cache and snapshot share one copy of the graph");
+    assert!(
+        std::ptr::eq(cache.graph().neighbors(0).as_slice(), loaded.graph.neighbors(0).as_slice()),
+        "cache and snapshot share one copy of the graph"
+    );
 
     let (offset, len, _) = section_of(&good, SECTION_MEMBERSHIPS);
     assert_eq!(len, 8);
