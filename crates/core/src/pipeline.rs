@@ -140,7 +140,7 @@ impl ClusterAndConquer {
     /// `rebuild.path` says why. Either way the graph is bit-identical to
     /// [`ClusterAndConquer::build`] on the same dataset and
     /// `result.stats.comparisons` counts exactly the similarities
-    /// computed — both locked by `tests/incremental.rs`.
+    /// computed — both locked by `tests/conformance.rs`.
     /// Pass [`ClusterCache::new`] (empty) for the first build; feed the
     /// returned cache to the next call.
     pub fn build_incremental(&self, dataset: &Dataset, prev: &ClusterCache) -> IncrementalResult {
@@ -159,7 +159,7 @@ impl ClusterAndConquer {
     /// cache, nothing captured) and
     /// [`ClusterAndConquer::build_incremental`] (against `prev`, the
     /// plan's memberships and graph captured) — one solve loop, the plan's
-    /// patch stage; `tests/incremental.rs` locks their bit-identity.
+    /// patch stage; `tests/conformance.rs` locks their bit-identity.
     fn execute_plan(
         &self,
         config: &C2Config,

@@ -511,7 +511,8 @@ impl DistribRuntime {
             }
         }
 
-        // --- Assembly: exactly the in-process engine's concatenation ---
+        // --- Assembly: the reducers' heaps, frozen worst first like every
+        // other executor's rows (`KnnGraph::into_shared`) ---
         for handle in reader_handles {
             let _ = handle.join();
         }
@@ -525,6 +526,7 @@ impl DistribRuntime {
                 *graph.neighbors_mut(user) = list;
             }
         }
+        let graph = graph.into_shared();
         drop(reaper); // children all exited; reap them
 
         let workers: Vec<ProcStats> = (0..processes)

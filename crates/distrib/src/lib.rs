@@ -10,8 +10,8 @@
 //! like the serving writer. Because the codec is lossless (raw `f32` bits) and the
 //! bounded-heap merge is order-independent, the distributed graph is
 //! **bit-identical** to [`cnc_core::ClusterAndConquer::build`] —
-//! `tests/distrib.rs` pins that over processes × shards × transports,
-//! including with a worker killed mid-build.
+//! `tests/conformance.rs` pins that over processes × shards × transports,
+//! and `tests/distrib.rs` with a worker killed mid-build.
 //!
 //! The single-process `Runtime` is the degenerate case: one process, no
 //! shards, no wire.

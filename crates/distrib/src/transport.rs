@@ -4,7 +4,7 @@
 //! stdin/stdout (portable, zero setup), `Socket` over a Unix domain
 //! socket whose path the coordinator passes down via environment (the
 //! child's stdio stays free for logging). Both carry the same frame
-//! stream; `tests/distrib.rs` pins bit-identical graphs across them.
+//! stream; `tests/conformance.rs` pins bit-identical graphs across them.
 //!
 //! Every frame write passes a `transport.send` fault gate *before* any
 //! byte reaches the wire, and injected failures retry under capped

@@ -7,7 +7,7 @@ use cnc_threadpool::effective_threads;
 ///
 /// The merged graph is identical either way — the spill codec is lossless
 /// and Algorithm 3's merge is order-independent (asserted by
-/// `tests/shuffle.rs`).
+/// `tests/conformance.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpillMode {
     /// Every partial list is merged in memory as soon as it is solved (the

@@ -28,7 +28,7 @@
 //! `(similarity, user)` and the spill codec is lossless, the merge is
 //! order- and route-independent: every `(workers, spill)` combination
 //! produces exactly the single-process pipeline's graph on the same
-//! configuration and seed (asserted by `tests/shuffle.rs`).
+//! configuration and seed (asserted by `tests/conformance.rs`).
 
 use crate::config::{RuntimeConfig, SpillMode};
 use crate::shuffle::{replay_spill, FinishedSpill, ShuffleError, SpillDir, SpillWriter};
@@ -205,7 +205,7 @@ impl Runtime {
     /// their profile digests. The graph is bit-identical to
     /// [`Runtime::execute`] on the same dataset, and `rebuild.comparisons`
     /// counts exactly the similarities computed — locked by
-    /// `tests/incremental.rs`. Pass an empty cache for the first build.
+    /// `tests/conformance.rs`. Pass an empty cache for the first build.
     ///
     /// # Panics
     /// Panics if `c2` is invalid.

@@ -30,14 +30,14 @@
 //! plan's prediction).
 //!
 //! Every `(workers, spill)` combination produces exactly the
-//! single-process pipeline's graph — `tests/shuffle.rs` asserts the full
-//! matrix — and [`Runtime::execute_incremental`] rebuilds from the
+//! single-process pipeline's graph — `tests/conformance.rs` asserts the
+//! full matrix — and [`Runtime::execute_incremental`] rebuilds from the
 //! previous build's graph and cluster memberships through the
 //! `BuildPlan`'s patch stage, the in-process pipeline's one solve loop, on
 //! the same worker budget. No map stage runs there: a cache the stage
 //! cannot use counts as an empty one, and every cluster is solved straight
 //! into the arena (bit-identical to a from-scratch run either way;
-//! `tests/incremental.rs`).
+//! `tests/conformance.rs`).
 //!
 //! [`DeploymentPlan`]: cnc_core::DeploymentPlan
 

@@ -1,13 +1,10 @@
-//! Distributed build suite (PR 9 keystone): the multi-process
-//! coordinator produces graphs **bit-identical** to the single-process
-//! [`ClusterAndConquer::build`] across every cell of
-//! processes × reduce shards × transport — including with a worker
-//! SIGKILLed mid-build, under armed `worker.exit` / `transport.send`
-//! chaos schedules, and all the way down to the no-survivors inline
-//! recovery lane. Escalation is typed: a cluster that kills
-//! `MAX_CLUSTER_ATTEMPTS` processes fails the build with
-//! `ClusterExhausted`, and the publisher keeps the last good result
-//! live across that failure.
+//! Distributed build recovery: the graph stays the single-process
+//! [`ClusterAndConquer::build`]'s when a worker is SIGKILLed or dies, its
+//! clusters requeued onto survivors or, with none left, solved inline,
+//! and when sends fail and retry. Escalation is typed: a cluster that
+//! kills `MAX_CLUSTER_ATTEMPTS` processes fails the build with
+//! `ClusterExhausted`, and the publisher keeps the last good result live.
+//! The processes × shards × transport matrix is `tests/conformance.rs`'s.
 //!
 //! This binary runs without the libtest harness because it *is* the
 //! worker fleet: the coordinator re-execs `current_exe()` with
@@ -16,7 +13,7 @@
 
 use cluster_and_conquer::distrib::{
     DistribConfig, DistribError, DistribPublisher, DistribResult, DistribRuntime, KillSpec,
-    ProcExit, Transport, MAX_CLUSTER_ATTEMPTS,
+    ProcExit, MAX_CLUSTER_ATTEMPTS,
 };
 use cluster_and_conquer::prelude::*;
 use cnc_faults::Site;
@@ -29,7 +26,6 @@ fn main() {
     cluster_and_conquer::distrib::maybe_run_worker();
 
     let tests: &[(&str, fn())] = &[
-        ("bit_identity_across_the_matrix", bit_identity_across_the_matrix),
         ("killed_worker_recovers_bit_identically", killed_worker_recovers_bit_identically),
         (
             "dying_worker_requeues_its_clusters_onto_survivors",
@@ -117,33 +113,6 @@ fn execute(config: DistribConfig, label: &str) -> DistribResult {
     DistribRuntime::new(config)
         .execute(distrib_dataset(), &c2_config())
         .unwrap_or_else(|e| panic!("{label}: distributed build failed: {e}"))
-}
-
-/// Every cell of the §VIII deployment matrix merges to the same bits.
-fn bit_identity_across_the_matrix() {
-    for transport in [Transport::Pipe, Transport::Socket] {
-        for processes in [1usize, 2, 4] {
-            for reduce_shards in [1usize, 2] {
-                let label = format!("{transport} x{processes} shards={reduce_shards}");
-                let result = execute(
-                    DistribConfig {
-                        processes,
-                        reduce_shards,
-                        transport,
-                        ..DistribConfig::default()
-                    },
-                    &label,
-                );
-                assert_bit_identical(&result.graph, &label);
-                assert_eq!(result.report.worker_deaths, 0, "{label}: clean run");
-                assert_eq!(result.report.processes, processes, "{label}");
-                assert!(
-                    result.report.workers.iter().all(|w| w.exit == ProcExit::Clean),
-                    "{label}: every worker must say goodbye"
-                );
-            }
-        }
-    }
 }
 
 /// SIGKILL a worker after its first solved cluster. The signal is

@@ -99,31 +99,6 @@ fn all_algorithms_beat_the_random_graph() {
 }
 
 #[test]
-fn pipeline_is_deterministic_on_one_thread() {
-    let ds = dataset();
-    let config = C2Config { threads: 1, ..c2_config(8) };
-    let a = ClusterAndConquer::new(config).build(&ds);
-    let b = ClusterAndConquer::new(config).build(&ds);
-    assert_eq!(a.stats.comparisons, b.stats.comparisons);
-    assert_eq!(a.stats.num_clusters, b.stats.num_clusters);
-    for u in ds.users() {
-        assert_eq!(a.graph.neighbors(u).sorted(), b.graph.neighbors(u).sorted());
-    }
-}
-
-#[test]
-fn multithreaded_c2_preserves_quality() {
-    let ds = dataset();
-    let reference = exact(&ds, 8);
-    let single = ClusterAndConquer::new(C2Config { threads: 1, ..c2_config(8) }).build(&ds);
-    let multi = ClusterAndConquer::new(C2Config { threads: 4, ..c2_config(8) }).build(&ds);
-    let q1 = quality(&single.graph, &reference, &ds);
-    let q4 = quality(&multi.graph, &reference, &ds);
-    // Thread interleaving may reorder tie-breaks, but quality must match.
-    assert!((q1 - q4).abs() < 0.01, "thread count changed quality: {q1:.4} vs {q4:.4}");
-}
-
-#[test]
 fn goldfinger_pipeline_stays_close_to_raw_pipeline() {
     // Table V's shape: GoldFinger trades a small quality delta for speed.
     let ds = dataset();

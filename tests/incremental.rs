@@ -1,22 +1,13 @@
-//! The incremental-rebuild equivalence suite.
-//!
-//! The contract of the staged `BuildPlan` path: an incremental build —
-//! whether its patch stage reused the previous graph (cross-group pairs of
-//! the dirty clusters, plus the rows that lost a neighbour) or treated the
-//! cache as empty and solved every cluster — must be **bit-identical** to
-//! a from-scratch build of the same dataset: identical graphs for every
-//! `(insert batch × workers × spill mode)` cell, `comparisons` counting
-//! exactly the similarities computed, and a cache priced like the
-//! from-scratch build. On top of the matrix: the in-process pipeline's
-//! incremental path; random insert sequences over several generations on
-//! a configuration small enough that clusters cross `N`, split, and pull
-//! users out of remainders, checked against an independent count of the
-//! pairs a patch owes; one case per fallback and one with an edited and a
-//! removed profile; a counts-only gate on the work a 1 % batch redoes; a
-//! structural bound on the cache's size; a randomized insert-sequence
-//! equivalence through the full `ServingEngine` loop; and a proptest
-//! pinning that the cache reuses a cluster only against its exact
-//! remembered member list.
+//! The incremental-rebuild suite, beyond the one identity check per
+//! executor × backend × delta that `tests/conformance.rs` makes: random
+//! insert sequences over several generations on a configuration small
+//! enough that clusters cross `N`, split, and pull users out of
+//! remainders, checked against an independent count of the pairs a patch
+//! owes; one case per fallback; a counts-only gate on the work a 1 % batch
+//! redoes; a structural bound on the cache's size; a randomized
+//! insert-sequence equivalence through the full `ServingEngine` loop; and
+//! a proptest pinning that the cache reuses a cluster only against its
+//! exact remembered member list.
 
 use cluster_and_conquer::prelude::*;
 use cnc_core::{cluster_dataset, FastRandomHash, RebuildPath};
@@ -75,98 +66,6 @@ fn assert_graphs_identical(a: &KnnGraph, b: &KnnGraph, label: &str) {
             "{label}: user {u} differs between incremental and from-scratch"
         );
     }
-}
-
-/// The acceptance matrix: full-vs-incremental bit-identical graphs over
-/// (insert batch sizes × workers × spill modes), with the comparison
-/// accounting attributable per cell.
-#[test]
-fn incremental_matches_from_scratch_across_the_matrix() {
-    let base = base_dataset();
-    let c2 = c2_config();
-    for batch in [1usize, 6, 32] {
-        let (grown, inserted) = grow(&base, batch, batch as u32);
-        for workers in [1usize, 3] {
-            for spill in [SpillMode::Off, SpillMode::Always] {
-                let label = format!("batch={batch} workers={workers} spill={spill:?}");
-                let runtime = Runtime::new(RuntimeConfig { workers, spill });
-                // Seed the cache from the base dataset, then rebuild the
-                // grown one incrementally.
-                let seeded = runtime.execute_incremental(&base, &c2, &ClusterCache::new(&c2), &[]);
-                let incr = runtime.execute_incremental(&grown, &c2, &seeded.cache, &inserted);
-                let full = runtime.execute(&grown, &c2);
-
-                assert_graphs_identical(&incr.graph, &full.graph, &label);
-                assert!(
-                    incr.rebuild.reuse_ratio > 0.0,
-                    "{label}: no clusters reused after a {batch}-user batch"
-                );
-                // Fresh + cached comparisons account for the whole
-                // from-scratch build, exactly.
-                assert!(incr.rebuild.comparisons < full.report.comparisons, "{label}");
-                assert_eq!(
-                    incr.cache.total_comparisons(),
-                    full.report.comparisons,
-                    "{label}: cache totals must equal a from-scratch build's count"
-                );
-                assert_eq!(incr.cache.len(), incr.rebuild.clusters_total, "{label}");
-                incr.cache
-                    .check_accounting(&incr.rebuild)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                assert_eq!(
-                    full.report.num_clusters, incr.rebuild.clusters_total,
-                    "{label}: the report and the rebuild stats must count one clustering"
-                );
-            }
-        }
-    }
-}
-
-/// The in-process pipeline's incremental path obeys the same contract as
-/// the sharded engine's (they share the staged `BuildPlan`).
-#[test]
-fn pipeline_incremental_matches_full_build() {
-    let base = base_dataset();
-    let c2 = c2_config();
-    let builder = ClusterAndConquer::new(c2);
-    let seeded = builder.build_incremental(&base, &ClusterCache::new(&c2));
-    assert_eq!(seeded.rebuild.reuse_ratio, 0.0, "empty cache resolves everything");
-
-    let (grown, _) = grow(&base, 9, 3);
-    let full = builder.build(&grown);
-    let incr = builder.build_incremental(&grown, &seeded.cache);
-    assert_graphs_identical(&incr.result.graph, &full.graph, "pipeline");
-    assert!(incr.rebuild.reuse_ratio > 0.5, "reuse {:.2}", incr.rebuild.reuse_ratio);
-    assert!(incr.result.stats.comparisons < full.stats.comparisons);
-    assert_eq!(incr.cache.total_comparisons(), full.stats.comparisons);
-
-    // Pipeline and sharded engine agree with each other, too.
-    let sharded = Runtime::new(RuntimeConfig::with_workers(2)).execute_incremental(
-        &grown,
-        &c2,
-        &seeded.cache,
-        &[],
-    );
-    assert_graphs_identical(&sharded.graph, &incr.result.graph, "pipeline vs sharded");
-    assert_eq!(sharded.rebuild.clusters_resolved, incr.rebuild.clusters_resolved);
-}
-
-/// GoldFinger fingerprints are per-user independent, so cached solutions
-/// survive dataset growth bit-identically on the fingerprint backend too
-/// — the serving engine's actual configuration.
-#[test]
-fn goldfinger_incremental_matches_from_scratch() {
-    let base = base_dataset();
-    let c2 =
-        C2Config { backend: SimilarityBackend::GoldFinger { bits: 1024, seed: 29 }, ..c2_config() };
-    let runtime = Runtime::new(RuntimeConfig::with_workers(2));
-    let seeded = runtime.execute_incremental(&base, &c2, &ClusterCache::new(&c2), &[]);
-    let (grown, inserted) = grow(&base, 12, 8);
-    let incr = runtime.execute_incremental(&grown, &c2, &seeded.cache, &inserted);
-    let full = runtime.execute(&grown, &c2);
-    assert_graphs_identical(&incr.graph, &full.graph, "goldfinger");
-    assert!(incr.rebuild.reuse_ratio > 0.5);
-    assert_eq!(incr.cache.total_comparisons(), full.report.comparisons);
 }
 
 /// A configuration small enough that Step 1 restructures under a handful
@@ -419,47 +318,6 @@ fn every_fallback_builds_the_from_scratch_graph() {
     check(&builder, &doubled, &seeded.cache, RebuildPath::PastCrossover);
 }
 
-/// Edits and deletes reduce to the row rule: an edited profile is a
-/// newcomer under its old id, a removed one a neighbour nobody shares a
-/// cluster with any more.
-#[test]
-fn edited_and_removed_profiles_patch_bit_identically() {
-    let base = tight_dataset(78);
-    let config = tight_config();
-    let builder = ClusterAndConquer::new(config);
-    let seeded = builder.build_incremental(&base, &ClusterCache::new(&config));
-    let mut profiles: Vec<Vec<u32>> = base.iter().map(|(_, p)| p.to_vec()).collect();
-    // User 17 takes user 140's items plus one; user 33's profile empties;
-    // the last user vanishes with its id.
-    let mut edited = profiles[140].clone();
-    edited.push(199);
-    edited.sort_unstable();
-    edited.dedup();
-    assert_ne!(edited, profiles[17]);
-    profiles[17] = edited;
-    profiles[33].clear();
-    profiles.pop();
-    let changed = Dataset::from_profiles(profiles, base.num_items() as u32);
-
-    let full = builder.build(&changed);
-    let incr = builder.build_incremental(&changed, &seeded.cache);
-    assert_eq!(incr.rebuild.path, RebuildPath::Patched);
-    assert_graphs_identical(&incr.result.graph, &full.graph, "edited + removed");
-    assert!(incr.result.graph.neighbors(33).is_empty(), "an empty profile has no neighbours");
-    assert!(incr.rebuild.rows_recomputed > 0, "someone listed the edited or removed users");
-    assert!(incr.result.stats.comparisons < full.stats.comparisons);
-    assert_eq!(incr.cache.total_comparisons(), full.stats.comparisons);
-
-    let sharded = Runtime::new(RuntimeConfig::with_workers(2)).execute_incremental(
-        &changed,
-        &config,
-        &seeded.cache,
-        &[],
-    );
-    assert_graphs_identical(&sharded.graph, &full.graph, "edited + removed, sharded");
-    assert_eq!(sharded.rebuild.comparisons, incr.rebuild.comparisons);
-}
-
 /// A machine-independent gate on the point of the whole exercise: a 1 %
 /// insert batch that triggers no new split redoes at most a quarter of
 /// the from-scratch comparisons. Counts only — no clock.
@@ -556,20 +414,6 @@ fn serving_epochs_are_bit_identical_to_from_scratch_builds() {
         );
     }
     assert_eq!(engine.rebuild_history().len(), 3);
-}
-
-/// The cache lookup path never reuses across configuration changes.
-#[test]
-fn config_changes_invalidate_the_cache() {
-    let base = base_dataset();
-    let c2 = c2_config();
-    let runtime = Runtime::new(RuntimeConfig::with_workers(1));
-    let seeded = runtime.execute_incremental(&base, &c2, &ClusterCache::new(&c2), &[]);
-    let changed = C2Config { seed: c2.seed + 1, ..c2 };
-    let rebuilt = runtime.execute_incremental(&base, &changed, &seeded.cache, &[]);
-    assert_eq!(rebuilt.rebuild.reuse_ratio, 0.0, "other-config cache must be ignored");
-    let full = runtime.execute(&base, &changed);
-    assert_graphs_identical(&rebuilt.graph, &full.graph, "changed config");
 }
 
 mod proptests {

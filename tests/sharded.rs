@@ -1,80 +1,8 @@
-//! Integration: the sharded runtime against the single-process
-//! pipeline — equivalence, agreement with the §VIII plan, and scaling.
+//! Integration: the sharded runtime against the §VIII plan — measured
+//! merge traffic and scaling (its graphs are `tests/conformance.rs`'s).
 
 use cluster_and_conquer::prelude::*;
 use cnc_core::plan_deployment;
-use cnc_graph::quality as graph_quality;
-use cnc_similarity::SimilarityData;
-
-/// The `tests/end_to_end.rs` dataset (same seed and shape).
-fn dataset() -> Dataset {
-    let mut cfg = SyntheticConfig::small(2024);
-    cfg.num_users = 800;
-    cfg.num_items = 600;
-    cfg.communities = 12;
-    cfg.mean_profile = 30.0;
-    cfg.min_profile = 10;
-    cfg.generate()
-}
-
-fn c2_config(k: usize) -> C2Config {
-    C2Config {
-        k,
-        b: 128,
-        t: 6,
-        max_cluster_size: 150,
-        backend: SimilarityBackend::Raw,
-        seed: 99,
-        ..C2Config::default()
-    }
-}
-
-fn exact(ds: &Dataset, k: usize) -> KnnGraph {
-    let sim = SimilarityData::build(SimilarityBackend::Raw, ds);
-    let ctx = BuildContext { dataset: ds, sim: &sim, k, threads: 0, seed: 1 };
-    BruteForce.build(&ctx)
-}
-
-#[test]
-fn sharded_build_matches_single_process_quality() {
-    let ds = dataset();
-    let k = 10;
-    let reference = exact(&ds, k);
-    let builder = ClusterAndConquer::new(c2_config(k));
-
-    let single = builder.build(&ds);
-    let sharded = Runtime::new(RuntimeConfig::with_workers(4)).execute(&ds, builder.config());
-
-    let q_single = graph_quality(&single.graph, &reference, &ds);
-    let q_sharded = graph_quality(&sharded.graph, &reference, &ds);
-    assert!(
-        (q_single - q_sharded).abs() < 1e-9,
-        "sharded quality {q_sharded:.4} deviates from single-process {q_single:.4}"
-    );
-
-    // Stronger than within-noise: the bounded-heap merge is order-
-    // independent, so the graphs must be identical neighbourhood by
-    // neighbourhood.
-    for u in ds.users() {
-        assert_eq!(
-            sharded.graph.neighbors(u).sorted(),
-            single.graph.neighbors(u).sorted(),
-            "user {u} differs between sharded and single-process builds"
-        );
-    }
-}
-
-#[test]
-fn sharded_comparisons_match_single_process() {
-    let ds = dataset();
-    let builder = ClusterAndConquer::new(c2_config(10));
-    let single = builder.build(&ds);
-    let sharded = Runtime::new(RuntimeConfig::with_workers(3)).execute(&ds, builder.config());
-    assert_eq!(
-        sharded.report.comparisons, single.stats.comparisons,
-        "sharded run performed a different amount of similarity work"
-    );
-}
 
 /// The acceptance criterion's speed-up check. Worker busy times are wall
 /// clocks, so real parallel speed-up needs real parallel hardware: on

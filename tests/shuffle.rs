@@ -1,11 +1,9 @@
-//! The determinism/equivalence suite for the runtime's merge and its
-//! file-backed spill lane: every `(workers, spill)` combination must
-//! produce **exactly** the graph of the single-process
-//! `ClusterAndConquer::build`, hand the merge exactly the entries the
-//! §VIII cost model predicts, and route them as the spill mode says.
+//! The runtime's file-backed spill lane: its directory is gone after a
+//! build, the codec round-trips exactly, and the partitioner covers every
+//! user once. Every `(workers, spill)` cell's graph, merge traffic and
+//! spill route are `tests/conformance.rs`'s.
 
 use cluster_and_conquer::prelude::*;
-use cnc_core::plan_deployment;
 use cnc_distrib::partition_of;
 use cnc_graph::NeighborList;
 use cnc_runtime::shuffle::{encoded_len, read_record, write_record};
@@ -31,65 +29,6 @@ fn c2_config() -> C2Config {
         seed: 31,
         threads: 1,
         ..C2Config::default()
-    }
-}
-
-/// The acceptance matrix: workers × spill modes, each cell checked for
-/// exact graph equality with the single-process build, for the predicted
-/// merge traffic and for the route the spill mode prescribes.
-#[test]
-fn every_configuration_reproduces_the_single_process_graph() {
-    let ds = dataset();
-    let c2 = c2_config();
-    let single = ClusterAndConquer::new(c2).build(&ds);
-    let clustering = ClusterAndConquer::new(c2).cluster_step(&ds);
-    for workers in [1usize, 2, 4] {
-        for spill in [SpillMode::Off, SpillMode::Always] {
-            let config = RuntimeConfig { workers, spill };
-            let sharded = Runtime::new(config).execute(&ds, &c2_config());
-            let report = &sharded.report;
-            let label = format!("W={workers} spill={spill:?}");
-
-            let predicted = plan_deployment(&clustering, workers, c2.k, c2.rho);
-            assert_eq!(report.shuffle_entries, predicted.merge_traffic, "{label}");
-            assert_eq!(report.comparisons, single.stats.comparisons, "{label}");
-            assert_eq!(report.rerouted_records, 0, "{label}");
-            for u in ds.users() {
-                assert_eq!(
-                    sharded.graph.neighbors(u).sorted(),
-                    single.graph.neighbors(u).sorted(),
-                    "{label}: user {u} differs from the single-process build"
-                );
-            }
-            let spilled = report.spilled_entries;
-            match spill {
-                SpillMode::Off => {
-                    assert_eq!(report.spilled_bytes, 0, "{label}");
-                    assert_eq!(spilled, 0, "{label}");
-                    assert!(report.spill_dir.is_none(), "{label}");
-                }
-                SpillMode::Always => {
-                    // The acceptance criterion: a spilling build really
-                    // routes bytes through files.
-                    assert!(report.spilled_bytes > 0, "{label}: no spill bytes");
-                    assert_eq!(spilled, report.shuffle_entries, "{label}: Always spills all");
-                }
-            }
-        }
-    }
-}
-
-/// Repeated builds of the same configuration are deterministic — the
-/// merge introduces no ordering or scheduling dependence.
-#[test]
-fn sharded_builds_are_reproducible() {
-    let ds = dataset();
-    let config = RuntimeConfig { workers: 3, spill: SpillMode::Always };
-    let a = Runtime::new(config).execute(&ds, &c2_config());
-    let b = Runtime::new(config).execute(&ds, &c2_config());
-    assert_eq!(a.report.shuffle_entries, b.report.shuffle_entries);
-    for u in ds.users() {
-        assert_eq!(a.graph.neighbors(u).sorted(), b.graph.neighbors(u).sorted());
     }
 }
 
