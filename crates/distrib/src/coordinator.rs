@@ -16,15 +16,16 @@
 //!   to a typed [`DistribError::ClusterExhausted`];
 //! * with **no** survivors the coordinator itself solves the remainder
 //!   inline — the orchestrator recovery lane;
-//! * transport sends retry injected IO under capped backoff
-//!   ([`crate::transport::send_frame`]);
+//! * transport sends retry injected IO under [`cnc_faults::retry`]
+//!   ([`crate::transport::send_frame`]), and the inline lane's solves
+//!   retry their gate with [`cnc_faults::RETRY_ATTEMPTS`];
 //! * the result is published like the serving writer: the graph is
 //!   assembled only after *every* cluster completes, and
 //!   [`DistribPublisher`] keeps the last good result live across
 //!   failed rebuilds — a partial merge is unrepresentable.
 
 use crate::error::DistribError;
-use crate::transport::{self, send_frame, spawn_worker, SocketDir, Transport, WorkerLink};
+use crate::transport::{send_frame, spawn_worker, SocketDir, Transport, WorkerLink};
 use crate::wire::{
     self, decode_cluster_done, decode_stats, partition_of, read_frame, Assignment, ReducePartition,
     WorkerWireStats, FRAME_BYE, FRAME_CLUSTER_DONE, FRAME_FINISH, FRAME_IDLE, FRAME_SPANS,
@@ -34,13 +35,12 @@ use cnc_baselines::local::solve_cluster_partial;
 use cnc_core::distributed::plan_deployment_for;
 use cnc_core::{BuildPlan, C2Config, ClusterAndConquer};
 use cnc_dataset::{Dataset, UserId};
-use cnc_faults::{backoff, catch_injected, Faults, Site};
+use cnc_faults::{Faults, Site, RETRY_ATTEMPTS};
 use cnc_graph::{KnnGraph, NeighborList};
 use cnc_similarity::SimilarityData;
 use cnc_telemetry::{wire as telemetry_wire, Telemetry};
 use std::cell::OnceCell;
 use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::process::Child;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -49,12 +49,9 @@ use std::time::{Duration, Instant};
 
 /// How many worker processes may die on one cluster before the build
 /// fails typed — the process-level analogue of the engine's
-/// per-cluster solve-attempt bound.
+/// per-cluster solve-attempt bound ([`cnc_faults::SOLVE_ATTEMPTS`]).
+/// It counts deaths, not tries of a loop.
 pub const MAX_CLUSTER_ATTEMPTS: u32 = 3;
-
-/// Retry bound for the coordinator's inline recovery solves; outlasts
-/// any injectable failure budget (span ≤ 12).
-const INLINE_SOLVE_ATTEMPTS: u32 = 16;
 
 /// Chaos hook: kill worker `worker` (SIGKILL) after it reports
 /// `after_clusters` completed clusters — the kill-a-worker-mid-build
@@ -239,7 +236,6 @@ impl DistribRuntime {
         let wall_start = Instant::now();
         let telemetry = Telemetry::global();
         let mut span = telemetry.span("distrib.build");
-        let coord_retries_base = transport::transport_retries();
 
         let processes = self.config.processes.max(1);
         let reduce_shards = self.config.effective_reduce_shards();
@@ -324,10 +320,14 @@ impl DistribRuntime {
         let reaper = Reaper { children: children.clone() };
 
         // --- Coordinator-side build state ---
-        let mut send_seq: u64 = 0;
-        let mut coord_key = move || {
+        // Frame ordinals key the coordinator's sends; their retries add up
+        // in `transport_retries`.
+        let (mut send_seq, mut transport_retries) = (0u64, 0u64);
+        let mut send = |out: &mut Box<dyn std::io::Write + Send>, kind, payload: &[u8]| {
             send_seq += 1;
-            send_seq
+            let retries = send_frame(out, kind, payload, send_seq)?;
+            transport_retries += u64::from(retries);
+            Ok::<_, DistribError>(())
         };
         let mut done = vec![false; total];
         let mut attempts = vec![0u32; total];
@@ -368,7 +368,7 @@ impl DistribRuntime {
                 dataset,
                 &assignments,
             );
-            let _ = send_frame(&mut writers[w], wire::FRAME_JOB, &payload, coord_key());
+            let _ = send(&mut writers[w], wire::FRAME_JOB, &payload);
         }
 
         // --- Main event loop ---
@@ -376,7 +376,7 @@ impl DistribRuntime {
             if done_count == total {
                 for w in 0..processes {
                     if alive[w] && idle[w] && !finish_sent[w] {
-                        let _ = send_frame(&mut writers[w], FRAME_FINISH, &[], coord_key());
+                        let _ = send(&mut writers[w], FRAME_FINISH, &[]);
                         finish_sent[w] = true;
                     }
                 }
@@ -392,12 +392,7 @@ impl DistribRuntime {
                         let take = share.min(pool.len());
                         let batch: Vec<Assignment> = pool.drain(..take).collect();
                         let payload = wire::encode_add_clusters(&batch);
-                        match send_frame(
-                            &mut writers[w],
-                            wire::FRAME_ADD_CLUSTERS,
-                            &payload,
-                            coord_key(),
-                        ) {
+                        match send(&mut writers[w], wire::FRAME_ADD_CLUSTERS, &payload) {
                             Ok(()) => {
                                 idle[w] = false;
                                 holding[w].extend(batch);
@@ -537,7 +532,7 @@ impl DistribRuntime {
                 exit: exits[w].clone(),
             })
             .collect();
-        let transport_retries = (transport::transport_retries() - coord_retries_base)
+        let transport_retries = transport_retries
             + workers
                 .iter()
                 .filter_map(|p| p.wire.as_ref())
@@ -570,7 +565,8 @@ impl DistribRuntime {
 }
 
 /// Solves one cluster in the coordinator (recovery lane) and routes its
-/// lists to the reducers. Retries injected solve panics under backoff.
+/// lists to the reducers. Its `solve.cluster` gate retries with
+/// [`RETRY_ATTEMPTS`], which outlasts any schedule.
 fn solve_inline(
     plan: &BuildPlan,
     sim: &SimilarityData<'_>,
@@ -578,27 +574,13 @@ fn solve_inline(
     cluster: usize,
     shard_txs: &[Sender<Vec<(UserId, NeighborList)>>],
 ) -> Result<u64, DistribError> {
-    let faults = Faults::global();
+    let gate = Faults::global().gate(Site::SolveCluster, cluster as u64, RETRY_ATTEMPTS);
+    gate.map_err(|e| DistribError::ClusterExhausted { cluster, attempts: e.attempts })?;
     let users = &plan.clusters()[cluster];
     let job_seed = ClusterAndConquer::job_seed(c2, cluster);
     let threshold = c2.brute_force_threshold();
-    let mut attempt = 0;
-    let (lists, comparisons) = loop {
-        let outcome = catch_injected(AssertUnwindSafe(|| {
-            faults.panic_on(Site::SolveCluster, cluster as u64);
-            solve_cluster_partial(users, sim, c2.k, threshold, c2.rho, c2.delta, job_seed)
-        }));
-        match outcome {
-            Ok(solved) => break solved,
-            Err(_) => {
-                attempt += 1;
-                if attempt >= INLINE_SOLVE_ATTEMPTS {
-                    return Err(DistribError::ClusterExhausted { cluster, attempts: attempt });
-                }
-                backoff(attempt, 20, 2_000);
-            }
-        }
-    };
+    let (lists, comparisons) =
+        solve_cluster_partial(users, sim, c2.k, threshold, c2.rho, c2.delta, job_seed);
     let reduce_shards = shard_txs.len();
     let mut batches: Vec<Vec<(UserId, NeighborList)>> = vec![Vec::new(); reduce_shards];
     for (&user, list) in users.iter().zip(lists) {

@@ -39,4 +39,4 @@ pub use coordinator::{
 pub use error::DistribError;
 pub use transport::Transport;
 pub use wire::{partition_of, ReducePartition};
-pub use worker::{maybe_run_worker, run_worker, MAX_SOLVE_ATTEMPTS};
+pub use worker::{maybe_run_worker, run_worker};

@@ -7,15 +7,15 @@
 //! stream; `tests/conformance.rs` pins bit-identical graphs across them.
 //!
 //! Every frame write passes a `transport.send` fault gate *before* any
-//! byte reaches the wire, and injected failures retry under capped
-//! backoff — the same recovery contract as spill IO ([`SEND_ATTEMPTS`]
-//! = 16 outlasts any injectable budget, span ≤ 12). A *genuine* write
-//! error is not retried: the stream may hold a partial frame, so the
-//! caller gets a typed error and treats the peer as lost.
+//! byte reaches the wire, retried under [`cnc_faults::retry`] with the
+//! IO budget every other recovering site uses
+//! ([`cnc_faults::RETRY_ATTEMPTS`], which outlasts any schedule). A
+//! *genuine* write error is not retried: the stream may hold a partial
+//! frame, so the caller gets a typed error and treats the peer as lost.
 
 use crate::error::DistribError;
 use crate::wire::frame_bytes;
-use cnc_faults::{backoff, Faults, Site};
+use cnc_faults::{injected_io_error, Exhausted, Faults, Site, RETRY_ATTEMPTS};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -33,10 +33,6 @@ pub const ENV_SOCKET: &str = "CNC_DISTRIB_SOCKET";
 
 /// Exit code of a worker killed by an injected `worker.exit` fault.
 pub const EXIT_INJECTED: i32 = 17;
-
-/// Retry budget for one frame send; outlasts any injectable failure
-/// budget, so injected transport faults are always absorbed.
-pub const SEND_ATTEMPTS: u32 = 16;
 
 /// How long the coordinator waits for a spawned worker to connect its
 /// socket before declaring the spawn failed.
@@ -80,18 +76,9 @@ impl std::fmt::Display for Transport {
     }
 }
 
-/// Process-lifetime count of transport send retries (injected faults
-/// absorbed by backoff). Workers report theirs over the wire; the
-/// coordinator takes a delta around each build.
-static TRANSPORT_RETRIES: AtomicU64 = AtomicU64::new(0);
-
-/// Current process's transport retry count.
-pub fn transport_retries() -> u64 {
-    TRANSPORT_RETRIES.load(Ordering::Relaxed)
-}
-
-/// Sends one frame: fault gate (with retries) first, then a single
-/// `write_all` + flush. `fault_key` identifies the send for the seeded
+/// Sends one frame: the fault gate (with retries) first, then a single
+/// `write_all` + flush. Returns the gate's retries, which the sender
+/// adds to its own count. `fault_key` identifies the send for the seeded
 /// schedule — the coordinator and each worker key by their own frame
 /// ordinals, salted per direction.
 pub fn send_frame<W: Write>(
@@ -99,26 +86,19 @@ pub fn send_frame<W: Write>(
     kind: u8,
     payload: &[u8],
     fault_key: u64,
-) -> Result<(), DistribError> {
-    let faults = Faults::global();
-    let mut attempt = 0;
-    loop {
-        match faults.inject_io(Site::TransportSend, fault_key) {
-            Ok(()) => break,
-            Err(last) => {
-                attempt += 1;
-                if attempt >= SEND_ATTEMPTS {
-                    return Err(DistribError::TransportExhausted { attempts: attempt, last });
-                }
-                TRANSPORT_RETRIES.fetch_add(1, Ordering::Relaxed);
-                backoff(attempt, 20, 2_000);
-            }
-        }
-    }
+) -> Result<u32, DistribError> {
+    let site = Site::TransportSend;
+    let retries = Faults::global().gate(site, fault_key, RETRY_ATTEMPTS).map_err(
+        |Exhausted { attempts, .. }| DistribError::TransportExhausted {
+            attempts,
+            last: injected_io_error(site),
+        },
+    )?;
     let bytes = frame_bytes(kind, payload);
     out.write_all(&bytes)
         .and_then(|()| out.flush())
-        .map_err(|source| DistribError::Transport { context: "frame write", source })
+        .map_err(|source| DistribError::Transport { context: "frame write", source })?;
+    Ok(retries)
 }
 
 /// One spawned worker process and its byte streams. The child handle is
@@ -303,13 +283,13 @@ mod tests {
     fn send_frame_retries_injected_faults_and_delivers() {
         let _serial = lock();
         let faults = Faults::global();
-        // span ≤ 12 < SEND_ATTEMPTS: every injected schedule is absorbed.
+        // span ≤ 12 < RETRY_ATTEMPTS: every injected schedule is absorbed.
         let plan = FaultPlan::new(31, 1.0).with_span(12).only(&[Site::TransportSend]);
         let _guard = faults.arm(plan);
-        let before = transport_retries();
         let mut out = Vec::new();
-        send_frame(&mut out, crate::wire::FRAME_IDLE, &[], 5).unwrap();
-        assert!(transport_retries() > before, "p=1 must have cost retries");
+        let retries = send_frame(&mut out, crate::wire::FRAME_IDLE, &[], 5).unwrap();
+        assert!(retries > 0, "p=1 must have cost retries");
+        assert_eq!(u64::from(retries), faults.injected(Site::TransportSend));
         let frame = crate::wire::read_frame(&mut out.as_slice()).unwrap().unwrap();
         assert_eq!(frame.kind, crate::wire::FRAME_IDLE);
     }

@@ -459,7 +459,8 @@ pub struct WorkerWireStats {
     pub comparisons: u64,
     /// In-process solve retries (caught injected panics).
     pub solve_retries: u64,
-    /// Transport send retries (injected IO absorbed by backoff).
+    /// Transport send retries: the sum of this process's `send_frame`
+    /// returns, the stats frame's own excluded.
     pub transport_retries: u64,
     /// Total faults injected in this process.
     pub injected: u64,

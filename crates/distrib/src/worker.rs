@@ -9,11 +9,12 @@
 //! them as one atomic `FRAME_CLUSTER_DONE`.
 //!
 //! Recovery mirrors the in-process engine's map workers: each solve
-//! runs under [`catch_injected`] with up to [`MAX_SOLVE_ATTEMPTS`]
-//! in-process tries; the cross-process `worker.exit` site is consulted
-//! *before* the solve with the coordinator-tracked attempt number
-//! ([`Faults::inject_at`]) and a drawn fault is an immediate
-//! `process::exit` — no goodbye frame, the coordinator sees EOF.
+//! waits behind the `solve.cluster` gate ([`Faults::gate`]) for up to
+//! [`SOLVE_ATTEMPTS`] in-process tries; the cross-process `worker.exit`
+//! site is consulted *before* the solve with the coordinator-tracked
+//! attempt number ([`Faults::inject_at`]) and a drawn fault is an
+//! immediate `process::exit` — no goodbye frame, the coordinator sees
+//! EOF.
 
 use crate::error::DistribError;
 use crate::transport::{self, send_frame, EXIT_INJECTED};
@@ -23,18 +24,13 @@ use crate::wire::{
 };
 use cnc_baselines::local::solve_cluster_partial;
 use cnc_core::{BuildPlan, ClusterAndConquer};
-use cnc_faults::{backoff, catch_injected, silence_injected_panics, FaultPlan, Faults, Site};
+use cnc_faults::{FaultPlan, Faults, Site, SOLVE_ATTEMPTS};
 use cnc_graph::NeighborList;
 use cnc_similarity::SimilarityData;
 use cnc_telemetry::Telemetry;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::time::Instant;
-
-/// In-process retry bound per cluster solve — the same bound as the
-/// engine's map workers; exceeding it kills the process (the
-/// coordinator requeues).
-pub const MAX_SOLVE_ATTEMPTS: u32 = 3;
 
 /// Checks the environment/arguments for worker mode and, if present,
 /// runs the worker protocol and **never returns**. Binaries that a
@@ -66,7 +62,6 @@ fn protocol(detail: impl Into<String>) -> DistribError {
 }
 
 fn worker_loop() -> Result<(), DistribError> {
-    silence_injected_panics();
     let (mut reader, mut writer) = transport::worker_connection()?;
 
     let frame = read_frame(&mut reader)?.ok_or_else(|| protocol("EOF before job frame"))?;
@@ -102,7 +97,8 @@ fn worker_loop() -> Result<(), DistribError> {
     loop {
         let Some(Assignment { cluster, attempt }) = queue.pop_front() else {
             send_seq += 1;
-            send_frame(&mut writer, FRAME_IDLE, &[], send_seq)?;
+            stats.transport_retries +=
+                u64::from(send_frame(&mut writer, FRAME_IDLE, &[], send_seq)?);
             let frame = read_frame(&mut reader)?.ok_or_else(|| protocol("EOF awaiting command"))?;
             match frame.kind {
                 wire::FRAME_ADD_CLUSTERS => queue.extend(decode_add_clusters(&frame.payload)?),
@@ -122,28 +118,15 @@ fn worker_loop() -> Result<(), DistribError> {
         let job_seed = ClusterAndConquer::job_seed(&c2, cluster as usize);
 
         let solve_start = Instant::now();
-        let mut solve_attempt = 0;
-        let (lists, comparisons) = loop {
-            let outcome = catch_injected(std::panic::AssertUnwindSafe(|| {
-                faults.panic_on(Site::SolveCluster, cluster as u64);
-                solve_cluster_partial(users, &sim, c2.k, threshold, c2.rho, c2.delta, job_seed)
-            }));
-            match outcome {
-                Ok(solved) => break solved,
-                Err(_injected) => {
-                    solve_attempt += 1;
-                    stats.solve_retries += 1;
-                    if solve_attempt >= MAX_SOLVE_ATTEMPTS {
-                        // Out of in-process budget: die and let the
-                        // coordinator requeue (process = worker).
-                        return Err(protocol(format!(
-                            "cluster {cluster} exhausted {MAX_SOLVE_ATTEMPTS} solve attempts"
-                        )));
-                    }
-                    backoff(solve_attempt, 20, 2_000);
-                }
-            }
-        };
+        // Out of in-process budget: die and let the coordinator requeue
+        // (process = worker).
+        let gate = faults.gate(Site::SolveCluster, cluster.into(), SOLVE_ATTEMPTS);
+        let retries = gate.map_err(|e| {
+            protocol(format!("cluster {cluster} exhausted {} solve attempts", e.attempts))
+        })?;
+        stats.solve_retries += u64::from(retries);
+        let (lists, comparisons) =
+            solve_cluster_partial(users, &sim, c2.k, threshold, c2.rho, c2.delta, job_seed);
         let busy = solve_start.elapsed();
 
         // Route per reduce shard; empty lists are dropped at the source.
@@ -155,7 +138,8 @@ fn worker_loop() -> Result<(), DistribError> {
         }
         let payload = wire::encode_cluster_done(cluster, comparisons, &groups)?;
         send_seq += 1;
-        send_frame(&mut writer, FRAME_CLUSTER_DONE, &payload, send_seq)?;
+        stats.transport_retries +=
+            u64::from(send_frame(&mut writer, FRAME_CLUSTER_DONE, &payload, send_seq)?);
 
         stats.clusters += 1;
         stats.comparisons += comparisons;
@@ -179,9 +163,9 @@ fn worker_loop() -> Result<(), DistribError> {
         let records = telemetry.span_records();
         let payload = cnc_telemetry::wire::encode_records(&records);
         send_seq += 1;
-        send_frame(&mut writer, FRAME_SPANS, &payload, send_seq)?;
+        stats.transport_retries +=
+            u64::from(send_frame(&mut writer, FRAME_SPANS, &payload, send_seq)?);
     }
-    stats.transport_retries = transport::transport_retries();
     stats.injected = faults.injected_total();
     send_seq += 1;
     send_frame(&mut writer, FRAME_STATS, &wire::encode_stats(&stats), send_seq)?;

@@ -14,19 +14,23 @@
 //! * **Determinism per key.** Whether — and how often — a given cluster
 //!   solve, spill record or snapshot write fails is a pure function of
 //!   the plan's seed, independent of thread interleaving.
-//! * **Transience.** Budgets are finite, so bounded retry loops always
-//!   outlast the schedule *unless* the caller's retry budget is smaller
-//!   than the drawn failure budget — which is exactly how the schedule
-//!   escalates a recoverable fault into a build-level failure the layer
-//!   above must absorb.
+//! * **Transience.** Budgets are finite (at most [`MAX_SPAN`]), so a
+//!   retry outlasts the schedule *unless* the caller's attempt budget is
+//!   smaller than the drawn failure budget — which is exactly how the
+//!   schedule escalates a recoverable fault into a build-level failure
+//!   the layer above must absorb.
+//!
+//! Every recovering caller retries through the one loop here, [`retry`],
+//! under one of two budgets: [`RETRY_ATTEMPTS`] outlasts every schedule
+//! (IO, transport, the coordinator's inline solves), [`SOLVE_ATTEMPTS`]
+//! deliberately does not (the solve gates inside a build lane).
 //!
 //! The registry is dependency-free and knows nothing about the layers it
 //! serves: callers map [`Fault::Io`] to an `io::Error`, [`Fault::Panic`]
-//! to an unwinding panic ([`Faults::panic_on`]), [`Fault::Torn`] to a
-//! short write, [`Fault::Crash`] to "die between write and rename".
+//! to a failed solve gate ([`Faults::gate`]), [`Fault::Torn`] to a short
+//! write, [`Fault::Crash`] to "die between write and rename".
 
 use std::collections::HashMap;
-use std::panic::UnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Duration;
@@ -117,8 +121,9 @@ pub enum Fault {
     Crash,
 }
 
-/// The payload [`Faults::panic_on`] unwinds with, so hooks and tests can
-/// tell injected panics from genuine ones.
+/// The payload a build unwinds with when a cluster's `solve.cluster` gate
+/// exhausts its attempts, so hooks and tests can tell injected panics
+/// from genuine ones.
 #[derive(Clone, Copy, Debug)]
 pub struct InjectedPanic {
     /// The site that fired.
@@ -137,8 +142,9 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Per-key failure probability, in thousandths (20 = 2%).
     pub p_mille: u32,
-    /// Upper bound of the per-key failure budget; clamped to `1..=12` so
-    /// generous retry loops (≥ 16 attempts) always outlast the schedule.
+    /// Upper bound of the per-key failure budget; clamped to
+    /// `1..=`[`MAX_SPAN`], so [`RETRY_ATTEMPTS`] always outlasts the
+    /// schedule.
     pub span: u32,
     /// Bitmask of armed sites (bit = `Site::ALL` index); 0xFF = all.
     pub sites: u16,
@@ -146,6 +152,23 @@ pub struct FaultPlan {
 
 /// The mask with every [`Site`] armed.
 pub const ALL_SITES: u16 = 0xFF;
+
+/// The widest failure budget a plan draws: [`FaultPlan::span`] is
+/// clamped to `1..=MAX_SPAN`.
+pub const MAX_SPAN: u32 = 12;
+
+/// The attempt budget that outlasts every schedule: IO (spill, snapshot
+/// load), transport sends and the coordinator's inline solves. Only a
+/// genuine persistent failure exhausts it.
+pub const RETRY_ATTEMPTS: u32 = 16;
+
+/// The attempt budget of a solve gate inside a build lane (the runtime's
+/// pool jobs, a worker process). Below [`MAX_SPAN`] on purpose: a wide
+/// schedule exhausts it, and the layer above recovers (the serving
+/// writer's publish retry, the coordinator's requeue).
+pub const SOLVE_ATTEMPTS: u32 = 3;
+
+const _: () = assert!(RETRY_ATTEMPTS > MAX_SPAN, "IO retries must outlast every schedule");
 
 impl FaultPlan {
     /// All sites armed at probability `p` (fraction, not mille).
@@ -164,7 +187,8 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the failure-budget span (clamped to `1..=12` when applied).
+    /// Sets the failure-budget span (clamped to `1..=`[`MAX_SPAN`] when
+    /// applied).
     pub fn with_span(mut self, span: u32) -> FaultPlan {
         self.span = span;
         self
@@ -228,7 +252,7 @@ impl FaultPlan {
     }
 
     fn effective_span(&self) -> u64 {
-        self.span.clamp(1, 12) as u64
+        self.span.clamp(1, MAX_SPAN) as u64
     }
 
     /// How many times `(site, key)` will fail before succeeding — a pure
@@ -447,15 +471,15 @@ impl Faults {
         }
     }
 
-    /// Unwinds with an [`InjectedPanic`] payload if the schedule fails
-    /// this attempt. Sites whose kind is `Panic` use this at the top of
-    /// the protected region, *before* any state is mutated, so catching
-    /// and retrying is always safe.
+    /// Asks `(site, key)` under [`retry`] until the schedule lets it
+    /// pass: `Ok` with the retries it took, or the last fault once
+    /// `attempts` have failed. A gate guards an operation *before* it
+    /// touches any state, so passing late is as good as passing first.
+    /// Disarmed: one relaxed load, `Ok(0)`.
     #[inline]
-    pub fn panic_on(&self, site: Site, key: u64) {
-        if self.inject(site, key).is_some() {
-            std::panic::panic_any(InjectedPanic { site, key });
-        }
+    pub fn gate(&self, site: Site, key: u64, attempts: u32) -> Result<u32, Exhausted<Fault>> {
+        let pass = || self.inject(site, key).map_or(Ok(()), |fault| Err(Failure::Transient(fault)));
+        retry(attempts, pass).map(|((), retries)| retries)
     }
 
     /// Total injections fired at `site` since the last arm.
@@ -479,24 +503,11 @@ pub fn is_injected_panic(payload: &(dyn std::any::Any + Send)) -> bool {
     payload.is::<InjectedPanic>()
 }
 
-/// Runs `f`, converting an [`InjectedPanic`] unwind into `Err(payload)`.
-/// Genuine panics are re-raised untouched — injected faults must never
-/// mask real bugs.
-pub fn catch_injected<T>(f: impl FnOnce() -> T + UnwindSafe) -> Result<T, InjectedPanic> {
-    match std::panic::catch_unwind(f) {
-        Ok(v) => Ok(v),
-        Err(payload) => match payload.downcast::<InjectedPanic>() {
-            Ok(injected) => Err(*injected),
-            Err(other) => std::panic::resume_unwind(other),
-        },
-    }
-}
-
 /// Installs (once) a panic-hook wrapper that suppresses the default
 /// "thread panicked" report for [`InjectedPanic`] unwinds — chaos runs
-/// inject thousands of panics that are caught and recovered, and the
-/// stderr noise would drown real failures. All other panics report as
-/// before.
+/// drive many builds into an exhausted solve gate and recover above it,
+/// and the stderr noise would drown real failures. All other panics
+/// report as before.
 pub fn silence_injected_panics() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
@@ -510,21 +521,67 @@ pub fn silence_injected_panics() {
     });
 }
 
-/// Capped exponential backoff for recovery retries: sleeps
-/// `base_us << attempt`, capped at `cap_us`. Attempt 0 sleeps `base_us`.
-pub fn backoff(attempt: u32, base_us: u64, cap_us: u64) {
-    let us = base_us.saturating_shl(attempt.min(20)).min(cap_us).max(1);
-    std::thread::sleep(Duration::from_micros(us));
+/// First wait of [`retry`]'s curve.
+const RETRY_BASE: Duration = Duration::from_micros(20);
+
+/// Longest wait of [`retry`]'s curve.
+const RETRY_CAP: Duration = Duration::from_millis(2);
+
+/// One failed attempt of [`retry`]'s `op`.
+#[derive(Debug)]
+pub enum Failure<E> {
+    /// Back off and try again. Any `E` converts into this, so `?` in `op`
+    /// retries.
+    Transient(E),
+    /// No retry can fix it: [`retry`] returns at once.
+    Permanent(E),
 }
 
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
+impl<E> From<E> for Failure<E> {
+    fn from(error: E) -> Failure<E> {
+        Failure::Transient(error)
     }
+}
+
+/// [`retry`] gave up.
+#[derive(Debug)]
+pub struct Exhausted<E> {
+    /// Failed attempts: the budget, or fewer when `op` refused a retry.
+    pub attempts: u32,
+    /// The last attempt's error.
+    pub last: E,
+}
+
+/// The one retry loop: runs `op` until it succeeds, returns
+/// [`Failure::Permanent`], or has failed `attempts` times, sleeping
+/// [`backoff_delay`]`(n - 1, 20 µs, 2 ms)` after the `n`-th straight
+/// failure. Returns the value and the retries it took (the failures
+/// before the success). A first-try success never sleeps.
+#[inline]
+pub fn retry<T, E>(
+    attempts: u32,
+    mut op: impl FnMut() -> Result<T, Failure<E>>,
+) -> Result<(T, u32), Exhausted<E>> {
+    let mut failed = 0;
+    loop {
+        match op() {
+            Ok(value) => return Ok((value, failed)),
+            Err(Failure::Transient(_)) if failed + 1 < attempts => {
+                std::thread::sleep(backoff_delay(failed, RETRY_BASE, RETRY_CAP));
+                failed += 1;
+            }
+            Err(Failure::Transient(last) | Failure::Permanent(last)) => {
+                return Err(Exhausted { attempts: failed + 1, last })
+            }
+        }
+    }
+}
+
+/// The capped exponential curve every recovery waits on: `base` at
+/// `n = 0`, doubling per step, never above `cap` (no overflow at any
+/// `n`).
+pub fn backoff_delay(n: u32, base: Duration, cap: Duration) -> Duration {
+    base.saturating_mul(1u32.checked_shl(n).unwrap_or(u32::MAX)).min(cap)
 }
 
 #[cfg(test)]
@@ -649,24 +706,69 @@ mod tests {
     }
 
     #[test]
-    fn panic_on_unwinds_with_typed_payload() {
+    fn gate_passes_after_the_budget_or_exhausts_with_the_fault() {
         let _serial = lock();
         let faults = Faults::global();
-        let _guard = faults.arm(FaultPlan::new(2, 1.0).with_span(1));
-        let err = catch_injected(|| faults.panic_on(Site::SolveCluster, 77)).unwrap_err();
-        assert_eq!(err.site, Site::SolveCluster);
-        assert_eq!(err.key, 77);
-        // Budget spent: the same call now succeeds.
-        catch_injected(|| faults.panic_on(Site::SolveCluster, 77)).unwrap();
+        assert_eq!(faults.gate(Site::SolveCluster, 77, 1).unwrap(), 0, "disarmed");
+        let plan = FaultPlan::new(2, 1.0).with_span(MAX_SPAN).only(&[Site::SolveCluster]);
+        let _guard = faults.arm(plan);
+        let key = (0..).find(|&k| plan.failure_budget(Site::SolveCluster, k) > 1).unwrap();
+        let budget = plan.failure_budget(Site::SolveCluster, key);
+        let err = faults.gate(Site::SolveCluster, key, budget - 1).unwrap_err();
+        assert_eq!((err.attempts, err.last), (budget - 1, Fault::Panic));
+        // One failure left of the budget: the next gate retries it once.
+        assert_eq!(faults.gate(Site::SolveCluster, key, RETRY_ATTEMPTS).unwrap(), 1);
+        assert_eq!(faults.injected(Site::SolveCluster), u64::from(budget));
     }
 
     #[test]
-    fn catch_injected_reraises_genuine_panics() {
-        let _serial = lock();
-        let outcome = std::panic::catch_unwind(|| {
-            let _ = catch_injected(|| panic!("genuine bug"));
+    fn retry_counts_the_failures_before_a_success() {
+        let mut calls = 0;
+        let out = retry(RETRY_ATTEMPTS, || {
+            calls += 1;
+            if calls <= 3 {
+                Err(Failure::Transient(calls))
+            } else {
+                Ok("done")
+            }
         });
-        assert!(outcome.is_err(), "genuine panics must propagate");
+        assert_eq!(out.unwrap(), ("done", 3));
+        assert_eq!(retry(1, || Ok::<_, Failure<()>>(7)).unwrap(), (7, 0));
+    }
+
+    #[test]
+    fn retry_exhausts_its_budget_with_the_last_error() {
+        let mut calls = 0u32;
+        let err = retry(4, || -> Result<(), _> {
+            calls += 1;
+            Err(Failure::Transient(calls))
+        })
+        .unwrap_err();
+        assert_eq!((err.attempts, err.last, calls), (4, 4, 4));
+    }
+
+    #[test]
+    fn a_refused_retry_returns_at_once() {
+        let mut calls = 0;
+        let err = retry(RETRY_ATTEMPTS, || -> Result<(), _> {
+            calls += 1;
+            Err(Failure::Permanent("condemned"))
+        })
+        .unwrap_err();
+        assert_eq!((err.attempts, err.last, calls), (1, "condemned", 1), "no retry");
+    }
+
+    #[test]
+    fn backoff_delay_doubles_up_to_its_cap() {
+        let (base, cap) = (Duration::from_millis(25), Duration::from_secs(2));
+        assert_eq!(backoff_delay(0, base, cap), base);
+        assert_eq!(backoff_delay(1, base, cap), 2 * base);
+        assert_eq!(backoff_delay(6, base, cap), 64 * base);
+        assert_eq!(backoff_delay(7, base, cap), cap, "128 × 25 ms is past the cap");
+        for n in [31, 32, 64, u32::MAX] {
+            assert_eq!(backoff_delay(n, base, cap), cap);
+            assert_eq!(backoff_delay(n, Duration::MAX, Duration::MAX), Duration::MAX);
+        }
     }
 
     #[test]

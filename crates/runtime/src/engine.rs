@@ -37,23 +37,15 @@ use cnc_core::build_plan::{BuildPlan, ClusterCache, RebuildStats};
 use cnc_core::distributed::cluster_cost;
 use cnc_core::{C2Config, ClusterAndConquer};
 use cnc_dataset::{Dataset, UserId};
-use cnc_faults::{Faults, Site};
+use cnc_faults::{Faults, InjectedPanic, Site, SOLVE_ATTEMPTS};
 use cnc_graph::{KnnGraph, NeighborList, SharedKnnGraph};
 use cnc_similarity::{GoldFinger, SimilarityData};
 use cnc_telemetry::Telemetry;
 use cnc_threadpool::PriorityPool;
-use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// In-build attempts per cluster (first try + bounded re-executions after
-/// caught injected panics). A cluster whose gate fails this many times
-/// aborts the build — the layer above (the serving writer) keeps its last
-/// good epoch and retries the whole publish with backoff, by which point
-/// a transient fault schedule has drained its budget.
-const MAX_SOLVE_ATTEMPTS: u32 = 3;
 
 /// A built graph plus the record of the map stage that built it.
 #[derive(Debug)]
@@ -275,24 +267,21 @@ impl Runtime {
     }
 }
 
-/// The per-cluster `solve.cluster` fault gate of both stages: an injected
-/// panic is caught and the cluster re-attempted (counted in `requeued`),
-/// up to [`MAX_SOLVE_ATTEMPTS`] failures per cluster. Exhaustion re-raises
-/// the typed payload, which fails the build before the cluster's solve
-/// has touched a row.
+/// The per-cluster `solve.cluster` fault gate of both stages: up to
+/// [`SOLVE_ATTEMPTS`] tries per cluster, each retry counted in
+/// `requeued`. Exhaustion unwinds with the typed [`InjectedPanic`]
+/// payload, which fails the build before the cluster's solve has touched
+/// a row — the layer above (the serving writer) keeps its last good epoch
+/// and retries the whole publish, by which point a transient schedule has
+/// drained its budget.
 fn solve_gate(cluster: usize, requeued: &AtomicU64) {
-    let faults = Faults::global();
-    if !faults.armed() {
-        return;
-    }
-    for attempt in 1.. {
-        match cnc_faults::catch_injected(|| faults.panic_on(Site::SolveCluster, cluster as u64)) {
-            Ok(()) => return,
-            Err(injected) if attempt >= MAX_SOLVE_ATTEMPTS => std::panic::panic_any(injected),
-            Err(_) => {
-                requeued.fetch_add(1, Ordering::Relaxed);
-            }
+    let key = cluster as u64;
+    match Faults::global().gate(Site::SolveCluster, key, SOLVE_ATTEMPTS) {
+        Ok(0) => {}
+        Ok(retries) => {
+            requeued.fetch_add(retries.into(), Ordering::Relaxed);
         }
+        Err(_) => std::panic::panic_any(InjectedPanic { site: Site::SolveCluster, key }),
     }
 }
 
@@ -317,7 +306,7 @@ struct MapTotals {
     spilled_entries: u64,
     spilled_bytes: u64,
     rerouted_records: u64,
-    /// Cluster attempts the `solve.cluster` gate caught and re-ran.
+    /// Cluster attempts the `solve.cluster` gate failed and re-ran.
     requeued_clusters: u64,
     /// Failed spill creates, appends and replays that were retried.
     spill_retries: u64,
@@ -341,7 +330,7 @@ fn run_map_stage(
     let clusters = plan.clusters();
     let threshold = c2.brute_force_threshold();
     let requeued = AtomicU64::new(0);
-    let stream = spill_dir.map(|dir| Mutex::new(SpillStream::open(dir)));
+    let stream = spill_dir.map(SpillStream::open);
     let shuffle_entries = AtomicU64::new(0);
     let jobs = clusters.iter().enumerate();
     let jobs = jobs.map(|(index, users)| (cluster_cost(users.len(), c2.k, c2.rho), index));
@@ -351,11 +340,10 @@ fn run_map_stage(
         let seed = ClusterAndConquer::job_seed(c2, cluster);
         let (lists, _) =
             local::solve_cluster_partial(users, sim, c2.k, threshold, c2.rho, c2.delta, seed);
-        let mut spill = stream.as_ref().map(Mutex::lock);
         let mut entries = 0;
         for (&user, list) in users.iter().zip(&lists).filter(|(_, list)| !list.is_empty()) {
             entries += list.len() as u64;
-            if !spill.as_mut().is_some_and(|stream| stream.push(user, list)) {
+            if !stream.as_ref().is_some_and(|stream| stream.push(user, list)) {
                 graph.merge_into(user, list);
             }
         }
@@ -367,8 +355,8 @@ fn run_map_stage(
         requeued_clusters: requeued.into_inner(),
         ..MapTotals::default()
     };
-    if let Some(stream) = stream.map(Mutex::into_inner) {
-        totals.rerouted_records = stream.rerouted;
+    if let Some(stream) = stream {
+        totals.rerouted_records = stream.rerouted.load(Ordering::Relaxed);
         totals.spill_retries = stream.create_retries;
         if let Some(file) = stream.finish() {
             let (replayed, retries) = replay_into(graph, &file, c2.k);
@@ -395,16 +383,15 @@ fn replay_into(graph: &SharedKnnGraph, file: &FinishedSpill, k: usize) -> (u64, 
     (entries, retries.into())
 }
 
-/// The build's spill stream, shared by every job behind a lock. It is
-/// broken for the rest of the build once its create or an append exhausts
-/// the writer's retries; the records due to it are then merged directly —
-/// the graph is route-independent, so degrading the route never changes
-/// the result.
+/// The build's spill stream, shared by every job. It is broken for the
+/// rest of the build once its create or an append exhausts the writer's
+/// retries; the records due to it are then merged directly — the graph
+/// is route-independent, so degrading the route never changes the
+/// result.
 struct SpillStream {
     writer: Option<SpillWriter>,
-    broken: bool,
     /// Records due to spill that were merged directly instead.
-    rerouted: u64,
+    rerouted: AtomicU64,
     /// Retries of a create that exhausted them (a created writer counts
     /// its own).
     create_retries: u64,
@@ -419,19 +406,18 @@ impl SpillStream {
             Err(ShuffleError::Exhausted { attempts, .. }) => (None, u64::from(attempts) - 1),
             Err(ShuffleError::Io { .. }) => (None, 0),
         };
-        SpillStream { broken: writer.is_none(), writer, rerouted: 0, create_retries }
+        SpillStream { writer, rerouted: AtomicU64::new(0), create_retries }
     }
 
     /// Appends one record; `false` when the stream is (or just became)
     /// broken, and the caller merges the record directly instead. A failed
     /// append leaves the committed prefix in place, still replayable.
-    fn push(&mut self, user: UserId, list: &NeighborList) -> bool {
-        if !self.broken {
-            let writer = self.writer.as_mut().expect("an unbroken stream has a writer");
-            self.broken = writer.push(user, list).is_err();
+    fn push(&self, user: UserId, list: &NeighborList) -> bool {
+        let pushed = self.writer.as_ref().is_some_and(|w| w.push(user, list).is_ok());
+        if !pushed {
+            self.rerouted.fetch_add(1, Ordering::Relaxed);
         }
-        self.rerouted += u64::from(self.broken);
-        !self.broken
+        pushed
     }
 
     /// Seals the stream, if it was created. A seal failure is not
@@ -733,7 +719,7 @@ mod tests {
         let faults = Faults::global();
         for workers in [1usize, 3] {
             // Every cluster's gate panics 1–2 times (span 2 <
-            // MAX_SOLVE_ATTEMPTS), so the build must survive purely by
+            // SOLVE_ATTEMPTS), so the build must survive purely by
             // re-attempting behind the gate.
             let plan =
                 cnc_faults::FaultPlan::new(4242, 1.0).only(&[Site::SolveCluster]).with_span(2);
@@ -758,7 +744,7 @@ mod tests {
         cnc_faults::silence_injected_panics();
         let ds = test_dataset();
         let faults = Faults::global();
-        // Span 12: most clusters draw a failure budget ≥ MAX_SOLVE_ATTEMPTS,
+        // Span 12: most clusters draw a failure budget ≥ SOLVE_ATTEMPTS,
         // so some cluster must exhaust its attempts and fail the build with
         // the injected payload (the serving layer's rebuild-failure signal).
         let plan = cnc_faults::FaultPlan::new(7, 1.0).only(&[Site::SolveCluster]).with_span(12);
@@ -789,7 +775,7 @@ mod tests {
         assert_eq!(clean.rebuild.path, RebuildPath::Patched);
         let faults = Faults::global();
 
-        // Span 2 < MAX_SOLVE_ATTEMPTS: every dirty cluster's gate fails
+        // Span 2 < SOLVE_ATTEMPTS: every dirty cluster's gate fails
         // once or twice, then opens — the patched graph is the clean one.
         {
             let plan = cnc_faults::FaultPlan::new(9, 1.0).only(&[Site::SolveCluster]).with_span(2);

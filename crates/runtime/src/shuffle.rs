@@ -8,8 +8,8 @@
 //! * a length-prefixed binary codec ([`write_record`] / [`read_record`])
 //!   for partial neighbour lists — also the distributed build's wire
 //!   format;
-//! * [`SpillWriter`], the build's one retrying stream, and
-//!   [`replay_spill`], which reads a sealed stream back;
+//! * [`SpillWriter`], the build's one retrying stream, shared by its
+//!   jobs, and [`replay_spill`], which reads a sealed stream back;
 //! * the cleanup-on-drop [`SpillDir`] temp-directory guard.
 //!
 //! The codec is lossless: similarities travel as raw `f32` bits, so a
@@ -18,8 +18,10 @@
 
 use cnc_core::build_plan::fnv1a;
 use cnc_dataset::UserId;
-use cnc_faults::{injected_io_error, Fault, Faults, Site};
+use cnc_faults::RETRY_ATTEMPTS;
+use cnc_faults::{injected_io_error, retry, Exhausted, Failure, Fault, Faults, Site};
 use cnc_graph::NeighborList;
+use parking_lot::Mutex;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -41,7 +43,8 @@ pub enum ShuffleError {
         /// The underlying error.
         source: io::Error,
     },
-    /// A retried operation failed every attempt of its backoff loop.
+    /// A retried operation failed every attempt of its budget, or an
+    /// attempt no retry could fix.
     Exhausted {
         /// The fault site's wire name.
         site: &'static str,
@@ -78,13 +81,11 @@ impl std::error::Error for ShuffleError {
     }
 }
 
-/// Retry budget for spill record appends; outlasts any injectable
-/// failure budget (span ≤ 12 < 16), so injected write faults are always
-/// recoverable — only genuine persistent IO errors exhaust it.
-pub const SPILL_WRITE_ATTEMPTS: u32 = 16;
-
-/// Retry budget for replaying a sealed spill file.
-pub const SPILL_REPLAY_ATTEMPTS: u32 = 16;
+/// Maps [`retry`]'s exhaustion at `site` on `path` to the typed error.
+fn exhausted(site: Site, path: &Path, failure: Exhausted<io::Error>) -> ShuffleError {
+    let Exhausted { attempts, last } = failure;
+    ShuffleError::Exhausted { site: site.name(), path: path.to_path_buf(), attempts, last }
+}
 
 /// Encoded size of one spill record, in bytes: an 8-byte header
 /// (`user: u32 LE`, `len: u32 LE`) plus 8 bytes (`neighbour: u32 LE`,
@@ -206,27 +207,39 @@ impl Drop for SpillDir {
     }
 }
 
-/// Buffered writer for one spill stream,
-/// with retrying, torn-write-recovering appends.
+/// One spill stream, shared by every job of a build: a buffered file
+/// writer with retrying, torn-write-recovering appends.
 ///
-/// `bytes` is the stream's *committed* length: records the writer has
-/// accepted (buffered or flushed). A failed append — injected or real —
-/// is rolled back by flushing the committed prefix and truncating the
-/// file back to it, so a torn write never leaves garbage a replay would
-/// trip over; the append is then retried under capped exponential
-/// backoff ([`SPILL_WRITE_ATTEMPTS`]).
+/// A failed append — injected or real — is rolled back by flushing the
+/// committed prefix and truncating the file back to it, so a torn write
+/// never leaves garbage a replay would trip over; the append is then
+/// retried under [`cnc_faults::retry`] ([`RETRY_ATTEMPTS`]). Each attempt
+/// takes the stream's lock and drops it before the backoff, so one job's
+/// retry never stalls the others. An append that exhausts its attempts,
+/// or whose rollback fails, breaks the stream: every later push fails at
+/// once, and the records already committed stay replayable.
 pub struct SpillWriter {
-    writer: BufWriter<File>,
+    tail: Mutex<Tail>,
     path: PathBuf,
-    bytes: u64,
-    entries: u64,
     /// Salts the per-record fault keys so streams draw independently.
     fault_base: u64,
-    /// Records appended so far (the per-record fault-key ordinal).
-    records: u64,
+    /// Records pushed so far; a record claims its ordinal, and with it its
+    /// fault key, once, whatever the other jobs append between its tries.
+    records: AtomicU64,
     /// Failed attempts retried so far, the create's included.
-    retries: u64,
-    /// Encode-once scratch buffer; records are tiny (≤ 8 + 8·k bytes).
+    retries: AtomicU64,
+}
+
+/// The end of a spill stream, behind its writer's lock.
+struct Tail {
+    writer: BufWriter<File>,
+    /// The stream's committed length: the records accepted (buffered or
+    /// flushed).
+    bytes: u64,
+    entries: u64,
+    /// Set once an append exhausts its attempts or a rollback fails.
+    broken: bool,
+    /// Encode buffer; records are tiny (≤ 8 + 8·k bytes).
     scratch: Vec<u8>,
 }
 
@@ -234,84 +247,84 @@ impl SpillWriter {
     /// Creates the stream's file. `fault_base` identifies the stream to
     /// the fault registry.
     pub fn create(path: PathBuf, fault_base: u64) -> Result<SpillWriter, ShuffleError> {
-        let mut attempt = 0u32;
-        loop {
-            let outcome = Faults::global()
-                .inject_io(Site::SpillWrite, fault_base)
-                .and_then(|()| File::create(&path));
-            match outcome {
-                Ok(file) => {
-                    return Ok(SpillWriter {
-                        writer: BufWriter::new(file),
-                        path,
-                        bytes: 0,
-                        entries: 0,
-                        fault_base,
-                        records: 0,
-                        retries: attempt.into(),
-                        scratch: Vec::new(),
-                    })
-                }
-                Err(last) => {
-                    attempt += 1;
-                    if attempt >= SPILL_WRITE_ATTEMPTS {
-                        return Err(ShuffleError::Exhausted {
-                            site: Site::SpillWrite.name(),
-                            path,
-                            attempts: attempt,
-                            last,
-                        });
-                    }
-                    cnc_faults::backoff(attempt, 20, 2_000);
-                }
-            }
-        }
+        let created = retry(RETRY_ATTEMPTS, || {
+            Faults::global().inject_io(Site::SpillWrite, fault_base)?;
+            Ok(File::create(&path)?)
+        });
+        let (file, retries) = created.map_err(|e| exhausted(Site::SpillWrite, &path, e))?;
+        let writer = BufWriter::new(file);
+        Ok(SpillWriter {
+            tail: Mutex::new(Tail { writer, bytes: 0, entries: 0, broken: false, scratch: vec![] }),
+            path,
+            fault_base,
+            records: AtomicU64::new(0),
+            retries: AtomicU64::new(retries.into()),
+        })
     }
 
     /// Appends one record, retrying (with rollback) on failure.
-    pub fn push(&mut self, user: UserId, list: &NeighborList) -> Result<(), ShuffleError> {
+    pub fn push(&self, user: UserId, list: &NeighborList) -> Result<(), ShuffleError> {
+        let ordinal = self.records.fetch_add(1, Ordering::Relaxed);
+        let key = self.fault_base ^ ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let pushed = retry(RETRY_ATTEMPTS, || self.tail.lock().append(key, user, list));
+        let retries = pushed.as_ref().map_or_else(|e| e.attempts - 1, |&((), retries)| retries);
+        self.retries.fetch_add(retries.into(), Ordering::Relaxed);
+        pushed.map(drop).map_err(|failure| {
+            self.tail.lock().broken = true;
+            exhausted(Site::SpillWrite, &self.path, failure)
+        })
+    }
+
+    /// Flushes and seals the stream, returning its replay handle.
+    pub fn finish(self) -> Result<FinishedSpill, ShuffleError> {
+        let Tail { mut writer, bytes, entries, .. } = self.tail.into_inner();
+        let site = Site::SpillWrite.name();
+        let path = self.path;
+        if let Err(source) = writer.flush() {
+            return Err(ShuffleError::Io { site, path, source });
+        }
+        Ok(FinishedSpill { path, bytes, entries, retries: self.retries.into_inner() })
+    }
+}
+
+impl Tail {
+    /// One append attempt under the stream's lock. A failure is rolled
+    /// back before the lock drops; a failed rollback is permanent.
+    fn append(
+        &mut self,
+        key: u64,
+        user: UserId,
+        list: &NeighborList,
+    ) -> Result<(), Failure<io::Error>> {
+        if self.broken {
+            return Err(Failure::Permanent(io::Error::other("the spill stream is broken")));
+        }
         self.scratch.clear();
         write_record(&mut self.scratch, user, list).expect("encoding into a Vec cannot fail");
-        let key = self.fault_base ^ self.records.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let faults = Faults::global();
-        let mut attempt = 0u32;
-        loop {
-            let outcome: io::Result<()> = match faults.inject(Site::SpillWrite, key) {
-                None => self.writer.write_all(&self.scratch),
-                Some(Fault::Torn) => {
-                    // A torn write: flush the committed prefix, land half
-                    // the record directly in the file, then fail — the
-                    // recovery path below must truncate it away.
-                    self.writer.flush().and_then(|()| {
-                        let torn = self.scratch.len() / 2;
-                        self.writer.get_mut().write_all(&self.scratch[..torn])?;
-                        Err(injected_io_error(Site::SpillWrite))
-                    })
-                }
-                Some(_) => Err(injected_io_error(Site::SpillWrite)),
-            };
-            match outcome {
-                Ok(()) => {
-                    self.bytes += self.scratch.len() as u64;
-                    self.entries += list.len() as u64;
-                    self.records += 1;
-                    return Ok(());
-                }
-                Err(last) => {
-                    attempt += 1;
-                    let rollback = self.rollback();
-                    if attempt >= SPILL_WRITE_ATTEMPTS || rollback.is_err() {
-                        let last = rollback.err().unwrap_or(last);
-                        return Err(ShuffleError::Exhausted {
-                            site: Site::SpillWrite.name(),
-                            path: self.path.clone(),
-                            attempts: attempt,
-                            last,
-                        });
-                    }
-                    self.retries += 1;
-                    cnc_faults::backoff(attempt, 20, 2_000);
-                }
+        let outcome = match Faults::global().inject(Site::SpillWrite, key) {
+            None => self.writer.write_all(&self.scratch),
+            Some(Fault::Torn) => {
+                // A torn write: flush the committed prefix, land half the
+                // record directly in the file, then fail — the rollback
+                // below must truncate it away.
+                self.writer.flush().and_then(|()| {
+                    let torn = self.scratch.len() / 2;
+                    self.writer.get_mut().write_all(&self.scratch[..torn])?;
+                    Err(injected_io_error(Site::SpillWrite))
+                })
+            }
+            Some(_) => Err(injected_io_error(Site::SpillWrite)),
+        };
+        let Err(last) = outcome else {
+            self.bytes += self.scratch.len() as u64;
+            self.entries += list.len() as u64;
+            return Ok(());
+        };
+        match self.rollback() {
+            Ok(()) => Err(Failure::Transient(last)),
+            Err(rollback) => {
+                self.broken = true;
+                Err(Failure::Permanent(rollback))
             }
         }
     }
@@ -326,55 +339,26 @@ impl SpillWriter {
         file.seek(SeekFrom::End(0))?;
         Ok(())
     }
-
-    /// Flushes and seals the stream, returning its replay handle.
-    pub fn finish(mut self) -> Result<FinishedSpill, ShuffleError> {
-        self.writer.flush().map_err(|source| ShuffleError::Io {
-            site: Site::SpillWrite.name(),
-            path: self.path.clone(),
-            source,
-        })?;
-        let (path, bytes, entries, retries) = (self.path, self.bytes, self.entries, self.retries);
-        Ok(FinishedSpill { path, bytes, entries, retries })
-    }
 }
 
 /// Replays a sealed spill file into memory, retrying the whole read under
-/// capped backoff ([`SPILL_REPLAY_ATTEMPTS`]); returns the records and
+/// [`cnc_faults::retry`] ([`RETRY_ATTEMPTS`]); returns the records and
 /// the retries made. Buffering before the merge keeps retries trivially
 /// idempotent: no record reaches a [`NeighborList`] until the full file
 /// has decoded cleanly.
 pub fn replay_spill(path: &Path, k: usize) -> Result<(Records, u32), ShuffleError> {
     // The path's FNV-1a is the replay side's stable fault key.
     let key = fnv1a(path.as_os_str().as_encoded_bytes());
-    let faults = Faults::global();
-    let mut attempt = 0u32;
-    loop {
-        let outcome: io::Result<Records> = (|| {
-            faults.inject_io(Site::SpillReplay, key)?;
-            let mut reader = BufReader::new(File::open(path)?);
-            let mut records = Vec::new();
-            while let Some(record) = read_record(&mut reader, k)? {
-                records.push(record);
-            }
-            Ok(records)
-        })();
-        match outcome {
-            Ok(records) => return Ok((records, attempt)),
-            Err(last) => {
-                attempt += 1;
-                if attempt >= SPILL_REPLAY_ATTEMPTS {
-                    return Err(ShuffleError::Exhausted {
-                        site: Site::SpillReplay.name(),
-                        path: path.to_path_buf(),
-                        attempts: attempt,
-                        last,
-                    });
-                }
-                cnc_faults::backoff(attempt, 20, 2_000);
-            }
+    let replayed = retry(RETRY_ATTEMPTS, || {
+        Faults::global().inject_io(Site::SpillReplay, key)?;
+        let mut reader = BufReader::new(File::open(path)?);
+        let mut records = Vec::new();
+        while let Some(record) = read_record(&mut reader, k)? {
+            records.push(record);
         }
-    }
+        Ok(records)
+    });
+    replayed.map_err(|e| exhausted(Site::SpillReplay, path, e))
 }
 
 /// A sealed spill file, ready to be replayed into the shared arena.
@@ -467,7 +451,7 @@ mod tests {
     fn spill_writer_counts_bytes_and_entries() {
         let _calm = crate::no_faults();
         let dir = SpillDir::create().unwrap();
-        let mut w = SpillWriter::create(dir.file_path(0), 0).unwrap();
+        let w = SpillWriter::create(dir.file_path(0), 0).unwrap();
         let a = list(3, &[(1, 0.5), (2, 0.25)]);
         let b = list(3, &[(9, 0.125)]);
         w.push(10, &a).unwrap();
@@ -518,7 +502,7 @@ mod tests {
             (0..64u32).map(|i| list(4, &[(i, 0.5), (i + 100, 0.25)])).collect();
 
         // Fault-free reference stream.
-        let mut clean = SpillWriter::create(dir.file_path(0), 7).unwrap();
+        let clean = SpillWriter::create(dir.file_path(0), 7).unwrap();
         for (i, l) in records.iter().enumerate() {
             clean.push(i as u32, l).unwrap();
         }
@@ -531,7 +515,7 @@ mod tests {
         let plan = cnc_faults::FaultPlan::new(99, 1.0).only(&[Site::SpillWrite]).with_span(4);
         let injected = {
             let _guard = faults.arm(plan);
-            let mut chaotic = SpillWriter::create(dir.file_path(1), 7).unwrap();
+            let chaotic = SpillWriter::create(dir.file_path(1), 7).unwrap();
             for (i, l) in records.iter().enumerate() {
                 chaotic.push(i as u32, l).unwrap();
             }
@@ -550,7 +534,7 @@ mod tests {
     fn replay_retries_injected_faults_and_decodes_everything() {
         let _serial = fault_lock();
         let dir = SpillDir::create().unwrap();
-        let mut w = SpillWriter::create(dir.file_path(0), 0).unwrap();
+        let w = SpillWriter::create(dir.file_path(0), 0).unwrap();
         for i in 0..16u32 {
             w.push(i, &list(3, &[(i + 1, 0.5)])).unwrap();
         }
@@ -576,7 +560,7 @@ mod tests {
         match err {
             ShuffleError::Exhausted { site, attempts, .. } => {
                 assert_eq!(site, "spill.replay");
-                assert_eq!(attempts, SPILL_REPLAY_ATTEMPTS);
+                assert_eq!(attempts, RETRY_ATTEMPTS);
             }
             other => panic!("expected Exhausted, got {other}"),
         }

@@ -17,23 +17,19 @@
 //! there, so restarts never publish backwards; the adopter remembers the
 //! last sequence it adopted and only moves forward. Loading a published
 //! file follows one policy ([`SnapshotAdopter::poll`]): transient I/O is
-//! retried with backoff, a file whose bytes are condemned is quarantined,
-//! a file of any other format version — older or newer — is left in
-//! place, and the adopter falls back to the next-newest candidate.
+//! retried under [`cnc_faults::retry`], a file whose bytes are condemned
+//! is quarantined, a file of any other format version — older or newer —
+//! is left in place, and the adopter falls back to the next-newest
+//! candidate.
 
 use crate::mmap::AdoptedSnapshot;
 use crate::server::ServingEngine;
 use crate::snapshot::{quarantine_snapshot, sweep_temp_files, SnapshotError};
+use cnc_faults::{retry, Exhausted, Failure, RETRY_ATTEMPTS};
 use cnc_telemetry::Telemetry;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Open attempts per candidate file in [`SnapshotAdopter::poll`] before a
-/// transient I/O error is treated as fatal for that candidate. Far above
-/// the fault schedule's maximum failure budget (12), so injected faults
-/// always drain first.
-const SNAPSHOT_LOAD_ATTEMPTS: u32 = 16;
 
 /// The file-name prefix/suffix of published epochs.
 const EPOCH_PREFIX: &str = "epoch-";
@@ -155,8 +151,8 @@ impl SnapshotAdopter {
     /// nothing new. Each candidate, newest first, is opened under one
     /// policy:
     ///
-    /// * a transient I/O error backs off and retries (capped exponential,
-    ///   up to 16 attempts) and never condemns the file;
+    /// * a transient I/O error retries under [`cnc_faults::retry`] (up to
+    ///   [`cnc_faults::RETRY_ATTEMPTS`]) and never condemns the file;
     /// * a verdict on the bytes — truncation, bad magic, a checksum
     ///   mismatch, a corrupt or missing section — quarantines the file
     ///   ([`quarantine_snapshot`]), since re-reading them cannot help;
@@ -222,21 +218,19 @@ impl SnapshotAdopter {
     }
 }
 
-/// [`AdoptedSnapshot::open`] with bounded retries: an I/O error that does
-/// not condemn the bytes is transient, backs off and retries; any other
-/// verdict returns at once. Also returns the retries made.
+/// [`AdoptedSnapshot::open`] under [`retry`]: an I/O error that does not
+/// condemn the bytes is transient and retries; any other verdict returns
+/// at once. Also returns the retries made.
 fn open_with_retry(path: &Path) -> (Result<AdoptedSnapshot, SnapshotError>, u32) {
-    let mut attempt = 0;
-    loop {
-        match AdoptedSnapshot::open(path) {
-            Err(error @ SnapshotError::Io(_))
-                if !condemns_bytes(&error) && attempt + 1 < SNAPSHOT_LOAD_ATTEMPTS =>
-            {
-                cnc_faults::backoff(attempt, 20, 2_000);
-                attempt += 1;
-            }
-            other => return (other, attempt),
-        }
+    let opened = retry(RETRY_ATTEMPTS, || {
+        AdoptedSnapshot::open(path).map_err(|error| match error {
+            SnapshotError::Io(_) if !condemns_bytes(&error) => Failure::Transient(error),
+            _ => Failure::Permanent(error),
+        })
+    });
+    match opened {
+        Ok((adopted, retries)) => (Ok(adopted), retries),
+        Err(Exhausted { attempts, last }) => (Err(last), attempts - 1),
     }
 }
 

@@ -35,6 +35,7 @@
 use crate::snapshot::{Snapshot, SnapshotError};
 use cnc_core::{BuildPlan, C2Config, ClusterCache, RebuildStats};
 use cnc_dataset::{Dataset, DatasetBuilder, ItemId, UserId};
+use cnc_faults::backoff_delay;
 use cnc_graph::{EntryIndex, KnnGraph};
 use cnc_query::{BeamSearchConfig, QueryIndex, QueryResult, Searcher};
 use cnc_runtime::{IncrementalShardedResult, Runtime, RuntimeConfig};
@@ -238,8 +239,7 @@ const REBUILD_RETRY_CAP: Duration = Duration::from_secs(2);
 /// The deferral before the next insert-triggered publish retry after
 /// `consecutive` straight failures.
 fn rebuild_backoff(consecutive: u32) -> Duration {
-    let exp = consecutive.saturating_sub(1).min(8);
-    REBUILD_RETRY_BASE.saturating_mul(1 << exp).min(REBUILD_RETRY_CAP)
+    backoff_delay(consecutive.saturating_sub(1), REBUILD_RETRY_BASE, REBUILD_RETRY_CAP)
 }
 
 /// Renders a caught rebuild panic payload for [`RebuildFailure::reason`].

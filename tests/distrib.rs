@@ -187,7 +187,7 @@ fn worker_exit_chaos_drains_into_inline_recovery() {
 }
 
 /// `transport.send` at p=1: every frame send draws injected IO and the
-/// capped-backoff loop absorbs it (span ≤ 12 < 16 attempts) — no
+/// gate's retry absorbs it (span ≤ `MAX_SPAN` < `RETRY_ATTEMPTS`) — no
 /// deaths, same bits, retries accounted in the report.
 fn transport_send_chaos_is_absorbed_by_backoff() {
     let label = "transport.send p=1";

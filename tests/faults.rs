@@ -8,8 +8,9 @@
 //!
 //! The schedules stay inside the survivable regime by construction: the
 //! per-key failure-budget span is capped at 2, below the runtime's
-//! 3-attempt solve budget and far below the 16-attempt spill/snapshot
-//! retry loops, so every injected failure is absorbed by recovery rather
+//! solve budget (`SOLVE_ATTEMPTS = 3`) and far below the IO budget the
+//! spill and snapshot retries run under (`RETRY_ATTEMPTS = 16`), so
+//! every injected failure is absorbed by recovery rather
 //! than escalated to a typed abort (escalation is pinned by the crate
 //! unit tests).
 
