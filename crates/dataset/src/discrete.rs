@@ -15,6 +15,16 @@
 //! argument holds for any probability in `[0, 1]`, so the synthetic
 //! generator's affinity coin, `random::<f64>() < affinity`, is the integer
 //! test `k < ⌈affinity · 2⁵³⌉` too (`coin_threshold`).
+//!
+//! The column is `word % n`, and a caller that draws in bulk picks it
+//! without a hardware division (`AliasTable::index`). The table keeps the
+//! reciprocal `c = ⌈2¹²⁸ / n⌉`, and the remainder is the high 64 bits of
+//! `(c · word mod 2¹²⁸) · n`, four 64-bit multiplies. Lemire, Kaser and
+//! Kurz (*Faster Remainder by Direct Computation*, 2019, Theorem 1) prove
+//! it exact for every 64-bit word when `2¹²⁸ ≤ c · n ≤ 2¹²⁸ + 2⁶⁴`, and the
+//! rounded-up reciprocal overshoots by `c · n − 2¹²⁸ < n < 2⁶⁴`: the pick
+//! is `word % n`, bit for bit, for every support size. For `n = 1`, `c`
+//! wraps to 0, which picks column 0.
 
 use rand::{Rng, RngExt};
 
@@ -25,6 +35,9 @@ use rand::{Rng, RngExt};
 #[derive(Clone, Debug)]
 pub struct AliasTable {
     columns: Vec<Column>,
+    /// `⌈2¹²⁸ / n⌉ mod 2¹²⁸`, so that [`AliasTable::index`] needs no
+    /// division.
+    reciprocal: u128,
 }
 
 /// One column of an [`AliasTable`]: a draw that lands here returns `own`
@@ -41,6 +54,22 @@ pub(crate) struct Column {
 
 /// `2⁵³`, the resolution of the 53-bit coin.
 const COIN_SCALE: f64 = (1u64 << 53) as f64;
+
+/// `⌈2¹²⁸ / len⌉ mod 2¹²⁸` (0 for `len = 1`): the constant [`remainder`]
+/// divides by.
+fn reciprocal(len: u64) -> u128 {
+    (u128::MAX / len as u128).wrapping_add(1)
+}
+
+/// `word % len`, with `reciprocal = reciprocal(len)`: the high 64 bits of
+/// the 192-bit product `(reciprocal · word mod 2¹²⁸) · len`, exact for every
+/// word (module docs).
+#[inline]
+fn remainder(word: u64, reciprocal: u128, len: u64) -> u64 {
+    let fraction = reciprocal.wrapping_mul(word as u128);
+    let (hi, lo) = ((fraction >> 64) as u64, fraction as u64);
+    ((hi as u128 * len as u128 + ((lo as u128 * len as u128) >> 64)) >> 64) as u64
+}
 
 /// `⌈min(p, 1) · 2⁵³⌉`: the 53-bit coin `k = word >> 11` satisfies
 /// `k < coin_threshold(p)` iff the `f64` coin `k · 2⁻⁵³` is below `p`.
@@ -71,14 +100,23 @@ impl AliasTable {
                 own: label(own),
                 alias: label(alias),
             })
-            .collect();
-        AliasTable { columns }
+            .collect::<Vec<_>>();
+        let reciprocal = reciprocal(columns.len() as u64);
+        AliasTable { columns, reciprocal }
     }
 
     /// The columns, for a caller that draws from a look-ahead window of
     /// the stream instead of through [`AliasTable::sample`].
     pub(crate) fn columns(&self) -> &[Column] {
         &self.columns
+    }
+
+    /// The column a draw whose column word is `word` lands in:
+    /// `word % n`, as [`AliasTable::sample`] computes it, but by a multiply
+    /// and a shift (module docs).
+    #[inline]
+    pub(crate) fn index(&self, word: u64) -> usize {
+        remainder(word, self.reciprocal, self.columns.len() as u64) as usize
     }
 
     /// Size of the support, `n`.
@@ -156,6 +194,8 @@ fn vose(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synthetic::DatasetProfile;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -332,6 +372,58 @@ mod tests {
         // A probability below 1/2 can fall between two coins; there the
         // threshold's rounding decides the draw.
         assert!(between_coins > 0, "no threshold fell between two coins");
+    }
+
+    /// `remainder` against the hardware `%` on the words where an error
+    /// would show first: the ends of the range and either side of a
+    /// multiple of `len`, the largest multiple included.
+    fn assert_exact_remainder(len: u64, word: u64) {
+        let c = reciprocal(len);
+        let top = u64::MAX / len * len;
+        for word in [word, 0, 1, len - 1, len, top - 1, top, u64::MAX] {
+            assert_eq!(remainder(word, c, len), word % len, "{word} % {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+        #[test]
+        fn the_multiply_shift_remainder_is_exact(
+            word in 0u64..u64::MAX,
+            len in 1u64..1 << 32,
+            shift in 0u32..32,
+        ) {
+            // Lengths of every magnitude in 1..=u32::MAX.
+            assert_exact_remainder((len >> shift).max(1), word);
+        }
+    }
+
+    #[test]
+    fn the_remainder_is_exact_at_every_table_length_that_matters() {
+        let mut lengths = vec![u32::MAX as u64, (1 << 63) + 1, u64::MAX];
+        lengths.extend((0..64).map(|bit| 1u64 << bit));
+        // Each preset's global table and its community pools at full
+        // scale: pools are `num_items / communities` items, or one more.
+        for profile in DatasetProfile::ALL {
+            let cfg = profile.config(1.0, 0);
+            let pool = (cfg.num_items / cfg.communities) as u64;
+            lengths.extend([cfg.num_items as u64, pool, pool + 1]);
+        }
+        let mut rng = SmallRng::seed_from_u64(17);
+        for len in lengths {
+            for _ in 0..256 {
+                assert_exact_remainder(len, rng.next_u64());
+            }
+        }
+        // A table picks its column with it.
+        for n in [1, 2, 3, 1_000] {
+            let table = AliasTable::new(&vec![1.0; n]);
+            for _ in 0..256 {
+                let word = rng.next_u64();
+                assert_eq!(table.index(word), (word % n as u64) as usize);
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,15 @@
 //! user's size draw reads them first, so every word goes where the
 //! one-draw-at-a-time loop sent it.
 //!
+//! Two more costs per draw go without changing a bit. The column is
+//! `word % n`, which the table computes by multiplying with its stored
+//! reciprocal instead of a hardware division; `discrete.rs` gives the
+//! bound that makes the multiply-shift exact for every word. And the
+//! window refills in bulk: SplitMix64's `i`-th next word is a pure
+//! function of the state plus `i` increments, so `SmallRng::fill_words`
+//! computes the words side by side in vector lanes, and they and the state
+//! it leaves are those of as many `next_u64` calls.
+//!
 //! The draw loop is serial: where a user's draws start in the stream
 //! depends on how many draws the previous user's dedup kept. What follows
 //! it is not, and runs on a second core. The loop leaves each profile
@@ -161,7 +170,7 @@ impl SyntheticConfig {
             for user in 0..self.num_users {
                 // The affinity coin indexes this pair: the global table, or
                 // the user's community table.
-                let tables = [global.columns(), communities[user % self.communities].columns()];
+                let tables = [&global, &communities[user % self.communities]];
                 let target = self.sample_profile_len(&mut stream);
                 // Rejection loop: draw until `target` distinct items or the
                 // attempt budget is exhausted (protects degenerate configs
@@ -175,7 +184,7 @@ impl SyntheticConfig {
                     let ahead = stream.peek(3 * n);
                     for (item, words) in block.iter_mut().zip(ahead.chunks_exact(3)) {
                         let table = tables[(words[0] >> 11 < affinity) as usize];
-                        let column = table[(words[1] % table.len() as u64) as usize];
+                        let column = table.columns()[table.index(words[1])];
                         *item = hint::select_unpredictable(
                             words[2] >> 11 < column.keep,
                             column.own,
@@ -308,9 +317,7 @@ impl Lookahead {
             self.words.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
-            for word in &mut self.words[self.end..] {
-                *word = self.rng.next_u64();
-            }
+            self.rng.fill_words(&mut self.words[self.end..]);
             self.end = self.words.len();
         }
         &self.words[self.start..self.start + n]

@@ -183,20 +183,30 @@ fn synthetic_datasets_match_golden_digests() {
 /// The golden digests above cover scale 0.02, where ml10M's 1,396 users
 /// and ml20M's 2,767 already fill several of the generator's 256-user
 /// chunks; this pins the three presets the benchmark generates at full
-/// scale: dense ml20M and ml10M and sparse DBLP, in 541, 273 and 74 chunks.
-/// Optimised builds only: a debug build spends ≈ 12 s generating them.
+/// scale: dense ml20M and ml10M and sparse DBLP, in 541, 273 and 74 chunks,
+/// at seed 42 and at `perf`'s first seed, 101.
+/// Optimised builds only: a debug build spends ≈ 16 s generating them.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full-scale generation; run with --release")]
 fn full_scale_presets_match_golden_digests() {
     let presets =
         [DatasetProfile::MovieLens20M, DatasetProfile::MovieLens10M, DatasetProfile::Dblp];
-    let digests =
-        presets.map(|p| (format!("{}@42", p.name()), dataset_digest(&p.generate(1.0, 42))));
-    // Recorded from the generator before its look-ahead rewrite.
-    let golden: [(&str, u64); 3] = [
+    let mut digests: Vec<(String, u64)> = Vec::new();
+    for seed in [42u64, 101] {
+        for profile in presets {
+            let ds = profile.generate(1.0, seed);
+            digests.push((format!("{}@{seed}", profile.name()), dataset_digest(&ds)));
+        }
+    }
+    // Seed 42 recorded from the generator before its look-ahead rewrite,
+    // seed 101 before its multiply-shift column pick and bulk window fill.
+    let golden: [(&str, u64); 6] = [
         ("ml20M@42", 0x34e47ed7c786a378),
         ("ml10M@42", 0xa8a298cbf945d837),
         ("DBLP@42", 0x4d749e6a62a90a73),
+        ("ml20M@101", 0xe9a740018cd95d5c),
+        ("ml10M@101", 0x725c8151a8a8aac5),
+        ("DBLP@101", 0xa2e35d956d6b75cc),
     ];
     assert_eq!(digests, golden.map(|(name, digest)| (name.to_string(), digest)));
 }
